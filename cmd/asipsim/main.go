@@ -25,7 +25,6 @@ import (
 
 	mat2c "mat2c"
 	"mat2c/internal/service"
-	"mat2c/internal/vm"
 )
 
 func main() {
@@ -40,18 +39,8 @@ func main() {
 		classes  = flag.Bool("classes", false, "print per-class execution counts")
 		trace    = flag.Bool("trace", false, "write an instruction trace to stderr (large!)")
 		timeout  = flag.Duration("timeout", 0, "bound compile+simulate wall time (e.g. 30s; 0 = none)")
-		superOpt = flag.String("superinst", "", "superinstruction fusion in the prepared engine: on or off (default: on, or MAT2C_VM_SUPERINST)")
-		engine   = flag.String("engine", "", "VM execution engine: reference, prepared or compiled (default: prepared, or MAT2C_VM_ENGINE)")
 	)
 	flag.Parse()
-	if err := applySuperinstFlag(*superOpt); err != nil {
-		fatal(err)
-	}
-	if *engine != "" {
-		if err := vm.SetDefaultEngine(*engine); err != nil {
-			fatal(fmt.Errorf("-engine: %w", err))
-		}
-	}
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: asipsim [flags] kernel.m  (see asipsim -h)")
 		os.Exit(2)
@@ -130,22 +119,6 @@ func formatValue(v interface{}) string {
 	default:
 		return fmt.Sprintf("%v", v)
 	}
-}
-
-// applySuperinstFlag maps a -superinst value onto the process-wide VM
-// fusion policy, leaving the $MAT2C_VM_SUPERINST default untouched when
-// the flag is unset.
-func applySuperinstFlag(v string) error {
-	switch v {
-	case "":
-	case "on":
-		vm.SetSuperinstEnabled(true)
-	case "off":
-		vm.SetSuperinstEnabled(false)
-	default:
-		return fmt.Errorf("-superinst: %q (want on or off)", v)
-	}
-	return nil
 }
 
 func fatal(err error) {

@@ -11,11 +11,8 @@
 // Use -scale to shrink/grow problem sizes (1.0 = paper scale) and -proc
 // to retarget Table I/II and Fig. 2. -jobs runs independent kernels on
 // a bounded worker pool (results stay in deterministic order).
-// -timeout bounds the whole run with one wall-clock deadline. -engine
-// selects the VM execution engine (prepared, compiled or reference;
-// all produce identical cycle counts — see docs/PERF.md).
-// -cpuprofile/-memprofile
-// write pprof profiles. Output is formatted text by default; -csv
+// -timeout bounds the whole run with one wall-clock deadline.
+// -cpuprofile/-memprofile write pprof profiles. Output is formatted text by default; -csv
 // emits CSV per table, -json emits one machine-readable document for
 // all requested tables (for BENCH_*.json trend tracking).
 package main
@@ -34,7 +31,6 @@ import (
 	"mat2c/internal/bench"
 	"mat2c/internal/pdesc"
 	"mat2c/internal/profile"
-	"mat2c/internal/vm"
 )
 
 func main() {
@@ -43,24 +39,22 @@ func main() {
 
 func run() int {
 	var (
-		t1       = flag.Bool("table1", false, "print Table I (headline speedups)")
-		t2       = flag.Bool("table2", false, "print Table II (code size)")
-		t3       = flag.Bool("table3", false, "print Table III (compiler activity, extension)")
-		f2       = flag.Bool("fig2", false, "print Figure 2 (feature ablation)")
-		f3       = flag.Bool("fig3", false, "print Figure 3 (SIMD width sweep)")
-		f4       = flag.Bool("fig4", false, "print Figure 4 (memory-cost sensitivity, extension)")
-		all      = flag.Bool("all", false, "print everything")
-		scale    = flag.Float64("scale", 1.0, "problem size multiplier (1.0 = paper scale)")
-		proc     = flag.String("proc", "dspasip", "target for Table I/II and Fig. 2")
-		csv      = flag.Bool("csv", false, "emit CSV instead of formatted tables")
-		jsonOut  = flag.Bool("json", false, "emit one JSON report for the requested tables")
-		jobs     = flag.Int("jobs", 1, "kernel-level worker pool size (1 = sequential)")
-		timeout  = flag.Duration("timeout", 0, "bound total table-generation wall time (e.g. 5m; 0 = none)")
-		engine   = flag.String("engine", "", "VM engine: prepared, compiled or reference (default: prepared, or MAT2C_VM_ENGINE)")
-		superOpt = flag.String("superinst", "", "superinstruction fusion in the prepared engine: on or off (default: on, or MAT2C_VM_SUPERINST)")
-		vmbench  = flag.String("vmbench", "", "measure simulator throughput and write the JSON report to this file (- for stdout)")
-		vmtime   = flag.Duration("vmtime", 250*time.Millisecond, "per-engine measurement window for -vmbench")
-		vmgate   = flag.Float64("vmgate", 0, "fail -vmbench unless superinst/prepared and compiled/prepared throughput on fir are at least this ratio (0 = no gate; CI uses a generous 0.5 to catch only collapses, not noise)")
+		t1      = flag.Bool("table1", false, "print Table I (headline speedups)")
+		t2      = flag.Bool("table2", false, "print Table II (code size)")
+		t3      = flag.Bool("table3", false, "print Table III (compiler activity, extension)")
+		f2      = flag.Bool("fig2", false, "print Figure 2 (feature ablation)")
+		f3      = flag.Bool("fig3", false, "print Figure 3 (SIMD width sweep)")
+		f4      = flag.Bool("fig4", false, "print Figure 4 (memory-cost sensitivity, extension)")
+		all     = flag.Bool("all", false, "print everything")
+		scale   = flag.Float64("scale", 1.0, "problem size multiplier (1.0 = paper scale)")
+		proc    = flag.String("proc", "dspasip", "target for Table I/II and Fig. 2")
+		csv     = flag.Bool("csv", false, "emit CSV instead of formatted tables")
+		jsonOut = flag.Bool("json", false, "emit one JSON report for the requested tables")
+		jobs    = flag.Int("jobs", 1, "kernel-level worker pool size (1 = sequential)")
+		timeout = flag.Duration("timeout", 0, "bound total table-generation wall time (e.g. 5m; 0 = none)")
+		vmbench = flag.String("vmbench", "", "measure simulator throughput and write the JSON report to this file (- for stdout)")
+		vmtime  = flag.Duration("vmtime", 250*time.Millisecond, "per-engine measurement window for -vmbench")
+		vmgate  = flag.Float64("vmgate", 0, "fail -vmbench unless compiled/reference throughput on fir is at least this ratio and fir has a compiled block (0 = no gate; CI uses 2, far below the committed ratio, to catch only collapses, not noise)")
 
 		cacheDir   = flag.String("cachedir", "", "durable artifact store directory: compilations persist there and warm later runs")
 		cacheBytes = flag.Int64("cachebytes", 0, "artifact store byte budget (0 = default 512 MiB; needs -cachedir)")
@@ -75,20 +69,6 @@ func run() int {
 	}
 	if *csv && *jsonOut {
 		return fatal(fmt.Errorf("-csv and -json are mutually exclusive"))
-	}
-	if *engine != "" {
-		if err := vm.SetDefaultEngine(*engine); err != nil {
-			return fatal(err)
-		}
-	}
-	switch *superOpt {
-	case "":
-	case "on":
-		vm.SetSuperinstEnabled(true)
-	case "off":
-		vm.SetSuperinstEnabled(false)
-	default:
-		return fatal(fmt.Errorf("-superinst: %q (want on or off)", *superOpt))
 	}
 	stop, err := profile.Start(*cpuProf, *memProf)
 	if err != nil {
@@ -252,9 +232,6 @@ func run() int {
 					continue
 				}
 				gated = true
-				if r.SuperinstSpeedup < *vmgate {
-					return fatal(fmt.Errorf("vmgate: superinst/prepared on fir = %.2f, below gate %.2f (fused dispatch has collapsed)", r.SuperinstSpeedup, *vmgate))
-				}
 				// fir allocates its output, so at least one block always
 				// falls back — the gate is that translation happened at
 				// all and the compiled engine has not collapsed.
@@ -262,7 +239,7 @@ func run() int {
 					return fatal(fmt.Errorf("vmgate: no compiled blocks on fir (translator produced nothing but fallback)"))
 				}
 				if r.CompiledSpeedup < *vmgate {
-					return fatal(fmt.Errorf("vmgate: compiled/prepared on fir = %.2f, below gate %.2f (closure threading has collapsed)", r.CompiledSpeedup, *vmgate))
+					return fatal(fmt.Errorf("vmgate: compiled/reference on fir = %.2f, below gate %.2f (the compiled engine has collapsed)", r.CompiledSpeedup, *vmgate))
 				}
 			}
 			if !gated {

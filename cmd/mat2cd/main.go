@@ -58,7 +58,6 @@ import (
 	"mat2c/internal/artifact/remote"
 	"mat2c/internal/fleet"
 	"mat2c/internal/service"
-	"mat2c/internal/vm"
 )
 
 func main() {
@@ -78,26 +77,8 @@ func main() {
 		advertise   = flag.String("advertise", "", "base URL workers advertise to the coordinator (default http://127.0.0.1<addr> when -addr is :port)")
 		sweepSlots  = flag.Int("sweepslots", 0, "concurrent fleet work units on a worker (0 = workers/2)")
 		unitSize    = flag.Int("unitsize", 0, "variants per dispatched DSE work unit (0 = default)")
-		superOpt    = flag.String("superinst", "", "superinstruction fusion in the prepared engine: on or off (default: on, or MAT2C_VM_SUPERINST)")
-		engine      = flag.String("engine", "", "VM execution engine: reference, prepared or compiled (default: prepared, or MAT2C_VM_ENGINE)")
 	)
 	flag.Parse()
-	switch *superOpt {
-	case "":
-	case "on":
-		vm.SetSuperinstEnabled(true)
-	case "off":
-		vm.SetSuperinstEnabled(false)
-	default:
-		fmt.Fprintf(os.Stderr, "mat2cd: -superinst: %q (want on or off)\n", *superOpt)
-		os.Exit(2)
-	}
-	if *engine != "" {
-		if err := vm.SetDefaultEngine(*engine); err != nil {
-			fmt.Fprintf(os.Stderr, "mat2cd: -engine: %v\n", err)
-			os.Exit(2)
-		}
-	}
 	if flag.NArg() != 0 {
 		fmt.Fprintln(os.Stderr, "usage: mat2cd [flags]  (see mat2cd -h)")
 		os.Exit(2)

@@ -47,9 +47,9 @@ func roundTripKernelsOn(t *testing.T, name string, proc *pdesc.Processor) {
 				restored := *res
 				restored.Program = dec
 				args := k.Inputs(n)
-				orig := runKernelEngine(t, res, proc, args, vm.EnginePrepared, nil)
-				back := runKernelEngine(t, &restored, proc, args, vm.EnginePrepared, nil)
-				assertRunsAgree(t, fmt.Sprintf("restored vec=%v", cfg.Vectorize), orig, back)
+				orig := runKernelEngine(t, res, proc, args, vm.EngineCompiled)
+				back := runKernelEngine(t, &restored, proc, args, vm.EngineCompiled)
+				assertRunsAgree(t, fmt.Sprintf("restored vec=%v", cfg.Vectorize), back, orig)
 				if orig.err != nil {
 					t.Fatalf("kernel run failed: %v", orig.err)
 				}

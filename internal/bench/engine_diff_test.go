@@ -1,13 +1,12 @@
 package bench_test
 
-// Differential test between the VM engines over the real benchmark
+// Differential test between the two VM engines over the real benchmark
 // suite: every kernel, every embedded target, and a slice of
-// DSE-derived variants must produce bit-identical outputs and
-// identical cycle accounting under the reference engine, the prepared
-// engine with fusion disabled, the prepared engine with a trace-mined
-// superinstruction set, and the compiled closure-threaded engine.
-// This is the whole-pipeline companion to the per-opcode equivalence
-// tests in internal/vm.
+// DSE-derived variants must produce bit-identical outputs, identical
+// cycle and class accounting, and identical per-pc profiles under the
+// reference interpreter and the compiled engine. This is the
+// whole-pipeline companion to the per-opcode equivalence tests in
+// internal/vm.
 
 import (
 	"fmt"
@@ -34,32 +33,16 @@ type engineRun struct {
 	counts   map[string]int64
 }
 
-func runKernelEngine(t *testing.T, res *core.Result, proc *pdesc.Processor, args []interface{}, engine string, set *vm.SuperSet) engineRun {
+func runKernelEngine(t *testing.T, res *core.Result, proc *pdesc.Processor, args []interface{}, engine string) engineRun {
 	t.Helper()
 	m := vm.NewMachine(proc)
 	m.Engine = engine
-	m.SuperSet = set
 	out, err := res.RunOn(m, bench.CloneArgs(args)...)
 	return engineRun{out: out, err: err, cycles: m.Cycles, executed: m.Executed, counts: m.ClassCounts}
 }
 
-// mineForDiff profiles one unfused prepared run and mines a
-// superinstruction set, the same flow the benchmarks and the service
-// use.
-func mineForDiff(t *testing.T, res *core.Result, proc *pdesc.Processor, args []interface{}) *vm.SuperSet {
-	t.Helper()
-	m := vm.NewMachine(proc)
-	m.Engine = vm.EnginePrepared
-	m.SuperSet = &vm.SuperSet{}
-	m.Profile = true
-	if _, err := res.RunOn(m, bench.CloneArgs(args)...); err != nil {
-		t.Fatalf("profile run: %v", err)
-	}
-	return vm.MineSuperinsts(res.Program, m.PCCounts, vm.SuperOpts{})
-}
-
 // bitsEqual compares outputs with exact bit equality (NaNs included):
-// the prepared engine must not merely be numerically close, it must be
+// the compiled engine must not merely be numerically close, it must be
 // the same computation.
 func bitsEqual(a, b interface{}) bool {
 	switch x := a.(type) {
@@ -98,29 +81,32 @@ func bitsEqual(a, b interface{}) bool {
 	}
 }
 
-func assertRunsAgree(t *testing.T, label string, p, r engineRun) {
+// assertRunsAgree requires run got to match run want in every
+// observable: error text, cycles, executed count, class counts, and
+// bit-exact outputs.
+func assertRunsAgree(t *testing.T, label string, got, want engineRun) {
 	t.Helper()
-	if (p.err == nil) != (r.err == nil) {
-		t.Fatalf("%s: error mismatch: prepared=%v reference=%v", label, p.err, r.err)
+	if (got.err == nil) != (want.err == nil) {
+		t.Fatalf("%s: error mismatch: got=%v want=%v", label, got.err, want.err)
 	}
-	if p.err != nil && p.err.Error() != r.err.Error() {
-		t.Fatalf("%s: error text mismatch:\n  prepared:  %v\n  reference: %v", label, p.err, r.err)
+	if got.err != nil && got.err.Error() != want.err.Error() {
+		t.Fatalf("%s: error text mismatch:\n  got:  %v\n  want: %v", label, got.err, want.err)
 	}
-	if p.cycles != r.cycles {
-		t.Fatalf("%s: cycle mismatch: prepared=%d reference=%d", label, p.cycles, r.cycles)
+	if got.cycles != want.cycles {
+		t.Fatalf("%s: cycle mismatch: got=%d want=%d", label, got.cycles, want.cycles)
 	}
-	if p.executed != r.executed {
-		t.Fatalf("%s: executed mismatch: prepared=%d reference=%d", label, p.executed, r.executed)
+	if got.executed != want.executed {
+		t.Fatalf("%s: executed mismatch: got=%d want=%d", label, got.executed, want.executed)
 	}
-	if !reflect.DeepEqual(p.counts, r.counts) {
-		t.Fatalf("%s: class counts mismatch:\n  prepared:  %v\n  reference: %v", label, p.counts, r.counts)
+	if !reflect.DeepEqual(got.counts, want.counts) {
+		t.Fatalf("%s: class counts mismatch:\n  got:  %v\n  want: %v", label, got.counts, want.counts)
 	}
-	if len(p.out) != len(r.out) {
-		t.Fatalf("%s: output arity mismatch: %d vs %d", label, len(p.out), len(r.out))
+	if len(got.out) != len(want.out) {
+		t.Fatalf("%s: output arity mismatch: %d vs %d", label, len(got.out), len(want.out))
 	}
-	for i := range p.out {
-		if !bitsEqual(p.out[i], r.out[i]) {
-			t.Fatalf("%s: output %d differs:\n  prepared:  %v\n  reference: %v", label, i, p.out[i], r.out[i])
+	for i := range got.out {
+		if !bitsEqual(got.out[i], want.out[i]) {
+			t.Fatalf("%s: output %d differs:\n  got:  %v\n  want: %v", label, i, got.out[i], want.out[i])
 		}
 	}
 }
@@ -138,16 +124,11 @@ func diffKernelsOn(t *testing.T, name string, proc *pdesc.Processor) {
 					t.Fatalf("compile (vec=%v): %v", cfg.Vectorize, err)
 				}
 				args := k.Inputs(n)
-				r := runKernelEngine(t, res, proc, args, vm.EngineReference, nil)
-				p := runKernelEngine(t, res, proc, args, vm.EnginePrepared, &vm.SuperSet{})
-				assertRunsAgree(t, fmt.Sprintf("vec=%v prepared", cfg.Vectorize), p, r)
-				mined := mineForDiff(t, res, proc, args)
-				s := runKernelEngine(t, res, proc, args, vm.EnginePrepared, mined)
-				assertRunsAgree(t, fmt.Sprintf("vec=%v superinst(%d seqs)", cfg.Vectorize, len(mined.Ranges)), s, r)
-				c := runKernelEngine(t, res, proc, args, vm.EngineCompiled, nil)
+				r := runKernelEngine(t, res, proc, args, vm.EngineReference)
+				c := runKernelEngine(t, res, proc, args, vm.EngineCompiled)
 				assertRunsAgree(t, fmt.Sprintf("vec=%v compiled", cfg.Vectorize), c, r)
-				if p.err != nil {
-					t.Fatalf("kernel run failed under all engines: %v", p.err)
+				if c.err != nil {
+					t.Fatalf("kernel run failed under both engines: %v", c.err)
 				}
 			}
 		})
@@ -162,11 +143,9 @@ func TestEnginesAgreeOnAllTargets(t *testing.T) {
 	}
 }
 
-// TestProfilesAgreeOnAllKernels: Machine.Profile works on every
-// engine configuration, and the per-PC execution counts agree across
-// reference, prepared-unfused, prepared-with-mined-set, and compiled
-// runs on every benchmark kernel (fused units map counts back to
-// member PCs; compiled blocks count every member).
+// TestProfilesAgreeOnAllKernels: the per-pc execution counts of
+// Machine.Profile agree between the reference and compiled engines on
+// every benchmark kernel (compiled blocks credit every member).
 func TestProfilesAgreeOnAllKernels(t *testing.T) {
 	proc := pdesc.Builtin("dspasip")
 	for _, k := range bench.Kernels() {
@@ -179,28 +158,17 @@ func TestProfilesAgreeOnAllKernels(t *testing.T) {
 				t.Fatalf("compile: %v", err)
 			}
 			args := k.Inputs(n)
-			profile := func(engine string, set *vm.SuperSet) []int64 {
+			profile := func(engine string) []int64 {
 				m := vm.NewMachine(proc)
 				m.Engine = engine
-				m.SuperSet = set
 				m.Profile = true
 				if _, err := res.RunOn(m, bench.CloneArgs(args)...); err != nil {
 					t.Fatalf("%s: %v", engine, err)
 				}
 				return m.PCCounts
 			}
-			ref := profile(vm.EngineReference, nil)
-			prep := profile(vm.EnginePrepared, &vm.SuperSet{})
-			mined := profile(vm.EnginePrepared, vm.MineSuperinsts(res.Program, prep, vm.SuperOpts{}))
-			comp := profile(vm.EngineCompiled, nil)
-			if !reflect.DeepEqual(ref, prep) {
-				t.Error("prepared per-PC profile differs from reference")
-			}
-			if !reflect.DeepEqual(ref, mined) {
-				t.Error("mined-superinst per-PC profile differs from reference")
-			}
-			if !reflect.DeepEqual(ref, comp) {
-				t.Error("compiled per-PC profile differs from reference")
+			if !reflect.DeepEqual(profile(vm.EngineReference), profile(vm.EngineCompiled)) {
+				t.Error("compiled per-pc profile differs from reference")
 			}
 		})
 	}

@@ -12,34 +12,22 @@ import (
 )
 
 // VMBenchRow is one kernel's simulator-throughput measurement: the
-// full proposed pipeline's program executed under the compiled,
-// superinstruction, prepared, and reference engines on the same
-// inputs, reported as simulated instructions per wall-clock second.
-// Compiled is the closure-threaded translation; Superinst is the
-// prepared engine with a trace-mined fusion set; Prepared is the same
-// engine with fusion explicitly disabled (the PR 3 baseline).
+// full proposed pipeline's program executed under the compiled and
+// reference engines on the same inputs, reported as simulated
+// instructions per wall-clock second.
 type VMBenchRow struct {
 	Kernel                string  `json:"kernel"`
 	Size                  int     `json:"size"`
 	InstrsPerRun          int64   `json:"instrs_per_run"`
 	CyclesPerRun          int64   `json:"cycles_per_run"`
-	SuperinstSeqs         int     `json:"superinst_seqs"`
 	CompiledBlocks        int     `json:"compiled_blocks"`
 	CompiledFallback      int     `json:"compiled_fallback_blocks"`
 	CompiledRuns          int     `json:"compiled_runs"`
 	CompiledInstrsPerSec  float64 `json:"compiled_instrs_per_sec"`
-	SuperinstRuns         int     `json:"superinst_runs"`
-	SuperinstInstrsPerSec float64 `json:"superinst_instrs_per_sec"`
-	PreparedRuns          int     `json:"prepared_runs"`
-	PreparedInstrsPerSec  float64 `json:"prepared_instrs_per_sec"`
 	ReferenceRuns         int     `json:"reference_runs"`
 	ReferenceInstrsPerSec float64 `json:"reference_instrs_per_sec"`
-	// Speedup is prepared vs reference; SuperinstSpeedup is
-	// superinstruction vs plain prepared; CompiledSpeedup is the
-	// compiled translation vs plain prepared.
-	Speedup          float64 `json:"speedup"`
-	SuperinstSpeedup float64 `json:"superinst_speedup"`
-	CompiledSpeedup  float64 `json:"compiled_speedup"`
+	// CompiledSpeedup is compiled vs reference throughput.
+	CompiledSpeedup float64 `json:"compiled_speedup"`
 }
 
 // VMBenchReport is the payload written to BENCH_vm.json so simulator
@@ -56,7 +44,7 @@ type VMBenchReport struct {
 // returns (runs, instructions/second).
 func measureEngine(m *vm.Machine, prog *core.Result, args []interface{}, engine string, minTime time.Duration) (int, float64, error) {
 	m.Engine = engine
-	// One untimed run warms the prepared cache and scratch pool.
+	// One untimed run warms the translation cache and scratch pool.
 	if _, err := prog.RunOn(m, cloneArgs(args)...); err != nil {
 		return 0, 0, err
 	}
@@ -79,26 +67,10 @@ func measureEngine(m *vm.Machine, prog *core.Result, args []interface{}, engine 
 	return runs, float64(perRun) * float64(runs) / elapsed, nil
 }
 
-// mineKernelSet profiles one run of the program on the prepared engine
-// and mines a superinstruction set from the per-PC counts — the same
-// trace-driven flow asipsim and the service use.
-func mineKernelSet(m *vm.Machine, prog *core.Result, args []interface{}) (*vm.SuperSet, error) {
-	m.Engine = vm.EnginePrepared
-	m.SuperSet = &vm.SuperSet{} // profile the unfused program
-	m.Profile = true
-	defer func() { m.Profile = false; m.SuperSet = nil }()
-	if _, err := prog.RunOn(m, cloneArgs(args)...); err != nil {
-		return nil, err
-	}
-	return vm.MineSuperinsts(prog.Program, m.PCCounts, vm.SuperOpts{}), nil
-}
-
 // VMBench measures simulated-instruction throughput for every bench
-// kernel on proc (full proposed pipeline), under the compiled
-// closure-threaded engine, the prepared engine with a trace-mined
-// superinstruction set, the plain prepared engine, and the reference
-// engine. minTime bounds the per-engine measurement window; scale
-// scales problem sizes as in Table1.
+// kernel on proc (full proposed pipeline) under the compiled and
+// reference engines. minTime bounds the per-engine measurement window;
+// scale scales problem sizes as in Table1.
 func VMBench(proc *pdesc.Processor, scale float64, minTime time.Duration, opts ...Opt) (*VMBenchReport, error) {
 	o := getOptions(opts)
 	ks := Kernels()
@@ -112,19 +84,14 @@ func VMBench(proc *pdesc.Processor, scale float64, minTime time.Duration, opts .
 		}
 		args := k.Inputs(n)
 		m := vm.NewMachine(proc)
-		set, err := mineKernelSet(m, res, args)
-		if err != nil {
-			return fmt.Errorf("%s: profile: %w", k.Name, err)
-		}
 
 		// The engines are measured in alternating rounds and the best
 		// window per engine is kept: on a shared machine the noise
-		// floor between consecutive windows easily exceeds the
-		// superinst-vs-prepared delta, and best-of-rounds is robust to
-		// one engine landing in a slow window.
+		// floor between consecutive windows is large, and best-of-rounds
+		// is robust to one engine landing in a slow window.
 		const rounds = 3
-		var cRuns, sRuns, pRuns, rRuns int
-		var cRate, sRate, pRate, rRate float64
+		var cRuns, rRuns int
+		var cRate, rRate float64
 		var instrs, cycles int64
 		for round := 0; round < rounds; round++ {
 			runs, r, err := measureEngine(m, res, args, vm.EngineCompiled, minTime/rounds)
@@ -134,26 +101,7 @@ func VMBench(proc *pdesc.Processor, scale float64, minTime time.Duration, opts .
 			if r > cRate {
 				cRuns, cRate = runs, r
 			}
-
-			m.SuperSet = set
-			runs, r, err = measureEngine(m, res, args, vm.EnginePrepared, minTime/rounds)
-			if err != nil {
-				return fmt.Errorf("%s: superinst: %w", k.Name, err)
-			}
-			if r > sRate {
-				sRuns, sRate = runs, r
-			}
 			instrs, cycles = m.Executed, m.Cycles
-
-			m.SuperSet = &vm.SuperSet{} // fusion off: PR 3 baseline
-			runs, r, err = measureEngine(m, res, args, vm.EnginePrepared, minTime/rounds)
-			if err != nil {
-				return fmt.Errorf("%s: prepared: %w", k.Name, err)
-			}
-			if r > pRate {
-				pRuns, pRate = runs, r
-			}
-			m.SuperSet = nil
 
 			runs, r, err = measureEngine(m, res, args, vm.EngineReference, minTime/rounds)
 			if err != nil {
@@ -163,19 +111,14 @@ func VMBench(proc *pdesc.Processor, scale float64, minTime time.Duration, opts .
 				rRuns, rRate = runs, r
 			}
 		}
-		compiledBlocks, fallbackBlocks := vm.CompileProgram(res.Program, proc).BlockCounts()
+		compiledBlocks, fallbackBlocks := vm.CompiledFor(res.Program, proc).BlockCounts()
 		rows[i] = VMBenchRow{
 			Kernel: k.Name, Size: n,
 			InstrsPerRun: instrs, CyclesPerRun: cycles,
-			SuperinstSeqs:  len(set.Ranges),
 			CompiledBlocks: compiledBlocks, CompiledFallback: fallbackBlocks,
 			CompiledRuns: cRuns, CompiledInstrsPerSec: cRate,
-			SuperinstRuns: sRuns, SuperinstInstrsPerSec: sRate,
-			PreparedRuns: pRuns, PreparedInstrsPerSec: pRate,
 			ReferenceRuns: rRuns, ReferenceInstrsPerSec: rRate,
-			Speedup:          pRate / rRate,
-			SuperinstSpeedup: sRate / pRate,
-			CompiledSpeedup:  cRate / pRate,
+			CompiledSpeedup: cRate / rRate,
 		}
 		return nil
 	})
@@ -192,11 +135,11 @@ func VMBench(proc *pdesc.Processor, scale float64, minTime time.Duration, opts .
 // VMBenchText renders the throughput report.
 func VMBenchText(rep *VMBenchReport) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "VM throughput on %s (simulated instructions/sec; compiled = closure-threaded translation, superinst = prepared engine + trace-mined fusion)\n", rep.Target)
-	fmt.Fprintf(&b, "%-8s %8s %12s %14s %14s %14s %14s %9s %9s %9s\n", "kernel", "size", "instrs/run", "compiled", "superinst", "prepared", "reference", "comp/prep", "sup/prep", "prep/ref")
+	fmt.Fprintf(&b, "VM throughput on %s (simulated instructions/sec; compiled = closure-threaded translation, reference = oracle interpreter)\n", rep.Target)
+	fmt.Fprintf(&b, "%-8s %8s %12s %14s %14s %9s %9s\n", "kernel", "size", "instrs/run", "compiled", "reference", "comp/ref", "blocks")
 	for _, r := range rep.Rows {
-		fmt.Fprintf(&b, "%-8s %8d %12d %14.3e %14.3e %14.3e %14.3e %8.2fx %8.2fx %8.1fx\n",
-			r.Kernel, r.Size, r.InstrsPerRun, r.CompiledInstrsPerSec, r.SuperinstInstrsPerSec, r.PreparedInstrsPerSec, r.ReferenceInstrsPerSec, r.CompiledSpeedup, r.SuperinstSpeedup, r.Speedup)
+		fmt.Fprintf(&b, "%-8s %8d %12d %14.3e %14.3e %8.1fx %4d/%-4d\n",
+			r.Kernel, r.Size, r.InstrsPerRun, r.CompiledInstrsPerSec, r.ReferenceInstrsPerSec, r.CompiledSpeedup, r.CompiledBlocks, r.CompiledBlocks+r.CompiledFallback)
 	}
 	return b.String()
 }

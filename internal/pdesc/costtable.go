@@ -74,8 +74,8 @@ func (t *CostTable) Len() int { return len(t.names) }
 // ContentHash returns a hex SHA-256 digest over everything that
 // determines compilation and simulation for this target (the full
 // serialized description). Two descriptions with equal hashes are
-// interchangeable; the VM's prepared-program cache uses this to share
-// pre-decoded programs across identical DSE variants.
+// interchangeable; the VM's compiled-program cache uses this to share
+// translations across identical DSE variants.
 func (p *Processor) ContentHash() (string, error) {
 	data, err := p.MarshalJSONIndent()
 	if err != nil {

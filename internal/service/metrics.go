@@ -334,13 +334,11 @@ type Snapshot struct {
 	VM               VMSnapshot                   `json:"vm"`
 }
 
-// VMSnapshot is the /metrics simulator section: the default execution
-// engine, the process-wide prepared-program cache, the superinstruction
-// fusion counters, and the compiled-engine translation counters.
+// VMSnapshot is the /metrics simulator section: the process-wide
+// compiled-program cache and the compiled engine's translation
+// counters.
 type VMSnapshot struct {
-	Engine        string               `json:"engine"`
 	PreparedCache vm.PreparedCacheInfo `json:"prepared_cache"`
-	Superinst     vm.SuperinstInfo     `json:"superinst"`
 	Compiled      vm.CompiledInfo      `json:"compiled"`
 }
 
@@ -408,9 +406,7 @@ func (m *Metrics) SnapshotWith(cache mat2c.CacheStats) Snapshot {
 		LastCandidates: m.isxLastCandidates,
 	}
 	s.VM = VMSnapshot{
-		Engine:        vm.DefaultEngine(),
 		PreparedCache: vm.PreparedCacheStats(),
-		Superinst:     vm.SuperinstStats(),
 		Compiled:      vm.CompiledStats(),
 	}
 	for name, e := range m.requests {

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	mat2c "mat2c"
-	"mat2c/internal/vm"
 )
 
 const scaleSrc = `function y = scale(x, a)
@@ -197,15 +196,15 @@ func TestRunEndpoint(t *testing.T) {
 		t.Error("second /run of identical program was not a cache hit")
 	}
 
-	// /metrics must expose the simulator section: the active engine and
-	// the prepared-program cache the two runs populated.
+	// /metrics must expose the simulator section: the compiled-program
+	// cache and the translation the two runs populated.
 	var m Snapshot
 	getJSON(t, ts, "/metrics", &m)
-	if m.VM.Engine == "" {
-		t.Error("metrics VM engine is empty")
-	}
-	if m.VM.Engine == vm.EnginePrepared && m.VM.PreparedCache.Entries == 0 {
+	if m.VM.PreparedCache.Entries == 0 {
 		t.Errorf("prepared cache = %+v, want at least one entry after /run", m.VM.PreparedCache)
+	}
+	if m.VM.Compiled.Translations == 0 {
+		t.Errorf("compiled = %+v, want at least one translation after /run", m.VM.Compiled)
 	}
 }
 

@@ -19,7 +19,7 @@ y = y + i;
 end
 end`
 
-func spinProgram(t *testing.T) (*Program, *Machine, *Machine, *Machine) {
+func spinProgram(t *testing.T) (*Program, *Machine, *Machine) {
 	t.Helper()
 	f, p := buildIR(t, spinSrc, "dspasip", true, sema.ScalarType(sema.Real))
 	prog, err := Lower(f)
@@ -28,19 +28,17 @@ func spinProgram(t *testing.T) (*Program, *Machine, *Machine, *Machine) {
 	}
 	ref := NewMachine(p)
 	ref.Engine = EngineReference
-	prep := NewMachine(p)
-	prep.Engine = EnginePrepared
 	comp := NewMachine(p)
 	comp.Engine = EngineCompiled
-	return prog, ref, prep, comp
+	return prog, ref, comp
 }
 
 func TestRunContextCancelledExitsWithinStride(t *testing.T) {
-	prog, ref, prep, comp := spinProgram(t)
+	prog, ref, comp := spinProgram(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already cancelled: the first poll must observe it
 
-	for _, m := range []*Machine{ref, prep, comp} {
+	for _, m := range []*Machine{ref, comp} {
 		_, err := m.RunContext(ctx, prog, 1e9)
 		var ce *CancelledError
 		if !errors.As(err, &ce) {
@@ -59,8 +57,8 @@ func TestRunContextCancelledExitsWithinStride(t *testing.T) {
 }
 
 func TestRunContextCancelMidRun(t *testing.T) {
-	prog, ref, prep, comp := spinProgram(t)
-	for _, m := range []*Machine{ref, prep, comp} {
+	prog, ref, comp := spinProgram(t)
+	for _, m := range []*Machine{ref, comp} {
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan error, 1)
 		go func() {
@@ -81,10 +79,10 @@ func TestRunContextCancelMidRun(t *testing.T) {
 }
 
 func TestRunContextDeadlineUnwraps(t *testing.T) {
-	prog, _, prep, _ := spinProgram(t)
+	prog, _, comp := spinProgram(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	_, err := prep.RunContext(ctx, prog, 1e9)
+	_, err := comp.RunContext(ctx, prog, 1e9)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -94,8 +92,8 @@ func TestRunContextDeadlineUnwraps(t *testing.T) {
 // not perturb cycle accounting: a run under a live (never-fired)
 // context is charge-for-charge identical to a plain Run, per engine.
 func TestRunContextAccountingUnchanged(t *testing.T) {
-	prog, ref, prep, comp := spinProgram(t)
-	for _, m := range []*Machine{ref, prep, comp} {
+	prog, ref, comp := spinProgram(t)
+	for _, m := range []*Machine{ref, comp} {
 		out, err := m.Run(prog, 20000.0)
 		if err != nil {
 			t.Fatalf("engine %s: Run: %v", m.Engine, err)

@@ -3,67 +3,46 @@ package vm
 import (
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"mat2c/internal/ir"
 	"mat2c/internal/pdesc"
 )
 
-// The compiled-closure execution engine (third engine).
+// The compiled execution engine.
 //
-// PR 8's superinstruction threading showed that dispatch is no longer
-// the dominant cost: fused units already collapse a hot loop body into
-// one or two dispatches, yet wall clock barely moves, because every
-// member still runs through an interpreter switch with its generic
-// operand plumbing. This backend removes the interpreter from the hot
-// path entirely: each prepared program is translated once per
-// (program, processor) pair into a tree of composed Go closures —
-// continuation-threaded code. Every op becomes a small typed closure
-// capturing its dense-ID operands and pre-resolved cost, chained per
-// basic block, so a block executes as native Go control flow: no
-// per-op switch, no per-op poll or cycle-limit branch, and no operand
+// Each program is translated once per (program, processor) pair from
+// its pre-decoded table (prepare.go) into continuation-threaded Go
+// closures. The program is partitioned into basic blocks; every op of
+// a block becomes a small typed closure capturing its operands and
+// tail-calling the next, and the block's terminator resolves the
+// successor pc. A block therefore executes as native Go control flow:
+// no per-op switch, poll or cycle-limit branch, and no operand
 // re-validation (register indices were checked at lowering; array
-// bounds, the only runtime-dependent checks, remain).
-//
-// Region selection reuses the superinstruction miner's block analysis
-// (blockLeaders): the program is partitioned into basic blocks, and
-// each block whose members are all translatable compiles to one
-// closure chain with batched cycle/class accounting, exactly like an
-// xSuper unit spanning the whole block. Blocks containing an op the
-// translator does not cover — OpAlloc (runtime-dependent zero-fill
-// charge) or an OpIntr that faults on this processor — fall back to a
-// per-op stepper with the prepared engine's exact charge ordering, so
-// translator coverage can grow incrementally without ever being
+// bounds, the only runtime-dependent checks, remain). Blocks holding
+// an op the translator does not cover — OpAlloc (extent-dependent
+// zero-fill charge) or an OpIntr that faults on this processor — fall
+// back to the per-op stepper, so coverage can grow without ever being
 // wrong.
 //
-// Cycle- and fault-exactness mirror the xSuper contract:
-//   - The chain runs only when the whole block fits under the cycle
-//     limit (cycles+cost <= maxCycles), which makes every per-member
-//     limit check provably dead; otherwise the block is stepped one op
-//     at a time with the reference engine's limit-check/charge order.
-//   - A faulting member replays the completed prefix's charges
-//     member-by-member (honoring chargeFirstOp placement) and reports
-//     the member's own pc, bit-identical to the reference engine.
-//   - Cancellation stays bounded by CancelCheckStride: the poll debt
-//     of a block is settled before it runs.
-//   - Machine.Profile forces a counting path: per-pc counts are
-//     credited for every member on block completion (and for the
-//     executed prefix on a fault), so profiles match the reference
-//     engine exactly.
-//
-// Machine.SuperSet is ignored under this engine: blocks already
-// batch accounting block-wide, which subsumes any fusion set.
-
-// EngineCompiled is the compiled-closure execution engine: each basic
-// block of the prepared program is translated into a chain of typed Go
-// closures with batched cycle/class accounting (see compile.go).
-const EngineCompiled = "compiled"
-
-// backendCompiled tags compiled translations in the prepared-program
-// cache so they never alias the prepared decode of the same
-// (program, processor) pair. Bump the version when translation output
-// changes shape.
-const backendCompiled = "compiled/v1"
+// Invariants that keep the engine cycle- and fault-exact against the
+// reference interpreter:
+//   - Every resumable pc is a block leader (blockLeaders), so a block
+//     always runs from its first member.
+//   - A block's closure chain runs only when the whole block fits under
+//     the cycle limit (cycles+cost <= maxCycles), which makes every
+//     per-member limit check provably dead; accounting then lands once
+//     per block. Otherwise the block is stepped one op at a time in the
+//     reference engine's limit-check/charge order.
+//   - A faulting member replays the completed prefix's charges member
+//     by member (honoring chargeFirstOp placement) and reports its own
+//     pc and message.
+//   - Cancellation stays bounded by CancelCheckStride: a block's poll
+//     debt is settled before it runs, and the poll charges nothing.
+//   - Machine.Profile credits every member of a completed block (and
+//     the executed prefix on a fault), so per-pc profiles match the
+//     reference engine.
 
 // cont is one continuation of a compiled block: it executes its op and
 // every op threaded after it. On success the int is the next pc to
@@ -71,6 +50,13 @@ const backendCompiled = "compiled/v1"
 // faulting member's index within its block, so the caller can replay
 // the completed prefix's charges.
 type cont func(s *scratch) (int, error)
+
+// classCharge is one aggregated accounting line of a block:
+// counts[class] += n when the block completes.
+type classCharge struct {
+	class int32
+	n     int64
+}
 
 // cBlock is one basic block of a compiled program. run == nil marks a
 // fallback block (contains an op the translator does not cover); cost
@@ -86,15 +72,20 @@ type cBlock struct {
 
 // CompiledProgram is a Program translated to continuation-threaded Go
 // closures against one processor's cost model. It is immutable and
-// safe for concurrent use; execution borrows scratch arenas from the
-// underlying prepared program's pool.
+// safe for concurrent use; each run borrows a scratch arena from an
+// internal pool.
 type CompiledProgram struct {
-	pp      *PreparedProgram
+	prog    *Program
+	table   *pdesc.CostTable
+	code    []pInstr // the decode, 1:1 with prog.Instrs
+	maxL    int      // widest lane count in the program (≥1)
 	blocks  []cBlock
 	blockOf []int32 // pc -> index into blocks
 
 	compiled int // blocks with a closure chain
 	fallback int // blocks stepped per-op
+
+	pool sync.Pool
 }
 
 // BlockCounts reports how many basic blocks compiled to closure chains
@@ -104,50 +95,61 @@ func (cp *CompiledProgram) BlockCounts() (compiled, fallback int) {
 	return cp.compiled, cp.fallback
 }
 
-// CompileProgram translates prog for proc without consulting the
+// blockLeaders marks every pc that starts a basic block: entry, branch
+// targets, and fallthrough successors of control flow.
+func blockLeaders(prog *Program) []bool {
+	leaders := make([]bool, len(prog.Instrs)+1)
+	if len(leaders) > 0 {
+		leaders[0] = true
+	}
+	for i := range prog.Instrs {
+		in := &prog.Instrs[i]
+		switch in.Op {
+		case OpJmp, OpJz:
+			if in.Off >= 0 && in.Off < len(leaders) {
+				leaders[in.Off] = true
+			}
+			leaders[i+1] = true
+		case OpRet:
+			leaders[i+1] = true
+		}
+	}
+	return leaders
+}
+
+// chargeFirstOp reports whether an opcode's cycle charge lands before
+// its fault checks in the reference engine. Memory and reduce ops
+// validate first and charge after; arithmetic charges before it can
+// fault. Fault replay honors this placement exactly.
+func chargeFirstOp(op Opc) bool {
+	switch op {
+	case OpLoad, OpVLoad, OpStore, OpDim, OpReduce:
+		return false
+	}
+	return true
+}
+
+// compileProgram translates prog for proc without consulting the
 // cache. Most callers want CompiledFor.
-func CompileProgram(prog *Program, proc *pdesc.Processor) *CompiledProgram {
-	// The translation source is the plain prepared decode (no fused
-	// xSuper units), so code indices map 1:1 to program pcs.
-	return newCompiledProgram(PreparedForSet(prog, proc, nil))
-}
-
-// CompiledFor returns the compiled form of prog for proc, consulting
-// the process-wide prepared-program cache under a backend tag that
-// keeps compiled and prepared entries from aliasing. Both values must
-// be treated as immutable after this call. Safe for concurrent use.
-func CompiledFor(prog *Program, proc *pdesc.Processor) *CompiledProgram {
-	ph, ok := processorHash(proc)
-	if !ok {
-		// Unhashable description (should not happen): translate uncached.
-		return CompileProgram(prog, proc)
-	}
-	key := preparedKey{prog: prog.ContentHash(), proc: ph, backend: backendCompiled}
-
-	if e, ok := cacheGet(key); ok {
-		return e.cp
-	}
-	cp := CompileProgram(prog, proc)
-	return cacheInsert(key, &preparedEntry{key: key, cp: cp}).cp
-}
-
-// newCompiledProgram partitions pp's (unfused) code into basic blocks
-// and builds a closure chain per fully-translatable block.
-func newCompiledProgram(pp *PreparedProgram) *CompiledProgram {
+func compileProgram(prog *Program, proc *pdesc.Processor) *CompiledProgram {
+	code, table, maxL := decode(prog, proc)
 	cp := &CompiledProgram{
-		pp:      pp,
-		blockOf: make([]int32, len(pp.code)),
+		prog:    prog,
+		table:   table,
+		code:    code,
+		maxL:    maxL,
+		blockOf: make([]int32, len(code)),
 	}
-	leaders := blockLeaders(pp.prog)
+	leaders := blockLeaders(prog)
 	start := 0
-	for pc := 1; pc <= len(pp.code); pc++ {
-		if pc < len(pp.code) && !leaders[pc] {
+	for pc := 1; pc <= len(code); pc++ {
+		if pc < len(code) && !leaders[pc] {
 			continue
 		}
 		b := cBlock{start: start, end: pc, n: int64(pc - start)}
 		agg := make(map[int32]int64, pc-start)
 		for i := start; i < pc; i++ {
-			in := &pp.code[i]
+			in := &code[i]
 			b.cost += in.cost
 			if in.class >= 0 && in.countN != 0 {
 				agg[in.class] += in.countN
@@ -174,8 +176,7 @@ func newCompiledProgram(pp *PreparedProgram) *CompiledProgram {
 }
 
 // aggCharges sorts an aggregated class->count map into the stable
-// charge list applied when a block completes (same shape as
-// fuseSuperinsts builds for xSuper units).
+// charge list applied when a block completes.
 func aggCharges(agg map[int32]int64) []classCharge {
 	charges := make([]classCharge, 0, len(agg))
 	for class, cnt := range agg {
@@ -194,7 +195,7 @@ func aggCharges(agg map[int32]int64) []classCharge {
 // resolves the successor pc natively; everything before it is a typed
 // closure calling the next one.
 func (cp *CompiledProgram) buildChain(b *cBlock) cont {
-	code := cp.pp.code
+	code := cp.code
 	if b.end <= b.start {
 		return nil
 	}
@@ -279,7 +280,7 @@ func floatCond(op Opc) func(x, y float64) bool {
 // falls back to per-op stepping). k is the member's index within its
 // block; fallible closures return it with their fault so the caller
 // can replay the completed prefix's charges. Every case must compute
-// exactly what its runSuper counterpart computes — the four-way
+// exactly what step computes for the same op — the reference-vs-compiled
 // differential tests and FuzzCompiledEngine enforce this bit for bit.
 func (cp *CompiledProgram) translateOp(in *pInstr, k int, next cont) (cont, bool) {
 	switch in.op {
@@ -499,8 +500,8 @@ func (cp *CompiledProgram) translateOp(in *pInstr, k int, next cont) (cont, bool
 
 	case OpIntr:
 		if in.intrFaultPre != "" || in.intrFaultPost != "" {
-			// Faulting intrinsics keep the prepared engine's exact
-			// pre/post-charge fault ordering: fall back.
+			// Faulting intrinsics keep the reference engine's exact
+			// pre/post-charge fault ordering: fall back to stepBlock.
 			return nil, false
 		}
 		dst, lanes, kBase := in.dst, in.lanes, in.kBase
@@ -734,46 +735,62 @@ func (cp *CompiledProgram) translateOp(in *pInstr, k int, next cont) (cont, bool
 	return nil, false
 }
 
+func (cp *CompiledProgram) getScratch() *scratch {
+	if s, ok := cp.pool.Get().(*scratch); ok {
+		return s
+	}
+	n := cp.prog.NumRegs
+	return &scratch{
+		regs:    make([]vmval, n),
+		arrays:  make([]*ir.Array, len(cp.prog.Arrays)),
+		counts:  make([]int64, cp.table.Len()),
+		touched: make([]bool, cp.table.Len()),
+		lanebuf: make([]complex128, n*cp.maxL),
+		maxL:    cp.maxL,
+	}
+}
+
+func (cp *CompiledProgram) putScratch(s *scratch) {
+	clear(s.regs)
+	clear(s.arrays) // drop array references so results don't pin the pool
+	clear(s.counts)
+	clear(s.touched)
+	cp.pool.Put(s)
+}
+
 // run executes the compiled program on behalf of m.Run. The machine's
 // Cycles/Executed/ClassCounts have already been reset; they are updated
-// here even when execution faults, matching the other engines' partial
-// state on error.
+// here even when execution faults, matching the reference engine's
+// partial state on error.
 func (cp *CompiledProgram) run(m *Machine, ctx context.Context, maxCycles int64, args []interface{}) ([]interface{}, error) {
-	pp := cp.pp
-	s := pp.getScratch()
-	defer pp.putScratch(s)
-	if err := bindArgs(pp.prog, args, s.regs, s.arrays); err != nil {
+	s := cp.getScratch()
+	defer cp.putScratch(s)
+	if err := bindArgs(cp.prog, args, s.regs, s.arrays); err != nil {
 		return nil, err
 	}
 	err := cp.exec(m, ctx, s, maxCycles)
 	for id, t := range s.touched {
 		if t {
-			m.ClassCounts[pp.table.Name(id)] += s.counts[id]
+			m.ClassCounts[cp.table.Name(id)] += s.counts[id]
 		}
 	}
 	if err != nil {
 		return nil, err
 	}
-	return collectResults(pp.prog, s.regs, s.arrays)
+	return collectResults(cp.prog, s.regs, s.arrays)
 }
 
-// exec is the compiled hot loop: one iteration per basic block. Every
-// resumable pc is a block leader (entry, branch target, or fallthrough
-// successor — blockLeaders guarantees it), so a block always runs from
-// its start.
+// exec is the compiled hot loop: one iteration per basic block.
 func (cp *CompiledProgram) exec(m *Machine, ctx context.Context, s *scratch, maxCycles int64) error {
-	var cycles, executed, dispSaved int64
+	var cycles, executed int64
 	defer func() {
 		m.Cycles = cycles
 		m.Executed = executed
-		if dispSaved > 0 {
-			compiledStats.saved.Add(uint64(dispSaved))
-		}
 	}()
 
 	counts := s.counts
 	touched := s.touched
-	code := cp.pp.code
+	code := cp.code
 	var prof []int64
 	if m.Profile {
 		prof = m.PCCounts
@@ -783,9 +800,8 @@ func (cp *CompiledProgram) exec(m *Machine, ctx context.Context, s *scratch, max
 	pc := 0
 	for pc >= 0 && pc < len(code) {
 		b := &cp.blocks[cp.blockOf[pc]]
-		// Settle the whole block's poll debt before it runs, like
-		// xSuper: fewer than CancelCheckStride instructions ever
-		// separate two polls, and the poll charges nothing.
+		// Settle the whole block's poll debt before it runs: fewer than
+		// CancelCheckStride instructions ever separate two polls.
 		if ctx != nil {
 			if pollIn -= b.n; pollIn <= 0 {
 				pollIn = CancelCheckStride
@@ -813,7 +829,6 @@ func (cp *CompiledProgram) exec(m *Machine, ctx context.Context, s *scratch, max
 						prof[j]++
 					}
 				}
-				dispSaved += b.n - 1
 				pc = next
 				continue
 			}
@@ -839,7 +854,6 @@ func (cp *CompiledProgram) exec(m *Machine, ctx context.Context, s *scratch, max
 					prof[b.start+j]++
 				}
 			}
-			dispSaved += int64(k)
 			return &FaultError{PC: b.start + k, Msg: ferr.Error()}
 		}
 		// Fallback block, or the cycle limit is within the block's
@@ -861,8 +875,7 @@ func (cp *CompiledProgram) exec(m *Machine, ctx context.Context, s *scratch, max
 // OpIntr) and doubles as the cycle-limit slow path for compiled
 // blocks.
 func (cp *CompiledProgram) stepBlock(s *scratch, b *cBlock, cycles, executed *int64, prof []int64, maxCycles int64) (int, error) {
-	pp := cp.pp
-	code := pp.code
+	code := cp.code
 	counts := s.counts
 	touched := s.touched
 	for pc := b.start; pc < b.end; pc++ {
@@ -923,7 +936,7 @@ func (cp *CompiledProgram) stepBlock(s *scratch, b *cBlock, cycles, executed *in
 			if in.intrFaultPost != "" {
 				return 0, &FaultError{PC: pc, Msg: in.intrFaultPost}
 			}
-			if _, err := pp.runSuper(code[pc:pc+1], s); err != nil {
+			if err := step(in, s); err != nil {
 				return 0, &FaultError{PC: pc, Msg: err.Error()}
 			}
 
@@ -932,7 +945,7 @@ func (cp *CompiledProgram) stepBlock(s *scratch, b *cBlock, cycles, executed *in
 			if first {
 				charge()
 			}
-			if _, err := pp.runSuper(code[pc:pc+1], s); err != nil {
+			if err := step(in, s); err != nil {
 				return 0, &FaultError{PC: pc, Msg: err.Error()}
 			}
 			if !first {
@@ -943,19 +956,17 @@ func (cp *CompiledProgram) stepBlock(s *scratch, b *cBlock, cycles, executed *in
 	return b.end, nil
 }
 
-// compiledStats are process-wide compiled-backend counters, exported
-// for /metrics. Translation counts accrue per CompileProgram;
-// DispatchesSaved accrues per run (flushed once at run end, so the hot
-// loop stays free of atomics).
+// compiledStats are process-wide translation counters, exported for
+// /metrics. They accrue per compileProgram, never per run, so the hot
+// loop stays free of atomics.
 var compiledStats struct {
 	translations atomic.Uint64
 	blocks       atomic.Uint64
 	fallback     atomic.Uint64
-	saved        atomic.Uint64
 }
 
-// CompiledInfo is a point-in-time snapshot of the compiled backend,
-// exported for service metrics and tooling.
+// CompiledInfo is a point-in-time snapshot of the compiled engine's
+// translation counters, exported for service metrics and tooling.
 type CompiledInfo struct {
 	// Translations counts programs translated to closure chains.
 	Translations uint64 `json:"translations"`
@@ -965,25 +976,20 @@ type CompiledInfo struct {
 	// BlocksCompiled means translator coverage regressed.
 	BlocksCompiled uint64 `json:"blocks_compiled"`
 	FallbackBlocks uint64 `json:"fallback_blocks"`
-	// DispatchesSaved counts dynamic dispatch slots eliminated by
-	// whole-block execution: Σ (members−1) over every executed block.
-	DispatchesSaved uint64 `json:"dispatches_saved"`
 }
 
-// CompiledStats reports the process-wide compiled-backend counters.
+// CompiledStats reports the process-wide translation counters.
 func CompiledStats() CompiledInfo {
 	return CompiledInfo{
-		Translations:    compiledStats.translations.Load(),
-		BlocksCompiled:  compiledStats.blocks.Load(),
-		FallbackBlocks:  compiledStats.fallback.Load(),
-		DispatchesSaved: compiledStats.saved.Load(),
+		Translations:   compiledStats.translations.Load(),
+		BlocksCompiled: compiledStats.blocks.Load(),
+		FallbackBlocks: compiledStats.fallback.Load(),
 	}
 }
 
-// ResetCompiledStats zeroes the compiled-backend counters (tests).
+// ResetCompiledStats zeroes the translation counters (tests).
 func ResetCompiledStats() {
 	compiledStats.translations.Store(0)
 	compiledStats.blocks.Store(0)
 	compiledStats.fallback.Store(0)
-	compiledStats.saved.Store(0)
 }

@@ -10,18 +10,35 @@ import (
 	"testing"
 	"time"
 
+	"mat2c/internal/ir"
 	"mat2c/internal/pdesc"
+	"mat2c/internal/sema"
 )
 
-// TestCompiledStatsAccrue: one straight-line program is one block, one
-// translation, and a whole-block dispatch per run.
+// scalarProg hand-builds a straight-line program over float scalars:
+// n chained adds feeding a result register, then ret.
+func scalarProg(n int) *Program {
+	prog := &Program{Name: "t", NumRegs: 3}
+	prog.Params = []Param{{Name: "a", Elem: ir.Float, Reg: 0}}
+	prog.Results = []Param{{Name: "y", Elem: ir.Float, Reg: 1}}
+	fk := ir.Kind{Base: ir.Float, Lanes: 1}
+	for i := 0; i < n; i++ {
+		prog.Instrs = append(prog.Instrs, Instr{
+			Op: OpBin, K: fk, OpBase: ir.Float, BOp: ir.OpAdd, Dst: 1, A: 0, B: 1,
+		})
+	}
+	prog.Instrs = append(prog.Instrs, Instr{Op: OpRet})
+	return prog
+}
+
+// TestCompiledStatsAccrue: one straight-line program is one block and
+// one translation.
 func TestCompiledStatsAccrue(t *testing.T) {
 	ResetCompiledStats()
 	ResetPreparedCache()
 	defer ResetPreparedCache()
 	prog := scalarProg(20)
 	m := NewMachine(pdesc.Builtin("scalar"))
-	m.Engine = EngineCompiled
 	if _, err := m.Run(prog, 1.0); err != nil {
 		t.Fatal(err)
 	}
@@ -29,35 +46,29 @@ func TestCompiledStatsAccrue(t *testing.T) {
 	if st.Translations != 1 || st.BlocksCompiled != 1 || st.FallbackBlocks != 0 {
 		t.Errorf("stats = %+v, want 1 translation, 1 compiled block, 0 fallback", st)
 	}
-	// 21 members (20 adds + ret) in one dispatch: 20 slots saved.
-	if st.DispatchesSaved != 20 {
-		t.Errorf("DispatchesSaved = %d, want 20", st.DispatchesSaved)
-	}
 }
 
-// TestCompiledCacheKeying: compiled translations are cached under a
-// backend tag, shared across content-identical processors, and never
-// alias the prepared decode of the same pair.
+// TestCompiledCacheKeying: the cache holds exactly one entry per
+// (program, processor) content pair — the translation, with its decode
+// inside it rather than cached beside it — and a running machine goes
+// through that same entry.
 func TestCompiledCacheKeying(t *testing.T) {
 	ResetPreparedCache()
 	defer ResetPreparedCache()
 	prog := scalarProg(8)
 	proc := pdesc.Builtin("scalar")
-	cp1 := CompiledFor(prog, proc)
-	if cp2 := CompiledFor(prog, proc); cp2 != cp1 {
-		t.Error("same program+processor should share a translation")
+	if _, err := NewMachine(proc).Run(prog, 1.0); err != nil {
+		t.Fatal(err)
 	}
-	if cp3 := CompiledFor(prog, proc.Clone()); cp3 != cp1 {
-		t.Error("content-identical processor clone should share the translation")
+	cp := CompiledFor(prog, proc)
+	if st := PreparedCacheStats(); st.Entries != 1 || st.Misses != 1 || st.Hits != 1 {
+		t.Errorf("stats = %+v, want 1 entry for the pair, 1 miss, 1 hit", st)
 	}
-	// The translation is built from (and shares) the plain prepared
-	// decode, but lives under its own cache entry.
-	if pp := PreparedForSet(prog, proc, nil); cp1.pp != pp {
-		t.Error("translation does not share the plain prepared decode")
+	if CompiledFor(scalarProg(9), proc) == cp {
+		t.Error("distinct program content must translate separately")
 	}
-	st := PreparedCacheStats()
-	if st.Entries != 2 {
-		t.Errorf("entries = %d, want 2 (prepared decode + compiled translation)", st.Entries)
+	if st := PreparedCacheStats(); st.Entries != 2 {
+		t.Errorf("entries = %d, want 2 (one per pair)", st.Entries)
 	}
 }
 
@@ -71,7 +82,7 @@ func TestCompiledFallbackBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp := CompileProgram(prog, p)
+	cp := compileProgram(prog, p)
 	compiled, fallback := cp.BlockCounts()
 	if compiled == 0 {
 		t.Fatalf("no blocks compiled (fallback=%d): translator collapsed", fallback)
@@ -82,12 +93,11 @@ func TestCompiledFallbackBlocks(t *testing.T) {
 	assertEnginesAgree(t, prog, p, 0, []interface{}{randArr(64, r), randArr(8, r)})
 }
 
-// TestFaultSiteParityUnderCycleLimits is the four-way fault-site
-// differential: cycle limits chosen to land mid-block must produce an
-// identical *FaultError (pc and text) and identical partial accounting
-// under the reference engine, the prepared engine with fusion off, the
-// prepared engine with a mined superinstruction set, and the compiled
-// engine.
+// TestFaultSiteParityUnderCycleLimits is the fault-site differential:
+// cycle limits chosen to land mid-block must produce an identical
+// *FaultError (pc and text), identical partial accounting, and an
+// identical partial per-pc profile under the reference and compiled
+// engines.
 func TestFaultSiteParityUnderCycleLimits(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for _, procName := range []string{"dspasip", "wide8", "scalar"} {
@@ -98,39 +108,20 @@ func TestFaultSiteParityUnderCycleLimits(t *testing.T) {
 		}
 		args := []interface{}{randArr(64, r), randArr(8, r)}
 
-		runCfg := func(engine string, set *SuperSet, lim int64) (*Machine, error) {
+		run := func(engine string, lim int64) (*Machine, error) {
 			m := NewMachine(p)
 			m.Engine = engine
-			m.SuperSet = set
 			m.MaxCycles = lim
+			m.Profile = true
 			_, err := m.Run(prog, cloneArgs(args)...)
 			return m, err
 		}
 
-		// Learn the fault-free total, and mine a set from a profile run.
-		mFull, errFull := runCfg(EngineReference, nil, 0)
+		mFull, errFull := run(EngineReference, 0)
 		if errFull != nil {
 			t.Fatalf("%s: fault-free run failed: %v", procName, errFull)
 		}
 		total := mFull.Cycles
-		mProf := NewMachine(p)
-		mProf.Engine = EnginePrepared
-		mProf.SuperSet = &SuperSet{}
-		mProf.Profile = true
-		if _, err := mProf.Run(prog, cloneArgs(args)...); err != nil {
-			t.Fatal(err)
-		}
-		mined := MineSuperinsts(prog, mProf.PCCounts, SuperOpts{})
-
-		configs := []struct {
-			name   string
-			engine string
-			set    *SuperSet
-		}{
-			{"prepared-off", EnginePrepared, &SuperSet{}},
-			{"prepared-mined", EnginePrepared, mined},
-			{"compiled", EngineCompiled, nil},
-		}
 
 		limits := []int64{1, 2, 3, 17, total / 100, total / 10, total / 3, total / 2, (9 * total) / 10, total - 1}
 		faulted := 0
@@ -138,36 +129,34 @@ func TestFaultSiteParityUnderCycleLimits(t *testing.T) {
 			if lim <= 0 {
 				continue
 			}
-			refM, refErr := runCfg(EngineReference, nil, lim)
-			var refFault *FaultError
-			if errors.As(refErr, &refFault) {
-				faulted++
+			label := fmt.Sprintf("%s limit=%d", procName, lim)
+			refM, refErr := run(EngineReference, lim)
+			m, err := run(EngineCompiled, lim)
+			if (refErr == nil) != (err == nil) {
+				t.Fatalf("%s: error mismatch: reference %v, compiled %v", label, refErr, err)
 			}
-			for _, cfg := range configs {
-				label := fmt.Sprintf("%s/%s limit=%d", procName, cfg.name, lim)
-				m, err := runCfg(cfg.engine, cfg.set, lim)
-				if (refErr == nil) != (err == nil) {
-					t.Fatalf("%s: error mismatch: reference %v, got %v", label, refErr, err)
+			if refErr != nil {
+				faulted++
+				var refFault, fe *FaultError
+				if !errors.As(refErr, &refFault) || !errors.As(err, &fe) {
+					t.Fatalf("%s: errors %v / %v, want *FaultError", label, refErr, err)
 				}
-				if refErr != nil {
-					var fe *FaultError
-					if !errors.As(err, &fe) {
-						t.Fatalf("%s: err = %v, want *FaultError", label, err)
-					}
-					if fe.PC != refFault.PC {
-						t.Errorf("%s: fault pc %d, reference faulted at pc %d", label, fe.PC, refFault.PC)
-					}
-					if err.Error() != refErr.Error() {
-						t.Errorf("%s: fault text %q, reference %q", label, err, refErr)
-					}
+				if fe.PC != refFault.PC {
+					t.Errorf("%s: fault pc %d, reference faulted at pc %d", label, fe.PC, refFault.PC)
 				}
-				if m.Cycles != refM.Cycles || m.Executed != refM.Executed {
-					t.Errorf("%s: cycles/executed %d/%d, reference %d/%d",
-						label, m.Cycles, m.Executed, refM.Cycles, refM.Executed)
+				if err.Error() != refErr.Error() {
+					t.Errorf("%s: fault text %q, reference %q", label, err, refErr)
 				}
-				if !reflect.DeepEqual(m.ClassCounts, refM.ClassCounts) {
-					t.Errorf("%s: ClassCounts %v, reference %v", label, m.ClassCounts, refM.ClassCounts)
-				}
+			}
+			if m.Cycles != refM.Cycles || m.Executed != refM.Executed {
+				t.Errorf("%s: cycles/executed %d/%d, reference %d/%d",
+					label, m.Cycles, m.Executed, refM.Cycles, refM.Executed)
+			}
+			if !reflect.DeepEqual(m.ClassCounts, refM.ClassCounts) {
+				t.Errorf("%s: ClassCounts %v, reference %v", label, m.ClassCounts, refM.ClassCounts)
+			}
+			if !reflect.DeepEqual(m.PCCounts, refM.PCCounts) {
+				t.Errorf("%s: partial per-pc profile differs from reference", label)
 			}
 		}
 		if faulted < len(limits)/2 {
@@ -234,54 +223,251 @@ func TestProcHashMemoEvictsAndUnpins(t *testing.T) {
 	}
 }
 
-// FuzzCompiledEngine runs random branchy programs (the superinstruction
-// fuzzer's generator: scalar arithmetic including div faults, short
-// forward/backward branches) under the compiled engine against the
-// reference interpreter, with fuzzed cycle limits so faults land at
-// arbitrary block offsets, comparing every observable including per-PC
-// profiles.
+// TestProfileParity: Machine.Profile agrees per pc between the
+// reference and compiled engines on real kernels across targets.
+func TestProfileParity(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	kernels := []struct {
+		src  string
+		args func() []interface{}
+	}{
+		{firSrc, func() []interface{} { return []interface{}{randArr(256, r), randArr(16, r)} }},
+		{cfirSrc, func() []interface{} { return []interface{}{randCArr(256, r), randCArr(16, r)} }},
+	}
+	for _, procName := range []string{"scalar", "dspasip", "wide8"} {
+		for ki, k := range kernels {
+			params := []sema.Type{dynVec(), dynVec()}
+			if ki == 1 {
+				params = []sema.Type{dynCVec(), dynCVec()}
+			}
+			f, p := buildIR(t, k.src, procName, true, params...)
+			prog, err := Lower(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			args := k.args()
+			profile := func(engine string) []int64 {
+				m := NewMachine(p)
+				m.Engine = engine
+				m.Profile = true
+				if _, err := m.Run(prog, cloneArgs(args)...); err != nil {
+					t.Fatal(err)
+				}
+				return m.PCCounts
+			}
+			if !reflect.DeepEqual(profile(EngineReference), profile(EngineCompiled)) {
+				t.Errorf("%s kernel %d: compiled per-pc profile differs from reference", procName, ki)
+			}
+		}
+	}
+}
+
+// Register and array layout of fuzzProg programs.
+const (
+	fzRegs    = 10 // r0..r2 params, r3/r4 results, r2..r7 destinations
+	fzRowsReg = 8  // OpAlloc extents: written only by clamped consts
+	fzColsReg = 9
+	fzArrX    = 0 // float array parameter (8 elements in the harness)
+	fzArrT    = 1 // float local, allocated in the program
+	fzArrZ    = 2 // complex local, allocated in the program
+	fzLanes   = 4
+)
+
+// fuzzProg decodes a byte string into a small program, two bytes per
+// instruction: o selects the op (o%16) and destination (r2..r7), q
+// supplies operand registers (q%8, q/8%8) and a two-bit variant (q>>6).
+// The generator covers the opcode families whose compiled paths differ
+// most from the reference: int/float arithmetic with division faults, int
+// and float compares under both result bases (the fused compare
+// paths), complex constants and arithmetic (observed through a complex
+// result), conversions, moves, forward and backward jz/jmp (loops are
+// bounded by MaxCycles in the harness), mid-program returns, scalar
+// loads/stores/dims on an array parameter and two locals (out-of-bounds
+// and unallocated-array faults replay charge-after-check placement),
+// OpAlloc with extents clamped to a few dozen elements (forcing
+// fallback blocks and bad-extent faults), and 4-lane vload, splat,
+// vector arithmetic and reductions (reduce of a scalar faults).
+func fuzzProg(data []byte) *Program {
+	prog := &Program{Name: "fz", NumRegs: fzRegs}
+	prog.Arrays = []ArraySlot{
+		{Name: "x", Elem: ir.Float},
+		{Name: "t", Elem: ir.Float},
+		{Name: "z", Elem: ir.Complex},
+	}
+	prog.Params = []Param{
+		{Name: "a", Elem: ir.Float, Reg: 0},
+		{Name: "b", Elem: ir.Float, Reg: 1},
+		{Name: "c", Elem: ir.Int, Reg: 2},
+		{Name: "x", Elem: ir.Float, IsArray: true, Arr: fzArrX},
+	}
+	prog.Results = []Param{
+		{Name: "y", Elem: ir.Float, Reg: 3},
+		{Name: "w", Elem: ir.Complex, Reg: 4},
+	}
+	ik := ir.Kind{Base: ir.Int, Lanes: 1}
+	fk := ir.Kind{Base: ir.Float, Lanes: 1}
+	ck := ir.Kind{Base: ir.Complex, Lanes: 1}
+	vk := ir.Kind{Base: ir.Float, Lanes: fzLanes}
+	arith := [4]ir.Op{ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv}
+	icmp := [4]ir.Op{ir.OpLt, ir.OpLe, ir.OpEq, ir.OpNe}
+	// Scalar memory ops address x, x, t, or z by variant.
+	memArr := [4]int{fzArrX, fzArrX, fzArrT, fzArrZ}
+	n := len(data) / 2
+	if n > 64 {
+		n = 64
+	}
+	emit := func(in Instr) { prog.Instrs = append(prog.Instrs, in) }
+	for i := 0; i < n; i++ {
+		o, q := data[2*i], data[2*i+1]
+		dst := int(o>>4)%6 + 2
+		a, b, v := int(q)%8, int(q/8)%8, int(q>>6)
+		switch o % 16 {
+		case 0:
+			emit(Instr{Op: OpConst, K: ik, Dst: dst, ImmI: int64(q) - 128})
+		case 1:
+			if v == 3 {
+				emit(Instr{Op: OpConst, K: ck, Dst: dst, ImmC: complex(float64(a)-4, float64(b)-4)})
+				break
+			}
+			emit(Instr{Op: OpConst, K: fk, Dst: dst, ImmF: float64(q)/16 - 8})
+		case 2:
+			emit(Instr{Op: OpBin, K: fk, OpBase: ir.Float, BOp: arith[v], Dst: dst, A: a, B: b})
+		case 3:
+			emit(Instr{Op: OpBin, K: ik, OpBase: ir.Int, BOp: arith[v], Dst: dst, A: a, B: b})
+		case 4:
+			emit(Instr{Op: OpBin, K: ik, OpBase: ir.Int, BOp: icmp[v], Dst: dst, A: a, B: b})
+		case 5:
+			// Float compares with a float (xFLt, xFGe) or int
+			// (xFLtI, xFGeI) result.
+			k, op := fk, ir.OpLt
+			if v&1 == 1 {
+				op = ir.OpGe
+			}
+			if v >= 2 {
+				k = ik
+			}
+			emit(Instr{Op: OpBin, K: k, OpBase: ir.Float, BOp: op, Dst: dst, A: a, B: b})
+		case 6:
+			if v < 2 {
+				emit(Instr{Op: OpMov, K: fk, Dst: dst, A: a})
+				break
+			}
+			// Complex add/sub (fused) or mul/div (mul fused, div generic).
+			op := arith[(v-2)*2+b%2]
+			emit(Instr{Op: OpBin, K: ck, OpBase: ir.Complex, BOp: op, Dst: dst, A: a, B: b})
+		case 7:
+			emit(Instr{Op: OpConv, K: [4]ir.Kind{ik, fk, ck, ik}[v], Dst: dst, A: a})
+		case 8:
+			// Branch targets are reduced modulo the final length below.
+			emit(Instr{Op: OpJz, A: a, Off: int(q)})
+		case 9:
+			emit(Instr{Op: OpJmp, Off: int(q)})
+		case 10:
+			k := fk
+			if memArr[v] == fzArrZ {
+				k = ck
+			}
+			emit(Instr{Op: OpLoad, K: k, Arr: memArr[v], Dst: dst, A: a})
+		case 11:
+			emit(Instr{Op: OpStore, K: ir.Kind{Base: prog.Arrays[memArr[v]].Elem, Lanes: 1}, Arr: memArr[v], A: a, B: b})
+		case 12:
+			emit(Instr{Op: OpDim, K: ik, Arr: [4]int{fzArrX, fzArrT, fzArrZ, fzArrX}[v], Dst: dst, ImmI: int64(q % 3)})
+		case 13:
+			// Extents in [-1, 6] x [0, 7]: at most 42 elements, and a
+			// negative row count faults.
+			emit(Instr{Op: OpConst, K: ik, Dst: fzRowsReg, ImmI: int64(q%8) - 1})
+			emit(Instr{Op: OpConst, K: ik, Dst: fzColsReg, ImmI: int64(q / 8 % 8)})
+			arr := fzArrT
+			if v&1 == 1 {
+				arr = fzArrZ
+			}
+			emit(Instr{Op: OpAlloc, Arr: arr, A: fzRowsReg, B: fzColsReg})
+		case 14:
+			switch v {
+			case 0:
+				emit(Instr{Op: OpVLoad, K: vk, Arr: fzArrX, Dst: dst, A: a, ImmI: int64(1 + b%2)})
+			case 1:
+				emit(Instr{Op: OpSplat, K: vk, Dst: dst, A: a})
+			case 2:
+				emit(Instr{Op: OpBin, K: vk, OpBase: ir.Float, BOp: arith[b%4], Dst: dst, A: a, B: b})
+			default:
+				emit(Instr{Op: OpReduce, K: fk, OpBase: ir.Float, BOp: ir.OpAdd, Dst: dst, A: a})
+			}
+		case 15:
+			emit(Instr{Op: OpRet})
+		}
+	}
+	emit(Instr{Op: OpRet})
+	for i := range prog.Instrs {
+		if op := prog.Instrs[i].Op; op == OpJz || op == OpJmp {
+			prog.Instrs[i].Off %= len(prog.Instrs)
+		}
+	}
+	return prog
+}
+
+// FuzzCompiledEngine runs random branchy programs (fuzzProg) under the
+// compiled engine against the reference interpreter on a scalar and a
+// SIMD target, with fuzzed cycle limits so faults land at arbitrary
+// block offsets, comparing every observable including per-pc profiles.
 func FuzzCompiledEngine(f *testing.F) {
 	f.Add([]byte{}, uint16(0))
 	f.Add([]byte{2, 7, 3, 11, 4, 200, 5, 1, 7, 0}, uint16(0))
 	f.Add([]byte{0, 0, 1, 255, 2, 9, 6, 13, 7, 250, 4, 31, 5, 0}, uint16(99))
 	f.Add([]byte{7, 1, 7, 2, 7, 3, 2, 2, 2, 3, 2, 4, 2, 5}, uint16(7))
-	proc := pdesc.Builtin("scalar")
+	// Alloc then scalar and vector memory traffic, a reduce, a loop.
+	f.Add([]byte{13, 0x5a, 10, 0x81, 11, 0x88, 12, 0x42, 14, 0x08, 14, 0x49, 14, 0x8a, 14, 0xc2, 9, 2}, uint16(0))
+	// Compares and conversions feeding a backward branch.
+	f.Add([]byte{5, 0x01, 5, 0xc9, 4, 0x52, 7, 0x43, 7, 0x84, 8, 0x03}, uint16(300))
+	// A complex value round-tripped through an allocated array inside
+	// the allocating (stepped) block, returned through w.
+	f.Add([]byte{13, 83, 49, 245, 11, 234, 42, 194}, uint16(0))
+	procs := []*pdesc.Processor{pdesc.Builtin("scalar"), pdesc.Builtin("dspasip")}
 	f.Fuzz(func(t *testing.T, data []byte, limSeed uint16) {
 		prog := fuzzProg(data)
-		args := []interface{}{1.25, -0.5, int64(3)}
+		if err := prog.Validate(); err != nil {
+			t.Fatalf("generator produced an invalid program: %v", err)
+		}
+		x := ir.NewFloatArray(1, 8)
+		for i := range x.F {
+			x.F[i] = float64(i) - 2.5
+		}
+		args := []interface{}{1.25, -0.5, int64(3), x}
 		maxCycles := int64(20000)
 		if limSeed != 0 {
 			maxCycles = int64(limSeed) // small limits fault mid-block
 		}
 
-		run := func(engine string) (*Machine, []interface{}, error) {
-			m := NewMachine(proc)
-			m.Engine = engine
-			m.MaxCycles = maxCycles
-			m.Profile = true
-			out, err := m.Run(prog, cloneArgs(args)...)
-			return m, out, err
-		}
-		mr, outR, errR := run(EngineReference)
-		mc, outC, errC := run(EngineCompiled)
+		for _, proc := range procs {
+			run := func(engine string) (*Machine, []interface{}, error) {
+				m := NewMachine(proc)
+				m.Engine = engine
+				m.MaxCycles = maxCycles
+				m.Profile = true
+				out, err := m.Run(prog, cloneArgs(args)...)
+				return m, out, err
+			}
+			mr, outR, errR := run(EngineReference)
+			mc, outC, errC := run(EngineCompiled)
 
-		if (errR == nil) != (errC == nil) {
-			t.Fatalf("error mismatch: reference %v, compiled %v", errR, errC)
-		}
-		if errR != nil && errR.Error() != errC.Error() {
-			t.Fatalf("error text mismatch:\n  reference: %v\n  compiled:  %v", errR, errC)
-		}
-		if mr.Cycles != mc.Cycles || mr.Executed != mc.Executed {
-			t.Fatalf("cycles %d vs %d, executed %d vs %d", mr.Cycles, mc.Cycles, mr.Executed, mc.Executed)
-		}
-		if !reflect.DeepEqual(mr.ClassCounts, mc.ClassCounts) {
-			t.Fatalf("ClassCounts %v vs %v", mr.ClassCounts, mc.ClassCounts)
-		}
-		if !reflect.DeepEqual(mr.PCCounts, mc.PCCounts) {
-			t.Fatalf("per-PC profiles differ:\n  reference: %v\n  compiled:  %v", mr.PCCounts, mc.PCCounts)
-		}
-		if errR == nil {
-			bitsEqResults(t, outR, outC)
+			if (errR == nil) != (errC == nil) {
+				t.Fatalf("%s: error mismatch: reference %v, compiled %v", proc.Name, errR, errC)
+			}
+			if errR != nil && errR.Error() != errC.Error() {
+				t.Fatalf("%s: error text mismatch:\n  reference: %v\n  compiled:  %v", proc.Name, errR, errC)
+			}
+			if mr.Cycles != mc.Cycles || mr.Executed != mc.Executed {
+				t.Fatalf("%s: cycles %d vs %d, executed %d vs %d", proc.Name, mr.Cycles, mc.Cycles, mr.Executed, mc.Executed)
+			}
+			if !reflect.DeepEqual(mr.ClassCounts, mc.ClassCounts) {
+				t.Fatalf("%s: ClassCounts %v vs %v", proc.Name, mr.ClassCounts, mc.ClassCounts)
+			}
+			if !reflect.DeepEqual(mr.PCCounts, mc.PCCounts) {
+				t.Fatalf("%s: per-pc profiles differ:\n  reference: %v\n  compiled:  %v", proc.Name, mr.PCCounts, mc.PCCounts)
+			}
+			if errR == nil {
+				bitsEqResults(t, outR, outC)
+			}
 		}
 	})
 }

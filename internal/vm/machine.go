@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
-	"sync"
 
 	"mat2c/internal/ir"
 	"mat2c/internal/pdesc"
@@ -76,60 +74,17 @@ func (v vmval) lane(j int) complex128 {
 // DefaultMaxCycles bounds execution when Machine.MaxCycles is zero.
 const DefaultMaxCycles = 50_000_000_000
 
-// Execution engine names accepted by Machine.Engine and
-// SetDefaultEngine.
+// Execution engine names accepted by Machine.Engine.
 const (
-	// EnginePrepared is the pre-decoded execution engine: cost classes
-	// resolved to dense IDs at program-load time, allocation-free lane
-	// buffers, and a content-addressed prepared-program cache.
-	EnginePrepared = "prepared"
-	// EngineReference is the original switch-dispatch interpreter,
-	// retained as the semantic oracle for differential testing.
+	// EngineCompiled is the default engine: each basic block of the
+	// pre-decoded program is translated into a chain of typed Go
+	// closures with batched cycle/class accounting (compile.go).
+	EngineCompiled = "compiled"
+	// EngineReference is the switch-dispatch interpreter over the
+	// undecoded Program, retained as the semantic oracle for
+	// differential testing and used for tracing.
 	EngineReference = "reference"
-
-	// EngineCompiled (declared in compile.go) is the compiled-closure
-	// backend: basic blocks translated to continuation-threaded Go
-	// closures with batched accounting.
 )
-
-// defaultEngine is the process-wide engine used when Machine.Engine is
-// empty. It is initialized from $MAT2C_VM_ENGINE ("prepared",
-// "compiled", or "reference"/"ref") and adjustable via
-// SetDefaultEngine.
-var defaultEngine = struct {
-	sync.RWMutex
-	name string
-}{name: EnginePrepared}
-
-func init() {
-	if env := os.Getenv("MAT2C_VM_ENGINE"); env != "" {
-		_ = SetDefaultEngine(env) // an unknown value keeps the default
-	}
-}
-
-// SetDefaultEngine selects the process-wide execution engine used by
-// machines that do not set Engine explicitly ("prepared", "compiled",
-// or "reference"; "ref" is accepted as an alias).
-func SetDefaultEngine(name string) error {
-	switch name {
-	case "ref":
-		name = EngineReference
-	case EnginePrepared, EngineCompiled, EngineReference:
-	default:
-		return fmt.Errorf("vm: unknown engine %q (want %q, %q or %q)", name, EnginePrepared, EngineCompiled, EngineReference)
-	}
-	defaultEngine.Lock()
-	defaultEngine.name = name
-	defaultEngine.Unlock()
-	return nil
-}
-
-// DefaultEngine reports the process-wide engine name.
-func DefaultEngine() string {
-	defaultEngine.RLock()
-	defer defaultEngine.RUnlock()
-	return defaultEngine.name
-}
 
 // Machine executes VM programs charging per-instruction cycle costs from
 // a processor description.
@@ -142,29 +97,18 @@ type Machine struct {
 	// (pc, disassembly, cycle counter) — a debugging aid; it can produce
 	// very large output. Tracing always runs on the reference engine.
 	Trace io.Writer
-	// Engine selects the execution engine ("prepared", "compiled", or
-	// "reference"); empty uses the process default. All engines are
-	// cycle-exact: Cycles, Executed, ClassCounts, outputs, and faults
-	// are identical. The compiled engine ignores SuperSet — its blocks
-	// already batch accounting block-wide, subsuming any fusion set.
+	// Engine selects the execution engine: EngineReference runs the
+	// oracle interpreter; anything else (normally empty) runs the
+	// compiled engine. The engines are cycle-exact against each other:
+	// Cycles, Executed, ClassCounts, PCCounts, outputs, and faults
+	// (pc and text) are identical.
 	Engine string
 	// Profile, when true, records per-pc dynamic execution counts into
-	// PCCounts. Both engines support profiling: the prepared engine
-	// maps fused superinstruction units back to their member pcs, so
-	// counts always refer to the unfused Program and the two engines
-	// produce identical profiles; cycle accounting is unchanged. The
+	// PCCounts. Counts always refer to the Program's instructions and
+	// are identical on both engines; cycle accounting is unchanged. The
 	// instruction-set miner uses these counts to weight candidate
-	// patterns by how often their sites actually ran, and the
-	// superinstruction miner (MineSuperinsts) uses them to rank hot
-	// straight-line sequences.
+	// patterns by how often their sites actually ran.
 	Profile bool
-	// SuperSet, when non-nil, selects an explicit superinstruction set
-	// for the prepared engine (mined via MineSuperinsts or built by
-	// hand); an empty set disables fusion for this machine's runs. Nil
-	// applies the process default: static pair fusion when
-	// superinstructions are enabled (SetSuperinstEnabled /
-	// $MAT2C_VM_SUPERINST), none otherwise.
-	SuperSet *SuperSet
 
 	// PCCounts[pc] is the number of times prog.Instrs[pc] executed in
 	// the last profiled Run (nil unless Profile is set).
@@ -191,14 +135,6 @@ func (m *Machine) charge(class string) {
 func (m *Machine) chargeN(class string, n int64) {
 	m.Cycles += int64(m.Proc.Cost(class)) * n
 	m.ClassCounts[class] += n
-}
-
-// engine resolves the effective engine for this run.
-func (m *Machine) engine() string {
-	if m.Engine != "" {
-		return m.Engine
-	}
-	return DefaultEngine()
 }
 
 // Run executes prog with the given arguments (int64, float64,
@@ -241,19 +177,8 @@ func (m *Machine) RunContext(ctx context.Context, prog *Program, args ...interfa
 		m.PCCounts = nil
 	}
 
-	if m.Trace == nil {
-		switch m.engine() {
-		case EnginePrepared:
-			var pp *PreparedProgram
-			if m.SuperSet != nil {
-				pp = PreparedForSet(prog, m.Proc, m.SuperSet)
-			} else {
-				pp = PreparedFor(prog, m.Proc)
-			}
-			return pp.run(m, ctx, maxCycles, args)
-		case EngineCompiled:
-			return CompiledFor(prog, m.Proc).run(m, ctx, maxCycles, args)
-		}
+	if m.Trace == nil && m.Engine != EngineReference {
+		return CompiledFor(prog, m.Proc).run(m, ctx, maxCycles, args)
 	}
 
 	regs := make([]vmval, prog.NumRegs)

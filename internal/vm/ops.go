@@ -28,9 +28,9 @@ func (m *Machine) execBin(in *Instr, regs []vmval) (vmval, error) {
 }
 
 // binScalarVal computes a scalar binary operation at the given
-// computation base with the result materialized at kBase (shared by the
-// reference interpreter and the prepared engine so the two cannot
-// drift).
+// computation base with the result materialized at kBase (the
+// reference interpreter's form; the compiled engine's binScalarInto and
+// fused opcodes must compute exactly the same values).
 func binScalarVal(op ir.Op, opBase, kBase ir.BaseKind, a, b vmval) (vmval, error) {
 	switch opBase {
 	case ir.Int:
@@ -570,8 +570,8 @@ func intrArity(k intrKind) int {
 
 // intrLane computes one lane of an intrinsic (two-operand kinds ignore
 // a2). This is THE definition of every custom instruction's semantics,
-// shared by the reference interpreter, the prepared vector path, and
-// the prepared fused-scalar path, so the engines cannot drift.
+// shared by the reference interpreter and every compiled-engine path,
+// so the engines cannot drift.
 func intrLane(k intrKind, a0, a1, a2 complex128) complex128 {
 	switch k {
 	case intrFMA:

@@ -7,61 +7,61 @@ import (
 	"mat2c/internal/pdesc"
 )
 
-// The prepared-program cache.
+// The compiled-program cache.
 //
-// Preparation is cheap relative to compilation but not free (a cost
-// table, a pre-decoded instruction array, dense ID resolution), and the
-// workloads this repo cares about — benchtab sweeps, DSE exploration,
-// the compile-and-simulate service — run the same program on the same
-// processor thousands of times. PreparedFor memoizes preparations in a
-// bounded LRU keyed by (program content hash, processor content hash,
-// superinstruction-set tag), composing with the content-addressed
-// compile cache one layer up: a compile-cache hit returns a
-// pointer-identical Program whose ContentHash is already memoized, so
-// the prepared lookup is two string map probes. The set tag keeps
-// preparations with different fusion sets from aliasing one another:
-// "" is the plain PR 3 decode, "static/v1" the process-default pair
-// fusion (a pure function of the program), and "mined/<hash>" an
-// explicit set keyed by its content.
+// Translation is cheap relative to compilation but not free (a cost
+// table, the pre-decoded table, one closure per op), and long-lived
+// workloads — the compile-and-simulate service, repeated benchtab runs
+// — execute the same program on the same processor many times.
+// CompiledFor memoizes translations in a bounded LRU.
+//
+// Invariants:
+//   - The key is (program content hash, processor content hash) and
+//     nothing else: content-identical programs and processors share one
+//     entry regardless of pointer identity, and any difference in
+//     either yields a distinct entry.
+//   - Each key holds exactly one *CompiledProgram; the decode it was
+//     translated from lives inside it, never as a second entry.
+//   - Cached values are immutable, so a racing duplicate translation is
+//     harmless: the first insert wins and both results are equivalent.
+//
+// A compile-cache hit one layer up returns a pointer-identical Program
+// whose ContentHash is already memoized, so a lookup is two memo probes
+// and one map probe.
 
-// DefaultPreparedCacheSize bounds the process-wide prepared-program
-// cache (entries, not bytes; a prepared program is a few KiB).
+// DefaultPreparedCacheSize bounds the process-wide compiled-program
+// cache (entries, not bytes; a translation is a few KiB).
 const DefaultPreparedCacheSize = 256
 
-type preparedKey struct {
-	prog    string // Program.ContentHash
-	proc    string // Processor.ContentHash
-	set     string // superinstruction-set tag ("", "static/v1", "mined/<hash>")
-	backend string // "" = prepared decode, backendCompiled = closure translation
+type pairKey struct {
+	prog string // Program.ContentHash
+	proc string // Processor.ContentHash
 }
 
-type preparedEntry struct {
-	key preparedKey
-	pp  *PreparedProgram
-	cp  *CompiledProgram // non-nil only for backend == backendCompiled entries
+type pairEntry struct {
+	key pairKey
+	cp  *CompiledProgram
 }
 
 var prepCache = struct {
 	sync.Mutex
-	entries map[preparedKey]*list.Element
+	entries map[pairKey]*list.Element
 	order   *list.List // front = most recently used
 	cap     int
 	hits    uint64
 	misses  uint64
 }{
-	entries: make(map[preparedKey]*list.Element),
+	entries: make(map[pairKey]*list.Element),
 	order:   list.New(),
 	cap:     DefaultPreparedCacheSize,
 }
 
 // hashMemo is a bounded pointer-keyed content-hash memo with evict-one
-// LRU replacement. The previous design kept up to cap pointers forever
-// and then dropped the memo wholesale on overflow — which both pinned
-// every memoized *Processor/*Program against collection in a long-lived
-// mat2cd under DSE churn, and produced a latency cliff when the 4097th
-// distinct pointer threw away 4096 warm entries at once. Evicting the
-// least-recently-used single entry keeps the working set warm and lets
-// retired sweep variants become collectable as new ones push them out.
+// LRU replacement. It must never exceed its cap and must never pin an
+// evicted pointer: in a long-lived mat2cd under DSE churn, retired
+// sweep variants have to become collectable as new ones push them out,
+// and evicting one entry at a time keeps the working set warm instead
+// of dropping it wholesale.
 type hashMemo[K comparable] struct {
 	mu      sync.Mutex
 	entries map[K]*list.Element
@@ -139,91 +139,57 @@ func processorHash(p *pdesc.Processor) (string, bool) {
 	return h, true
 }
 
-// PreparedFor returns the prepared form of prog for proc under the
-// process-default superinstruction policy, consulting the process-wide
-// cache. Programs and processors are content-hashed, so DSE variants
-// with identical descriptions share one preparation regardless of
-// pointer identity. Both values must be treated as immutable after
-// this call. Safe for concurrent use.
-func PreparedFor(prog *Program, proc *pdesc.Processor) *PreparedProgram {
-	if SuperinstEnabled() {
-		return preparedCached(prog, proc, nil, superTagStatic)
-	}
-	return preparedCached(prog, proc, nil, "")
-}
-
-// PreparedForSet is PreparedFor with an explicit superinstruction set
-// (nil or empty = fusion off regardless of the process default). The
-// set is content-hashed into the cache key, so distinct sets — and the
-// policy-default preparations — never alias.
-func PreparedForSet(prog *Program, proc *pdesc.Processor, set *SuperSet) *PreparedProgram {
-	if set == nil || len(set.Ranges) == 0 {
-		return preparedCached(prog, proc, nil, "")
-	}
-	return preparedCached(prog, proc, set, "mined/"+set.Hash())
-}
-
-// prepareTagged materializes the preparation a (set, tag) pair denotes:
-// the static pair set is derived from the program on demand so the
-// cache key stays content-free.
-func prepareTagged(prog *Program, proc *pdesc.Processor, set *SuperSet, tag string) *PreparedProgram {
-	if set == nil && tag == superTagStatic {
-		set = StaticSuperinsts(prog)
-	}
-	return PrepareSuper(prog, proc, set)
-}
-
-func preparedCached(prog *Program, proc *pdesc.Processor, set *SuperSet, tag string) *PreparedProgram {
+// CompiledFor returns the compiled form of prog for proc, consulting
+// the process-wide cache. Both values must be treated as immutable
+// after this call. Safe for concurrent use.
+func CompiledFor(prog *Program, proc *pdesc.Processor) *CompiledProgram {
 	ph, ok := processorHash(proc)
 	if !ok {
-		// Unhashable description (should not happen): prepare uncached.
-		return prepareTagged(prog, proc, set, tag)
+		// Unhashable description (should not happen): translate uncached.
+		return compileProgram(prog, proc)
 	}
-	key := preparedKey{prog: prog.ContentHash(), proc: ph, set: tag}
-
-	if e, ok := cacheGet(key); ok {
-		return e.pp
+	key := pairKey{prog: prog.ContentHash(), proc: ph}
+	if cp, ok := cacheGet(key); ok {
+		return cp
 	}
-	// Prepare outside the lock; concurrent misses on the same key do
-	// duplicate work once, and the first insert wins — both results are
-	// equivalent by construction.
-	pp := prepareTagged(prog, proc, set, tag)
-	return cacheInsert(key, &preparedEntry{key: key, pp: pp}).pp
+	// Translate outside the lock; concurrent misses on one key do the
+	// work twice and the first insert wins.
+	return cacheInsert(key, compileProgram(prog, proc))
 }
 
-// cacheGet probes the prepared-program cache, promoting and counting a
-// hit, or counting a miss.
-func cacheGet(key preparedKey) (*preparedEntry, bool) {
+// cacheGet probes the cache, promoting and counting a hit, or counting
+// a miss.
+func cacheGet(key pairKey) (*CompiledProgram, bool) {
 	prepCache.Lock()
 	defer prepCache.Unlock()
 	if el, ok := prepCache.entries[key]; ok {
 		prepCache.order.MoveToFront(el)
 		prepCache.hits++
-		return el.Value.(*preparedEntry), true
+		return el.Value.(*pairEntry).cp, true
 	}
 	prepCache.misses++
 	return nil, false
 }
 
-// cacheInsert installs e under key unless a concurrent insert already
-// won the race, and returns the entry that ended up cached.
-func cacheInsert(key preparedKey, e *preparedEntry) *preparedEntry {
+// cacheInsert installs cp under key unless a concurrent insert already
+// won the race, and returns the translation that ended up cached.
+func cacheInsert(key pairKey, cp *CompiledProgram) *CompiledProgram {
 	prepCache.Lock()
 	defer prepCache.Unlock()
 	if el, ok := prepCache.entries[key]; ok {
 		prepCache.order.MoveToFront(el)
-		return el.Value.(*preparedEntry)
+		return el.Value.(*pairEntry).cp
 	}
-	prepCache.entries[key] = prepCache.order.PushFront(e)
+	prepCache.entries[key] = prepCache.order.PushFront(&pairEntry{key: key, cp: cp})
 	for prepCache.order.Len() > prepCache.cap {
 		old := prepCache.order.Back()
 		prepCache.order.Remove(old)
-		delete(prepCache.entries, old.Value.(*preparedEntry).key)
+		delete(prepCache.entries, old.Value.(*pairEntry).key)
 	}
-	return e
+	return cp
 }
 
-// PreparedCacheInfo is a point-in-time snapshot of the prepared-program
+// PreparedCacheInfo is a point-in-time snapshot of the compiled-program
 // cache, exported for service metrics and tooling.
 type PreparedCacheInfo struct {
 	Entries  int    `json:"entries"`
@@ -244,11 +210,11 @@ func PreparedCacheStats() PreparedCacheInfo {
 	}
 }
 
-// ResetPreparedCache empties the prepared-program cache and its
+// ResetPreparedCache empties the compiled-program cache and its
 // counters (used by tests and benchmarks to measure cold paths).
 func ResetPreparedCache() {
 	prepCache.Lock()
-	prepCache.entries = make(map[preparedKey]*list.Element)
+	prepCache.entries = make(map[pairKey]*list.Element)
 	prepCache.order = list.New()
 	prepCache.hits = 0
 	prepCache.misses = 0

@@ -1,39 +1,41 @@
 package vm
 
 import (
-	"context"
 	"fmt"
-	"sync"
 
 	"mat2c/internal/ir"
 	"mat2c/internal/pdesc"
 )
 
-// The prepared execution engine.
+// The pre-decoded instruction table.
 //
 // The reference interpreter charges every dynamic instruction through
 // Processor.Cost (a string-keyed map lookup) and ClassCounts (a map
 // increment), and allocates a fresh lane slice for every vector result.
-// Preparation hoists all of that to program-load time: each instruction
-// is decoded once into a pInstr whose cycle cost, dense cost-class ID
-// and class count are fully resolved against a pdesc.CostTable, so the
-// hot loop charges with an integer add and an array add. Vector results
-// are written into per-register segments of one shared lane buffer
-// owned by a pooled scratch arena, making the steady-state loop
-// allocation-free.
+// Decoding hoists all of that to program-load time: each instruction
+// becomes a pInstr whose cycle cost, dense cost-class ID and class
+// count are fully resolved against a pdesc.CostTable. The compiled
+// engine (compile.go) translates this table into closures, and its
+// per-op stepper (step, below) interprets it directly.
 //
-// Both engines are cycle-exact by construction: they share the operand
-// semantics in ops.go (binLane, unLane, intrFill, ...) and the
-// differential tests require identical Cycles, Executed, ClassCounts,
-// outputs, and fault messages on every kernel × target.
+// Invariants the decode must hold:
+//   - code[pc] describes prog.Instrs[pc]: the table is 1:1 with the
+//     program, so fault pcs and per-pc profiles need no mapping.
+//   - Charging pInstr.cost to cycles and pInstr.countN to
+//     counts[pInstr.class] is exactly what the reference engine
+//     charges for a successful execution of that instruction, except
+//     OpAlloc's extent-dependent zero-fill, which is charged at run
+//     time from zeroClass/zeroCost/allocW.
+//   - Operand semantics come from ops.go, shared with the reference
+//     engine, so results are bit-identical.
 
 // Fused micro-opcodes: scalar binary operations and scalar intrinsics
 // whose (operation, computation base, result base) triple is fully
-// known at prepare time collapse into dedicated opcodes, replacing the
-// generic dispatch chain (binScalarVal's base switch plus the per-op
-// switch) with one direct arithmetic expression. Each fused case must
-// compute exactly what its generic counterpart computes — the
-// differential engine tests enforce this bit-for-bit.
+// known at decode time collapse into dedicated opcodes, which the
+// translator turns into one direct arithmetic expression. Each fused
+// case must compute exactly what its generic counterpart computes —
+// step relies on this by running fused opcodes through the generic
+// path, and the differential tests enforce it bit for bit.
 const (
 	xIAdd Opc = 0x100 + iota
 	xISub
@@ -66,7 +68,6 @@ const (
 	xCSub
 	xCMul
 	xIntrS // scalar intrinsic with statically valid decode
-	xSuper // fused straight-line superinstruction (see superinst.go)
 )
 
 // fuseBin maps a scalar OpBin triple to its fused opcode, or OpBin when
@@ -213,34 +214,9 @@ type pInstr struct {
 	// pat is the pre-parsed semantics pattern of a mined instruction
 	// (nil for the built-in family).
 	intr          intrKind
-	intrName      string
 	intrFaultPre  string
 	intrFaultPost string
 	pat           *ir.Pattern
-
-	// xSuper: the fused members (pre-decoded copies of the replaced
-	// range), the aggregated class charges of a completed unit, and —
-	// reusing cost/off — the summed cycle cost and the pc past the
-	// range. Interior code slots keep their normal decode so the
-	// pc ↔ instruction mapping stays 1:1 for profiling and faults.
-	sub     []pInstr
-	charges []classCharge
-}
-
-// PreparedProgram is a Program pre-decoded against one processor's cost
-// model. It is immutable and safe for concurrent use; each Run borrows
-// a scratch arena from an internal pool.
-type PreparedProgram struct {
-	prog  *Program
-	proc  *pdesc.Processor
-	table *pdesc.CostTable
-	code  []pInstr
-
-	numRegs   int
-	numArrays int
-	maxL      int // widest lane count in the program (≥1)
-
-	pool sync.Pool
 }
 
 // scratch is the per-run execution arena: register file, array slots,
@@ -263,19 +239,12 @@ func (s *scratch) seg(reg, L int) []complex128 {
 	return s.lanebuf[base : base+L : base+L]
 }
 
-// Prepare pre-decodes prog against proc's cost model. The processor
-// must not be mutated afterwards (the usual read-only contract shared
-// with pdesc.Resolve). Most callers want PreparedFor, which memoizes
-// the result in a content-addressed cache.
-func Prepare(prog *Program, proc *pdesc.Processor) *PreparedProgram {
-	return PrepareSuper(prog, proc, nil)
-}
-
-// PrepareSuper pre-decodes prog like Prepare and additionally fuses the
-// given superinstruction set (nil or empty = none). Invalid or
-// unfuseable ranges are dropped silently; see fuseSuperinsts. Cached
-// via PreparedForSet.
-func PrepareSuper(prog *Program, proc *pdesc.Processor, set *SuperSet) *PreparedProgram {
+// decode pre-decodes prog against proc's cost model, returning the
+// instruction table, the cost table its dense class IDs index, and the
+// widest lane count in the program (≥1). The processor must not be
+// mutated afterwards (the usual read-only contract shared with
+// pdesc.Resolve).
+func decode(prog *Program, proc *pdesc.Processor) ([]pInstr, *pdesc.CostTable, int) {
 	table := pdesc.NewCostTable(proc)
 	id := func(name string) int32 {
 		i, ok := table.ID(name)
@@ -374,7 +343,6 @@ func PrepareSuper(prog *Program, proc *pdesc.Processor, set *SuperSet) *Prepared
 			}
 
 		case OpIntr:
-			p.intrName = in.Intr
 			ci := proc.Instr(in.Intr)
 			if ci == nil {
 				// Faults at runtime before any charge, like the
@@ -390,7 +358,7 @@ func PrepareSuper(prog *Program, proc *pdesc.Processor, set *SuperSet) *Prepared
 			if p.intr == intrUnknown {
 				if in.Sem != "" {
 					// Mined instruction: pre-parse the semantics pattern
-					// once; the hot loop evaluates it lane-wise.
+					// once; execution evaluates it lane-wise.
 					pat, err := ir.CachedPattern(in.Sem)
 					switch {
 					case err != nil:
@@ -489,708 +457,315 @@ func PrepareSuper(prog *Program, proc *pdesc.Processor, set *SuperSet) *Prepared
 			setClass("ret", 1)
 		}
 	}
+	return code, table, maxL
+}
 
-	if seqs, ops := fuseSuperinsts(prog, code, set); seqs > 0 {
-		superStats.prepares.Add(1)
-		superStats.seqs.Add(uint64(seqs))
-		superStats.ops.Add(uint64(ops))
+// zeroVmval backs the absent third operand of two-argument intrinsics
+// in in-place operand reads. Never written.
+var zeroVmval vmval
+
+// laneOf is vmval.lane without copying the vmval (scalars broadcast).
+func laneOf(v *vmval, j int) complex128 {
+	if v.lanes == nil {
+		return v.c
 	}
+	return v.lanes[j]
+}
 
-	return &PreparedProgram{
-		prog:      prog,
-		proc:      proc,
-		table:     table,
-		code:      code,
-		numRegs:   prog.NumRegs,
-		numArrays: len(prog.Arrays),
-		maxL:      maxL,
+// isZeroP is isZero without copying the vmval.
+func isZeroP(v *vmval) bool {
+	if v.lanes != nil {
+		return v.lanes[0] == 0
+	}
+	return v.i == 0 && v.f == 0 && v.c == 0
+}
+
+// setInt / setFloat / setComplex store a scalar result in place with
+// the write-through conventions of fromInt / fromFloat / fromComplex.
+// Building a vmval literal and assigning it moves 40 bytes through the
+// stack per op; these compile to four direct stores.
+func setInt(d *vmval, v int64) {
+	d.i, d.f, d.c, d.lanes = v, float64(v), complex(float64(v), 0), nil
+}
+
+func setFloat(d *vmval, v float64) {
+	d.i, d.f, d.c, d.lanes = int64(v), v, complex(v, 0), nil
+}
+
+func setComplex(d *vmval, v complex128) {
+	d.i, d.f, d.c, d.lanes = int64(real(v)), real(v), v, nil
+}
+
+// setMaterialize is materialize without the intermediate vmval.
+func setMaterialize(d *vmval, v complex128, base ir.BaseKind) {
+	switch base {
+	case ir.Int:
+		setInt(d, int64(real(v)))
+	case ir.Float:
+		setFloat(d, real(v))
+	default:
+		setComplex(d, v)
 	}
 }
 
-func (pp *PreparedProgram) getScratch() *scratch {
-	if s, ok := pp.pool.Get().(*scratch); ok {
-		return s
-	}
-	return &scratch{
-		regs:    make([]vmval, pp.numRegs),
-		arrays:  make([]*ir.Array, pp.numArrays),
-		counts:  make([]int64, pp.table.Len()),
-		touched: make([]bool, pp.table.Len()),
-		lanebuf: make([]complex128, pp.numRegs*pp.maxL),
-		maxL:    pp.maxL,
-	}
-}
-
-func (pp *PreparedProgram) putScratch(s *scratch) {
-	clear(s.regs)
-	clear(s.arrays) // drop array references so results don't pin the pool
-	clear(s.counts)
-	clear(s.touched)
-	pp.pool.Put(s)
-}
-
-// run executes the prepared program on behalf of m.Run. The machine's
-// Cycles/Executed/ClassCounts have already been reset; they are updated
-// here even when execution faults, matching the reference engine's
-// partial state on error.
-func (pp *PreparedProgram) run(m *Machine, ctx context.Context, maxCycles int64, args []interface{}) ([]interface{}, error) {
-	s := pp.getScratch()
-	defer pp.putScratch(s)
-	if err := bindArgs(pp.prog, args, s.regs, s.arrays); err != nil {
-		return nil, err
-	}
-	err := pp.exec(m, ctx, s, maxCycles)
-	for id, t := range s.touched {
-		if t {
-			m.ClassCounts[pp.table.Name(id)] += s.counts[id]
+// binScalarInto is binScalarVal with pointer operands and an in-place
+// result store. Every operand field is read before d is written, so
+// d aliasing a or b computes exactly what the copying form computes.
+func binScalarInto(d *vmval, op ir.Op, opBase, kBase ir.BaseKind, a, b *vmval) error {
+	switch opBase {
+	case ir.Int:
+		r, err := binInt(op, a.i, b.i)
+		if err != nil {
+			return err
+		}
+		setInt(d, r)
+	case ir.Float:
+		r := binFloat(op, a.f, b.f)
+		if kBase == ir.Int {
+			setInt(d, int64(r))
+		} else {
+			setFloat(d, r)
+		}
+	default:
+		r, err := binComplex(op, a.c, b.c)
+		if err != nil {
+			return err
+		}
+		if kBase == ir.Int {
+			setInt(d, int64(real(r)))
+		} else {
+			setComplex(d, r)
 		}
 	}
-	if err != nil {
-		return nil, err
-	}
-	return collectResults(pp.prog, s.regs, s.arrays)
+	return nil
 }
 
-// exec is the prepared hot loop. It must stay charge-for-charge and
-// fault-for-fault identical to Machine.exec; the per-opcode charge
-// placement (before or after validity checks) mirrors the reference
-// engine exactly.
-func (pp *PreparedProgram) exec(m *Machine, ctx context.Context, s *scratch, maxCycles int64) error {
-	var cycles, executed, dispSaved int64
-	defer func() {
-		m.Cycles = cycles
-		m.Executed = executed
-		if dispSaved > 0 {
-			superStats.saved.Add(uint64(dispSaved))
-		}
-	}()
-
+// step executes one decoded non-control-flow instruction semantics-only:
+// no cycle or class accounting and no limit check (the caller owns
+// those). It returns the instruction's fault with the reference
+// engine's message text. The caller handles OpAlloc and an OpIntr's
+// precomputed faults itself. Fused opcodes run through their generic
+// forms, which compute the same values by construction.
+func step(in *pInstr, s *scratch) error {
 	regs := s.regs
 	arrays := s.arrays
-	counts := s.counts
-	touched := s.touched
-	code := pp.code
-	var prof []int64
-	if m.Profile {
-		prof = m.PCCounts
+	op := in.op
+	switch {
+	case op >= xIAdd && op <= xCMul:
+		op = OpBin
+	case op == xIntrS:
+		op = OpIntr
 	}
+	switch op {
+	case OpNop:
 
-	pc := 0
-	fault := func(format string, a ...interface{}) error {
-		return &FaultError{PC: pc, Msg: fmt.Sprintf(format, a...)}
-	}
+	case OpConst:
+		regs[in.dst] = in.val
 
-	pollIn := int64(CancelCheckStride)
-	for pc < len(code) {
-		if ctx != nil {
-			if pollIn--; pollIn <= 0 {
-				pollIn = CancelCheckStride
-				if err := ctx.Err(); err != nil {
-					return &CancelledError{Executed: executed, Err: err}
-				}
+	case OpMov:
+		src := &regs[in.a]
+		lanes := src.lanes
+		if lanes != nil {
+			dst := s.seg(in.dst, len(lanes))
+			copy(dst, lanes)
+			lanes = dst
+		}
+		d := &regs[in.dst]
+		d.i, d.f, d.c, d.lanes = src.i, src.f, src.c, lanes
+
+	case OpConv:
+		if in.lanes > 1 {
+			dst := s.seg(in.dst, in.lanes)
+			convInto(dst, regs[in.a], in.kBase)
+			regs[in.dst] = vmval{lanes: dst}
+		} else {
+			regs[in.dst] = convScalar(regs[in.a], in.kBase)
+		}
+
+	case OpBin:
+		a, b := &regs[in.a], &regs[in.b]
+		if in.lanes <= 1 {
+			return binScalarInto(&regs[in.dst], in.bop, in.opBase, in.kBase, a, b)
+		}
+		dst := s.seg(in.dst, in.lanes)
+		for j := 0; j < in.lanes; j++ {
+			r, err := binLane(in.bop, in.opBase, in.kBase, laneOf(a, j), laneOf(b, j))
+			if err != nil {
+				return err
 			}
+			dst[j] = r
 		}
-		if cycles > maxCycles {
-			return fault("cycle limit exceeded (%d)", maxCycles)
-		}
-		in := &code[pc]
-		executed++
-		if prof != nil {
-			prof[pc]++
-		}
+		regs[in.dst] = vmval{lanes: dst}
 
-		switch in.op {
-		case OpNop:
-
-		case OpConst:
-			regs[in.dst] = in.val
-			cycles += in.cost
-			counts[in.class]++
-			touched[in.class] = true
-
-		case OpMov:
-			v := regs[in.a]
-			if v.lanes != nil {
-				dst := s.seg(in.dst, len(v.lanes))
-				copy(dst, v.lanes)
-				v.lanes = dst
+	case OpUn:
+		a := &regs[in.a]
+		if in.lanes <= 1 {
+			v, err := unScalar(in.bop, in.opBase, in.kBase, *a)
+			if err != nil {
+				return err
 			}
 			regs[in.dst] = v
-			cycles += in.cost
-			counts[in.class]++
-			touched[in.class] = true
-
-		case OpConv:
-			if in.lanes > 1 {
-				dst := s.seg(in.dst, in.lanes)
-				convInto(dst, regs[in.a], in.kBase)
-				regs[in.dst] = vmval{lanes: dst}
-			} else {
-				regs[in.dst] = convScalar(regs[in.a], in.kBase)
-			}
-			cycles += in.cost
-			counts[in.class]++
-			touched[in.class] = true
-
-		case OpBin:
-			cycles += in.cost
-			counts[in.class]++
-			touched[in.class] = true
-			a, b := regs[in.a], regs[in.b]
-			if in.lanes <= 1 {
-				v, err := binScalarVal(in.bop, in.opBase, in.kBase, a, b)
-				if err != nil {
-					return fault("%v", err)
-				}
-				regs[in.dst] = v
-				break
-			}
-			dst := s.seg(in.dst, in.lanes)
-			for j := 0; j < in.lanes; j++ {
-				r, err := binLane(in.bop, in.opBase, in.kBase, a.lane(j), b.lane(j))
-				if err != nil {
-					return fault("%v", err)
-				}
-				dst[j] = r
-			}
-			regs[in.dst] = vmval{lanes: dst}
-
-		case xIAdd:
-			cycles += in.cost
-			counts[in.class]++
-			touched[in.class] = true
-			r := regs[in.a].i + regs[in.b].i
-			regs[in.dst] = vmval{i: r, f: float64(r), c: complex(float64(r), 0)}
-
-		case xISub:
-			cycles += in.cost
-			counts[in.class]++
-			touched[in.class] = true
-			r := regs[in.a].i - regs[in.b].i
-			regs[in.dst] = vmval{i: r, f: float64(r), c: complex(float64(r), 0)}
-
-		case xIMul:
-			cycles += in.cost
-			counts[in.class]++
-			touched[in.class] = true
-			r := regs[in.a].i * regs[in.b].i
-			regs[in.dst] = vmval{i: r, f: float64(r), c: complex(float64(r), 0)}
-
-		case xILt, xILe, xIGt, xIGe, xIEq, xINe, xIAnd, xIOr:
-			cycles += in.cost
-			counts[in.class]++
-			touched[in.class] = true
-			x, y := regs[in.a].i, regs[in.b].i
-			var cond bool
-			switch in.op {
-			case xILt:
-				cond = x < y
-			case xILe:
-				cond = x <= y
-			case xIGt:
-				cond = x > y
-			case xIGe:
-				cond = x >= y
-			case xIEq:
-				cond = x == y
-			case xINe:
-				cond = x != y
-			case xIAnd:
-				cond = x != 0 && y != 0
-			default:
-				cond = x != 0 || y != 0
-			}
-			r := b2i(cond)
-			regs[in.dst] = vmval{i: r, f: float64(r), c: complex(float64(r), 0)}
-
-		case xFAdd:
-			cycles += in.cost
-			counts[in.class]++
-			touched[in.class] = true
-			r := regs[in.a].f + regs[in.b].f
-			regs[in.dst] = vmval{i: int64(r), f: r, c: complex(r, 0)}
-
-		case xFSub:
-			cycles += in.cost
-			counts[in.class]++
-			touched[in.class] = true
-			r := regs[in.a].f - regs[in.b].f
-			regs[in.dst] = vmval{i: int64(r), f: r, c: complex(r, 0)}
-
-		case xFMul:
-			cycles += in.cost
-			counts[in.class]++
-			touched[in.class] = true
-			r := regs[in.a].f * regs[in.b].f
-			regs[in.dst] = vmval{i: int64(r), f: r, c: complex(r, 0)}
-
-		case xFDiv:
-			cycles += in.cost
-			counts[in.class]++
-			touched[in.class] = true
-			r := regs[in.a].f / regs[in.b].f
-			regs[in.dst] = vmval{i: int64(r), f: r, c: complex(r, 0)}
-
-		case xFLt, xFLe, xFGt, xFGe, xFEq, xFNe,
-			xFLtI, xFLeI, xFGtI, xFGeI, xFEqI, xFNeI:
-			cycles += in.cost
-			counts[in.class]++
-			touched[in.class] = true
-			x, y := regs[in.a].f, regs[in.b].f
-			var cond bool
-			switch in.op {
-			case xFLt, xFLtI:
-				cond = x < y
-			case xFLe, xFLeI:
-				cond = x <= y
-			case xFGt, xFGtI:
-				cond = x > y
-			case xFGe, xFGeI:
-				cond = x >= y
-			case xFEq, xFEqI:
-				cond = x == y
-			default:
-				cond = x != y
-			}
-			r := b2i(cond)
-			regs[in.dst] = vmval{i: r, f: float64(r), c: complex(float64(r), 0)}
-
-		case xCAdd:
-			cycles += in.cost
-			counts[in.class]++
-			touched[in.class] = true
-			r := regs[in.a].c + regs[in.b].c
-			regs[in.dst] = vmval{i: int64(real(r)), f: real(r), c: r}
-
-		case xCSub:
-			cycles += in.cost
-			counts[in.class]++
-			touched[in.class] = true
-			r := regs[in.a].c - regs[in.b].c
-			regs[in.dst] = vmval{i: int64(real(r)), f: real(r), c: r}
-
-		case xCMul:
-			cycles += in.cost
-			counts[in.class]++
-			touched[in.class] = true
-			r := regs[in.a].c * regs[in.b].c
-			regs[in.dst] = vmval{i: int64(real(r)), f: real(r), c: r}
-
-		case xIntrS:
-			cycles += in.cost
-			counts[in.class]++
-			touched[in.class] = true
-			a0 := lane0(regs, in.args[0])
-			a1 := lane0(regs, in.args[1])
-			var a2 complex128
-			if len(in.args) > 2 {
-				a2 = lane0(regs, in.args[2])
-			}
-			regs[in.dst] = materialize(intrLane(in.intr, a0, a1, a2), in.kBase)
-
-		case xSuper:
-			// One dispatch for the whole fused range. The loop header
-			// already accounted one poll tick, one executed, and one
-			// prof hit for the unit; the remaining members are batched
-			// here. Poll debt is settled up front so CancelCheckStride
-			// still bounds the instructions between polls.
-			n := int64(len(in.sub))
-			// A unit may end with its block's own branch; the members
-			// before it run through runSuper, and the successor pc is
-			// resolved here from the branch itself.
-			body := in.sub
-			var br *pInstr
-			if last := &in.sub[len(in.sub)-1]; last.op == OpJmp || last.op == OpJz {
-				br = last
-				body = in.sub[:len(in.sub)-1]
-			}
-			if ctx != nil {
-				if pollIn -= n - 1; pollIn <= 0 {
-					pollIn = CancelCheckStride
-					if err := ctx.Err(); err != nil {
-						executed--
-						return &CancelledError{Executed: executed, Err: err}
-					}
-				}
-			}
-			if cycles+in.cost <= maxCycles {
-				// Fast path: the whole unit fits under the limit (the
-				// per-member checks cannot fire), so members run
-				// semantics-only and accounting lands once, batched.
-				k, serr := pp.runSuper(body, s)
-				if serr == nil {
-					executed += n - 1
-					cycles += in.cost
-					for _, ch := range in.charges {
-						counts[ch.class] += ch.n
-						touched[ch.class] = true
-					}
-					if prof != nil {
-						for j := 1; j < len(in.sub); j++ {
-							prof[pc+j]++
-						}
-					}
-					dispSaved += n - 1
-					if br == nil {
-						pc = in.off
-					} else if br.op == OpJmp || isZeroP(&regs[br.a]) {
-						pc = br.off
-					} else {
-						pc = in.off // OpJz fall-through = one past the unit
-					}
-					continue
-				}
-				// Member k faulted: replay the completed prefix's
-				// charges, plus member k's own charge when its opcode
-				// charges before its fault checks, then report the
-				// member's pc — bit-identical to the unfused run.
-				for j := 0; j <= k; j++ {
-					sb := &in.sub[j]
-					if j == k && !chargeFirstOp(sb.op) {
-						break
-					}
-					cycles += sb.cost
-					if sb.class >= 0 {
-						counts[sb.class] += sb.countN
-						touched[sb.class] = true
-					}
-				}
-				executed += int64(k)
-				if prof != nil {
-					for j := 1; j <= k; j++ {
-						prof[pc+j]++
-					}
-				}
-				dispSaved += int64(k)
-				pc += k
-				return fault("%v", serr)
-			}
-			// Slow path (cycle limit within the unit's reach): step
-			// members one at a time with the reference engine's exact
-			// ordering — limit check, executed, charge placement.
-			executed-- // re-counted per member below
-			for k := range body {
-				if cycles > maxCycles {
-					pc += k
-					return fault("cycle limit exceeded (%d)", maxCycles)
-				}
-				executed++
-				if prof != nil && k > 0 {
-					prof[pc+k]++
-				}
-				sb := &in.sub[k]
-				first := chargeFirstOp(sb.op)
-				if first {
-					cycles += sb.cost
-					if sb.class >= 0 {
-						counts[sb.class] += sb.countN
-						touched[sb.class] = true
-					}
-				}
-				if _, serr := pp.runSuper(in.sub[k:k+1], s); serr != nil {
-					pc += k
-					return fault("%v", serr)
-				}
-				if !first {
-					cycles += sb.cost
-					if sb.class >= 0 {
-						counts[sb.class] += sb.countN
-						touched[sb.class] = true
-					}
-				}
-			}
-			if br != nil {
-				// The trailing branch, stepped with the same ordering
-				// (branches charge before acting and cannot fault).
-				k := len(body)
-				if cycles > maxCycles {
-					pc += k
-					return fault("cycle limit exceeded (%d)", maxCycles)
-				}
-				executed++
-				if prof != nil {
-					prof[pc+k]++
-				}
-				cycles += br.cost
-				if br.class >= 0 {
-					counts[br.class] += br.countN
-					touched[br.class] = true
-				}
-				dispSaved += n - 1
-				if br.op == OpJmp || isZeroP(&regs[br.a]) {
-					pc = br.off
-				} else {
-					pc = in.off
-				}
-				continue
-			}
-			dispSaved += n - 1
-			pc = in.off
-			continue
-
-		case OpUn:
-			cycles += in.cost
-			counts[in.class] += in.countN
-			touched[in.class] = true
-			a := regs[in.a]
-			if in.lanes <= 1 {
-				v, err := unScalar(in.bop, in.opBase, in.kBase, a)
-				if err != nil {
-					return fault("%v", err)
-				}
-				regs[in.dst] = v
-				break
-			}
-			dst := s.seg(in.dst, in.lanes)
-			for j := 0; j < in.lanes; j++ {
-				v, err := unLane(in.bop, in.opBase, in.kBase, a.lane(j))
-				if err != nil {
-					return fault("%v", err)
-				}
-				dst[j] = v
-			}
-			regs[in.dst] = vmval{lanes: dst}
-
-		case OpIntr:
-			if in.intrFaultPre != "" {
-				return fault("%s", in.intrFaultPre)
-			}
-			cycles += in.cost
-			counts[in.class]++
-			touched[in.class] = true
-			if in.intrFaultPost != "" {
-				return fault("%s", in.intrFaultPost)
-			}
-			if in.pat != nil {
-				dst := s.seg(in.dst, in.lanes)
-				var argbuf [ir.MaxPatternArity]complex128
-				pargs := argbuf[:len(in.args)]
-				for j := 0; j < in.lanes; j++ {
-					for ai, r := range in.args {
-						pargs[ai] = regs[r].lane(j)
-					}
-					dst[j] = in.pat.EvalLane(pargs)
-				}
-				if in.lanes <= 1 {
-					regs[in.dst] = materialize(dst[0], in.kBase)
-				} else {
-					regs[in.dst] = vmval{lanes: dst}
-				}
-				break
-			}
-			var a0, a1, a2 vmval
-			a0, a1 = regs[in.args[0]], regs[in.args[1]]
-			if len(in.args) > 2 {
-				a2 = regs[in.args[2]]
-			}
-			lanes := s.seg(in.dst, in.lanes)
-			intrFill(in.intr, lanes, a0, a1, a2)
-			if in.lanes <= 1 {
-				regs[in.dst] = materialize(lanes[0], in.kBase)
-			} else {
-				regs[in.dst] = vmval{lanes: lanes}
-			}
-
-		case OpLoad:
-			arr := arrays[in.arr]
-			if arr == nil {
-				return fault("load from unallocated array %s", in.arrName)
-			}
-			idx := int(regs[in.a].i)
-			if idx < 0 || idx >= arr.Len() {
-				return fault("load %s[%d] out of bounds (len %d)", in.arrName, idx, arr.Len())
-			}
-			if in.elem == ir.Complex {
-				regs[in.dst] = fromComplex(arr.C[idx])
-			} else {
-				regs[in.dst] = fromFloat(arr.F[idx])
-			}
-			cycles += in.cost
-			counts[in.class]++
-			touched[in.class] = true
-
-		case OpVLoad:
-			arr := arrays[in.arr]
-			if arr == nil {
-				return fault("vload from unallocated array %s", in.arrName)
-			}
-			base := int(regs[in.a].i)
-			lo, hi := base+in.loOff, base+in.hiOff
-			if lo < 0 || hi >= arr.Len() {
-				return fault("vload %s[%d..%d] out of bounds (len %d)", in.arrName, lo, hi, arr.Len())
-			}
-			dst := s.seg(in.dst, in.lanes)
-			if in.elem == ir.Complex && in.stride == 1 {
-				copy(dst, arr.C[base:base+in.lanes])
-			} else {
-				for j := 0; j < in.lanes; j++ {
-					dst[j] = arr.At(base + j*in.stride)
-				}
-			}
-			regs[in.dst] = vmval{lanes: dst}
-			cycles += in.cost
-			counts[in.class] += in.countN
-			touched[in.class] = true
-
-		case OpStore:
-			arr := arrays[in.arr]
-			if arr == nil {
-				return fault("store to unallocated array %s", in.arrName)
-			}
-			base := int(regs[in.a].i)
-			val := regs[in.b]
-			if base < 0 || base+in.lanes > arr.Len() {
-				return fault("store %s[%d..%d] out of bounds (len %d)", in.arrName, base, base+in.lanes-1, arr.Len())
-			}
-			if in.lanes > 1 {
-				for j := 0; j < in.lanes; j++ {
-					storeElem(arr, base+j, val.lane(j))
-				}
-			} else {
-				storeElem(arr, base, val.c)
-			}
-			cycles += in.cost
-			counts[in.class]++
-			touched[in.class] = true
-
-		case OpAlloc:
-			r := int(regs[in.a].i)
-			c := int(regs[in.b].i)
-			if r < 0 || c < 0 || r*c > 1<<28 {
-				return fault("alloc %s: bad extent %dx%d", in.arrName, r, c)
-			}
-			if in.elem == ir.Complex {
-				arrays[in.arr] = ir.NewComplexArray(r, c)
-			} else {
-				arrays[in.arr] = ir.NewFloatArray(r, c)
-			}
-			cycles += in.cost
-			counts[in.class]++
-			touched[in.class] = true
-			// Zero-fill cost: one wide store per SIMD word.
-			words := (int64(r)*int64(c) + in.allocW - 1) / in.allocW
-			cycles += in.zeroCost * words
-			counts[in.zeroClass] += words
-			touched[in.zeroClass] = true
-
-		case OpDim:
-			arr := arrays[in.arr]
-			if arr == nil {
-				return fault("dim of unallocated array %s", in.arrName)
-			}
-			switch in.immI {
-			case int64(ir.DimRows):
-				regs[in.dst] = fromInt(int64(arr.Rows))
-			case int64(ir.DimCols):
-				regs[in.dst] = fromInt(int64(arr.Cols))
-			default:
-				regs[in.dst] = fromInt(int64(arr.Len()))
-			}
-			cycles += in.cost
-			counts[in.class]++
-			touched[in.class] = true
-
-		case OpSel:
-			cycles += in.cost
-			counts[in.class]++
-			touched[in.class] = true
-			cond, th, el := regs[in.args[0]], regs[in.args[1]], regs[in.args[2]]
-			if in.lanes <= 1 {
-				if isZero(cond) {
-					regs[in.dst] = convScalar(el, in.kBase)
-				} else {
-					regs[in.dst] = convScalar(th, in.kBase)
-				}
-				break
-			}
-			dst := s.seg(in.dst, in.lanes)
-			for j := 0; j < in.lanes; j++ {
-				var v complex128
-				if cond.lane(j) != 0 {
-					v = th.lane(j)
-				} else {
-					v = el.lane(j)
-				}
-				if in.kBase != ir.Complex {
-					v = complex(real(v), 0)
-				}
-				dst[j] = v
-			}
-			regs[in.dst] = vmval{lanes: dst}
-
-		case OpSplat:
-			dst := s.seg(in.dst, in.lanes)
-			v := regs[in.a].c
-			for j := range dst {
-				dst[j] = v
-			}
-			regs[in.dst] = vmval{lanes: dst}
-			cycles += in.cost
-			counts[in.class]++
-			touched[in.class] = true
-
-		case OpRamp:
-			dst := s.seg(in.dst, in.lanes)
-			base := regs[in.a].i
-			for j := range dst {
-				dst[j] = complex(float64(base+int64(j)*in.immI), 0)
-			}
-			regs[in.dst] = vmval{lanes: dst}
-			cycles += in.cost
-			counts[in.class]++
-			touched[in.class] = true
-
-		case OpReduce:
-			v := regs[in.a]
-			if v.lanes == nil {
-				return fault("reduce of scalar register")
-			}
-			acc := v.lanes[0]
-			for j := 1; j < len(v.lanes); j++ {
-				var err error
-				acc, err = scalarBin(in.bop, in.opBase, acc, v.lanes[j])
-				if err != nil {
-					return fault("%v", err)
-				}
-			}
-			regs[in.dst] = materialize(acc, in.kBase)
-			cycles += in.cost
-			counts[in.class]++
-			touched[in.class] = true
-
-		case OpJmp:
-			cycles += in.cost
-			counts[in.class]++
-			touched[in.class] = true
-			pc = in.off
-			continue
-
-		case OpJz:
-			cycles += in.cost
-			counts[in.class]++
-			touched[in.class] = true
-			v := &regs[in.a]
-			var zero bool
-			if v.lanes != nil {
-				zero = v.lanes[0] == 0
-			} else {
-				zero = v.i == 0 && v.f == 0 && v.c == 0
-			}
-			if zero {
-				pc = in.off
-				continue
-			}
-
-		case OpRet:
-			cycles += in.cost
-			counts[in.class]++
-			touched[in.class] = true
 			return nil
-
-		default:
-			return fault("bad opcode %s", in.op)
 		}
-		pc++
+		dst := s.seg(in.dst, in.lanes)
+		for j := 0; j < in.lanes; j++ {
+			v, err := unLane(in.bop, in.opBase, in.kBase, laneOf(a, j))
+			if err != nil {
+				return err
+			}
+			dst[j] = v
+		}
+		regs[in.dst] = vmval{lanes: dst}
+
+	case OpIntr:
+		dst := s.seg(in.dst, in.lanes)
+		if in.pat != nil {
+			var argbuf [ir.MaxPatternArity]complex128
+			pargs := argbuf[:len(in.args)]
+			for j := 0; j < in.lanes; j++ {
+				for ai, r := range in.args {
+					pargs[ai] = laneOf(&regs[r], j)
+				}
+				dst[j] = in.pat.EvalLane(pargs)
+			}
+		} else {
+			a0, a1 := &regs[in.args[0]], &regs[in.args[1]]
+			a2 := &zeroVmval
+			if len(in.args) > 2 {
+				a2 = &regs[in.args[2]]
+			}
+			for j := 0; j < in.lanes; j++ {
+				dst[j] = intrLane(in.intr, laneOf(a0, j), laneOf(a1, j), laneOf(a2, j))
+			}
+		}
+		if in.lanes <= 1 {
+			setMaterialize(&regs[in.dst], dst[0], in.kBase)
+		} else {
+			regs[in.dst] = vmval{lanes: dst}
+		}
+
+	case OpLoad:
+		arr := arrays[in.arr]
+		if arr == nil {
+			return fmt.Errorf("load from unallocated array %s", in.arrName)
+		}
+		idx := int(regs[in.a].i)
+		if idx < 0 || idx >= arr.Len() {
+			return fmt.Errorf("load %s[%d] out of bounds (len %d)", in.arrName, idx, arr.Len())
+		}
+		if in.elem == ir.Complex {
+			setComplex(&regs[in.dst], arr.C[idx])
+		} else {
+			setFloat(&regs[in.dst], arr.F[idx])
+		}
+
+	case OpVLoad:
+		arr := arrays[in.arr]
+		if arr == nil {
+			return fmt.Errorf("vload from unallocated array %s", in.arrName)
+		}
+		base := int(regs[in.a].i)
+		lo, hi := base+in.loOff, base+in.hiOff
+		if lo < 0 || hi >= arr.Len() {
+			return fmt.Errorf("vload %s[%d..%d] out of bounds (len %d)", in.arrName, lo, hi, arr.Len())
+		}
+		dst := s.seg(in.dst, in.lanes)
+		for j := 0; j < in.lanes; j++ {
+			dst[j] = arr.At(base + j*in.stride)
+		}
+		regs[in.dst] = vmval{lanes: dst}
+
+	case OpStore:
+		arr := arrays[in.arr]
+		if arr == nil {
+			return fmt.Errorf("store to unallocated array %s", in.arrName)
+		}
+		base := int(regs[in.a].i)
+		val := &regs[in.b]
+		if base < 0 || base+in.lanes > arr.Len() {
+			return fmt.Errorf("store %s[%d..%d] out of bounds (len %d)", in.arrName, base, base+in.lanes-1, arr.Len())
+		}
+		if in.lanes > 1 {
+			for j := 0; j < in.lanes; j++ {
+				storeElem(arr, base+j, laneOf(val, j))
+			}
+		} else {
+			storeElem(arr, base, val.c)
+		}
+
+	case OpDim:
+		arr := arrays[in.arr]
+		if arr == nil {
+			return fmt.Errorf("dim of unallocated array %s", in.arrName)
+		}
+		switch in.immI {
+		case int64(ir.DimRows):
+			setInt(&regs[in.dst], int64(arr.Rows))
+		case int64(ir.DimCols):
+			setInt(&regs[in.dst], int64(arr.Cols))
+		default:
+			setInt(&regs[in.dst], int64(arr.Len()))
+		}
+
+	case OpSel:
+		cond, th, el := &regs[in.args[0]], &regs[in.args[1]], &regs[in.args[2]]
+		if in.lanes <= 1 {
+			src := el
+			if !isZeroP(cond) {
+				src = th
+			}
+			regs[in.dst] = convScalar(*src, in.kBase)
+			return nil
+		}
+		dst := s.seg(in.dst, in.lanes)
+		for j := 0; j < in.lanes; j++ {
+			var v complex128
+			if laneOf(cond, j) != 0 {
+				v = laneOf(th, j)
+			} else {
+				v = laneOf(el, j)
+			}
+			if in.kBase != ir.Complex {
+				v = complex(real(v), 0)
+			}
+			dst[j] = v
+		}
+		regs[in.dst] = vmval{lanes: dst}
+
+	case OpSplat:
+		dst := s.seg(in.dst, in.lanes)
+		v := regs[in.a].c
+		for j := range dst {
+			dst[j] = v
+		}
+		regs[in.dst] = vmval{lanes: dst}
+
+	case OpRamp:
+		dst := s.seg(in.dst, in.lanes)
+		base := regs[in.a].i
+		for j := range dst {
+			dst[j] = complex(float64(base+int64(j)*in.immI), 0)
+		}
+		regs[in.dst] = vmval{lanes: dst}
+
+	case OpReduce:
+		lanes := regs[in.a].lanes
+		if lanes == nil {
+			return fmt.Errorf("reduce of scalar register")
+		}
+		acc := lanes[0]
+		for j := 1; j < len(lanes); j++ {
+			var err error
+			acc, err = scalarBin(in.bop, in.opBase, acc, lanes[j])
+			if err != nil {
+				return err
+			}
+		}
+		setMaterialize(&regs[in.dst], acc, in.kBase)
+
+	default:
+		// Unreachable: control flow and OpAlloc are stepped by the caller.
+		return fmt.Errorf("bad opcode %s", in.op)
 	}
 	return nil
 }

@@ -23,21 +23,21 @@ func bitsEqC(a, b complex128) bool {
 func bitsEqResults(t *testing.T, ref, got []interface{}) {
 	t.Helper()
 	if len(ref) != len(got) {
-		t.Fatalf("result count: reference %d, prepared %d", len(ref), len(got))
+		t.Fatalf("result count: reference %d, compiled %d", len(ref), len(got))
 	}
 	for i := range ref {
 		switch x := ref[i].(type) {
 		case int64:
 			if x != got[i].(int64) {
-				t.Errorf("result %d: reference %v, prepared %v", i, x, got[i])
+				t.Errorf("result %d: reference %v, compiled %v", i, x, got[i])
 			}
 		case float64:
 			if math.Float64bits(x) != math.Float64bits(got[i].(float64)) {
-				t.Errorf("result %d: reference %v, prepared %v", i, x, got[i])
+				t.Errorf("result %d: reference %v, compiled %v", i, x, got[i])
 			}
 		case complex128:
 			if !bitsEqC(x, got[i].(complex128)) {
-				t.Errorf("result %d: reference %v, prepared %v", i, x, got[i])
+				t.Errorf("result %d: reference %v, compiled %v", i, x, got[i])
 			}
 		case *ir.Array:
 			y := got[i].(*ir.Array)
@@ -46,7 +46,7 @@ func bitsEqResults(t *testing.T, ref, got []interface{}) {
 			}
 			for j := 0; j < x.Len(); j++ {
 				if !bitsEqC(x.At(j), y.At(j)) {
-					t.Fatalf("result %d element %d: reference %v, prepared %v", i, j, x.At(j), y.At(j))
+					t.Fatalf("result %d element %d: reference %v, compiled %v", i, j, x.At(j), y.At(j))
 				}
 			}
 		default:
@@ -63,33 +63,31 @@ func runEngine(prog *Program, p *pdesc.Processor, engine string, maxCycles int64
 	return m, out, err
 }
 
-// assertEnginesAgree runs prog on every engine and requires identical
-// Cycles, Executed, ClassCounts, outputs, and error strings (fault
-// messages include the pc, so fault locations must match too), using
-// the reference interpreter as the oracle.
+// assertEnginesAgree runs prog on the reference and compiled engines
+// and requires identical Cycles, Executed, ClassCounts, outputs, and
+// error strings (fault messages include the pc, so fault locations
+// must match too), using the reference interpreter as the oracle.
 func assertEnginesAgree(t *testing.T, prog *Program, p *pdesc.Processor, maxCycles int64, args []interface{}) {
 	t.Helper()
 	mr, outR, errR := runEngine(prog, p, EngineReference, maxCycles, args)
-	for _, engine := range []string{EnginePrepared, EngineCompiled} {
-		mp, outP, errP := runEngine(prog, p, engine, maxCycles, args)
-		if (errR == nil) != (errP == nil) {
-			t.Fatalf("error mismatch: reference %v, %s %v", errR, engine, errP)
-		}
-		if errR != nil && errR.Error() != errP.Error() {
-			t.Fatalf("error text mismatch:\n  reference: %v\n  %s:  %v", errR, engine, errP)
-		}
-		if mr.Cycles != mp.Cycles {
-			t.Errorf("Cycles: reference %d, %s %d", mr.Cycles, engine, mp.Cycles)
-		}
-		if mr.Executed != mp.Executed {
-			t.Errorf("Executed: reference %d, %s %d", mr.Executed, engine, mp.Executed)
-		}
-		if !reflect.DeepEqual(mr.ClassCounts, mp.ClassCounts) {
-			t.Errorf("ClassCounts (%s):\n  reference %v\n  got       %v", engine, mr.ClassCounts, mp.ClassCounts)
-		}
-		if errR == nil {
-			bitsEqResults(t, outR, outP)
-		}
+	mc, outC, errC := runEngine(prog, p, EngineCompiled, maxCycles, args)
+	if (errR == nil) != (errC == nil) {
+		t.Fatalf("error mismatch: reference %v, compiled %v", errR, errC)
+	}
+	if errR != nil && errR.Error() != errC.Error() {
+		t.Fatalf("error text mismatch:\n  reference: %v\n  compiled:  %v", errR, errC)
+	}
+	if mr.Cycles != mc.Cycles {
+		t.Errorf("Cycles: reference %d, compiled %d", mr.Cycles, mc.Cycles)
+	}
+	if mr.Executed != mc.Executed {
+		t.Errorf("Executed: reference %d, compiled %d", mr.Executed, mc.Executed)
+	}
+	if !reflect.DeepEqual(mr.ClassCounts, mc.ClassCounts) {
+		t.Errorf("ClassCounts:\n  reference %v\n  compiled  %v", mr.ClassCounts, mc.ClassCounts)
+	}
+	if errR == nil {
+		bitsEqResults(t, outR, outC)
 	}
 }
 
@@ -286,7 +284,7 @@ func TestRunDoesNotMutateMaxCycles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, engine := range []string{EngineReference, EnginePrepared, EngineCompiled} {
+	for _, engine := range []string{EngineReference, EngineCompiled} {
 		m := NewMachine(p)
 		m.Engine = engine
 		if _, err := m.Run(prog, 1.0); err != nil {
@@ -311,7 +309,7 @@ func TestClassCountsMapReused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, engine := range []string{EngineReference, EnginePrepared, EngineCompiled} {
+	for _, engine := range []string{EngineReference, EngineCompiled} {
 		m := NewMachine(p)
 		m.Engine = engine
 		if _, err := m.Run(pa, 2.0); err != nil {
@@ -333,8 +331,9 @@ func TestClassCountsMapReused(t *testing.T) {
 	}
 }
 
-// TestPreparedCache checks content-addressed sharing: same program and
-// equivalent (cloned) processors hit one cache entry.
+// TestPreparedCache checks content-addressed sharing: the same program
+// on the same or an equivalent (cloned) processor hits one translation,
+// and a different cost model gets its own.
 func TestPreparedCache(t *testing.T) {
 	ResetPreparedCache()
 	defer ResetPreparedCache()
@@ -343,15 +342,12 @@ func TestPreparedCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pp1 := PreparedFor(prog, p)
-	pp2 := PreparedFor(prog, p)
-	if pp1 != pp2 {
-		t.Error("same pointers should share a preparation")
+	cp1 := CompiledFor(prog, p)
+	if CompiledFor(prog, p) != cp1 {
+		t.Error("same pointers should share a translation")
 	}
-	clone := p.Clone()
-	pp3 := PreparedFor(prog, clone)
-	if pp3 != pp1 {
-		t.Error("content-identical processor clone should share the preparation")
+	if CompiledFor(prog, p.Clone()) != cp1 {
+		t.Error("content-identical processor clone should share the translation")
 	}
 	st := PreparedCacheStats()
 	if st.Entries != 1 || st.Misses != 1 || st.Hits != 2 {
@@ -361,8 +357,8 @@ func TestPreparedCache(t *testing.T) {
 	derived := p.Clone()
 	derived.Name = "variant"
 	derived.Costs = map[string]int{"fmul": 9}
-	if PreparedFor(prog, derived) == pp1 {
-		t.Error("distinct processor content must prepare separately")
+	if CompiledFor(prog, derived) == cp1 {
+		t.Error("distinct processor content must translate separately")
 	}
 	if st := PreparedCacheStats(); st.Entries != 2 {
 		t.Errorf("entries = %d, want 2", st.Entries)
@@ -393,25 +389,8 @@ func TestProgramContentHashStable(t *testing.T) {
 	}
 }
 
-func TestSetDefaultEngine(t *testing.T) {
-	orig := DefaultEngine()
-	defer SetDefaultEngine(orig)
-	if err := SetDefaultEngine("ref"); err != nil || DefaultEngine() != EngineReference {
-		t.Errorf("ref alias: err=%v engine=%s", err, DefaultEngine())
-	}
-	if err := SetDefaultEngine(EngineCompiled); err != nil || DefaultEngine() != EngineCompiled {
-		t.Errorf("compiled: err=%v engine=%s", err, DefaultEngine())
-	}
-	if err := SetDefaultEngine(EnginePrepared); err != nil {
-		t.Fatal(err)
-	}
-	if err := SetDefaultEngine("turbo"); err == nil || !strings.Contains(err.Error(), "unknown engine") {
-		t.Errorf("want unknown-engine error, got %v", err)
-	}
-}
-
-// TestTraceForcesReference: tracing must still work when the default
-// engine is prepared (the prepared loop has no trace hooks).
+// TestTraceForcesReference: tracing must still work on a machine left
+// on the default compiled engine, which has no trace hooks.
 func TestTraceForcesReference(t *testing.T) {
 	f, p := buildIR(t, "function y = f(a)\ny = a + 1;\nend", "scalar", false, sema.RealScalar)
 	prog, err := Lower(f)
@@ -420,7 +399,6 @@ func TestTraceForcesReference(t *testing.T) {
 	}
 	var sb strings.Builder
 	m := NewMachine(p)
-	m.Engine = EnginePrepared
 	m.Trace = &sb
 	if _, err := m.Run(prog, 1.0); err != nil {
 		t.Fatal(err)
@@ -478,34 +456,16 @@ for i = t:n
 end
 end`
 
-// benchEngines runs the kernel under four configurations — the
-// compiled-closure backend, the prepared engine with profile-mined
-// superinstructions, the plain PR 3 prepared engine (fusion off), and
-// the reference interpreter — reporting simulated instructions per
-// second (the throughput metric tracked by BENCH_vm.json) and
-// allocations per simulated run.
+// benchEngines runs the kernel on the compiled and reference engines,
+// reporting simulated instructions per second (the throughput metric
+// tracked by BENCH_vm.json) and allocations per simulated run.
 func benchEngines(b *testing.B, src, proc string, n int, complexIn bool) {
-	for _, engine := range []string{EngineCompiled, "superinst", EnginePrepared, EngineReference} {
+	for _, engine := range []string{EngineCompiled, EngineReference} {
 		b.Run(engine, func(b *testing.B) {
 			prog, p, args := benchProg(b, src, proc, n, complexIn)
 			m := NewMachine(p)
-			switch engine {
-			case "superinst":
-				m.Engine = EnginePrepared
-				// Profile one run, then fuse the mined hot sequences.
-				m.Profile = true
-				if _, err := m.Run(prog, cloneArgs(args)...); err != nil {
-					b.Fatal(err)
-				}
-				m.SuperSet = MineSuperinsts(prog, m.PCCounts, SuperOpts{})
-				m.Profile = false
-			case EnginePrepared:
-				m.SuperSet = &SuperSet{} // fusion off: the PR 3 baseline
-				m.Engine = engine
-			default:
-				m.Engine = engine
-			}
-			// Warm the prepared cache and scratch pool outside the timer.
+			m.Engine = engine
+			// Warm the translation cache and scratch pool outside the timer.
 			if _, err := m.Run(prog, args...); err != nil {
 				b.Fatal(err)
 			}

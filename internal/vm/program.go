@@ -134,7 +134,7 @@ func (p *Program) Len() int { return len(p.Instrs) }
 // ContentHash returns a hex SHA-256 digest over everything observable
 // about the program (instructions, register/array/param layout, name).
 // Two programs with equal hashes execute identically, including fault
-// messages; the prepared-program cache keys on it. Computed once and
+// messages; the compiled-program cache keys on it. Computed once and
 // memoized.
 //
 // The digest is computed outside the memo lock (the processorHash
