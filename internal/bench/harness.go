@@ -23,8 +23,8 @@ type Stats struct {
 }
 
 // CloneArgs deep-copies array arguments so pipelines never share
-// state (exported for harnesses — e.g. the design-space explorer —
-// that drive kernels through their own compilation path).
+// state (exported for harnesses that drive kernels through their own
+// compilation path; Kernel.Case hands out such copies already).
 func CloneArgs(args []interface{}) []interface{} { return cloneArgs(args) }
 
 // Verify compares pipeline outputs against a kernel's Go reference
@@ -110,15 +110,13 @@ func RunPipelineContext(ctx context.Context, k *Kernel, cfg core.Config, n int) 
 	if err != nil {
 		return nil, fmt.Errorf("%s: compile: %w", k.Name, err)
 	}
-	args := k.Inputs(n)
-	want := k.Reference(cloneArgs(args))
-
+	kc := k.Case(n)
 	m := vm.NewMachine(cfg.Processor)
-	got, err := res.RunOnContext(ctx, m, cloneArgs(args)...)
+	got, err := res.RunOnContext(ctx, m, kc.Args()...)
 	if err != nil {
 		return nil, fmt.Errorf("%s: run: %w", k.Name, err)
 	}
-	if err := verify(got, want); err != nil {
+	if err := verify(got, kc.Want); err != nil {
 		return nil, fmt.Errorf("%s: %w", k.Name, err)
 	}
 	return &Stats{
@@ -172,13 +170,12 @@ func RunPipelineCached(ctx context.Context, c *mat2c.Cache, k *Kernel, cfg core.
 	if err != nil {
 		return nil, fmt.Errorf("%s: compile: %w", k.Name, err)
 	}
-	args := k.Inputs(n)
-	want := k.Reference(cloneArgs(args))
-	got, st, err := res.RunWithStatsContext(ctx, cloneArgs(args)...)
+	kc := k.Case(n)
+	got, st, err := res.RunWithStatsContext(ctx, kc.Args()...)
 	if err != nil {
 		return nil, fmt.Errorf("%s: run: %w", k.Name, err)
 	}
-	if err := verify(got, want); err != nil {
+	if err := verify(got, kc.Want); err != nil {
 		return nil, fmt.Errorf("%s: %w", k.Name, err)
 	}
 	return &Stats{

@@ -137,7 +137,8 @@ func EvalVariantContext(ctx context.Context, v *Variant, opts Options) (VariantR
 }
 
 // evalVariant compiles and simulates every kernel against one variant,
-// verifying each run against the kernel's Go reference. It observes ctx
+// verifying each run against the kernel's Go reference (computed once
+// per kernel and size per process, see bench.Kernel.Case). It observes ctx
 // between kernels and inside compile/simulate, so a cancelled sweep
 // abandons the variant quickly.
 func evalVariant(ctx context.Context, v *Variant, kernels []*bench.Kernel, opts Options, cache *mat2c.Cache) VariantResult {
@@ -171,14 +172,13 @@ func evalVariant(ctx context.Context, v *Variant, kernels []*bench.Kernel, opts 
 		if hit {
 			vr.CacheHits++
 		}
-		args := k.Inputs(n)
-		want := k.Reference(bench.CloneArgs(args))
-		out, stats, err := res.RunWithStatsContext(ctx, bench.CloneArgs(args)...)
+		kc := k.Case(n)
+		out, stats, err := res.RunWithStatsContext(ctx, kc.Args()...)
 		if err != nil {
 			vr.Error = fmt.Sprintf("%s: run: %v", k.Name, err)
 			return vr
 		}
-		if err := bench.Verify(out, want); err != nil {
+		if err := bench.Verify(out, kc.Want); err != nil {
 			vr.Error = fmt.Sprintf("%s: verify: %v", k.Name, err)
 			return vr
 		}

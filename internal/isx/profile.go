@@ -36,10 +36,9 @@ func profileKernel(ctx context.Context, proc *pdesc.Processor, k *bench.Kernel, 
 		return nil, err
 	}
 	n := bench.SizeFor(k, scale)
-	args := k.Inputs(n)
 	m := vm.NewMachine(proc)
 	m.Profile = true
-	if _, err := m.RunContext(ctx, prog, bench.CloneArgs(args)...); err != nil {
+	if _, err := m.RunContext(ctx, prog, k.Case(n).Args()...); err != nil {
 		return nil, err
 	}
 	counts := make([]int64, len(m.PCCounts))

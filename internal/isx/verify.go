@@ -78,14 +78,13 @@ func measure(ctx context.Context, proc *pdesc.Processor, k *bench.Kernel, n int,
 	if err != nil {
 		return 0, 0, err
 	}
-	args := k.Inputs(n)
-	want := k.Reference(bench.CloneArgs(args))
+	kc := k.Case(n)
 	m := vm.NewMachine(proc)
-	got, err := res.RunOnContext(ctx, m, bench.CloneArgs(args)...)
+	got, err := res.RunOnContext(ctx, m, kc.Args()...)
 	if err != nil {
 		return 0, 0, err
 	}
-	if err := bench.Verify(got, want); err != nil {
+	if err := bench.Verify(got, kc.Want); err != nil {
 		return 0, 0, fmt.Errorf("output mismatch: %v", err)
 	}
 	sel := res.Intrinsics.Selected[c.Name] + res.Intrinsics.Selected["v"+c.Name]

@@ -393,6 +393,12 @@ func TestConcurrentRequestsUnderRace(t *testing.T) {
 		t.Error(err)
 	}
 
+	// A client can read its response before the handler's deferred
+	// metrics update runs. Closing the server waits for every handler
+	// to return, so a fresh listener's snapshot sees all 16 requests.
+	ts.Close()
+	ts = httptest.NewServer(s.Handler())
+	defer ts.Close()
 	var m Snapshot
 	getJSON(t, ts, "/metrics", &m)
 	if m.Requests["compile"].Count != 16 {
