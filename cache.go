@@ -1,7 +1,6 @@
 package mat2c
 
 import (
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -11,6 +10,7 @@ import (
 	"sync"
 
 	"mat2c/internal/artifact"
+	"mat2c/internal/lru"
 )
 
 // cacheKeyVersion invalidates every cached artifact when the key layout
@@ -30,54 +30,52 @@ const cacheKeyVersion = "mat2c-cache-v1"
 // concurrently (each Run builds a fresh VM), but callers must not
 // mutate the Processor a shared Result carries.
 //
-// A Cache is optionally backed by a durable artifact.Store (SetStore)
-// and, behind that, a fleet-shared remote store (SetRemoteStore):
-// memory misses consult the local store, then the remote, before
-// compiling, and fresh compilations write through asynchronously to
-// every attached tier. A store entry that fails to decode —
-// corruption, a format-version bump, a cache-key-version bump —
-// degrades to a recompile: it is counted, the entry is deleted
-// best-effort, and the caller never sees an error from a store tier.
-// A remote outage likewise degrades to local-only operation; store
-// failures are never surfaced to compile callers.
+// Behind the memory tier a Cache optionally has store tiers, nearest
+// first: a durable local artifact.Store (SetStore) and a fleet-shared
+// remote store (SetRemoteStore). A memory miss probes them in that
+// order before compiling, and whatever settles the lookup is offered
+// asynchronously to the other tiers (see resolve and offer). A store
+// tier can only ever cost a recompile: a Get error, an outage, or an
+// entry that fails to decode (corruption, a format-version bump, a
+// cache-key-version bump) is counted as a miss, never surfaced to the
+// caller.
 type Cache struct {
-	mu      sync.Mutex
-	max     int
-	order   *list.List // front = most recently used
-	entries map[string]*list.Element
+	mem *lru.Cache[string, *Result]
+	max int
 
+	mu        sync.Mutex
 	hits      uint64
 	misses    uint64
 	evictions uint64
+	compiles  uint64
 
 	// flights holds the in-progress compilation per key so concurrent
 	// misses share one pipeline run instead of compiling redundantly.
 	flights     map[string]*flight
 	flightWaits uint64
 
-	// Disk tier. store is written once (SetStore) before concurrent use;
-	// writes holds in-flight asynchronous write-throughs for Flush.
-	store        artifact.Store
-	writes       sync.WaitGroup
-	compiles     uint64
-	diskHits     uint64
-	diskMisses   uint64
-	decodeErrors uint64
-	storeErrors  uint64
-
-	// Remote tier (fleet-shared, behind the disk tier). All reads are
-	// mutex-guarded, so SetRemoteStore is safe even mid-traffic — a
-	// worker attaches it when the coordinator advertises its endpoint.
-	remote             artifact.Store
-	remoteHits         uint64
-	remoteMisses       uint64
-	remoteDecodeErrors uint64
-	remoteStoreErrors  uint64
+	// tiers are the store tiers behind memory, indexed diskTier and
+	// remoteTier; a tier with a nil store is skipped. writes holds the
+	// in-flight asynchronous offers for Flush.
+	tiers  [numTiers]tier
+	writes sync.WaitGroup
 }
 
-type cacheEntry struct {
-	key string
-	res *Result
+// The store tiers, nearest first.
+const (
+	diskTier = iota
+	remoteTier
+	numTiers
+)
+
+// tier is one store behind the memory tier and its traffic as seen by
+// this cache: lookups it settled, lookups it missed (every failure mode
+// included), entries that were corrupt or failed to decode, and failed
+// Puts.
+type tier struct {
+	store artifact.Store
+
+	hits, misses, decodeErrors, storeErrors uint64
 }
 
 // flight is one in-progress miss: the first caller on a key (the
@@ -104,42 +102,49 @@ func NewCache(maxEntries int) *Cache {
 		maxEntries = DefaultCacheSize
 	}
 	return &Cache{
+		mem:     lru.New[string, *Result](maxEntries),
 		max:     maxEntries,
-		order:   list.New(),
-		entries: make(map[string]*list.Element),
 		flights: make(map[string]*flight),
 	}
 }
 
-// SetStore attaches a durable artifact store behind the in-memory
-// tier. Call it once, before the cache sees concurrent traffic (it is
-// part of construction, not steady-state reconfiguration).
-func (c *Cache) SetStore(s artifact.Store) {
+// SetStore attaches the durable local store, the first tier behind
+// memory. It may be called at any time, even after traffic has started;
+// lookups and writes already under way finish on the stores they
+// started with.
+func (c *Cache) SetStore(s artifact.Store) { c.setTier(diskTier, s) }
+
+// SetRemoteStore attaches the fleet-shared store, the tier behind the
+// local one. It may be called at any time, even after traffic has
+// started (fleet workers attach the coordinator's artifact endpoint
+// when the first registration reply advertises it); lookups and writes
+// already under way finish on the stores they started with.
+func (c *Cache) SetRemoteStore(s artifact.Store) { c.setTier(remoteTier, s) }
+
+func (c *Cache) setTier(i int, s artifact.Store) {
 	c.mu.Lock()
-	c.store = s
+	c.tiers[i].store = s
 	c.mu.Unlock()
 }
 
-// SetRemoteStore attaches a fleet-shared store behind the local disk
-// tier. Unlike SetStore it may be called after traffic has started:
-// fleet workers attach the coordinator's artifact endpoint when the
-// first registration reply advertises it.
-func (c *Cache) SetRemoteStore(s artifact.Store) {
+// stores snapshots the attached stores, nearest first.
+func (c *Cache) stores() (s [numTiers]artifact.Store) {
 	c.mu.Lock()
-	c.remote = s
-	c.mu.Unlock()
+	defer c.mu.Unlock()
+	for i := range c.tiers {
+		s[i] = c.tiers[i].store
+	}
+	return s
 }
 
-// Flush blocks until every in-flight asynchronous store write-through
-// (local and remote) has completed. Servers call it on drain so a
-// process exit cannot strand compiled artifacts; tests call it for
-// determinism.
+// Flush blocks until every in-flight asynchronous store write has
+// completed. Servers call it on drain so a process exit cannot strand
+// compiled artifacts; tests call it for determinism.
 func (c *Cache) Flush() { c.writes.Wait() }
 
-// CacheStats is a point-in-time snapshot of cache effectiveness.
-// Compiles counts full pipeline runs (misses in every tier); the Disk*
-// counters and the optional Disk snapshot are zero/nil when no store is
-// attached.
+// CacheStats is a point-in-time snapshot of cache effectiveness. The
+// Disk* and Remote* counters and snapshots are zero/nil when the tier
+// has no store attached.
 type CacheStats struct {
 	Entries    int    `json:"entries"`
 	MaxEntries int    `json:"max_entries"`
@@ -152,14 +157,14 @@ type CacheStats struct {
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"`
 
-	// Compiles counts compilations performed by CompileCached (memory
-	// and disk both missed); FlightWaits counts callers that joined an
+	// Compiles counts compilations performed by CompileCached (every
+	// tier missed); FlightWaits counts callers that joined an
 	// in-progress compilation instead of starting their own.
 	Compiles    uint64 `json:"compiles"`
 	FlightWaits uint64 `json:"flight_waits"`
 	// Disk tier traffic as seen by this cache: hits that restored a
 	// Result, misses, entries that failed to decode (degraded to a
-	// recompile), and write-through errors.
+	// recompile), and write errors.
 	DiskHits     uint64 `json:"disk_hits"`
 	DiskMisses   uint64 `json:"disk_misses"`
 	DecodeErrors uint64 `json:"disk_decode_errors"`
@@ -184,34 +189,37 @@ type CacheStats struct {
 // Stats snapshots the hit/miss/eviction counters.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
+	disk, remote := c.tiers[diskTier], c.tiers[remoteTier]
 	st := CacheStats{
-		Entries:            c.order.Len(),
+		Entries:            c.mem.Len(),
 		MaxEntries:         c.max,
 		Hits:               c.hits,
 		Misses:             c.misses,
 		Evictions:          c.evictions,
 		Compiles:           c.compiles,
 		FlightWaits:        c.flightWaits,
-		DiskHits:           c.diskHits,
-		DiskMisses:         c.diskMisses,
-		DecodeErrors:       c.decodeErrors,
-		StoreErrors:        c.storeErrors,
-		RemoteHits:         c.remoteHits,
-		RemoteMisses:       c.remoteMisses,
-		RemoteDecodeErrors: c.remoteDecodeErrors,
-		RemoteStoreErrors:  c.remoteStoreErrors,
+		DiskHits:           disk.hits,
+		DiskMisses:         disk.misses,
+		DecodeErrors:       disk.decodeErrors,
+		StoreErrors:        disk.storeErrors,
+		RemoteHits:         remote.hits,
+		RemoteMisses:       remote.misses,
+		RemoteDecodeErrors: remote.decodeErrors,
+		RemoteStoreErrors:  remote.storeErrors,
 	}
-	store, remote := c.store, c.remote
 	c.mu.Unlock()
-	if sr, ok := store.(artifact.StatsReporter); ok {
-		ds := sr.Stats()
-		st.Disk = &ds
-	}
-	if sr, ok := remote.(artifact.StatsReporter); ok {
-		rs := sr.Stats()
-		st.Remote = &rs
-	}
+	st.Disk = storeStats(disk.store)
+	st.Remote = storeStats(remote.store)
 	return st
+}
+
+// storeStats returns s's own counters when it reports them.
+func storeStats(s artifact.Store) *artifact.Stats {
+	if sr, ok := s.(artifact.StatsReporter); ok {
+		st := sr.Stats()
+		return &st
+	}
+	return nil
 }
 
 // get returns the cached result for key, promoting it to most recently
@@ -219,41 +227,28 @@ func (c *Cache) Stats() CacheStats {
 // in CompileCachedContext can probe the same key several times during
 // one logical lookup (a follower loops back after a cancelled leader),
 // so the miss is counted exactly once at the point the lookup resolves
-// — joining a flight, restoring from disk or the remote, or compiling.
-// That keeps misses == compiles + disk_hits + remote_hits +
-// flight_waits, the invariant the /metrics hit-rate math relies on.
+// — joining a flight, restoring from a store tier, or compiling. That
+// keeps misses == compiles + disk_hits + remote_hits + flight_waits,
+// the invariant the /metrics hit-rate math relies on.
 func (c *Cache) get(key string) (*Result, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		c.order.MoveToFront(el)
+	res, ok := c.mem.Get(key)
+	if ok {
+		c.mu.Lock()
 		c.hits++
-		return el.Value.(*cacheEntry).res, true
+		c.mu.Unlock()
 	}
-	return nil, false
+	return res, ok
 }
 
 // put inserts res under key, evicting the least recently used entry
-// when the cache is full.
+// when the cache is full. If another goroutine cached the same input
+// first, its artifact is kept so every caller shares one pointer.
 func (c *Cache) put(key string, res *Result) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		// Another goroutine compiled the same input concurrently; keep
-		// the first artifact so every caller shares one pointer.
-		c.order.MoveToFront(el)
-		return
-	}
-	for c.order.Len() >= c.max {
-		oldest := c.order.Back()
-		if oldest == nil {
-			break
-		}
-		c.order.Remove(oldest)
-		delete(c.entries, oldest.Value.(*cacheEntry).key)
+	if _, evicted := c.mem.Add(key, res); evicted {
+		c.mu.Lock()
 		c.evictions++
+		c.mu.Unlock()
 	}
-	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, res: res})
 }
 
 // Put inserts a compiled result under its content address (as returned
@@ -262,171 +257,55 @@ func (c *Cache) put(key string, res *Result) {
 // honoring a cache-bypass request whose contract still stores the fresh
 // artifact — use it to keep the cache warm. If the key is already
 // present, the existing entry is kept (and promoted) so all callers
-// share one artifact. When a store is attached the result also writes
-// through to it asynchronously (Flush waits for completion).
+// share one artifact. The result is also written to every attached
+// store tier asynchronously (Flush waits for completion).
 func (c *Cache) Put(key string, res *Result) {
 	c.put(key, res)
-	c.writeThrough(key, res)
+	c.offer(key, res, nil, numTiers)
 }
 
-// writeThrough asynchronously persists res to every attached store
-// tier — local disk, then the fleet-shared remote — encoding once.
-// Store failures are counted per tier, never surfaced: durability is
-// an optimization, not a correctness requirement, and a remote outage
-// must not slow or fail the compile path.
-func (c *Cache) writeThrough(key string, res *Result) {
-	c.mu.Lock()
-	store, remote := c.store, c.remote
-	c.mu.Unlock()
-	if store == nil && remote == nil {
+// offer asynchronously hands the artifact that settled a lookup at tier
+// from to every other attached tier, so the tiers converge. Tiers
+// nearer than from already missed this lookup and get a plain Put.
+// Deeper tiers were never asked: one that answers presence probes
+// (artifact.Checker — the remote does, via HEAD) is asked first and
+// skipped when it already holds the entry or cannot answer (an outage
+// is not a store error: nothing was lost). A compile settles at from ==
+// numTiers, so every tier gets a Put. data is the entry's verified
+// encoding, or nil to encode res once, off the caller's path. Put
+// failures are counted per tier, never surfaced: durability is an
+// optimization, and a remote outage must not slow or fail the compile
+// path.
+func (c *Cache) offer(key string, res *Result, data []byte, from int) {
+	stores := c.stores()
+	if from < numTiers {
+		stores[from] = nil
+	}
+	if stores == ([numTiers]artifact.Store{}) {
 		return
 	}
 	c.writes.Add(1)
 	go func() {
 		defer c.writes.Done()
-		data := encodeArtifact(key, res)
-		if store != nil {
-			if err := store.Put(key, data); err != nil {
+		if data == nil {
+			data = encodeArtifact(key, res)
+		}
+		for i, s := range stores {
+			if s == nil {
+				continue
+			}
+			if ch, ok := s.(artifact.Checker); ok && i > from {
+				if has, err := ch.Has(key); err != nil || has {
+					continue
+				}
+			}
+			if err := s.Put(key, data); err != nil {
 				c.mu.Lock()
-				c.storeErrors++
+				c.tiers[i].storeErrors++
 				c.mu.Unlock()
 			}
 		}
-		if remote != nil {
-			if err := remote.Put(key, data); err != nil {
-				c.mu.Lock()
-				c.remoteStoreErrors++
-				c.mu.Unlock()
-			}
-		}
 	}()
-}
-
-// publishRemote asynchronously offers a locally-restored artifact to
-// the remote tier, so a fleet whose workers compiled before the shared
-// cache existed converges without recompiles. When the remote can
-// answer presence probes (artifact.Checker — RemoteStore does, via
-// HEAD) an entry it already holds is not re-uploaded.
-func (c *Cache) publishRemote(key string, res *Result) {
-	c.mu.Lock()
-	remote := c.remote
-	c.mu.Unlock()
-	if remote == nil {
-		return
-	}
-	c.writes.Add(1)
-	go func() {
-		defer c.writes.Done()
-		if ch, ok := remote.(artifact.Checker); ok {
-			if has, err := ch.Has(key); err != nil || has {
-				// Present already, or we could not ask (outage): either
-				// way, skip the upload. An outage is not a store error —
-				// nothing was lost.
-				return
-			}
-		}
-		if err := remote.Put(key, encodeArtifact(key, res)); err != nil {
-			c.mu.Lock()
-			c.remoteStoreErrors++
-			c.mu.Unlock()
-		}
-	}()
-}
-
-// storeLocal asynchronously persists an already-encoded entry (fetched
-// from the remote tier) to the local disk store, so the next cold start
-// of this process hits disk instead of the network.
-func (c *Cache) storeLocal(key string, data []byte) {
-	c.mu.Lock()
-	store := c.store
-	c.mu.Unlock()
-	if store == nil {
-		return
-	}
-	c.writes.Add(1)
-	go func() {
-		defer c.writes.Done()
-		if err := store.Put(key, data); err != nil {
-			c.mu.Lock()
-			c.storeErrors++
-			c.mu.Unlock()
-		}
-	}()
-}
-
-// diskGet consults the attached store for key and restores the Result.
-// Every failure mode — no store, store miss, unreadable entry, decode
-// or checksum failure, key mismatch — returns ok=false and the caller
-// recompiles; a decode failure additionally deletes the bad entry
-// best-effort so it is not retried forever.
-func (c *Cache) diskGet(key string, opts Options) (*Result, bool) {
-	c.mu.Lock()
-	store := c.store
-	c.mu.Unlock()
-	if store == nil {
-		return nil, false
-	}
-	data, err := store.Get(key)
-	if err != nil {
-		c.mu.Lock()
-		c.diskMisses++
-		c.mu.Unlock()
-		return nil, false
-	}
-	res, err := decodeArtifact(data, key, opts)
-	if err != nil {
-		c.mu.Lock()
-		c.decodeErrors++
-		c.diskMisses++
-		c.mu.Unlock()
-		store.Delete(key) // best-effort; a failure just leaves a dead entry
-		return nil, false
-	}
-	c.mu.Lock()
-	c.diskHits++
-	c.mu.Unlock()
-	return res, true
-}
-
-// remoteGet consults the fleet-shared remote tier. Every failure mode —
-// no remote attached, clean miss, outage, open circuit breaker, corrupt
-// frame, artifact decode failure — returns ok=false and the caller
-// recompiles. Frame corruption (detected by the client) and artifact
-// decode failures both count as remote decode errors; a decoded-corrupt
-// entry is deleted from the origin best-effort so the fleet stops
-// fetching it. On success the raw encoded entry is returned alongside
-// the Result so the caller can warm the local disk tier without
-// re-encoding.
-func (c *Cache) remoteGet(key string, opts Options) (*Result, []byte, bool) {
-	c.mu.Lock()
-	remote := c.remote
-	c.mu.Unlock()
-	if remote == nil {
-		return nil, nil, false
-	}
-	data, err := remote.Get(key)
-	if err != nil {
-		c.mu.Lock()
-		c.remoteMisses++
-		if errors.Is(err, artifact.ErrCorrupt) {
-			c.remoteDecodeErrors++
-		}
-		c.mu.Unlock()
-		return nil, nil, false
-	}
-	res, err := decodeArtifact(data, key, opts)
-	if err != nil {
-		c.mu.Lock()
-		c.remoteDecodeErrors++
-		c.remoteMisses++
-		c.mu.Unlock()
-		remote.Delete(key) // best-effort; a failure just leaves a dead entry
-		return nil, nil, false
-	}
-	c.mu.Lock()
-	c.remoteHits++
-	c.mu.Unlock()
-	return res, data, true
 }
 
 // startFlight registers the caller as leader of key's in-progress miss
@@ -434,9 +313,6 @@ func (c *Cache) remoteGet(key string, opts Options) (*Result, []byte, bool) {
 func (c *Cache) startFlight(key string) (*flight, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.flights == nil {
-		c.flights = make(map[string]*flight)
-	}
 	if fl, ok := c.flights[key]; ok {
 		c.flightWaits++
 		c.misses++ // the logical lookup resolves by joining this flight
@@ -495,8 +371,7 @@ func CacheKey(source, entry string, params []Type, opts Options) (string, error)
 // has store tiers attached, a memory miss consults the local store and
 // then the fleet-shared remote before compiling — a restored artifact
 // also reports hit=true — and a fresh compilation writes through
-// asynchronously to every tier. A nil cache degrades to
-// plain Compile. Concurrent misses on the same key share one
+// asynchronously to every tier. A nil cache degrades to plain Compile. Concurrent misses on the same key share one
 // compilation: the first caller runs the pipeline and every other
 // caller waits for (and shares) its artifact, reporting hit=true.
 func CompileCached(c *Cache, source, entry string, params []Type, opts Options) (res *Result, hit bool, err error) {
@@ -537,7 +412,7 @@ func CompileCachedContext(ctx context.Context, c *Cache, source, entry string, p
 				return nil, false, ctx.Err()
 			}
 		}
-		res, hit, err = c.compileMiss(ctx, key, source, entry, params, opts)
+		res, hit, err = c.resolve(ctx, key, source, entry, params, opts)
 		fl.res, fl.err = res, err
 		fl.cancelled = err != nil && ctx.Err() != nil
 		c.endFlight(key, fl)
@@ -545,27 +420,45 @@ func CompileCachedContext(ctx context.Context, c *Cache, source, entry string, p
 	}
 }
 
-// compileMiss resolves a memory miss as the flight leader: local disk
-// tier first, the fleet-shared remote next, full pipeline otherwise,
-// caching whatever succeeds and warming the tiers above (and, for a
-// disk hit, offering the entry upward to the remote so the fleet
-// converges).
-func (c *Cache) compileMiss(ctx context.Context, key, source, entry string, params []Type, opts Options) (*Result, bool, error) {
-	if res, ok := c.diskGet(key, opts); ok {
+// resolve settles a memory miss as the flight leader: it probes the
+// store tiers nearest first and runs the full pipeline only when every
+// tier misses. Whatever settles the lookup is cached in memory and
+// offered to the other tiers. A Get error is a miss for that tier, and
+// also a decode error when the tier reports corrupt bytes
+// (artifact.ErrCorrupt); bytes that fail to decode count the same way
+// and are deleted from the tier best-effort so they are not fetched
+// again.
+func (c *Cache) resolve(ctx context.Context, key, source, entry string, params []Type, opts Options) (*Result, bool, error) {
+	for i, s := range c.stores() {
+		if s == nil {
+			continue
+		}
+		data, err := s.Get(key)
+		corrupt := errors.Is(err, artifact.ErrCorrupt)
+		var res *Result
+		if err == nil {
+			if res, err = decodeArtifact(data, key, opts); err != nil {
+				corrupt = true
+				s.Delete(key) // best-effort; a failure just leaves a dead entry
+			}
+		}
 		c.mu.Lock()
-		c.misses++ // resolved by the disk tier
+		t := &c.tiers[i]
+		if err == nil {
+			t.hits++
+			c.misses++ // resolved by this tier
+		} else {
+			t.misses++
+			if corrupt {
+				t.decodeErrors++
+			}
+		}
 		c.mu.Unlock()
-		c.put(key, res)
-		c.publishRemote(key, res)
-		return res, true, nil
-	}
-	if res, data, ok := c.remoteGet(key, opts); ok {
-		c.mu.Lock()
-		c.misses++ // resolved by the remote tier
-		c.mu.Unlock()
-		c.put(key, res)
-		c.storeLocal(key, data)
-		return res, true, nil
+		if err == nil {
+			c.put(key, res)
+			c.offer(key, res, data, i)
+			return res, true, nil
+		}
 	}
 	res, err := CompileContext(ctx, source, entry, params, opts)
 	if err != nil {
@@ -579,6 +472,6 @@ func (c *Cache) compileMiss(ctx context.Context, key, source, entry string, para
 	c.misses++ // resolved by a full pipeline run
 	c.mu.Unlock()
 	c.put(key, res)
-	c.writeThrough(key, res)
+	c.offer(key, res, nil, numTiers)
 	return res, false, nil
 }

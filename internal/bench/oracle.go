@@ -1,8 +1,9 @@
 package bench
 
 import (
-	"container/list"
 	"sync"
+
+	"mat2c/internal/lru"
 )
 
 // The verification oracle.
@@ -58,50 +59,31 @@ type caseKey struct {
 }
 
 type caseEntry struct {
-	key  caseKey
 	once sync.Once
 	c    *Case
 }
 
 // caseCache is a bounded LRU of oracle entries.
 type caseCache struct {
-	mu      sync.Mutex
-	entries map[caseKey]*list.Element
-	order   *list.List // front = most recently used
-	cap     int
+	*lru.Cache[caseKey, *caseEntry]
 }
 
-func newCaseCache(cap int) *caseCache {
-	return &caseCache{entries: make(map[caseKey]*list.Element), order: list.New(), cap: cap}
+func newCaseCache(cap int) caseCache {
+	return caseCache{lru.New[caseKey, *caseEntry](cap)}
 }
 
 var oracle = newCaseCache(DefaultOracleCacheSize)
 
-func (cc *caseCache) get(k *Kernel, n int) *Case {
+func (cc caseCache) get(k *Kernel, n int) *Case {
 	key := caseKey{k, n}
-	cc.mu.Lock()
-	el, ok := cc.entries[key]
-	if ok {
-		cc.order.MoveToFront(el)
-	} else {
-		el = cc.order.PushFront(&caseEntry{key: key})
-		cc.entries[key] = el
-		for cc.order.Len() > cc.cap {
-			old := cc.order.Back()
-			cc.order.Remove(old)
-			delete(cc.entries, old.Value.(*caseEntry).key)
-		}
+	e, ok := cc.Get(key)
+	if !ok {
+		// Racing inserters of one key all get the first entry back, so
+		// they share its Once.
+		e, _ = cc.Add(key, new(caseEntry))
 	}
-	e := el.Value.(*caseEntry)
-	cc.mu.Unlock()
 	// Computed outside the lock: other keys stay servable meanwhile. An
 	// entry evicted mid-computation still completes for its waiters.
 	e.once.Do(func() { e.c = newCase(k, n) })
 	return e.c
-}
-
-func (cc *caseCache) len() int {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	return cc.order.Len()
 }

@@ -138,16 +138,11 @@ func TestCaseInputsIsolated(t *testing.T) {
 func TestCaseCacheBounded(t *testing.T) {
 	k := KernelByName("fir")
 	cc := newCaseCache(DefaultOracleCacheSize)
-	has := func(n int) bool {
-		cc.mu.Lock()
-		defer cc.mu.Unlock()
-		_, ok := cc.entries[caseKey{k, n}]
-		return ok
-	}
+	has := func(n int) bool { return cc.Contains(caseKey{k, n}) }
 	const first = 8
 	for i := 0; i < DefaultOracleCacheSize+10; i++ {
 		cc.get(k, first+i)
-		if l := cc.len(); l > DefaultOracleCacheSize {
+		if l := cc.Len(); l > DefaultOracleCacheSize {
 			t.Fatalf("after %d inserts the cache holds %d entries, cap %d", i+1, l, DefaultOracleCacheSize)
 		}
 		if oldest := i - DefaultOracleCacheSize; oldest >= 0 {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"mat2c/internal/ir"
+	"mat2c/internal/lru"
 	"mat2c/internal/pdesc"
 	"mat2c/internal/sema"
 )
@@ -197,7 +198,7 @@ func TestCompiledProfileParity(t *testing.T) {
 // instead of being pinned until a wholesale drop at 4096 entries.
 func TestProcHashMemoEvictsAndUnpins(t *testing.T) {
 	old := procHashes
-	procHashes = newHashMemo[*pdesc.Processor](8)
+	procHashes = lru.New[*pdesc.Processor, string](8)
 	defer func() { procHashes = old }()
 
 	base := pdesc.Builtin("scalar")
@@ -209,7 +210,7 @@ func TestProcHashMemoEvictsAndUnpins(t *testing.T) {
 			t.Fatal("processorHash failed")
 		}
 		runtime.SetFinalizer(p, func(*pdesc.Processor) { collected.Add(1) })
-		if n := procHashes.len(); n > 8 {
+		if n := procHashes.Len(); n > 8 {
 			t.Fatalf("memo holds %d entries, cap is 8", n)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mat2c/internal/ir"
+	"mat2c/internal/lru"
 )
 
 // hashTestProgram builds a program with enough instructions that
@@ -81,7 +82,7 @@ func TestContentHashParallelCallers(t *testing.T) {
 // dropping wholesale).
 func TestContentHashMemoCapEviction(t *testing.T) {
 	old := progHashes
-	progHashes = newHashMemo[*Program](4)
+	progHashes = lru.New[*Program, string](4)
 	defer func() { progHashes = old }()
 
 	var ps []*Program
@@ -91,7 +92,7 @@ func TestContentHashMemoCapEviction(t *testing.T) {
 	first := make([]string, len(ps))
 	for i, p := range ps {
 		first[i] = p.ContentHash()
-		if n := progHashes.len(); n > 4 {
+		if n := progHashes.Len(); n > 4 {
 			t.Fatalf("memo grew to %d entries, cap is 4", n)
 		}
 	}

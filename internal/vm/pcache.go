@@ -1,9 +1,9 @@
 package vm
 
 import (
-	"container/list"
-	"sync"
+	"sync/atomic"
 
+	"mat2c/internal/lru"
 	"mat2c/internal/pdesc"
 )
 
@@ -38,104 +38,30 @@ type pairKey struct {
 	proc string // Processor.ContentHash
 }
 
-type pairEntry struct {
-	key pairKey
-	cp  *CompiledProgram
-}
-
-var prepCache = struct {
-	sync.Mutex
-	entries map[pairKey]*list.Element
-	order   *list.List // front = most recently used
-	cap     int
-	hits    uint64
-	misses  uint64
-}{
-	entries: make(map[pairKey]*list.Element),
-	order:   list.New(),
-	cap:     DefaultPreparedCacheSize,
-}
-
-// hashMemo is a bounded pointer-keyed content-hash memo with evict-one
-// LRU replacement. It must never exceed its cap and must never pin an
-// evicted pointer: in a long-lived mat2cd under DSE churn, retired
-// sweep variants have to become collectable as new ones push them out,
-// and evicting one entry at a time keeps the working set warm instead
-// of dropping it wholesale.
-type hashMemo[K comparable] struct {
-	mu      sync.Mutex
-	entries map[K]*list.Element
-	order   *list.List // front = most recently used
-	cap     int
-}
-
-type hashMemoEntry[K comparable] struct {
-	key K
-	h   string
-}
-
-func newHashMemo[K comparable](cap int) *hashMemo[K] {
-	return &hashMemo[K]{
-		entries: make(map[K]*list.Element),
-		order:   list.New(),
-		cap:     cap,
-	}
-}
-
-func (m *hashMemo[K]) get(k K) (string, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if el, ok := m.entries[k]; ok {
-		m.order.MoveToFront(el)
-		return el.Value.(*hashMemoEntry[K]).h, true
-	}
-	return "", false
-}
-
-func (m *hashMemo[K]) put(k K, h string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if el, ok := m.entries[k]; ok {
-		m.order.MoveToFront(el)
-		return
-	}
-	m.entries[k] = m.order.PushFront(&hashMemoEntry[K]{key: k, h: h})
-	for m.order.Len() > m.cap {
-		old := m.order.Back()
-		m.order.Remove(old)
-		delete(m.entries, old.Value.(*hashMemoEntry[K]).key)
-	}
-}
-
-func (m *hashMemo[K]) len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.order.Len()
-}
-
-func (m *hashMemo[K]) reset() {
-	m.mu.Lock()
-	m.entries = make(map[K]*list.Element)
-	m.order = list.New()
-	m.mu.Unlock()
-}
+var (
+	prepCache            = lru.New[pairKey, *CompiledProgram](DefaultPreparedCacheSize)
+	prepHits, prepMisses atomic.Uint64
+)
 
 // procHashes memoizes Processor.ContentHash per pointer: DSE sweeps
 // derive hundreds of distinct descriptions, but each one is a single
-// long-lived pointer hashed exactly once.
-var procHashes = newHashMemo[*pdesc.Processor](procHashMemoCap)
+// long-lived pointer hashed exactly once. Like progHashes it is a
+// bounded LRU, so in a long-lived mat2cd under DSE churn retired sweep
+// variants become collectable as new ones push them out, while the
+// working set stays warm.
+var procHashes = lru.New[*pdesc.Processor, string](procHashMemoCap)
 
 const procHashMemoCap = 4096
 
 func processorHash(p *pdesc.Processor) (string, bool) {
-	if h, ok := procHashes.get(p); ok {
+	if h, ok := procHashes.Get(p); ok {
 		return h, true
 	}
 	h, err := p.ContentHash()
 	if err != nil {
 		return "", false
 	}
-	procHashes.put(p, h)
+	procHashes.Add(p, h)
 	return h, true
 }
 
@@ -149,43 +75,14 @@ func CompiledFor(prog *Program, proc *pdesc.Processor) *CompiledProgram {
 		return compileProgram(prog, proc)
 	}
 	key := pairKey{prog: prog.ContentHash(), proc: ph}
-	if cp, ok := cacheGet(key); ok {
+	if cp, ok := prepCache.Get(key); ok {
+		prepHits.Add(1)
 		return cp
 	}
+	prepMisses.Add(1)
 	// Translate outside the lock; concurrent misses on one key do the
 	// work twice and the first insert wins.
-	return cacheInsert(key, compileProgram(prog, proc))
-}
-
-// cacheGet probes the cache, promoting and counting a hit, or counting
-// a miss.
-func cacheGet(key pairKey) (*CompiledProgram, bool) {
-	prepCache.Lock()
-	defer prepCache.Unlock()
-	if el, ok := prepCache.entries[key]; ok {
-		prepCache.order.MoveToFront(el)
-		prepCache.hits++
-		return el.Value.(*pairEntry).cp, true
-	}
-	prepCache.misses++
-	return nil, false
-}
-
-// cacheInsert installs cp under key unless a concurrent insert already
-// won the race, and returns the translation that ended up cached.
-func cacheInsert(key pairKey, cp *CompiledProgram) *CompiledProgram {
-	prepCache.Lock()
-	defer prepCache.Unlock()
-	if el, ok := prepCache.entries[key]; ok {
-		prepCache.order.MoveToFront(el)
-		return el.Value.(*pairEntry).cp
-	}
-	prepCache.entries[key] = prepCache.order.PushFront(&pairEntry{key: key, cp: cp})
-	for prepCache.order.Len() > prepCache.cap {
-		old := prepCache.order.Back()
-		prepCache.order.Remove(old)
-		delete(prepCache.entries, old.Value.(*pairEntry).key)
-	}
+	cp, _ := prepCache.Add(key, compileProgram(prog, proc))
 	return cp
 }
 
@@ -200,25 +97,21 @@ type PreparedCacheInfo struct {
 
 // PreparedCacheStats reports cache occupancy and hit/miss counters.
 func PreparedCacheStats() PreparedCacheInfo {
-	prepCache.Lock()
-	defer prepCache.Unlock()
 	return PreparedCacheInfo{
-		Entries:  prepCache.order.Len(),
-		Capacity: prepCache.cap,
-		Hits:     prepCache.hits,
-		Misses:   prepCache.misses,
+		Entries:  prepCache.Len(),
+		Capacity: DefaultPreparedCacheSize,
+		Hits:     prepHits.Load(),
+		Misses:   prepMisses.Load(),
 	}
 }
 
-// ResetPreparedCache empties the compiled-program cache and its
-// counters (used by tests and benchmarks to measure cold paths).
+// ResetPreparedCache empties the compiled-program cache, its counters,
+// and the program and processor content-hash memos (used by tests and
+// benchmarks to measure cold paths).
 func ResetPreparedCache() {
-	prepCache.Lock()
-	prepCache.entries = make(map[pairKey]*list.Element)
-	prepCache.order = list.New()
-	prepCache.hits = 0
-	prepCache.misses = 0
-	prepCache.Unlock()
-
-	procHashes.reset()
+	prepCache.Clear()
+	prepHits.Store(0)
+	prepMisses.Store(0)
+	procHashes.Clear()
+	progHashes.Clear()
 }

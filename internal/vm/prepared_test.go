@@ -363,6 +363,15 @@ func TestPreparedCache(t *testing.T) {
 	if st := PreparedCacheStats(); st.Entries != 2 {
 		t.Errorf("entries = %d, want 2", st.Entries)
 	}
+	// A reset measures cold paths: the cache, its counters, and both
+	// content-hash memos start empty again.
+	ResetPreparedCache()
+	if st := PreparedCacheStats(); st.Entries != 0 || st.Hits != 0 || st.Misses != 0 {
+		t.Errorf("stats after reset = %+v, want empty", st)
+	}
+	if n, m := procHashes.Len(), progHashes.Len(); n != 0 || m != 0 {
+		t.Errorf("after reset the processor memo holds %d entries and the program memo %d, want 0 and 0", n, m)
+	}
 }
 
 func TestProgramContentHashStable(t *testing.T) {

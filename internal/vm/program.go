@@ -26,6 +26,7 @@ import (
 	"math"
 
 	"mat2c/internal/ir"
+	"mat2c/internal/lru"
 )
 
 // Opc is a VM opcode.
@@ -121,10 +122,9 @@ type Program struct {
 
 // progHashes memoizes ContentHash per Program pointer, kept outside
 // the struct so Program stays a plain copyable value. Bounded like the
-// processor-hash memo (hashMemo in pcache.go): evict-one LRU, so
-// retired programs become collectable instead of being pinned until a
-// wholesale drop.
-var progHashes = newHashMemo[*Program](progHashMemoCap)
+// processor-hash memo (procHashes in pcache.go): an LRU, so retired
+// programs become collectable instead of being pinned.
+var progHashes = lru.New[*Program, string](progHashMemoCap)
 
 const progHashMemoCap = 4096
 
@@ -143,11 +143,11 @@ func (p *Program) Len() int { return len(p.Instrs) }
 // large program never serializes unrelated callers behind the global
 // mutex.
 func (p *Program) ContentHash() string {
-	if s, ok := progHashes.get(p); ok {
+	if s, ok := progHashes.Get(p); ok {
 		return s
 	}
 	s := p.contentHash()
-	progHashes.put(p, s)
+	progHashes.Add(p, s)
 	return s
 }
 
