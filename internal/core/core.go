@@ -14,12 +14,14 @@ package core
 import (
 	"context"
 	"fmt"
+	"strings"
 	"time"
 
 	"mat2c/internal/cgen"
 	"mat2c/internal/ir"
 	"mat2c/internal/isel"
 	"mat2c/internal/lower"
+	"mat2c/internal/lru"
 	"mat2c/internal/mlang"
 	"mat2c/internal/opt"
 	"mat2c/internal/pdesc"
@@ -57,7 +59,10 @@ func Baseline(p *pdesc.Processor) Config {
 }
 
 // StageTime records the wall-clock time one pipeline stage took during
-// a Compile call.
+// a Compile call. When the processor-independent front half came from
+// the per-process memo (see CompileContext), parse and sema are zero,
+// lower holds only the memo lookup and IR clone, and opt holds only the
+// post-vectorize cleanup.
 type StageTime struct {
 	Stage    string
 	Duration time.Duration
@@ -65,7 +70,8 @@ type StageTime struct {
 
 // StageNames lists the instrumented pipeline stages in execution order.
 // Every Compile records a StageTime for each (zero when the stage was
-// disabled by the Config), so aggregators can pre-register them.
+// disabled by the Config, or skipped because the front half was
+// memoized), so aggregators can pre-register them.
 func StageNames() []string {
 	return []string{"parse", "sema", "lower", "opt", "vectorize", "isel", "vm-lower", "cgen"}
 }
@@ -103,7 +109,8 @@ func (c *stageClock) record(stage string) {
 type Result struct {
 	// Entry is the compiled entry function name.
 	Entry string
-	// Info is the semantic analysis result.
+	// Info is the semantic analysis result, shared read-only by every
+	// compile that reused the same front half.
 	Info *sema.Info
 	// Func is the optimized IR.
 	Func *ir.Func
@@ -159,54 +166,35 @@ func Compile(src, entry string, params []sema.Type, cfg Config) (*Result, error)
 // error that unwraps to ctx.Err()) once it fires. Individual stages are
 // short, so cancellation latency is bounded by the slowest single
 // stage.
+//
+// The front half — parse, sema, lower and the scalar optimizer — does
+// not read Config.Processor, so it runs once per process for each
+// source, entry, parameter types, Fusion and OptLevel: later compiles
+// (a DSE sweep's other variants) continue from a clone of the memoized
+// optimized IR at the vectorizer. Only successful front halves are
+// memoized.
 func CompileContext(ctx context.Context, src, entry string, params []sema.Type, cfg Config) (*Result, error) {
 	if cfg.Processor == nil {
 		return nil, fmt.Errorf("core: Config.Processor is required")
 	}
-	cancelled := func(after string) error {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("compile cancelled after %s: %w", after, err)
-		}
-		return nil
-	}
 	clock := newStageClock()
-	file, err := mlang.Parse(src)
-	if err != nil {
-		return nil, fmt.Errorf("parse: %w", err)
-	}
-	clock.record("parse")
-	if err := cancelled("parse"); err != nil {
-		return nil, err
-	}
-	if entry == "" && len(file.Funcs) > 0 {
-		entry = file.Funcs[0].Name
-	}
-	info, err := sema.Analyze(file, entry, params)
-	if err != nil {
-		return nil, fmt.Errorf("analyze: %w", err)
-	}
-	clock.record("sema")
-	if err := cancelled("sema"); err != nil {
-		return nil, err
-	}
-
-	var lopts []lower.Option
-	if !cfg.Fusion {
-		lopts = append(lopts, lower.NoFusion())
-	}
-	f, err := lower.Lower(info, lopts...)
-	if err != nil {
-		return nil, fmt.Errorf("lower: %w", err)
-	}
-	clock.record("lower")
-	if err := cancelled("lower"); err != nil {
-		return nil, err
-	}
-
-	opt.Optimize(f, cfg.OptLevel)
-	clock.record("opt")
-	if err := cancelled("opt"); err != nil {
-		return nil, err
+	var info *sema.Info
+	var f *ir.Func
+	key := newFrontKey(src, entry, params, cfg)
+	if fe, ok := frontMemo.Get(key); ok {
+		entry, info, f = fe.entry, fe.info, ir.CloneFunc(fe.fn)
+		clock.record("lower")
+		if err := cancelled(ctx, "lower"); err != nil {
+			return nil, err
+		}
+	} else {
+		var err error
+		entry, info, f, err = frontHalf(ctx, clock, src, entry, params, cfg)
+		if err != nil {
+			return nil, err
+		}
+		frontMemo.Add(key, &frontEnd{entry: entry, info: info, fn: ir.CloneFunc(f)})
+		clock.record("opt") // the memo's copy is charged to the stage it keeps
 	}
 
 	res := &Result{Entry: entry, Info: info, Func: f, cfg: cfg,
@@ -219,7 +207,7 @@ func CompileContext(ctx context.Context, src, entry string, params []sema.Type, 
 		res.Intrinsics = isel.Apply(f, cfg.Processor)
 	}
 	clock.record("isel")
-	if err := cancelled("isel"); err != nil {
+	if err := cancelled(ctx, "isel"); err != nil {
 		return nil, err
 	}
 	// The vectorizer's forward substitution re-exposes foldable index
@@ -235,7 +223,7 @@ func CompileContext(ctx context.Context, src, entry string, params []sema.Type, 
 	}
 	res.Program = prog
 	clock.record("vm-lower")
-	if err := cancelled("vm-lower"); err != nil {
+	if err := cancelled(ctx, "vm-lower"); err != nil {
 		return nil, err
 	}
 
@@ -250,6 +238,98 @@ func CompileContext(ctx context.Context, src, entry string, params []sema.Type, 
 	}
 	res.Stages = clock.stages
 	return res, nil
+}
+
+// frontKey identifies one run of the processor-independent front half:
+// everything parse, sema, lower and the scalar optimizer read, and
+// nothing from Config.Processor. entry is the name as passed, before
+// defaulting to the first function.
+type frontKey struct {
+	src, entry, params string
+	fusion             bool
+	optLevel           int
+}
+
+func newFrontKey(src, entry string, params []sema.Type, cfg Config) frontKey {
+	var ps strings.Builder
+	for _, t := range params {
+		fmt.Fprintf(&ps, "%d/%d/%d;", t.Class, t.Shape.Rows, t.Shape.Cols)
+	}
+	return frontKey{src: src, entry: entry, params: ps.String(), fusion: cfg.Fusion, optLevel: cfg.OptLevel}
+}
+
+// frontEnd is a memoized front half: the resolved entry name, the
+// semantic analysis (read-only once Analyze returns) and the optimized
+// IR. fn is never handed out; every compile continues on its own
+// ir.CloneFunc copy, so the back half's in-place passes leave it intact.
+type frontEnd struct {
+	entry string
+	info  *sema.Info
+	fn    *ir.Func
+}
+
+// frontMemoSize bounds the front-half memo. A DSE sweep needs one entry
+// per kernel of its suite (six by default); the rest leaves room for
+// the bench harness's pipeline shapes and a daemon's one-off sources.
+const frontMemoSize = 64
+
+// frontMemo lets every compile of the same source, entry, parameter
+// types, fusion setting and optimization level — typically one kernel
+// across the processor variants of a sweep — share one front half.
+// Errors are never memoized.
+var frontMemo = lru.New[frontKey, *frontEnd](frontMemoSize)
+
+// frontHalf runs the processor-independent stages — parse, sema, lower
+// and the scalar optimizer — and returns the resolved entry name, the
+// semantic analysis and the optimized IR.
+func frontHalf(ctx context.Context, clock *stageClock, src, entry string, params []sema.Type, cfg Config) (string, *sema.Info, *ir.Func, error) {
+	file, err := mlang.Parse(src)
+	if err != nil {
+		return "", nil, nil, fmt.Errorf("parse: %w", err)
+	}
+	clock.record("parse")
+	if err := cancelled(ctx, "parse"); err != nil {
+		return "", nil, nil, err
+	}
+	if entry == "" && len(file.Funcs) > 0 {
+		entry = file.Funcs[0].Name
+	}
+	info, err := sema.Analyze(file, entry, params)
+	if err != nil {
+		return "", nil, nil, fmt.Errorf("analyze: %w", err)
+	}
+	clock.record("sema")
+	if err := cancelled(ctx, "sema"); err != nil {
+		return "", nil, nil, err
+	}
+
+	var lopts []lower.Option
+	if !cfg.Fusion {
+		lopts = append(lopts, lower.NoFusion())
+	}
+	f, err := lower.Lower(info, lopts...)
+	if err != nil {
+		return "", nil, nil, fmt.Errorf("lower: %w", err)
+	}
+	clock.record("lower")
+	if err := cancelled(ctx, "lower"); err != nil {
+		return "", nil, nil, err
+	}
+
+	opt.Optimize(f, cfg.OptLevel)
+	clock.record("opt")
+	if err := cancelled(ctx, "opt"); err != nil {
+		return "", nil, nil, err
+	}
+	return entry, info, f, nil
+}
+
+// cancelled returns a wrapped ctx.Err() once ctx has fired.
+func cancelled(ctx context.Context, after string) error {
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("compile cancelled after %s: %w", after, err)
+	}
+	return nil
 }
 
 // Run executes the compiled program on a fresh cycle-model machine and

@@ -489,7 +489,7 @@ func (u *unroller) tryUnroll(s *ir.For) ([]ir.Stmt, bool) {
 	for v := lo; s.Step > 0 && v <= hi || s.Step < 0 && v >= hi; v += s.Step {
 		out = append(out, &ir.Assign{Dst: s.Var, Src: ir.CI(v)})
 		for _, b := range s.Body {
-			out = append(out, CloneStmt(b))
+			out = append(out, ir.CloneStmt(b))
 		}
 	}
 	return out, true
@@ -506,46 +506,4 @@ func hasControl(stmts []ir.Stmt) bool {
 		}
 	})
 	return found
-}
-
-// CloneStmt deep-copies a statement (expressions are immutable in
-// practice but statements are mutated by passes, so copy them).
-func CloneStmt(s ir.Stmt) ir.Stmt {
-	switch s := s.(type) {
-	case *ir.Assign:
-		return &ir.Assign{Dst: s.Dst, Src: s.Src}
-	case *ir.Store:
-		return &ir.Store{Arr: s.Arr, Index: s.Index, Val: s.Val}
-	case *ir.Alloc:
-		return &ir.Alloc{Arr: s.Arr, Rows: s.Rows, Cols: s.Cols}
-	case *ir.For:
-		body := make([]ir.Stmt, len(s.Body))
-		for i, b := range s.Body {
-			body[i] = CloneStmt(b)
-		}
-		return &ir.For{Var: s.Var, Lo: s.Lo, Hi: s.Hi, Step: s.Step, Body: body}
-	case *ir.While:
-		body := make([]ir.Stmt, len(s.Body))
-		for i, b := range s.Body {
-			body[i] = CloneStmt(b)
-		}
-		return &ir.While{Cond: s.Cond, Body: body}
-	case *ir.If:
-		then := make([]ir.Stmt, len(s.Then))
-		for i, b := range s.Then {
-			then[i] = CloneStmt(b)
-		}
-		els := make([]ir.Stmt, len(s.Else))
-		for i, b := range s.Else {
-			els[i] = CloneStmt(b)
-		}
-		return &ir.If{Cond: s.Cond, Then: then, Else: els}
-	case *ir.Break:
-		return &ir.Break{}
-	case *ir.Continue:
-		return &ir.Continue{}
-	case *ir.Return:
-		return &ir.Return{}
-	}
-	return s
 }

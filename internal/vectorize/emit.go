@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"mat2c/internal/ir"
-	"mat2c/internal/opt"
 )
 
 // emit builds the vectorized replacement for loop: preheader, main
@@ -85,7 +84,7 @@ func (v *vectorizer) emit(loop *ir.For, classified []vstmt, reds []*reduction, l
 	// Scalar epilogue with the original body.
 	epiBody := make([]ir.Stmt, len(loop.Body))
 	for i, s := range loop.Body {
-		epiBody[i] = opt.CloneStmt(s)
+		epiBody[i] = ir.CloneStmt(s)
 	}
 	out = append(out, &ir.For{Var: k, Lo: ir.IAdd(lo, main), Hi: hi, Step: 1, Body: epiBody})
 	return out
