@@ -54,7 +54,7 @@ func run() int {
 		timeout = flag.Duration("timeout", 0, "bound total table-generation wall time (e.g. 5m; 0 = none)")
 		vmbench = flag.String("vmbench", "", "measure simulator throughput and write the JSON report to this file (- for stdout)")
 		vmtime  = flag.Duration("vmtime", 250*time.Millisecond, "per-engine measurement window for -vmbench")
-		vmgate  = flag.Float64("vmgate", 0, "fail -vmbench unless compiled/reference throughput on fir is at least this ratio and fir has a compiled block (0 = no gate; CI uses 2, far below the committed ratio, to catch only collapses, not noise)")
+		vmgate  = flag.Float64("vmgate", 0, "fail -vmbench unless compiled/reference throughput on fir is at least this ratio (0 = no gate; CI uses 2, far below the committed ratio, to catch only collapses, not noise)")
 
 		cacheDir   = flag.String("cachedir", "", "durable artifact store directory: compilations persist there and warm later runs")
 		cacheBytes = flag.Int64("cachebytes", 0, "artifact store byte budget (0 = default 512 MiB; needs -cachedir)")
@@ -232,12 +232,6 @@ func run() int {
 					continue
 				}
 				gated = true
-				// fir allocates its output, so at least one block always
-				// falls back — the gate is that translation happened at
-				// all and the compiled engine has not collapsed.
-				if r.CompiledBlocks == 0 {
-					return fatal(fmt.Errorf("vmgate: no compiled blocks on fir (translator produced nothing but fallback)"))
-				}
 				if r.CompiledSpeedup < *vmgate {
 					return fatal(fmt.Errorf("vmgate: compiled/reference on fir = %.2f, below gate %.2f (the compiled engine has collapsed)", r.CompiledSpeedup, *vmgate))
 				}

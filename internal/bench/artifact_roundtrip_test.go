@@ -76,7 +76,7 @@ func TestArtifactRoundTripDSEVariants(t *testing.T) {
 		Groups:  [][]string{{}, {"mac", "sad"}},
 		Costs: []dse.CostOverride{
 			{Name: "base", Costs: nil},
-			{Name: "fastmul", Costs: map[string]int{"mul": 1, "vmul": 1}},
+			{Name: "fastmul", Costs: map[string]int{"fmul": 1, "imul": 1}},
 		},
 	}
 	variants, err := sweep.Enumerate()

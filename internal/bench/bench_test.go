@@ -271,6 +271,19 @@ func TestKernelByName(t *testing.T) {
 	}
 }
 
+func TestSelectKernels(t *testing.T) {
+	if ks, err := SelectKernels(nil); err != nil || len(ks) != len(Kernels()) {
+		t.Errorf("empty selection = %d kernels, %v; want the whole suite", len(ks), err)
+	}
+	ks, err := SelectKernels([]string{"fft", "fir"})
+	if err != nil || len(ks) != 2 || ks[0].Name != "fft" || ks[1].Name != "fir" {
+		t.Errorf("subset not resolved in order: %v", err)
+	}
+	if _, err := SelectKernels([]string{"fir", "nope"}); err == nil || err.Error() != `unknown kernel "nope"` {
+		t.Errorf("unknown kernel: err = %v", err)
+	}
+}
+
 // TestFig4MemorySensitivity checks the extension study: the fusion-heavy
 // streaming kernels gain speedup as memory gets slower (their win is
 // avoided temp traffic), and nothing degenerates.

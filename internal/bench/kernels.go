@@ -13,6 +13,7 @@
 package bench
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 
@@ -424,6 +425,23 @@ var suite = []*Kernel{
 // Kernels returns the six benchmarks in report order: a fresh slice
 // over the shared suite kernels, which callers must not modify.
 func Kernels() []*Kernel { return append([]*Kernel(nil), suite...) }
+
+// SelectKernels resolves a kernel subset by name (shared; do not
+// modify), defaulting to the whole suite when names is empty.
+func SelectKernels(names []string) ([]*Kernel, error) {
+	if len(names) == 0 {
+		return Kernels(), nil
+	}
+	out := make([]*Kernel, 0, len(names))
+	for _, n := range names {
+		k := KernelByName(n)
+		if k == nil {
+			return nil, fmt.Errorf("unknown kernel %q", n)
+		}
+		out = append(out, k)
+	}
+	return out, nil
+}
 
 // KernelByName returns the named suite kernel (shared; do not modify),
 // or nil.

@@ -21,7 +21,6 @@ type VMBenchRow struct {
 	InstrsPerRun          int64   `json:"instrs_per_run"`
 	CyclesPerRun          int64   `json:"cycles_per_run"`
 	CompiledBlocks        int     `json:"compiled_blocks"`
-	CompiledFallback      int     `json:"compiled_fallback_blocks"`
 	CompiledRuns          int     `json:"compiled_runs"`
 	CompiledInstrsPerSec  float64 `json:"compiled_instrs_per_sec"`
 	ReferenceRuns         int     `json:"reference_runs"`
@@ -111,11 +110,10 @@ func VMBench(proc *pdesc.Processor, scale float64, minTime time.Duration, opts .
 				rRuns, rRate = runs, r
 			}
 		}
-		compiledBlocks, fallbackBlocks := vm.CompiledFor(res.Program, proc).BlockCounts()
+		blocks := vm.CompiledFor(res.Program, proc).Blocks()
 		rows[i] = VMBenchRow{
 			Kernel: k.Name, Size: n,
-			InstrsPerRun: instrs, CyclesPerRun: cycles,
-			CompiledBlocks: compiledBlocks, CompiledFallback: fallbackBlocks,
+			InstrsPerRun: instrs, CyclesPerRun: cycles, CompiledBlocks: blocks,
 			CompiledRuns: cRuns, CompiledInstrsPerSec: cRate,
 			ReferenceRuns: rRuns, ReferenceInstrsPerSec: rRate,
 			CompiledSpeedup: cRate / rRate,
@@ -136,10 +134,10 @@ func VMBench(proc *pdesc.Processor, scale float64, minTime time.Duration, opts .
 func VMBenchText(rep *VMBenchReport) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "VM throughput on %s (simulated instructions/sec; compiled = closure-threaded translation, reference = oracle interpreter)\n", rep.Target)
-	fmt.Fprintf(&b, "%-8s %8s %12s %14s %14s %9s %9s\n", "kernel", "size", "instrs/run", "compiled", "reference", "comp/ref", "blocks")
+	fmt.Fprintf(&b, "%-8s %8s %12s %14s %14s %9s %6s\n", "kernel", "size", "instrs/run", "compiled", "reference", "comp/ref", "blocks")
 	for _, r := range rep.Rows {
-		fmt.Fprintf(&b, "%-8s %8d %12d %14.3e %14.3e %8.1fx %4d/%-4d\n",
-			r.Kernel, r.Size, r.InstrsPerRun, r.CompiledInstrsPerSec, r.ReferenceInstrsPerSec, r.CompiledSpeedup, r.CompiledBlocks, r.CompiledBlocks+r.CompiledFallback)
+		fmt.Fprintf(&b, "%-8s %8d %12d %14.3e %14.3e %8.1fx %6d\n",
+			r.Kernel, r.Size, r.InstrsPerRun, r.CompiledInstrsPerSec, r.ReferenceInstrsPerSec, r.CompiledSpeedup, r.CompiledBlocks)
 	}
 	return b.String()
 }

@@ -94,27 +94,13 @@ type Report struct {
 	ElapsedUS    int64  `json:"elapsed_us"`
 }
 
-// selectKernels resolves the kernel subset, defaulting to the suite.
-func selectKernels(names []string) ([]*bench.Kernel, error) {
-	if len(names) == 0 {
-		return bench.Kernels(), nil
-	}
-	var out []*bench.Kernel
-	for _, n := range names {
-		k := bench.KernelByName(n)
-		if k == nil {
-			return nil, fmt.Errorf("dse: unknown kernel %q", n)
-		}
-		out = append(out, k)
-	}
-	return out, nil
-}
-
 // ValidateKernels checks a kernel-subset selection without running
 // anything (for request validation in front ends).
 func ValidateKernels(names []string) error {
-	_, err := selectKernels(names)
-	return err
+	if _, err := bench.SelectKernels(names); err != nil {
+		return fmt.Errorf("dse: %w", err)
+	}
+	return nil
 }
 
 // EvalVariantContext evaluates one enumerated variant against the
@@ -125,9 +111,9 @@ func ValidateKernels(names []string) error {
 // byte-identical to the single-process run's.
 func EvalVariantContext(ctx context.Context, v *Variant, opts Options) (VariantResult, error) {
 	opts = opts.withDefaults()
-	kernels, err := selectKernels(opts.Kernels)
+	kernels, err := bench.SelectKernels(opts.Kernels)
 	if err != nil {
-		return VariantResult{}, err
+		return VariantResult{}, fmt.Errorf("dse: %w", err)
 	}
 	cache := opts.Cache
 	if cache == nil {
@@ -241,9 +227,9 @@ func EnumerateAll(ctx context.Context, sweeps []*Sweep) ([]*Variant, []string, e
 // ElapsedUS, which is wall time and never part of the identity).
 func Assemble(bases []string, opts Options, results []VariantResult) (*Report, error) {
 	opts = opts.withDefaults()
-	kernels, err := selectKernels(opts.Kernels)
+	kernels, err := bench.SelectKernels(opts.Kernels)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("dse: %w", err)
 	}
 	rep := &Report{
 		Base:     strings.Join(bases, ","),
@@ -274,9 +260,9 @@ func ExploreContext(ctx context.Context, sweeps []*Sweep, opts Options) (*Report
 	if err != nil {
 		return nil, err
 	}
-	kernels, err := selectKernels(opts.Kernels)
+	kernels, err := bench.SelectKernels(opts.Kernels)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("dse: %w", err)
 	}
 	cache := opts.Cache
 	if cache == nil {

@@ -104,12 +104,55 @@ func TestEnumerateCostOverrides(t *testing.T) {
 	if vs[0].Proc.Cost("load") == 8 {
 		t.Error("cost override leaked into the base-cost variant")
 	}
-	// Unknown cost classes must fail enumeration via Validate.
+	// Unknown cost classes must fail enumeration.
 	bad := &Sweep{Widths: []int{4}, Complex: []bool{true},
 		Groups: [][]string{{"mac"}},
 		Costs:  []CostOverride{{Name: "bad", Costs: map[string]int{"nosuch": 1}}}}
 	if _, err := bad.Enumerate(); err == nil {
 		t.Error("enumeration accepted an unknown cost class")
+	}
+}
+
+// TestSweepRejectsBadCostOverrides: a cost override naming an unknown
+// class or a non-positive cost fails both ParseSweep and Enumerate with
+// an error naming the override, instead of its variants being pruned
+// while the rest of the sweep runs.
+func TestSweepRejectsBadCostOverrides(t *testing.T) {
+	bad := []struct {
+		spec, want string
+	}{
+		{`{"widths":[4],"costs":[{"name":"base","costs":{}},{"name":"typo","costs":{"mul":7}}]}`,
+			`cost override "typo": unknown cost class "mul"`},
+		{`{"widths":[4],"costs":[{"name":"free","costs":{"load":0}}]}`,
+			`cost override "free": cost class "load" has non-positive cost 0`},
+		{`{"widths":[4],"costs":[{"name":"neg","costs":{"fmul":2,"branch":-3}}]}`,
+			`cost override "neg": cost class "branch" has non-positive cost -3`},
+	}
+	for _, tc := range bad {
+		if _, err := ParseSweep([]byte(tc.spec)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("ParseSweep(%s) = %v, want an error containing %q", tc.spec, err, tc.want)
+		}
+		var sw Sweep
+		if err := json.Unmarshal([]byte(tc.spec), &sw); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sw.Enumerate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Enumerate(%s) = %v, want an error containing %q", tc.spec, err, tc.want)
+		}
+	}
+
+	// Machine conflicts are still pruned, not errors: complex lanes on a
+	// width-1 datapath collapse into the no-complex variant.
+	sw, err := ParseSweep([]byte(`{"widths":[1],"complex":[true,false],"groups":[[]],"costs":[{"name":"slow","costs":{"load":8}}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs, err := sw.Enumerate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(vs) != 1 || vs[0].CostSet != "slow" {
+		t.Errorf("got %d variants, want the one width-1 slow-memory machine", len(vs))
 	}
 }
 

@@ -89,7 +89,37 @@ func ParseSweep(data []byte) (*Sweep, error) {
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("sweep spec: %w", err)
 	}
+	if err := checkCosts(s.Costs); err != nil {
+		return nil, fmt.Errorf("sweep spec: %w", err)
+	}
 	return &s, nil
+}
+
+// checkCosts rejects a cost override naming a class the cost model
+// does not have, or a non-positive cost. Enumeration would otherwise
+// prune every variant of that override as invalid, silently sweeping
+// nothing for it.
+func checkCosts(costs []CostOverride) error {
+	known := map[string]bool{}
+	for _, k := range pdesc.DefaultCostKeys() {
+		known[k] = true
+	}
+	for _, cs := range costs {
+		classes := make([]string, 0, len(cs.Costs))
+		for class := range cs.Costs {
+			classes = append(classes, class)
+		}
+		sort.Strings(classes)
+		for _, class := range classes {
+			if !known[class] {
+				return fmt.Errorf("cost override %q: unknown cost class %q", cs.Name, class)
+			}
+			if v := cs.Costs[class]; v < 1 {
+				return fmt.Errorf("cost override %q: cost class %q has non-positive cost %d", cs.Name, class, v)
+			}
+		}
+	}
+	return nil
 }
 
 // DefaultWidths is the default SIMD-width axis.
@@ -257,6 +287,9 @@ func (s *Sweep) Enumerate() ([]*Variant, error) {
 // EnumerateContext is Enumerate under a cancellable context (the ISX
 // mining seed compiles and simulates, so it can take a while).
 func (s *Sweep) EnumerateContext(ctx context.Context) ([]*Variant, error) {
+	if err := checkCosts(s.Costs); err != nil {
+		return nil, fmt.Errorf("dse: %w", err)
+	}
 	baseName := s.Base
 	if baseName == "" {
 		baseName = "dspasip"

@@ -196,7 +196,7 @@ type Plan struct {
 // mine without verifying the winners.
 func PlanContext(ctx context.Context, proc *pdesc.Processor, opts Options) (*Plan, error) {
 	opts = opts.withDefaults()
-	kernels, err := resolveKernels(opts.Kernels)
+	kernels, err := bench.SelectKernels(opts.Kernels)
 	if err != nil {
 		return nil, err
 	}
@@ -249,21 +249,6 @@ func Extend(proc *pdesc.Processor, name string, cands ...*Candidate) (*pdesc.Pro
 			q.Instructions = append(q.Instructions, c.Instrs()...)
 		}
 	})
-}
-
-func resolveKernels(names []string) ([]*bench.Kernel, error) {
-	if len(names) == 0 {
-		return bench.Kernels(), nil
-	}
-	out := make([]*bench.Kernel, 0, len(names))
-	for _, n := range names {
-		k := bench.KernelByName(n)
-		if k == nil {
-			return nil, fmt.Errorf("unknown kernel %q", n)
-		}
-		out = append(out, k)
-	}
-	return out, nil
 }
 
 // rank computes merit, sorts best-first (ties broken by semantics text

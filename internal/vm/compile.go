@@ -2,6 +2,7 @@ package vm
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -20,21 +21,26 @@ import (
 // successor pc. A block therefore executes as native Go control flow:
 // no per-op switch, poll or cycle-limit branch, and no operand
 // re-validation (register indices were checked at lowering; array
-// bounds, the only runtime-dependent checks, remain). Blocks holding
-// an op the translator does not cover — OpAlloc (extent-dependent
-// zero-fill charge) or an OpIntr that faults on this processor — fall
-// back to the per-op stepper, so coverage can grow without ever being
-// wrong.
+// bounds, the only runtime-dependent checks, remain). Every opcode
+// translates; an intrinsic that faults on this processor becomes a
+// closure returning its fault.
 //
 // Invariants that keep the engine cycle- and fault-exact against the
 // reference interpreter:
 //   - Every resumable pc is a block leader (blockLeaders), so a block
-//     always runs from its first member.
+//     always runs from its first member. The pc after an OpAlloc is a
+//     leader too, so its extent-dependent zero-fill charge lands when
+//     its block completes, before the next block's limit check.
 //   - A block's closure chain runs only when the whole block fits under
 //     the cycle limit (cycles+cost <= maxCycles), which makes every
-//     per-member limit check provably dead; accounting then lands once
-//     per block. Otherwise the block is stepped one op at a time in the
-//     reference engine's limit-check/charge order.
+//     per-member limit check provably dead. A completed block adds its
+//     cost to the cycle count and bumps its run count; its class counts
+//     and profile are charged from the run counts once, when the
+//     compiled part of the run ends and before any hand-off.
+//   - A block that does not fit is handed, with the machine's
+//     accounting so far, to the reference interpreter, which finishes
+//     the run from that block's first pc: it faults or returns within
+//     one block, producing the fault site and partial accounting itself.
 //   - A faulting member replays the completed prefix's charges member
 //     by member (honoring chargeFirstOp placement) and reports its own
 //     pc and message.
@@ -58,10 +64,9 @@ type classCharge struct {
 	n     int64
 }
 
-// cBlock is one basic block of a compiled program. run == nil marks a
-// fallback block (contains an op the translator does not cover); cost
-// and charges aggregate every member including the terminator, valid
-// only for translated blocks.
+// cBlock is one basic block of a compiled program. cost and charges
+// aggregate every member including the terminator; OpAlloc's zero-fill
+// is charged at run time on top.
 type cBlock struct {
 	start, end int // half-open pc range
 	n          int64
@@ -82,21 +87,14 @@ type CompiledProgram struct {
 	blocks  []cBlock
 	blockOf []int32 // pc -> index into blocks
 
-	compiled int // blocks with a closure chain
-	fallback int // blocks stepped per-op
-
 	pool sync.Pool
 }
 
-// BlockCounts reports how many basic blocks compiled to closure chains
-// and how many fell back to per-op stepping — the coverage signal the
-// benchtab collapse gate checks.
-func (cp *CompiledProgram) BlockCounts() (compiled, fallback int) {
-	return cp.compiled, cp.fallback
-}
+// Blocks reports how many basic blocks the program translated to.
+func (cp *CompiledProgram) Blocks() int { return len(cp.blocks) }
 
 // blockLeaders marks every pc that starts a basic block: entry, branch
-// targets, and fallthrough successors of control flow.
+// targets, and the successors of control flow and of OpAlloc.
 func blockLeaders(prog *Program) []bool {
 	leaders := make([]bool, len(prog.Instrs)+1)
 	if len(leaders) > 0 {
@@ -110,7 +108,7 @@ func blockLeaders(prog *Program) []bool {
 				leaders[in.Off] = true
 			}
 			leaders[i+1] = true
-		case OpRet:
+		case OpRet, OpAlloc:
 			leaders[i+1] = true
 		}
 	}
@@ -118,12 +116,12 @@ func blockLeaders(prog *Program) []bool {
 }
 
 // chargeFirstOp reports whether an opcode's cycle charge lands before
-// its fault checks in the reference engine. Memory and reduce ops
-// validate first and charge after; arithmetic charges before it can
+// its fault checks in the reference engine. Memory, alloc and reduce
+// ops validate first and charge after; arithmetic charges before it can
 // fault. Fault replay honors this placement exactly.
 func chargeFirstOp(op Opc) bool {
 	switch op {
-	case OpLoad, OpVLoad, OpStore, OpDim, OpReduce:
+	case OpLoad, OpVLoad, OpStore, OpAlloc, OpDim, OpReduce:
 		return false
 	}
 	return true
@@ -161,17 +159,11 @@ func compileProgram(prog *Program, proc *pdesc.Processor) *CompiledProgram {
 		for i := start; i < pc; i++ {
 			cp.blockOf[i] = idx
 		}
-		if b.run != nil {
-			cp.compiled++
-		} else {
-			cp.fallback++
-		}
 		cp.blocks = append(cp.blocks, b)
 		start = pc
 	}
 	compiledStats.translations.Add(1)
-	compiledStats.blocks.Add(uint64(cp.compiled))
-	compiledStats.fallback.Add(uint64(cp.fallback))
+	compiledStats.blocks.Add(uint64(len(cp.blocks)))
 	return cp
 }
 
@@ -190,15 +182,11 @@ func aggCharges(agg map[int32]int64) []classCharge {
 	return charges
 }
 
-// buildChain threads block b into one continuation, last member first,
-// or returns nil when any member is untranslatable. The terminator
-// resolves the successor pc natively; everything before it is a typed
-// closure calling the next one.
+// buildChain threads block b into one continuation, last member first.
+// The terminator resolves the successor pc natively; everything before
+// it is a typed closure calling the next one.
 func (cp *CompiledProgram) buildChain(b *cBlock) cont {
 	code := cp.code
-	if b.end <= b.start {
-		return nil
-	}
 	last := b.end - 1
 	var next cont
 	i := last
@@ -224,11 +212,7 @@ func (cp *CompiledProgram) buildChain(b *cBlock) cont {
 		next = func(*scratch) (int, error) { return fall, nil }
 	}
 	for ; i >= b.start; i-- {
-		c, ok := cp.translateOp(&code[i], i-b.start, next)
-		if !ok {
-			return nil
-		}
-		next = c
+		next = cp.translateOp(&code[i], i-b.start, next)
 	}
 	return next
 }
@@ -275,24 +259,23 @@ func floatCond(op Opc) func(x, y float64) bool {
 	}
 }
 
-// translateOp builds the closure for one non-terminator member, or
-// reports ok=false when the op is untranslatable (the whole block then
-// falls back to per-op stepping). k is the member's index within its
-// block; fallible closures return it with their fault so the caller
-// can replay the completed prefix's charges. Every case must compute
-// exactly what step computes for the same op — the reference-vs-compiled
-// differential tests and FuzzCompiledEngine enforce this bit for bit.
-func (cp *CompiledProgram) translateOp(in *pInstr, k int, next cont) (cont, bool) {
+// translateOp builds the closure for one non-terminator member. k is
+// the member's index within its block; fallible closures return it
+// with their fault so the caller can replay the completed prefix's
+// charges. Every case must compute exactly what the reference engine
+// computes for the same op — the reference-vs-compiled differential
+// tests and FuzzCompiledEngine enforce this bit for bit.
+func (cp *CompiledProgram) translateOp(in *pInstr, k int, next cont) cont {
 	switch in.op {
 	case OpNop:
-		return next, true
+		return next
 
 	case OpConst:
 		dst, v := in.dst, in.val
 		return func(s *scratch) (int, error) {
 			s.regs[dst] = v
 			return next(s)
-		}, true
+		}
 
 	case OpMov:
 		dst, a := in.dst, in.a
@@ -307,7 +290,7 @@ func (cp *CompiledProgram) translateOp(in *pInstr, k int, next cont) (cont, bool
 			dr := &s.regs[dst]
 			dr.i, dr.f, dr.c, dr.lanes = src.i, src.f, src.c, lanes
 			return next(s)
-		}, true
+		}
 
 	case OpConv:
 		dst, a, kBase := in.dst, in.a, in.kBase
@@ -318,24 +301,24 @@ func (cp *CompiledProgram) translateOp(in *pInstr, k int, next cont) (cont, bool
 				convInto(d, s.regs[a], kBase)
 				s.regs[dst] = vmval{lanes: d}
 				return next(s)
-			}, true
+			}
 		}
 		switch kBase {
 		case ir.Int:
 			return func(s *scratch) (int, error) {
 				setInt(&s.regs[dst], s.regs[a].i)
 				return next(s)
-			}, true
+			}
 		case ir.Float:
 			return func(s *scratch) (int, error) {
 				setFloat(&s.regs[dst], s.regs[a].f)
 				return next(s)
-			}, true
+			}
 		default:
 			return func(s *scratch) (int, error) {
 				setComplex(&s.regs[dst], s.regs[a].c)
 				return next(s)
-			}, true
+			}
 		}
 
 	case OpBin:
@@ -347,7 +330,7 @@ func (cp *CompiledProgram) translateOp(in *pInstr, k int, next cont) (cont, bool
 					return k, err
 				}
 				return next(s)
-			}, true
+			}
 		}
 		lanes := in.lanes
 		return func(s *scratch) (int, error) {
@@ -362,28 +345,28 @@ func (cp *CompiledProgram) translateOp(in *pInstr, k int, next cont) (cont, bool
 			}
 			s.regs[dst] = vmval{lanes: d}
 			return next(s)
-		}, true
+		}
 
 	case xIAdd:
 		dst, a, b := in.dst, in.a, in.b
 		return func(s *scratch) (int, error) {
 			setInt(&s.regs[dst], s.regs[a].i+s.regs[b].i)
 			return next(s)
-		}, true
+		}
 
 	case xISub:
 		dst, a, b := in.dst, in.a, in.b
 		return func(s *scratch) (int, error) {
 			setInt(&s.regs[dst], s.regs[a].i-s.regs[b].i)
 			return next(s)
-		}, true
+		}
 
 	case xIMul:
 		dst, a, b := in.dst, in.a, in.b
 		return func(s *scratch) (int, error) {
 			setInt(&s.regs[dst], s.regs[a].i*s.regs[b].i)
 			return next(s)
-		}, true
+		}
 
 	case xILt, xILe, xIGt, xIGe, xIEq, xINe, xIAnd, xIOr:
 		dst, a, b := in.dst, in.a, in.b
@@ -391,35 +374,35 @@ func (cp *CompiledProgram) translateOp(in *pInstr, k int, next cont) (cont, bool
 		return func(s *scratch) (int, error) {
 			setInt(&s.regs[dst], b2i(cond(s.regs[a].i, s.regs[b].i)))
 			return next(s)
-		}, true
+		}
 
 	case xFAdd:
 		dst, a, b := in.dst, in.a, in.b
 		return func(s *scratch) (int, error) {
 			setFloat(&s.regs[dst], s.regs[a].f+s.regs[b].f)
 			return next(s)
-		}, true
+		}
 
 	case xFSub:
 		dst, a, b := in.dst, in.a, in.b
 		return func(s *scratch) (int, error) {
 			setFloat(&s.regs[dst], s.regs[a].f-s.regs[b].f)
 			return next(s)
-		}, true
+		}
 
 	case xFMul:
 		dst, a, b := in.dst, in.a, in.b
 		return func(s *scratch) (int, error) {
 			setFloat(&s.regs[dst], s.regs[a].f*s.regs[b].f)
 			return next(s)
-		}, true
+		}
 
 	case xFDiv:
 		dst, a, b := in.dst, in.a, in.b
 		return func(s *scratch) (int, error) {
 			setFloat(&s.regs[dst], s.regs[a].f/s.regs[b].f)
 			return next(s)
-		}, true
+		}
 
 	case xFLt, xFLe, xFGt, xFGe, xFEq, xFNe,
 		xFLtI, xFLeI, xFGtI, xFGeI, xFEqI, xFNeI:
@@ -428,28 +411,28 @@ func (cp *CompiledProgram) translateOp(in *pInstr, k int, next cont) (cont, bool
 		return func(s *scratch) (int, error) {
 			setInt(&s.regs[dst], b2i(cond(s.regs[a].f, s.regs[b].f)))
 			return next(s)
-		}, true
+		}
 
 	case xCAdd:
 		dst, a, b := in.dst, in.a, in.b
 		return func(s *scratch) (int, error) {
 			setComplex(&s.regs[dst], s.regs[a].c+s.regs[b].c)
 			return next(s)
-		}, true
+		}
 
 	case xCSub:
 		dst, a, b := in.dst, in.a, in.b
 		return func(s *scratch) (int, error) {
 			setComplex(&s.regs[dst], s.regs[a].c-s.regs[b].c)
 			return next(s)
-		}, true
+		}
 
 	case xCMul:
 		dst, a, b := in.dst, in.a, in.b
 		return func(s *scratch) (int, error) {
 			setComplex(&s.regs[dst], s.regs[a].c*s.regs[b].c)
 			return next(s)
-		}, true
+		}
 
 	case xIntrS:
 		dst, intr, kBase := in.dst, in.intr, in.kBase
@@ -468,7 +451,7 @@ func (cp *CompiledProgram) translateOp(in *pInstr, k int, next cont) (cont, bool
 			}
 			setMaterialize(&regs[dst], intrLane(intr, a0, a1, a2), kBase)
 			return next(s)
-		}, true
+		}
 
 	case OpUn:
 		dst, a := in.dst, in.a
@@ -481,7 +464,7 @@ func (cp *CompiledProgram) translateOp(in *pInstr, k int, next cont) (cont, bool
 				}
 				s.regs[dst] = v
 				return next(s)
-			}, true
+			}
 		}
 		lanes := in.lanes
 		return func(s *scratch) (int, error) {
@@ -496,13 +479,19 @@ func (cp *CompiledProgram) translateOp(in *pInstr, k int, next cont) (cont, bool
 			}
 			s.regs[dst] = vmval{lanes: d}
 			return next(s)
-		}, true
+		}
 
 	case OpIntr:
-		if in.intrFaultPre != "" || in.intrFaultPost != "" {
-			// Faulting intrinsics keep the reference engine's exact
-			// pre/post-charge fault ordering: fall back to stepBlock.
-			return nil, false
+		msg := in.intrFaultPre
+		if msg == "" {
+			msg = in.intrFaultPost
+		}
+		if msg != "" {
+			// A pre-charge fault decodes with no charge (class -1, cost
+			// 0), so prefix replay charges exactly what the reference
+			// engine does for either kind.
+			err := errors.New(msg)
+			return func(*scratch) (int, error) { return k, err }
 		}
 		dst, lanes, kBase := in.dst, in.lanes, in.kBase
 		if in.pat != nil {
@@ -523,7 +512,7 @@ func (cp *CompiledProgram) translateOp(in *pInstr, k int, next cont) (cont, bool
 					s.regs[dst] = vmval{lanes: d}
 				}
 				return next(s)
-			}, true
+			}
 		}
 		intr := in.intr
 		a0r, a1r := in.args[0], in.args[1]
@@ -547,7 +536,7 @@ func (cp *CompiledProgram) translateOp(in *pInstr, k int, next cont) (cont, bool
 				s.regs[dst] = vmval{lanes: d}
 			}
 			return next(s)
-		}, true
+		}
 
 	case OpLoad:
 		dst, a, arr, name := in.dst, in.a, in.arr, in.arrName
@@ -563,7 +552,7 @@ func (cp *CompiledProgram) translateOp(in *pInstr, k int, next cont) (cont, bool
 				}
 				setComplex(&s.regs[dst], ar.C[idx])
 				return next(s)
-			}, true
+			}
 		}
 		return func(s *scratch) (int, error) {
 			ar := s.arrays[arr]
@@ -576,7 +565,7 @@ func (cp *CompiledProgram) translateOp(in *pInstr, k int, next cont) (cont, bool
 			}
 			setFloat(&s.regs[dst], ar.F[idx])
 			return next(s)
-		}, true
+		}
 
 	case OpVLoad:
 		dst, a, arr, name := in.dst, in.a, in.arr, in.arrName
@@ -602,7 +591,7 @@ func (cp *CompiledProgram) translateOp(in *pInstr, k int, next cont) (cont, bool
 			}
 			s.regs[dst] = vmval{lanes: d}
 			return next(s)
-		}, true
+		}
 
 	case OpStore:
 		a, b, arr, name, lanes := in.a, in.b, in.arr, in.arrName, in.lanes
@@ -624,7 +613,7 @@ func (cp *CompiledProgram) translateOp(in *pInstr, k int, next cont) (cont, bool
 				storeElem(ar, base, val.c)
 			}
 			return next(s)
-		}, true
+		}
 
 	case OpDim:
 		dst, arr, name, immI := in.dst, in.arr, in.arrName, in.immI
@@ -642,7 +631,7 @@ func (cp *CompiledProgram) translateOp(in *pInstr, k int, next cont) (cont, bool
 				setInt(&s.regs[dst], int64(ar.Len()))
 			}
 			return next(s)
-		}, true
+		}
 
 	case OpSel:
 		dst, kBase := in.dst, in.kBase
@@ -663,7 +652,7 @@ func (cp *CompiledProgram) translateOp(in *pInstr, k int, next cont) (cont, bool
 					setComplex(d, src.c)
 				}
 				return next(s)
-			}, true
+			}
 		}
 		lanes := in.lanes
 		return func(s *scratch) (int, error) {
@@ -683,7 +672,7 @@ func (cp *CompiledProgram) translateOp(in *pInstr, k int, next cont) (cont, bool
 			}
 			s.regs[dst] = vmval{lanes: d}
 			return next(s)
-		}, true
+		}
 
 	case OpSplat:
 		dst, a, lanes := in.dst, in.a, in.lanes
@@ -695,7 +684,7 @@ func (cp *CompiledProgram) translateOp(in *pInstr, k int, next cont) (cont, bool
 			}
 			s.regs[dst] = vmval{lanes: d}
 			return next(s)
-		}, true
+		}
 
 	case OpRamp:
 		dst, a, lanes, step := in.dst, in.a, in.lanes, in.immI
@@ -707,7 +696,7 @@ func (cp *CompiledProgram) translateOp(in *pInstr, k int, next cont) (cont, bool
 			}
 			s.regs[dst] = vmval{lanes: d}
 			return next(s)
-		}, true
+		}
 
 	case OpReduce:
 		dst, a := in.dst, in.a
@@ -727,12 +716,35 @@ func (cp *CompiledProgram) translateOp(in *pInstr, k int, next cont) (cont, bool
 			}
 			setMaterialize(&s.regs[dst], acc, kBase)
 			return next(s)
-		}, true
+		}
+
+	case OpAlloc:
+		ra, rb, arr, name, cplx := in.a, in.b, in.arr, in.arrName, in.elem == ir.Complex
+		zeroClass, zeroCost, w := in.zeroClass, in.zeroCost, in.allocW
+		return func(s *scratch) (int, error) {
+			r, c := int(s.regs[ra].i), int(s.regs[rb].i)
+			if r < 0 || c < 0 || r*c > 1<<28 {
+				return k, fmt.Errorf("alloc %s: bad extent %dx%d", name, r, c)
+			}
+			if cplx {
+				s.arrays[arr] = ir.NewComplexArray(r, c)
+			} else {
+				s.arrays[arr] = ir.NewFloatArray(r, c)
+			}
+			// Zero-fill cost: one wide store per SIMD word. An alloc
+			// ends its block, so no limit check runs before the next
+			// block's, which is where the reference engine checks it.
+			words := (int64(r)*int64(c) + w - 1) / w
+			s.cycles += zeroCost * words
+			s.counts[zeroClass] += words
+			s.touched[zeroClass] = true
+			return next(s)
+		}
 	}
 
-	// OpAlloc (runtime-dependent zero-fill charge) and anything the
-	// translator does not know: the block falls back to per-op stepping.
-	return nil, false
+	// Unreachable for validated programs: fault like the reference engine.
+	err := fmt.Errorf("bad opcode %s", in.op)
+	return func(*scratch) (int, error) { return k, err }
 }
 
 func (cp *CompiledProgram) getScratch() *scratch {
@@ -743,6 +755,7 @@ func (cp *CompiledProgram) getScratch() *scratch {
 	return &scratch{
 		regs:    make([]vmval, n),
 		arrays:  make([]*ir.Array, len(cp.prog.Arrays)),
+		runs:    make([]int64, len(cp.blocks)),
 		counts:  make([]int64, cp.table.Len()),
 		touched: make([]bool, cp.table.Len()),
 		lanebuf: make([]complex128, n*cp.maxL),
@@ -753,8 +766,10 @@ func (cp *CompiledProgram) getScratch() *scratch {
 func (cp *CompiledProgram) putScratch(s *scratch) {
 	clear(s.regs)
 	clear(s.arrays) // drop array references so results don't pin the pool
+	clear(s.runs)
 	clear(s.counts)
 	clear(s.touched)
+	s.cycles = 0
 	cp.pool.Put(s)
 }
 
@@ -768,11 +783,34 @@ func (cp *CompiledProgram) run(m *Machine, ctx context.Context, maxCycles int64,
 	if err := bindArgs(cp.prog, args, s.regs, s.arrays); err != nil {
 		return nil, err
 	}
-	err := cp.exec(m, ctx, s, maxCycles)
+	pc, err := cp.exec(m, ctx, s, maxCycles)
+	// Completed blocks were only counted; charge their class counts and
+	// per-pc profile now, in bulk.
+	for bi, r := range s.runs {
+		if r == 0 {
+			continue
+		}
+		b := &cp.blocks[bi]
+		for _, ch := range b.charges {
+			s.counts[ch.class] += r * ch.n
+			s.touched[ch.class] = true
+		}
+		if m.Profile {
+			for j := b.start; j < b.end; j++ {
+				m.PCCounts[j] += r
+			}
+		}
+	}
 	for id, t := range s.touched {
 		if t {
 			m.ClassCounts[cp.table.Name(id)] += s.counts[id]
 		}
+	}
+	if err == nil && pc >= 0 && pc < len(cp.code) {
+		// The cycle limit falls within the block at pc: the reference
+		// interpreter finishes the run from there, on the machine's
+		// accounting so far.
+		err = m.exec(ctx, cp.prog, pc, s.regs, s.arrays, maxCycles)
 	}
 	if err != nil {
 		return nil, err
@@ -780,180 +818,74 @@ func (cp *CompiledProgram) run(m *Machine, ctx context.Context, maxCycles int64,
 	return collectResults(cp.prog, s.regs, s.arrays)
 }
 
-// exec is the compiled hot loop: one iteration per basic block.
-func (cp *CompiledProgram) exec(m *Machine, ctx context.Context, s *scratch, maxCycles int64) error {
-	var cycles, executed int64
+// exec is the compiled hot loop: one iteration per basic block. It
+// stops at the program's end, at a fault, or before a block that does
+// not fit under maxCycles, returning that block's first pc for the
+// reference interpreter to resume at. A completed block only bumps its
+// run count; run turns the counts into class counts and profile.
+func (cp *CompiledProgram) exec(m *Machine, ctx context.Context, s *scratch, maxCycles int64) (int, error) {
+	var executed int64
 	defer func() {
-		m.Cycles = cycles
+		m.Cycles = s.cycles
 		m.Executed = executed
 	}()
 
-	counts := s.counts
-	touched := s.touched
+	runs := s.runs
 	code := cp.code
-	var prof []int64
-	if m.Profile {
-		prof = m.PCCounts
-	}
-
 	pollIn := int64(CancelCheckStride)
 	pc := 0
 	for pc >= 0 && pc < len(code) {
-		b := &cp.blocks[cp.blockOf[pc]]
+		bi := cp.blockOf[pc]
+		b := &cp.blocks[bi]
 		// Settle the whole block's poll debt before it runs: fewer than
 		// CancelCheckStride instructions ever separate two polls.
 		if ctx != nil {
 			if pollIn -= b.n; pollIn <= 0 {
 				pollIn = CancelCheckStride
 				if err := ctx.Err(); err != nil {
-					return &CancelledError{Executed: executed, Err: err}
+					return pc, &CancelledError{Executed: executed, Err: err}
 				}
 			}
 		}
-		if b.run != nil && cycles+b.cost <= maxCycles {
-			// Fast path: the whole block fits under the cycle limit
-			// (the per-member checks provably cannot fire), so the
-			// closure chain runs semantics-only and accounting lands
-			// once, batched.
-			next, ferr := b.run(s)
-			if ferr == nil {
-				cycles += b.cost
-				executed += b.n
-				for i := range b.charges {
-					ch := &b.charges[i]
-					counts[ch.class] += ch.n
-					touched[ch.class] = true
-				}
-				if prof != nil {
-					for j := b.start; j < b.end; j++ {
-						prof[j]++
-					}
-				}
-				pc = next
-				continue
+		if s.cycles+b.cost > maxCycles {
+			return pc, nil
+		}
+		// The whole block fits under the cycle limit (the per-member
+		// checks provably cannot fire), so the closure chain runs
+		// semantics-only and accounting lands once, batched.
+		next, ferr := b.run(s)
+		if ferr == nil {
+			s.cycles += b.cost
+			executed += b.n
+			runs[bi]++
+			pc = next
+			continue
+		}
+		// Member `next` faulted: replay the completed prefix's charges,
+		// plus the member's own charge when its opcode charges before
+		// its fault checks, then report the member's pc — bit-identical
+		// to the reference engine.
+		k := next
+		for j := 0; j <= k; j++ {
+			sb := &code[b.start+j]
+			if j == k && !chargeFirstOp(sb.op) {
+				break
 			}
-			// Member `next` faulted: replay the completed prefix's
-			// charges, plus the member's own charge when its opcode
-			// charges before its fault checks, then report the
-			// member's pc — bit-identical to the reference engine.
-			k := next
+			s.cycles += sb.cost
+			if sb.class >= 0 {
+				s.counts[sb.class] += sb.countN
+				s.touched[sb.class] = true
+			}
+		}
+		executed += int64(k) + 1
+		if m.Profile {
 			for j := 0; j <= k; j++ {
-				sb := &code[b.start+j]
-				if j == k && !chargeFirstOp(sb.op) {
-					break
-				}
-				cycles += sb.cost
-				if sb.class >= 0 {
-					counts[sb.class] += sb.countN
-					touched[sb.class] = true
-				}
+				m.PCCounts[b.start+j]++
 			}
-			executed += int64(k) + 1
-			if prof != nil {
-				for j := 0; j <= k; j++ {
-					prof[b.start+j]++
-				}
-			}
-			return &FaultError{PC: b.start + k, Msg: ferr.Error()}
 		}
-		// Fallback block, or the cycle limit is within the block's
-		// reach: step ops one at a time with the reference engine's
-		// exact limit-check/charge ordering.
-		next, err := cp.stepBlock(s, b, &cycles, &executed, prof, maxCycles)
-		if err != nil {
-			return err
-		}
-		pc = next
+		return pc, &FaultError{PC: b.start + k, Msg: ferr.Error()}
 	}
-	return nil
-}
-
-// stepBlock executes block b one op at a time with the reference
-// engine's exact ordering — limit check, executed++, charge placement
-// around fault checks — and returns the successor pc (-1 = returned).
-// It handles the ops the translator does not (OpAlloc, faulting
-// OpIntr) and doubles as the cycle-limit slow path for compiled
-// blocks.
-func (cp *CompiledProgram) stepBlock(s *scratch, b *cBlock, cycles, executed *int64, prof []int64, maxCycles int64) (int, error) {
-	code := cp.code
-	counts := s.counts
-	touched := s.touched
-	for pc := b.start; pc < b.end; pc++ {
-		if *cycles > maxCycles {
-			return 0, &FaultError{PC: pc, Msg: fmt.Sprintf("cycle limit exceeded (%d)", maxCycles)}
-		}
-		*executed++
-		if prof != nil {
-			prof[pc]++
-		}
-		in := &code[pc]
-		charge := func() {
-			*cycles += in.cost
-			if in.class >= 0 {
-				counts[in.class] += in.countN
-				touched[in.class] = true
-			}
-		}
-		switch in.op {
-		case OpJmp:
-			charge()
-			return in.off, nil
-
-		case OpJz:
-			charge()
-			if isZeroP(&s.regs[in.a]) {
-				return in.off, nil
-			}
-			return pc + 1, nil
-
-		case OpRet:
-			charge()
-			return -1, nil
-
-		case OpAlloc:
-			r := int(s.regs[in.a].i)
-			c := int(s.regs[in.b].i)
-			if r < 0 || c < 0 || r*c > 1<<28 {
-				return 0, &FaultError{PC: pc, Msg: fmt.Sprintf("alloc %s: bad extent %dx%d", in.arrName, r, c)}
-			}
-			if in.elem == ir.Complex {
-				s.arrays[in.arr] = ir.NewComplexArray(r, c)
-			} else {
-				s.arrays[in.arr] = ir.NewFloatArray(r, c)
-			}
-			charge()
-			// Zero-fill cost: one wide store per SIMD word.
-			words := (int64(r)*int64(c) + in.allocW - 1) / in.allocW
-			*cycles += in.zeroCost * words
-			counts[in.zeroClass] += words
-			touched[in.zeroClass] = true
-
-		case OpIntr:
-			if in.intrFaultPre != "" {
-				return 0, &FaultError{PC: pc, Msg: in.intrFaultPre}
-			}
-			charge()
-			if in.intrFaultPost != "" {
-				return 0, &FaultError{PC: pc, Msg: in.intrFaultPost}
-			}
-			if err := step(in, s); err != nil {
-				return 0, &FaultError{PC: pc, Msg: err.Error()}
-			}
-
-		default:
-			first := chargeFirstOp(in.op)
-			if first {
-				charge()
-			}
-			if err := step(in, s); err != nil {
-				return 0, &FaultError{PC: pc, Msg: err.Error()}
-			}
-			if !first {
-				charge()
-			}
-		}
-	}
-	return b.end, nil
+	return pc, nil
 }
 
 // compiledStats are process-wide translation counters, exported for
@@ -962,7 +894,6 @@ func (cp *CompiledProgram) stepBlock(s *scratch, b *cBlock, cycles, executed *in
 var compiledStats struct {
 	translations atomic.Uint64
 	blocks       atomic.Uint64
-	fallback     atomic.Uint64
 }
 
 // CompiledInfo is a point-in-time snapshot of the compiled engine's
@@ -970,12 +901,9 @@ var compiledStats struct {
 type CompiledInfo struct {
 	// Translations counts programs translated to closure chains.
 	Translations uint64 `json:"translations"`
-	// BlocksCompiled / FallbackBlocks count basic blocks that compiled
-	// to a closure chain vs. blocks left to the per-op stepper, across
-	// all translations. FallbackBlocks growing relative to
-	// BlocksCompiled means translator coverage regressed.
+	// BlocksCompiled counts basic blocks translated to closure chains
+	// across all translations.
 	BlocksCompiled uint64 `json:"blocks_compiled"`
-	FallbackBlocks uint64 `json:"fallback_blocks"`
 }
 
 // CompiledStats reports the process-wide translation counters.
@@ -983,7 +911,6 @@ func CompiledStats() CompiledInfo {
 	return CompiledInfo{
 		Translations:   compiledStats.translations.Load(),
 		BlocksCompiled: compiledStats.blocks.Load(),
-		FallbackBlocks: compiledStats.fallback.Load(),
 	}
 }
 
@@ -991,5 +918,4 @@ func CompiledStats() CompiledInfo {
 func ResetCompiledStats() {
 	compiledStats.translations.Store(0)
 	compiledStats.blocks.Store(0)
-	compiledStats.fallback.Store(0)
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -44,8 +45,8 @@ func TestCompiledStatsAccrue(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := CompiledStats()
-	if st.Translations != 1 || st.BlocksCompiled != 1 || st.FallbackBlocks != 0 {
-		t.Errorf("stats = %+v, want 1 translation, 1 compiled block, 0 fallback", st)
+	if st.Translations != 1 || st.BlocksCompiled != 1 {
+		t.Errorf("stats = %+v, want 1 translation, 1 compiled block", st)
 	}
 }
 
@@ -73,25 +74,80 @@ func TestCompiledCacheKeying(t *testing.T) {
 	}
 }
 
-// TestCompiledFallbackBlocks: a program with an OpAlloc (runtime-sized
-// zero-fill charge) keeps that block on the per-op stepper but still
-// runs correctly end to end. The fir kernel allocates its output.
-func TestCompiledFallbackBlocks(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	f, p := buildIR(t, firSrc, "dspasip", true, dynVec(), dynVec())
-	prog, err := Lower(f)
-	if err != nil {
-		t.Fatal(err)
+// faultPathProg hand-builds a program over float parameters a, b (r0,
+// r1) and a float local array t: three charged ops (two int consts
+// holding an alloc extent in r2 x r3, one float add into r4), then
+// tail, then a const and ret, so whatever tail does happens mid-block
+// after charged work.
+func faultPathProg(rows int64, tail ...Instr) *Program {
+	ik := ir.Kind{Base: ir.Int, Lanes: 1}
+	fk := ir.Kind{Base: ir.Float, Lanes: 1}
+	prog := &Program{Name: "fp", NumRegs: 6}
+	prog.Arrays = []ArraySlot{{Name: "t", Elem: ir.Float}}
+	prog.Params = []Param{{Name: "a", Elem: ir.Float, Reg: 0}, {Name: "b", Elem: ir.Float, Reg: 1}}
+	prog.Results = []Param{{Name: "y", Elem: ir.Float, Reg: 4}}
+	prog.Instrs = []Instr{
+		{Op: OpConst, K: ik, Dst: 2, ImmI: rows},
+		{Op: OpConst, K: ik, Dst: 3, ImmI: 64},
+		{Op: OpBin, K: fk, OpBase: ir.Float, BOp: ir.OpAdd, Dst: 4, A: 0, B: 1},
 	}
-	cp := compileProgram(prog, p)
-	compiled, fallback := cp.BlockCounts()
-	if compiled == 0 {
-		t.Fatalf("no blocks compiled (fallback=%d): translator collapsed", fallback)
+	prog.Instrs = append(prog.Instrs, tail...)
+	prog.Instrs = append(prog.Instrs,
+		Instr{Op: OpConst, K: fk, Dst: 5, ImmF: 1},
+		Instr{Op: OpRet})
+	return prog
+}
+
+// withInstr returns a clone of a built-in target declaring one more
+// custom instruction.
+func withInstr(base, name string) *pdesc.Processor {
+	p := pdesc.Builtin(base).Clone()
+	p.Name = base + "+" + name
+	p.Instructions = append(p.Instructions, pdesc.Instr{Name: name, Cycles: 1})
+	return p
+}
+
+// TestCompiledFaultPaths is the fault-path differential for the ops
+// whose charge placement is irregular: intrinsics that fault before or
+// after their charge, an OpAlloc that faults before its charge, and an
+// OpAlloc whose zero-fill alone crosses the cycle limit. Each faults
+// mid-block after charged ops, and the engines must agree on every
+// observable (assertEnginesAgree).
+func TestCompiledFaultPaths(t *testing.T) {
+	fk := ir.Kind{Base: ir.Float, Lanes: 1}
+	intr := func(name string, args ...int) Instr {
+		return Instr{Op: OpIntr, K: fk, Dst: 4, Args: args, Intr: name}
 	}
-	if fallback == 0 {
-		t.Fatalf("expected the alloc block to fall back (compiled=%d)", compiled)
+	alloc := Instr{Op: OpAlloc, Arr: 0, A: 2, B: 3}
+	cases := []struct {
+		name      string
+		prog      *Program
+		proc      *pdesc.Processor
+		maxCycles int64
+		wantPC    int    // the reference engine's fault pc
+		wantMsg   string // a substring of its fault text
+	}{
+		{"intrinsic-not-provided", faultPathProg(1, intr("cmac", 0, 1, 4)), pdesc.Builtin("scalar"), 0, 3, "not provided"},
+		{"unknown-intrinsic", faultPathProg(1, intr("bogus", 0, 1)), withInstr("scalar", "bogus"), 0, 3, "unknown intrinsic"},
+		{"intrinsic-arity", faultPathProg(1, intr("fma", 0, 1)), withInstr("scalar", "fma"), 0, 3, "expects 3 args"},
+		{"alloc-bad-extent", faultPathProg(-1, alloc), pdesc.Builtin("scalar"), 0, 3, "bad extent"},
+		// 64x64 zero-fill is thousands of cycles; everything up to and
+		// including the alloc's own charge fits under 100.
+		{"alloc-zero-fill-crosses-limit", faultPathProg(64, alloc), pdesc.Builtin("scalar"), 100, 4, "cycle limit"},
+		{"alloc-zero-fill-crosses-limit-simd", faultPathProg(64, alloc), pdesc.Builtin("dspasip"), 100, 4, "cycle limit"},
 	}
-	assertEnginesAgree(t, prog, p, 0, []interface{}{randArr(64, r), randArr(8, r)})
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			args := []interface{}{1.5, 2.5}
+			refM, _, refErr := runEngine(tc.prog, tc.proc, EngineReference, tc.maxCycles, args)
+			var fe *FaultError
+			if !errors.As(refErr, &fe) || fe.PC != tc.wantPC || !strings.Contains(fe.Msg, tc.wantMsg) || refM.Cycles == 0 {
+				t.Fatalf("reference: %v after %d cycles, want a fault at pc %d containing %q after charged ops",
+					refErr, refM.Cycles, tc.wantPC, tc.wantMsg)
+			}
+			assertEnginesAgree(t, tc.prog, tc.proc, tc.maxCycles, args)
+		})
+	}
 }
 
 // TestFaultSiteParityUnderCycleLimits is the fault-site differential:
@@ -285,8 +341,8 @@ const (
 // bounded by MaxCycles in the harness), mid-program returns, scalar
 // loads/stores/dims on an array parameter and two locals (out-of-bounds
 // and unallocated-array faults replay charge-after-check placement),
-// OpAlloc with extents clamped to a few dozen elements (forcing
-// fallback blocks and bad-extent faults), and 4-lane vload, splat,
+// OpAlloc with extents clamped to a few dozen elements (block splits
+// after each alloc and bad-extent faults), and 4-lane vload, splat,
 // vector arithmetic and reductions (reduce of a scalar faults).
 func fuzzProg(data []byte) *Program {
 	prog := &Program{Name: "fz", NumRegs: fzRegs}
@@ -420,8 +476,8 @@ func FuzzCompiledEngine(f *testing.F) {
 	f.Add([]byte{13, 0x5a, 10, 0x81, 11, 0x88, 12, 0x42, 14, 0x08, 14, 0x49, 14, 0x8a, 14, 0xc2, 9, 2}, uint16(0))
 	// Compares and conversions feeding a backward branch.
 	f.Add([]byte{5, 0x01, 5, 0xc9, 4, 0x52, 7, 0x43, 7, 0x84, 8, 0x03}, uint16(300))
-	// A complex value round-tripped through an allocated array inside
-	// the allocating (stepped) block, returned through w.
+	// A complex value round-tripped through an allocated array right
+	// after the allocating block, returned through w.
 	f.Add([]byte{13, 83, 49, 245, 11, 234, 42, 194}, uint16(0))
 	procs := []*pdesc.Processor{pdesc.Builtin("scalar"), pdesc.Builtin("dspasip")}
 	f.Fuzz(func(t *testing.T, data []byte, limSeed uint16) {

@@ -186,7 +186,7 @@ func (m *Machine) RunContext(ctx context.Context, prog *Program, args ...interfa
 	if err := bindArgs(prog, args, regs, arrays); err != nil {
 		return nil, err
 	}
-	if err := m.exec(ctx, prog, regs, arrays, maxCycles); err != nil {
+	if err := m.exec(ctx, prog, 0, regs, arrays, maxCycles); err != nil {
 		return nil, err
 	}
 	return collectResults(prog, regs, arrays)
@@ -277,8 +277,10 @@ func collectResults(prog *Program, regs []vmval, arrays []*ir.Array) ([]interfac
 	return results, nil
 }
 
-func (m *Machine) exec(ctx context.Context, prog *Program, regs []vmval, arrays []*ir.Array, maxCycles int64) error {
-	pc := 0
+// exec is the reference interpreter. It runs prog from pc on the
+// machine's current accounting, so the compiled engine can hand it a
+// run whose cycle limit falls within the next block.
+func (m *Machine) exec(ctx context.Context, prog *Program, pc int, regs []vmval, arrays []*ir.Array, maxCycles int64) error {
 	fault := func(format string, a ...interface{}) error {
 		return &FaultError{PC: pc, Msg: fmt.Sprintf(format, a...)}
 	}

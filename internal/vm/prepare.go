@@ -15,8 +15,7 @@ import (
 // Decoding hoists all of that to program-load time: each instruction
 // becomes a pInstr whose cycle cost, dense cost-class ID and class
 // count are fully resolved against a pdesc.CostTable. The compiled
-// engine (compile.go) translates this table into closures, and its
-// per-op stepper (step, below) interprets it directly.
+// engine (compile.go) translates this table into closures.
 //
 // Invariants the decode must hold:
 //   - code[pc] describes prog.Instrs[pc]: the table is 1:1 with the
@@ -33,9 +32,8 @@ import (
 // whose (operation, computation base, result base) triple is fully
 // known at decode time collapse into dedicated opcodes, which the
 // translator turns into one direct arithmetic expression. Each fused
-// case must compute exactly what its generic counterpart computes —
-// step relies on this by running fused opcodes through the generic
-// path, and the differential tests enforce it bit for bit.
+// case must compute exactly what its generic counterpart computes; the
+// differential tests enforce it bit for bit.
 const (
 	xIAdd Opc = 0x100 + iota
 	xISub
@@ -220,13 +218,18 @@ type pInstr struct {
 }
 
 // scratch is the per-run execution arena: register file, array slots,
-// dense class counters, and the shared lane buffer. Register r owns
-// lanebuf[r*maxL : (r+1)*maxL]; a register's vmval.lanes is always nil
-// or a prefix of its own segment, so vector writes never alias another
-// register's storage.
+// cycle, block-run and dense class counters, and the shared lane
+// buffer. Register r owns lanebuf[r*maxL : (r+1)*maxL]; a register's
+// vmval.lanes is always nil or a prefix of its own segment, so vector
+// writes never alias another register's storage.
 type scratch struct {
-	regs    []vmval
-	arrays  []*ir.Array
+	regs   []vmval
+	arrays []*ir.Array
+	// cycles is the run's charge so far. It lives here rather than in
+	// exec so that OpAlloc's closure can add its extent-dependent
+	// zero-fill directly.
+	cycles  int64
+	runs    []int64 // completions per compiled block
 	counts  []int64
 	touched []bool
 	lanebuf []complex128
@@ -536,236 +539,6 @@ func binScalarInto(d *vmval, op ir.Op, opBase, kBase ir.BaseKind, a, b *vmval) e
 		} else {
 			setComplex(d, r)
 		}
-	}
-	return nil
-}
-
-// step executes one decoded non-control-flow instruction semantics-only:
-// no cycle or class accounting and no limit check (the caller owns
-// those). It returns the instruction's fault with the reference
-// engine's message text. The caller handles OpAlloc and an OpIntr's
-// precomputed faults itself. Fused opcodes run through their generic
-// forms, which compute the same values by construction.
-func step(in *pInstr, s *scratch) error {
-	regs := s.regs
-	arrays := s.arrays
-	op := in.op
-	switch {
-	case op >= xIAdd && op <= xCMul:
-		op = OpBin
-	case op == xIntrS:
-		op = OpIntr
-	}
-	switch op {
-	case OpNop:
-
-	case OpConst:
-		regs[in.dst] = in.val
-
-	case OpMov:
-		src := &regs[in.a]
-		lanes := src.lanes
-		if lanes != nil {
-			dst := s.seg(in.dst, len(lanes))
-			copy(dst, lanes)
-			lanes = dst
-		}
-		d := &regs[in.dst]
-		d.i, d.f, d.c, d.lanes = src.i, src.f, src.c, lanes
-
-	case OpConv:
-		if in.lanes > 1 {
-			dst := s.seg(in.dst, in.lanes)
-			convInto(dst, regs[in.a], in.kBase)
-			regs[in.dst] = vmval{lanes: dst}
-		} else {
-			regs[in.dst] = convScalar(regs[in.a], in.kBase)
-		}
-
-	case OpBin:
-		a, b := &regs[in.a], &regs[in.b]
-		if in.lanes <= 1 {
-			return binScalarInto(&regs[in.dst], in.bop, in.opBase, in.kBase, a, b)
-		}
-		dst := s.seg(in.dst, in.lanes)
-		for j := 0; j < in.lanes; j++ {
-			r, err := binLane(in.bop, in.opBase, in.kBase, laneOf(a, j), laneOf(b, j))
-			if err != nil {
-				return err
-			}
-			dst[j] = r
-		}
-		regs[in.dst] = vmval{lanes: dst}
-
-	case OpUn:
-		a := &regs[in.a]
-		if in.lanes <= 1 {
-			v, err := unScalar(in.bop, in.opBase, in.kBase, *a)
-			if err != nil {
-				return err
-			}
-			regs[in.dst] = v
-			return nil
-		}
-		dst := s.seg(in.dst, in.lanes)
-		for j := 0; j < in.lanes; j++ {
-			v, err := unLane(in.bop, in.opBase, in.kBase, laneOf(a, j))
-			if err != nil {
-				return err
-			}
-			dst[j] = v
-		}
-		regs[in.dst] = vmval{lanes: dst}
-
-	case OpIntr:
-		dst := s.seg(in.dst, in.lanes)
-		if in.pat != nil {
-			var argbuf [ir.MaxPatternArity]complex128
-			pargs := argbuf[:len(in.args)]
-			for j := 0; j < in.lanes; j++ {
-				for ai, r := range in.args {
-					pargs[ai] = laneOf(&regs[r], j)
-				}
-				dst[j] = in.pat.EvalLane(pargs)
-			}
-		} else {
-			a0, a1 := &regs[in.args[0]], &regs[in.args[1]]
-			a2 := &zeroVmval
-			if len(in.args) > 2 {
-				a2 = &regs[in.args[2]]
-			}
-			for j := 0; j < in.lanes; j++ {
-				dst[j] = intrLane(in.intr, laneOf(a0, j), laneOf(a1, j), laneOf(a2, j))
-			}
-		}
-		if in.lanes <= 1 {
-			setMaterialize(&regs[in.dst], dst[0], in.kBase)
-		} else {
-			regs[in.dst] = vmval{lanes: dst}
-		}
-
-	case OpLoad:
-		arr := arrays[in.arr]
-		if arr == nil {
-			return fmt.Errorf("load from unallocated array %s", in.arrName)
-		}
-		idx := int(regs[in.a].i)
-		if idx < 0 || idx >= arr.Len() {
-			return fmt.Errorf("load %s[%d] out of bounds (len %d)", in.arrName, idx, arr.Len())
-		}
-		if in.elem == ir.Complex {
-			setComplex(&regs[in.dst], arr.C[idx])
-		} else {
-			setFloat(&regs[in.dst], arr.F[idx])
-		}
-
-	case OpVLoad:
-		arr := arrays[in.arr]
-		if arr == nil {
-			return fmt.Errorf("vload from unallocated array %s", in.arrName)
-		}
-		base := int(regs[in.a].i)
-		lo, hi := base+in.loOff, base+in.hiOff
-		if lo < 0 || hi >= arr.Len() {
-			return fmt.Errorf("vload %s[%d..%d] out of bounds (len %d)", in.arrName, lo, hi, arr.Len())
-		}
-		dst := s.seg(in.dst, in.lanes)
-		for j := 0; j < in.lanes; j++ {
-			dst[j] = arr.At(base + j*in.stride)
-		}
-		regs[in.dst] = vmval{lanes: dst}
-
-	case OpStore:
-		arr := arrays[in.arr]
-		if arr == nil {
-			return fmt.Errorf("store to unallocated array %s", in.arrName)
-		}
-		base := int(regs[in.a].i)
-		val := &regs[in.b]
-		if base < 0 || base+in.lanes > arr.Len() {
-			return fmt.Errorf("store %s[%d..%d] out of bounds (len %d)", in.arrName, base, base+in.lanes-1, arr.Len())
-		}
-		if in.lanes > 1 {
-			for j := 0; j < in.lanes; j++ {
-				storeElem(arr, base+j, laneOf(val, j))
-			}
-		} else {
-			storeElem(arr, base, val.c)
-		}
-
-	case OpDim:
-		arr := arrays[in.arr]
-		if arr == nil {
-			return fmt.Errorf("dim of unallocated array %s", in.arrName)
-		}
-		switch in.immI {
-		case int64(ir.DimRows):
-			setInt(&regs[in.dst], int64(arr.Rows))
-		case int64(ir.DimCols):
-			setInt(&regs[in.dst], int64(arr.Cols))
-		default:
-			setInt(&regs[in.dst], int64(arr.Len()))
-		}
-
-	case OpSel:
-		cond, th, el := &regs[in.args[0]], &regs[in.args[1]], &regs[in.args[2]]
-		if in.lanes <= 1 {
-			src := el
-			if !isZeroP(cond) {
-				src = th
-			}
-			regs[in.dst] = convScalar(*src, in.kBase)
-			return nil
-		}
-		dst := s.seg(in.dst, in.lanes)
-		for j := 0; j < in.lanes; j++ {
-			var v complex128
-			if laneOf(cond, j) != 0 {
-				v = laneOf(th, j)
-			} else {
-				v = laneOf(el, j)
-			}
-			if in.kBase != ir.Complex {
-				v = complex(real(v), 0)
-			}
-			dst[j] = v
-		}
-		regs[in.dst] = vmval{lanes: dst}
-
-	case OpSplat:
-		dst := s.seg(in.dst, in.lanes)
-		v := regs[in.a].c
-		for j := range dst {
-			dst[j] = v
-		}
-		regs[in.dst] = vmval{lanes: dst}
-
-	case OpRamp:
-		dst := s.seg(in.dst, in.lanes)
-		base := regs[in.a].i
-		for j := range dst {
-			dst[j] = complex(float64(base+int64(j)*in.immI), 0)
-		}
-		regs[in.dst] = vmval{lanes: dst}
-
-	case OpReduce:
-		lanes := regs[in.a].lanes
-		if lanes == nil {
-			return fmt.Errorf("reduce of scalar register")
-		}
-		acc := lanes[0]
-		for j := 1; j < len(lanes); j++ {
-			var err error
-			acc, err = scalarBin(in.bop, in.opBase, acc, lanes[j])
-			if err != nil {
-				return err
-			}
-		}
-		setMaterialize(&regs[in.dst], acc, in.kBase)
-
-	default:
-		// Unreachable: control flow and OpAlloc are stepped by the caller.
-		return fmt.Errorf("bad opcode %s", in.op)
 	}
 	return nil
 }

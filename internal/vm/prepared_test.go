@@ -59,14 +59,16 @@ func runEngine(prog *Program, p *pdesc.Processor, engine string, maxCycles int64
 	m := NewMachine(p)
 	m.Engine = engine
 	m.MaxCycles = maxCycles
+	m.Profile = true
 	out, err := m.Run(prog, cloneArgs(args)...)
 	return m, out, err
 }
 
 // assertEnginesAgree runs prog on the reference and compiled engines
-// and requires identical Cycles, Executed, ClassCounts, outputs, and
-// error strings (fault messages include the pc, so fault locations
-// must match too), using the reference interpreter as the oracle.
+// and requires identical Cycles, Executed, ClassCounts, per-pc
+// profiles, outputs, and error strings (fault messages include the pc,
+// so fault locations must match too), using the reference interpreter
+// as the oracle.
 func assertEnginesAgree(t *testing.T, prog *Program, p *pdesc.Processor, maxCycles int64, args []interface{}) {
 	t.Helper()
 	mr, outR, errR := runEngine(prog, p, EngineReference, maxCycles, args)
@@ -85,6 +87,9 @@ func assertEnginesAgree(t *testing.T, prog *Program, p *pdesc.Processor, maxCycl
 	}
 	if !reflect.DeepEqual(mr.ClassCounts, mc.ClassCounts) {
 		t.Errorf("ClassCounts:\n  reference %v\n  compiled  %v", mr.ClassCounts, mc.ClassCounts)
+	}
+	if !reflect.DeepEqual(mr.PCCounts, mc.PCCounts) {
+		t.Errorf("PCCounts:\n  reference %v\n  compiled  %v", mr.PCCounts, mc.PCCounts)
 	}
 	if errR == nil {
 		bitsEqResults(t, outR, outC)
@@ -199,6 +204,14 @@ end`,
 			}
 		}
 	}
+	// A longer fir with an 8-tap filter on a SIMD target: a vectorized
+	// inner loop next to the block split after the output's alloc.
+	f, p := buildIR(t, firSrc, "dspasip", true, dynVec(), dynVec())
+	prog, err := Lower(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertEnginesAgree(t, prog, p, 0, []interface{}{randArr(64, r), randArr(8, r)})
 }
 
 // TestEngineEquivalenceFaults checks that the engines agree on faulting
@@ -243,17 +256,11 @@ func TestEngineEquivalenceFaults(t *testing.T) {
 	})
 	t.Run("unknown-intrinsic", func(t *testing.T) {
 		prog := intrProgram("bogus", 2)
-		p := pdesc.Builtin("scalar").Clone()
-		p.Name = "scalar+bogus"
-		p.Instructions = append(p.Instructions, pdesc.Instr{Name: "bogus", Cycles: 1})
-		assertEnginesAgree(t, prog, p, 0, []interface{}{1.0, 2.0})
+		assertEnginesAgree(t, prog, withInstr("scalar", "bogus"), 0, []interface{}{1.0, 2.0})
 	})
 	t.Run("intrinsic-arity", func(t *testing.T) {
 		prog := intrProgram("fma", 2) // fma wants 3 args
-		p := pdesc.Builtin("scalar").Clone()
-		p.Name = "scalar+fma"
-		p.Instructions = append(p.Instructions, pdesc.Instr{Name: "fma", Cycles: 1})
-		assertEnginesAgree(t, prog, p, 0, []interface{}{1.0, 2.0})
+		assertEnginesAgree(t, prog, withInstr("scalar", "fma"), 0, []interface{}{1.0, 2.0})
 	})
 }
 
