@@ -24,6 +24,7 @@ import (
 	mat2c "mat2c"
 	"mat2c/internal/artifact"
 	"mat2c/internal/artifact/remote"
+	"mat2c/internal/bench"
 	"mat2c/internal/dse"
 	"mat2c/internal/profile"
 )
@@ -46,7 +47,7 @@ func run() int {
 		isxMax  = flag.Int("isx-maxnodes", 0, "mined pattern size bound (default 4; implies -isx)")
 		cacheDir   = flag.String("cachedir", "", "durable artifact store directory: compiled artifacts persist there and warm later runs")
 		cacheBytes = flag.Int64("cachebytes", 0, "artifact store byte budget (0 = default 512 MiB; needs -cachedir)")
-		cacheStats = flag.Bool("cachestats", false, "print cache-tier statistics to stderr after the run")
+		cacheStats = flag.Bool("cachestats", false, "print cache-tier and simulation-memo statistics to stderr after the run")
 		artRemote  = flag.String("artifactremote", "", "blob-protocol `URL` of a fleet-shared artifact cache (e.g. http://coordinator:8723/artifact)")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf    = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -125,7 +126,11 @@ func run() int {
 		// artifacts are durable before the process exits.
 		cache.Flush()
 		if *cacheStats {
-			st, _ := json.MarshalIndent(cache.Stats(), "", "  ")
+			// The cache line stays last: tools parse everything after
+			// "cache: " as one JSON document.
+			st, _ := json.MarshalIndent(bench.SimMemoStats(), "", "  ")
+			fmt.Fprintf(os.Stderr, "sim_memo: %s\n", st)
+			st, _ = json.MarshalIndent(cache.Stats(), "", "  ")
 			fmt.Fprintf(os.Stderr, "cache: %s\n", st)
 		}
 	}

@@ -1,9 +1,12 @@
 package bench
 
 import (
+	"context"
 	"sync"
+	"sync/atomic"
 
 	"mat2c/internal/lru"
+	"mat2c/internal/vm"
 )
 
 // The verification oracle.
@@ -86,4 +89,146 @@ func (cc caseCache) get(k *Kernel, n int) *Case {
 	// entry evicted mid-computation still completes for its waiters.
 	e.once.Do(func() { e.c = newCase(k, n) })
 	return e.c
+}
+
+// The simulation memo.
+//
+// A DSE sweep runs each kernel on hundreds of processor variants, but
+// most variants compile a kernel to a program some other variant
+// already produced: the default sweep's 816 (variant, kernel) runs
+// execute 56 distinct programs. A processor reaches a run's outcome
+// only through prices, so Simulate runs and verifies each distinct
+// (program, kernel, size) once per process and prices every other
+// caller, on any processor, from that run's events (vm.Machine.Price).
+//
+// Invariants:
+//   - The key is the program's content hash, the *Kernel pointer and
+//     the size: content-identical programs on the same case share one
+//     entry, whichever processor compiled them.
+//   - An entry holds events only from a run that completed and whose
+//     outputs passed Verify. The same program on the same inputs
+//     computes the same outputs, so every priced result is verified
+//     too. A run that faults, fails verification or is cancelled
+//     leaves the entry empty, and the next caller simulates again.
+//   - Concurrent callers of one empty entry wait for one simulation,
+//     as with Kernel.Case, instead of racing two.
+//   - Pricing is exact or declines (vm.Machine.Price); a caller it
+//     declines runs the program itself, so fault sites and partial
+//     accounting still come from the engines.
+//   - The memo holds at most DefaultSimMemoSize entries, evicting the
+//     least recently used.
+
+// DefaultSimMemoSize bounds the process-wide simulation memo (entries,
+// not bytes; an entry is one run's block counts, a few KiB at most).
+const DefaultSimMemoSize = 1024
+
+type simKey struct {
+	prog string // vm.Program.ContentHash
+	k    *Kernel
+	n    int
+}
+
+type simEntry struct {
+	// turn is a one-slot lock held while the entry's simulation runs,
+	// so waiters can give up when their context is cancelled.
+	turn chan struct{}
+	ev   atomic.Pointer[vm.Events] // nil until a verified run completes
+}
+
+var (
+	sims             = lru.New[simKey, *simEntry](DefaultSimMemoSize)
+	simHits, simRuns atomic.Uint64
+)
+
+// VerifyError reports that a run completed but its outputs did not
+// match the kernel's reference.
+type VerifyError struct{ Err error }
+
+func (e *VerifyError) Error() string { return e.Err.Error() }
+func (e *VerifyError) Unwrap() error { return e.Err }
+
+// Simulate runs prog on machine m against k's case at size n and
+// verifies the outputs, leaving the run's accounting (Cycles, Executed,
+// ClassCounts) on m exactly as m.RunContext would. The first caller of
+// each (program, kernel, size) simulates; later callers are priced from
+// its events. A run error is returned as is; a verification failure is
+// a *VerifyError.
+func (k *Kernel) Simulate(ctx context.Context, m *vm.Machine, prog *vm.Program, n int) error {
+	key := simKey{prog.ContentHash(), k, n}
+	e, ok := sims.Get(key)
+	if !ok {
+		// Racing inserters of one key all get the first entry back.
+		e, _ = sims.Add(key, &simEntry{turn: make(chan struct{}, 1)})
+	}
+	if ev := e.ev.Load(); ev != nil {
+		return k.price(ctx, m, prog, n, ev)
+	}
+	select {
+	case e.turn <- struct{}{}:
+	case <-ctx.Done():
+		return &vm.CancelledError{Err: ctx.Err()}
+	}
+	defer func() { <-e.turn }()
+	if ev := e.ev.Load(); ev != nil {
+		// Another caller's run completed while this one waited.
+		return k.price(ctx, m, prog, n, ev)
+	}
+	ev, err := k.run(ctx, m, prog, n)
+	if err == nil && ev != nil {
+		e.ev.Store(ev)
+	}
+	return err
+}
+
+// price prices the run from ev, or runs it when pricing declines.
+func (k *Kernel) price(ctx context.Context, m *vm.Machine, prog *vm.Program, n int, ev *vm.Events) error {
+	if m.Price(prog, ev) {
+		simHits.Add(1)
+		return nil
+	}
+	_, err := k.run(ctx, m, prog, n)
+	return err
+}
+
+// run simulates prog on k's case and verifies the outputs, returning
+// the run's events (nil when the engine recorded none).
+func (k *Kernel) run(ctx context.Context, m *vm.Machine, prog *vm.Program, n int) (*vm.Events, error) {
+	simRuns.Add(1)
+	c := k.Case(n)
+	out, ev, err := m.RunEvents(ctx, prog, c.Args()...)
+	if err != nil {
+		return nil, err
+	}
+	if err := verify(out, c.Want); err != nil {
+		return nil, &VerifyError{err}
+	}
+	return ev, nil
+}
+
+// SimMemoInfo is a point-in-time snapshot of the simulation memo,
+// exported for service metrics and tooling. Hits counts runs priced
+// from a memoized run; Misses counts real simulations.
+type SimMemoInfo struct {
+	Entries  int    `json:"entries"`
+	Capacity int    `json:"capacity"`
+	Hits     uint64 `json:"hits"`
+	Misses   uint64 `json:"misses"`
+}
+
+// SimMemoStats reports memo occupancy and its hit/miss counters.
+func SimMemoStats() SimMemoInfo {
+	return SimMemoInfo{
+		Entries:  sims.Len(),
+		Capacity: DefaultSimMemoSize,
+		Hits:     simHits.Load(),
+		Misses:   simRuns.Load(),
+	}
+}
+
+// ResetSimMemo empties the simulation memo and its counters (tests and
+// benchmarks measuring cold paths).
+func ResetSimMemo() {
+	sims.Clear()
+	simHits.Store(0)
+	simRuns.Store(0)
 }

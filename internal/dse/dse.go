@@ -2,6 +2,7 @@ package dse
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -12,6 +13,7 @@ import (
 
 	mat2c "mat2c"
 	"mat2c/internal/bench"
+	"mat2c/internal/vm"
 )
 
 // Options tunes one exploration run.
@@ -122,11 +124,13 @@ func EvalVariantContext(ctx context.Context, v *Variant, opts Options) (VariantR
 	return evalVariant(ctx, v, kernels, opts, cache), nil
 }
 
-// evalVariant compiles and simulates every kernel against one variant,
-// verifying each run against the kernel's Go reference (computed once
-// per kernel and size per process, see bench.Kernel.Case). It observes ctx
-// between kernels and inside compile/simulate, so a cancelled sweep
-// abandons the variant quickly.
+// evalVariant compiles every kernel against one variant and scores
+// its program on the kernel's case. Each distinct (program, kernel,
+// size) is simulated and verified against the kernel's Go reference
+// once per process; every other variant compiling to the same program
+// is priced from that run's events (see bench.Kernel.Simulate). It
+// observes ctx between kernels and inside compile/simulate, so a
+// cancelled sweep abandons the variant quickly.
 func evalVariant(ctx context.Context, v *Variant, kernels []*bench.Kernel, opts Options, cache *mat2c.Cache) VariantResult {
 	vr := VariantResult{
 		Name:         v.Proc.Name,
@@ -158,18 +162,18 @@ func evalVariant(ctx context.Context, v *Variant, kernels []*bench.Kernel, opts 
 		if hit {
 			vr.CacheHits++
 		}
-		kc := k.Case(n)
-		out, stats, err := res.RunWithStatsContext(ctx, kc.Args()...)
-		if err != nil {
-			vr.Error = fmt.Sprintf("%s: run: %v", k.Name, err)
+		m := vm.NewMachine(res.Processor())
+		if err := k.Simulate(ctx, m, res.Program(), n); err != nil {
+			var verr *bench.VerifyError
+			if errors.As(err, &verr) {
+				vr.Error = fmt.Sprintf("%s: verify: %v", k.Name, verr.Err)
+			} else {
+				vr.Error = fmt.Sprintf("%s: run: %v", k.Name, err)
+			}
 			return vr
 		}
-		if err := bench.Verify(out, kc.Want); err != nil {
-			vr.Error = fmt.Sprintf("%s: verify: %v", k.Name, err)
-			return vr
-		}
-		vr.KernelCycles[k.Name] = stats.Cycles
-		vr.TotalCycles += stats.Cycles
+		vr.KernelCycles[k.Name] = m.Cycles
+		vr.TotalCycles += m.Cycles
 		vr.CodeSize += res.CodeSize()
 	}
 	return vr

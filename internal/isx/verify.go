@@ -2,6 +2,7 @@ package isx
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"mat2c/internal/bench"
@@ -78,14 +79,13 @@ func measure(ctx context.Context, proc *pdesc.Processor, k *bench.Kernel, n int,
 	if err != nil {
 		return 0, 0, err
 	}
-	kc := k.Case(n)
 	m := vm.NewMachine(proc)
-	got, err := res.RunOnContext(ctx, m, kc.Args()...)
-	if err != nil {
+	if err := k.Simulate(ctx, m, res.Program, n); err != nil {
+		var verr *bench.VerifyError
+		if errors.As(err, &verr) {
+			return 0, 0, fmt.Errorf("output mismatch: %v", verr.Err)
+		}
 		return 0, 0, err
-	}
-	if err := bench.Verify(got, kc.Want); err != nil {
-		return 0, 0, fmt.Errorf("output mismatch: %v", err)
 	}
 	sel := res.Intrinsics.Selected[c.Name] + res.Intrinsics.Selected["v"+c.Name]
 	if sel == 0 {

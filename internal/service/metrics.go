@@ -10,6 +10,7 @@ import (
 	"time"
 
 	mat2c "mat2c"
+	"mat2c/internal/bench"
 	"mat2c/internal/vm"
 )
 
@@ -335,10 +336,12 @@ type Snapshot struct {
 }
 
 // VMSnapshot is the /metrics simulator section: the process-wide
-// compiled-program cache and the compiled engine's translation
-// counters.
+// compiled-program cache, the simulation memo that lets DSE and isx
+// price variants instead of re-simulating them, and the compiled
+// engine's translation counters.
 type VMSnapshot struct {
 	PreparedCache vm.PreparedCacheInfo `json:"prepared_cache"`
+	SimMemo       bench.SimMemoInfo    `json:"sim_memo"`
 	Compiled      vm.CompiledInfo      `json:"compiled"`
 }
 
@@ -407,6 +410,7 @@ func (m *Metrics) SnapshotWith(cache mat2c.CacheStats) Snapshot {
 	}
 	s.VM = VMSnapshot{
 		PreparedCache: vm.PreparedCacheStats(),
+		SimMemo:       bench.SimMemoStats(),
 		Compiled:      vm.CompiledStats(),
 	}
 	for name, e := range m.requests {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -34,9 +36,12 @@ import (
 //   - A block's closure chain runs only when the whole block fits under
 //     the cycle limit (cycles+cost <= maxCycles), which makes every
 //     per-member limit check provably dead. A completed block adds its
-//     cost to the cycle count and bumps its run count; its class counts
-//     and profile are charged from the run counts once, when the
-//     compiled part of the run ends and before any hand-off.
+//     cost to the cycle count and bumps its run count; an alloc adds
+//     its zero-fill cycles and records its element count. Class counts
+//     and profile are charged from the run counts and alloc extents
+//     once, by prices.account (price.go), when the compiled part of the
+//     run ends and before any hand-off. The same counts, when the run
+//     completes, are its processor-independent Events.
 //   - A block that does not fit is handed, with the machine's
 //     accounting so far, to the reference interpreter, which finishes
 //     the run from that block's first pc: it faults or returns within
@@ -57,22 +62,14 @@ import (
 // the completed prefix's charges.
 type cont func(s *scratch) (int, error)
 
-// classCharge is one aggregated accounting line of a block:
-// counts[class] += n when the block completes.
-type classCharge struct {
-	class int32
-	n     int64
-}
-
-// cBlock is one basic block of a compiled program. cost and charges
-// aggregate every member including the terminator; OpAlloc's zero-fill
-// is charged at run time on top.
+// cBlock is one basic block of a compiled program, parallel to the
+// layout's span of the same index. n and cost total every member
+// including the terminator; OpAlloc's zero-fill is charged at run time
+// on top.
 type cBlock struct {
-	start, end int // half-open pc range
-	n          int64
-	cost       int64
-	charges    []classCharge
-	run        cont
+	n    int64
+	cost int64
+	run  cont
 }
 
 // CompiledProgram is a Program translated to continuation-threaded Go
@@ -80,12 +77,12 @@ type cBlock struct {
 // safe for concurrent use; each run borrows a scratch arena from an
 // internal pool.
 type CompiledProgram struct {
-	prog    *Program
-	table   *pdesc.CostTable
-	code    []pInstr // the decode, 1:1 with prog.Instrs
-	maxL    int      // widest lane count in the program (≥1)
-	blocks  []cBlock
-	blockOf []int32 // pc -> index into blocks
+	prog   *Program
+	prices *prices
+	code   []pInstr // the decode, 1:1 with prog.Instrs
+	maxL   int      // widest lane count in the program (≥1)
+	*layout
+	blocks []cBlock // 1:1 with layout.spans
 
 	pool sync.Pool
 }
@@ -130,64 +127,36 @@ func chargeFirstOp(op Opc) bool {
 // compileProgram translates prog for proc without consulting the
 // cache. Most callers want CompiledFor.
 func compileProgram(prog *Program, proc *pdesc.Processor) *CompiledProgram {
-	code, table, maxL := decode(prog, proc)
+	code, maxL := decode(prog, proc)
+	pr := priceProgram(prog, proc)
 	cp := &CompiledProgram{
-		prog:    prog,
-		table:   table,
-		code:    code,
-		maxL:    maxL,
-		blockOf: make([]int32, len(code)),
+		prog:   prog,
+		prices: pr,
+		code:   code,
+		maxL:   maxL,
+		layout: newLayout(prog),
 	}
-	leaders := blockLeaders(prog)
-	start := 0
-	for pc := 1; pc <= len(code); pc++ {
-		if pc < len(code) && !leaders[pc] {
-			continue
+	cp.blocks = make([]cBlock, len(cp.spans))
+	for bi, sp := range cp.spans {
+		b := &cp.blocks[bi]
+		b.n = int64(sp.end - sp.start)
+		for _, c := range pr.at[sp.start:sp.end] {
+			b.cost += c.cost
 		}
-		b := cBlock{start: start, end: pc, n: int64(pc - start)}
-		agg := make(map[int32]int64, pc-start)
-		for i := start; i < pc; i++ {
-			in := &code[i]
-			b.cost += in.cost
-			if in.class >= 0 && in.countN != 0 {
-				agg[in.class] += in.countN
-			}
-		}
-		b.charges = aggCharges(agg)
-		b.run = cp.buildChain(&b)
-		idx := int32(len(cp.blocks))
-		for i := start; i < pc; i++ {
-			cp.blockOf[i] = idx
-		}
-		cp.blocks = append(cp.blocks, b)
-		start = pc
+		b.run = cp.buildChain(int(sp.start), int(sp.end))
 	}
 	compiledStats.translations.Add(1)
 	compiledStats.blocks.Add(uint64(len(cp.blocks)))
 	return cp
 }
 
-// aggCharges sorts an aggregated class->count map into the stable
-// charge list applied when a block completes.
-func aggCharges(agg map[int32]int64) []classCharge {
-	charges := make([]classCharge, 0, len(agg))
-	for class, cnt := range agg {
-		charges = append(charges, classCharge{class: class, n: cnt})
-	}
-	for i := 1; i < len(charges); i++ {
-		for j := i; j > 0 && charges[j].class < charges[j-1].class; j-- {
-			charges[j], charges[j-1] = charges[j-1], charges[j]
-		}
-	}
-	return charges
-}
-
-// buildChain threads block b into one continuation, last member first.
-// The terminator resolves the successor pc natively; everything before
-// it is a typed closure calling the next one.
-func (cp *CompiledProgram) buildChain(b *cBlock) cont {
+// buildChain threads the block spanning [start, end) into one
+// continuation, last member first. The terminator resolves the
+// successor pc natively; everything before it is a typed closure
+// calling the next one.
+func (cp *CompiledProgram) buildChain(start, end int) cont {
 	code := cp.code
-	last := b.end - 1
+	last := end - 1
 	var next cont
 	i := last
 	switch in := &code[last]; in.op {
@@ -196,7 +165,7 @@ func (cp *CompiledProgram) buildChain(b *cBlock) cont {
 		next = func(*scratch) (int, error) { return off, nil }
 		i--
 	case OpJz:
-		a, off, fall := in.a, in.off, b.end
+		a, off, fall := in.a, in.off, end
 		next = func(s *scratch) (int, error) {
 			if isZeroP(&s.regs[a]) {
 				return off, nil
@@ -208,11 +177,11 @@ func (cp *CompiledProgram) buildChain(b *cBlock) cont {
 		next = func(*scratch) (int, error) { return -1, nil }
 		i--
 	default:
-		fall := b.end
+		fall := end
 		next = func(*scratch) (int, error) { return fall, nil }
 	}
-	for ; i >= b.start; i-- {
-		next = cp.translateOp(&code[i], i-b.start, next)
+	for ; i >= start; i-- {
+		next = cp.translateOp(&code[i], i-start, next)
 	}
 	return next
 }
@@ -720,7 +689,7 @@ func (cp *CompiledProgram) translateOp(in *pInstr, k int, next cont) cont {
 
 	case OpAlloc:
 		ra, rb, arr, name, cplx := in.a, in.b, in.arr, in.arrName, in.elem == ir.Complex
-		zeroClass, zeroCost, w := in.zeroClass, in.zeroCost, in.allocW
+		zero := cp.prices.zero
 		return func(s *scratch) (int, error) {
 			r, c := int(s.regs[ra].i), int(s.regs[rb].i)
 			if r < 0 || c < 0 || r*c > 1<<28 {
@@ -731,13 +700,13 @@ func (cp *CompiledProgram) translateOp(in *pInstr, k int, next cont) cont {
 			} else {
 				s.arrays[arr] = ir.NewFloatArray(r, c)
 			}
-			// Zero-fill cost: one wide store per SIMD word. An alloc
-			// ends its block, so no limit check runs before the next
-			// block's, which is where the reference engine checks it.
-			words := (int64(r)*int64(c) + w - 1) / w
-			s.cycles += zeroCost * words
-			s.counts[zeroClass] += words
-			s.touched[zeroClass] = true
+			// The zero-fill's cycles land now: an alloc ends its block,
+			// so the next check is the next block's, which is where the
+			// reference engine checks them. Its class count is charged
+			// from the recorded extent at the end of the run.
+			elems := int64(r) * int64(c)
+			s.cycles += zero.cost * zero.words(elems)
+			s.allocs[elems]++
 			return next(s)
 		}
 	}
@@ -756,8 +725,9 @@ func (cp *CompiledProgram) getScratch() *scratch {
 		regs:    make([]vmval, n),
 		arrays:  make([]*ir.Array, len(cp.prog.Arrays)),
 		runs:    make([]int64, len(cp.blocks)),
-		counts:  make([]int64, cp.table.Len()),
-		touched: make([]bool, cp.table.Len()),
+		allocs:  make(map[int64]int64),
+		counts:  make([]int64, cp.prices.table.Len()),
+		touched: make([]bool, cp.prices.table.Len()),
 		lanebuf: make([]complex128, n*cp.maxL),
 		maxL:    cp.maxL,
 	}
@@ -767,6 +737,7 @@ func (cp *CompiledProgram) putScratch(s *scratch) {
 	clear(s.regs)
 	clear(s.arrays) // drop array references so results don't pin the pool
 	clear(s.runs)
+	clear(s.allocs)
 	clear(s.counts)
 	clear(s.touched)
 	s.cycles = 0
@@ -776,37 +747,31 @@ func (cp *CompiledProgram) putScratch(s *scratch) {
 // run executes the compiled program on behalf of m.Run. The machine's
 // Cycles/Executed/ClassCounts have already been reset; they are updated
 // here even when execution faults, matching the reference engine's
-// partial state on error.
-func (cp *CompiledProgram) run(m *Machine, ctx context.Context, maxCycles int64, args []interface{}) ([]interface{}, error) {
+// partial state on error. A non-nil ev receives the run's events when
+// the compiled engine completes it.
+func (cp *CompiledProgram) run(m *Machine, ctx context.Context, maxCycles int64, args []interface{}, ev **Events) ([]interface{}, error) {
 	s := cp.getScratch()
 	defer cp.putScratch(s)
 	if err := bindArgs(cp.prog, args, s.regs, s.arrays); err != nil {
 		return nil, err
 	}
 	pc, err := cp.exec(m, ctx, s, maxCycles)
-	// Completed blocks were only counted; charge their class counts and
-	// per-pc profile now, in bulk.
-	for bi, r := range s.runs {
-		if r == 0 {
-			continue
-		}
-		b := &cp.blocks[bi]
-		for _, ch := range b.charges {
-			s.counts[ch.class] += r * ch.n
-			s.touched[ch.class] = true
-		}
-		if m.Profile {
-			for j := b.start; j < b.end; j++ {
-				m.PCCounts[j] += r
+	// Completed blocks and allocs were only counted; charge their class
+	// counts and per-pc profile now, in bulk.
+	cp.prices.account(cp.spans, s.runs, s.allocs, s.counts, s.touched)
+	cp.prices.tally(m.ClassCounts, s.counts, s.touched)
+	if m.Profile {
+		for bi, r := range s.runs {
+			if r != 0 {
+				sp := cp.spans[bi]
+				for j := sp.start; j < sp.end; j++ {
+					m.PCCounts[j] += r
+				}
 			}
 		}
 	}
-	for id, t := range s.touched {
-		if t {
-			m.ClassCounts[cp.table.Name(id)] += s.counts[id]
-		}
-	}
-	if err == nil && pc >= 0 && pc < len(cp.code) {
+	handedOff := err == nil && pc >= 0 && pc < len(cp.code)
+	if handedOff {
 		// The cycle limit falls within the block at pc: the reference
 		// interpreter finishes the run from there, on the machine's
 		// accounting so far.
@@ -815,7 +780,11 @@ func (cp *CompiledProgram) run(m *Machine, ctx context.Context, maxCycles int64,
 	if err != nil {
 		return nil, err
 	}
-	return collectResults(cp.prog, s.regs, s.arrays)
+	out, err := collectResults(cp.prog, s.regs, s.arrays)
+	if err == nil && ev != nil && !handedOff {
+		*ev = &Events{blocks: cp.layout, runs: slices.Clone(s.runs), allocs: maps.Clone(s.allocs)}
+	}
+	return out, err
 }
 
 // exec is the compiled hot loop: one iteration per basic block. It
@@ -865,25 +834,25 @@ func (cp *CompiledProgram) exec(m *Machine, ctx context.Context, s *scratch, max
 		// plus the member's own charge when its opcode charges before
 		// its fault checks, then report the member's pc — bit-identical
 		// to the reference engine.
-		k := next
+		k, start := next, int(cp.spans[bi].start)
 		for j := 0; j <= k; j++ {
-			sb := &code[b.start+j]
-			if j == k && !chargeFirstOp(sb.op) {
+			if j == k && !chargeFirstOp(code[start+j].op) {
 				break
 			}
-			s.cycles += sb.cost
-			if sb.class >= 0 {
-				s.counts[sb.class] += sb.countN
-				s.touched[sb.class] = true
+			c := cp.prices.at[start+j]
+			s.cycles += c.cost
+			if c.class >= 0 {
+				s.counts[c.class] += c.n
+				s.touched[c.class] = true
 			}
 		}
 		executed += int64(k) + 1
 		if m.Profile {
 			for j := 0; j <= k; j++ {
-				m.PCCounts[b.start+j]++
+				m.PCCounts[start+j]++
 			}
 		}
-		return pc, &FaultError{PC: b.start + k, Msg: ferr.Error()}
+		return pc, &FaultError{PC: start + k, Msg: ferr.Error()}
 	}
 	return pc, nil
 }

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -467,6 +468,10 @@ func fuzzProg(data []byte) *Program {
 // compiled engine against the reference interpreter on a scalar and a
 // SIMD target, with fuzzed cycle limits so faults land at arbitrary
 // block offsets, comparing every observable including per-pc profiles.
+// Every run that completes on both targets is then priced from its
+// events on the other target and on a SIMD variant with changed
+// load/vstore/vlds costs; each price must equal that processor's
+// reference run.
 func FuzzCompiledEngine(f *testing.F) {
 	f.Add([]byte{}, uint16(0))
 	f.Add([]byte{2, 7, 3, 11, 4, 200, 5, 1, 7, 0}, uint16(0))
@@ -479,7 +484,18 @@ func FuzzCompiledEngine(f *testing.F) {
 	// A complex value round-tripped through an allocated array right
 	// after the allocating block, returned through w.
 	f.Add([]byte{13, 83, 49, 245, 11, 234, 42, 194}, uint16(0))
+	// Two allocs and a strided vload: zero-fill and strided charges that
+	// price differently on every target.
+	f.Add([]byte{13, 0x2d, 13, 0x3e, 14, 0x08, 14, 0x08, 15, 0}, uint16(0))
 	procs := []*pdesc.Processor{pdesc.Builtin("scalar"), pdesc.Builtin("dspasip")}
+	repriced := pdesc.Builtin("dspasip").Clone()
+	repriced.Name = "dspasip-repriced"
+	repriced.Costs = map[string]int{"load": 3, "vstore": 5}
+	for i := range repriced.Instructions {
+		if repriced.Instructions[i].Name == "vlds" {
+			repriced.Instructions[i].Cycles = 7
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte, limSeed uint16) {
 		prog := fuzzProg(data)
 		if err := prog.Validate(); err != nil {
@@ -494,18 +510,19 @@ func FuzzCompiledEngine(f *testing.F) {
 		if limSeed != 0 {
 			maxCycles = int64(limSeed) // small limits fault mid-block
 		}
+		run := func(proc *pdesc.Processor, engine string) (*Machine, []interface{}, error) {
+			m := NewMachine(proc)
+			m.Engine = engine
+			m.MaxCycles = maxCycles
+			m.Profile = true
+			out, err := m.Run(prog, cloneArgs(args)...)
+			return m, out, err
+		}
 
+		completed := 0
 		for _, proc := range procs {
-			run := func(engine string) (*Machine, []interface{}, error) {
-				m := NewMachine(proc)
-				m.Engine = engine
-				m.MaxCycles = maxCycles
-				m.Profile = true
-				out, err := m.Run(prog, cloneArgs(args)...)
-				return m, out, err
-			}
-			mr, outR, errR := run(EngineReference)
-			mc, outC, errC := run(EngineCompiled)
+			mr, outR, errR := run(proc, EngineReference)
+			mc, outC, errC := run(proc, EngineCompiled)
 
 			if (errR == nil) != (errC == nil) {
 				t.Fatalf("%s: error mismatch: reference %v, compiled %v", proc.Name, errR, errC)
@@ -524,6 +541,40 @@ func FuzzCompiledEngine(f *testing.F) {
 			}
 			if errR == nil {
 				bitsEqResults(t, outR, outC)
+				completed++
+			}
+		}
+		if completed < len(procs) {
+			return
+		}
+
+		for i, from := range procs {
+			m := NewMachine(from)
+			m.MaxCycles = maxCycles
+			_, ev, err := m.RunEvents(context.Background(), prog, cloneArgs(args)...)
+			if err != nil {
+				t.Fatalf("%s: events run: %v", from.Name, err)
+			}
+			if ev == nil {
+				continue // the run's tail was handed to the reference interpreter
+			}
+			for _, to := range []*pdesc.Processor{procs[1-i], repriced} {
+				ref := NewMachine(to)
+				ref.Engine = EngineReference
+				ref.MaxCycles = maxCycles
+				_, refErr := ref.Run(prog, cloneArgs(args)...)
+				pm := NewMachine(to)
+				pm.MaxCycles = maxCycles
+				if !pm.Price(prog, ev) {
+					continue // over the limit on to: a real run decides
+				}
+				if refErr != nil {
+					t.Fatalf("%s priced on %s, but the reference run fails: %v", from.Name, to.Name, refErr)
+				}
+				if pm.Cycles != ref.Cycles || pm.Executed != ref.Executed || !reflect.DeepEqual(pm.ClassCounts, ref.ClassCounts) {
+					t.Fatalf("%s events priced on %s: cycles %d executed %d counts %v; reference cycles %d executed %d counts %v",
+						from.Name, to.Name, pm.Cycles, pm.Executed, pm.ClassCounts, ref.Cycles, ref.Executed, ref.ClassCounts)
+				}
 			}
 		}
 	})

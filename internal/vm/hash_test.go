@@ -131,3 +131,38 @@ func BenchmarkContentHashMemoHit(b *testing.B) {
 		}
 	})
 }
+
+// TestContentHashPinned pins the digest of a fixed program that touches
+// every hashed field kind (names, params, vector kinds, argument lists,
+// all three immediates, intrinsic name and semantics). The digest keys
+// the compiled-program cache and the simulation memo, so any change to
+// its byte layout must be deliberate.
+func TestContentHashPinned(t *testing.T) {
+	p := &Program{
+		Name:    "pin",
+		NumRegs: 4,
+		Arrays:  []ArraySlot{{Name: "x", Elem: ir.Float}, {Name: "z", Elem: ir.Complex}},
+		Params:  []Param{{Name: "x", IsArray: true, Elem: ir.Float, Arr: 0}, {Name: "a", Elem: ir.Float, Reg: 1}},
+		Results: []Param{{Name: "z", IsArray: true, Elem: ir.Complex, Arr: 1}},
+		Instrs: []Instr{
+			{Op: OpConst, K: ir.Kind{Base: ir.Complex, Lanes: 1}, Dst: 2, ImmI: -7, ImmF: 2.5, ImmC: complex(1.5, -0.25)},
+			{Op: OpIntr, K: ir.Kind{Base: ir.Float, Lanes: 4}, Dst: 3, Args: []int{0, 1, 2}, Intr: "fma3", Sem: "(+ (* a b) c)"},
+			{Op: OpVLoad, K: ir.Kind{Base: ir.Float, Lanes: 4}, Dst: 3, A: 0, Arr: 0, ImmI: 2},
+			{Op: OpJz, A: 1, Off: 4},
+			{Op: OpRet},
+		},
+	}
+	const want = "b61a9a76f19c93093773d72cf2b94a6dd6843e6b25c48a82c4b5cfa4538e0022"
+	if got := p.contentHash(); got != want {
+		t.Errorf("content hash = %s, want %s", got, want)
+	}
+}
+
+// BenchmarkContentHash measures one uncached digest of a 300-instruction
+// program.
+func BenchmarkContentHash(b *testing.B) {
+	p := hashTestProgram("bench", 300)
+	for i := 0; i < b.N; i++ {
+		_ = p.contentHash()
+	}
+}

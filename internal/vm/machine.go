@@ -151,13 +151,42 @@ func (m *Machine) Run(prog *Program, args ...interface{}) ([]interface{}, error)
 // cycles, so a run that completes is accounted identically to Run. A
 // context that cannot be cancelled (Background, TODO) is never polled.
 func (m *Machine) RunContext(ctx context.Context, prog *Program, args ...interface{}) ([]interface{}, error) {
+	return m.runContext(ctx, prog, args, nil)
+}
+
+// runContext is RunContext; a non-nil ev receives the run's events when
+// the compiled engine completes it (see RunEvents).
+func (m *Machine) runContext(ctx context.Context, prog *Program, args []interface{}, ev **Events) ([]interface{}, error) {
 	if ctx != nil && ctx.Done() == nil {
 		ctx = nil // no cancellation source: skip polling entirely
 	}
-	maxCycles := m.MaxCycles
-	if maxCycles == 0 {
-		maxCycles = DefaultMaxCycles
+	m.reset(prog)
+	if m.Trace == nil && m.Engine != EngineReference {
+		return CompiledFor(prog, m.Proc).run(m, ctx, m.maxCycles(), args, ev)
 	}
+
+	regs := make([]vmval, prog.NumRegs)
+	arrays := make([]*ir.Array, len(prog.Arrays))
+	if err := bindArgs(prog, args, regs, arrays); err != nil {
+		return nil, err
+	}
+	if err := m.exec(ctx, prog, 0, regs, arrays, m.maxCycles()); err != nil {
+		return nil, err
+	}
+	return collectResults(prog, regs, arrays)
+}
+
+// maxCycles is the effective cycle limit.
+func (m *Machine) maxCycles() int64 {
+	if m.MaxCycles == 0 {
+		return DefaultMaxCycles
+	}
+	return m.MaxCycles
+}
+
+// reset zeroes the per-run accounting ahead of a run (or a price) of
+// prog.
+func (m *Machine) reset(prog *Program) {
 	m.Cycles = 0
 	m.Executed = 0
 	if m.ClassCounts == nil {
@@ -176,20 +205,6 @@ func (m *Machine) RunContext(ctx context.Context, prog *Program, args ...interfa
 	} else {
 		m.PCCounts = nil
 	}
-
-	if m.Trace == nil && m.Engine != EngineReference {
-		return CompiledFor(prog, m.Proc).run(m, ctx, maxCycles, args)
-	}
-
-	regs := make([]vmval, prog.NumRegs)
-	arrays := make([]*ir.Array, len(prog.Arrays))
-	if err := bindArgs(prog, args, regs, arrays); err != nil {
-		return nil, err
-	}
-	if err := m.exec(ctx, prog, 0, regs, arrays, maxCycles); err != nil {
-		return nil, err
-	}
-	return collectResults(prog, regs, arrays)
 }
 
 // bindArgs marshals caller arguments into the register file and array

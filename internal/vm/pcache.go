@@ -65,6 +65,19 @@ func processorHash(p *pdesc.Processor) (string, bool) {
 	return h, true
 }
 
+// costTables memoizes pdesc.NewCostTable per processor pointer, bounded
+// like procHashes: a sweep prices every kernel of a variant against one
+// long-lived processor.
+var costTables = lru.New[*pdesc.Processor, *pdesc.CostTable](procHashMemoCap)
+
+func costTable(p *pdesc.Processor) *pdesc.CostTable {
+	if t, ok := costTables.Get(p); ok {
+		return t
+	}
+	t, _ := costTables.Add(p, pdesc.NewCostTable(p))
+	return t
+}
+
 // CompiledFor returns the compiled form of prog for proc, consulting
 // the process-wide cache. Both values must be treated as immutable
 // after this call. Safe for concurrent use.
@@ -106,12 +119,13 @@ func PreparedCacheStats() PreparedCacheInfo {
 }
 
 // ResetPreparedCache empties the compiled-program cache, its counters,
-// and the program and processor content-hash memos (used by tests and
-// benchmarks to measure cold paths).
+// the program and processor content-hash memos, and the cost-table memo
+// (used by tests and benchmarks to measure cold paths).
 func ResetPreparedCache() {
 	prepCache.Clear()
 	prepHits.Store(0)
 	prepMisses.Store(0)
 	procHashes.Clear()
 	progHashes.Clear()
+	costTables.Clear()
 }

@@ -13,18 +13,19 @@ import (
 // Processor.Cost (a string-keyed map lookup) and ClassCounts (a map
 // increment), and allocates a fresh lane slice for every vector result.
 // Decoding hoists all of that to program-load time: each instruction
-// becomes a pInstr whose cycle cost, dense cost-class ID and class
-// count are fully resolved against a pdesc.CostTable. The compiled
-// engine (compile.go) translates this table into closures.
+// becomes a pInstr with its operands and static metadata resolved,
+// while priceProgram (price.go) resolves its cycle cost, dense
+// cost-class ID and class count against a pdesc.CostTable. The
+// compiled engine (compile.go) translates this table into closures.
 //
 // Invariants the decode must hold:
-//   - code[pc] describes prog.Instrs[pc]: the table is 1:1 with the
-//     program, so fault pcs and per-pc profiles need no mapping.
-//   - Charging pInstr.cost to cycles and pInstr.countN to
-//     counts[pInstr.class] is exactly what the reference engine
+//   - code[pc] and prices.at[pc] describe prog.Instrs[pc]: both tables
+//     are 1:1 with the program, so fault pcs and per-pc profiles need
+//     no mapping.
+//   - Charging prices.at[pc] is exactly what the reference engine
 //     charges for a successful execution of that instruction, except
 //     OpAlloc's extent-dependent zero-fill, which is charged at run
-//     time from zeroClass/zeroCost/allocW.
+//     time from prices.zero.
 //   - Operand semantics come from ops.go, shared with the reference
 //     engine, so results are bit-identical.
 
@@ -165,9 +166,9 @@ func lane0(regs []vmval, r int) complex128 {
 }
 
 // pInstr is one pre-decoded instruction. Everything that the reference
-// interpreter recomputes per dynamic execution — cost class strings,
-// map lookups, lane counts, fault-message array names — is resolved
-// here once per (program, processor) pair.
+// interpreter recomputes per dynamic execution — lane counts, strides,
+// fault-message array names — is resolved here once per (program,
+// processor) pair; its charge lives in prices.at.
 type pInstr struct {
 	op     Opc
 	bop    ir.Op
@@ -181,13 +182,6 @@ type pInstr struct {
 	arr       int
 	off       int
 
-	// Primary charge: cycles += cost; counts[class] += countN. A class
-	// of -1 charges nothing (OpNop, intrinsics that fault before the
-	// charge point).
-	cost   int64
-	class  int32
-	countN int64
-
 	// OpConst: the immediate, pre-materialized.
 	val vmval
 
@@ -198,12 +192,6 @@ type pInstr struct {
 	// OpVLoad: stride and precomputed bounds-check offsets.
 	stride       int
 	loOff, hiOff int
-
-	// OpAlloc: zero-fill charge (counts[zeroClass] += words,
-	// cycles += zeroCost*words; words depends on the runtime extent).
-	zeroClass int32
-	zeroCost  int64
-	allocW    int64
 
 	// OpIntr: pre-decoded dispatch kind and precomputed fault messages.
 	// intrFaultPre fires before the charge (instruction not provided by
@@ -218,10 +206,10 @@ type pInstr struct {
 }
 
 // scratch is the per-run execution arena: register file, array slots,
-// cycle, block-run and dense class counters, and the shared lane
-// buffer. Register r owns lanebuf[r*maxL : (r+1)*maxL]; a register's
-// vmval.lanes is always nil or a prefix of its own segment, so vector
-// writes never alias another register's storage.
+// cycle, block-run, alloc-extent and dense class counters, and the
+// shared lane buffer. Register r owns lanebuf[r*maxL : (r+1)*maxL]; a
+// register's vmval.lanes is always nil or a prefix of its own segment,
+// so vector writes never alias another register's storage.
 type scratch struct {
 	regs   []vmval
 	arrays []*ir.Array
@@ -229,7 +217,8 @@ type scratch struct {
 	// exec so that OpAlloc's closure can add its extent-dependent
 	// zero-fill directly.
 	cycles  int64
-	runs    []int64 // completions per compiled block
+	runs    []int64         // completions per compiled block
+	allocs  map[int64]int64 // elements -> executed allocs of that many
 	counts  []int64
 	touched []bool
 	lanebuf []complex128
@@ -242,23 +231,11 @@ func (s *scratch) seg(reg, L int) []complex128 {
 	return s.lanebuf[base : base+L : base+L]
 }
 
-// decode pre-decodes prog against proc's cost model, returning the
-// instruction table, the cost table its dense class IDs index, and the
-// widest lane count in the program (≥1). The processor must not be
+// decode pre-decodes prog for proc, returning the instruction table and
+// the widest lane count in the program (≥1). The processor must not be
 // mutated afterwards (the usual read-only contract shared with
 // pdesc.Resolve).
-func decode(prog *Program, proc *pdesc.Processor) ([]pInstr, *pdesc.CostTable, int) {
-	table := pdesc.NewCostTable(proc)
-	id := func(name string) int32 {
-		i, ok := table.ID(name)
-		if !ok {
-			// Unreachable: every class the VM charges is either in
-			// pdesc's architectural table or an instruction name.
-			panic("vm: cost class " + name + " missing from cost table")
-		}
-		return int32(i)
-	}
-
+func decode(prog *Program, proc *pdesc.Processor) ([]pInstr, int) {
 	maxL := 1
 	for i := range prog.Instrs {
 		if L := prog.Instrs[i].K.Lanes; L > maxL {
@@ -280,83 +257,34 @@ func decode(prog *Program, proc *pdesc.Processor) ([]pInstr, *pdesc.CostTable, i
 		p.immI = in.ImmI
 		p.arr = in.Arr
 		p.off = in.Off
-		p.class = -1
-		p.countN = 1
 		if in.Arr >= 0 && in.Arr < len(prog.Arrays) {
 			p.arrName = prog.Arrays[in.Arr].Name
 			p.elem = prog.Arrays[in.Arr].Elem
 		}
 
-		// setClass resolves the primary charge to (class ID, cost·n, n).
-		setClass := func(name string, n int64) {
-			p.class = id(name)
-			p.countN = n
-			p.cost = table.Cost(int(p.class)) * n
-		}
-
 		switch in.Op {
-		case OpNop:
-			p.countN = 0
-
 		case OpConst:
 			switch in.K.Base {
 			case ir.Int:
 				p.val = fromInt(in.ImmI)
-				setClass("imov", 1)
 			case ir.Float:
 				p.val = fromFloat(in.ImmF)
-				setClass("fmov", 1)
 			default:
 				p.val = fromComplex(in.ImmC)
-				setClass("cmov", 1)
 			}
 
-		case OpMov:
-			setClass(movClass(in.K), 1)
-
-		case OpConv:
-			setClass("conv", 1)
-
 		case OpBin:
-			setClass(binClass(in), 1)
 			if in.K.Lanes <= 1 {
 				p.op = fuseBin(in.BOp, in.OpBase, in.K.Base)
 			}
 
-		case OpUn:
-			class := unClass(in.BOp, in.OpBase)
-			if in.K.Lanes > 1 {
-				serial := false
-				switch in.BOp {
-				case ir.OpSqrt, ir.OpSin, ir.OpCos, ir.OpTan, ir.OpExp,
-					ir.OpLog, ir.OpAngle, ir.OpAsin, ir.OpAcos, ir.OpAtan,
-					ir.OpSinh, ir.OpCosh, ir.OpTanh:
-					// No vector transcendental unit: serialize per lane.
-					serial = true
-				case ir.OpAbs:
-					serial = in.OpBase == ir.Complex
-				}
-				if serial {
-					setClass(class, int64(in.K.Lanes))
-				} else {
-					setClass("vop", 1)
-				}
-			} else {
-				setClass(class, 1)
-			}
-
 		case OpIntr:
-			ci := proc.Instr(in.Intr)
-			if ci == nil {
+			if proc.Instr(in.Intr) == nil {
 				// Faults at runtime before any charge, like the
 				// reference engine.
 				p.intrFaultPre = fmt.Sprintf("intrinsic %q not provided by processor %s", in.Intr, proc.Name)
 				break
 			}
-			// The issue cost comes from the instruction declaration, not
-			// the architectural table (the name may shadow a class).
-			p.class = id(in.Intr)
-			p.cost = int64(proc.IssueCost(ci))
 			p.intr = intrKindOf(in.Intr)
 			if p.intr == intrUnknown {
 				if in.Sem != "" {
@@ -380,87 +308,19 @@ func decode(prog *Program, proc *pdesc.Processor) ([]pInstr, *pdesc.CostTable, i
 				p.op = xIntrS
 			}
 
-		case OpLoad:
-			if p.elem == ir.Complex {
-				setClass("cload", 1)
-			} else {
-				setClass("load", 1)
-			}
-
 		case OpVLoad:
 			stride := int(in.ImmI)
 			if stride == 0 {
 				stride = 1
 			}
 			p.stride = stride
-			L := in.K.Lanes
-			p.loOff, p.hiOff = 0, (L-1)*stride
+			p.loOff, p.hiOff = 0, (in.K.Lanes-1)*stride
 			if stride < 0 {
 				p.loOff, p.hiOff = p.hiOff, p.loOff
 			}
-			if stride == 1 {
-				setClass("vload", 1)
-				break
-			}
-			// Strided load: the custom instruction when declared, else
-			// its serialized scalar expansion.
-			name, scalarClass := "vlds", "load"
-			if p.elem == ir.Complex {
-				name, scalarClass = "vclds", "cload"
-			}
-			if ci := proc.Instr(name); ci != nil {
-				p.class = id(name)
-				p.cost = int64(proc.IssueCost(ci))
-			} else {
-				setClass(scalarClass, int64(L))
-			}
-
-		case OpStore:
-			if in.K.Lanes > 1 {
-				setClass("vstore", 1)
-			} else if p.elem == ir.Complex {
-				setClass("cstore", 1)
-			} else {
-				setClass("store", 1)
-			}
-
-		case OpAlloc:
-			setClass("alloc", 1)
-			w := int64(proc.SIMDWidth)
-			if w < 1 {
-				w = 1
-			}
-			p.allocW = w
-			p.zeroClass = id("vstore")
-			p.zeroCost = table.Cost(int(p.zeroClass))
-
-		case OpDim:
-			setClass("imov", 1)
-
-		case OpSel:
-			if in.K.Lanes <= 1 {
-				setClass("fcmp", 1)
-			} else {
-				setClass("vop", 1)
-			}
-
-		case OpSplat, OpRamp:
-			setClass("vsplat", 1)
-
-		case OpReduce:
-			setClass("vreduce", 1)
-
-		case OpJmp:
-			setClass("jump", 1)
-
-		case OpJz:
-			setClass("branch", 1)
-
-		case OpRet:
-			setClass("ret", 1)
 		}
 	}
-	return code, table, maxL
+	return code, maxL
 }
 
 // zeroVmval backs the absent third operand of two-argument intrinsics

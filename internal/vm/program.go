@@ -22,7 +22,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"math"
 
 	"mat2c/internal/ir"
@@ -151,17 +150,16 @@ func (p *Program) ContentHash() string {
 	return s
 }
 
-// contentHash is the uncached digest computation.
+// contentHash is the uncached digest computation. It appends every
+// field to one buffer and hashes it once: SHA-256 does not depend on
+// how its input is chunked, and one Sum256 over the whole buffer is
+// about twice as fast as a Write per 8-byte field.
 func (p *Program) contentHash() string {
-	h := sha256.New()
-	var buf [8]byte
-	wi := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
-	}
+	buf := make([]byte, 0, 64+len(p.Instrs)*160)
+	wi := func(v int64) { buf = binary.LittleEndian.AppendUint64(buf, uint64(v)) }
 	ws := func(s string) {
 		wi(int64(len(s)))
-		io.WriteString(h, s)
+		buf = append(buf, s...)
 	}
 	ws(p.Name)
 	wi(int64(p.NumRegs))
@@ -206,7 +204,8 @@ func (p *Program) contentHash() string {
 		ws(in.Intr)
 		ws(in.Sem)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
 }
 
 func b2int(b bool) int {

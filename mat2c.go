@@ -279,6 +279,10 @@ func (r *Result) Disasm() string { return r.res.Program.Disasm() }
 // CodeSize returns the static VM instruction count.
 func (r *Result) CodeSize() int { return r.res.CodeSize() }
 
+// Program returns the compiled VM program. It is shared with the cache
+// and must be treated as read-only.
+func (r *Result) Program() *vm.Program { return r.res.Program }
+
 // VectorizedLoops reports how many loops the vectorizer widened.
 func (r *Result) VectorizedLoops() int { return r.res.VectorizedLoops }
 
