@@ -54,6 +54,10 @@ type DiskStore struct {
 // scanned once at open to seed the occupancy accounting; the scan also
 // runs the janitor, so a store left over budget by a crash trims itself
 // on the next open.
+//
+// Where the filesystem supports it, the root is marked as the top of a
+// directory hierarchy (chattr +T), so the shard directories are spread
+// over the disk's block groups; see markTopDir.
 func OpenDisk(dir string, budget int64) (*DiskStore, error) {
 	if budget <= 0 {
 		budget = DefaultDiskBudget
@@ -61,6 +65,7 @@ func OpenDisk(dir string, budget int64) (*DiskStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("artifact: open disk store: %w", err)
 	}
+	markTopDir(dir) // best-effort placement hint for the shard directories
 	s := &DiskStore{root: dir, budget: budget, TmpMaxAge: time.Hour}
 	s.mu.Lock()
 	s.rescanLocked()
