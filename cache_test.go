@@ -3,6 +3,8 @@ package mat2c
 import (
 	"fmt"
 	"testing"
+
+	"mat2c/internal/core"
 )
 
 const cacheTestSrc = `function y = scale(x, a)
@@ -142,6 +144,9 @@ func TestCompileCachedErrorNotCached(t *testing.T) {
 }
 
 func TestStageTimingsRecorded(t *testing.T) {
+	// Time a cold compile: one served whole by the back-half memo
+	// (an earlier test compiled the same input) reports zero stages.
+	core.ResetMemos()
 	res, err := Compile(cacheTestSrc, "scale", cacheTestParams, Options{Target: "dspasip"})
 	if err != nil {
 		t.Fatal(err)

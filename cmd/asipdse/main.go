@@ -25,6 +25,7 @@ import (
 	"mat2c/internal/artifact"
 	"mat2c/internal/artifact/remote"
 	"mat2c/internal/bench"
+	"mat2c/internal/core"
 	"mat2c/internal/dse"
 	"mat2c/internal/profile"
 )
@@ -35,19 +36,19 @@ func main() {
 
 func run() int {
 	var (
-		procs   = flag.String("procs", "", "comma-separated base targets to sweep (default: the sweep spec's base, or dspasip)")
-		sweep   = flag.String("sweep", "", "JSON sweep specification file (default: built-in axes)")
-		jobs    = flag.Int("jobs", 0, "worker pool size (default: GOMAXPROCS)")
-		scale   = flag.Float64("scale", 0.25, "problem size multiplier for the kernel suite")
-		kernels = flag.String("kernels", "", "comma-separated kernel subset (default: full suite)")
-		jsonOut = flag.Bool("json", false, "emit the machine-readable JSON report")
-		csvOut  = flag.Bool("csv", false, "emit one CSV row per variant")
-		isxSeed = flag.Bool("isx", false, "seed the sweep with mined instruction-set extensions (see isxmine)")
-		isxTop  = flag.Int("isx-top", 0, "how many mined candidates seed the sweep (default 3; implies -isx)")
-		isxMax  = flag.Int("isx-maxnodes", 0, "mined pattern size bound (default 4; implies -isx)")
+		procs      = flag.String("procs", "", "comma-separated base targets to sweep (default: the sweep spec's base, or dspasip)")
+		sweep      = flag.String("sweep", "", "JSON sweep specification file (default: built-in axes)")
+		jobs       = flag.Int("jobs", 0, "worker pool size (default: GOMAXPROCS)")
+		scale      = flag.Float64("scale", 0.25, "problem size multiplier for the kernel suite")
+		kernels    = flag.String("kernels", "", "comma-separated kernel subset (default: full suite)")
+		jsonOut    = flag.Bool("json", false, "emit the machine-readable JSON report")
+		csvOut     = flag.Bool("csv", false, "emit one CSV row per variant")
+		isxSeed    = flag.Bool("isx", false, "seed the sweep with mined instruction-set extensions (see isxmine)")
+		isxTop     = flag.Int("isx-top", 0, "how many mined candidates seed the sweep (default 3; implies -isx)")
+		isxMax     = flag.Int("isx-maxnodes", 0, "mined pattern size bound (default 4; implies -isx)")
 		cacheDir   = flag.String("cachedir", "", "durable artifact store directory: compiled artifacts persist there and warm later runs")
 		cacheBytes = flag.Int64("cachebytes", 0, "artifact store byte budget (0 = default 512 MiB; needs -cachedir)")
-		cacheStats = flag.Bool("cachestats", false, "print cache-tier and simulation-memo statistics to stderr after the run")
+		cacheStats = flag.Bool("cachestats", false, "print cache-tier, compile-memo and simulation-memo statistics to stderr after the run")
 		artRemote  = flag.String("artifactremote", "", "blob-protocol `URL` of a fleet-shared artifact cache (e.g. http://coordinator:8723/artifact)")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf    = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -128,7 +129,9 @@ func run() int {
 		if *cacheStats {
 			// The cache line stays last: tools parse everything after
 			// "cache: " as one JSON document.
-			st, _ := json.MarshalIndent(bench.SimMemoStats(), "", "  ")
+			st, _ := json.MarshalIndent(core.MemoStats(), "", "  ")
+			fmt.Fprintf(os.Stderr, "compile_memo: %s\n", st)
+			st, _ = json.MarshalIndent(bench.SimMemoStats(), "", "  ")
 			fmt.Fprintf(os.Stderr, "sim_memo: %s\n", st)
 			st, _ = json.MarshalIndent(cache.Stats(), "", "  ")
 			fmt.Fprintf(os.Stderr, "cache: %s\n", st)

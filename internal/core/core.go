@@ -13,8 +13,10 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"mat2c/internal/cgen"
@@ -62,7 +64,8 @@ func Baseline(p *pdesc.Processor) Config {
 // a Compile call. When the processor-independent front half came from
 // the per-process memo (see CompileContext), parse and sema are zero,
 // lower holds only the memo lookup and IR clone, and opt holds only the
-// post-vectorize cleanup.
+// post-vectorize cleanup. When the whole compile came from the
+// back-half memo, every stage is zero.
 type StageTime struct {
 	Stage    string
 	Duration time.Duration
@@ -70,8 +73,8 @@ type StageTime struct {
 
 // StageNames lists the instrumented pipeline stages in execution order.
 // Every Compile records a StageTime for each (zero when the stage was
-// disabled by the Config, or skipped because the front half was
-// memoized), so aggregators can pre-register them.
+// disabled by the Config, or skipped because the front half or the
+// whole compile was memoized), so aggregators can pre-register them.
 func StageNames() []string {
 	return []string{"parse", "sema", "lower", "opt", "vectorize", "isel", "vm-lower", "cgen"}
 }
@@ -167,27 +170,61 @@ func Compile(src, entry string, params []sema.Type, cfg Config) (*Result, error)
 // short, so cancellation latency is bounded by the slowest single
 // stage.
 //
-// The front half — parse, sema, lower and the scalar optimizer — does
-// not read Config.Processor, so it runs once per process for each
-// source, entry, parameter types, Fusion and OptLevel: later compiles
-// (a DSE sweep's other variants) continue from a clone of the memoized
-// optimized IR at the vectorizer. Only successful front halves are
-// memoized.
+// Two per-process memos let repeated inputs skip work; only successful
+// compiles are memoized. The front half — parse, sema, lower and the
+// scalar optimizer — does not read Config.Processor, so it runs once
+// per source, entry, parameter types, Fusion and OptLevel: later
+// compiles continue from a clone of the memoized optimized IR at the
+// vectorizer. The back half reads the processor but never its cycle
+// costs, so the whole compile runs once per front-half input, back-end
+// switches and processor with Costs dropped (and, without C output,
+// with Name and Description dropped): a DSE sweep's cost siblings share
+// one Result, whose Func, Info and Program are read-only. A back-memo
+// hit reports zero for every stage.
 func CompileContext(ctx context.Context, src, entry string, params []sema.Type, cfg Config) (*Result, error) {
 	if cfg.Processor == nil {
 		return nil, fmt.Errorf("core: Config.Processor is required")
 	}
+	front := newFrontKey(src, entry, params, cfg)
+	back, err := newBackKey(front, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if r, ok := backMemo.Get(back); ok {
+		backHits.Add(1)
+		if err := cancelled(ctx, "vm-lower"); err != nil {
+			return nil, err
+		}
+		res := *r
+		res.cfg = cfg
+		res.Stages = newStageClock().stages
+		return &res, nil
+	}
+	backMisses.Add(1)
+	res, err := compile(ctx, src, entry, params, cfg, front)
+	if err != nil {
+		return nil, err
+	}
+	stored := *res
+	backMemo.Add(back, &stored)
+	return res, nil
+}
+
+// compile runs the pipeline, continuing from the memoized front half
+// when there is one.
+func compile(ctx context.Context, src, entry string, params []sema.Type, cfg Config, key frontKey) (*Result, error) {
 	clock := newStageClock()
 	var info *sema.Info
 	var f *ir.Func
-	key := newFrontKey(src, entry, params, cfg)
 	if fe, ok := frontMemo.Get(key); ok {
+		frontHits.Add(1)
 		entry, info, f = fe.entry, fe.info, ir.CloneFunc(fe.fn)
 		clock.record("lower")
 		if err := cancelled(ctx, "lower"); err != nil {
 			return nil, err
 		}
 	} else {
+		frontMisses.Add(1)
 		var err error
 		entry, info, f, err = frontHalf(ctx, clock, src, entry, params, cfg)
 		if err != nil {
@@ -278,6 +315,84 @@ const frontMemoSize = 64
 // across the processor variants of a sweep — share one front half.
 // Errors are never memoized.
 var frontMemo = lru.New[frontKey, *frontEnd](frontMemoSize)
+
+// backKey identifies one compile by everything the back half reads:
+// the front half's input, the back-end switches, and the processor
+// rendered without its cycle costs, which no compiler stage reads.
+// Name and Description are dropped too unless C is emitted (cgen prints
+// the name into both C artifacts).
+type backKey struct {
+	front                        frontKey
+	vectorize, intrinsics, emitC bool
+	proc                         string
+}
+
+func newBackKey(front frontKey, cfg Config) (backKey, error) {
+	p := *cfg.Processor
+	p.Costs = nil
+	if !cfg.EmitC {
+		p.Name, p.Description = "", ""
+	}
+	data, err := json.Marshal(&p)
+	if err != nil {
+		return backKey{}, fmt.Errorf("core: keying target description: %w", err)
+	}
+	return backKey{front: front, vectorize: cfg.Vectorize, intrinsics: cfg.Intrinsics,
+		emitC: cfg.EmitC, proc: string(data)}, nil
+}
+
+// backMemoSize bounds the back-half memo. A DSE sweep needs one entry
+// per kernel and worker while a variant's cost siblings run (they run
+// back to back on one worker; see dse.CompileGroups). A larger memo
+// mostly holds a daemon's one-off compiles, which never hit: 512
+// entries raised mat2cd's peak RSS by 7–14% under the end-to-end
+// benchmark's request loop.
+const backMemoSize = 64
+
+// backMemo holds finished compiles; a hit is handed out as a shallow
+// copy with its own processor and zero stage times.
+var backMemo = lru.New[backKey, *Result](backMemoSize)
+
+// Memo counters: a back-memo hit consults neither the front memo nor
+// the pipeline, so front lookups count back-memo misses only.
+var frontHits, frontMisses, backHits, backMisses atomic.Uint64
+
+// MemoInfo is a point-in-time snapshot of one compile memo. Hits and
+// Misses count lookups since the process started (or ResetMemos).
+type MemoInfo struct {
+	Entries  int    `json:"entries"`
+	Capacity int    `json:"capacity"`
+	Hits     uint64 `json:"hits"`
+	Misses   uint64 `json:"misses"`
+}
+
+// MemosInfo snapshots both compile memos.
+type MemosInfo struct {
+	Front MemoInfo `json:"front"`
+	Back  MemoInfo `json:"back"`
+}
+
+// MemoStats reports the occupancy and hit/miss counters of the
+// front-half and back-half memos.
+func MemoStats() MemosInfo {
+	return MemosInfo{
+		Front: MemoInfo{Entries: frontMemo.Len(), Capacity: frontMemoSize,
+			Hits: frontHits.Load(), Misses: frontMisses.Load()},
+		Back: MemoInfo{Entries: backMemo.Len(), Capacity: backMemoSize,
+			Hits: backHits.Load(), Misses: backMisses.Load()},
+	}
+}
+
+// ResetMemos empties both compile memos and their counters (tests and
+// benchmarks measuring cold paths).
+func ResetMemos() {
+	frontMemo.Clear()
+	backMemo.Clear()
+	frontHits.Store(0)
+	frontMisses.Store(0)
+	backHits.Store(0)
+	backMisses.Store(0)
+}
 
 // frontHalf runs the processor-independent stages — parse, sema, lower
 // and the scalar optimizer — and returns the resolved entry name, the

@@ -5,10 +5,8 @@ import (
 	"mat2c/internal/sema"
 )
 
-// Hooks into the front-half memo for the external test package, which
+// Hooks into the compile memos for the external test package, which
 // needs internal/bench (an importer of core) for its kernel suite.
-
-func ResetFrontMemo() { frontMemo.Clear() }
 
 func FrontMemoLen() int { return frontMemo.Len() }
 

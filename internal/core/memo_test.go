@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -72,7 +73,7 @@ func TestFrontMemoEquivalence(t *testing.T) {
 		for _, shape := range memoShapes {
 			cold := map[string]string{}
 			for _, name := range targets {
-				core.ResetFrontMemo()
+				core.ResetMemos()
 				cold[name] = fingerprint(compileKernel(t, k, shape.cfg(pdesc.Builtin(name))))
 			}
 			stored := core.FrontMemoFunc(k.Source, k.Entry, k.Params, shape.cfg(pdesc.Builtin(targets[0])))
@@ -106,7 +107,7 @@ func TestFrontMemoEquivalence(t *testing.T) {
 // baseline pipeline does not run.
 func TestFrontMemoStageTimes(t *testing.T) {
 	k := bench.KernelByName("fir")
-	core.ResetFrontMemo()
+	core.ResetMemos()
 	compileKernel(t, k, core.Baseline(pdesc.Builtin("dspasip")))
 	res := compileKernel(t, k, core.Baseline(pdesc.Builtin("wide8")))
 	for _, name := range []string{"parse", "sema", "opt"} {
@@ -134,7 +135,7 @@ func TestFrontMemoConcurrent(t *testing.T) {
 		}
 	}
 
-	core.ResetFrontMemo()
+	core.ResetMemos()
 	var wg sync.WaitGroup
 	errs := make(chan error, 8*len(want))
 	for g := 0; g < 8; g++ {
@@ -175,7 +176,7 @@ func TestFrontMemoErrors(t *testing.T) {
 		"function (",                          // parse error
 		"function y = f()\ny = nope(3);\nend", // sema error
 	} {
-		core.ResetFrontMemo()
+		core.ResetMemos()
 		_, err1 := core.Compile(src, "f", nil, cfg)
 		_, err2 := core.Compile(src, "f", nil, cfg)
 		if err1 == nil || err2 == nil || err1.Error() != err2.Error() {
@@ -191,7 +192,7 @@ func TestFrontMemoErrors(t *testing.T) {
 func TestFrontMemoHitCancelled(t *testing.T) {
 	k := bench.KernelByName("fir")
 	cfg := core.Proposed(pdesc.Builtin("dspasip"))
-	core.ResetFrontMemo()
+	core.ResetMemos()
 	compileKernel(t, k, cfg)
 	if core.FrontMemoFunc(k.Source, k.Entry, k.Params, cfg) == nil {
 		t.Fatal("front half not memoized")
@@ -201,5 +202,131 @@ func TestFrontMemoHitCancelled(t *testing.T) {
 	_, err := core.CompileContext(ctx, k.Source, k.Entry, k.Params, cfg)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled memo hit returned %v, want context.Canceled", err)
+	}
+}
+
+// memoSiblings derives two clones of dspasip: one differing only in
+// its cycle costs, one only in name and description.
+func memoSiblings(t *testing.T) (base, costs, renamed *pdesc.Processor) {
+	t.Helper()
+	base = pdesc.Builtin("dspasip")
+	costs, err := base.Derive(base.Name, func(q *pdesc.Processor) {
+		if q.Costs == nil {
+			q.Costs = map[string]int{}
+		}
+		q.Costs["load"] = 1
+		q.Costs["vop"] = 5
+		q.Costs["branch"] = 7
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	renamed, err = base.Derive("dspasip-renamed", func(q *pdesc.Processor) {
+		q.Description = "dspasip under another name"
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return base, costs, renamed
+}
+
+// TestBackMemoEquivalence: for every kernel and pipeline shape, with C
+// output on and off, a compile on a clone of dspasip that differs only
+// in Costs (or only in Name and Description) equals a compile with both
+// memos cleared. The cost clone is always served by the back-half memo;
+// the renamed clone is too without C, but with C it must miss, since
+// cgen prints the target's name into the header.
+func TestBackMemoEquivalence(t *testing.T) {
+	base, costs, renamed := memoSiblings(t)
+	for _, k := range bench.Kernels() {
+		for _, shape := range memoShapes {
+			for _, emitC := range []bool{false, true} {
+				cfgFor := func(p *pdesc.Processor) core.Config {
+					c := shape.cfg(p)
+					c.EmitC = emitC
+					return c
+				}
+				compile := func(p *pdesc.Processor) *core.Result {
+					res, err := core.Compile(k.Source, k.Entry, k.Params, cfgFor(p))
+					if err != nil {
+						t.Fatalf("%s/%s on %s: %v", k.Name, shape.name, p.Name, err)
+					}
+					return res
+				}
+				cold := map[*pdesc.Processor]string{}
+				for _, p := range []*pdesc.Processor{base, costs, renamed} {
+					core.ResetMemos()
+					cold[p] = fingerprint(compile(p))
+				}
+				core.ResetMemos()
+				compile(base)
+				for _, p := range []*pdesc.Processor{costs, renamed} {
+					id := fmt.Sprintf("%s/%s emitC=%v on %s", k.Name, shape.name, emitC, p.Name)
+					before := core.MemoStats().Back
+					res := compile(p)
+					hit := core.MemoStats().Back.Hits > before.Hits
+					if want := p == costs || !emitC; hit != want {
+						t.Errorf("%s: back-memo hit %v, want %v", id, hit, want)
+					}
+					if hit {
+						for _, st := range res.Stages {
+							if st.Duration != 0 {
+								t.Errorf("%s: back-memo hit reports %v for %s, want 0", id, st.Duration, st.Stage)
+							}
+						}
+					}
+					if len(res.Stages) != len(core.StageNames()) {
+						t.Errorf("%s: %d stages, want %d", id, len(res.Stages), len(core.StageNames()))
+					}
+					if res.Processor() != p {
+						t.Errorf("%s: result reports processor %s", id, res.Processor().Name)
+					}
+					if got := fingerprint(res); got != cold[p] {
+						t.Errorf("%s: differs from a cleared-memo compile\n got: %s\nwant: %s", id, got, cold[p])
+					}
+					if emitC && p == renamed && !strings.Contains(res.CHeader, `"`+renamed.Name+`"`) {
+						t.Errorf("%s: header does not name the renamed target:\n%s", id, res.CHeader)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMemoHitsCancelled: a cancelled context fails a compile served by
+// the back-half memo (a cost sibling) and one served by the front-half
+// memo only (another target), and neither leaves anything behind.
+func TestMemoHitsCancelled(t *testing.T) {
+	k := bench.KernelByName("fir")
+	base, costs, _ := memoSiblings(t)
+	core.ResetMemos()
+	compileKernel(t, k, core.Proposed(base))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, p := range []*pdesc.Processor{costs, pdesc.Builtin("wide8")} {
+		cfg := core.Proposed(p)
+		cfg.EmitC = true
+		if _, err := core.CompileContext(ctx, k.Source, k.Entry, k.Params, cfg); !errors.Is(err, context.Canceled) {
+			t.Errorf("cancelled compile on %s returned %v, want context.Canceled", p.Name, err)
+		}
+	}
+	st := core.MemoStats()
+	if st.Back.Hits != 1 || st.Back.Entries != 1 || st.Front.Hits != 1 {
+		t.Errorf("memo stats %+v, want one back hit, one front hit and only the first compile stored", st)
+	}
+}
+
+// TestBackMemoErrors: failed compiles are never memoized by either memo.
+func TestBackMemoErrors(t *testing.T) {
+	core.ResetMemos()
+	cfg := core.Proposed(pdesc.Builtin("dspasip"))
+	for i := 0; i < 2; i++ {
+		if _, err := core.Compile("function y = f()\ny = nope(3);\nend", "f", nil, cfg); err == nil {
+			t.Fatal("bad program compiled")
+		}
+	}
+	st := core.MemoStats()
+	if st.Back.Entries != 0 || st.Back.Hits != 0 || st.Back.Misses != 2 || st.Front.Entries != 0 {
+		t.Errorf("memo stats after two failed compiles: %+v", st)
 	}
 }

@@ -252,10 +252,13 @@ func Assemble(bases []string, opts Options, results []VariantResult) (*Report, e
 	return rep, nil
 }
 
-// ExploreContext is Explore under a cancellable context. Workers
-// observe ctx between variants (and between kernels within a variant),
-// so a cancelled sweep stops evaluating promptly; the partial work is
-// discarded and the returned error unwraps to ctx.Err().
+// ExploreContext is Explore under a cancellable context. Workers take
+// whole CompileGroups, evaluating a group's variants in enumeration
+// order, so cost siblings run back to back on one worker and share one
+// back-half compile per kernel instead of racing to compile it twice.
+// Workers observe ctx between variants (and between kernels within a
+// variant), so a cancelled sweep stops evaluating promptly; the partial
+// work is discarded and the returned error unwraps to ctx.Err().
 func ExploreContext(ctx context.Context, sweeps []*Sweep, opts Options) (*Report, error) {
 	opts = opts.withDefaults()
 	begin := time.Now()
@@ -276,38 +279,42 @@ func ExploreContext(ctx context.Context, sweeps []*Sweep, opts Options) (*Report
 	results := make([]VariantResult, len(variants))
 	var evaluated atomic.Int64
 	var wg sync.WaitGroup
-	idx := make(chan int)
+	groups := CompileGroups(variants)
+	work := make(chan []int)
 	workers := opts.Jobs
-	if workers > len(variants) {
-		workers = len(variants)
+	if workers > len(groups) {
+		workers = len(groups)
 	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
-				// Drain without evaluating once the sweep is cancelled so
-				// every queued variant is skipped, not just unqueued ones.
-				if ctx.Err() != nil {
-					continue
-				}
-				results[i] = evalVariant(ctx, variants[i], kernels, opts, cache)
-				evaluated.Add(1)
-				if opts.OnVariant != nil {
-					opts.OnVariant(results[i])
+			for group := range work {
+				for _, i := range group {
+					// Drain without evaluating once the sweep is cancelled
+					// so every queued variant is skipped, not just
+					// unqueued ones.
+					if ctx.Err() != nil {
+						continue
+					}
+					results[i] = evalVariant(ctx, variants[i], kernels, opts, cache)
+					evaluated.Add(1)
+					if opts.OnVariant != nil {
+						opts.OnVariant(results[i])
+					}
 				}
 			}
 		}()
 	}
 feed:
-	for i := range variants {
+	for _, group := range groups {
 		select {
-		case idx <- i:
+		case work <- group:
 		case <-ctx.Done():
 			break feed
 		}
 	}
-	close(idx)
+	close(work)
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("dse: exploration cancelled after %d of %d variants: %w",

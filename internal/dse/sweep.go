@@ -275,6 +275,36 @@ func contentKey(p *pdesc.Processor) (string, error) {
 	return string(data), err
 }
 
+// CompileGroups partitions variant indices into cost-sibling groups:
+// variants that differ only in name and cycle costs, which no compiler
+// stage reads, so they compile to the same programs. Groups are listed
+// by first appearance, each in ascending index order. A sweep
+// enumerates its cost sets innermost, so within one sweep every group
+// is a contiguous run of the enumeration. ExploreContext schedules
+// whole groups on one worker and the fleet planner never splits one
+// across units.
+func CompileGroups(variants []*Variant) [][]int {
+	var groups [][]int
+	at := map[string]int{}
+	for i, v := range variants {
+		q := v.Proc.Clone()
+		q.Costs = nil
+		key, err := contentKey(q)
+		if err != nil {
+			groups = append(groups, []int{i})
+			continue
+		}
+		g, ok := at[key]
+		if !ok {
+			g = len(groups)
+			at[key] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
+	}
+	return groups
+}
+
 // Enumerate expands the sweep into concrete, validated, deduplicated
 // variants in deterministic order. A sweep with an ISX seed first mines
 // instruction-set extensions from the base target's profiles and also

@@ -101,6 +101,83 @@ func TestShardedDSEMatchesSingleProcess(t *testing.T) {
 	}
 }
 
+// TestShardDSEKeepsCostSiblingsTogether: with a cost axis, every group
+// of cost siblings lands whole in one unit whatever the unit size,
+// units keep enumeration order, only a single oversized group exceeds
+// the size, and the merged report still matches the single-process one.
+func TestShardDSEKeepsCostSiblingsTogether(t *testing.T) {
+	ctx := context.Background()
+	sweep := &dse.Sweep{
+		Base:    "dspasip",
+		Widths:  []int{1, 4},
+		Complex: []bool{true},
+		Groups:  [][]string{nil, {"mac"}},
+		Costs: []dse.CostOverride{
+			{},
+			{Name: "cheapload", Costs: map[string]int{"load": 1}},
+			{Name: "slowvop", Costs: map[string]int{"vop": 4}},
+		},
+	}
+	opts := dse.Options{Jobs: 2, Scale: 0.05, Kernels: []string{"fir"}}
+	variants, bases, err := dse.EnumerateAll(ctx, []*dse.Sweep{sweep})
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := dse.CompileGroups(variants)
+	if len(groups) != len(variants)/3 {
+		t.Fatalf("%d variants form %d cost-sibling groups, want %d", len(variants), len(groups), len(variants)/3)
+	}
+	groupOf := map[int]int{}
+	for g, members := range groups {
+		for _, i := range members {
+			groupOf[i] = g
+		}
+	}
+	for size := 1; size <= 7; size++ {
+		units, err := fleet.ShardDSE(variants, opts, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		unitOf := map[int]int{} // group -> unit
+		next := 0
+		for u, unit := range units {
+			vs := unit.DSE.Variants
+			if len(vs) > size && len(vs) != len(groups[groupOf[vs[0].Index]]) {
+				t.Errorf("size %d: unit %d holds %d variants beyond a single group", size, u, len(vs))
+			}
+			for _, v := range vs {
+				if v.Index != next {
+					t.Fatalf("size %d: unit %d lists variant %d, want %d (enumeration order)", size, u, v.Index, next)
+				}
+				next++
+				g := groupOf[v.Index]
+				if prev, ok := unitOf[g]; ok && prev != u {
+					t.Errorf("size %d: cost-sibling group %d straddles units %d and %d", size, g, prev, u)
+				}
+				unitOf[g] = u
+			}
+		}
+		if next != len(variants) {
+			t.Fatalf("size %d: units cover %d of %d variants", size, next, len(variants))
+		}
+		if size != 4 {
+			continue
+		}
+		single, err := dse.ExploreContext(ctx, []*dse.Sweep{sweep}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		merged, err := fleet.MergeDSE(bases, opts, len(variants), executeAcrossWorkers(t, units, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		single.ElapsedUS, merged.ElapsedUS = 0, 0
+		if got, want := reportJSON(t, merged), reportJSON(t, single); !bytes.Equal(got, want) {
+			t.Errorf("sharded report differs\nsharded: %s\nsingle:  %s", got, want)
+		}
+	}
+}
+
 // TestShardedDSEDuplicateDeliveries exercises the at-least-once edge:
 // delivering every unit result twice must merge to the same report
 // (first write wins, and every write agrees).

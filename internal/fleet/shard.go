@@ -18,19 +18,28 @@ import (
 )
 
 // ShardDSE partitions enumerated variants into units of at most size
-// variants each, preserving enumeration order within and across units.
+// variants each, cutting only between dse.CompileGroups: cost siblings
+// share one compile per kernel only when one worker evaluates them, so
+// a group larger than size stays whole in a unit of its own. Units
+// list the groups' variants in group order, which is enumeration order
+// within and across units whenever groups are contiguous runs (as one
+// sweep's always are).
 func ShardDSE(variants []*dse.Variant, opts dse.Options, size int) ([]Unit, error) {
 	if size <= 0 {
 		size = 4
 	}
-	var units []Unit
-	for start := 0; start < len(variants); start += size {
-		end := start + size
-		if end > len(variants) {
-			end = len(variants)
+	var cuts [][]int
+	for _, group := range dse.CompileGroups(variants) {
+		if n := len(cuts); n > 0 && len(cuts[n-1])+len(group) <= size {
+			cuts[n-1] = append(cuts[n-1], group...)
+		} else {
+			cuts = append(cuts, append([]int(nil), group...))
 		}
+	}
+	var units []Unit
+	for _, cut := range cuts {
 		du := &DSEUnit{Scale: opts.Scale, Kernels: opts.Kernels, EmitC: opts.EmitC}
-		for i := start; i < end; i++ {
+		for _, i := range cut {
 			v := variants[i]
 			procJSON, err := json.Marshal(v.Proc)
 			if err != nil {

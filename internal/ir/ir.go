@@ -80,7 +80,7 @@ type Sym struct {
 }
 
 // String renders the symbol as name#id.
-func (s *Sym) String() string { return fmt.Sprintf("%s#%d", s.Name, s.ID) }
+func (s *Sym) String() string { return string(appendSym(nil, s)) }
 
 // Kind returns the value kind of a non-array symbol.
 func (s *Sym) Kind() Kind {

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -90,44 +91,110 @@ func printStmt(b *strings.Builder, s Stmt, ind string, depth int) {
 }
 
 // ExprStr renders an expression.
-func ExprStr(e Expr) string {
+func ExprStr(e Expr) string { return string(AppendExprStr(nil, e)) }
+
+// AppendExprStr appends ExprStr(e) to b and returns the extended
+// buffer. It is the one expression renderer: ExprStr, Sym.String and
+// the optimizer's CSE keys all go through it, so a key built into a
+// reused buffer is byte-identical to the printed form.
+func AppendExprStr(b []byte, e Expr) []byte {
 	switch e := e.(type) {
 	case *ConstInt:
-		return strconv.FormatInt(e.V, 10)
+		return strconv.AppendInt(b, e.V, 10)
 	case *ConstFloat:
-		return strconv.FormatFloat(e.V, 'g', -1, 64) + "f"
+		return append(appendFloat(b, e.V, false), 'f')
 	case *ConstComplex:
-		return fmt.Sprintf("(%g%+gi)", real(e.V), imag(e.V))
+		b = append(b, '(')
+		b = appendFloat(b, real(e.V), false)
+		b = appendFloat(b, imag(e.V), true)
+		return append(b, "i)"...)
 	case *VarRef:
-		return e.Sym.String()
+		return appendSym(b, e.Sym)
 	case *Load:
-		return fmt.Sprintf("%s[%s]", e.Arr, ExprStr(e.Index))
+		b = appendSym(b, e.Arr)
+		b = append(b, '[')
+		b = AppendExprStr(b, e.Index)
+		return append(b, ']')
 	case *Dim:
-		which := [...]string{"rows", "cols", "len"}[e.Which]
-		return fmt.Sprintf("%s(%s)", which, e.Arr)
+		b = append(b, [...]string{"rows", "cols", "len"}[e.Which]...)
+		b = append(b, '(')
+		b = appendSym(b, e.Arr)
+		return append(b, ')')
 	case *Bin:
-		return fmt.Sprintf("%s(%s, %s)", e.Op, ExprStr(e.X), ExprStr(e.Y))
+		return appendCall(b, e.Op.String(), e.X, e.Y)
 	case *Un:
-		return fmt.Sprintf("%s(%s)", e.Op, ExprStr(e.X))
+		return appendCall(b, e.Op.String(), e.X)
 	case *VecLoad:
+		b = append(b, "vload"...)
+		b = strconv.AppendInt(b, int64(e.K.Lanes), 10)
 		if s := e.StrideOr1(); s != 1 {
-			return fmt.Sprintf("vload%d.s%d(%s, %s)", e.K.Lanes, s, e.Arr, ExprStr(e.Index))
+			b = append(b, ".s"...)
+			b = strconv.AppendInt(b, s, 10)
 		}
-		return fmt.Sprintf("vload%d(%s, %s)", e.K.Lanes, e.Arr, ExprStr(e.Index))
+		b = append(b, '(')
+		b = appendSym(b, e.Arr)
+		b = append(b, ", "...)
+		b = AppendExprStr(b, e.Index)
+		return append(b, ')')
 	case *Broadcast:
-		return fmt.Sprintf("splat%d(%s)", e.K.Lanes, ExprStr(e.X))
+		b = append(b, "splat"...)
+		b = strconv.AppendInt(b, int64(e.K.Lanes), 10)
+		return appendCall(b, "", e.X)
 	case *Ramp:
-		return fmt.Sprintf("ramp%d(%s, %d)", e.K.Lanes, ExprStr(e.Base), e.Step)
+		b = append(b, "ramp"...)
+		b = strconv.AppendInt(b, int64(e.K.Lanes), 10)
+		b = append(b, '(')
+		b = AppendExprStr(b, e.Base)
+		b = append(b, ", "...)
+		b = strconv.AppendInt(b, e.Step, 10)
+		return append(b, ')')
 	case *Select:
-		return fmt.Sprintf("sel(%s, %s, %s)", ExprStr(e.Cond), ExprStr(e.Then), ExprStr(e.Else))
+		return appendCall(b, "sel", e.Cond, e.Then, e.Else)
 	case *Reduce:
-		return fmt.Sprintf("reduce_%s(%s)", e.Op, ExprStr(e.X))
+		b = append(b, "reduce_"...)
+		return appendCall(b, e.Op.String(), e.X)
 	case *Intrinsic:
-		args := make([]string, len(e.Args))
-		for i, a := range e.Args {
-			args[i] = ExprStr(a)
-		}
-		return fmt.Sprintf("@%s(%s)", e.Name, strings.Join(args, ", "))
+		b = append(b, '@')
+		return appendCall(b, e.Name, e.Args...)
 	}
-	return fmt.Sprintf("<?expr %T>", e)
+	return fmt.Appendf(b, "<?expr %T>", e)
+}
+
+// appendCall renders name(arg, arg, ...).
+func appendCall(b []byte, name string, args ...Expr) []byte {
+	b = append(b, name...)
+	b = append(b, '(')
+	for i, a := range args {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = AppendExprStr(b, a)
+	}
+	return append(b, ')')
+}
+
+// appendSym renders a symbol as name#id (see Sym.String).
+func appendSym(b []byte, s *Sym) []byte {
+	if s == nil {
+		return append(b, "<nil>"...)
+	}
+	b = append(b, s.Name...)
+	b = append(b, '#')
+	return strconv.AppendInt(b, int64(s.ID), 10)
+}
+
+// appendFloat renders v as fmt's %g does (%+g with sign), which is
+// strconv's shortest 'g' form except that %g omits a NaN's sign and
+// %+g adds one to every value not already signed.
+func appendFloat(b []byte, v float64, sign bool) []byte {
+	if v != v {
+		if sign {
+			b = append(b, '+')
+		}
+		return append(b, "NaN"...)
+	}
+	if sign && !math.Signbit(v) && !math.IsInf(v, 1) {
+		b = append(b, '+')
+	}
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }

@@ -296,5 +296,9 @@ func mayFault(e ir.Expr) bool {
 }
 
 // key returns a structural hash key for an expression (symbol identity
-// included via IDs).
-func key(e ir.Expr) string { return ir.ExprStr(e) }
+// included via IDs): its ExprStr rendering, built in a stack buffer so
+// only the final string is allocated.
+func key(e ir.Expr) string {
+	var buf [128]byte
+	return string(ir.AppendExprStr(buf[:0], e))
+}

@@ -11,6 +11,7 @@ import (
 
 	mat2c "mat2c"
 	"mat2c/internal/bench"
+	"mat2c/internal/core"
 	"mat2c/internal/vm"
 )
 
@@ -330,6 +331,7 @@ type Snapshot struct {
 	Requests         map[string]EndpointSnapshot  `json:"requests"`
 	Stages           map[string]HistogramSnapshot `json:"stages_us"`
 	Cache            mat2c.CacheStats             `json:"cache"`
+	CompileMemo      core.MemosInfo               `json:"compile_memo"`
 	DSE              DSESnapshot                  `json:"dse"`
 	ISX              ISXSnapshot                  `json:"isx"`
 	VM               VMSnapshot                   `json:"vm"`
@@ -381,6 +383,7 @@ func (m *Metrics) SnapshotWith(cache mat2c.CacheStats) Snapshot {
 		Requests:         map[string]EndpointSnapshot{},
 		Stages:           map[string]HistogramSnapshot{},
 		Cache:            cache,
+		CompileMemo:      core.MemoStats(),
 		DSE: DSESnapshot{
 			Sweeps:            m.dseSweeps,
 			Running:           m.dseRunning,

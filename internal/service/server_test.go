@@ -463,3 +463,44 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 		t.Errorf("Shutdown: %v", err)
 	}
 }
+
+// TestCompileMemoMetrics: a compile that misses a fresh server's cache
+// but repeats an earlier compile in the same process is served by the
+// back-half memo — its stage times are all zero — and /metrics reports
+// it under compile_memo.
+func TestCompileMemoMetrics(t *testing.T) {
+	req := CompileRequest{Source: scaleSrc + "\n% compile memo metrics", Params: "real(1,:), real", Target: "dspasip"}
+	compile := func() (CompileResponse, Snapshot) {
+		ts := httptest.NewServer(New(Config{}).Handler())
+		defer ts.Close()
+		resp, body := postJSON(t, ts, "/compile", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("compile: status %d: %s", resp.StatusCode, body)
+		}
+		var cr CompileResponse
+		if err := json.Unmarshal(body, &cr); err != nil {
+			t.Fatal(err)
+		}
+		if cr.CacheHit {
+			t.Fatal("compile hit a fresh server's cache")
+		}
+		var m Snapshot
+		getJSON(t, ts, "/metrics", &m)
+		return cr, m
+	}
+	_, before := compile()
+	cr, after := compile()
+	for stage, us := range cr.StagesUS {
+		if us != 0 {
+			t.Errorf("back-memo compile reports %s = %d µs, want 0", stage, us)
+		}
+	}
+	memo := after.CompileMemo
+	if memo.Back.Capacity != 64 || memo.Front.Capacity != 64 {
+		t.Errorf("compile_memo capacities %+v, want 64", memo)
+	}
+	if memo.Back.Hits <= before.CompileMemo.Back.Hits || memo.Back.Entries == 0 {
+		t.Errorf("compile_memo.back %+v after a repeated compile (before %+v), want one more hit",
+			memo.Back, before.CompileMemo.Back)
+	}
+}
