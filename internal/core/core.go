@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -175,44 +176,51 @@ func Compile(src, entry string, params []sema.Type, cfg Config) (*Result, error)
 // scalar optimizer — does not read Config.Processor, so it runs once
 // per source, entry, parameter types, Fusion and OptLevel: later
 // compiles continue from a clone of the memoized optimized IR at the
-// vectorizer. The back half reads the processor but never its cycle
-// costs, so the whole compile runs once per front-half input, back-end
-// switches and processor with Costs dropped (and, without C output,
-// with Name and Description dropped): a DSE sweep's cost siblings share
-// one Result, whose Func, Info and Program are read-only. A back-memo
-// hit reports zero for every stage.
+// vectorizer. The back half reads the processor only through
+// pdesc.Target (and, with C output, through cgen), so a whole compile
+// is reused on any processor with the same shape (see shapeKey) that
+// answers every HasInstr query the stored compile made the same way: a
+// DSE sweep's variants that differ only in cycle costs, or in
+// instruction groups a kernel never asks about, share one Result,
+// whose Func, Info and Program are read-only. A back-memo hit reports
+// zero for every stage.
 func CompileContext(ctx context.Context, src, entry string, params []sema.Type, cfg Config) (*Result, error) {
 	if cfg.Processor == nil {
 		return nil, fmt.Errorf("core: Config.Processor is required")
 	}
 	front := newFrontKey(src, entry, params, cfg)
-	back, err := newBackKey(front, cfg)
+	shape, err := newShapeKey(front, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if r, ok := backMemo.Get(back); ok {
-		backHits.Add(1)
-		if err := cancelled(ctx, "vm-lower"); err != nil {
-			return nil, err
+	if s, ok := backMemo.Get(shape); ok {
+		if r := s.lookup(cfg.Processor); r != nil {
+			backHits.Add(1)
+			if err := cancelled(ctx, "vm-lower"); err != nil {
+				return nil, err
+			}
+			res := *r
+			res.cfg = cfg
+			res.Stages = newStageClock().stages
+			return &res, nil
 		}
-		res := *r
-		res.cfg = cfg
-		res.Stages = newStageClock().stages
-		return &res, nil
 	}
 	backMisses.Add(1)
-	res, err := compile(ctx, src, entry, params, cfg, front)
+	rec := &recorder{Target: cfg.Processor, answers: map[string]bool{}}
+	res, err := compile(ctx, src, entry, params, cfg, front, rec)
 	if err != nil {
 		return nil, err
 	}
 	stored := *res
-	backMemo.Add(back, &stored)
+	s, _ := backMemo.Add(shape, &backShape{})
+	s.add(backCompile{answers: rec.answers, res: &stored}, cfg.Processor)
 	return res, nil
 }
 
 // compile runs the pipeline, continuing from the memoized front half
-// when there is one.
-func compile(ctx context.Context, src, entry string, params []sema.Type, cfg Config, key frontKey) (*Result, error) {
+// when there is one. The vectorizer and instruction selection read the
+// target through t.
+func compile(ctx context.Context, src, entry string, params []sema.Type, cfg Config, key frontKey, t pdesc.Target) (*Result, error) {
 	clock := newStageClock()
 	var info *sema.Info
 	var f *ir.Func
@@ -237,11 +245,11 @@ func compile(ctx context.Context, src, entry string, params []sema.Type, cfg Con
 	res := &Result{Entry: entry, Info: info, Func: f, cfg: cfg,
 		Intrinsics: isel.Stats{Selected: map[string]int{}}}
 	if cfg.Vectorize {
-		res.VectorizedLoops = vectorize.Apply(f, cfg.Processor)
+		res.VectorizedLoops = vectorize.Apply(f, t)
 	}
 	clock.record("vectorize")
 	if cfg.Intrinsics {
-		res.Intrinsics = isel.Apply(f, cfg.Processor)
+		res.Intrinsics = isel.Apply(f, t)
 	}
 	clock.record("isel")
 	if err := cancelled(ctx, "isel"); err != nil {
@@ -316,42 +324,150 @@ const frontMemoSize = 64
 // Errors are never memoized.
 var frontMemo = lru.New[frontKey, *frontEnd](frontMemoSize)
 
-// backKey identifies one compile by everything the back half reads:
-// the front half's input, the back-end switches, and the processor
-// rendered without its cycle costs, which no compiler stage reads.
-// Name and Description are dropped too unless C is emitted (cgen prints
-// the name into both C artifacts).
-type backKey struct {
+// shapeKey files a compile under everything the back half reads of
+// its input except the answers to HasInstr: the front half's input,
+// the back-end switches, the lane counts when the vectorizer runs, the
+// pattern-defined instructions when instruction selection runs, and,
+// when C is emitted, the processor rendered without its cycle costs
+// (cgen prints the target's name and its C intrinsic names). Nothing
+// else reaches the back half: the vectorizer and instruction selection
+// see the processor only as a pdesc.Target, and the optimizer and VM
+// lowering not at all.
+type shapeKey struct {
 	front                        frontKey
 	vectorize, intrinsics, emitC bool
+	lanes, complexLanes          int
+	patterns                     string
 	proc                         string
 }
 
-func newBackKey(front frontKey, cfg Config) (backKey, error) {
-	p := *cfg.Processor
-	p.Costs = nil
-	if !cfg.EmitC {
-		p.Name, p.Description = "", ""
+func newShapeKey(front frontKey, cfg Config) (shapeKey, error) {
+	p := cfg.Processor
+	k := shapeKey{front: front, vectorize: cfg.Vectorize, intrinsics: cfg.Intrinsics, emitC: cfg.EmitC}
+	if cfg.Vectorize {
+		k.lanes, k.complexLanes = p.Lanes(false), p.Lanes(true)
 	}
-	data, err := json.Marshal(&p)
-	if err != nil {
-		return backKey{}, fmt.Errorf("core: keying target description: %w", err)
+	if cfg.Intrinsics {
+		var b strings.Builder
+		for _, in := range p.PatternInstrs() {
+			b.WriteString(in.Name)
+			b.WriteByte(0)
+			b.WriteString(in.Semantics)
+			b.WriteByte(0)
+		}
+		k.patterns = b.String()
 	}
-	return backKey{front: front, vectorize: cfg.Vectorize, intrinsics: cfg.Intrinsics,
-		emitC: cfg.EmitC, proc: string(data)}, nil
+	if cfg.EmitC {
+		q := *p
+		q.Costs = nil
+		data, err := json.Marshal(&q)
+		if err != nil {
+			return shapeKey{}, fmt.Errorf("core: keying target description: %w", err)
+		}
+		k.proc = string(data)
+	}
+	return k, nil
 }
 
-// backMemoSize bounds the back-half memo. A DSE sweep needs one entry
-// per kernel and worker while a variant's cost siblings run (they run
-// back to back on one worker; see dse.CompileGroups). A larger memo
-// mostly holds a daemon's one-off compiles, which never hit: 512
-// entries raised mat2cd's peak RSS by 7–14% under the end-to-end
-// benchmark's request loop.
+// recorder is the pdesc.Target the vectorizer and instruction selection
+// read during one compile: it forwards to the processor and records the
+// answer to every HasInstr query.
+type recorder struct {
+	pdesc.Target
+	answers map[string]bool
+}
+
+func (r *recorder) HasInstr(name string) bool {
+	has := r.Target.HasInstr(name)
+	r.answers[name] = has
+	return has
+}
+
+// backCompile is one stored compile and the answers to the HasInstr
+// queries it made.
+type backCompile struct {
+	answers map[string]bool
+	res     *Result
+}
+
+// matches reports whether p answers every query c recorded as c's
+// processor did. Within one shape the compile is a deterministic
+// function of those answers, and it chooses each next query from the
+// answers so far, so a processor that matches would have asked exactly
+// the recorded queries and got exactly the stored compile.
+func (c *backCompile) matches(p *pdesc.Processor) bool {
+	for name, has := range c.answers {
+		if p.HasInstr(name) != has {
+			return false
+		}
+	}
+	return true
+}
+
+// backShape holds the compiles stored under one shape key, most
+// recently used first. Two of them differ in the answer to a query both
+// made (the first query where their runs part), so at most one matches
+// any processor.
+type backShape struct {
+	mu       sync.Mutex
+	compiles []backCompile
+}
+
+// lookup returns the stored compile p matches, or nil.
+func (s *backShape) lookup(p *pdesc.Processor) *Result {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := range s.compiles {
+		if s.compiles[i].matches(p) {
+			c := s.compiles[i]
+			copy(s.compiles[1:i+1], s.compiles[:i])
+			s.compiles[0] = c
+			return c.res
+		}
+	}
+	return nil
+}
+
+// add stores c, the compile made for p, unless a concurrent miss
+// stored one p matches first, and drops the least recently used
+// compile beyond backShapeCap.
+func (s *backShape) add(c backCompile, p *pdesc.Processor) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := range s.compiles {
+		if s.compiles[i].matches(p) {
+			return
+		}
+	}
+	if len(s.compiles) < backShapeCap {
+		s.compiles = append(s.compiles, backCompile{})
+	}
+	copy(s.compiles[1:], s.compiles)
+	s.compiles[0] = c
+}
+
+func (s *backShape) stored() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.compiles)
+}
+
+// backMemoSize bounds the back-half memo's shape keys. A DSE sweep
+// needs one per kernel and lane configuration (and pattern set) while a
+// worker runs through the variants that share it. A larger memo mostly
+// holds a daemon's one-off compiles, which never hit: 512 entries
+// raised mat2cd's peak RSS by 7–14% under the end-to-end benchmark's
+// request loop.
 const backMemoSize = 64
 
-// backMemo holds finished compiles; a hit is handed out as a shallow
-// copy with its own processor and zero stage times.
-var backMemo = lru.New[backKey, *Result](backMemoSize)
+// backShapeCap bounds the compiles stored under one shape key: one per
+// distinct answer set, which a sweep's instruction-group axis makes a
+// handful per kernel and lane configuration.
+const backShapeCap = 16
+
+// backMemo holds finished compiles by shape; a hit is handed out as a
+// shallow copy with its own processor and zero stage times.
+var backMemo = lru.New[shapeKey, *backShape](backMemoSize)
 
 // Memo counters: a back-memo hit consults neither the front memo nor
 // the pipeline, so front lookups count back-memo misses only.
@@ -366,20 +482,33 @@ type MemoInfo struct {
 	Misses   uint64 `json:"misses"`
 }
 
+// BackMemoInfo snapshots the back-half memo: Entries counts stored
+// compiles and Shapes the shape keys they are filed under; Capacity
+// bounds Shapes.
+type BackMemoInfo struct {
+	MemoInfo
+	Shapes int `json:"shapes"`
+}
+
 // MemosInfo snapshots both compile memos.
 type MemosInfo struct {
-	Front MemoInfo `json:"front"`
-	Back  MemoInfo `json:"back"`
+	Front MemoInfo     `json:"front"`
+	Back  BackMemoInfo `json:"back"`
 }
 
 // MemoStats reports the occupancy and hit/miss counters of the
 // front-half and back-half memos.
 func MemoStats() MemosInfo {
+	shapes := backMemo.Values()
+	stored := 0
+	for _, s := range shapes {
+		stored += s.stored()
+	}
 	return MemosInfo{
 		Front: MemoInfo{Entries: frontMemo.Len(), Capacity: frontMemoSize,
 			Hits: frontHits.Load(), Misses: frontMisses.Load()},
-		Back: MemoInfo{Entries: backMemo.Len(), Capacity: backMemoSize,
-			Hits: backHits.Load(), Misses: backMisses.Load()},
+		Back: BackMemoInfo{Shapes: len(shapes), MemoInfo: MemoInfo{Entries: stored,
+			Capacity: backMemoSize, Hits: backHits.Load(), Misses: backMisses.Load()}},
 	}
 }
 

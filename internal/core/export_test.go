@@ -19,3 +19,7 @@ func FrontMemoFunc(src, entry string, params []sema.Type, cfg Config) *ir.Func {
 	}
 	return fe.fn
 }
+
+// ClearBackMemo empties the back-half memo alone, so a compile runs the
+// back half again on the memoized front half.
+func ClearBackMemo() { backMemo.Clear() }

@@ -4,14 +4,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
 
 	"mat2c/internal/bench"
 	"mat2c/internal/core"
+	"mat2c/internal/dse"
 	"mat2c/internal/ir"
+	"mat2c/internal/isx"
 	"mat2c/internal/pdesc"
+	"mat2c/internal/sema"
 )
 
 // memoShapes are the pipeline configurations whose front halves differ:
@@ -230,15 +234,74 @@ func memoSiblings(t *testing.T) (base, costs, renamed *pdesc.Processor) {
 	return base, costs, renamed
 }
 
+// decimKernel reads a float and a complex operand at stride 2, in
+// separate loops, which the vectorizer widens only through the strided
+// loads vlds and vclds. No suite kernel does, so without it no compile
+// would ask for them.
+var decimKernel = &bench.Kernel{
+	Name:  "decim",
+	Entry: "decim",
+	Source: `function [y, w] = decim(x, z)
+n = floor(numel(x) / 2);
+y = zeros(1, n);
+w = complex(zeros(1, n), zeros(1, n));
+for i = 1:n
+  y(i) = x(2*i) * 2 + 1;
+end
+for i = 1:n
+  w(i) = z(2*i) * 3;
+end
+end`,
+	Params: []sema.Type{
+		{Class: sema.Real, Shape: sema.Shape{Rows: 1, Cols: sema.DimUnknown}},
+		{Class: sema.Complex, Shape: sema.Shape{Rows: 1, Cols: sema.DimUnknown}},
+	},
+}
+
+// memoKernels is the suite plus decimKernel.
+func memoKernels() []*bench.Kernel { return append(bench.Kernels(), decimKernel) }
+
+// memoTargets returns every variant of the default DSE enumeration and
+// dspasip extended with the instructions the isx miner finds on it:
+// processors that share lane counts but differ in instruction groups,
+// in complex lanes at one width, and in pattern-defined instructions.
+func memoTargets(t *testing.T) []*pdesc.Processor {
+	t.Helper()
+	variants, err := (&dse.Sweep{}).Enumerate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []*pdesc.Processor
+	for _, v := range variants {
+		out = append(out, v.Proc)
+	}
+	base := pdesc.Builtin("dspasip")
+	rep, err := isx.Mine(base, isx.Options{NoVerify: true, Top: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Candidates) == 0 {
+		t.Fatal("the isx miner found no candidates on dspasip")
+	}
+	ext, err := isx.Extend(base, "dspasip+isx", rep.Candidates...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(out, ext)
+}
+
 // TestBackMemoEquivalence: for every kernel and pipeline shape, with C
-// output on and off, a compile on a clone of dspasip that differs only
-// in Costs (or only in Name and Description) equals a compile with both
-// memos cleared. The cost clone is always served by the back-half memo;
-// the renamed clone is too without C, but with C it must miss, since
-// cgen prints the target's name into the header.
+// output on and off, a compile served by the back-half memo equals one
+// made with the back-half memo cleared. The targets are clones of
+// dspasip that differ only in Costs (always a hit after dspasip) or
+// only in Name and Description (a hit without C; with C it must miss,
+// since cgen prints the target's name into the header), then every
+// memoTargets processor in turn, on a memo filled by the ones before.
 func TestBackMemoEquivalence(t *testing.T) {
 	base, costs, renamed := memoSiblings(t)
-	for _, k := range bench.Kernels() {
+	targets := append([]*pdesc.Processor{base, costs, renamed}, memoTargets(t)...)
+	var hits, misses uint64
+	for _, k := range memoKernels() {
 		for _, shape := range memoShapes {
 			for _, emitC := range []bool{false, true} {
 				cfgFor := func(p *pdesc.Processor) core.Config {
@@ -253,20 +316,24 @@ func TestBackMemoEquivalence(t *testing.T) {
 					}
 					return res
 				}
-				cold := map[*pdesc.Processor]string{}
-				for _, p := range []*pdesc.Processor{base, costs, renamed} {
-					core.ResetMemos()
-					cold[p] = fingerprint(compile(p))
+				core.ResetMemos()
+				cold := make([]string, len(targets))
+				for i, p := range targets {
+					core.ClearBackMemo()
+					cold[i] = fingerprint(compile(p))
 				}
 				core.ResetMemos()
-				compile(base)
-				for _, p := range []*pdesc.Processor{costs, renamed} {
+				for i, p := range targets {
 					id := fmt.Sprintf("%s/%s emitC=%v on %s", k.Name, shape.name, emitC, p.Name)
 					before := core.MemoStats().Back
 					res := compile(p)
 					hit := core.MemoStats().Back.Hits > before.Hits
-					if want := p == costs || !emitC; hit != want {
-						t.Errorf("%s: back-memo hit %v, want %v", id, hit, want)
+					switch {
+					case emitC:
+					case hit:
+						hits++
+					default:
+						misses++
 					}
 					if hit {
 						for _, st := range res.Stages {
@@ -275,14 +342,17 @@ func TestBackMemoEquivalence(t *testing.T) {
 							}
 						}
 					}
+					if want := p == costs || p == renamed && !emitC; i < 3 && hit != want {
+						t.Errorf("%s: back-memo hit %v, want %v", id, hit, want)
+					}
 					if len(res.Stages) != len(core.StageNames()) {
 						t.Errorf("%s: %d stages, want %d", id, len(res.Stages), len(core.StageNames()))
 					}
 					if res.Processor() != p {
 						t.Errorf("%s: result reports processor %s", id, res.Processor().Name)
 					}
-					if got := fingerprint(res); got != cold[p] {
-						t.Errorf("%s: differs from a cleared-memo compile\n got: %s\nwant: %s", id, got, cold[p])
+					if got := fingerprint(res); got != cold[i] {
+						t.Fatalf("%s: differs from a compile with the back-half memo cleared\n got: %s\nwant: %s", id, got, cold[i])
 					}
 					if emitC && p == renamed && !strings.Contains(res.CHeader, `"`+renamed.Name+`"`) {
 						t.Errorf("%s: header does not name the renamed target:\n%s", id, res.CHeader)
@@ -290,6 +360,11 @@ func TestBackMemoEquivalence(t *testing.T) {
 				}
 			}
 		}
+	}
+	// Without C most compiles are hits: variants of one lane
+	// configuration differ mostly in groups a kernel never asks about.
+	if hits <= misses {
+		t.Errorf("without C: %d back-memo hits against %d misses, want mostly hits", hits, misses)
 	}
 }
 
@@ -329,4 +404,113 @@ func TestBackMemoErrors(t *testing.T) {
 	if st.Back.Entries != 0 || st.Back.Hits != 0 || st.Back.Misses != 2 || st.Front.Entries != 0 {
 		t.Errorf("memo stats after two failed compiles: %+v", st)
 	}
+}
+
+// fuzzSemantics are the behaviours a fuzzed target's pattern-defined
+// instruction draws from, float and complex.
+var fuzzSemantics = []string{
+	"float:mul(p0,p1)",
+	"float:add(p0,mul(p1,p1))",
+	"float:sub(mul(p0,p1),p2)",
+	"float:abs(p0)",
+	"complex:sub(p0,conj(p1))",
+	"complex:add(p0,mul(p1,p2))",
+}
+
+// fuzzWidths is the SIMD width a fuzzed target draws.
+var fuzzWidths = []int{1, 2, 4, 8}
+
+// fuzzMemoTarget derives a random valid target from dspasip: a SIMD
+// width, a complex lane count up to half of it, a random subset of
+// dspasip's custom instructions (vector forms only on a vector
+// datapath), random cycle costs, and, half the time, one
+// pattern-defined instruction with its vector form when the width
+// allows. The width and the complex lane count are each lanes' with
+// probability 3/4, so most targets of one seed share a shape key and
+// differ only in the instructions they declare, and the rest differ
+// in one lane count or both.
+func fuzzMemoTarget(r *rand.Rand, name string, lanes [2]int) (*pdesc.Processor, error) {
+	base := pdesc.Builtin("dspasip")
+	return base.Derive(name, func(q *pdesc.Processor) {
+		w, cl := lanes[0], lanes[1]
+		if r.Intn(4) == 0 {
+			w = fuzzWidths[r.Intn(len(fuzzWidths))]
+		}
+		if r.Intn(4) == 0 || cl > w/2 {
+			cl = r.Intn(w/2 + 1)
+		}
+		q.SIMDWidth, q.ComplexLanes = w, cl
+		q.Costs = map[string]int{"load": 1 + r.Intn(3), "vop": 1 + r.Intn(3)}
+		var instrs []pdesc.Instr
+		for _, in := range base.Instructions {
+			if r.Intn(2) == 0 && (q.SIMDWidth > 1 || !strings.HasPrefix(in.Name, "v")) {
+				instrs = append(instrs, in)
+			}
+		}
+		if r.Intn(2) == 0 {
+			sem := fuzzSemantics[r.Intn(len(fuzzSemantics))]
+			instrs = append(instrs, pdesc.Instr{Name: "isx0", CName: "_isx0", Cycles: 1, Semantics: sem})
+			if q.SIMDWidth > 1 && r.Intn(2) == 0 {
+				instrs = append(instrs, pdesc.Instr{Name: "visx0", CName: "_visx0", Cycles: 1, Semantics: sem})
+			}
+		}
+		q.Instructions = instrs
+	})
+}
+
+// FuzzBackMemo: from a seed, derive random targets (fuzzMemoTarget),
+// prime the back-half memo with some of them, then compile on the
+// others; every compile must equal one made with the back-half memo
+// cleared.
+func FuzzBackMemo(f *testing.F) {
+	for seed := uint64(0); seed < 32; seed++ {
+		f.Add(seed)
+	}
+	kernels := memoKernels()
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		r := rand.New(rand.NewSource(int64(seed)))
+		k := kernels[r.Intn(len(kernels))]
+		shape := memoShapes[r.Intn(len(memoShapes))]
+		cfgFor := func(p *pdesc.Processor) core.Config {
+			c := shape.cfg(p)
+			c.EmitC = r.Intn(4) == 0
+			return c
+		}
+		w := fuzzWidths[r.Intn(len(fuzzWidths))]
+		lanes := [2]int{w, r.Intn(w/2 + 1)}
+		n := 3 + r.Intn(6)
+		targets := make([]*pdesc.Processor, n)
+		cfgs := make([]core.Config, n)
+		for i := range targets {
+			p, err := fuzzMemoTarget(r, fmt.Sprintf("fuzz%d", i), lanes)
+			if err != nil {
+				t.Fatalf("seed %d: target %d: %v", seed, i, err)
+			}
+			targets[i], cfgs[i] = p, cfgFor(p)
+		}
+		compile := func(i int) string {
+			res, err := core.Compile(k.Source, k.Entry, k.Params, cfgs[i])
+			if err != nil {
+				t.Fatalf("seed %d: %s/%s on %+v: %v", seed, k.Name, shape.name, targets[i], err)
+			}
+			return fingerprint(res)
+		}
+		core.ResetMemos()
+		cold := make([]string, n)
+		for i := range targets {
+			core.ClearBackMemo()
+			cold[i] = compile(i)
+		}
+		core.ResetMemos()
+		primed := 1 + r.Intn(n-1)
+		for i := 0; i < primed; i++ {
+			compile(i)
+		}
+		for i := primed; i < n; i++ {
+			if got := compile(i); got != cold[i] {
+				t.Fatalf("seed %d: %s/%s emitC=%v on %+v after priming with %d targets:\n got: %s\nwant: %s",
+					seed, k.Name, shape.name, cfgs[i].EmitC, targets[i], primed, got, cold[i])
+			}
+		}
+	})
 }

@@ -34,8 +34,8 @@ func (s Stats) Total() int {
 	return n
 }
 
-// Apply rewrites f for processor p and returns selection statistics.
-func Apply(f *ir.Func, p *pdesc.Processor) Stats {
+// Apply rewrites f for target p and returns selection statistics.
+func Apply(f *ir.Func, p pdesc.Target) Stats {
 	st := Stats{Selected: map[string]int{}}
 	sel := &selector{proc: p, stats: &st, mined: minedOf(p)}
 	opt.WalkStmts(f.Body, func(s ir.Stmt) {
@@ -45,7 +45,7 @@ func Apply(f *ir.Func, p *pdesc.Processor) Stats {
 }
 
 type selector struct {
-	proc  *pdesc.Processor
+	proc  pdesc.Target
 	stats *Stats
 	mined []minedInstr
 }

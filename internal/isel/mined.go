@@ -27,13 +27,9 @@ type minedInstr struct {
 
 // minedOf collects the pattern-defined instructions of p, largest
 // pattern first so bigger fusions win over their own sub-patterns.
-func minedOf(p *pdesc.Processor) []minedInstr {
+func minedOf(p pdesc.Target) []minedInstr {
 	var out []minedInstr
-	for i := range p.Instructions {
-		in := &p.Instructions[i]
-		if in.Semantics == "" {
-			continue
-		}
+	for _, in := range p.PatternInstrs() {
 		pat, err := ir.CachedPattern(in.Semantics)
 		if err != nil {
 			continue // Validate rejects this; stay permissive here

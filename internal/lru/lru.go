@@ -84,6 +84,18 @@ func (c *Cache[K, V]) Len() int {
 	return c.order.Len()
 }
 
+// Values returns the resident values, most recently used first,
+// without marking any of them used.
+func (c *Cache[K, V]) Values() []V {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	vs := make([]V, 0, c.order.Len())
+	for el := c.order.Front(); el != nil; el = el.Next() {
+		vs = append(vs, el.Value.(*entry[K, V]).value)
+	}
+	return vs
+}
+
 // Clear removes every entry.
 func (c *Cache[K, V]) Clear() {
 	c.mu.Lock()

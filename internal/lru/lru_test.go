@@ -103,6 +103,16 @@ func TestCache(t *testing.T) {
 			if got := c.keys(); !reflect.DeepEqual(got, tc.keys) {
 				t.Errorf("Contains changed recency: %q, want %q", got, tc.keys)
 			}
+			vals := []string{}
+			for _, k := range tc.keys {
+				vals = append(vals, c.entries[k].Value.(*entry[string, string]).value)
+			}
+			if got := c.Values(); !reflect.DeepEqual(got, vals) {
+				t.Errorf("Values() = %q, want %q", got, vals)
+			}
+			if got := c.keys(); !reflect.DeepEqual(got, tc.keys) {
+				t.Errorf("Values changed recency: %q, want %q", got, tc.keys)
+			}
 		})
 	}
 }

@@ -69,6 +69,10 @@ type Processor struct {
 	Instructions []Instr `json:"instructions,omitempty"`
 
 	instrByName map[string]*Instr
+	// indexed is the Instructions slice instrByName was built from, so a
+	// caller that replaces, appends to or compacts Instructions after
+	// indexing gets a fresh index on the next lookup.
+	indexed []Instr
 }
 
 // defaultCosts is the base cycle-cost table for a single-issue load/store
@@ -122,19 +126,56 @@ func (p *Processor) IssueCost(in *Instr) int {
 	return in.Cycles
 }
 
+// Target is everything the middle-end passes (vectorize, isel) read of
+// a processor description: the lane counts, which custom instructions
+// exist, and the pattern-defined ones. Cycle costs, names and C
+// intrinsic names are out of their reach, so two processors that agree
+// on the lane counts and patterns, and answer every HasInstr query a
+// compile makes alike, get the same program from both passes.
+type Target interface {
+	// Lanes returns the vector lane count for float (false) or complex
+	// (true) elements.
+	Lanes(isComplex bool) int
+	// HasInstr reports whether the named custom instruction exists.
+	HasInstr(name string) bool
+	// PatternInstrs lists the instructions that carry Semantics, in
+	// declaration order.
+	PatternInstrs() []PatternInstr
+}
+
+// PatternInstr is a pattern-defined instruction as instruction
+// selection sees it: its name and its semantics pattern.
+type PatternInstr struct {
+	Name, Semantics string
+}
+
+// PatternInstrs lists the instructions that carry Semantics, in
+// declaration order (nil when there are none).
+func (p *Processor) PatternInstrs() []PatternInstr {
+	var out []PatternInstr
+	for i := range p.Instructions {
+		if in := &p.Instructions[i]; in.Semantics != "" {
+			out = append(out, PatternInstr{Name: in.Name, Semantics: in.Semantics})
+		}
+	}
+	return out
+}
+
 // HasInstr reports whether the target provides the named custom
 // instruction.
 func (p *Processor) HasInstr(name string) bool { return p.Instr(name) != nil }
 
 // Instr returns the named custom instruction, or nil.
 func (p *Processor) Instr(name string) *Instr {
-	if p.instrByName == nil {
+	if p.instrByName == nil || len(p.indexed) != len(p.Instructions) ||
+		(len(p.indexed) > 0 && &p.indexed[0] != &p.Instructions[0]) {
 		p.index()
 	}
 	return p.instrByName[name]
 }
 
 func (p *Processor) index() {
+	p.indexed = p.Instructions
 	p.instrByName = make(map[string]*Instr, len(p.Instructions))
 	for i := range p.Instructions {
 		p.instrByName[p.Instructions[i].Name] = &p.Instructions[i]
@@ -152,8 +193,10 @@ func (p *Processor) Lanes(isComplex bool) int {
 
 // Clone returns an independent deep copy of p: mutating the clone's
 // cost table or instruction list never aliases the original. The copy
-// is not re-indexed or re-validated; callers that mutate it should go
-// through Derive (or call Validate themselves).
+// is indexed, so concurrent HasInstr and Instr calls on it only read
+// until someone changes its instruction list. It is not re-validated;
+// callers that mutate it should go through Derive (or call Validate
+// themselves).
 func (p *Processor) Clone() *Processor {
 	q := &Processor{
 		Name:         p.Name,
@@ -171,6 +214,7 @@ func (p *Processor) Clone() *Processor {
 	if p.Instructions != nil {
 		q.Instructions = append([]Instr(nil), p.Instructions...)
 	}
+	q.index()
 	return q
 }
 

@@ -3,7 +3,9 @@ package pdesc
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -302,6 +304,72 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 	if p.SIMDWidth != 4 {
 		t.Error("Clone mutation changed the original's SIMD width")
+	}
+}
+
+// TestCloneConcurrentHasInstr: a fresh clone is indexed when Clone
+// returns, so goroutines sharing it only read (run under -race), and its
+// index points into the clone's own instruction list.
+func TestCloneConcurrentHasInstr(t *testing.T) {
+	q := Builtin("dspasip").Clone()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if !q.HasInstr("cmac") || q.HasInstr("nosuch") {
+				t.Error("clone answers HasInstr wrongly")
+			}
+		}()
+	}
+	wg.Wait()
+	q.Instr("fma").Cycles = 9
+	if q.Instructions[0].Cycles != 9 || Builtin("dspasip").Instr("fma").Cycles == 9 {
+		t.Error("clone's index does not point into its own instruction list")
+	}
+}
+
+// TestIndexFollowsInstructionEdits: appending to, compacting or
+// replacing an indexed processor's instruction list re-indexes it on
+// the next lookup.
+func TestIndexFollowsInstructionEdits(t *testing.T) {
+	q := Builtin("nosimd").Clone()
+	q.Instructions = append(q.Instructions, Instr{Name: "extra", CName: "_extra", Cycles: 1})
+	if !q.HasInstr("extra") {
+		t.Error("appended instruction not found")
+	}
+	kept := q.Instructions[:0]
+	for _, in := range q.Instructions {
+		if in.Name != "fma" {
+			kept = append(kept, in)
+		}
+	}
+	q.Instructions = kept
+	if q.HasInstr("fma") || q.Instr("fms") == nil || q.Instr("fms").Name != "fms" {
+		t.Error("compacted instruction list answered from a stale index")
+	}
+	q.Instructions = []Instr{{Name: "sad", CName: "_sad", Cycles: 2}}
+	if !q.HasInstr("sad") || q.HasInstr("fms") {
+		t.Error("replaced instruction list answered from a stale index")
+	}
+}
+
+func TestPatternInstrs(t *testing.T) {
+	p := Builtin("dspasip")
+	if got := p.PatternInstrs(); got != nil {
+		t.Errorf("built-in target lists pattern instructions %v", got)
+	}
+	q, err := p.Derive("dspasip+isx", func(q *Processor) {
+		q.Instructions = append(q.Instructions,
+			Instr{Name: "isx1", CName: "_isx1", Cycles: 1, Semantics: "float:add(p0,mul(p1,p1))"},
+			Instr{Name: "visx1", CName: "_visx1", Cycles: 1, Semantics: "float:add(p0,mul(p1,p1))"})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []PatternInstr{{"isx1", "float:add(p0,mul(p1,p1))"}, {"visx1", "float:add(p0,mul(p1,p1))"}}
+	if got := q.PatternInstrs(); !reflect.DeepEqual(got, want) {
+		t.Errorf("PatternInstrs() = %v, want %v", got, want)
 	}
 }
 

@@ -467,7 +467,8 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 // TestCompileMemoMetrics: a compile that misses a fresh server's cache
 // but repeats an earlier compile in the same process is served by the
 // back-half memo — its stage times are all zero — and /metrics reports
-// it under compile_memo.
+// it under compile_memo, with the back memo's stored compiles and the
+// shape keys they are filed under counted separately.
 func TestCompileMemoMetrics(t *testing.T) {
 	req := CompileRequest{Source: scaleSrc + "\n% compile memo metrics", Params: "real(1,:), real", Target: "dspasip"}
 	compile := func() (CompileResponse, Snapshot) {
@@ -502,5 +503,21 @@ func TestCompileMemoMetrics(t *testing.T) {
 	if memo.Back.Hits <= before.CompileMemo.Back.Hits || memo.Back.Entries == 0 {
 		t.Errorf("compile_memo.back %+v after a repeated compile (before %+v), want one more hit",
 			memo.Back, before.CompileMemo.Back)
+	}
+	if memo.Back.Shapes == 0 || memo.Back.Shapes > memo.Back.Entries || memo.Back.Shapes > memo.Back.Capacity {
+		t.Errorf("compile_memo.back %+v: want 1 to min(entries, capacity) shape keys", memo.Back)
+	}
+	var raw struct {
+		CompileMemo struct {
+			Back map[string]json.RawMessage `json:"back"`
+		} `json:"compile_memo"`
+	}
+	ts := httptest.NewServer(New(Config{}).Handler())
+	defer ts.Close()
+	getJSON(t, ts, "/metrics", &raw)
+	for _, field := range []string{"entries", "shapes", "capacity", "hits", "misses"} {
+		if _, ok := raw.CompileMemo.Back[field]; !ok {
+			t.Errorf("/metrics compile_memo.back lacks %q: %v", field, raw.CompileMemo.Back)
+		}
 	}
 }

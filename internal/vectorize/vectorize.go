@@ -29,10 +29,10 @@ import (
 	"mat2c/internal/pdesc"
 )
 
-// Apply vectorizes all eligible innermost loops of f for processor p.
-// It returns the number of loops vectorized.
-func Apply(f *ir.Func, p *pdesc.Processor) int {
-	if p.SIMDWidth < 2 {
+// Apply vectorizes all eligible innermost loops of f for target p. It
+// returns the number of loops vectorized.
+func Apply(f *ir.Func, p pdesc.Target) int {
+	if p.Lanes(false) < 2 {
 		return 0
 	}
 	v := &vectorizer{fn: f, proc: p}
@@ -44,7 +44,7 @@ func Apply(f *ir.Func, p *pdesc.Processor) int {
 
 type vectorizer struct {
 	fn   *ir.Func
-	proc *pdesc.Processor
+	proc pdesc.Target
 
 	// globalReads counts scalar reads across the whole function, used to
 	// prove a loop temp is not live outside its loop.
@@ -386,10 +386,7 @@ func (v *vectorizer) tryVectorize(loop *ir.For) ([]ir.Stmt, bool) {
 		return nil, false
 	}
 
-	lanes := v.proc.SIMDWidth
-	if lanesComplex {
-		lanes = v.proc.ComplexLanes
-	}
+	lanes := v.proc.Lanes(lanesComplex)
 	if lanes < 2 {
 		return nil, false
 	}
