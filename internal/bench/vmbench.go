@@ -43,7 +43,7 @@ type VMBenchReport struct {
 // returns (runs, instructions/second).
 func measureEngine(m *vm.Machine, prog *core.Result, args []interface{}, engine string, minTime time.Duration) (int, float64, error) {
 	m.Engine = engine
-	// One untimed run warms the translation cache and scratch pool.
+	// One untimed run translates the program and warms its scratch pool.
 	if _, err := prog.RunOn(m, cloneArgs(args)...); err != nil {
 		return 0, 0, err
 	}
@@ -110,7 +110,7 @@ func VMBench(proc *pdesc.Processor, scale float64, minTime time.Duration, opts .
 				rRuns, rRate = runs, r
 			}
 		}
-		blocks := vm.CompiledFor(res.Program, proc).Blocks()
+		blocks := vm.CompiledFor(res.Program).Blocks()
 		rows[i] = VMBenchRow{
 			Kernel: k.Name, Size: n,
 			InstrsPerRun: instrs, CyclesPerRun: cycles, CompiledBlocks: blocks,

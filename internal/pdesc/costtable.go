@@ -1,10 +1,6 @@
 package pdesc
 
-import (
-	"crypto/sha256"
-	"encoding/hex"
-	"sort"
-)
+import "sort"
 
 // CostTable is a dense-integer view of a processor's cycle-cost model:
 // every cost class the VM can charge (the architectural classes of
@@ -70,17 +66,3 @@ func (t *CostTable) Cost(id int) int64 { return t.costs[id] }
 
 // Len returns the number of classes (IDs are 0..Len-1).
 func (t *CostTable) Len() int { return len(t.names) }
-
-// ContentHash returns a hex SHA-256 digest over everything that
-// determines compilation and simulation for this target (the full
-// serialized description). Two descriptions with equal hashes are
-// interchangeable; the VM's compiled-program cache uses this to share
-// translations across identical DSE variants.
-func (p *Processor) ContentHash() (string, error) {
-	data, err := p.MarshalJSONIndent()
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:]), nil
-}

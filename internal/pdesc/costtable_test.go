@@ -51,30 +51,3 @@ func TestCostTableRespectsOverrides(t *testing.T) {
 		t.Errorf("override not reflected: ok=%v cost=%d", ok, tab.Cost(id))
 	}
 }
-
-func TestProcessorContentHash(t *testing.T) {
-	p := Builtin("dspasip")
-	h1, err := p.ContentHash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2, err := p.Clone().ContentHash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h1 != h2 {
-		t.Error("clone must hash identically")
-	}
-	q := p.Clone()
-	q.Costs = map[string]int{"fmul": 9}
-	h3, err := q.ContentHash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h3 == h1 {
-		t.Error("cost override must change the hash")
-	}
-	if len(h1) != 64 {
-		t.Errorf("hash length %d, want 64 hex chars", len(h1))
-	}
-}

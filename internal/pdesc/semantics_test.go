@@ -110,7 +110,8 @@ func TestSemanticsRoundTripAndOmitted(t *testing.T) {
 		t.Error("semantics did not round-trip")
 	}
 	// The new fields must not appear in descriptions that do not use
-	// them, so ContentHash of every pre-existing target is unchanged.
+	// them, so the serialized form of every pre-existing target is
+	// unchanged.
 	plain, err := Builtin("dspasip").MarshalJSONIndent()
 	if err != nil {
 		t.Fatal(err)

@@ -337,14 +337,12 @@ type Snapshot struct {
 	VM               VMSnapshot                   `json:"vm"`
 }
 
-// VMSnapshot is the /metrics simulator section: the process-wide
-// compiled-program cache, the simulation memo that lets DSE and isx
-// price variants instead of re-simulating them, and the compiled
-// engine's translation counters.
+// VMSnapshot is the /metrics simulator section: the simulation memo
+// that lets DSE and isx price variants instead of re-simulating them,
+// and the compiled engine's translation counters.
 type VMSnapshot struct {
-	PreparedCache vm.PreparedCacheInfo `json:"prepared_cache"`
-	SimMemo       bench.SimMemoInfo    `json:"sim_memo"`
-	Compiled      vm.CompiledInfo      `json:"compiled"`
+	SimMemo  bench.SimMemoInfo `json:"sim_memo"`
+	Compiled vm.CompiledInfo   `json:"compiled"`
 }
 
 // DSESnapshot is the /metrics design-space-exploration section.
@@ -412,9 +410,8 @@ func (m *Metrics) SnapshotWith(cache mat2c.CacheStats) Snapshot {
 		LastCandidates: m.isxLastCandidates,
 	}
 	s.VM = VMSnapshot{
-		PreparedCache: vm.PreparedCacheStats(),
-		SimMemo:       bench.SimMemoStats(),
-		Compiled:      vm.CompiledStats(),
+		SimMemo:  bench.SimMemoStats(),
+		Compiled: vm.CompiledStats(),
 	}
 	for name, e := range m.requests {
 		s.Requests[name] = EndpointSnapshot{

@@ -10,22 +10,23 @@ import (
 	"sync/atomic"
 
 	"mat2c/internal/ir"
-	"mat2c/internal/pdesc"
 )
 
 // The compiled execution engine.
 //
-// Each program is translated once per (program, processor) pair from
-// its pre-decoded table (prepare.go) into continuation-threaded Go
-// closures. The program is partitioned into basic blocks; every op of
+// Each program is translated once, from its pre-decoded table
+// (prepare.go), into continuation-threaded Go closures. The translation
+// depends on the program alone and is carried on the Program
+// (CompiledFor); every processor read of a run goes through the prices
+// the run resolves from its machine's processor (price.go). The program is partitioned into basic blocks; every op of
 // a block becomes a small typed closure capturing its operands and
 // tail-calling the next, and the block's terminator resolves the
 // successor pc. A block therefore executes as native Go control flow:
 // no per-op switch, poll or cycle-limit branch, and no operand
 // re-validation (register indices were checked at lowering; array
 // bounds, the only runtime-dependent checks, remain). Every opcode
-// translates; an intrinsic that faults on this processor becomes a
-// closure returning its fault.
+// translates; an intrinsic that faults on every processor providing it
+// (unknown, wrong arity) becomes a closure returning its fault.
 //
 // Invariants that keep the engine cycle- and fault-exact against the
 // reference interpreter:
@@ -34,15 +35,17 @@ import (
 //     leader too, so its extent-dependent zero-fill charge lands when
 //     its block completes, before the next block's limit check.
 //   - A block's closure chain runs only when the whole block fits under
-//     the cycle limit (cycles+cost <= maxCycles), which makes every
-//     per-member limit check provably dead. A completed block adds its
-//     cost to the cycle count and bumps its run count; an alloc adds
-//     its zero-fill cycles and records its element count. Class counts
+//     the cycle limit (cycles+cost <= maxCycles, cost from the run's
+//     prices), which makes every per-member limit check provably dead.
+//     A completed block adds its cost to the cycle count and bumps its
+//     run count; an alloc adds its zero-fill cycles, priced from the
+//     run's processor, and records its element count. Class counts
 //     and profile are charged from the run counts and alloc extents
 //     once, by prices.account (price.go), when the compiled part of the
 //     run ends and before any hand-off. The same counts, when the run
 //     completes, are its processor-independent Events.
-//   - A block that does not fit is handed, with the machine's
+//   - A block that does not fit, or that holds an intrinsic the run's
+//     processor lacks (prices.missing), is handed, with the machine's
 //     accounting so far, to the reference interpreter, which finishes
 //     the run from that block's first pc: it faults or returns within
 //     one block, producing the fault site and partial accounting itself.
@@ -63,24 +66,20 @@ import (
 type cont func(s *scratch) (int, error)
 
 // cBlock is one basic block of a compiled program, parallel to the
-// layout's span of the same index. n and cost total every member
-// including the terminator; OpAlloc's zero-fill is charged at run time
-// on top.
+// layout's span of the same index. n counts every member including the
+// terminator; the block's cost is the run's prices.block entry.
 type cBlock struct {
-	n    int64
-	cost int64
-	run  cont
+	n   int64
+	run cont
 }
 
 // CompiledProgram is a Program translated to continuation-threaded Go
-// closures against one processor's cost model. It is immutable and
-// safe for concurrent use; each run borrows a scratch arena from an
-// internal pool.
+// closures. It depends on the program alone, so one translation serves
+// every processor. It is immutable and safe for concurrent use; each
+// run borrows a scratch arena from an internal pool.
 type CompiledProgram struct {
-	prog   *Program
-	prices *prices
-	code   []pInstr // the decode, 1:1 with prog.Instrs
-	maxL   int      // widest lane count in the program (≥1)
+	prog *Program
+	maxL int // widest lane count in the program (≥1)
 	*layout
 	blocks []cBlock // 1:1 with layout.spans
 
@@ -124,26 +123,32 @@ func chargeFirstOp(op Opc) bool {
 	return true
 }
 
-// compileProgram translates prog for proc without consulting the
-// cache. Most callers want CompiledFor.
-func compileProgram(prog *Program, proc *pdesc.Processor) *CompiledProgram {
-	code, maxL := decode(prog, proc)
-	pr := priceProgram(prog, proc)
+// CompiledFor returns the compiled form of prog, translating it on
+// the first call and returning the translation carried on prog after
+// that. Concurrent first callers may translate redundantly; the first
+// stored translation wins. Safe for concurrent use.
+func CompiledFor(prog *Program) *CompiledProgram {
+	if cp := prog.compiled.Load(); cp != nil {
+		return cp
+	}
+	prog.compiled.CompareAndSwap(nil, compileProgram(prog))
+	return prog.compiled.Load()
+}
+
+// compileProgram translates prog. Callers want CompiledFor. The decode
+// is needed only while translating: each closure captures the operands
+// it reads, so the table is dropped and a carried translation holds
+// just its closures and layout.
+func compileProgram(prog *Program) *CompiledProgram {
+	code, maxL := decode(prog)
 	cp := &CompiledProgram{
 		prog:   prog,
-		prices: pr,
-		code:   code,
 		maxL:   maxL,
 		layout: newLayout(prog),
 	}
 	cp.blocks = make([]cBlock, len(cp.spans))
 	for bi, sp := range cp.spans {
-		b := &cp.blocks[bi]
-		b.n = int64(sp.end - sp.start)
-		for _, c := range pr.at[sp.start:sp.end] {
-			b.cost += c.cost
-		}
-		b.run = cp.buildChain(int(sp.start), int(sp.end))
+		cp.blocks[bi] = cBlock{n: int64(sp.end - sp.start), run: buildChain(code, int(sp.start), int(sp.end))}
 	}
 	compiledStats.translations.Add(1)
 	compiledStats.blocks.Add(uint64(len(cp.blocks)))
@@ -154,8 +159,7 @@ func compileProgram(prog *Program, proc *pdesc.Processor) *CompiledProgram {
 // continuation, last member first. The terminator resolves the
 // successor pc natively; everything before it is a typed closure
 // calling the next one.
-func (cp *CompiledProgram) buildChain(start, end int) cont {
-	code := cp.code
+func buildChain(code []pInstr, start, end int) cont {
 	last := end - 1
 	var next cont
 	i := last
@@ -181,7 +185,7 @@ func (cp *CompiledProgram) buildChain(start, end int) cont {
 		next = func(*scratch) (int, error) { return fall, nil }
 	}
 	for ; i >= start; i-- {
-		next = cp.translateOp(&code[i], i-start, next)
+		next = translateOp(&code[i], i-start, next)
 	}
 	return next
 }
@@ -234,7 +238,7 @@ func floatCond(op Opc) func(x, y float64) bool {
 // charges. Every case must compute exactly what the reference engine
 // computes for the same op — the reference-vs-compiled differential
 // tests and FuzzCompiledEngine enforce this bit for bit.
-func (cp *CompiledProgram) translateOp(in *pInstr, k int, next cont) cont {
+func translateOp(in *pInstr, k int, next cont) cont {
 	switch in.op {
 	case OpNop:
 		return next
@@ -451,15 +455,8 @@ func (cp *CompiledProgram) translateOp(in *pInstr, k int, next cont) cont {
 		}
 
 	case OpIntr:
-		msg := in.intrFaultPre
-		if msg == "" {
-			msg = in.intrFaultPost
-		}
-		if msg != "" {
-			// A pre-charge fault decodes with no charge (class -1, cost
-			// 0), so prefix replay charges exactly what the reference
-			// engine does for either kind.
-			err := errors.New(msg)
+		if in.intrFault != "" {
+			err := errors.New(in.intrFault)
 			return func(*scratch) (int, error) { return k, err }
 		}
 		dst, lanes, kBase := in.dst, in.lanes, in.kBase
@@ -689,7 +686,6 @@ func (cp *CompiledProgram) translateOp(in *pInstr, k int, next cont) cont {
 
 	case OpAlloc:
 		ra, rb, arr, name, cplx := in.a, in.b, in.arr, in.arrName, in.elem == ir.Complex
-		zero := cp.prices.zero
 		return func(s *scratch) (int, error) {
 			r, c := int(s.regs[ra].i), int(s.regs[rb].i)
 			if r < 0 || c < 0 || r*c > 1<<28 {
@@ -705,7 +701,7 @@ func (cp *CompiledProgram) translateOp(in *pInstr, k int, next cont) cont {
 			// reference engine checks them. Its class count is charged
 			// from the recorded extent at the end of the run.
 			elems := int64(r) * int64(c)
-			s.cycles += zero.cost * zero.words(elems)
+			s.cycles += s.zero.cost * s.zero.words(elems)
 			s.allocs[elems]++
 			return next(s)
 		}
@@ -716,21 +712,30 @@ func (cp *CompiledProgram) translateOp(in *pInstr, k int, next cont) cont {
 	return func(*scratch) (int, error) { return k, err }
 }
 
-func (cp *CompiledProgram) getScratch() *scratch {
-	if s, ok := cp.pool.Get().(*scratch); ok {
-		return s
+// getScratch borrows a zeroed scratch arena for a run priced at pr.
+// One translation serves processors whose cost tables differ in
+// length, so the class counters are resized to pr's table; every
+// element up to their capacity is zero while pooled.
+func (cp *CompiledProgram) getScratch(pr *prices) *scratch {
+	s, ok := cp.pool.Get().(*scratch)
+	if !ok {
+		n := cp.prog.NumRegs
+		s = &scratch{
+			regs:    make([]vmval, n),
+			arrays:  make([]*ir.Array, len(cp.prog.Arrays)),
+			runs:    make([]int64, len(cp.blocks)),
+			allocs:  make(map[int64]int64),
+			lanebuf: make([]complex128, n*cp.maxL),
+			maxL:    cp.maxL,
+		}
 	}
-	n := cp.prog.NumRegs
-	return &scratch{
-		regs:    make([]vmval, n),
-		arrays:  make([]*ir.Array, len(cp.prog.Arrays)),
-		runs:    make([]int64, len(cp.blocks)),
-		allocs:  make(map[int64]int64),
-		counts:  make([]int64, cp.prices.table.Len()),
-		touched: make([]bool, cp.prices.table.Len()),
-		lanebuf: make([]complex128, n*cp.maxL),
-		maxL:    cp.maxL,
+	classes := pr.table.Len()
+	if cap(s.counts) < classes {
+		s.counts, s.touched = make([]int64, classes), make([]bool, classes)
 	}
+	s.counts, s.touched = s.counts[:classes], s.touched[:classes]
+	s.zero = pr.zero
+	return s
 }
 
 func (cp *CompiledProgram) putScratch(s *scratch) {
@@ -750,16 +755,17 @@ func (cp *CompiledProgram) putScratch(s *scratch) {
 // partial state on error. A non-nil ev receives the run's events when
 // the compiled engine completes it.
 func (cp *CompiledProgram) run(m *Machine, ctx context.Context, maxCycles int64, args []interface{}, ev **Events) ([]interface{}, error) {
-	s := cp.getScratch()
+	pr := priceProgram(cp.prog, cp.layout, m.Proc)
+	s := cp.getScratch(pr)
 	defer cp.putScratch(s)
 	if err := bindArgs(cp.prog, args, s.regs, s.arrays); err != nil {
 		return nil, err
 	}
-	pc, err := cp.exec(m, ctx, s, maxCycles)
+	pc, err := cp.exec(m, ctx, s, pr, maxCycles)
 	// Completed blocks and allocs were only counted; charge their class
 	// counts and per-pc profile now, in bulk.
-	cp.prices.account(cp.spans, s.runs, s.allocs, s.counts, s.touched)
-	cp.prices.tally(m.ClassCounts, s.counts, s.touched)
+	pr.account(cp.spans, s.runs, s.allocs, s.counts, s.touched)
+	pr.tally(m.ClassCounts, s.counts, s.touched)
 	if m.Profile {
 		for bi, r := range s.runs {
 			if r != 0 {
@@ -770,9 +776,10 @@ func (cp *CompiledProgram) run(m *Machine, ctx context.Context, maxCycles int64,
 			}
 		}
 	}
-	handedOff := err == nil && pc >= 0 && pc < len(cp.code)
+	handedOff := err == nil && pc >= 0 && pc < len(cp.prog.Instrs)
 	if handedOff {
-		// The cycle limit falls within the block at pc: the reference
+		// The cycle limit falls within the block at pc, or the block
+		// holds an intrinsic the processor lacks: the reference
 		// interpreter finishes the run from there, on the machine's
 		// accounting so far.
 		err = m.exec(ctx, cp.prog, pc, s.regs, s.arrays, maxCycles)
@@ -789,10 +796,11 @@ func (cp *CompiledProgram) run(m *Machine, ctx context.Context, maxCycles int64,
 
 // exec is the compiled hot loop: one iteration per basic block. It
 // stops at the program's end, at a fault, or before a block that does
-// not fit under maxCycles, returning that block's first pc for the
-// reference interpreter to resume at. A completed block only bumps its
-// run count; run turns the counts into class counts and profile.
-func (cp *CompiledProgram) exec(m *Machine, ctx context.Context, s *scratch, maxCycles int64) (int, error) {
+// not fit under maxCycles or that pr hands off (a negative block cost),
+// returning that block's first pc for the reference interpreter to
+// resume at. A completed block only bumps its run count; run turns the
+// counts into class counts and profile.
+func (cp *CompiledProgram) exec(m *Machine, ctx context.Context, s *scratch, pr *prices, maxCycles int64) (int, error) {
 	var executed int64
 	defer func() {
 		m.Cycles = s.cycles
@@ -800,7 +808,7 @@ func (cp *CompiledProgram) exec(m *Machine, ctx context.Context, s *scratch, max
 	}()
 
 	runs := s.runs
-	code := cp.code
+	code := cp.prog.Instrs
 	pollIn := int64(CancelCheckStride)
 	pc := 0
 	for pc >= 0 && pc < len(code) {
@@ -816,7 +824,8 @@ func (cp *CompiledProgram) exec(m *Machine, ctx context.Context, s *scratch, max
 				}
 			}
 		}
-		if s.cycles+b.cost > maxCycles {
+		cost := pr.block[bi]
+		if cost < 0 || s.cycles+cost > maxCycles {
 			return pc, nil
 		}
 		// The whole block fits under the cycle limit (the per-member
@@ -824,7 +833,7 @@ func (cp *CompiledProgram) exec(m *Machine, ctx context.Context, s *scratch, max
 		// semantics-only and accounting lands once, batched.
 		next, ferr := b.run(s)
 		if ferr == nil {
-			s.cycles += b.cost
+			s.cycles += cost
 			executed += b.n
 			runs[bi]++
 			pc = next
@@ -836,10 +845,10 @@ func (cp *CompiledProgram) exec(m *Machine, ctx context.Context, s *scratch, max
 		// to the reference engine.
 		k, start := next, int(cp.spans[bi].start)
 		for j := 0; j <= k; j++ {
-			if j == k && !chargeFirstOp(code[start+j].op) {
+			if j == k && !chargeFirstOp(code[start+j].Op) {
 				break
 			}
-			c := cp.prices.at[start+j]
+			c := pr.at[start+j]
 			s.cycles += c.cost
 			if c.class >= 0 {
 				s.counts[c.class] += c.n
@@ -858,8 +867,8 @@ func (cp *CompiledProgram) exec(m *Machine, ctx context.Context, s *scratch, max
 }
 
 // compiledStats are process-wide translation counters, exported for
-// /metrics. They accrue per compileProgram, never per run, so the hot
-// loop stays free of atomics.
+// /metrics and asipdse -cachestats. They accrue per compileProgram,
+// never per run, so the hot loop stays free of atomics.
 var compiledStats struct {
 	translations atomic.Uint64
 	blocks       atomic.Uint64

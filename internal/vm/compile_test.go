@@ -6,14 +6,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime"
+	"slices"
 	"strings"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"mat2c/internal/ir"
-	"mat2c/internal/lru"
 	"mat2c/internal/pdesc"
 	"mat2c/internal/sema"
 )
@@ -35,15 +32,14 @@ func scalarProg(n int) *Program {
 }
 
 // TestCompiledStatsAccrue: one straight-line program is one block and
-// one translation.
+// one translation, however many processors run it.
 func TestCompiledStatsAccrue(t *testing.T) {
 	ResetCompiledStats()
-	ResetPreparedCache()
-	defer ResetPreparedCache()
 	prog := scalarProg(20)
-	m := NewMachine(pdesc.Builtin("scalar"))
-	if _, err := m.Run(prog, 1.0); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"scalar", "dspasip"} {
+		if _, err := NewMachine(pdesc.Builtin(name)).Run(prog, 1.0); err != nil {
+			t.Fatal(err)
+		}
 	}
 	st := CompiledStats()
 	if st.Translations != 1 || st.BlocksCompiled != 1 {
@@ -51,27 +47,31 @@ func TestCompiledStatsAccrue(t *testing.T) {
 	}
 }
 
-// TestCompiledCacheKeying: the cache holds exactly one entry per
-// (program, processor) content pair — the translation, with its decode
-// inside it rather than cached beside it — and a running machine goes
-// through that same entry.
+// TestCompiledCacheKeying: a Program carries exactly one translation,
+// the one CompiledFor returns and every running machine goes through,
+// whatever its processor; another Program carries its own, even when
+// its content is identical.
 func TestCompiledCacheKeying(t *testing.T) {
-	ResetPreparedCache()
-	defer ResetPreparedCache()
 	prog := scalarProg(8)
-	proc := pdesc.Builtin("scalar")
-	if _, err := NewMachine(proc).Run(prog, 1.0); err != nil {
-		t.Fatal(err)
+	before := CompiledStats().Translations
+	for _, name := range []string{"scalar", "dspasip", "wide8"} {
+		if _, err := NewMachine(pdesc.Builtin(name)).Run(prog, 1.0); err != nil {
+			t.Fatal(err)
+		}
 	}
-	cp := CompiledFor(prog, proc)
-	if st := PreparedCacheStats(); st.Entries != 1 || st.Misses != 1 || st.Hits != 1 {
-		t.Errorf("stats = %+v, want 1 entry for the pair, 1 miss, 1 hit", st)
+	cp := CompiledFor(prog)
+	if n := CompiledStats().Translations - before; n != 1 {
+		t.Errorf("%d translations for one program run on three processors, want 1", n)
 	}
-	if CompiledFor(scalarProg(9), proc) == cp {
-		t.Error("distinct program content must translate separately")
+	if CompiledFor(prog) != cp {
+		t.Error("CompiledFor must return the translation the program carries")
 	}
-	if st := PreparedCacheStats(); st.Entries != 2 {
-		t.Errorf("entries = %d, want 2 (one per pair)", st.Entries)
+	twin := scalarProg(8)
+	if twin.ContentHash() != prog.ContentHash() {
+		t.Fatal("identical hand-built programs must hash identically")
+	}
+	if CompiledFor(twin) == cp {
+		t.Error("a distinct Program must carry its own translation")
 	}
 }
 
@@ -249,38 +249,6 @@ func TestCompiledProfileParity(t *testing.T) {
 	}
 }
 
-// TestProcHashMemoEvictsAndUnpins pins the satellite fix for the
-// processor-hash memo: with evict-one LRU replacement the memo never
-// exceeds its cap, and evicted *Processor pointers become collectable
-// instead of being pinned until a wholesale drop at 4096 entries.
-func TestProcHashMemoEvictsAndUnpins(t *testing.T) {
-	old := procHashes
-	procHashes = lru.New[*pdesc.Processor, string](8)
-	defer func() { procHashes = old }()
-
-	base := pdesc.Builtin("scalar")
-	var collected atomic.Int32
-	for i := 0; i < 64; i++ {
-		p := base.Clone()
-		p.Name = fmt.Sprintf("churn%d", i)
-		if _, ok := processorHash(p); !ok {
-			t.Fatal("processorHash failed")
-		}
-		runtime.SetFinalizer(p, func(*pdesc.Processor) { collected.Add(1) })
-		if n := procHashes.Len(); n > 8 {
-			t.Fatalf("memo holds %d entries, cap is 8", n)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for collected.Load() == 0 && time.Now().Before(deadline) {
-		runtime.GC()
-		time.Sleep(10 * time.Millisecond)
-	}
-	if collected.Load() == 0 {
-		t.Error("no evicted processor was collected: the memo still pins evicted pointers")
-	}
-}
-
 // TestProfileParity: Machine.Profile agrees per pc between the
 // reference and compiled engines on real kernels across targets.
 func TestProfileParity(t *testing.T) {
@@ -343,8 +311,10 @@ const (
 // loads/stores/dims on an array parameter and two locals (out-of-bounds
 // and unallocated-array faults replay charge-after-check placement),
 // OpAlloc with extents clamped to a few dozen elements (block splits
-// after each alloc and bad-extent faults), and 4-lane vload, splat,
-// vector arithmetic and reductions (reduce of a scalar faults).
+// after each alloc and bad-extent faults), 4-lane vload, splat,
+// vector arithmetic and reductions (reduce of a scalar faults), and
+// the scalar intrinsics fma and cmul (handed to the reference
+// interpreter on a target lacking them).
 func fuzzProg(data []byte) *Program {
 	prog := &Program{Name: "fz", NumRegs: fzRegs}
 	prog.Arrays = []ArraySlot{
@@ -452,7 +422,14 @@ func fuzzProg(data []byte) *Program {
 				emit(Instr{Op: OpReduce, K: fk, OpBase: ir.Float, BOp: ir.OpAdd, Dst: dst, A: a})
 			}
 		case 15:
-			emit(Instr{Op: OpRet})
+			switch v {
+			case 2:
+				emit(Instr{Op: OpIntr, K: fk, Intr: "fma", Dst: dst, Args: []int{a, b, (a + b) % 8}})
+			case 3:
+				emit(Instr{Op: OpIntr, K: ck, Intr: "cmul", Dst: dst, Args: []int{a, b}})
+			default:
+				emit(Instr{Op: OpRet})
+			}
 		}
 	}
 	emit(Instr{Op: OpRet})
@@ -465,11 +442,12 @@ func fuzzProg(data []byte) *Program {
 }
 
 // FuzzCompiledEngine runs random branchy programs (fuzzProg) under the
-// compiled engine against the reference interpreter on a scalar and a
-// SIMD target, with fuzzed cycle limits so faults land at arbitrary
-// block offsets, comparing every observable including per-pc profiles.
-// Every run that completes on both targets is then priced from its
-// events on the other target and on a SIMD variant with changed
+// compiled engine against the reference interpreter on a scalar target,
+// two SIMD targets and a SIMD target lacking fma, all through the one
+// translation the program carries, with fuzzed cycle limits so faults
+// land at arbitrary block offsets, comparing every observable including
+// per-pc profiles. Every run that completes is then priced from its
+// events on every other target and on a SIMD variant with changed
 // load/vstore/vlds costs; each price must equal that processor's
 // reference run.
 func FuzzCompiledEngine(f *testing.F) {
@@ -487,7 +465,11 @@ func FuzzCompiledEngine(f *testing.F) {
 	// Two allocs and a strided vload: zero-fill and strided charges that
 	// price differently on every target.
 	f.Add([]byte{13, 0x2d, 13, 0x3e, 14, 0x08, 14, 0x08, 15, 0}, uint16(0))
-	procs := []*pdesc.Processor{pdesc.Builtin("scalar"), pdesc.Builtin("dspasip")}
+	// An fma into y after an alloc, then a cmul into w: scalar hands
+	// both intrinsics' block off, the fma-less target the fma's.
+	f.Add([]byte{13, 0x2d, 0x1f, 0x88, 0x2f, 0xca}, uint16(0))
+	noFMA := withoutInstr(pdesc.Builtin("dspasip"), "dspasip-nofma", "fma")
+	procs := []*pdesc.Processor{pdesc.Builtin("scalar"), pdesc.Builtin("dspasip"), pdesc.Builtin("wide8"), noFMA}
 	repriced := pdesc.Builtin("dspasip").Clone()
 	repriced.Name = "dspasip-repriced"
 	repriced.Costs = map[string]int{"load": 3, "vstore": 5}
@@ -496,6 +478,7 @@ func FuzzCompiledEngine(f *testing.F) {
 			repriced.Instructions[i].Cycles = 7
 		}
 	}
+	targets := append(slices.Clone(procs), repriced)
 	f.Fuzz(func(t *testing.T, data []byte, limSeed uint16) {
 		prog := fuzzProg(data)
 		if err := prog.Validate(); err != nil {
@@ -510,45 +493,20 @@ func FuzzCompiledEngine(f *testing.F) {
 		if limSeed != 0 {
 			maxCycles = int64(limSeed) // small limits fault mid-block
 		}
-		run := func(proc *pdesc.Processor, engine string) (*Machine, []interface{}, error) {
-			m := NewMachine(proc)
-			m.Engine = engine
-			m.MaxCycles = maxCycles
-			m.Profile = true
-			out, err := m.Run(prog, cloneArgs(args)...)
-			return m, out, err
-		}
 
-		completed := 0
-		for _, proc := range procs {
-			mr, outR, errR := run(proc, EngineReference)
-			mc, outC, errC := run(proc, EngineCompiled)
-
-			if (errR == nil) != (errC == nil) {
-				t.Fatalf("%s: error mismatch: reference %v, compiled %v", proc.Name, errR, errC)
+		completed := make([]bool, len(procs))
+		for i, proc := range procs {
+			refErr, err := enginesDiff(prog, proc, maxCycles, args)
+			if err != nil {
+				t.Fatalf("%s: %v", proc.Name, err)
 			}
-			if errR != nil && errR.Error() != errC.Error() {
-				t.Fatalf("%s: error text mismatch:\n  reference: %v\n  compiled:  %v", proc.Name, errR, errC)
-			}
-			if mr.Cycles != mc.Cycles || mr.Executed != mc.Executed {
-				t.Fatalf("%s: cycles %d vs %d, executed %d vs %d", proc.Name, mr.Cycles, mc.Cycles, mr.Executed, mc.Executed)
-			}
-			if !reflect.DeepEqual(mr.ClassCounts, mc.ClassCounts) {
-				t.Fatalf("%s: ClassCounts %v vs %v", proc.Name, mr.ClassCounts, mc.ClassCounts)
-			}
-			if !reflect.DeepEqual(mr.PCCounts, mc.PCCounts) {
-				t.Fatalf("%s: per-pc profiles differ:\n  reference: %v\n  compiled:  %v", proc.Name, mr.PCCounts, mc.PCCounts)
-			}
-			if errR == nil {
-				bitsEqResults(t, outR, outC)
-				completed++
-			}
-		}
-		if completed < len(procs) {
-			return
+			completed[i] = refErr == nil
 		}
 
 		for i, from := range procs {
+			if !completed[i] {
+				continue
+			}
 			m := NewMachine(from)
 			m.MaxCycles = maxCycles
 			_, ev, err := m.RunEvents(context.Background(), prog, cloneArgs(args)...)
@@ -558,7 +516,10 @@ func FuzzCompiledEngine(f *testing.F) {
 			if ev == nil {
 				continue // the run's tail was handed to the reference interpreter
 			}
-			for _, to := range []*pdesc.Processor{procs[1-i], repriced} {
+			for _, to := range targets {
+				if to == from {
+					continue
+				}
 				ref := NewMachine(to)
 				ref.Engine = EngineReference
 				ref.MaxCycles = maxCycles
@@ -566,7 +527,7 @@ func FuzzCompiledEngine(f *testing.F) {
 				pm := NewMachine(to)
 				pm.MaxCycles = maxCycles
 				if !pm.Price(prog, ev) {
-					continue // over the limit on to: a real run decides
+					continue // an intrinsic to lacks ran, or over the limit on to: a real run decides
 				}
 				if refErr != nil {
 					t.Fatalf("%s priced on %s, but the reference run fails: %v", from.Name, to.Name, refErr)

@@ -43,8 +43,7 @@ func TestVMValidateCatchesCorruption(t *testing.T) {
 	if err := prog.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := *prog
-	bad.Instrs = append([]Instr(nil), prog.Instrs...)
+	bad := cloneProgram(prog)
 	bad.Instrs[0].Dst = 9999
 	if bad.Instrs[0].Op == OpJmp || bad.Instrs[0].Op == OpRet {
 		t.Skip("first instruction has no Dst")
@@ -52,8 +51,7 @@ func TestVMValidateCatchesCorruption(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("corrupted register not caught")
 	}
-	bad2 := *prog
-	bad2.Instrs = append([]Instr(nil), prog.Instrs...)
+	bad2 := cloneProgram(prog)
 	for i := range bad2.Instrs {
 		if bad2.Instrs[i].Op == OpJz || bad2.Instrs[i].Op == OpJmp {
 			bad2.Instrs[i].Off = len(bad2.Instrs) + 5
@@ -62,6 +60,19 @@ func TestVMValidateCatchesCorruption(t *testing.T) {
 			}
 			break
 		}
+	}
+}
+
+// cloneProgram copies prog's fields into a fresh Program with its own
+// instruction slice (a Program is never copied by value).
+func cloneProgram(prog *Program) *Program {
+	return &Program{
+		Name:    prog.Name,
+		Instrs:  append([]Instr(nil), prog.Instrs...),
+		NumRegs: prog.NumRegs,
+		Arrays:  prog.Arrays,
+		Params:  prog.Params,
+		Results: prog.Results,
 	}
 }
 

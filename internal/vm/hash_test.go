@@ -6,12 +6,11 @@ import (
 	"testing"
 
 	"mat2c/internal/ir"
-	"mat2c/internal/lru"
 )
 
 // hashTestProgram builds a program with enough instructions that
-// hashing it takes measurable work (the lock-contention scenario the
-// memo is designed around).
+// hashing it takes measurable work, so concurrent first callers
+// overlap.
 func hashTestProgram(name string, n int) *Program {
 	p := &Program{Name: name, NumRegs: 8}
 	for i := 0; i < n; i++ {
@@ -31,9 +30,10 @@ func hashTestProgram(name string, n int) *Program {
 
 // TestContentHashParallelCallers hammers ContentHash from many
 // goroutines over a mix of shared and distinct programs. Run under
-// -race this pins the fix that moved the SHA-256 computation outside
-// the global memo lock: every caller must see one stable digest per
-// program, and distinct programs must hash distinctly.
+// -race this pins the set-once contract of the carried hash: racing
+// first callers may each compute it, but every caller must see one
+// stable digest per program, and distinct programs must hash
+// distinctly.
 func TestContentHashParallelCallers(t *testing.T) {
 	const progs = 8
 	const callers = 16
@@ -76,51 +76,7 @@ func TestContentHashParallelCallers(t *testing.T) {
 	}
 }
 
-// TestContentHashMemoCapEviction crosses the memo capacity and
-// verifies hashes stay correct after LRU eviction, and that the memo
-// never grows past its cap (it evicts one entry at a time rather than
-// dropping wholesale).
-func TestContentHashMemoCapEviction(t *testing.T) {
-	old := progHashes
-	progHashes = lru.New[*Program, string](4)
-	defer func() { progHashes = old }()
-
-	var ps []*Program
-	for i := 0; i < 10; i++ {
-		ps = append(ps, hashTestProgram(fmt.Sprintf("cap%d", i), 16))
-	}
-	first := make([]string, len(ps))
-	for i, p := range ps {
-		first[i] = p.ContentHash()
-		if n := progHashes.Len(); n > 4 {
-			t.Fatalf("memo grew to %d entries, cap is 4", n)
-		}
-	}
-	for i, p := range ps {
-		if got := p.ContentHash(); got != first[i] {
-			t.Errorf("program %d re-hashed to %s after eviction, first saw %s", i, got, first[i])
-		}
-	}
-}
-
-// BenchmarkContentHashParallel measures concurrent first-call hashing:
-// before the fix every digest was computed while holding the global
-// memo mutex, serializing the parallel callers; after it only the map
-// probe and insert are under the lock.
-func BenchmarkContentHashParallel(b *testing.B) {
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			// A fresh program per iteration forces the uncached path.
-			p := hashTestProgram("bench", 300)
-			p.Instrs[0].ImmI = int64(i) // perturb so programs differ
-			i++
-			_ = p.ContentHash()
-		}
-	})
-}
-
-// BenchmarkContentHashMemoHit measures the cached path.
+// BenchmarkContentHashMemoHit measures the carried path.
 func BenchmarkContentHashMemoHit(b *testing.B) {
 	p := hashTestProgram("hit", 300)
 	p.ContentHash()
@@ -135,8 +91,8 @@ func BenchmarkContentHashMemoHit(b *testing.B) {
 // TestContentHashPinned pins the digest of a fixed program that touches
 // every hashed field kind (names, params, vector kinds, argument lists,
 // all three immediates, intrinsic name and semantics). The digest keys
-// the compiled-program cache and the simulation memo, so any change to
-// its byte layout must be deliberate.
+// the simulation memo, so any change to its byte layout must be
+// deliberate.
 func TestContentHashPinned(t *testing.T) {
 	p := &Program{
 		Name:    "pin",

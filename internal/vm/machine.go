@@ -162,7 +162,7 @@ func (m *Machine) runContext(ctx context.Context, prog *Program, args []interfac
 	}
 	m.reset(prog)
 	if m.Trace == nil && m.Engine != EngineReference {
-		return CompiledFor(prog, m.Proc).run(m, ctx, m.maxCycles(), args, ev)
+		return CompiledFor(prog).run(m, ctx, m.maxCycles(), args, ev)
 	}
 
 	regs := make([]vmval, prog.NumRegs)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mat2c/internal/ir"
-	"mat2c/internal/pdesc"
 )
 
 // The pre-decoded instruction table.
@@ -14,9 +13,10 @@ import (
 // increment), and allocates a fresh lane slice for every vector result.
 // Decoding hoists all of that to program-load time: each instruction
 // becomes a pInstr with its operands and static metadata resolved,
-// while priceProgram (price.go) resolves its cycle cost, dense
-// cost-class ID and class count against a pdesc.CostTable. The
-// compiled engine (compile.go) translates this table into closures.
+// independent of any processor, while priceProgram (price.go) resolves
+// its cycle cost, dense cost-class ID and class count against one
+// processor's pdesc.CostTable. The compiled engine (compile.go)
+// translates this table into closures.
 //
 // Invariants the decode must hold:
 //   - code[pc] and prices.at[pc] describe prog.Instrs[pc]: both tables
@@ -167,8 +167,8 @@ func lane0(regs []vmval, r int) complex128 {
 
 // pInstr is one pre-decoded instruction. Everything that the reference
 // interpreter recomputes per dynamic execution — lane counts, strides,
-// fault-message array names — is resolved here once per (program,
-// processor) pair; its charge lives in prices.at.
+// fault-message array names — is resolved here once per program; its
+// charge lives in prices.at.
 type pInstr struct {
 	op     Opc
 	bop    ir.Op
@@ -193,16 +193,16 @@ type pInstr struct {
 	stride       int
 	loOff, hiOff int
 
-	// OpIntr: pre-decoded dispatch kind and precomputed fault messages.
-	// intrFaultPre fires before the charge (instruction not provided by
-	// the processor); intrFaultPost fires after it (unknown intrinsic or
-	// arity mismatch) — matching the reference engine's charge ordering.
-	// pat is the pre-parsed semantics pattern of a mined instruction
-	// (nil for the built-in family).
-	intr          intrKind
-	intrFaultPre  string
-	intrFaultPost string
-	pat           *ir.Pattern
+	// OpIntr: pre-decoded dispatch kind and the precomputed fault of an
+	// intrinsic that is unknown or has the wrong arity, which fires
+	// after its charge on a processor providing it. A processor lacking
+	// the intrinsic never reaches the closure: its block is handed to
+	// the reference interpreter (prices.missing). pat is the pre-parsed
+	// semantics pattern of a mined instruction (nil for the built-in
+	// family).
+	intr      intrKind
+	intrFault string
+	pat       *ir.Pattern
 }
 
 // scratch is the per-run execution arena: register file, array slots,
@@ -215,8 +215,9 @@ type scratch struct {
 	arrays []*ir.Array
 	// cycles is the run's charge so far. It lives here rather than in
 	// exec so that OpAlloc's closure can add its extent-dependent
-	// zero-fill directly.
+	// zero-fill, priced by zero, directly.
 	cycles  int64
+	zero    zeroFill
 	runs    []int64         // completions per compiled block
 	allocs  map[int64]int64 // elements -> executed allocs of that many
 	counts  []int64
@@ -231,11 +232,9 @@ func (s *scratch) seg(reg, L int) []complex128 {
 	return s.lanebuf[base : base+L : base+L]
 }
 
-// decode pre-decodes prog for proc, returning the instruction table and
-// the widest lane count in the program (≥1). The processor must not be
-// mutated afterwards (the usual read-only contract shared with
-// pdesc.Resolve).
-func decode(prog *Program, proc *pdesc.Processor) ([]pInstr, int) {
+// decode pre-decodes prog, returning the instruction table and the
+// widest lane count in the program (≥1).
+func decode(prog *Program) ([]pInstr, int) {
 	maxL := 1
 	for i := range prog.Instrs {
 		if L := prog.Instrs[i].K.Lanes; L > maxL {
@@ -279,12 +278,6 @@ func decode(prog *Program, proc *pdesc.Processor) ([]pInstr, int) {
 			}
 
 		case OpIntr:
-			if proc.Instr(in.Intr) == nil {
-				// Faults at runtime before any charge, like the
-				// reference engine.
-				p.intrFaultPre = fmt.Sprintf("intrinsic %q not provided by processor %s", in.Intr, proc.Name)
-				break
-			}
 			p.intr = intrKindOf(in.Intr)
 			if p.intr == intrUnknown {
 				if in.Sem != "" {
@@ -293,17 +286,17 @@ func decode(prog *Program, proc *pdesc.Processor) ([]pInstr, int) {
 					pat, err := ir.CachedPattern(in.Sem)
 					switch {
 					case err != nil:
-						p.intrFaultPost = fmt.Sprintf("intrinsic %q: bad semantics: %v", in.Intr, err)
+						p.intrFault = fmt.Sprintf("intrinsic %q: bad semantics: %v", in.Intr, err)
 					case len(in.Args) != pat.Arity():
-						p.intrFaultPost = fmt.Sprintf("intrinsic %s expects %d args, got %d", in.Intr, pat.Arity(), len(in.Args))
+						p.intrFault = fmt.Sprintf("intrinsic %s expects %d args, got %d", in.Intr, pat.Arity(), len(in.Args))
 					default:
 						p.pat = pat
 					}
 				} else {
-					p.intrFaultPost = fmt.Sprintf("unknown intrinsic %q", in.Intr)
+					p.intrFault = fmt.Sprintf("unknown intrinsic %q", in.Intr)
 				}
 			} else if len(in.Args) != intrArity(p.intr) {
-				p.intrFaultPost = fmt.Sprintf("intrinsic %s expects %d args, got %d", in.Intr, intrArity(p.intr), len(in.Args))
+				p.intrFault = fmt.Sprintf("intrinsic %s expects %d args, got %d", in.Intr, intrArity(p.intr), len(in.Args))
 			} else if in.K.Lanes == 1 {
 				p.op = xIntrS
 			}

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -12,46 +13,55 @@ import (
 	"mat2c/internal/sema"
 )
 
-// bitsEqResults compares two result sets for exact bit equality (both
-// engines share the same operand semantics in the same order, so even
-// NaN payloads and signed zeros must match).
+// bitsEqC reports whether two complex values are bit-identical.
 func bitsEqC(a, b complex128) bool {
 	return math.Float64bits(real(a)) == math.Float64bits(real(b)) &&
 		math.Float64bits(imag(a)) == math.Float64bits(imag(b))
 }
 
-func bitsEqResults(t *testing.T, ref, got []interface{}) {
-	t.Helper()
+// resultsDiff compares two result sets for exact bit equality (both
+// engines share the same operand semantics in the same order, so even
+// NaN payloads and signed zeros must match) and describes the first
+// difference.
+func resultsDiff(ref, got []interface{}) error {
 	if len(ref) != len(got) {
-		t.Fatalf("result count: reference %d, compiled %d", len(ref), len(got))
+		return fmt.Errorf("result count: reference %d, compiled %d", len(ref), len(got))
 	}
 	for i := range ref {
 		switch x := ref[i].(type) {
 		case int64:
 			if x != got[i].(int64) {
-				t.Errorf("result %d: reference %v, compiled %v", i, x, got[i])
+				return fmt.Errorf("result %d: reference %v, compiled %v", i, x, got[i])
 			}
 		case float64:
 			if math.Float64bits(x) != math.Float64bits(got[i].(float64)) {
-				t.Errorf("result %d: reference %v, compiled %v", i, x, got[i])
+				return fmt.Errorf("result %d: reference %v, compiled %v", i, x, got[i])
 			}
 		case complex128:
 			if !bitsEqC(x, got[i].(complex128)) {
-				t.Errorf("result %d: reference %v, compiled %v", i, x, got[i])
+				return fmt.Errorf("result %d: reference %v, compiled %v", i, x, got[i])
 			}
 		case *ir.Array:
 			y := got[i].(*ir.Array)
 			if x.Rows != y.Rows || x.Cols != y.Cols || x.Elem != y.Elem {
-				t.Fatalf("result %d: shape %dx%d vs %dx%d", i, x.Rows, x.Cols, y.Rows, y.Cols)
+				return fmt.Errorf("result %d: shape %dx%d vs %dx%d", i, x.Rows, x.Cols, y.Rows, y.Cols)
 			}
 			for j := 0; j < x.Len(); j++ {
 				if !bitsEqC(x.At(j), y.At(j)) {
-					t.Fatalf("result %d element %d: reference %v, compiled %v", i, j, x.At(j), y.At(j))
+					return fmt.Errorf("result %d element %d: reference %v, compiled %v", i, j, x.At(j), y.At(j))
 				}
 			}
 		default:
-			t.Fatalf("result %d: unexpected type %T", i, ref[i])
+			return fmt.Errorf("result %d: unexpected type %T", i, ref[i])
 		}
+	}
+	return nil
+}
+
+func bitsEqResults(t *testing.T, ref, got []interface{}) {
+	t.Helper()
+	if err := resultsDiff(ref, got); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -64,35 +74,35 @@ func runEngine(prog *Program, p *pdesc.Processor, engine string, maxCycles int64
 	return m, out, err
 }
 
-// assertEnginesAgree runs prog on the reference and compiled engines
-// and requires identical Cycles, Executed, ClassCounts, per-pc
-// profiles, outputs, and error strings (fault messages include the pc,
-// so fault locations must match too), using the reference interpreter
-// as the oracle.
-func assertEnginesAgree(t *testing.T, prog *Program, p *pdesc.Processor, maxCycles int64, args []interface{}) {
-	t.Helper()
+// enginesDiff runs prog on the reference and compiled engines and
+// describes the first observable they disagree on: error presence or
+// text (fault messages include the pc, so fault locations must match
+// too), Cycles, Executed, ClassCounts, per-pc profiles, or outputs. The
+// reference interpreter is the oracle. refErr is its run's error.
+func enginesDiff(prog *Program, p *pdesc.Processor, maxCycles int64, args []interface{}) (refErr, diff error) {
 	mr, outR, errR := runEngine(prog, p, EngineReference, maxCycles, args)
 	mc, outC, errC := runEngine(prog, p, EngineCompiled, maxCycles, args)
-	if (errR == nil) != (errC == nil) {
-		t.Fatalf("error mismatch: reference %v, compiled %v", errR, errC)
+	switch {
+	case (errR == nil) != (errC == nil) || errR != nil && errR.Error() != errC.Error():
+		return errR, fmt.Errorf("error: reference %v, compiled %v", errR, errC)
+	case mr.Cycles != mc.Cycles || mr.Executed != mc.Executed:
+		return errR, fmt.Errorf("cycles/executed: reference %d/%d, compiled %d/%d", mr.Cycles, mr.Executed, mc.Cycles, mc.Executed)
+	case !reflect.DeepEqual(mr.ClassCounts, mc.ClassCounts):
+		return errR, fmt.Errorf("ClassCounts:\n  reference %v\n  compiled  %v", mr.ClassCounts, mc.ClassCounts)
+	case !reflect.DeepEqual(mr.PCCounts, mc.PCCounts):
+		return errR, fmt.Errorf("PCCounts:\n  reference %v\n  compiled  %v", mr.PCCounts, mc.PCCounts)
+	case errR == nil:
+		return nil, resultsDiff(outR, outC)
 	}
-	if errR != nil && errR.Error() != errC.Error() {
-		t.Fatalf("error text mismatch:\n  reference: %v\n  compiled:  %v", errR, errC)
-	}
-	if mr.Cycles != mc.Cycles {
-		t.Errorf("Cycles: reference %d, compiled %d", mr.Cycles, mc.Cycles)
-	}
-	if mr.Executed != mc.Executed {
-		t.Errorf("Executed: reference %d, compiled %d", mr.Executed, mc.Executed)
-	}
-	if !reflect.DeepEqual(mr.ClassCounts, mc.ClassCounts) {
-		t.Errorf("ClassCounts:\n  reference %v\n  compiled  %v", mr.ClassCounts, mc.ClassCounts)
-	}
-	if !reflect.DeepEqual(mr.PCCounts, mc.PCCounts) {
-		t.Errorf("PCCounts:\n  reference %v\n  compiled  %v", mr.PCCounts, mc.PCCounts)
-	}
-	if errR == nil {
-		bitsEqResults(t, outR, outC)
+	return errR, nil
+}
+
+// assertEnginesAgree fails t unless prog runs identically on both
+// engines (enginesDiff).
+func assertEnginesAgree(t *testing.T, prog *Program, p *pdesc.Processor, maxCycles int64, args []interface{}) {
+	t.Helper()
+	if _, err := enginesDiff(prog, p, maxCycles, args); err != nil {
+		t.Fatalf("%s: %v", p.Name, err)
 	}
 }
 
@@ -338,46 +348,38 @@ func TestClassCountsMapReused(t *testing.T) {
 	}
 }
 
-// TestPreparedCache checks content-addressed sharing: the same program
-// on the same or an equivalent (cloned) processor hits one translation,
-// and a different cost model gets its own.
+// TestPreparedCache: a lowered program carries one translation, and
+// that one translation serves the processor it was compiled for, a
+// content-identical clone and a different cost model, each run priced
+// exactly as the reference engine charges it.
 func TestPreparedCache(t *testing.T) {
-	ResetPreparedCache()
-	defer ResetPreparedCache()
 	f, p := buildIR(t, "function y = f(a)\ny = a * 3;\nend", "dspasip", true, sema.RealScalar)
 	prog, err := Lower(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp1 := CompiledFor(prog, p)
-	if CompiledFor(prog, p) != cp1 {
-		t.Error("same pointers should share a translation")
+	before := CompiledStats().Translations
+	cp := CompiledFor(prog)
+	if CompiledFor(prog) != cp {
+		t.Error("a Program must carry one translation")
 	}
-	if CompiledFor(prog, p.Clone()) != cp1 {
-		t.Error("content-identical processor clone should share the translation")
-	}
-	st := PreparedCacheStats()
-	if st.Entries != 1 || st.Misses != 1 || st.Hits != 2 {
-		t.Errorf("stats = %+v, want 1 entry, 1 miss, 2 hits", st)
-	}
-	// A genuinely different cost model must not share.
 	derived := p.Clone()
 	derived.Name = "variant"
 	derived.Costs = map[string]int{"fmul": 9}
-	if CompiledFor(prog, derived) == cp1 {
-		t.Error("distinct processor content must translate separately")
+	cycles := map[string]int64{}
+	for _, q := range []*pdesc.Processor{p, p.Clone(), derived} {
+		assertEnginesAgree(t, prog, q, 0, []interface{}{2.0})
+		m := NewMachine(q)
+		if _, err := m.Run(prog, 2.0); err != nil {
+			t.Fatal(err)
+		}
+		cycles[q.Name] = m.Cycles
 	}
-	if st := PreparedCacheStats(); st.Entries != 2 {
-		t.Errorf("entries = %d, want 2", st.Entries)
+	if cycles[p.Name] == cycles[derived.Name] {
+		t.Errorf("repricing fmul left the cycles at %d: the run did not read the derived cost model", cycles[p.Name])
 	}
-	// A reset measures cold paths: the cache, its counters, and both
-	// content-hash memos start empty again.
-	ResetPreparedCache()
-	if st := PreparedCacheStats(); st.Entries != 0 || st.Hits != 0 || st.Misses != 0 {
-		t.Errorf("stats after reset = %+v, want empty", st)
-	}
-	if n, m := procHashes.Len(), progHashes.Len(); n != 0 || m != 0 {
-		t.Errorf("after reset the processor memo holds %d entries and the program memo %d, want 0 and 0", n, m)
+	if n := CompiledStats().Translations - before; n != 1 {
+		t.Errorf("%d translations, want 1 shared by every processor", n)
 	}
 }
 

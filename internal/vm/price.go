@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"mat2c/internal/ir"
+	"mat2c/internal/lru"
 	"mat2c/internal/pdesc"
 )
 
@@ -20,8 +21,10 @@ import (
 // Invariants:
 //   - chargeOf is the one copy of the per-instruction charging rules
 //     outside the reference interpreter: priceProgram resolves through
-//     it both the charges a translation runs with and the charges of a
-//     processor Price is asked about.
+//     it both the charges a compiled run executes with and the charges
+//     of a processor Price is asked about. A translation depends on the
+//     program alone; every processor read of a compiled run goes
+//     through its prices.
 //   - prices.account is the one place block runs and alloc extents
 //     become charges: it is the compiled engine's end-of-run accounting
 //     and the body of Price.
@@ -167,21 +170,42 @@ func newZeroFill(proc *pdesc.Processor, table *pdesc.CostTable) zeroFill {
 // words is the number of vstores zero-filling elems elements.
 func (z zeroFill) words(elems int64) int64 { return (elems + z.width - 1) / z.width }
 
-// prices is one processor's charge for every instruction of one
-// program, resolved without translating anything.
+// costTables memoizes pdesc.NewCostTable per processor pointer: a
+// sweep prices every kernel of a variant against one long-lived
+// processor, and a table takes tens of microseconds to build. Bounded,
+// so retired sweep variants become collectable.
+var costTables = lru.New[*pdesc.Processor, *pdesc.CostTable](costTableMemoCap)
+
+const costTableMemoCap = 4096
+
+func costTable(p *pdesc.Processor) *pdesc.CostTable {
+	if t, ok := costTables.Get(p); ok {
+		return t
+	}
+	t, _ := costTables.Add(p, pdesc.NewCostTable(p))
+	return t
+}
+
+// prices is one processor's charge for every instruction and basic
+// block of one program, resolved without translating anything.
 type prices struct {
 	table *pdesc.CostTable
 	at    []charge // 1:1 with prog.Instrs
+	// block is each layout span's total charge, or -1 when the span
+	// holds a pc in missing: the compiled engine hands such a block to
+	// the reference interpreter, which faults there.
+	block []int64
 	zero  zeroFill
 	// missing lists the pcs of intrinsics the processor lacks.
 	missing []int
 }
 
-func priceProgram(prog *Program, proc *pdesc.Processor) *prices {
+func priceProgram(prog *Program, l *layout, proc *pdesc.Processor) *prices {
 	table := costTable(proc)
 	p := &prices{
 		table: table,
 		at:    make([]charge, len(prog.Instrs)),
+		block: make([]int64, len(l.spans)),
 		zero:  newZeroFill(proc, table),
 	}
 	for pc := range prog.Instrs {
@@ -190,6 +214,14 @@ func priceProgram(prog *Program, proc *pdesc.Processor) *prices {
 			p.missing = append(p.missing, pc)
 		}
 		p.at[pc] = c
+	}
+	for bi, b := range l.spans {
+		for _, c := range p.at[b.start:b.end] {
+			p.block[bi] += c.cost
+		}
+	}
+	for _, pc := range p.missing {
+		p.block[l.blockOf[pc]] = -1
 	}
 	return p
 }
@@ -291,7 +323,7 @@ func (m *Machine) Price(prog *Program, ev *Events) bool {
 	if m.Profile || m.Trace != nil {
 		return false
 	}
-	p := priceProgram(prog, m.Proc)
+	p := priceProgram(prog, ev.blocks, m.Proc)
 	for _, pc := range p.missing {
 		if ev.runs[ev.blocks.blockOf[pc]] > 0 {
 			return false

@@ -23,9 +23,9 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"mat2c/internal/ir"
-	"mat2c/internal/lru"
 )
 
 // Opc is a VM opcode.
@@ -108,8 +108,11 @@ type Param struct {
 }
 
 // Program is a compiled function in VM form. A Program is immutable
-// once lowering returns it; mutating one after execution started (or
-// after ContentHash was taken) is a caller bug.
+// once lowering returns it and is never copied: it carries its content
+// hash and its compiled translation, each set once, and go vet's
+// copylocks check rejects a value copy. Mutating a Program
+// after execution started (or after ContentHash was taken) is a caller
+// bug.
 type Program struct {
 	Name    string
 	Instrs  []Instr
@@ -117,15 +120,13 @@ type Program struct {
 	Arrays  []ArraySlot
 	Params  []Param
 	Results []Param
+
+	// hash and compiled are set once, first store wins: concurrent
+	// first callers may compute redundantly, and every caller sees the
+	// stored value. Both work on a zero-value Program literal.
+	hash     atomic.Pointer[string]
+	compiled atomic.Pointer[CompiledProgram]
 }
-
-// progHashes memoizes ContentHash per Program pointer, kept outside
-// the struct so Program stays a plain copyable value. Bounded like the
-// processor-hash memo (procHashes in pcache.go): an LRU, so retired
-// programs become collectable instead of being pinned.
-var progHashes = lru.New[*Program, string](progHashMemoCap)
-
-const progHashMemoCap = 4096
 
 // Len returns the static instruction count (the code-size metric).
 func (p *Program) Len() int { return len(p.Instrs) }
@@ -133,21 +134,14 @@ func (p *Program) Len() int { return len(p.Instrs) }
 // ContentHash returns a hex SHA-256 digest over everything observable
 // about the program (instructions, register/array/param layout, name).
 // Two programs with equal hashes execute identically, including fault
-// messages; the compiled-program cache keys on it. Computed once and
-// memoized.
-//
-// The digest is computed outside the memo lock (the processorHash
-// pattern in pcache.go): programs are immutable once built, so
-// concurrent first callers may hash redundantly, but a slow hash of a
-// large program never serializes unrelated callers behind the global
-// mutex.
+// messages. Computed once per Program and carried on it.
 func (p *Program) ContentHash() string {
-	if s, ok := progHashes.Get(p); ok {
-		return s
+	if h := p.hash.Load(); h != nil {
+		return *h
 	}
 	s := p.contentHash()
-	progHashes.Add(p, s)
-	return s
+	p.hash.CompareAndSwap(nil, &s)
+	return *p.hash.Load()
 }
 
 // contentHash is the uncached digest computation. It appends every
