@@ -9,23 +9,25 @@ import (
 	"mat2c/internal/core"
 	"mat2c/internal/ir"
 	"mat2c/internal/isel"
+	"mat2c/internal/vm"
 )
 
-// encodeArtifact serializes a compiled result into its durable form
-// under its content address. Every field a restored Result can be asked
-// for is rendered here, at encode time, so decoding never needs the IR
-// or AST object graphs.
-func encodeArtifact(key string, r *Result) []byte {
-	if r.art != nil {
-		// Already restored from an artifact: re-encode the original
+// encodeRecord serializes a compiled result's durable record under its
+// content address. Every field a restored Result can be asked for is
+// rendered here, at encode time, so decoding never needs the IR or AST
+// object graphs. The program itself is stored apart, as the blob the
+// record names by content hash.
+func encodeRecord(key string, r *Result) []byte {
+	if r.rec != nil {
+		// Already restored from a record: re-encode the original
 		// (deterministic, so the bytes written back match what was read).
-		return artifact.Encode(r.art, cacheKeyVersion)
+		return artifact.EncodeRecord(r.rec, cacheKeyVersion)
 	}
-	a := &artifact.Artifact{
+	rec := &artifact.Record{
 		Key:             key,
 		Entry:           r.res.Entry,
 		Target:          r.proc.Name,
-		Program:         r.res.Program,
+		ProgramHash:     r.res.Program.ContentHash(),
 		CSource:         r.res.CSource,
 		CHeader:         r.res.CHeader,
 		CPrototype:      cgen.Prototype(r.res.Func),
@@ -36,39 +38,44 @@ func encodeArtifact(key string, r *Result) []byte {
 		Intrinsics:      map[string]int{},
 	}
 	for name, n := range r.res.Intrinsics.Selected {
-		a.Intrinsics[name] = n
+		rec.Intrinsics[name] = n
 	}
 	for _, st := range r.res.Stages {
-		a.Stages = append(a.Stages, artifact.StageTime{Stage: st.Stage, Nanos: st.Duration.Nanoseconds()})
+		rec.Stages = append(rec.Stages, artifact.StageTime{Stage: st.Stage, Nanos: st.Duration.Nanoseconds()})
 	}
-	return artifact.Encode(a, cacheKeyVersion)
+	return artifact.EncodeRecord(rec, cacheKeyVersion)
 }
 
-// decodeArtifact rebuilds a Result from stored bytes. key is the
-// content address the bytes were fetched under; an artifact carrying a
-// different embedded key (a misfiled or renamed store entry) is
-// rejected as corrupt. opts must be the same options the key was
-// derived from — the restored Result reuses their resolved processor.
-func decodeArtifact(data []byte, key string, opts Options) (*Result, error) {
-	a, err := artifact.Decode(data, cacheKeyVersion)
+// decodeRecord decodes record bytes fetched under key. A record
+// carrying a different embedded key (a misfiled or renamed store entry)
+// is rejected as corrupt.
+func decodeRecord(data []byte, key string) (*artifact.Record, error) {
+	rec, err := artifact.DecodeRecord(data, cacheKeyVersion)
 	if err != nil {
 		return nil, err
 	}
-	if a.Key != key {
-		return nil, fmt.Errorf("%w: artifact key %s stored under %s", artifact.ErrCorrupt, a.Key, key)
+	if rec.Key != key {
+		return nil, fmt.Errorf("%w: record key %s stored under %s", artifact.ErrCorrupt, rec.Key, key)
 	}
+	return rec, nil
+}
+
+// restoreResult rebuilds a Result from a record and its verified
+// program. opts must be the same options the record's key was derived
+// from — the restored Result reuses their resolved processor.
+func restoreResult(rec *artifact.Record, prog *vm.Program, opts Options) (*Result, error) {
 	cfg, err := opts.config()
 	if err != nil {
 		return nil, err
 	}
 	intr := isel.Stats{Selected: map[string]int{}}
-	for name, n := range a.Intrinsics {
+	for name, n := range rec.Intrinsics {
 		intr.Selected[name] = n
 	}
-	stages := make([]core.StageTime, 0, len(a.Stages))
-	for _, st := range a.Stages {
+	stages := make([]core.StageTime, 0, len(rec.Stages))
+	for _, st := range rec.Stages {
 		stages = append(stages, core.StageTime{Stage: st.Stage, Duration: time.Duration(st.Nanos)})
 	}
-	res := core.Restored(a.Entry, a.Program, a.CSource, a.CHeader, a.VectorizedLoops, intr, stages, cfg)
-	return &Result{res: res, proc: cfg.Processor, art: a}, nil
+	res := core.Restored(rec.Entry, prog, rec.CSource, rec.CHeader, rec.VectorizedLoops, intr, stages, cfg)
+	return &Result{res: res, proc: cfg.Processor, rec: rec}, nil
 }

@@ -5,19 +5,22 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 
 	"mat2c/internal/artifact"
 	"mat2c/internal/lru"
+	"mat2c/internal/vm"
 )
 
 // cacheKeyVersion invalidates every cached artifact when the key layout
 // (or anything the key cannot see, like pipeline semantics) changes.
 // Bump it whenever a compiler change can alter output for an unchanged
 // input.
-const cacheKeyVersion = "mat2c-cache-v1"
+const cacheKeyVersion = "mat2c-cache-v2"
 
 // Cache is a content-addressed, bounded LRU cache of compilation
 // results, keyed by SHA-256 over everything that determines the
@@ -39,15 +42,31 @@ const cacheKeyVersion = "mat2c-cache-v1"
 // entry that fails to decode (corruption, a format-version bump, a
 // cache-key-version bump) is counted as a miss, never surfaced to the
 // caller.
+//
+// A store tier holds a compilation as two entries (artifact.Record): a
+// record under the cache key and the program blob under its content
+// hash, which every key that compiles to the same program shares. The
+// Cache decodes and verifies each blob at most once while its program
+// stays in a memo of the same bound as the memory tier.
 type Cache struct {
 	mem *lru.Cache[string, *Result]
 	max int
+	// progs is the decoded-program memo: programs by content hash, each
+	// with the tiers known to hold its blob.
+	progs *lru.Cache[string, *progEntry]
 
 	mu        sync.Mutex
 	hits      uint64
 	misses    uint64
 	evictions uint64
 	compiles  uint64
+
+	// blobDecodes counts program blobs decoded and verified;
+	// programHits counts records whose program the memo already held.
+	// loads holds the in-progress blob load per program hash, so
+	// records that share a program decode its blob once.
+	blobDecodes, programHits uint64
+	loads                    map[string]chan struct{}
 
 	// flights holds the in-progress compilation per key so concurrent
 	// misses share one pipeline run instead of compiling redundantly.
@@ -78,6 +97,15 @@ type tier struct {
 	hits, misses, decodeErrors, storeErrors uint64
 }
 
+// progEntry is one decoded-program memo entry. stored marks the tiers
+// this cache has read the blob from or written it to (guarded by
+// Cache.mu), so writing another record that names the program to such
+// a tier needs no presence probe.
+type progEntry struct {
+	prog   *vm.Program
+	stored [numTiers]bool
+}
+
 // flight is one in-progress miss: the first caller on a key (the
 // leader) compiles while later callers (followers) wait on done.
 // cancelled marks a leader that gave up because its own context ended —
@@ -104,7 +132,9 @@ func NewCache(maxEntries int) *Cache {
 	return &Cache{
 		mem:     lru.New[string, *Result](maxEntries),
 		max:     maxEntries,
+		progs:   lru.New[string, *progEntry](maxEntries),
 		flights: make(map[string]*flight),
+		loads:   make(map[string]chan struct{}),
 	}
 }
 
@@ -123,6 +153,11 @@ func (c *Cache) SetRemoteStore(s artifact.Store) { c.setTier(remoteTier, s) }
 
 func (c *Cache) setTier(i int, s artifact.Store) {
 	c.mu.Lock()
+	if c.tiers[i].store != nil {
+		// What the memo knows of the old store's blobs does not carry
+		// over to the new one.
+		c.progs.Clear()
+	}
 	c.tiers[i].store = s
 	c.mu.Unlock()
 }
@@ -177,6 +212,12 @@ type CacheStats struct {
 	RemoteMisses       uint64 `json:"remote_misses"`
 	RemoteDecodeErrors uint64 `json:"remote_decode_errors"`
 	RemoteStoreErrors  uint64 `json:"remote_store_errors"`
+	// BlobDecodes counts program blobs decoded and verified, at most one
+	// per distinct program while it stays in the decoded-program memo;
+	// ProgramHits counts records restored with a program the memo
+	// already held.
+	BlobDecodes uint64 `json:"blob_decodes"`
+	ProgramHits uint64 `json:"program_hits"`
 	// Disk is the attached store's own counters and occupancy, when the
 	// store reports them (DiskStore does).
 	Disk *artifact.Stats `json:"disk,omitempty"`
@@ -206,6 +247,8 @@ func (c *Cache) Stats() CacheStats {
 		RemoteMisses:       remote.misses,
 		RemoteDecodeErrors: remote.decodeErrors,
 		RemoteStoreErrors:  remote.storeErrors,
+		BlobDecodes:        c.blobDecodes,
+		ProgramHits:        c.programHits,
 	}
 	c.mu.Unlock()
 	st.Disk = storeStats(disk.store)
@@ -264,15 +307,18 @@ func (c *Cache) Put(key string, res *Result) {
 	c.offer(key, res, nil, numTiers)
 }
 
-// offer asynchronously hands the artifact that settled a lookup at tier
-// from to every other attached tier, so the tiers converge. Tiers
-// nearer than from already missed this lookup and get a plain Put.
-// Deeper tiers were never asked: one that answers presence probes
-// (artifact.Checker — the remote does, via HEAD) is asked first and
-// skipped when it already holds the entry or cannot answer (an outage
-// is not a store error: nothing was lost). A compile settles at from ==
-// numTiers, so every tier gets a Put. data is the entry's verified
-// encoding, or nil to encode res once, off the caller's path. Put
+// offer asynchronously hands the compilation that settled a lookup at
+// tier from to every other attached tier, so the tiers converge. Tiers
+// nearer than from already missed this lookup and get a plain Put of
+// the record. Deeper tiers were never asked: one that answers presence
+// probes (artifact.Checker — the remote does, via HEAD) is asked first
+// and skipped when it already holds the record or cannot answer (an
+// outage is not a store error: nothing was lost). A compile settles at
+// from == numTiers, so every tier gets the record. Before the record,
+// each tier gets the program blob it names, under the same rule (see
+// storeBlob); a tier whose blob write fails gets no record. data is the
+// record's verified encoding, or nil to encode res once, off the
+// caller's path. Put
 // failures are counted per tier, never surfaced: durability is an
 // optimization, and a remote outage must not slow or fail the compile
 // path.
@@ -288,8 +334,11 @@ func (c *Cache) offer(key string, res *Result, data []byte, from int) {
 	go func() {
 		defer c.writes.Done()
 		if data == nil {
-			data = encodeArtifact(key, res)
+			data = encodeRecord(key, res)
 		}
+		prog := res.res.Program
+		e, _ := c.progs.Add(prog.ContentHash(), &progEntry{prog: prog})
+		var blob []byte // the program's encoding, made at most once
 		for i, s := range stores {
 			if s == nil {
 				continue
@@ -299,13 +348,56 @@ func (c *Cache) offer(key string, res *Result, data []byte, from int) {
 					continue
 				}
 			}
+			if !c.storeBlob(e, i, s, i > from, &blob) {
+				continue
+			}
 			if err := s.Put(key, data); err != nil {
-				c.mu.Lock()
-				c.tiers[i].storeErrors++
-				c.mu.Unlock()
+				c.storeError(i)
 			}
 		}
 	}()
+}
+
+// storeBlob makes sure tier i holds e's program blob before a record
+// naming it is written there, and reports whether it does. A tier this
+// cache already read the blob from or wrote it to is taken at its word.
+// Otherwise the blob is Put, encoded into *blob on first use — after a
+// presence probe when probe is set and the tier answers them, skipping
+// the tier when the probe fails.
+func (c *Cache) storeBlob(e *progEntry, i int, s artifact.Store, probe bool, blob *[]byte) bool {
+	c.mu.Lock()
+	stored := e.stored[i]
+	c.mu.Unlock()
+	if stored {
+		return true
+	}
+	key := artifact.BlobKey(e.prog.ContentHash())
+	has := false
+	if ch, ok := s.(artifact.Checker); ok && probe {
+		var err error
+		if has, err = ch.Has(key); err != nil {
+			return false
+		}
+	}
+	if !has {
+		if *blob == nil {
+			*blob = artifact.EncodeProgram(e.prog)
+		}
+		if err := s.Put(key, *blob); err != nil {
+			c.storeError(i)
+			return false
+		}
+	}
+	c.mu.Lock()
+	e.stored[i] = true
+	c.mu.Unlock()
+	return true
+}
+
+func (c *Cache) storeError(i int) {
+	c.mu.Lock()
+	c.tiers[i].storeErrors++
+	c.mu.Unlock()
 }
 
 // startFlight registers the caller as leader of key's in-progress miss
@@ -342,27 +434,36 @@ func CacheKey(source, entry string, params []Type, opts Options) (string, error)
 	if err != nil {
 		return "", err
 	}
-	procJSON, err := cfg.Processor.MarshalJSONIndent()
+	procJSON, err := json.Marshal(cfg.Processor)
 	if err != nil {
 		return "", fmt.Errorf("mat2c: hashing target description: %w", err)
 	}
-	h := sha256.New()
-	field := func(b []byte) {
-		var n [8]byte
-		binary.LittleEndian.PutUint64(n[:], uint64(len(b)))
-		h.Write(n[:])
-		h.Write(b)
-	}
-	field([]byte(cacheKeyVersion))
-	field([]byte(source))
-	field([]byte(entry))
+	buf := make([]byte, 0, 256+len(source)+len(entry)+len(procJSON))
+	buf = appendKeyField(buf, cacheKeyVersion)
+	buf = appendKeyField(buf, source)
+	buf = appendKeyField(buf, entry)
+	var f []byte
 	for _, t := range params {
-		field([]byte(fmt.Sprintf("%d/%d/%d", t.Class, t.Shape.Rows, t.Shape.Cols)))
+		f = strconv.AppendInt(f[:0], int64(t.Class), 10)
+		f = strconv.AppendInt(append(f, '/'), int64(t.Shape.Rows), 10)
+		f = strconv.AppendInt(append(f, '/'), int64(t.Shape.Cols), 10)
+		buf = appendKeyField(buf, f)
 	}
-	field(procJSON)
-	field([]byte(fmt.Sprintf("opt=%d vec=%v intrin=%v fuse=%v emitc=%v",
-		cfg.OptLevel, cfg.Vectorize, cfg.Intrinsics, cfg.Fusion, cfg.EmitC)))
-	return hex.EncodeToString(h.Sum(nil)), nil
+	buf = appendKeyField(buf, procJSON)
+	f = strconv.AppendInt(f[:0], int64(cfg.OptLevel), 10)
+	for _, on := range []bool{cfg.Vectorize, cfg.Intrinsics, cfg.Fusion, cfg.EmitC} {
+		f = strconv.AppendBool(append(f, ' '), on)
+	}
+	buf = appendKeyField(buf, f)
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:]), nil
+}
+
+// appendKeyField appends one length-prefixed CacheKey field, so no two
+// field sequences render alike.
+func appendKeyField[T string | []byte](buf []byte, field T) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(field)))
+	return append(buf, field...)
 }
 
 // CompileCached is Compile behind a content-addressed cache: it returns
@@ -423,25 +524,15 @@ func CompileCachedContext(ctx context.Context, c *Cache, source, entry string, p
 // resolve settles a memory miss as the flight leader: it probes the
 // store tiers nearest first and runs the full pipeline only when every
 // tier misses. Whatever settles the lookup is cached in memory and
-// offered to the other tiers. A Get error is a miss for that tier, and
-// also a decode error when the tier reports corrupt bytes
-// (artifact.ErrCorrupt); bytes that fail to decode count the same way
-// and are deleted from the tier best-effort so they are not fetched
-// again.
+// offered to the other tiers. A tier that cannot restore the
+// compilation (see restore) counts a miss, and also a decode error
+// when it held corrupt bytes.
 func (c *Cache) resolve(ctx context.Context, key, source, entry string, params []Type, opts Options) (*Result, bool, error) {
 	for i, s := range c.stores() {
 		if s == nil {
 			continue
 		}
-		data, err := s.Get(key)
-		corrupt := errors.Is(err, artifact.ErrCorrupt)
-		var res *Result
-		if err == nil {
-			if res, err = decodeArtifact(data, key, opts); err != nil {
-				corrupt = true
-				s.Delete(key) // best-effort; a failure just leaves a dead entry
-			}
-		}
+		res, data, err := c.restore(key, i, s, opts)
 		c.mu.Lock()
 		t := &c.tiers[i]
 		if err == nil {
@@ -449,7 +540,7 @@ func (c *Cache) resolve(ctx context.Context, key, source, entry string, params [
 			c.misses++ // resolved by this tier
 		} else {
 			t.misses++
-			if corrupt {
+			if errors.Is(err, artifact.ErrCorrupt) || errors.Is(err, artifact.ErrVersion) {
 				t.decodeErrors++
 			}
 		}
@@ -474,4 +565,87 @@ func (c *Cache) resolve(ctx context.Context, key, source, entry string, params [
 	c.put(key, res)
 	c.offer(key, res, nil, numTiers)
 	return res, false, nil
+}
+
+// restore rebuilds key's compilation from tier i: the record, then its
+// program from the decoded-program memo or, on a memo miss, from the
+// blob on the same tier. It returns the record's verified bytes. Any
+// failure is a miss for the tier: a Get error (wrapping
+// artifact.ErrCorrupt when the tier reports corrupt bytes), or bytes
+// that fail to decode or are misfiled, which are deleted from the tier
+// best-effort so they are not fetched again. A record whose blob is
+// missing, corrupt or unreachable stays: the compile that follows
+// writes the blob back.
+func (c *Cache) restore(key string, i int, s artifact.Store, opts Options) (*Result, []byte, error) {
+	data, err := s.Get(key)
+	if err != nil {
+		return nil, nil, err
+	}
+	rec, err := decodeRecord(data, key)
+	if err != nil {
+		s.Delete(key) // best-effort; a failure just leaves a dead entry
+		return nil, nil, err
+	}
+	prog, err := c.program(rec.ProgramHash, i, s)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := restoreResult(rec, prog, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, data, nil
+}
+
+// program returns the verified program whose content hash is hash:
+// from the decoded-program memo, or else decoded from its blob on tier
+// i. Concurrent callers for one hash share one blob load; a caller
+// whose leader failed tries its own tier next.
+func (c *Cache) program(hash string, i int, s artifact.Store) (*vm.Program, error) {
+	for {
+		c.mu.Lock()
+		if e, ok := c.progs.Get(hash); ok {
+			c.programHits++
+			c.mu.Unlock()
+			return e.prog, nil
+		}
+		if wait, ok := c.loads[hash]; ok {
+			c.mu.Unlock()
+			<-wait
+			continue
+		}
+		done := make(chan struct{})
+		c.loads[hash] = done
+		c.mu.Unlock()
+
+		prog, err := loadBlob(hash, s)
+		c.mu.Lock()
+		delete(c.loads, hash)
+		if err == nil {
+			c.blobDecodes++
+			e, _ := c.progs.Add(hash, &progEntry{prog: prog})
+			e.stored[i] = true
+			prog = e.prog
+		}
+		c.mu.Unlock()
+		close(done)
+		return prog, err
+	}
+}
+
+// loadBlob fetches and verifies the blob of the program whose content
+// hash is hash. A blob that fails to decode or holds another program is
+// deleted best-effort.
+func loadBlob(hash string, s artifact.Store) (*vm.Program, error) {
+	key := artifact.BlobKey(hash)
+	data, err := s.Get(key)
+	if err != nil {
+		return nil, err
+	}
+	prog, err := artifact.DecodeBlob(data, hash)
+	if err != nil {
+		s.Delete(key)
+		return nil, err
+	}
+	return prog, nil
 }

@@ -68,7 +68,7 @@ func TestRemoteTierWarmsSecondProcess(t *testing.T) {
 	if st.Misses != st.Compiles+st.DiskHits+st.RemoteHits+st.FlightWaits {
 		t.Errorf("miss invariant violated: %+v", st)
 	}
-	if st.Remote == nil || st.Remote.Hits != 1 || st.Remote.BreakerState != "closed" {
+	if st.Remote == nil || st.Remote.Hits != 2 || st.Remote.BreakerState != "closed" {
 		t.Errorf("remote client stats: %+v", st.Remote)
 	}
 	if res.CSource() != orig.CSource() || res.IRText() != orig.IRText() {
@@ -132,11 +132,7 @@ func TestRemoteCorruptEntryDegradesToRecompile(t *testing.T) {
 	}
 	// The dead entry was evicted from the origin; the recompile's
 	// write-through replaced it with a good one.
-	data, err := origin.Get(key)
-	if err != nil {
-		t.Fatalf("origin entry after heal: %v", err)
-	}
-	if _, err := decodeArtifact(data, key, opts); err != nil {
+	if _, err := restoreFrom(origin, key, opts); err != nil {
 		t.Errorf("origin not healed after recompile: %v", err)
 	}
 }

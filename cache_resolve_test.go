@@ -13,13 +13,14 @@ import (
 	"mat2c/internal/artifact"
 )
 
-// Scripted outcomes of one store Get.
+// Scripted outcomes of one store Get, for a record key or a blob key.
 const (
 	getMiss       = iota // clean miss (ErrNotFound)
 	getHit               // the key's valid encoding
-	getBadBytes          // bytes that fail to decode under the key
+	getBadBytes          // a flipped or truncated encoding
 	getErrCorrupt        // the store itself reports corrupt bytes
 	getOutage            // any other error: outage, open breaker
+	getMisfiled          // another key's valid entry: a record of another key, a blob of another program
 	numGetModes
 )
 
@@ -31,28 +32,47 @@ const (
 	numHasModes
 )
 
-// fakeTier is an artifact.Store whose every answer is scripted by the
-// test before each lookup; it logs the calls it receives. checkerTier
-// adds Has.
-type fakeTier struct {
-	mu      sync.Mutex
+// script is a fakeTier's scripted answers for one kind of key.
+type script struct {
 	getMode int
-	getData []byte // returned for getHit and getBadBytes
-	putFail bool
+	getData []byte // returned for getHit, getBadBytes and getMisfiled
 	hasMode int
-	log     []string
-	puts    [][]byte
+	putFail bool
 }
 
-func (f *fakeTier) record(op string) {
+// fakeTier is an artifact.Store whose every answer is scripted by the
+// test before each lookup, separately for record and blob keys; it logs
+// the calls it receives as "<op> rec" or "<op> blob". checkerTier adds
+// Has.
+type fakeTier struct {
+	mu        sync.Mutex
+	rec, blob script
+	log       []string
+	puts      []fakePut
+}
+
+type fakePut struct {
+	blob bool
+	data []byte
+}
+
+func isBlobKey(key string) bool { return strings.HasSuffix(key, artifact.BlobKey("")) }
+
+// call logs op on key and returns the script for the key's kind.
+func (f *fakeTier) call(op, key string) *script {
 	f.mu.Lock()
-	f.log = append(f.log, op)
-	f.mu.Unlock()
+	defer f.mu.Unlock()
+	if isBlobKey(key) {
+		f.log = append(f.log, op+" blob")
+		return &f.blob
+	}
+	f.log = append(f.log, op+" rec")
+	return &f.rec
 }
 
 func (f *fakeTier) Get(key string) ([]byte, error) {
-	f.record("get")
-	switch f.getMode {
+	sc := f.call("get", key)
+	switch sc.getMode {
 	case getMiss:
 		return nil, fmt.Errorf("fake: %w", artifact.ErrNotFound)
 	case getErrCorrupt:
@@ -60,28 +80,27 @@ func (f *fakeTier) Get(key string) ([]byte, error) {
 	case getOutage:
 		return nil, errors.New("fake: unavailable")
 	}
-	return append([]byte(nil), f.getData...), nil
+	return append([]byte(nil), sc.getData...), nil
 }
 
 func (f *fakeTier) Put(key string, data []byte) error {
-	f.record("put")
+	sc := f.call("put", key)
 	f.mu.Lock()
-	f.puts = append(f.puts, data)
+	f.puts = append(f.puts, fakePut{blob: isBlobKey(key), data: data})
 	f.mu.Unlock()
-	if f.putFail {
+	if sc.putFail {
 		return errors.New("fake: put failed")
 	}
 	return nil
 }
 
-func (f *fakeTier) Delete(key string) error { f.record("delete"); return nil }
+func (f *fakeTier) Delete(key string) error { f.call("delete", key); return nil }
 func (f *fakeTier) Len() (int, error)       { return 0, nil }
 
 type checkerTier struct{ *fakeTier }
 
 func (c checkerTier) Has(key string) (bool, error) {
-	c.record("has")
-	switch c.hasMode {
+	switch c.call("has", key).hasMode {
 	case hasTrue:
 		return true, nil
 	case hasErr:
@@ -91,38 +110,101 @@ func (c checkerTier) Has(key string) (bool, error) {
 }
 
 // propKey is one distinct compilation the property test looks up, with
-// its fresh-compile reference.
+// its fresh-compile reference and its durable encodings.
 type propKey struct {
-	src, key string
-	want     *Result
-	enc      []byte
+	src  string
+	opts Options
+	key  string
+	want *Result
+	hash string // the program's content hash
+	rec  []byte // the record's encoding
+	blob []byte // the program blob's encoding
 }
 
 // tierModel is the test's own account of one tier's counters.
 type tierModel struct{ hits, misses, decodeErrors, storeErrors uint64 }
 
+// progModel is the test's account of one decoded-program memo entry.
+type progModel struct {
+	hash   string
+	stored [numTiers]bool
+}
+
+// lruModel is a most-recent-first list bounded to max entries; touch
+// moves or inserts key at the front and returns its index in order.
+type lruModel[T any] struct {
+	order []T
+	max   int
+	keyOf func(T) string
+}
+
+func (m *lruModel[T]) find(key string) int {
+	for i, v := range m.order {
+		if m.keyOf(v) == key {
+			return i
+		}
+	}
+	return -1
+}
+
+// touch promotes key's entry, inserting mk() when absent, and returns it.
+func (m *lruModel[T]) touch(key string, mk func() T) T {
+	var v T
+	if i := m.find(key); i >= 0 {
+		v = m.order[i]
+		m.order = append(m.order[:i], m.order[i+1:]...)
+	} else {
+		v = mk()
+	}
+	m.order = append([]T{v}, m.order...)
+	if len(m.order) > m.max {
+		m.order = m.order[:m.max]
+	}
+	return v
+}
+
 // TestTierResolutionProperty drives seeded random lookup sequences
 // through every tier setup against scripted stores, and checks each
-// lookup against a model of tier resolution: probe nearest first, any
-// store failure is a miss, undecodable bytes are deleted, and whatever
-// settles the lookup is offered to the other tiers — a plain Put to the
-// nearer ones (they just missed), Has before Put to the deeper ones
-// (they were never asked), Put everywhere after a compile.
+// lookup against a model of tier resolution: probe nearest first; a
+// record hit takes its program from the decoded-program memo, or else
+// from its blob on the same tier; any store failure, record or blob, is
+// a miss; undecodable or misfiled bytes are deleted; and whatever
+// settles the lookup is offered to the other tiers — a plain Put of the
+// record to the nearer ones (they just missed), Has before Put to the
+// deeper ones (they were never asked), Put everywhere after a compile,
+// each record preceded by its blob under the same rule unless the tier
+// is known to hold it.
+// The keys are two sources on two cost siblings, so pairs of keys share
+// one program blob.
 func TestTierResolutionProperty(t *testing.T) {
-	opts := Options{Target: "dspasip"}
-	const nkeys = 4
-	keys := make([]propKey, nkeys)
-	for i := range keys {
+	base, err := LoadProcessor("dspasip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sibling, err := base.Derive("dspasip-fastmul", func(p *Processor) { p.Costs = map[string]int{"fmul": 1} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []propKey
+	for i := 0; i < 2; i++ {
 		src := fmt.Sprintf("function y = prop(x, a)\ny = a .* x + %d;\nend", i+1)
-		key, err := CacheKey(src, "prop", cacheTestParams, opts)
-		if err != nil {
-			t.Fatal(err)
+		for _, proc := range []*Processor{base, sibling} {
+			opts := Options{Processor: proc}
+			key, err := CacheKey(src, "prop", cacheTestParams, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := Compile(src, "prop", cacheTestParams, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog := want.Program()
+			keys = append(keys, propKey{src: src, opts: opts, key: key, want: want,
+				hash: prog.ContentHash(), rec: encodeRecord(key, want), blob: artifact.EncodeProgram(prog)})
 		}
-		want, err := Compile(src, "prop", cacheTestParams, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		keys[i] = propKey{src: src, key: key, want: want, enc: encodeArtifact(key, want)}
+	}
+	if keys[0].hash != keys[1].hash || keys[0].hash == keys[2].hash {
+		t.Fatal("cost siblings must share a program, and the two sources must not")
 	}
 	setups := []struct {
 		name         string
@@ -131,13 +213,13 @@ func TestTierResolutionProperty(t *testing.T) {
 	for _, setup := range setups {
 		for seed := int64(1); seed <= 8; seed++ {
 			t.Run(fmt.Sprintf("%s/seed=%d", setup.name, seed), func(t *testing.T) {
-				runTierProperty(t, seed, setup.disk, setup.remote, keys, opts)
+				runTierProperty(t, seed, setup.disk, setup.remote, keys)
 			})
 		}
 	}
 }
 
-func runTierProperty(t *testing.T, seed int64, disk, remote bool, keys []propKey, opts Options) {
+func runTierProperty(t *testing.T, seed int64, disk, remote bool, keys []propKey) {
 	rng := rand.New(rand.NewSource(seed))
 	const memCap = 2
 	c := NewCache(memCap)
@@ -162,11 +244,15 @@ func runTierProperty(t *testing.T, seed int64, disk, remote bool, keys []propKey
 		_, ok := c.stores()[i].(artifact.Checker)
 		return ok
 	}
+	attached := disk || remote
 
-	var mem []int // model of the memory tier: key indices, most recent first
+	// Models of the memory tier (key indices) and of the decoded-program
+	// memo, most recent first, both bounded like the cache's.
+	mem := lruModel[int]{max: memCap, keyOf: func(i int) string { return keys[i].key }}
+	progs := lruModel[*progModel]{max: memCap, keyOf: func(p *progModel) string { return p.hash }}
 	var model [numTiers]tierModel
-	var compiles uint64
-	for step := 0; step < 40; step++ {
+	var compiles, blobDecodes, programHits uint64
+	for step := 0; step < 60; step++ {
 		fail := func(format string, args ...interface{}) {
 			t.Helper()
 			t.Fatalf("seed %d step %d: %s", seed, step, fmt.Sprintf(format, args...))
@@ -178,43 +264,57 @@ func runTierProperty(t *testing.T, seed int64, disk, remote bool, keys []propKey
 				continue
 			}
 			f.log, f.puts = nil, nil
-			f.getMode = rng.Intn(numGetModes)
-			f.putFail = rng.Intn(3) == 0
-			f.hasMode = rng.Intn(numHasModes)
-			switch f.getMode {
-			case getHit:
-				f.getData = k.enc
-			case getBadBytes:
-				f.getData = corruptEncoding(rng, k, keys[(ki+1)%len(keys)])
+			for _, sc := range []*script{&f.rec, &f.blob} {
+				sc.getMode = rng.Intn(numGetModes)
+				sc.putFail = rng.Intn(3) == 0
+				sc.hasMode = rng.Intn(numHasModes)
 			}
+			f.rec.getData = scriptedBytes(rng, f.rec.getMode, k.rec, keys[(ki+2)%len(keys)].rec)
+			f.blob.getData = scriptedBytes(rng, f.blob.getMode, k.blob, keys[(ki+2)%len(keys)].blob)
 		}
 
 		// Model the lookup.
 		want := make([][]string, numTiers)
-		memHit := false
-		for j, m := range mem {
-			if m == ki {
-				memHit = true
-				mem = append(mem[:j], mem[j+1:]...)
-				break
-			}
-		}
+		memHit := mem.find(k.key) >= 0
 		from := numTiers // the tier that settles the lookup; numTiers = compile
 		if !memHit {
 			for i, f := range tiers {
 				if f == nil || from < numTiers {
 					continue
 				}
-				want[i] = append(want[i], "get")
-				switch f.getMode {
+				want[i] = append(want[i], "get rec")
+				ok, corrupt := false, false
+				switch f.rec.getMode {
 				case getHit:
+					if progs.find(k.hash) >= 0 {
+						progs.touch(k.hash, nil)
+						programHits++
+						ok = true
+						break
+					}
+					want[i] = append(want[i], "get blob")
+					switch f.blob.getMode {
+					case getHit:
+						blobDecodes++
+						progs.touch(k.hash, func() *progModel { return &progModel{hash: k.hash} }).stored[i] = true
+						ok = true
+					case getBadBytes, getMisfiled:
+						want[i] = append(want[i], "delete blob")
+						corrupt = true
+					case getErrCorrupt:
+						corrupt = true
+					}
+				case getBadBytes, getMisfiled:
+					want[i] = append(want[i], "delete rec")
+					corrupt = true
+				case getErrCorrupt:
+					corrupt = true
+				}
+				switch {
+				case ok:
 					model[i].hits++
 					from = i
-				case getBadBytes:
-					want[i] = append(want[i], "delete")
-					model[i].misses++
-					model[i].decodeErrors++
-				case getErrCorrupt:
+				case corrupt:
 					model[i].misses++
 					model[i].decodeErrors++
 				default:
@@ -224,28 +324,45 @@ func runTierProperty(t *testing.T, seed int64, disk, remote bool, keys []propKey
 			if from == numTiers {
 				compiles++
 			}
-			for i, f := range tiers {
-				if f == nil || i == from {
-					continue
-				}
-				if i > from && isChecker(i) {
-					want[i] = append(want[i], "has")
-					if f.hasMode != hasFalse {
+			if attached && (from == numTiers || disk && remote) {
+				e := progs.touch(k.hash, func() *progModel { return &progModel{hash: k.hash} })
+				for i, f := range tiers {
+					if f == nil || i == from {
 						continue
 					}
-				}
-				want[i] = append(want[i], "put")
-				if f.putFail {
-					model[i].storeErrors++
+					if i > from && isChecker(i) {
+						want[i] = append(want[i], "has rec")
+						if f.rec.hasMode != hasFalse {
+							continue
+						}
+					}
+					if !e.stored[i] {
+						probe := i > from && isChecker(i)
+						if probe {
+							want[i] = append(want[i], "has blob")
+							if f.blob.hasMode == hasErr {
+								continue
+							}
+						}
+						if !probe || f.blob.hasMode == hasFalse {
+							want[i] = append(want[i], "put blob")
+							if f.blob.putFail {
+								model[i].storeErrors++
+								continue
+							}
+						}
+						e.stored[i] = true
+					}
+					want[i] = append(want[i], "put rec")
+					if f.rec.putFail {
+						model[i].storeErrors++
+					}
 				}
 			}
 		}
-		mem = append([]int{ki}, mem...)
-		if len(mem) > memCap {
-			mem = mem[:memCap]
-		}
+		mem.touch(k.key, func() int { return ki })
 
-		res, hit, err := CompileCached(c, k.src, "prop", cacheTestParams, opts)
+		res, hit, err := CompileCached(c, k.src, "prop", cacheTestParams, k.opts)
 		c.Flush()
 		if err != nil {
 			fail("store failure reached the caller: %v", err)
@@ -256,23 +373,29 @@ func runTierProperty(t *testing.T, seed int64, disk, remote bool, keys []propKey
 		if res.CSource() != k.want.CSource() {
 			fail("C source differs from a fresh compile")
 		}
-		if got, w := res.res.Program.ContentHash(), k.want.res.Program.ContentHash(); got != w {
-			fail("program hash %s, want %s", got, w)
+		if got := res.Program().ContentHash(); got != k.hash {
+			fail("program hash %s, want %s", got, k.hash)
 		}
 		for i, f := range tiers {
 			if f == nil {
 				continue
 			}
 			if !reflect.DeepEqual(f.log, want[i]) {
-				fail("tier %d (get mode %d, has mode %d, checker %v) saw calls %v, want %v",
-					i, f.getMode, f.hasMode, isChecker(i), f.log, want[i])
+				fail("tier %d (record get/has %d/%d, blob get/has %d/%d, checker %v) saw calls %v, want %v",
+					i, f.rec.getMode, f.rec.hasMode, f.blob.getMode, f.blob.hasMode, isChecker(i), f.log, want[i])
 			}
-			for _, data := range f.puts {
-				if from < numTiers && string(data) != string(k.enc) {
-					fail("tier %d was offered bytes other than the verified entry", i)
+			for _, p := range f.puts {
+				if p.blob {
+					if string(p.data) != string(k.blob) {
+						fail("tier %d was offered a blob other than the program's", i)
+					}
+					continue
 				}
-				if got, err := decodeArtifact(data, k.key, opts); err != nil || got.CSource() != k.want.CSource() {
-					fail("tier %d was offered an entry that does not restore the artifact: %v", i, err)
+				if from < numTiers && string(p.data) != string(k.rec) {
+					fail("tier %d was offered bytes other than the verified record", i)
+				}
+				if got, err := decodeRecord(p.data, k.key); err != nil || got.CSource != k.want.CSource() || got.ProgramHash != k.hash {
+					fail("tier %d was offered a record that does not restore the compilation: %v", i, err)
 				}
 			}
 		}
@@ -288,24 +411,31 @@ func runTierProperty(t *testing.T, seed int64, disk, remote bool, keys []propKey
 		if got != model || st.Compiles != compiles {
 			fail("tier counters %+v and %d compiles, model %+v and %d", got, st.Compiles, model, compiles)
 		}
-		if st.Entries != len(mem) {
-			fail("%d entries in memory, model %d", st.Entries, len(mem))
+		if st.BlobDecodes != blobDecodes || st.ProgramHits != programHits {
+			fail("%d blob decodes and %d program hits, model %d and %d", st.BlobDecodes, st.ProgramHits, blobDecodes, programHits)
+		}
+		if st.Entries != len(mem.order) {
+			fail("%d entries in memory, model %d", st.Entries, len(mem.order))
 		}
 	}
 }
 
-// corruptEncoding returns bytes that must fail to decode under k.key:
-// a flipped byte, a truncation, or another key's valid entry.
-func corruptEncoding(rng *rand.Rand, k, other propKey) []byte {
-	b := append([]byte(nil), k.enc...)
-	switch rng.Intn(3) {
-	case 0:
-		b[rng.Intn(len(b))] ^= 0x40
-		return b
-	case 1:
+// scriptedBytes returns what a scripted Get hands back: the valid
+// encoding, a flipped or truncated copy of it, or another key's valid
+// entry.
+func scriptedBytes(rng *rand.Rand, mode int, valid, other []byte) []byte {
+	switch mode {
+	case getBadBytes:
+		b := append([]byte(nil), valid...)
+		if rng.Intn(2) == 0 {
+			b[rng.Intn(len(b))] ^= 0x40
+			return b
+		}
 		return b[:rng.Intn(len(b))]
+	case getMisfiled:
+		return other
 	}
-	return other.enc
+	return valid
 }
 
 // failPutStore is a real disk store whose writes all fail.

@@ -56,8 +56,10 @@ func TestDiskTierWarmsSecondCache(t *testing.T) {
 	if st.Disk == nil {
 		t.Fatal("Stats.Disk is nil with a DiskStore attached")
 	}
-	if st.Disk.Hits != 1 || st.Disk.Entries != 1 {
-		t.Errorf("store stats = %+v, want 1 hit / 1 entry", st.Disk)
+	// One compilation is two entries, the record and its program blob,
+	// and a restore reads both.
+	if st.Disk.Hits != 2 || st.Disk.Entries != 2 || st.BlobDecodes != 1 {
+		t.Errorf("store stats = %+v, want 2 hits / 2 entries and 1 blob decode", st.Disk)
 	}
 
 	// The restored Result is equivalent to the original: same rendered
@@ -207,7 +209,7 @@ func TestDiskTierMissingEntryCounted(t *testing.T) {
 }
 
 // TestDecodeArtifactRejectsKeyMismatch pins the defense against a store
-// that hands back bytes filed under the wrong key.
+// that hands back a record filed under the wrong key.
 func TestDecodeArtifactRejectsKeyMismatch(t *testing.T) {
 	opts := Options{Target: "dspasip"}
 	res, err := Compile(cacheTestSrc, "scale", cacheTestParams, opts)
@@ -218,12 +220,111 @@ func TestDecodeArtifactRejectsKeyMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := encodeArtifact(key, res)
-	if _, err := decodeArtifact(data, key, opts); err != nil {
+	data := encodeRecord(key, res)
+	if _, err := decodeRecord(data, key); err != nil {
 		t.Fatalf("round trip under the right key failed: %v", err)
 	}
-	_, err = decodeArtifact(data, "0000000000000000000000000000000000000000000000000000000000000000", opts)
+	_, err = decodeRecord(data, "0000000000000000000000000000000000000000000000000000000000000000")
 	if !errors.Is(err, artifact.ErrCorrupt) {
 		t.Errorf("key mismatch returned %v, want ErrCorrupt", err)
+	}
+}
+
+// TestRestoreRejectsBlobHashMismatch is the blob analogue: a valid
+// record whose blob key holds another program's blob is a corrupt miss
+// that deletes the misfiled blob, and the compile that follows writes
+// the right blob back.
+func TestRestoreRejectsBlobHashMismatch(t *testing.T) {
+	opts := Options{Target: "dspasip"}
+	res, err := Compile(cacheTestSrc, "scale", cacheTestParams, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := Compile(cacheTestSrc, "scale", cacheTestParams, Options{Target: "scalar"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := CacheKey(cacheTestSrc, "scale", cacheTestParams, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash := res.Program().ContentHash()
+	if other.Program().ContentHash() == hash {
+		t.Fatal("the two targets compile to one program")
+	}
+	store := openTestStore(t, t.TempDir())
+	if err := store.Put(key, encodeRecord(key, res)); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Put(artifact.BlobKey(hash), artifact.EncodeProgram(other.Program())); err != nil {
+		t.Fatal(err)
+	}
+
+	c := NewCache(8)
+	c.SetStore(store)
+	got, hit, err := CompileCached(c, cacheTestSrc, "scale", cacheTestParams, opts)
+	c.Flush()
+	if err != nil || hit {
+		t.Fatalf("misfiled blob: hit=%v err=%v, want a recompile", hit, err)
+	}
+	if got.Program().ContentHash() != hash {
+		t.Fatal("served a program other than the record's")
+	}
+	if st := c.Stats(); st.DecodeErrors != 1 || st.DiskMisses != 1 || st.Compiles != 1 || st.BlobDecodes != 0 {
+		t.Errorf("stats = %+v, want 1 disk decode error and 1 recompile", st)
+	}
+	if _, err := artifact.DecodeBlob(mustGet(t, store, artifact.BlobKey(hash)), hash); err != nil {
+		t.Errorf("blob not healed after the recompile: %v", err)
+	}
+}
+
+// mustGet returns the entry s holds under key.
+func mustGet(t *testing.T, s artifact.Store, key string) []byte {
+	t.Helper()
+	data, err := s.Get(key)
+	if err != nil {
+		t.Fatalf("get %s: %v", key, err)
+	}
+	return data
+}
+
+// restoreFrom rebuilds key's compilation from s the way a fresh cache
+// does: the record, then the program blob it names.
+func restoreFrom(s artifact.Store, key string, opts Options) (*Result, error) {
+	res, _, err := NewCache(1).restore(key, diskTier, s, opts)
+	return res, err
+}
+
+// TestReplacedStoreGetsBlobs: what a cache knows of one store's blobs
+// does not carry over to the store that replaces it, so a record
+// written to the new store is never left without its blob.
+func TestReplacedStoreGetsBlobs(t *testing.T) {
+	base, err := LoadProcessor("dspasip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sibling, err := base.Derive("dspasip-fastmul", func(p *Processor) { p.Costs = map[string]int{"fmul": 1} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCache(8)
+	c.SetStore(openTestStore(t, t.TempDir()))
+	if _, _, err := CompileCached(c, cacheTestSrc, "scale", cacheTestParams, Options{Processor: base}); err != nil {
+		t.Fatal(err)
+	}
+	c.Flush()
+	dir := t.TempDir()
+	c.SetStore(openTestStore(t, dir))
+	opts := Options{Processor: sibling}
+	if _, _, err := CompileCached(c, cacheTestSrc, "scale", cacheTestParams, opts); err != nil {
+		t.Fatal(err)
+	}
+	c.Flush()
+	key, err := CacheKey(cacheTestSrc, "scale", cacheTestParams, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := restoreFrom(openTestStore(t, dir), key, opts); err != nil {
+		t.Errorf("the replacement store cannot restore its record: %v", err)
 	}
 }

@@ -118,7 +118,7 @@ func TestConcurrentLoadProcessor(t *testing.T) {
 				if p.Name != name {
 					t.Errorf("worker %d: resolved %q, got %q", w, name, p.Name)
 				}
-				// Exercise the lazy instruction index concurrently.
+				// Exercise instruction lookups concurrently.
 				p.HasInstr("fma")
 				procs[w][i] = p
 			}
@@ -133,6 +133,83 @@ func TestConcurrentLoadProcessor(t *testing.T) {
 			if procs[w][i] != procs[0][i] {
 				t.Errorf("%s: goroutines observed different Processor pointers", names[i])
 			}
+		}
+	}
+}
+
+// TestConcurrentSiblingsShareOneBlob restores cost siblings — keys that
+// compile to one program — from a disk tier on 8 goroutines at once
+// (run under -race). Their records name one program blob: it must be
+// decoded once, every goroutine must get the same *vm.Program, and
+// every restored result must run correctly under its own processor.
+func TestConcurrentSiblingsShareOneBlob(t *testing.T) {
+	const workers = 8
+	base, err := LoadProcessor("dspasip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := make([]Options, workers)
+	for w := range opts {
+		p, err := base.Derive(fmt.Sprintf("dspasip-cost%d", w), func(p *Processor) {
+			p.Costs = map[string]int{"fmul": 1 + w, "load": 1 + w%3}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts[w] = Options{Processor: p}
+	}
+	dir := t.TempDir()
+	store := openTestStore(t, dir)
+	warm := NewCache(workers)
+	warm.SetStore(store)
+	want := make([]*Result, workers)
+	for w := range opts {
+		if want[w], _, err = CompileCached(warm, cacheTestSrc, "scale", cacheTestParams, opts[w]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	warm.Flush()
+	if n, err := store.Len(); err != nil || n != workers+1 {
+		t.Fatalf("store holds %d entries (%v), want %d records and 1 blob", n, err, workers)
+	}
+
+	c := NewCache(workers)
+	c.SetStore(openTestStore(t, dir))
+	got := make([]*Result, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			res, hit, err := CompileCached(c, cacheTestSrc, "scale", cacheTestParams, opts[w])
+			if err != nil || !hit {
+				t.Errorf("worker %d: hit=%v err=%v, want a disk hit", w, hit, err)
+				return
+			}
+			got[w] = res
+		}(w)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	st := c.Stats()
+	if st.DiskHits != workers || st.Compiles != 0 || st.BlobDecodes != 1 || st.ProgramHits != workers-1 {
+		t.Errorf("stats = %+v, want %d disk hits, 1 blob decode and %d program hits", st, workers, workers-1)
+	}
+	for w, res := range got {
+		if res.Program() != got[0].Program() {
+			t.Errorf("worker %d restored its own copy of the shared program", w)
+		}
+		if res.CSource() != want[w].CSource() {
+			t.Errorf("worker %d: restored C source differs from its compile", w)
+		}
+		_, cycles, err := res.Run(NewVector(1, 2, 3), 2.0)
+		if err != nil {
+			t.Fatalf("worker %d: run: %v", w, err)
+		}
+		if _, wantCycles, _ := want[w].Run(NewVector(1, 2, 3), 2.0); cycles != wantCycles {
+			t.Errorf("worker %d: %d cycles restored, %d compiled", w, cycles, wantCycles)
 		}
 	}
 }

@@ -3,19 +3,26 @@ package artifact
 import (
 	"fmt"
 	"sort"
-
-	"mat2c/internal/vm"
 )
 
-// Artifact framing. formatVersion covers the section layout below; the
+// Record framing. recordVersion covers the section layout below; the
 // caller-supplied key version (mat2c's cacheKeyVersion) is additionally
-// baked into every encoding so artifacts written under a different
+// baked into every encoding so records written under a different
 // cache-key semantics — which would be addressed by different keys
 // anyway — can never be resurrected by accident.
 const (
-	artifactMagic   = "M2CA"
-	artifactVersion = 1
+	recordMagic   = "M2CR"
+	recordVersion = 2
 )
+
+// blobSuffix marks program blob keys. A suffix rather than a prefix
+// keeps blobs sharded by their hash like records, and no record key (a
+// bare SHA-256 hex digest) can end in it.
+const blobSuffix = "-prog"
+
+// BlobKey is the store key of the program blob whose vm.Program content
+// hash is hash.
+func BlobKey(hash string) string { return hash + blobSuffix }
 
 // StageTime is one pipeline stage's recorded wall time, in the durable
 // form (nanoseconds, not time.Duration, to keep the wire layout
@@ -25,15 +32,20 @@ type StageTime struct {
 	Nanos int64
 }
 
-// Artifact is the durable form of one compilation: everything a serving
-// replica needs to answer /compile and /run for the same content
-// address without re-running the pipeline. Rendered text (IR listing,
-// normalized AST, C prototype) is stored pre-printed: the IR and AST
-// object graphs are not serialized, only their user-visible renderings,
-// which keeps the format small and the decoder simple.
-type Artifact struct {
-	// Key is the content address the artifact was stored under
-	// (mat2c.CacheKey hex). Decode rejects an artifact whose embedded
+// Record is everything a serving replica needs, besides the program, to
+// answer /compile and /run for the same content address without
+// re-running the pipeline. Rendered text (IR listing, normalized AST, C
+// prototype) is stored pre-printed: the IR and AST object graphs are
+// not serialized, only their user-visible renderings, which keeps the
+// format small and the decoder simple.
+//
+// A durable artifact is two store entries: a Record under the cache
+// key, and the compiled program as a blob (EncodeProgram) under
+// BlobKey(ProgramHash). Cache keys that differ only in what cannot
+// change the program — cycle costs, say — share one blob.
+type Record struct {
+	// Key is the content address the record was stored under
+	// (mat2c.CacheKey hex). The caller rejects a record whose embedded
 	// key differs from the requested one, so a misfiled or renamed
 	// store entry degrades to a miss instead of serving wrong code.
 	Key string
@@ -42,8 +54,9 @@ type Artifact struct {
 	Entry  string
 	Target string
 
-	// Program is the compiled VM program.
-	Program *vm.Program
+	// ProgramHash is the compiled program's vm.Program.ContentHash: the
+	// program blob is stored under BlobKey(ProgramHash).
+	ProgramHash string
 
 	// C artifacts and rendered listings.
 	CSource    string
@@ -59,106 +72,114 @@ type Artifact struct {
 	Stages          []StageTime
 }
 
-// Encode serializes the artifact under the given cache-key version.
+// EncodeRecord serializes the record under the given cache-key version.
 // The encoding is deterministic: map sections are sorted, so equal
-// artifacts produce equal bytes (content-addressed stores may rely on
+// records produce equal bytes (content-addressed stores may rely on
 // it).
-func Encode(a *Artifact, keyVersion string) []byte {
+func EncodeRecord(rec *Record, keyVersion string) []byte {
 	var w writer
-	w.buf = append(w.buf, artifactMagic...)
-	w.u32(artifactVersion)
+	w.buf = append(w.buf, recordMagic...)
+	w.u32(recordVersion)
 	w.str(keyVersion)
-	w.str(a.Key)
-	w.str(a.Entry)
-	w.str(a.Target)
-	w.str(a.CSource)
-	w.str(a.CHeader)
-	w.str(a.CPrototype)
-	w.str(a.IRText)
-	w.str(a.ASTText)
-	w.u32(uint32(len(a.Warnings)))
-	for _, s := range a.Warnings {
+	w.str(rec.Key)
+	w.str(rec.Entry)
+	w.str(rec.Target)
+	w.str(rec.ProgramHash)
+	w.str(rec.CSource)
+	w.str(rec.CHeader)
+	w.str(rec.CPrototype)
+	w.str(rec.IRText)
+	w.str(rec.ASTText)
+	w.u32(uint32(len(rec.Warnings)))
+	for _, s := range rec.Warnings {
 		w.str(s)
 	}
-	w.u32(uint32(a.VectorizedLoops))
-	names := make([]string, 0, len(a.Intrinsics))
-	for name := range a.Intrinsics {
+	w.u32(uint32(rec.VectorizedLoops))
+	names := make([]string, 0, len(rec.Intrinsics))
+	for name := range rec.Intrinsics {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	w.u32(uint32(len(names)))
 	for _, name := range names {
 		w.str(name)
-		w.i64(int64(a.Intrinsics[name]))
+		w.i64(int64(rec.Intrinsics[name]))
 	}
-	w.u32(uint32(len(a.Stages)))
-	for _, st := range a.Stages {
+	w.u32(uint32(len(rec.Stages)))
+	for _, st := range rec.Stages {
 		w.str(st.Stage)
 		w.i64(st.Nanos)
 	}
-	prog := EncodeProgram(a.Program)
-	w.u32(uint32(len(prog)))
-	w.buf = append(w.buf, prog...)
 	return w.bytes()
 }
 
-// Decode rebuilds an artifact, requiring both the format version and
+// DecodeRecord rebuilds a record, requiring both the format version and
 // the cache-key version to match this build. Arbitrary bytes produce an
-// error wrapping ErrCorrupt; a well-formed artifact from another
-// version produces one wrapping ErrVersion. Neither ever panics.
-func Decode(data []byte, keyVersion string) (*Artifact, error) {
-	r, err := checkWrapper(data, artifactMagic)
+// error wrapping ErrCorrupt; a well-formed record from another version
+// produces one wrapping ErrVersion. Neither ever panics. A decoded
+// record's ProgramHash is a SHA-256 hex digest, so its BlobKey is a
+// valid store key.
+func DecodeRecord(data []byte, keyVersion string) (*Record, error) {
+	r, err := checkWrapper(data, recordMagic)
 	if err != nil {
 		return nil, err
 	}
-	if v := r.u32(); r.err == nil && v != artifactVersion {
-		return nil, fmt.Errorf("%w: artifact format v%d, this build reads v%d", ErrVersion, v, artifactVersion)
+	if v := r.u32(); r.err == nil && v != recordVersion {
+		return nil, fmt.Errorf("%w: record format v%d, this build reads v%d", ErrVersion, v, recordVersion)
 	}
 	if kv := r.str(); r.err == nil && kv != keyVersion {
 		return nil, fmt.Errorf("%w: cache-key version %q, this build uses %q", ErrVersion, kv, keyVersion)
 	}
-	a := &Artifact{}
-	a.Key = r.str()
-	a.Entry = r.str()
-	a.Target = r.str()
-	a.CSource = r.str()
-	a.CHeader = r.str()
-	a.CPrototype = r.str()
-	a.IRText = r.str()
-	a.ASTText = r.str()
+	rec := &Record{}
+	rec.Key = r.str()
+	rec.Entry = r.str()
+	rec.Target = r.str()
+	rec.ProgramHash = r.str()
+	if r.err == nil && !isHexDigest(rec.ProgramHash) {
+		r.fail("program hash %q is not a SHA-256 hex digest", rec.ProgramHash)
+	}
+	rec.CSource = r.str()
+	rec.CHeader = r.str()
+	rec.CPrototype = r.str()
+	rec.IRText = r.str()
+	rec.ASTText = r.str()
 	if n := r.count(4); r.err == nil && n > 0 {
-		a.Warnings = make([]string, n)
-		for i := range a.Warnings {
-			a.Warnings[i] = r.str()
+		rec.Warnings = make([]string, n)
+		for i := range rec.Warnings {
+			rec.Warnings[i] = r.str()
 		}
 	}
-	a.VectorizedLoops = int(r.u32())
+	rec.VectorizedLoops = int(r.u32())
 	if n := r.count(4 + 8); r.err == nil && n > 0 {
-		a.Intrinsics = make(map[string]int, n)
+		rec.Intrinsics = make(map[string]int, n)
 		for i := 0; i < n; i++ {
 			name := r.str()
-			a.Intrinsics[name] = int(r.i64())
+			rec.Intrinsics[name] = int(r.i64())
 		}
 	}
 	if n := r.count(4 + 8); r.err == nil && n > 0 {
-		a.Stages = make([]StageTime, n)
-		for i := range a.Stages {
-			a.Stages[i].Stage = r.str()
-			a.Stages[i].Nanos = r.i64()
+		rec.Stages = make([]StageTime, n)
+		for i := range rec.Stages {
+			rec.Stages[i].Stage = r.str()
+			rec.Stages[i].Nanos = r.i64()
 		}
 	}
-	progLen := int(r.u32())
-	progBytes := r.take(progLen)
 	if err := r.done(); err != nil {
 		return nil, err
 	}
-	prog, err := DecodeProgram(progBytes)
-	if err != nil {
-		// The embedded program is framed and checksummed independently;
-		// its ErrVersion still surfaces as such so a program-format bump
-		// invalidates artifacts the same observable way.
-		return nil, fmt.Errorf("embedded program: %w", err)
+	return rec, nil
+}
+
+// isHexDigest reports whether s is a lower-case hex SHA-256 digest, the
+// form vm.Program.ContentHash returns.
+func isHexDigest(s string) bool {
+	if len(s) != 64 {
+		return false
 	}
-	a.Program = prog
-	return a, nil
+	for _, c := range s {
+		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }

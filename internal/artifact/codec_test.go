@@ -39,13 +39,15 @@ func compileTestResult(t testing.TB) *core.Result {
 	return res
 }
 
-func testArtifact(t testing.TB) *Artifact {
+// testArtifact returns a durable artifact's two halves: a record with
+// every section populated, and the program it names.
+func testArtifact(t testing.TB) (*Record, *vm.Program) {
 	res := compileTestResult(t)
-	return &Artifact{
+	return &Record{
 		Key:             "aabbccdd00112233",
 		Entry:           res.Entry,
 		Target:          "dspasip",
-		Program:         res.Program,
+		ProgramHash:     res.Program.ContentHash(),
 		CSource:         res.CSource,
 		CHeader:         res.CHeader,
 		CPrototype:      "void scale(void);\n",
@@ -55,7 +57,7 @@ func testArtifact(t testing.TB) *Artifact {
 		VectorizedLoops: res.VectorizedLoops,
 		Intrinsics:      map[string]int{"mac": 2, "cmul": 1},
 		Stages:          []StageTime{{Stage: "parse", Nanos: 1200}, {Stage: "cgen", Nanos: 3400}},
-	}
+	}, res.Program
 }
 
 func TestProgramRoundTrip(t *testing.T) {
@@ -84,45 +86,74 @@ func TestProgramEncodingDeterministic(t *testing.T) {
 	}
 }
 
+// TestArtifactRoundTrip stores a compilation as its record and program
+// blob and restores both: the record comes back field for field, and
+// the blob verifies against the hash the record names.
 func TestArtifactRoundTrip(t *testing.T) {
-	a := testArtifact(t)
+	rec, prog := testArtifact(t)
 	const kv = "test-key-v1"
-	enc := Encode(a, kv)
-	dec, err := Decode(enc, kv)
+	dec, err := DecodeRecord(EncodeRecord(rec, kv), kv)
 	if err != nil {
-		t.Fatalf("decode: %v", err)
+		t.Fatalf("decode record: %v", err)
 	}
-	// The embedded program is compared by content; everything else
-	// field-by-field.
-	if dec.Program.ContentHash() != a.Program.ContentHash() {
+	if !reflect.DeepEqual(dec, rec) {
+		t.Errorf("record changed across the round trip:\n got %+v\nwant %+v", dec, rec)
+	}
+	got, err := DecodeBlob(EncodeProgram(prog), dec.ProgramHash)
+	if err != nil {
+		t.Fatalf("decode blob: %v", err)
+	}
+	if got.Disasm() != prog.Disasm() {
 		t.Error("program changed across the round trip")
 	}
-	gp, ap := dec.Program, a.Program
-	dec.Program, a.Program = nil, nil
-	if !reflect.DeepEqual(dec, a) {
-		t.Errorf("artifact changed across the round trip:\n got %+v\nwant %+v", dec, a)
-	}
-	dec.Program, a.Program = gp, ap
 }
 
 func TestArtifactEncodingDeterministic(t *testing.T) {
-	a := testArtifact(t)
-	if !bytes.Equal(Encode(a, "kv"), Encode(a, "kv")) {
-		t.Error("two encodings of the same artifact differ (map ordering leaked)")
+	rec, _ := testArtifact(t)
+	if !bytes.Equal(EncodeRecord(rec, "kv"), EncodeRecord(rec, "kv")) {
+		t.Error("two encodings of the same record differ (map ordering leaked)")
 	}
 }
 
 func TestArtifactEmptySections(t *testing.T) {
-	a := testArtifact(t)
-	a.Warnings = nil
-	a.Intrinsics = nil
-	a.Stages = nil
-	dec, err := Decode(Encode(a, "kv"), "kv")
+	rec, _ := testArtifact(t)
+	rec.Warnings = nil
+	rec.Intrinsics = nil
+	rec.Stages = nil
+	dec, err := DecodeRecord(EncodeRecord(rec, "kv"), "kv")
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	if len(dec.Warnings) != 0 || len(dec.Intrinsics) != 0 || len(dec.Stages) != 0 {
 		t.Errorf("empty sections round-tripped non-empty: %+v", dec)
+	}
+}
+
+// TestDecodeBlobRejectsMisfiledProgram: a valid blob of one program
+// stored under another program's hash is corrupt, never that program.
+func TestDecodeBlobRejectsMisfiledProgram(t *testing.T) {
+	_, prog := testArtifact(t)
+	other := &vm.Program{Name: "other"}
+	if _, err := DecodeBlob(EncodeProgram(other), prog.ContentHash()); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("misfiled blob: err = %v, want ErrCorrupt", err)
+	}
+	dec, err := DecodeBlob(EncodeProgram(other), other.ContentHash())
+	if err != nil || dec.ContentHash() != other.ContentHash() {
+		t.Fatalf("blob under its own hash: err = %v", err)
+	}
+}
+
+// TestBlobKeys: a blob key is a valid store key that no record key (a
+// bare hex digest) can equal, and it shards by the program hash.
+func TestBlobKeys(t *testing.T) {
+	_, prog := testArtifact(t)
+	hash := prog.ContentHash()
+	key := BlobKey(hash)
+	if err := ValidKey(key); err != nil {
+		t.Fatal(err)
+	}
+	if key == hash || isHexDigest(key) || key[:2] != hash[:2] {
+		t.Errorf("blob key %q collides with record keys or shards apart from its hash", key)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -21,32 +22,32 @@ func reseal(data []byte) []byte {
 // checksum no longer matches (or the frame is too short), so always
 // ErrCorrupt — and must never panic.
 func TestDecodeTruncationEveryBoundary(t *testing.T) {
-	a := testArtifact(t)
+	rec, prog := testArtifact(t)
 	t.Run("program", func(t *testing.T) {
-		data := EncodeProgram(a.Program)
+		data := EncodeProgram(prog)
 		for i := 0; i < len(data); i++ {
 			if _, err := DecodeProgram(data[:i]); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("truncation at %d/%d: err = %v, want ErrCorrupt", i, len(data), err)
 			}
 		}
 	})
-	t.Run("artifact", func(t *testing.T) {
-		data := Encode(a, "kv")
+	t.Run("record", func(t *testing.T) {
+		data := EncodeRecord(rec, "kv")
 		for i := 0; i < len(data); i++ {
-			if _, err := Decode(data[:i], "kv"); !errors.Is(err, ErrCorrupt) {
+			if _, err := DecodeRecord(data[:i], "kv"); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("truncation at %d/%d: err = %v, want ErrCorrupt", i, len(data), err)
 			}
 		}
 	})
 }
 
-// TestDecodeSingleBitFlips flips one bit at a time across the whole
-// encoding (checksum bytes included). Every flip must surface as
+// TestDecodeSingleBitFlips flips one bit at a time across a whole
+// record encoding (checksum bytes included). Every flip must surface as
 // ErrCorrupt: the trailing SHA-256 catches any body change, and a flip
 // inside the checksum itself mismatches the intact body.
 func TestDecodeSingleBitFlips(t *testing.T) {
-	a := testArtifact(t)
-	data := Encode(a, "kv")
+	rec, _ := testArtifact(t)
+	data := EncodeRecord(rec, "kv")
 	// Step through offsets (every one for small inputs, sampled for
 	// large) and all 8 bits at each.
 	step := 1
@@ -57,7 +58,7 @@ func TestDecodeSingleBitFlips(t *testing.T) {
 		for bit := 0; bit < 8; bit++ {
 			mut := append([]byte(nil), data...)
 			mut[off] ^= 1 << bit
-			if _, err := Decode(mut, "kv"); !errors.Is(err, ErrCorrupt) {
+			if _, err := DecodeRecord(mut, "kv"); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("bit flip at byte %d bit %d: err = %v, want ErrCorrupt", off, bit, err)
 			}
 		}
@@ -65,45 +66,45 @@ func TestDecodeSingleBitFlips(t *testing.T) {
 }
 
 // TestStaleFormatVersion rewrites the format-version field (offset 4,
-// right after the magic) and reseals, simulating an artifact written by
-// a future build: well-formed, wrong version, ErrVersion.
+// right after the magic) and reseals, simulating an entry written by a
+// future build: well-formed, wrong version, ErrVersion.
 func TestStaleFormatVersion(t *testing.T) {
-	a := testArtifact(t)
+	rec, prog := testArtifact(t)
 	t.Run("program", func(t *testing.T) {
-		data := append([]byte(nil), EncodeProgram(a.Program)...)
+		data := append([]byte(nil), EncodeProgram(prog)...)
 		binary.LittleEndian.PutUint32(data[4:], programVersion+1)
 		if _, err := DecodeProgram(reseal(data)); !errors.Is(err, ErrVersion) {
 			t.Fatalf("stale program version: err = %v, want ErrVersion", err)
 		}
 	})
-	t.Run("artifact", func(t *testing.T) {
-		data := append([]byte(nil), Encode(a, "kv")...)
-		binary.LittleEndian.PutUint32(data[4:], artifactVersion+1)
-		if _, err := Decode(reseal(data), "kv"); !errors.Is(err, ErrVersion) {
-			t.Fatalf("stale artifact version: err = %v, want ErrVersion", err)
+	t.Run("record", func(t *testing.T) {
+		data := append([]byte(nil), EncodeRecord(rec, "kv")...)
+		binary.LittleEndian.PutUint32(data[4:], recordVersion+1)
+		if _, err := DecodeRecord(reseal(data), "kv"); !errors.Is(err, ErrVersion) {
+			t.Fatalf("stale record version: err = %v, want ErrVersion", err)
 		}
 	})
 }
 
-// TestMismatchedKeyVersion decodes an artifact written under a
-// different cache-key version: structurally valid, semantically from
-// another compiler, ErrVersion.
+// TestMismatchedKeyVersion decodes a record written under a different
+// cache-key version: structurally valid, semantically from another
+// compiler, ErrVersion.
 func TestMismatchedKeyVersion(t *testing.T) {
-	a := testArtifact(t)
-	data := Encode(a, "old-cache-semantics")
-	if _, err := Decode(data, "new-cache-semantics"); !errors.Is(err, ErrVersion) {
+	rec, _ := testArtifact(t)
+	data := EncodeRecord(rec, "old-cache-semantics")
+	if _, err := DecodeRecord(data, "new-cache-semantics"); !errors.Is(err, ErrVersion) {
 		t.Fatalf("key-version mismatch: err = %v, want ErrVersion", err)
 	}
 }
 
 // TestWrongMagic feeds one kind's encoding to the other kind's decoder.
 func TestWrongMagic(t *testing.T) {
-	a := testArtifact(t)
-	if _, err := DecodeProgram(Encode(a, "kv")); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("artifact bytes through DecodeProgram: err = %v, want ErrCorrupt", err)
+	rec, prog := testArtifact(t)
+	if _, err := DecodeProgram(EncodeRecord(rec, "kv")); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("record bytes through DecodeProgram: err = %v, want ErrCorrupt", err)
 	}
-	if _, err := Decode(EncodeProgram(a.Program), "kv"); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("program bytes through Decode: err = %v, want ErrCorrupt", err)
+	if _, err := DecodeRecord(EncodeProgram(prog), "kv"); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("program bytes through DecodeRecord: err = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -126,6 +127,48 @@ func TestHostileCounts(t *testing.T) {
 	}
 }
 
+// TestRecordHostileCounts builds sealed records whose warning,
+// intrinsic or stage count claims far more elements than the input
+// holds; each must be rejected before allocating.
+func TestRecordHostileCounts(t *testing.T) {
+	const hostile = 0xFFFFFFFF
+	// The u32 fields after the listings, up to the forged count: the
+	// warning count, the vectorized-loop count, the intrinsic count and
+	// the stage count.
+	for name, tail := range map[string][]uint32{
+		"warnings":   {hostile},
+		"intrinsics": {0, 0, hostile},
+		"stages":     {0, 0, 0, hostile},
+	} {
+		var w writer
+		w.buf = append(w.buf, recordMagic...)
+		w.u32(recordVersion)
+		for _, s := range []string{"kv", "key", "entry", "target", strings.Repeat("ab", 32), "", "", "", "", ""} {
+			w.str(s)
+		}
+		for _, v := range tail {
+			w.u32(v)
+		}
+		if _, err := DecodeRecord(w.bytes(), "kv"); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("hostile %s count: err = %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
+// TestRecordRejectsBadProgramHash: a sealed record whose program hash
+// is not a hex digest (say, a path) is corrupt, so no caller ever turns
+// it into a store key.
+func TestRecordRejectsBadProgramHash(t *testing.T) {
+	rec, _ := testArtifact(t)
+	for _, hash := range []string{"", "../../etc/passwd", strings.Repeat("A", 64), rec.ProgramHash + "0"} {
+		bad := *rec
+		bad.ProgramHash = hash
+		if _, err := DecodeRecord(EncodeRecord(&bad, "kv"), "kv"); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("program hash %q: err = %v, want ErrCorrupt", hash, err)
+		}
+	}
+}
+
 // TestHostileStringLength claims a string far longer than the input.
 func TestHostileStringLength(t *testing.T) {
 	var w writer
@@ -142,8 +185,8 @@ func TestHostileStringLength(t *testing.T) {
 // before the checksum: the checksum passes, but the decoder must
 // consume the input exactly.
 func TestTrailingBytesRejected(t *testing.T) {
-	a := testArtifact(t)
-	data := EncodeProgram(a.Program)
+	_, prog := testArtifact(t)
+	data := EncodeProgram(prog)
 	body := append([]byte(nil), data[:len(data)-sha256.Size]...)
 	body = append(body, 0xAB, 0xCD)
 	if _, err := DecodeProgram(reseal(append(body, make([]byte, sha256.Size)...))); !errors.Is(err, ErrCorrupt) {

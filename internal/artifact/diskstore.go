@@ -50,10 +50,10 @@ type DiskStore struct {
 }
 
 // OpenDisk opens (creating if needed) a disk store rooted at dir with
-// the given byte budget (DefaultDiskBudget when <= 0). The tree is
-// scanned once at open to seed the occupancy accounting; the scan also
-// runs the janitor, so a store left over budget by a crash trims itself
-// on the next open.
+// the given byte budget (DefaultDiskBudget when <= 0). The janitor runs
+// once at open: its scan of the tree seeds the occupancy accounting,
+// and a store left over budget by a crash trims itself on the next
+// open.
 //
 // Where the filesystem supports it, the root is marked as the top of a
 // directory hierarchy (chattr +T), so the shard directories are spread
@@ -68,7 +68,6 @@ func OpenDisk(dir string, budget int64) (*DiskStore, error) {
 	markTopDir(dir) // best-effort placement hint for the shard directories
 	s := &DiskStore{root: dir, budget: budget, TmpMaxAge: time.Hour}
 	s.mu.Lock()
-	s.rescanLocked()
 	s.janitorLocked()
 	s.mu.Unlock()
 	return s, nil
@@ -285,17 +284,6 @@ func (s *DiskStore) walk() (entries []entryInfo, tmps []entryInfo) {
 	return entries, tmps
 }
 
-// rescanLocked re-derives occupancy from the tree (open time, and after
-// janitor passes, so incremental accounting cannot drift unboundedly).
-func (s *DiskStore) rescanLocked() {
-	entries, _ := s.walk()
-	s.bytes, s.count = 0, 0
-	for _, e := range entries {
-		s.bytes += e.size
-		s.count++
-	}
-}
-
 // Janitor enforces the byte budget (evicting least-recently-used
 // committed entries until 90% of budget, so evictions batch instead of
 // triggering on every Put at the boundary) and sweeps temp files
@@ -321,6 +309,7 @@ func (s *DiskStore) janitorLocked() {
 	for _, e := range entries {
 		total += e.size
 	}
+	count := len(entries)
 	if total > s.budget {
 		sort.Slice(entries, func(i, j int) bool { return entries[i].mtime.Before(entries[j].mtime) })
 		low := s.budget * 9 / 10
@@ -330,9 +319,12 @@ func (s *DiskStore) janitorLocked() {
 			}
 			if os.Remove(e.path) == nil {
 				total -= e.size
+				count--
 				s.stats.Evictions++
 			}
 		}
 	}
-	s.rescanLocked()
+	// Occupancy is re-derived from the walk on every pass, so the
+	// incremental accounting in Put and Delete cannot drift unboundedly.
+	s.bytes, s.count = total, count
 }

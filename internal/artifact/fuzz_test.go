@@ -9,11 +9,16 @@ import (
 	"mat2c/internal/pdesc"
 )
 
-// seedEncodings compiles every benchmark kernel against a couple of
-// builtin targets and returns valid encodings of the results — the fuzz
-// corpus starts from real artifacts so mutations explore the format's
-// interior, not just its magic header.
-func seedEncodings(f *testing.F, encodeOne func(res *core.Result) []byte) {
+// fuzzKeyVersion is the cache-key version the record fuzzers encode
+// and decode under.
+const fuzzKeyVersion = "fuzz-key-v1"
+
+// seedResults compiles every benchmark kernel against a couple of
+// builtin targets — the fuzz corpora start from real encodings so
+// mutations explore the formats' interior, not just their magic
+// headers.
+func seedResults(f *testing.F) []*core.Result {
+	var out []*core.Result
 	for _, target := range []string{"dspasip", "scalar"} {
 		p, err := pdesc.Resolve(target)
 		if err != nil {
@@ -26,14 +31,31 @@ func seedEncodings(f *testing.F, encodeOne func(res *core.Result) []byte) {
 			if err != nil {
 				f.Fatalf("%s/%s: %v", target, k.Name, err)
 			}
-			f.Add(encodeOne(res))
+			out = append(out, res)
 		}
 	}
-	// Degenerate seeds: empty, header-only, truncated checksum.
-	f.Add([]byte{})
-	f.Add([]byte("M2CP"))
-	f.Add([]byte("M2CA"))
-	f.Add(make([]byte, 64))
+	return out
+}
+
+// degenerateSeeds are empty, header-only and checksum-only inputs.
+var degenerateSeeds = [][]byte{{}, []byte("M2CP"), []byte("M2CR"), make([]byte, 64)}
+
+func seedRecord(res *core.Result) []byte {
+	return artifact.EncodeRecord(&artifact.Record{
+		Key:             "0011223344556677",
+		Entry:           res.Entry,
+		Target:          "dspasip",
+		ProgramHash:     res.Program.ContentHash(),
+		CSource:         res.CSource,
+		CHeader:         res.CHeader,
+		CPrototype:      "void f(void);",
+		IRText:          "ir",
+		ASTText:         "ast",
+		Warnings:        []string{"w"},
+		VectorizedLoops: res.VectorizedLoops,
+		Intrinsics:      res.Intrinsics.Selected,
+		Stages:          []artifact.StageTime{{Stage: "parse", Nanos: 1}},
+	}, fuzzKeyVersion)
 }
 
 // FuzzDecodeProgram holds the decoder to its contract on arbitrary
@@ -41,9 +63,12 @@ func seedEncodings(f *testing.F, encodeOne func(res *core.Result) []byte) {
 // allocate beyond what the input length justifies. A successful decode
 // must re-encode byte-identically (the codec is canonical).
 func FuzzDecodeProgram(f *testing.F) {
-	seedEncodings(f, func(res *core.Result) []byte {
-		return artifact.EncodeProgram(res.Program)
-	})
+	for _, res := range seedResults(f) {
+		f.Add(artifact.EncodeProgram(res.Program))
+	}
+	for _, b := range degenerateSeeds {
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := artifact.DecodeProgram(data)
 		if err != nil {
@@ -58,35 +83,57 @@ func FuzzDecodeProgram(f *testing.F) {
 	})
 }
 
-// FuzzDecodeArtifact is the same contract for the full artifact frame,
-// embedded program included.
-func FuzzDecodeArtifact(f *testing.F) {
-	const kv = "fuzz-key-v1"
-	seedEncodings(f, func(res *core.Result) []byte {
-		return artifact.Encode(&artifact.Artifact{
-			Key:             "0011223344556677",
-			Entry:           res.Entry,
-			Target:          "dspasip",
-			Program:         res.Program,
-			CSource:         res.CSource,
-			CHeader:         res.CHeader,
-			CPrototype:      "void f(void);",
-			IRText:          "ir",
-			ASTText:         "ast",
-			Warnings:        []string{"w"},
-			VectorizedLoops: res.VectorizedLoops,
-			Intrinsics:      res.Intrinsics.Selected,
-			Stages:          []artifact.StageTime{{Stage: "parse", Nanos: 1}},
-		}, kv)
-	})
+// FuzzDecodeRecord is the same contract for the per-key record frame,
+// plus the one the cache relies on to build a blob key from it: a
+// decoded record names its program by a valid hash.
+func FuzzDecodeRecord(f *testing.F) {
+	for _, res := range seedResults(f) {
+		f.Add(seedRecord(res))
+	}
+	for _, b := range degenerateSeeds {
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		a, err := artifact.Decode(data, kv)
+		rec, err := artifact.DecodeRecord(data, fuzzKeyVersion)
 		if err != nil {
 			return
 		}
-		enc := artifact.Encode(a, kv)
+		if err := artifact.ValidKey(artifact.BlobKey(rec.ProgramHash)); err != nil {
+			t.Fatalf("decoded record names an invalid blob key: %v", err)
+		}
+		enc := artifact.EncodeRecord(rec, fuzzKeyVersion)
 		if string(enc) != string(data) {
 			t.Fatalf("decode/encode is not canonical: %d in, %d out", len(data), len(enc))
+		}
+	})
+}
+
+// FuzzDecodeArtifact holds a whole durable artifact — a record and the
+// program blob it names — to the restore path's contract: whatever
+// pair decodes and verifies is a program whose content hash is the one
+// the record names, and both halves are canonical.
+func FuzzDecodeArtifact(f *testing.F) {
+	for _, res := range seedResults(f) {
+		f.Add(seedRecord(res), artifact.EncodeProgram(res.Program))
+	}
+	for _, b := range degenerateSeeds {
+		f.Add(b, b)
+	}
+	f.Fuzz(func(t *testing.T, recData, blobData []byte) {
+		rec, err := artifact.DecodeRecord(recData, fuzzKeyVersion)
+		if err != nil {
+			return
+		}
+		prog, err := artifact.DecodeBlob(blobData, rec.ProgramHash)
+		if err != nil {
+			return
+		}
+		if prog.ContentHash() != rec.ProgramHash {
+			t.Fatalf("verified blob hashes to %s, record names %s", prog.ContentHash(), rec.ProgramHash)
+		}
+		if string(artifact.EncodeRecord(rec, fuzzKeyVersion)) != string(recData) ||
+			string(artifact.EncodeProgram(prog)) != string(blobData) {
+			t.Fatal("decode/encode is not canonical")
 		}
 	})
 }

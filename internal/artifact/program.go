@@ -114,6 +114,21 @@ func DecodeProgram(data []byte) (*vm.Program, error) {
 	return p, nil
 }
 
+// DecodeBlob decodes the program blob stored under BlobKey(hash) and
+// verifies it: a program whose content hash is not hash (a misfiled or
+// forged blob) is rejected with an error wrapping ErrCorrupt. The hash
+// is computed once, here, and stays carried on the returned program.
+func DecodeBlob(data []byte, hash string) (*vm.Program, error) {
+	p, err := DecodeProgram(data)
+	if err != nil {
+		return nil, err
+	}
+	if got := p.ContentHash(); got != hash {
+		return nil, fmt.Errorf("%w: program blob %s stored under %s", ErrCorrupt, got, hash)
+	}
+	return p, nil
+}
+
 // instrMinBytes is the smallest on-wire instruction (no args, empty
 // intrinsic and semantics strings); used to bound the instruction-count
 // allocation against the input size.

@@ -1,8 +1,8 @@
 package bench_test
 
-// Round-trip property test for the durable artifact codec over the
+// Round-trip property test for the durable program codec over the
 // real workload: every benchmark kernel, on every builtin target and a
-// sample of DSE-derived variants, must survive Decode(Encode(...))
+// sample of DSE-derived variants, must survive DecodeBlob(EncodeProgram(...))
 // with an identical program ContentHash and a bit-identical simulation
 // (outputs, cycle accounting, class counts) — reusing the differential
 // harness from engine_diff_test.go, with the restored program standing
@@ -32,7 +32,9 @@ func roundTripKernelsOn(t *testing.T, name string, proc *pdesc.Processor) {
 				if err != nil {
 					t.Fatalf("compile (vec=%v): %v", cfg.Vectorize, err)
 				}
-				dec, err := artifact.DecodeProgram(artifact.EncodeProgram(res.Program))
+				// DecodeBlob is the cache's restore path: the blob must
+				// verify against the hash it is stored under.
+				dec, err := artifact.DecodeBlob(artifact.EncodeProgram(res.Program), res.Program.ContentHash())
 				if err != nil {
 					t.Fatalf("decode (vec=%v): %v", cfg.Vectorize, err)
 				}

@@ -67,12 +67,6 @@ type Processor struct {
 
 	// Instructions is the custom instruction list.
 	Instructions []Instr `json:"instructions,omitempty"`
-
-	instrByName map[string]*Instr
-	// indexed is the Instructions slice instrByName was built from, so a
-	// caller that replaces, appends to or compacts Instructions after
-	// indexing gets a fresh index on the next lookup.
-	indexed []Instr
 }
 
 // defaultCosts is the base cycle-cost table for a single-issue load/store
@@ -165,21 +159,17 @@ func (p *Processor) PatternInstrs() []PatternInstr {
 // instruction.
 func (p *Processor) HasInstr(name string) bool { return p.Instr(name) != nil }
 
-// Instr returns the named custom instruction, or nil.
+// Instr returns the named custom instruction, or nil. It scans the
+// list, which holds a few dozen entries at most, so it reads only what
+// the list holds now, however the caller has edited it, and concurrent
+// lookups only read.
 func (p *Processor) Instr(name string) *Instr {
-	if p.instrByName == nil || len(p.indexed) != len(p.Instructions) ||
-		(len(p.indexed) > 0 && &p.indexed[0] != &p.Instructions[0]) {
-		p.index()
-	}
-	return p.instrByName[name]
-}
-
-func (p *Processor) index() {
-	p.indexed = p.Instructions
-	p.instrByName = make(map[string]*Instr, len(p.Instructions))
 	for i := range p.Instructions {
-		p.instrByName[p.Instructions[i].Name] = &p.Instructions[i]
+		if p.Instructions[i].Name == name {
+			return &p.Instructions[i]
+		}
 	}
+	return nil
 }
 
 // Lanes returns the vector lane count available for the given element
@@ -192,11 +182,9 @@ func (p *Processor) Lanes(isComplex bool) int {
 }
 
 // Clone returns an independent deep copy of p: mutating the clone's
-// cost table or instruction list never aliases the original. The copy
-// is indexed, so concurrent HasInstr and Instr calls on it only read
-// until someone changes its instruction list. It is not re-validated;
-// callers that mutate it should go through Derive (or call Validate
-// themselves).
+// cost table or instruction list never aliases the original. It is not
+// re-validated; callers that mutate it should go through Derive (or
+// call Validate themselves).
 func (p *Processor) Clone() *Processor {
 	q := &Processor{
 		Name:         p.Name,
@@ -214,7 +202,6 @@ func (p *Processor) Clone() *Processor {
 	if p.Instructions != nil {
 		q.Instructions = append([]Instr(nil), p.Instructions...)
 	}
-	q.index()
 	return q
 }
 
@@ -231,7 +218,6 @@ func (p *Processor) Derive(name string, mutate func(*Processor)) (*Processor, er
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	q.index()
 	return q, nil
 }
 
@@ -274,7 +260,7 @@ func (p *Processor) Validate() error {
 			}
 		}
 		if seen[in.Name] {
-			return fmt.Errorf("%s: duplicate custom instruction %q (the later entry would silently shadow the earlier one)", p.Name, in.Name)
+			return fmt.Errorf("%s: duplicate custom instruction %q (one entry would silently shadow the other)", p.Name, in.Name)
 		}
 		seen[in.Name] = true
 		if prev, dup := seenC[in.CName]; dup {
@@ -318,7 +304,6 @@ func Parse(data []byte) (*Processor, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	p.index()
 	return &p, nil
 }
 
@@ -447,7 +432,6 @@ func Builtin(name string) *Processor {
 	default:
 		return nil
 	}
-	p.index()
 	return p
 }
 

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -307,9 +308,9 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-// TestCloneConcurrentHasInstr: a fresh clone is indexed when Clone
-// returns, so goroutines sharing it only read (run under -race), and its
-// index points into the clone's own instruction list.
+// TestCloneConcurrentHasInstr: goroutines sharing a fresh clone only
+// read it (run under -race), and its lookups point into the clone's own
+// instruction list.
 func TestCloneConcurrentHasInstr(t *testing.T) {
 	q := Builtin("dspasip").Clone()
 	var wg sync.WaitGroup
@@ -325,13 +326,13 @@ func TestCloneConcurrentHasInstr(t *testing.T) {
 	wg.Wait()
 	q.Instr("fma").Cycles = 9
 	if q.Instructions[0].Cycles != 9 || Builtin("dspasip").Instr("fma").Cycles == 9 {
-		t.Error("clone's index does not point into its own instruction list")
+		t.Error("clone's lookup does not point into its own instruction list")
 	}
 }
 
-// TestIndexFollowsInstructionEdits: appending to, compacting or
-// replacing an indexed processor's instruction list re-indexes it on
-// the next lookup.
+// TestIndexFollowsInstructionEdits: lookups on a processor that has
+// answered lookups before see its instruction list as appended to,
+// compacted or replaced since.
 func TestIndexFollowsInstructionEdits(t *testing.T) {
 	q := Builtin("nosimd").Clone()
 	q.Instructions = append(q.Instructions, Instr{Name: "extra", CName: "_extra", Cycles: 1})
@@ -351,6 +352,34 @@ func TestIndexFollowsInstructionEdits(t *testing.T) {
 	q.Instructions = []Instr{{Name: "sad", CName: "_sad", Cycles: 2}}
 	if !q.HasInstr("sad") || q.HasInstr("fms") {
 		t.Error("replaced instruction list answered from a stale index")
+	}
+}
+
+// TestLookupFollowsInPlaceEdits: edits that keep the instruction
+// list's length and base address — a rename in place, or an append
+// within capacity undone in length by slices.DeleteFunc — are seen by
+// the next lookup.
+func TestLookupFollowsInPlaceEdits(t *testing.T) {
+	q := Builtin("dspasip").Clone()
+	if q.Instr("fma") == nil || q.Instructions[0].Name != "fma" {
+		t.Fatal("dspasip's first instruction is not fma")
+	}
+	q.Instructions[0].Name = "isx0"
+	if q.Instr("isx0") != &q.Instructions[0] || q.HasInstr("fma") {
+		t.Error("in-place rename answered from a stale lookup")
+	}
+
+	q = Builtin("dspasip").Clone()
+	q.Instructions = append(make([]Instr, 0, len(q.Instructions)+1), q.Instructions...)
+	base, n := &q.Instructions[0], len(q.Instructions)
+	q.HasInstr("fma") // a lookup before the edits
+	q.Instructions = append(q.Instructions, Instr{Name: "isx0", CName: "_isx0", Cycles: 1})
+	q.Instructions = slices.DeleteFunc(q.Instructions, func(in Instr) bool { return in.Name == "fma" })
+	if &q.Instructions[0] != base || len(q.Instructions) != n {
+		t.Fatal("the edit sequence moved or resized the list; the test no longer covers the hazard")
+	}
+	if q.Instr("isx0") == nil || q.HasInstr("fma") || q.Instr("fms") == nil || q.Instr("fms").Name != "fms" {
+		t.Error("append within capacity then DeleteFunc answered from a stale lookup")
 	}
 }
 

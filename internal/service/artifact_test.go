@@ -79,8 +79,9 @@ func TestArtifactServeMountsBlobProtocol(t *testing.T) {
 	if len(data) == 0 {
 		t.Fatal("blob get returned an empty entry")
 	}
-	if n, err := rc.Len(); err != nil || n != 1 {
-		t.Fatalf("origin entry count: %d %v, want 1", n, err)
+	// One compile is two entries: its record and its program blob.
+	if n, err := rc.Len(); err != nil || n != 2 {
+		t.Fatalf("origin entry count: %d %v, want 2", n, err)
 	}
 
 	// A second server using that endpoint as its remote tier restores
@@ -110,8 +111,8 @@ func TestArtifactServeMountsBlobProtocol(t *testing.T) {
 		Cache mat2c.CacheStats `json:"cache"`
 	}
 	getJSON(t, ts2, "/metrics", &snap)
-	if snap.Cache.RemoteHits != 1 {
-		t.Errorf("/metrics remote_hits = %d, want 1", snap.Cache.RemoteHits)
+	if snap.Cache.RemoteHits != 1 || snap.Cache.BlobDecodes != 1 {
+		t.Errorf("/metrics remote_hits = %d and blob_decodes = %d, want 1 each", snap.Cache.RemoteHits, snap.Cache.BlobDecodes)
 	}
 	if snap.Cache.Remote == nil || snap.Cache.Remote.BreakerState != "closed" {
 		t.Errorf("/metrics remote store section: %+v", snap.Cache.Remote)

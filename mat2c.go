@@ -226,11 +226,11 @@ type Result struct {
 	res  *core.Result
 	proc *pdesc.Processor
 
-	// art is non-nil when the result was restored from the durable
-	// artifact store rather than compiled in this process: rendered
+	// rec is non-nil when the result was restored from a durable
+	// store tier rather than compiled in this process: rendered
 	// listings (IR, AST, prototype) and diagnostics are served from it
 	// because the IR/AST object graphs are not serialized.
-	art *artifact.Artifact
+	rec *artifact.Record
 }
 
 // Compile compiles the MATLAB source. entry names the function to
@@ -267,8 +267,8 @@ func (r *Result) CHeader() string { return r.res.CHeader }
 
 // IRText returns the optimized intermediate representation.
 func (r *Result) IRText() string {
-	if r.art != nil {
-		return r.art.IRText
+	if r.rec != nil {
+		return r.rec.IRText
 	}
 	return ir.Print(r.res.Func)
 }
@@ -320,8 +320,8 @@ func (r *Result) StageTimings() []StageTime {
 // Warnings returns non-fatal analyzer diagnostics (e.g. complex
 // ordering comparisons), formatted with source positions.
 func (r *Result) Warnings() []string {
-	if r.art != nil {
-		return append([]string(nil), r.art.Warnings...)
+	if r.rec != nil {
+		return append([]string(nil), r.rec.Warnings...)
 	}
 	var out []string
 	for _, w := range r.res.Info.Warnings {
@@ -333,16 +333,16 @@ func (r *Result) Warnings() []string {
 // AST returns the normalized source rendering of the parsed program
 // (canonical spacing, explicit precedence).
 func (r *Result) AST() string {
-	if r.art != nil {
-		return r.art.ASTText
+	if r.rec != nil {
+		return r.rec.ASTText
 	}
 	return formatFile(r.res.Info.File)
 }
 
 // CPrototype returns a small C header declaring the compiled function.
 func (r *Result) CPrototype() string {
-	if r.art != nil {
-		return r.art.CPrototype
+	if r.rec != nil {
+		return r.rec.CPrototype
 	}
 	return cgen.Prototype(r.res.Func)
 }
