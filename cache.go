@@ -47,7 +47,9 @@ const cacheKeyVersion = "mat2c-cache-v2"
 // record under the cache key and the program blob under its content
 // hash, which every key that compiles to the same program shares. The
 // Cache decodes and verifies each blob at most once while its program
-// stays in a memo of the same bound as the memory tier.
+// stays in a memo of the same bound as the memory tier. The store tiers
+// also hold the events of verified simulation runs, which a DSE sweep
+// prices variants from (Events, PutEvents).
 type Cache struct {
 	mem *lru.Cache[string, *Result]
 	max int
@@ -67,6 +69,11 @@ type Cache struct {
 	// records that share a program decode its blob once.
 	blobDecodes, programHits uint64
 	loads                    map[string]chan struct{}
+
+	// eventHits and eventMisses count run-events lookups (Events) a
+	// tier served or every tier missed; eventPuts counts events entries
+	// written to a tier.
+	eventHits, eventMisses, eventPuts uint64
 
 	// flights holds the in-progress compilation per key so concurrent
 	// misses share one pipeline run instead of compiling redundantly.
@@ -218,6 +225,15 @@ type CacheStats struct {
 	// already held.
 	BlobDecodes uint64 `json:"blob_decodes"`
 	ProgramHits uint64 `json:"program_hits"`
+	// EventHits counts run-events lookups a store tier served, so a
+	// verified run was priced instead of simulated; EventMisses counts
+	// lookups every tier missed (a corrupt or unreachable entry
+	// included), each followed by a simulation; EventPuts counts events
+	// entries written to a tier. Events are not compilations: none of
+	// them enters Hits, Misses or the tier hit/miss counters.
+	EventHits   uint64 `json:"event_hits"`
+	EventMisses uint64 `json:"event_misses"`
+	EventPuts   uint64 `json:"event_puts"`
 	// Disk is the attached store's own counters and occupancy, when the
 	// store reports them (DiskStore does).
 	Disk *artifact.Stats `json:"disk,omitempty"`
@@ -249,6 +265,9 @@ func (c *Cache) Stats() CacheStats {
 		RemoteStoreErrors:  remote.storeErrors,
 		BlobDecodes:        c.blobDecodes,
 		ProgramHits:        c.programHits,
+		EventHits:          c.eventHits,
+		EventMisses:        c.eventMisses,
+		EventPuts:          c.eventPuts,
 	}
 	c.mu.Unlock()
 	st.Disk = storeStats(disk.store)
@@ -304,25 +323,22 @@ func (c *Cache) put(key string, res *Result) {
 // store tier asynchronously (Flush waits for completion).
 func (c *Cache) Put(key string, res *Result) {
 	c.put(key, res)
-	c.offer(key, res, nil, numTiers)
+	c.offerRecord(key, res, nil, numTiers)
 }
 
-// offer asynchronously hands the compilation that settled a lookup at
-// tier from to every other attached tier, so the tiers converge. Tiers
-// nearer than from already missed this lookup and get a plain Put of
-// the record. Deeper tiers were never asked: one that answers presence
-// probes (artifact.Checker — the remote does, via HEAD) is asked first
-// and skipped when it already holds the record or cannot answer (an
-// outage is not a store error: nothing was lost). A compile settles at
-// from == numTiers, so every tier gets the record. Before the record,
-// each tier gets the program blob it names, under the same rule (see
-// storeBlob); a tier whose blob write fails gets no record. data is the
-// record's verified encoding, or nil to encode res once, off the
-// caller's path. Put
-// failures are counted per tier, never surfaced: durability is an
-// optimization, and a remote outage must not slow or fail the compile
-// path.
-func (c *Cache) offer(key string, res *Result, data []byte, from int) {
+// offer asynchronously runs write on every attached tier but from, the
+// tier that settled a lookup of key (numTiers when nothing did: a fresh
+// compile or run), so the tiers converge. Tiers nearer than from
+// already missed this lookup and are written plainly. Deeper tiers were
+// never asked: one that answers presence probes (artifact.Checker — the
+// remote does, via HEAD) is asked first and skipped when it already
+// holds key or cannot answer (an outage is not a store error: nothing
+// was lost). write runs on one goroutine, tier by tier nearest first,
+// so it can encode what it writes once, off the caller's path; Flush
+// waits for it. Write failures are counted per tier (storeError), never
+// surfaced: durability is an optimization, and a remote outage must not
+// slow or fail the caller.
+func (c *Cache) offer(key string, from int, write func(i int, s artifact.Store)) {
 	stores := c.stores()
 	if from < numTiers {
 		stores[from] = nil
@@ -333,12 +349,6 @@ func (c *Cache) offer(key string, res *Result, data []byte, from int) {
 	c.writes.Add(1)
 	go func() {
 		defer c.writes.Done()
-		if data == nil {
-			data = encodeRecord(key, res)
-		}
-		prog := res.res.Program
-		e, _ := c.progs.Add(prog.ContentHash(), &progEntry{prog: prog})
-		var blob []byte // the program's encoding, made at most once
 		for i, s := range stores {
 			if s == nil {
 				continue
@@ -348,14 +358,34 @@ func (c *Cache) offer(key string, res *Result, data []byte, from int) {
 					continue
 				}
 			}
-			if !c.storeBlob(e, i, s, i > from, &blob) {
-				continue
-			}
-			if err := s.Put(key, data); err != nil {
-				c.storeError(i)
-			}
+			write(i, s)
 		}
 	}()
+}
+
+// offerRecord offers the compilation that settled a lookup at tier from
+// to the other tiers (see offer). Before the record, each tier gets the
+// program blob it names, under the same rule (see storeBlob); a tier
+// whose blob write fails gets no record. data is the record's verified
+// encoding, or nil to encode res once.
+func (c *Cache) offerRecord(key string, res *Result, data []byte, from int) {
+	var e *progEntry
+	var blob []byte // the program's encoding, made at most once
+	c.offer(key, from, func(i int, s artifact.Store) {
+		if e == nil {
+			if data == nil {
+				data = encodeRecord(key, res)
+			}
+			prog := res.res.Program
+			e, _ = c.progs.Add(prog.ContentHash(), &progEntry{prog: prog})
+		}
+		if !c.storeBlob(e, i, s, i > from, &blob) {
+			return
+		}
+		if err := s.Put(key, data); err != nil {
+			c.storeError(i)
+		}
+	})
 }
 
 // storeBlob makes sure tier i holds e's program blob before a record
@@ -398,6 +428,84 @@ func (c *Cache) storeError(i int) {
 	c.mu.Lock()
 	c.tiers[i].storeErrors++
 	c.mu.Unlock()
+}
+
+// Run events.
+//
+// A store tier also holds the events of verified runs (vm.Events: a
+// completed run's block runs and alloc extents, from which any
+// processor's cycles are priced) under artifact.EventsKey(program hash,
+// case digest), where the case digest covers the run's inputs and the
+// reference its outputs were verified against. Only a caller that ran
+// the program to completion and verified its outputs writes an entry
+// (PutEvents), so an entry that decodes for the program it is keyed by
+// stands for such a run. Events lookups are not compile lookups and
+// leave the compile counters alone.
+
+// HasStores reports whether any store tier is attached, that is,
+// whether Events can hit and PutEvents can write anything.
+func (c *Cache) HasStores() bool {
+	return c.stores() != [numTiers]artifact.Store{}
+}
+
+// Events returns the events stored for a verified run of prog on the
+// verification case whose digest is caseDigest, from the nearest tier
+// that holds a sound entry, or nil when none does. A missing,
+// unreachable, corrupt or misfiled entry is a miss for its tier; bytes
+// that fail to decode for prog are deleted from their tier best-effort.
+// A hit is offered to the other tiers as a restored record is.
+func (c *Cache) Events(prog *vm.Program, caseDigest string) *vm.Events {
+	key := artifact.EventsKey(prog.ContentHash(), caseDigest)
+	for i, s := range c.stores() {
+		if s == nil {
+			continue
+		}
+		data, err := s.Get(key)
+		if err != nil {
+			continue
+		}
+		ev, err := artifact.DecodeEvents(data, key, prog, cacheKeyVersion)
+		if err != nil {
+			s.Delete(key) // best-effort; a failure just leaves a dead entry
+			continue
+		}
+		c.mu.Lock()
+		c.eventHits++
+		c.mu.Unlock()
+		c.offerEvents(key, ev, data, i)
+		return ev
+	}
+	c.mu.Lock()
+	c.eventMisses++
+	c.mu.Unlock()
+	return nil
+}
+
+// PutEvents writes the events of a run of prog on the verification
+// case whose digest is caseDigest to every store tier, asynchronously
+// (Flush waits). The caller vouches that the run completed and its
+// outputs passed verification: every later Events hit, in any process
+// sharing the tier, prices from this entry instead of simulating.
+func (c *Cache) PutEvents(prog *vm.Program, caseDigest string, ev *vm.Events) {
+	c.offerEvents(artifact.EventsKey(prog.ContentHash(), caseDigest), ev, nil, numTiers)
+}
+
+// offerEvents offers an events entry that settled a lookup at tier from
+// to the other tiers (see offer). data is the entry's verified
+// encoding, or nil to encode ev once.
+func (c *Cache) offerEvents(key string, ev *vm.Events, data []byte, from int) {
+	c.offer(key, from, func(i int, s artifact.Store) {
+		if data == nil {
+			data = artifact.EncodeEvents(key, ev, cacheKeyVersion)
+		}
+		if err := s.Put(key, data); err != nil {
+			c.storeError(i)
+			return
+		}
+		c.mu.Lock()
+		c.eventPuts++
+		c.mu.Unlock()
+	})
 }
 
 // startFlight registers the caller as leader of key's in-progress miss
@@ -547,7 +655,7 @@ func (c *Cache) resolve(ctx context.Context, key, source, entry string, params [
 		c.mu.Unlock()
 		if err == nil {
 			c.put(key, res)
-			c.offer(key, res, data, i)
+			c.offerRecord(key, res, data, i)
 			return res, true, nil
 		}
 	}
@@ -563,7 +671,7 @@ func (c *Cache) resolve(ctx context.Context, key, source, entry string, params [
 	c.misses++ // resolved by a full pipeline run
 	c.mu.Unlock()
 	c.put(key, res)
-	c.offer(key, res, nil, numTiers)
+	c.offerRecord(key, res, nil, numTiers)
 	return res, false, nil
 }
 

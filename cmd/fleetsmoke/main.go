@@ -14,8 +14,8 @@
 //   - shared remote: a coordinator serves its store at /artifact; a
 //     worker compiles a sweep cold, is replaced by a fresh worker that
 //     never compiled anything, and that worker must serve the same
-//     sweep from remote hits alone — zero compiles, byte-identical
-//     report.
+//     sweep from remote hits alone — zero compiles, zero simulations,
+//     byte-identical report.
 //   - remote outage: a consumer daemon runs sweeps against a cache
 //     origin that is hard-killed mid-sweep; every request must still
 //     succeed (degrading to recompiles), with the outage visible only
@@ -69,7 +69,7 @@ func main() {
 	if err := sharedRemote(ctx, *bin, *out); err != nil {
 		log.Fatalf("fleetsmoke: FAIL: shared remote: %v", err)
 	}
-	log.Printf("fleetsmoke: PASS: fresh worker served the sweep from the shared remote cache with zero compiles")
+	log.Printf("fleetsmoke: PASS: fresh worker served the sweep from the shared remote cache with zero compiles and zero simulations")
 	if err := remoteOutage(ctx, *bin, *out); err != nil {
 		log.Fatalf("fleetsmoke: FAIL: remote outage: %v", err)
 	}
@@ -305,6 +305,9 @@ type remoteCacheMetrics struct {
 	RemoteMisses       uint64 `json:"remote_misses"`
 	RemoteDecodeErrors uint64 `json:"remote_decode_errors"`
 	RemoteStoreErrors  uint64 `json:"remote_store_errors"`
+	EventHits          uint64 `json:"event_hits"`
+	EventMisses        uint64 `json:"event_misses"`
+	EventPuts          uint64 `json:"event_puts"`
 }
 
 func cacheMetricsOf(ctx context.Context, url string) (remoteCacheMetrics, error) {
@@ -315,12 +318,27 @@ func cacheMetricsOf(ctx context.Context, url string) (remoteCacheMetrics, error)
 	return ms.Cache, err
 }
 
+// simulationsOf reads how many programs a daemon has simulated (the
+// /metrics simulation memo's misses; every other run was priced).
+func simulationsOf(ctx context.Context, url string) (uint64, error) {
+	var ms struct {
+		VM struct {
+			SimMemo struct {
+				Misses uint64 `json:"misses"`
+			} `json:"sim_memo"`
+		} `json:"vm"`
+	}
+	err := getJSON(ctx, url+"/metrics", &ms)
+	return ms.VM.SimMemo.Misses, err
+}
+
 // sharedRemote is the fleet warm-start acceptance phase: a coordinator
-// serving its artifact store at /artifact, one worker that compiles a
-// sweep cold (pushing every artifact to the origin), then a FRESH
-// worker — empty memory, no disk store, never compiled anything — that
-// must serve the identical sweep purely from remote hits: zero
-// compiles, byte-identical report.
+// serving its artifact store at /artifact, one worker that compiles and
+// simulates a sweep cold (pushing every artifact and the events of
+// every verified run to the origin), then a FRESH worker — empty
+// memory, no disk store, never compiled anything — that must serve the
+// identical sweep purely from remote hits: zero compiles, zero
+// simulations, byte-identical report.
 func sharedRemote(ctx context.Context, bin, outDir string) error {
 	if bin == "" {
 		bin = filepath.Join(outDir, "mat2cd") // built by run()
@@ -386,9 +404,24 @@ func sharedRemote(ctx context.Context, bin, outDir string) error {
 		return fmt.Errorf("worker A compiled nothing (metrics %+v)", coldStats)
 	}
 
-	// Every compile must reach the origin before worker B starts; the
-	// worker's write-throughs are asynchronous, so poll the origin's
-	// entry count (the blob stats document at GET /artifact).
+	// Every compile and every verified run's events must reach the
+	// origin before worker B starts; the worker's write-throughs are
+	// asynchronous, so poll the origin's entry count (the blob stats
+	// document at GET /artifact) and worker A's events writes: each
+	// events miss in this sweep is a verified run whose events go to
+	// the one tier.
+	if err := poll(ctx, 30*time.Second, func() error {
+		st, err := cacheMetricsOf(ctx, fmt.Sprintf("http://127.0.0.1:%d", ports[1]))
+		if err != nil {
+			return err
+		}
+		if st.EventMisses == 0 || st.EventPuts < st.EventMisses {
+			return fmt.Errorf("worker A stored %d of %d run events", st.EventPuts, st.EventMisses)
+		}
+		return nil
+	}); err != nil {
+		return fmt.Errorf("worker A's run events never reached the origin: %w", err)
+	}
 	if err := poll(ctx, 30*time.Second, func() error {
 		var st struct {
 			Entries int `json:"entries"`
@@ -433,6 +466,13 @@ func sharedRemote(ctx context.Context, bin, outDir string) error {
 	if warmStats.RemoteDecodeErrors != 0 {
 		return fmt.Errorf("worker B hit %d remote decode errors", warmStats.RemoteDecodeErrors)
 	}
+	sims, err := simulationsOf(ctx, fmt.Sprintf("http://127.0.0.1:%d", ports[2]))
+	if err != nil {
+		return err
+	}
+	if sims != 0 || warmStats.EventHits == 0 {
+		return fmt.Errorf("worker B simulated %d times with %d stored run events read, want 0 simulations (metrics %+v)", sims, warmStats.EventHits, warmStats)
+	}
 
 	coldJSON, err := normalizeWarm(coldReport)
 	if err != nil {
@@ -451,8 +491,8 @@ func sharedRemote(ctx context.Context, bin, outDir string) error {
 	if !bytes.Equal(coldJSON, warmJSON) {
 		return fmt.Errorf("remote-served report differs from compiled report (see %s)", outDir)
 	}
-	log.Printf("fleetsmoke: shared remote: worker A compiled %d, worker B served %d remote hits with 0 compiles",
-		coldStats.Compiles, warmStats.RemoteHits)
+	log.Printf("fleetsmoke: shared remote: worker A compiled %d, worker B served %d remote hits and %d stored run events with 0 compiles and 0 simulations",
+		coldStats.Compiles, warmStats.RemoteHits, warmStats.EventHits)
 	return nil
 }
 

@@ -1,9 +1,9 @@
 // Package artifact defines the durable form of a compilation: a
 // versioned, self-describing binary codec for compiled vm.Programs
-// (program blobs, stored once per distinct program) and the per-key
-// records that carry everything else a compilation produced, and a
-// pluggable Store interface with a
-// sharded-on-disk implementation. Together they turn the in-process
+// (program blobs, stored once per distinct program), the per-key
+// records that carry everything else a compilation produced, and the
+// events of verified runs (EncodeEvents), and a pluggable Store
+// interface with a sharded-on-disk implementation. Together they turn the in-process
 // compile cache into a two-tier cache whose warm state survives
 // restarts and is shareable between fleet replicas (docs/CACHE.md).
 //
@@ -14,7 +14,8 @@
 // against the bytes actually remaining before anything is allocated, so
 // hostile input can produce an error but never a panic or an
 // out-of-memory allocation. The decoders are fuzzed (FuzzDecodeProgram,
-// FuzzDecodeRecord, FuzzDecodeArtifact) on exactly that contract.
+// FuzzDecodeRecord, FuzzDecodeArtifact, FuzzDecodeEvents) on exactly
+// that contract.
 package artifact
 
 import (

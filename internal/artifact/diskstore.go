@@ -2,6 +2,7 @@ package artifact
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -32,8 +33,9 @@ const (
 // directory and is renamed into place, so readers (including other
 // processes sharing the directory) observe either nothing or a complete
 // entry. A byte-budget janitor evicts least-recently-used entries
-// (mtime order; Get refreshes mtime) once the tree exceeds the budget,
-// and sweeps stranded temp files older than TmpMaxAge.
+// (mtime order; Get refreshes a stale mtime, see RecencyGranularity)
+// once the tree exceeds the budget, and sweeps stranded temp files
+// older than TmpMaxAge.
 type DiskStore struct {
 	root   string
 	budget int64
@@ -95,8 +97,16 @@ func (s *DiskStore) path(key string) string {
 	return filepath.Join(s.root, key[:2], key+entrySuffix)
 }
 
-// Get returns the entry, refreshing its mtime so the janitor's
-// LRU-by-mtime order tracks actual use.
+// RecencyGranularity is how stale an entry's mtime must be before Get
+// refreshes it. The janitor evicts least-recently-used entries by
+// mtime, so it orders entries read within one granularity of each
+// other by their earlier use; in exchange, a store read again and
+// again (a warm sweep, a serving replica) pays no extra syscall per
+// hit to keep that order.
+const RecencyGranularity = time.Hour
+
+// Get returns the entry, refreshing its mtime when it is older than
+// RecencyGranularity so the janitor's LRU-by-mtime order tracks use.
 func (s *DiskStore) Get(key string) ([]byte, error) {
 	if err := ValidKey(key); err != nil {
 		return nil, err
@@ -104,7 +114,7 @@ func (s *DiskStore) Get(key string) ([]byte, error) {
 	s.mu.Lock()
 	s.stats.Gets++
 	s.mu.Unlock()
-	data, err := os.ReadFile(s.path(key))
+	data, mtime, err := readEntry(s.path(key))
 	if err != nil {
 		s.mu.Lock()
 		s.stats.Misses++
@@ -114,13 +124,36 @@ func (s *DiskStore) Get(key string) ([]byte, error) {
 		}
 		return nil, err
 	}
-	// Recency bump, best-effort: a failed Chtimes only ages the entry.
-	now := time.Now()
-	os.Chtimes(s.path(key), now, now)
+	if now := time.Now(); now.Sub(mtime) > RecencyGranularity {
+		// Recency bump, best-effort: a failed Chtimes only ages the
+		// entry.
+		os.Chtimes(s.path(key), now, now)
+	}
 	s.mu.Lock()
 	s.stats.Hits++
 	s.mu.Unlock()
 	return data, nil
+}
+
+// readEntry reads a committed entry with one open, one fstat and one
+// read, returning its bytes and modification time. Entries are renamed
+// into place whole and never rewritten, so the size fstat reports is
+// the entry's.
+func readEntry(path string) ([]byte, time.Time, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, time.Time{}, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, time.Time{}, err
+	}
+	data := make([]byte, fi.Size())
+	if _, err := io.ReadFull(f, data); err != nil {
+		return nil, time.Time{}, err
+	}
+	return data, fi.ModTime(), nil
 }
 
 // Has reports whether an entry exists without reading it (or bumping

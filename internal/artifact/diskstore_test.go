@@ -130,6 +130,75 @@ func TestDiskStoreEvictionLRU(t *testing.T) {
 	}
 }
 
+// TestDiskStoreRecencyGranularity decides by explicitly stamped mtimes:
+// Get refreshes an entry whose mtime is older than RecencyGranularity,
+// leaves a fresher one alone, and the janitor evicts by the resulting
+// order — least recently used first, at that granularity.
+func TestDiskStoreRecencyGranularity(t *testing.T) {
+	s, err := OpenDisk(t.TempDir(), 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := RecencyGranularity
+	now := time.Now().Truncate(time.Second)
+	stale, fresh, unread := testKey(30), testKey(31), testKey(32)
+	stamps := map[string]time.Time{
+		stale:  now.Add(-3 * g),
+		fresh:  now.Add(-g / 2),
+		unread: now.Add(-2 * g),
+	}
+	for key, mt := range stamps {
+		if err := s.Put(key, make([]byte, 100)); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Chtimes(s.path(key), mt, mt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mtime := func(key string) time.Time {
+		fi, err := os.Stat(s.path(key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.ModTime()
+	}
+	for _, key := range []string{stale, fresh} {
+		if _, err := s.Get(key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := mtime(stale); got.Before(now.Add(-g / 4)) {
+		t.Errorf("stale entry read but not refreshed: mtime %v, read at about %v", got, now)
+	}
+	if got := mtime(fresh); !got.Equal(stamps[fresh]) {
+		t.Errorf("fresh entry's mtime moved on Get: %v, stamped %v", got, stamps[fresh])
+	}
+
+	// Room for two: the unread entry is now the least recently used.
+	setBudget := func(b int64) {
+		s.mu.Lock()
+		s.budget = b
+		s.mu.Unlock()
+	}
+	setBudget(250)
+	s.Janitor()
+	for key, want := range map[string]bool{stale: true, fresh: true, unread: false} {
+		if has, _ := s.Has(key); has != want {
+			t.Errorf("after one eviction, entry stamped %v present = %v, want %v", stamps[key], has, want)
+		}
+	}
+	// Room for one: the fresh entry was read too, but within the
+	// granularity its mtime still ranks it by its earlier use.
+	setBudget(150)
+	s.Janitor()
+	if has, _ := s.Has(stale); !has {
+		t.Error("refreshed entry evicted before the one read within the granularity")
+	}
+	if has, _ := s.Has(fresh); has {
+		t.Error("entry read within the granularity outranked the refreshed one")
+	}
+}
+
 func TestDiskStoreJanitorSweepsStrandedTemp(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenDisk(dir, 0)

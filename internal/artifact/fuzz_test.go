@@ -1,12 +1,14 @@
 package artifact_test
 
 import (
+	"context"
 	"testing"
 
 	"mat2c/internal/artifact"
 	"mat2c/internal/bench"
 	"mat2c/internal/core"
 	"mat2c/internal/pdesc"
+	"mat2c/internal/vm"
 )
 
 // fuzzKeyVersion is the cache-key version the record fuzzers encode
@@ -38,7 +40,7 @@ func seedResults(f *testing.F) []*core.Result {
 }
 
 // degenerateSeeds are empty, header-only and checksum-only inputs.
-var degenerateSeeds = [][]byte{{}, []byte("M2CP"), []byte("M2CR"), make([]byte, 64)}
+var degenerateSeeds = [][]byte{{}, []byte("M2CP"), []byte("M2CR"), []byte("M2CE"), make([]byte, 64)}
 
 func seedRecord(res *core.Result) []byte {
 	return artifact.EncodeRecord(&artifact.Record{
@@ -134,6 +136,65 @@ func FuzzDecodeArtifact(f *testing.F) {
 		if string(artifact.EncodeRecord(rec, fuzzKeyVersion)) != string(recData) ||
 			string(artifact.EncodeProgram(prog)) != string(blobData) {
 			t.Fatal("decode/encode is not canonical")
+		}
+	})
+}
+
+// eventsSeed is one real run's events entry and the program it is for.
+type eventsSeed struct {
+	key  string
+	prog *vm.Program
+	data []byte
+}
+
+// seedEvents runs every seed program on its kernel's case at a small
+// size and encodes the run's events under their cache key.
+func seedEvents(f *testing.F) []eventsSeed {
+	p, err := pdesc.Resolve("dspasip")
+	if err != nil {
+		f.Fatal(err)
+	}
+	var out []eventsSeed
+	kernels := bench.Kernels()
+	for i, res := range seedResults(f) { // kernel by kernel, per target
+		k := kernels[i%len(kernels)]
+		c := k.Case(bench.SizeFor(k, 0.05))
+		_, ev, err := vm.NewMachine(p).RunEvents(context.Background(), res.Program, c.Args()...)
+		if err != nil || ev == nil {
+			f.Fatalf("%s: run: events %v, err %v", k.Name, ev, err)
+		}
+		key := artifact.EventsKey(res.Program.ContentHash(), c.Digest())
+		out = append(out, eventsSeed{key, res.Program, artifact.EncodeEvents(key, ev, fuzzKeyVersion)})
+	}
+	return out
+}
+
+// FuzzDecodeEvents holds the events decoder to the same contract, for
+// each seed's program and key: a typed error or events that match the
+// program's block layout, re-encode byte-identically, and price
+// without panicking.
+func FuzzDecodeEvents(f *testing.F) {
+	seeds := seedEvents(f)
+	for _, s := range seeds {
+		f.Add(s.data)
+	}
+	for _, b := range degenerateSeeds {
+		f.Add(b)
+	}
+	proc, err := pdesc.Resolve("dspasip")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, s := range seeds {
+			ev, err := artifact.DecodeEvents(data, s.key, s.prog, fuzzKeyVersion)
+			if err != nil {
+				continue
+			}
+			if string(artifact.EncodeEvents(s.key, ev, fuzzKeyVersion)) != string(data) {
+				t.Fatalf("decode/encode is not canonical: %d bytes in", len(data))
+			}
+			vm.NewMachine(proc).Price(s.prog, ev)
 		}
 	})
 }

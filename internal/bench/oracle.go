@@ -2,9 +2,15 @@ package bench
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"sync"
 	"sync/atomic"
 
+	mat2c "mat2c"
+	"mat2c/internal/ir"
 	"mat2c/internal/lru"
 	"mat2c/internal/vm"
 )
@@ -42,10 +48,67 @@ type Case struct {
 	// Want holds the reference outputs. It is shared by every caller of
 	// Kernel.Case and must only be read, by passing it to Verify.
 	Want []interface{}
+
+	digestOnce sync.Once
+	digest     string
 }
 
 // Args returns a fresh deep copy of the case's inputs for one run.
 func (c *Case) Args() []interface{} { return cloneArgs(c.args) }
+
+// Digest is the SHA-256 hex digest of a canonical binary rendering of
+// the case's inputs and reference outputs, computed on first use: cases
+// with equal digests run any program on the same inputs and verify its
+// outputs against the same reference. It is empty when a value has a
+// type the rendering does not cover (none of the suite's do).
+func (c *Case) Digest() string {
+	c.digestOnce.Do(func() {
+		buf, ok := appendValues(nil, c.args)
+		if ok {
+			buf, ok = appendValues(buf, c.Want)
+		}
+		if ok {
+			sum := sha256.Sum256(buf)
+			c.digest = hex.EncodeToString(sum[:])
+		}
+	})
+	return c.digest
+}
+
+// appendValues renders a value list: its length, then each value as a
+// type tag and its exact bits. ok is false for an unsupported type.
+func appendValues(buf []byte, vals []interface{}) ([]byte, bool) {
+	u64 := binary.LittleEndian.AppendUint64
+	f64s := func(buf []byte, fs ...float64) []byte {
+		for _, f := range fs {
+			buf = u64(buf, math.Float64bits(f))
+		}
+		return buf
+	}
+	buf = u64(buf, uint64(len(vals)))
+	for _, v := range vals {
+		switch v := v.(type) {
+		case float64:
+			buf = f64s(append(buf, 'f'), v)
+		case int64:
+			buf = u64(append(buf, 'i'), uint64(v))
+		case complex128:
+			buf = f64s(append(buf, 'c'), real(v), imag(v))
+		case *ir.Array:
+			buf = append(buf, 'a', byte(v.Elem))
+			buf = u64(u64(buf, uint64(v.Rows)), uint64(v.Cols))
+			buf = u64(buf, uint64(len(v.F)))
+			buf = f64s(buf, v.F...)
+			buf = u64(buf, uint64(len(v.C)))
+			for _, z := range v.C {
+				buf = f64s(buf, real(z), imag(z))
+			}
+		default:
+			return buf, false
+		}
+	}
+	return buf, true
+}
 
 // Case returns kernel k's inputs and reference outputs at problem size
 // n, computing them once per process while they stay cached.
@@ -117,6 +180,16 @@ func (cc caseCache) get(k *Kernel, n int) *Case {
 //     accounting still come from the engines.
 //   - The memo holds at most DefaultSimMemoSize entries, evicting the
 //     least recently used.
+//
+// Behind the memo, a cache with store tiers persists the events of
+// every verified run (mat2c.Cache.PutEvents, keyed by the program hash
+// and the case's Digest), and a memo miss consults them before
+// simulating, so a warm or remote-fed sweep prices every variant
+// without running anything. The memo's invariant carries over: only a
+// run that completed on the compiled engine and passed Verify writes
+// events, so a stored entry stands for a verified run of that program
+// on that case. A missing or unusable entry is a miss: the caller
+// simulates and verifies as without a cache.
 
 // DefaultSimMemoSize bounds the process-wide simulation memo (entries,
 // not bytes; an entry is one run's block counts, a few KiB at most).
@@ -150,10 +223,12 @@ func (e *VerifyError) Unwrap() error { return e.Err }
 // Simulate runs prog on machine m against k's case at size n and
 // verifies the outputs, leaving the run's accounting (Cycles, Executed,
 // ClassCounts) on m exactly as m.RunContext would. The first caller of
-// each (program, kernel, size) simulates; later callers are priced from
-// its events. A run error is returned as is; a verification failure is
-// a *VerifyError.
-func (k *Kernel) Simulate(ctx context.Context, m *vm.Machine, prog *vm.Program, n int) error {
+// each (program, kernel, size) simulates, unless cache's store tiers
+// hold the events of a verified run of prog on the case; later callers
+// are priced from those events. A fresh verified run's events are
+// written to cache's store tiers. cache may be nil. A run error is
+// returned as is; a verification failure is a *VerifyError.
+func (k *Kernel) Simulate(ctx context.Context, cache *mat2c.Cache, m *vm.Machine, prog *vm.Program, n int) error {
 	key := simKey{prog.ContentHash(), k, n}
 	e, ok := sims.Get(key)
 	if !ok {
@@ -173,9 +248,22 @@ func (k *Kernel) Simulate(ctx context.Context, m *vm.Machine, prog *vm.Program, 
 		// Another caller's run completed while this one waited.
 		return k.price(ctx, m, prog, n, ev)
 	}
+	digest := ""
+	if cache != nil && cache.HasStores() {
+		digest = k.Case(n).Digest()
+	}
+	if digest != "" {
+		if ev := cache.Events(prog, digest); ev != nil {
+			e.ev.Store(ev)
+			return k.price(ctx, m, prog, n, ev)
+		}
+	}
 	ev, err := k.run(ctx, m, prog, n)
 	if err == nil && ev != nil {
 		e.ev.Store(ev)
+		if digest != "" {
+			cache.PutEvents(prog, digest, ev)
+		}
 	}
 	return err
 }

@@ -60,7 +60,7 @@ func TestSimulateOncePriceAfter(t *testing.T) {
 	before := SimMemoStats()
 	for i, p := range []*pdesc.Processor{proc, proc, repriced} {
 		m := vm.NewMachine(p)
-		if err := k.Simulate(context.Background(), m, prog, n); err != nil {
+		if err := k.Simulate(context.Background(), nil, m, prog, n); err != nil {
 			t.Fatal(err)
 		}
 		want, err := freshRun(t, k, prog, p, n, 0)
@@ -96,13 +96,13 @@ func TestSimulateCancelledRunNotMemoized(t *testing.T) {
 		t.Fatalf("run executes %d instructions, too few to observe a cancellation", want.Executed)
 	}
 	before := SimMemoStats()
-	err = k.Simulate(cancelledCtx{context.Background()}, vm.NewMachine(proc), prog, n)
+	err = k.Simulate(cancelledCtx{context.Background()}, nil, vm.NewMachine(proc), prog, n)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled simulate returned %v", err)
 	}
 	for i := 0; i < 2; i++ {
 		m := vm.NewMachine(proc)
-		if err := k.Simulate(context.Background(), m, prog, n); err != nil {
+		if err := k.Simulate(context.Background(), nil, m, prog, n); err != nil {
 			t.Fatal(err)
 		}
 		assertSameAccounting(t, "after cancellation", m, want)
@@ -123,7 +123,7 @@ func TestSimulateVerifyFailureNotMemoized(t *testing.T) {
 	}
 	before := SimMemoStats()
 	for i := 0; i < 2; i++ {
-		err := k.Simulate(context.Background(), vm.NewMachine(proc), prog, 48)
+		err := k.Simulate(context.Background(), nil, vm.NewMachine(proc), prog, 48)
 		var verr *VerifyError
 		if !errors.As(err, &verr) {
 			t.Fatalf("call %d: %v, want a *VerifyError", i, err)
@@ -152,7 +152,7 @@ func TestSimulateConcurrentCallersShareOneRun(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			ms[i] = vm.NewMachine(proc)
-			errs[i] = k.Simulate(context.Background(), ms[i], prog, n)
+			errs[i] = k.Simulate(context.Background(), nil, ms[i], prog, n)
 		}(i)
 	}
 	wg.Wait()
@@ -173,7 +173,7 @@ func TestSimulateConcurrentCallersShareOneRun(t *testing.T) {
 func TestSimulateRunsWhenPricingDeclines(t *testing.T) {
 	k, prog, proc := memoProgram(t, "matmul", "dspasip")
 	const n = 8
-	if err := k.Simulate(context.Background(), vm.NewMachine(proc), prog, n); err != nil {
+	if err := k.Simulate(context.Background(), nil, vm.NewMachine(proc), prog, n); err != nil {
 		t.Fatal(err)
 	}
 	full, err := freshRun(t, k, prog, proc, n, 0)
@@ -184,7 +184,7 @@ func TestSimulateRunsWhenPricingDeclines(t *testing.T) {
 	before := SimMemoStats()
 	m := vm.NewMachine(proc)
 	m.MaxCycles = limit
-	err = k.Simulate(context.Background(), m, prog, n)
+	err = k.Simulate(context.Background(), nil, m, prog, n)
 	ref := vm.NewMachine(proc)
 	ref.Engine = vm.EngineReference
 	ref.MaxCycles = limit

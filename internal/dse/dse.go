@@ -163,7 +163,7 @@ func evalVariant(ctx context.Context, v *Variant, kernels []*bench.Kernel, opts 
 			vr.CacheHits++
 		}
 		m := vm.NewMachine(res.Processor())
-		if err := k.Simulate(ctx, m, res.Program(), n); err != nil {
+		if err := k.Simulate(ctx, cache, m, res.Program(), n); err != nil {
 			var verr *bench.VerifyError
 			if errors.As(err, &verr) {
 				vr.Error = fmt.Sprintf("%s: verify: %v", k.Name, verr.Err)

@@ -78,7 +78,7 @@ func TestPricedEqualsSimulated(t *testing.T) {
 						t.Fatalf("%s/%s: %v", vr.Name, k.Name, err)
 					}
 					priced := vm.NewMachine(v.Proc)
-					if err := k.Simulate(ctx, priced, prog, n); err != nil {
+					if err := k.Simulate(ctx, nil, priced, prog, n); err != nil {
 						t.Fatalf("%s/%s: %v", vr.Name, k.Name, err)
 					}
 					if priced.Cycles != fresh.Cycles || priced.Executed != fresh.Executed ||

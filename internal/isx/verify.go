@@ -80,7 +80,7 @@ func measure(ctx context.Context, proc *pdesc.Processor, k *bench.Kernel, n int,
 		return 0, 0, err
 	}
 	m := vm.NewMachine(proc)
-	if err := k.Simulate(ctx, m, res.Program, n); err != nil {
+	if err := k.Simulate(ctx, nil, m, res.Program, n); err != nil {
 		var verr *bench.VerifyError
 		if errors.As(err, &verr) {
 			return 0, 0, fmt.Errorf("output mismatch: %v", verr.Err)

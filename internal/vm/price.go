@@ -2,6 +2,8 @@ package vm
 
 import (
 	"context"
+	"fmt"
+	"maps"
 
 	"mat2c/internal/ir"
 	"mat2c/internal/lru"
@@ -300,6 +302,57 @@ type Events struct {
 	blocks *layout
 	runs   []int64
 	allocs map[int64]int64 // elements -> allocs of that many
+}
+
+// EventBlock is one basic block as Events index it: its half-open pc
+// range [Start, End) and how many times the run completed it.
+type EventBlock struct {
+	Start, End int32
+	Runs       int64
+}
+
+// Blocks returns the run's basic blocks in pc order, each with its
+// completed-run count.
+func (ev *Events) Blocks() []EventBlock {
+	out := make([]EventBlock, len(ev.runs))
+	for bi, r := range ev.runs {
+		sp := ev.blocks.spans[bi]
+		out[bi] = EventBlock{Start: sp.start, End: sp.end, Runs: r}
+	}
+	return out
+}
+
+// Allocs returns the run's executed allocs: how many allocs of each
+// element count.
+func (ev *Events) Allocs() map[int64]int64 { return maps.Clone(ev.allocs) }
+
+// NewEvents rebuilds the events of a completed run of prog from what
+// Blocks and Allocs reported for it. It lays prog out into basic blocks
+// afresh, translating nothing, and fails when blocks does not match
+// that layout span for span, or when a count is negative or an alloc
+// entry counts no allocs.
+func NewEvents(prog *Program, blocks []EventBlock, allocs map[int64]int64) (*Events, error) {
+	l := newLayout(prog)
+	if len(blocks) != len(l.spans) {
+		return nil, fmt.Errorf("vm: events have %d blocks, program %s has %d", len(blocks), prog.Name, len(l.spans))
+	}
+	runs := make([]int64, len(blocks))
+	for bi, b := range blocks {
+		if sp := l.spans[bi]; b.Start != sp.start || b.End != sp.end {
+			return nil, fmt.Errorf("vm: events block %d spans pcs [%d,%d), program %s lays it out as [%d,%d)",
+				bi, b.Start, b.End, prog.Name, sp.start, sp.end)
+		}
+		if b.Runs < 0 {
+			return nil, fmt.Errorf("vm: events block %d has %d runs", bi, b.Runs)
+		}
+		runs[bi] = b.Runs
+	}
+	for elems, times := range allocs {
+		if elems < 0 || times < 1 {
+			return nil, fmt.Errorf("vm: events record %d allocs of %d elements", times, elems)
+		}
+	}
+	return &Events{blocks: l, runs: runs, allocs: maps.Clone(allocs)}, nil
 }
 
 // RunEvents runs like RunContext and also returns the run's events for

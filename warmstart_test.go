@@ -3,8 +3,9 @@ package mat2c_test
 // Warm-start integration test for the durable artifact store: the same
 // DSE sweep, run twice as separate processes sharing one -cachedir,
 // must produce byte-identical reports (after stripping timing and
-// cache-traffic fields) with the second run compiling nothing — every
-// variant restored from disk.
+// cache-traffic fields) with the second run compiling, simulating and
+// translating nothing — every variant restored from disk and priced
+// from the stored events of the first run's verified simulations.
 
 import (
 	"encoding/json"
@@ -49,19 +50,24 @@ func runDSEProcess(t *testing.T, cacheDir, sweepPath string) (report, stats stri
 	return stdout.String(), stderr.String()
 }
 
-// cacheStatsFrom extracts the JSON object asipdse -cachestats prints to
-// stderr after the "cache: " prefix.
-func cacheStatsFrom(t *testing.T, stderr string) map[string]interface{} {
+// statsFrom extracts the JSON object asipdse -cachestats prints to
+// stderr after the given section prefix ("cache: ", "sim_memo: ", ...).
+func statsFrom(t *testing.T, stderr, prefix string) map[string]interface{} {
 	t.Helper()
-	i := strings.Index(stderr, "cache: ")
+	i := strings.Index(stderr, prefix)
 	if i < 0 {
-		t.Fatalf("no cache stats in stderr:\n%s", stderr)
+		t.Fatalf("no %q section in stderr:\n%s", prefix, stderr)
 	}
 	var st map[string]interface{}
-	if err := json.Unmarshal([]byte(stderr[i+len("cache: "):]), &st); err != nil {
-		t.Fatalf("parsing cache stats: %v\nstderr:\n%s", err, stderr)
+	if err := json.NewDecoder(strings.NewReader(stderr[i+len(prefix):])).Decode(&st); err != nil {
+		t.Fatalf("parsing %q section: %v\nstderr:\n%s", prefix, err, stderr)
 	}
 	return st
+}
+
+// cacheStatsFrom extracts the cache tiers' statistics.
+func cacheStatsFrom(t *testing.T, stderr string) map[string]interface{} {
+	return statsFrom(t, stderr, "cache: ")
 }
 
 func statCounter(t *testing.T, st map[string]interface{}, name string) float64 {
@@ -115,5 +121,24 @@ func TestWarmStartDSE(t *testing.T) {
 	}
 	if statCounter(t, ws, "disk_decode_errors") != 0 {
 		t.Errorf("warm run hit decode errors: %v", ws)
+	}
+
+	// The cold run stored the events of each verified simulation; the
+	// warm run prices every variant from them, simulating and
+	// translating nothing.
+	if got := statCounter(t, statsFrom(t, coldStats, "sim_memo: "), "misses"); got == 0 {
+		t.Errorf("cold run simulated nothing")
+	}
+	if statCounter(t, cs, "event_puts") == 0 {
+		t.Errorf("cold run stored no run events: %v", cs)
+	}
+	if got := statCounter(t, statsFrom(t, warmStats, "sim_memo: "), "misses"); got != 0 {
+		t.Errorf("warm run simulated %v times, want 0", got)
+	}
+	if got := statCounter(t, statsFrom(t, warmStats, "vm_compiled: "), "translations"); got != 0 {
+		t.Errorf("warm run translated %v programs, want 0", got)
+	}
+	if statCounter(t, ws, "event_hits") == 0 || statCounter(t, ws, "event_misses") != 0 {
+		t.Errorf("warm run did not read every run's events from disk: %v", ws)
 	}
 }
