@@ -1,10 +1,10 @@
 // Command fleetsmoke is the fleet integration smoke test CI runs: it
 // builds mat2cd, boots one coordinator, two workers, and one
 // single-process daemon, submits the same small sweep over the scalar
-// base target to the coordinator and to the single daemon, and fails
-// unless the sharded-and-merged report is byte-identical to the
-// single-process one (elapsed wall time excepted). The two reports are
-// written to -out for artifact upload.
+// base target to the coordinator and to the single daemon, then the
+// same small isx mine, and fails unless each sharded-and-merged report
+// is byte-identical to the single-process one (elapsed wall time
+// excepted). The reports are written to -out for artifact upload.
 //
 // Three more phases then exercise the durable and fleet-shared cache
 // tiers end to end:
@@ -49,7 +49,7 @@ import (
 func main() {
 	var (
 		bin     = flag.String("bin", "", "mat2cd binary (default: go build ./cmd/mat2cd)")
-		out     = flag.String("out", "fleetsmoke-out", "artifact directory for the two reports")
+		out     = flag.String("out", "fleetsmoke-out", "artifact directory for the reports")
 		timeout = flag.Duration("timeout", 5*time.Minute, "overall deadline")
 		race    = flag.Bool("racebuild", false, "build mat2cd with -race so the daemons run race-checked")
 	)
@@ -140,32 +140,17 @@ func run(ctx context.Context, bin, outDir string) error {
 	// The same sweep, submitted to both daemons. Jobs is explicit so the
 	// reports' jobs field cannot drift with the hosts' core counts.
 	sweep := smokeSweep()
-	sharded, err := runSweep(ctx, coordURL, sweep)
+	sharded, err := runJob(ctx, coordURL, "/dse", sweep)
 	if err != nil {
 		return fmt.Errorf("sharded sweep: %w", err)
 	}
-	single, err := runSweep(ctx, singleURL, sweep)
+	single, err := runJob(ctx, singleURL, "/dse", sweep)
 	if err != nil {
 		return fmt.Errorf("single-process sweep: %w", err)
 	}
 
-	shardedJSON, err := normalize(sharded)
-	if err != nil {
+	if err := sameReports(outDir, "report", sharded, single); err != nil {
 		return err
-	}
-	singleJSON, err := normalize(single)
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(outDir, "report-sharded.json"), shardedJSON, 0o644); err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(outDir, "report-single.json"), singleJSON, 0o644); err != nil {
-		return err
-	}
-
-	if !bytes.Equal(shardedJSON, singleJSON) {
-		return fmt.Errorf("sharded report differs from single-process report (see %s)", outDir)
 	}
 
 	// The job-listing endpoint knows the finished sweep.
@@ -182,6 +167,31 @@ func run(ctx context.Context, bin, outDir string) error {
 		return fmt.Errorf("GET /dse: want one done job, got %+v", list.Jobs)
 	}
 
+	// The second job kind: the coordinator shards the mine's candidate
+	// verification across the workers, and its report must match the
+	// standalone daemon's in-process mine.
+	mine := map[string]interface{}{"proc": "scalar", "kernels": []string{"fir"}, "scale": 0.05, "top": 2}
+	shardedMine, err := runJob(ctx, coordURL, "/isx", mine)
+	if err != nil {
+		return fmt.Errorf("sharded mine: %w", err)
+	}
+	singleMine, err := runJob(ctx, singleURL, "/isx", mine)
+	if err != nil {
+		return fmt.Errorf("single-process mine: %w", err)
+	}
+	if err := sameReports(outDir, "isx", shardedMine, singleMine); err != nil {
+		return err
+	}
+	for _, url := range []string{coordURL, singleURL} {
+		if err := getJSON(ctx, url+"/isx", &list); err != nil {
+			return err
+		}
+		if len(list.Jobs) != 1 || list.Jobs[0].State != "done" {
+			return fmt.Errorf("GET %s/isx: want one done job, got %+v", url, list.Jobs)
+		}
+	}
+	log.Printf("fleetsmoke: sharded isx report is byte-identical to the single-process one")
+
 	// The fleet actually did the work: units dispatched and completed.
 	var st struct {
 		Coordinator struct {
@@ -196,6 +206,30 @@ func run(ctx context.Context, bin, outDir string) error {
 		return fmt.Errorf("GET /fleet: no units completed (dispatched %d)", st.Coordinator.Dispatched)
 	}
 	log.Printf("fleetsmoke: %d units dispatched, %d completed", st.Coordinator.Dispatched, st.Coordinator.Completed)
+	return nil
+}
+
+// sameReports writes the sharded and single-process reports to
+// outDir as <name>-sharded.json and <name>-single.json, and fails
+// unless they are byte-identical once elapsed_us is dropped.
+func sameReports(outDir, name string, sharded, single json.RawMessage) error {
+	shardedJSON, err := normalize(sharded)
+	if err != nil {
+		return err
+	}
+	singleJSON, err := normalize(single)
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(filepath.Join(outDir, name+"-sharded.json"), shardedJSON, 0o644); err != nil {
+		return err
+	}
+	if err := os.WriteFile(filepath.Join(outDir, name+"-single.json"), singleJSON, 0o644); err != nil {
+		return err
+	}
+	if !bytes.Equal(shardedJSON, singleJSON) {
+		return fmt.Errorf("sharded %s differs from the single-process one (see %s)", name, outDir)
+	}
 	return nil
 }
 
@@ -254,7 +288,7 @@ func warmStart(ctx context.Context, bin, outDir string) error {
 			}); err != nil {
 				return fmt.Errorf("%s daemon never became ready: %w", name, err)
 			}
-			report, err := runSweep(ctx, url, smokeSweep())
+			report, err := runJob(ctx, url, "/dse", smokeSweep())
 			if err != nil {
 				return fmt.Errorf("%s sweep: %w", name, err)
 			}
@@ -392,7 +426,7 @@ func sharedRemote(ctx context.Context, bin, outDir string) error {
 	if err := waitWorkers(1); err != nil {
 		return fmt.Errorf("worker A never registered: %w", err)
 	}
-	coldReport, err := runSweep(ctx, coordURL, smokeSweep())
+	coldReport, err := runJob(ctx, coordURL, "/dse", smokeSweep())
 	if err != nil {
 		return fmt.Errorf("cold sweep: %w", err)
 	}
@@ -449,7 +483,7 @@ func sharedRemote(ctx context.Context, bin, outDir string) error {
 	if err := waitWorkers(1); err != nil {
 		return fmt.Errorf("worker B never registered: %w", err)
 	}
-	warmReport, err := runSweep(ctx, coordURL, smokeSweep())
+	warmReport, err := runJob(ctx, coordURL, "/dse", smokeSweep())
 	if err != nil {
 		return fmt.Errorf("warm sweep: %w", err)
 	}
@@ -533,7 +567,7 @@ func remoteOutage(ctx context.Context, bin, outDir string) error {
 	}); err != nil {
 		return fmt.Errorf("origin never became ready: %w", err)
 	}
-	originReport, err := runSweep(ctx, originURL, smokeSweep())
+	originReport, err := runJob(ctx, originURL, "/dse", smokeSweep())
 	if err != nil {
 		return fmt.Errorf("origin pre-warm sweep: %w", err)
 	}
@@ -562,7 +596,7 @@ func remoteOutage(ctx context.Context, bin, outDir string) error {
 	}
 	resc := make(chan sweepResult, 1)
 	go func() {
-		rep, err := runSweep(ctx, consumerURL, smokeSweep())
+		rep, err := runJob(ctx, consumerURL, "/dse", smokeSweep())
 		resc <- sweepResult{rep, err}
 	}()
 	time.Sleep(150 * time.Millisecond)
@@ -597,7 +631,7 @@ func remoteOutage(ctx context.Context, bin, outDir string) error {
 		"complex": []bool{false},
 	}
 	deadSweep["kernels"] = []string{"fir"}
-	if _, err := runSweep(ctx, consumerURL, deadSweep); err != nil {
+	if _, err := runJob(ctx, consumerURL, "/dse", deadSweep); err != nil {
 		return fmt.Errorf("sweep against dead origin failed: %w", err)
 	}
 	st, err := cacheMetricsOf(ctx, consumerURL)
@@ -713,14 +747,14 @@ func freePorts(n int) ([]int, error) {
 	return ports, nil
 }
 
-// runSweep submits one POST /dse and polls the job to completion,
-// returning the raw report JSON.
-func runSweep(ctx context.Context, baseURL string, req interface{}) (json.RawMessage, error) {
+// runJob submits one async job (path "/dse" or "/isx") and polls it to
+// completion, returning the raw report JSON.
+func runJob(ctx context.Context, baseURL, path string, req interface{}) (json.RawMessage, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, err
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+"/dse", bytes.NewReader(body))
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+path, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
@@ -736,7 +770,7 @@ func runSweep(ctx context.Context, baseURL string, req interface{}) (json.RawMes
 	data, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
-		return nil, fmt.Errorf("POST /dse: status %d: %s", resp.StatusCode, bytes.TrimSpace(data))
+		return nil, fmt.Errorf("POST %s: status %d: %s", path, resp.StatusCode, bytes.TrimSpace(data))
 	}
 	if err := json.Unmarshal(data, &acc); err != nil {
 		return nil, err
@@ -765,14 +799,14 @@ func runSweep(ctx context.Context, baseURL string, req interface{}) (json.RawMes
 	return report, err
 }
 
-// normalize re-marshals a report with its wall-time field zeroed —
-// the only field legitimately differing between the two modes.
+// normalize re-marshals a report without its wall-time field — the
+// only field legitimately differing between the two modes.
 func normalize(report json.RawMessage) ([]byte, error) {
 	var m map[string]interface{}
 	if err := json.Unmarshal(report, &m); err != nil {
 		return nil, fmt.Errorf("decode report: %w", err)
 	}
-	m["elapsed_us"] = 0
+	delete(m, "elapsed_us")
 	return json.MarshalIndent(m, "", "  ")
 }
 

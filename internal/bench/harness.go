@@ -10,7 +10,6 @@ import (
 	"mat2c/internal/core"
 	"mat2c/internal/ir"
 	"mat2c/internal/pdesc"
-	"mat2c/internal/vm"
 )
 
 // Stats reports one (kernel, pipeline) measurement.
@@ -106,26 +105,7 @@ func RunPipeline(k *Kernel, cfg core.Config, n int) (*Stats, error) {
 // compiler observes ctx between stages and the simulator polls it while
 // executing, so a deadline stops the measurement promptly.
 func RunPipelineContext(ctx context.Context, k *Kernel, cfg core.Config, n int) (*Stats, error) {
-	res, err := core.CompileContext(ctx, k.Source, k.Entry, k.Params, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("%s: compile: %w", k.Name, err)
-	}
-	kc := k.Case(n)
-	m := vm.NewMachine(cfg.Processor)
-	got, err := res.RunOnContext(ctx, m, kc.Args()...)
-	if err != nil {
-		return nil, fmt.Errorf("%s: run: %w", k.Name, err)
-	}
-	if err := verify(got, kc.Want); err != nil {
-		return nil, fmt.Errorf("%s: %w", k.Name, err)
-	}
-	return &Stats{
-		Cycles:          m.Cycles,
-		Executed:        m.Executed,
-		CodeSize:        res.CodeSize(),
-		VectorizedLoops: res.VectorizedLoops,
-		Intrinsics:      res.Intrinsics.Selected,
-	}, nil
+	return RunPipelineCached(ctx, nil, k, cfg, n)
 }
 
 // RunKernelOn runs kernel k's full proposed pipeline against an
@@ -160,12 +140,10 @@ func OptionsFor(cfg core.Config) mat2c.Options {
 // RunPipelineCached is RunPipelineContext through a content-addressed
 // cache: identical (kernel, config) compilations are compiled once and
 // restored thereafter — from memory, or from the cache's durable store
-// across processes. The measurement contract is unchanged (outputs are
-// still verified against the Go reference on every call).
+// across processes. A nil cache compiles afresh. The measurement
+// contract is unchanged (outputs are still verified against the Go
+// reference on every call).
 func RunPipelineCached(ctx context.Context, c *mat2c.Cache, k *Kernel, cfg core.Config, n int) (*Stats, error) {
-	if c == nil {
-		return RunPipelineContext(ctx, k, cfg, n)
-	}
 	res, _, err := mat2c.CompileCachedContext(ctx, c, k.Source, k.Entry, k.Params, OptionsFor(cfg))
 	if err != nil {
 		return nil, fmt.Errorf("%s: compile: %w", k.Name, err)
@@ -185,16 +163,6 @@ func RunPipelineCached(ctx context.Context, c *mat2c.Cache, k *Kernel, cfg core.
 		VectorizedLoops: res.VectorizedLoops(),
 		Intrinsics:      res.SelectedIntrinsics(),
 	}, nil
-}
-
-// runPipeline dispatches one generator measurement through the cache
-// when the generator was built WithCache, and straight down the
-// pipeline otherwise.
-func runPipeline(o options, k *Kernel, cfg core.Config, n int) (*Stats, error) {
-	if o.cache != nil {
-		return RunPipelineCached(o.ctx, o.cache, k, cfg, n)
-	}
-	return RunPipelineContext(o.ctx, k, cfg, n)
 }
 
 // ----- Table I: headline speedups -----
@@ -219,11 +187,11 @@ func Table1(proc *pdesc.Processor, scale float64, opts ...Opt) ([]Table1Row, err
 	err := forEach(len(ks), o.jobs, func(i int) error {
 		k := ks[i]
 		n := SizeFor(k, scale)
-		base, err := runPipeline(o, k, core.Baseline(proc), n)
+		base, err := RunPipelineCached(o.ctx, o.cache, k, core.Baseline(proc), n)
 		if err != nil {
 			return err
 		}
-		prop, err := runPipeline(o, k, core.Proposed(proc), n)
+		prop, err := RunPipelineCached(o.ctx, o.cache, k, core.Proposed(proc), n)
 		if err != nil {
 			return err
 		}
@@ -332,7 +300,7 @@ func Fig2(proc *pdesc.Processor, scale float64, opts ...Opt) ([]Fig2Row, error) 
 		row := Fig2Row{Kernel: k.Name}
 		var base int64
 		for i, ac := range configs {
-			st, err := runPipeline(o, k, ac.Cfg(proc), n)
+			st, err := RunPipelineCached(o.ctx, o.cache, k, ac.Cfg(proc), n)
 			if err != nil {
 				return fmt.Errorf("%s/%s: %w", k.Name, ac.Name, err)
 			}
@@ -410,13 +378,13 @@ func Fig3On(targets []*pdesc.Processor, ref *pdesc.Processor, scale float64, opt
 	err := forEach(len(ks), o.jobs, func(ki int) error {
 		k := ks[ki]
 		n := SizeFor(k, scale)
-		base, err := runPipeline(o, k, core.Baseline(ref), n)
+		base, err := RunPipelineCached(o.ctx, o.cache, k, core.Baseline(ref), n)
 		if err != nil {
 			return err
 		}
 		row := Fig3Row{Kernel: k.Name}
 		for _, p := range targets {
-			st, err := runPipeline(o, k, core.Proposed(p), n)
+			st, err := RunPipelineCached(o.ctx, o.cache, k, core.Proposed(p), n)
 			if err != nil {
 				return fmt.Errorf("%s/%s: %w", k.Name, p.Name, err)
 			}

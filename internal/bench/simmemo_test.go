@@ -197,3 +197,46 @@ func TestSimulateRunsWhenPricingDeclines(t *testing.T) {
 		t.Errorf("%d simulations and %d priced; want one real run", runs, priced)
 	}
 }
+
+// TestMaxCyclesCheckedBeforeEachInstruction pins the cycle limit's
+// rule: it is checked before each instruction, so fir at n=48 (4215
+// cycles) completes under a 4214-cycle limit on both engines, its last
+// instruction crossing the limit without a fault. Price declines that
+// run's events, and Simulate reports the engines' accounting.
+func TestMaxCyclesCheckedBeforeEachInstruction(t *testing.T) {
+	k, prog, proc := memoProgram(t, "fir", "dspasip")
+	const n, limit, cycles = 48, 4214, 4215
+	args := k.Case(n).Args()
+	full := vm.NewMachine(proc)
+	_, ev, err := full.RunEvents(context.Background(), prog, args...)
+	if err != nil || ev == nil || full.Cycles != cycles {
+		t.Fatalf("unlimited run: cycles %d, events %v, err %v; want %d cycles with events", full.Cycles, ev != nil, err, cycles)
+	}
+	limited := func(engine string) *vm.Machine {
+		m := vm.NewMachine(proc)
+		m.MaxCycles, m.Engine = limit, engine
+		return m
+	}
+	for _, engine := range []string{vm.EngineCompiled, vm.EngineReference} {
+		m := limited(engine)
+		if _, err := m.Run(prog, args...); err != nil {
+			t.Fatalf("%s engine: %v", engine, err)
+		}
+		assertSameAccounting(t, engine+" engine under the limit", m, full)
+	}
+	if limited(vm.EngineCompiled).Price(prog, ev) {
+		t.Error("Price priced a run over the machine's cycle limit")
+	}
+	// The memo holds the unlimited run's events, so the limited machine
+	// is offered them first and must fall back to a run.
+	if err := k.Simulate(context.Background(), nil, vm.NewMachine(proc), prog, n); err != nil {
+		t.Fatal(err)
+	}
+	for _, engine := range []string{vm.EngineCompiled, vm.EngineReference} {
+		m := limited(engine)
+		if err := k.Simulate(context.Background(), nil, m, prog, n); err != nil {
+			t.Fatalf("Simulate on the %s engine: %v", engine, err)
+		}
+		assertSameAccounting(t, "Simulate on the "+engine+" engine", m, full)
+	}
+}

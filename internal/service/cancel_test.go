@@ -176,32 +176,32 @@ func TestStatusCodeMapping(t *testing.T) {
 }
 
 func TestOversizedBodyIs413(t *testing.T) {
-	s := New(Config{Workers: 1, MaxRequestBytes: 512})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	big := CompileRequest{Source: "% " + strings.Repeat("x", 2048)}
-	resp, body := postJSON(t, ts, "/compile", big)
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Errorf("/compile oversized: status %d (%s), want 413", resp.StatusCode, body)
-	}
-	if !strings.Contains(string(body), "512") {
-		t.Errorf("413 body %q does not name the limit", body)
-	}
-
-	huge, err := json.Marshal(map[string]interface{}{
+	big := map[string]interface{}{
+		"source":  "% " + strings.Repeat("x", 2048),
 		"kernels": []string{strings.Repeat("k", 2048)},
-	})
-	if err != nil {
-		t.Fatal(err)
+		"url":     "http://" + strings.Repeat("w", 2048),
 	}
-	resp2, err := ts.Client().Post(ts.URL+"/dse", "application/json", strings.NewReader(string(huge)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Errorf("/dse oversized: status %d, want 413", resp2.StatusCode)
+	// Each POST endpoint, on a server in a role that routes it.
+	for _, tc := range []struct {
+		role  Role
+		paths []string
+	}{
+		{RoleSingle, []string{"/compile", "/run", "/dse", "/isx"}},
+		{RoleCoordinator, []string{"/fleet/register", "/fleet/deregister"}},
+		{RoleWorker, []string{"/fleet/unit"}},
+	} {
+		s := New(Config{Workers: 1, MaxRequestBytes: 512, Role: tc.role})
+		ts := httptest.NewServer(s.Handler())
+		for _, path := range tc.paths {
+			resp, body := postJSON(t, ts, path, big)
+			if resp.StatusCode != http.StatusRequestEntityTooLarge {
+				t.Errorf("%s oversized: status %d (%s), want 413", path, resp.StatusCode, body)
+			}
+			if !strings.Contains(string(body), "512-byte limit") {
+				t.Errorf("%s: 413 body %q does not name the limit", path, body)
+			}
+		}
+		ts.Close()
 	}
 }
 
@@ -280,7 +280,7 @@ func TestDSECancelStopsEvaluation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cst DSEStatus
+	var cst JobStatus[dse.Report]
 	if err := json.NewDecoder(dresp.Body).Decode(&cst); err != nil {
 		t.Fatal(err)
 	}

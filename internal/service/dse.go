@@ -3,29 +3,21 @@
 // asynchronously against the server's shared compilation cache — the
 // serving-layer shape of the compiler↔architecture loop, where one
 // warm cache amortizes compilation across sweeps and across clients.
-// GET /dse lists known jobs; GET /dse/{id} reports progress and, once
-// done, the full report. DELETE /dse/{id} cancels a running sweep:
-// workers observe the cancellation between variants and stop
-// evaluating. In coordinator role the same endpoints shard the sweep
-// across the fleet instead of exploring in-process; the merged report
-// is byte-identical.
+// The job follows the shared async-job lifecycle (jobs.go); its status
+// also counts evaluated variants, and once done carries the report.
+// DELETE /dse/{id} cancels a running sweep: workers observe the
+// cancellation between variants and stop evaluating. In coordinator
+// role the same endpoints shard the sweep across the fleet instead of
+// exploring in-process; the merged report is byte-identical.
 package service
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
-	"fmt"
 	"net/http"
 	"strings"
-	"sync"
 
 	"mat2c/internal/dse"
 )
-
-// maxFinishedDSEJobs bounds the finished-job registry; the oldest
-// finished jobs are dropped once it overflows.
-const maxFinishedDSEJobs = 32
 
 // DSERequest is the POST /dse body. Sweep carries the axes (defaults
 // apply per dse.Sweep); Procs optionally fans the same axes out over
@@ -41,61 +33,11 @@ type DSERequest struct {
 	EmitC bool `json:"emit_c,omitempty"`
 }
 
-// DSEAccepted is the POST /dse reply: the job is queued.
+// DSEAccepted is the POST /dse reply: the job is queued, and
+// Variants counts what it will evaluate.
 type DSEAccepted struct {
-	ID       string `json:"id"`
-	Status   string `json:"status_url"`
-	Variants int    `json:"variants"`
-}
-
-// DSEStatus is the GET /dse/{id} (and DELETE /dse/{id}) reply.
-type DSEStatus struct {
-	ID        string      `json:"id"`
-	State     string      `json:"state"` // "running", "cancelling", "done", "failed", "cancelled"
-	Evaluated int         `json:"evaluated"`
-	Total     int         `json:"total"`
-	Error     string      `json:"error,omitempty"`
-	Report    *dse.Report `json:"report,omitempty"`
-}
-
-// dseJob is one exploration's lifecycle state.
-type dseJob struct {
-	id    string
-	total int
-	// cancel aborts the job's context; safe to call any number of times
-	// from any goroutine.
-	cancel context.CancelFunc
-
-	mu        sync.Mutex
-	evaluated int
-	done      bool
-	cancelled bool // a DELETE (or server shutdown) requested cancellation
-	err       error
-	report    *dse.Report
-}
-
-func (j *dseJob) status() DSEStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	st := DSEStatus{ID: j.id, Evaluated: j.evaluated, Total: j.total}
-	switch {
-	case !j.done && j.cancelled:
-		st.State = "cancelling"
-	case !j.done:
-		st.State = "running"
-	case j.cancelled:
-		st.State = "cancelled"
-		if j.err != nil {
-			st.Error = j.err.Error()
-		}
-	case j.err != nil:
-		st.State = "failed"
-		st.Error = j.err.Error()
-	default:
-		st.State = "done"
-		st.Report = j.report
-	}
-	return st
+	JobAccepted
+	Variants int `json:"variants"`
 }
 
 // sweeps expands the request into per-base sweeps.
@@ -128,19 +70,9 @@ func (s *Server) handleDSE(w http.ResponseWriter, r *http.Request) {
 	status := http.StatusAccepted
 	defer func() { finish(status, false, false, false) }()
 
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var req DSERequest
-	if err := dec.Decode(&req); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			status = http.StatusRequestEntityTooLarge
-			httpError(w, status, "request body exceeds the %d-byte limit", mbe.Limit)
-			return
-		}
-		status = http.StatusBadRequest
-		httpError(w, status, "bad request body: %v", err)
+	if code := s.decodeBody(w, r, &req, true); code != 0 {
+		status = code
 		return
 	}
 
@@ -163,27 +95,16 @@ func (s *Server) handleDSE(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	jobs := req.Jobs
-	if jobs <= 0 || jobs > s.cfg.Workers {
-		jobs = s.cfg.Workers
+	workers := req.Jobs
+	if workers <= 0 || workers > s.cfg.Workers {
+		workers = s.cfg.Workers
 	}
 	opts := dse.Options{
-		Jobs:    jobs,
+		Jobs:    workers,
 		Scale:   req.Scale,
 		Kernels: req.Kernels,
 		Cache:   s.cache,
 		EmitC:   req.EmitC,
-	}
-
-	// The job's context descends from the server's jobsCtx so Shutdown
-	// cancels every running sweep; DELETE /dse/{id} cancels just this one.
-	jctx, jcancel := context.WithCancel(s.jobsCtx)
-	job := s.registerDSEJob(total, jcancel)
-	opts.OnVariant = func(vr dse.VariantResult) {
-		job.mu.Lock()
-		job.evaluated++
-		job.mu.Unlock()
-		s.metrics.ObserveDSEVariant(vr.CacheLookups, vr.CacheHits)
 	}
 	// Coordinator role shards the sweep across the fleet; the two paths
 	// share enumeration, per-variant evaluation, and report assembly, so
@@ -192,171 +113,15 @@ func (s *Server) handleDSE(w http.ResponseWriter, r *http.Request) {
 	if s.coord != nil {
 		explore = s.coord.ExploreDSE
 	}
-	s.metrics.DSESweepStarted()
-	go func() {
-		defer jcancel()
-		rep, err := explore(jctx, sweeps, opts)
-		cancelled := err != nil && isCtxErr(err)
-		frontier := 0
-		if rep != nil {
-			frontier = len(rep.Frontier)
+	j := s.sweeps.start(s.jobsCtx, &Progress{Total: total}, func(ctx context.Context, j *job[dse.Report]) (*dse.Report, error) {
+		opts.OnVariant = func(vr dse.VariantResult) {
+			j.advance()
+			s.metrics.ObserveDSEVariant(vr.CacheLookups, vr.CacheHits)
 		}
-		s.metrics.DSESweepFinished(frontier, err != nil && !cancelled, cancelled)
-		job.mu.Lock()
-		job.done, job.err, job.report = true, err, rep
-		if cancelled {
-			job.cancelled = true
-		}
-		job.mu.Unlock()
-		s.retireDSEJobs()
-	}()
-
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusAccepted)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(DSEAccepted{ID: job.id, Status: "/dse/" + job.id, Variants: total})
-}
-
-// DSEJobSummary is one GET /dse entry: a job's status without its
-// (potentially large) report.
-type DSEJobSummary struct {
-	ID        string `json:"id"`
-	State     string `json:"state"`
-	Evaluated int    `json:"evaluated"`
-	Total     int    `json:"total"`
-	Error     string `json:"error,omitempty"`
-	Status    string `json:"status_url"`
-}
-
-// DSEJobList is the GET /dse reply, oldest job first.
-type DSEJobList struct {
-	Jobs []DSEJobSummary `json:"jobs"`
-}
-
-// handleDSEList (GET /dse) lists every job the registry still holds,
-// in submission order. Reports are omitted — fetch them per job via
-// the status URL.
-func (s *Server) handleDSEList(w http.ResponseWriter, r *http.Request) {
-	finish := s.metrics.RequestStarted("dse_list")
-	defer func() { finish(http.StatusOK, false, false, false) }()
-
-	s.dseMu.Lock()
-	jobs := make([]*dseJob, 0, len(s.dseOrder))
-	for _, id := range s.dseOrder {
-		if j := s.dseJobs[id]; j != nil {
-			jobs = append(jobs, j)
-		}
-	}
-	s.dseMu.Unlock()
-
-	list := DSEJobList{Jobs: []DSEJobSummary{}}
-	for _, j := range jobs {
-		st := j.status()
-		list.Jobs = append(list.Jobs, DSEJobSummary{
-			ID:        st.ID,
-			State:     st.State,
-			Evaluated: st.Evaluated,
-			Total:     st.Total,
-			Error:     st.Error,
-			Status:    "/dse/" + st.ID,
-		})
-	}
-	writeJSON(w, list)
-}
-
-func (s *Server) handleDSEStatus(w http.ResponseWriter, r *http.Request) {
-	finish := s.metrics.RequestStarted("dse_status")
-	status := http.StatusOK
-	defer func() { finish(status, false, false, false) }()
-
-	id := r.PathValue("id")
-	s.dseMu.Lock()
-	job := s.dseJobs[id]
-	s.dseMu.Unlock()
-	if job == nil {
-		status = http.StatusNotFound
-		httpError(w, status, "no such DSE job %q", id)
-		return
-	}
-	writeJSON(w, job.status())
-}
-
-// handleDSECancel (DELETE /dse/{id}) cancels a running sweep. The
-// workers observe the cancellation between variants, so the job moves
-// through "cancelling" to "cancelled" once in-flight variants wind
-// down. Cancelling a finished job is a no-op; the reply is always the
-// job's current status.
-func (s *Server) handleDSECancel(w http.ResponseWriter, r *http.Request) {
-	finish := s.metrics.RequestStarted("dse_cancel")
-	status := http.StatusOK
-	defer func() { finish(status, false, false, false) }()
-
-	id := r.PathValue("id")
-	s.dseMu.Lock()
-	job := s.dseJobs[id]
-	s.dseMu.Unlock()
-	if job == nil {
-		status = http.StatusNotFound
-		httpError(w, status, "no such DSE job %q", id)
-		return
-	}
-	job.mu.Lock()
-	if !job.done {
-		job.cancelled = true
-	}
-	job.mu.Unlock()
-	job.cancel()
-	writeJSON(w, job.status())
-}
-
-// registerDSEJob allocates a job slot under a fresh sequential id.
-func (s *Server) registerDSEJob(total int, cancel context.CancelFunc) *dseJob {
-	s.dseMu.Lock()
-	defer s.dseMu.Unlock()
-	s.dseSeq++
-	job := &dseJob{id: fmt.Sprintf("dse-%d", s.dseSeq), total: total, cancel: cancel}
-	if s.dseJobs == nil {
-		s.dseJobs = map[string]*dseJob{}
-	}
-	s.dseJobs[job.id] = job
-	s.dseOrder = append(s.dseOrder, job.id)
-	return job
-}
-
-// retireDSEJobs drops the oldest finished jobs beyond the registry cap
-// so a long-lived server does not accumulate reports without bound.
-func (s *Server) retireDSEJobs() {
-	s.dseMu.Lock()
-	defer s.dseMu.Unlock()
-	finished := 0
-	for _, id := range s.dseOrder {
-		if j := s.dseJobs[id]; j != nil {
-			j.mu.Lock()
-			if j.done {
-				finished++
-			}
-			j.mu.Unlock()
-		}
-	}
-	if finished <= maxFinishedDSEJobs {
-		return
-	}
-	var keep []string
-	for _, id := range s.dseOrder {
-		j := s.dseJobs[id]
-		if j == nil {
-			continue
-		}
-		j.mu.Lock()
-		done := j.done
-		j.mu.Unlock()
-		if done && finished > maxFinishedDSEJobs {
-			delete(s.dseJobs, id)
-			finished--
-			continue
-		}
-		keep = append(keep, id)
-	}
-	s.dseOrder = keep
+		return explore(ctx, sweeps, opts)
+	})
+	writeJSONStatus(w, status, DSEAccepted{
+		JobAccepted: JobAccepted{ID: j.id, Status: "/dse/" + j.id},
+		Variants:    total,
+	})
 }

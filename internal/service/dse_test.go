@@ -25,11 +25,11 @@ func smallDSERequest() *DSERequest {
 	}
 }
 
-func waitDSE(t *testing.T, ts *httptest.Server, id string) DSEStatus {
+func waitDSE(t *testing.T, ts *httptest.Server, id string) JobStatus[dse.Report] {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		var st DSEStatus
+		var st JobStatus[dse.Report]
 		getJSON(t, ts, "/dse/"+id, &st)
 		if st.State != "running" && st.State != "cancelling" {
 			return st
@@ -145,41 +145,5 @@ func TestDSEEndpointValidation(t *testing.T) {
 	r.Body.Close()
 	if r.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job: status %d, want 404", r.StatusCode)
-	}
-}
-
-func TestDSEJobRegistryBounded(t *testing.T) {
-	s := New(Config{Workers: 2})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	req := &DSERequest{
-		Sweep: &dse.Sweep{Widths: []int{1}, Complex: []bool{false}, Groups: [][]string{nil}},
-		Scale: 0.05, Kernels: []string{"fir"},
-	}
-	var last string
-	for i := 0; i < maxFinishedDSEJobs+8; i++ {
-		resp, body := postJSON(t, ts, "/dse", req)
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("POST %d: status %d: %s", i, resp.StatusCode, body)
-		}
-		var acc DSEAccepted
-		if err := json.Unmarshal(body, &acc); err != nil {
-			t.Fatal(err)
-		}
-		waitDSE(t, ts, acc.ID)
-		last = acc.ID
-	}
-	s.dseMu.Lock()
-	n := len(s.dseJobs)
-	s.dseMu.Unlock()
-	if n > maxFinishedDSEJobs {
-		t.Errorf("registry holds %d finished jobs, cap %d", n, maxFinishedDSEJobs)
-	}
-	// The newest job must survive retirement.
-	var st DSEStatus
-	getJSON(t, ts, "/dse/"+last, &st)
-	if st.State != "done" {
-		t.Errorf("newest job %s missing after retirement", last)
 	}
 }

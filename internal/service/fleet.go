@@ -15,7 +15,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"strings"
 
@@ -67,11 +66,9 @@ func (s *Server) handleFleetRegister(w http.ResponseWriter, r *http.Request) {
 	status := http.StatusOK
 	defer func() { finish(status, false, false, false) }()
 
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
 	var req fleet.RegisterRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		status = http.StatusBadRequest
-		httpError(w, status, "bad request body: %v", err)
+	if code := s.decodeBody(w, r, &req, false); code != 0 {
+		status = code
 		return
 	}
 	req.URL = strings.TrimRight(strings.TrimSpace(req.URL), "/")
@@ -98,11 +95,9 @@ func (s *Server) handleFleetDeregister(w http.ResponseWriter, r *http.Request) {
 	status := http.StatusOK
 	defer func() { finish(status, false, false, false) }()
 
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
 	var req fleet.RegisterRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		status = http.StatusBadRequest
-		httpError(w, status, "bad request body: %v", err)
+	if code := s.decodeBody(w, r, &req, false); code != 0 {
+		status = code
 		return
 	}
 	known := s.coord.Deregister(strings.TrimRight(strings.TrimSpace(req.URL), "/"))
@@ -133,11 +128,9 @@ func (s *Server) handleFleetUnit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
 	var u fleet.Unit
-	if err := json.NewDecoder(r.Body).Decode(&u); err != nil {
-		status = http.StatusBadRequest
-		httpError(w, status, "bad unit body: %v", err)
+	if code := s.decodeBody(w, r, &u, false); code != 0 {
+		status = code
 		return
 	}
 

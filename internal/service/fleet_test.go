@@ -13,6 +13,7 @@ import (
 
 	"mat2c/internal/dse"
 	"mat2c/internal/fleet"
+	"mat2c/internal/isx"
 )
 
 // fastFleetConfig keeps retry/backoff cadence test-speed.
@@ -54,7 +55,7 @@ func newWorker(t *testing.T, coord *httptest.Server, cfg Config, wrap func(http.
 	return s, ts
 }
 
-func runDSE(t *testing.T, ts *httptest.Server, req *DSERequest) DSEStatus {
+func runDSE(t *testing.T, ts *httptest.Server, req *DSERequest) JobStatus[dse.Report] {
 	t.Helper()
 	resp, body := postJSON(t, ts, "/dse", req)
 	if resp.StatusCode != http.StatusAccepted {
@@ -103,7 +104,7 @@ func TestFleetShardedSweepMatchesSingleProcess(t *testing.T) {
 	}
 
 	// GET /dse lists the finished job without its report.
-	var list DSEJobList
+	var list JobList
 	getJSON(t, coord, "/dse", &list)
 	if len(list.Jobs) != 1 || list.Jobs[0].State != "done" || list.Jobs[0].Status != "/dse/"+list.Jobs[0].ID {
 		t.Errorf("GET /dse = %+v, want one done job", list.Jobs)
@@ -182,12 +183,12 @@ func TestFleetISXMatchesSingleProcess(t *testing.T) {
 	singleTS := httptest.NewServer(single.Handler())
 	defer singleTS.Close()
 
-	post := func(ts *httptest.Server) ISXStatus {
+	post := func(ts *httptest.Server) JobStatus[isx.Report] {
 		resp, body := postJSON(t, ts, "/isx", smallISXRequest())
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("POST /isx: status %d: %s", resp.StatusCode, body)
 		}
-		var acc ISXAccepted
+		var acc JobAccepted
 		if err := json.Unmarshal(body, &acc); err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +207,7 @@ func TestFleetISXMatchesSingleProcess(t *testing.T) {
 	}
 
 	// GET /isx lists the finished mine.
-	var list ISXJobList
+	var list JobList
 	getJSON(t, coord, "/isx", &list)
 	if len(list.Jobs) != 1 || list.Jobs[0].State != "done" || list.Jobs[0].Status != "/isx/"+list.Jobs[0].ID {
 		t.Errorf("GET /isx = %+v, want one done job", list.Jobs)

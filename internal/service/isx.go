@@ -2,30 +2,22 @@
 // target plus mining options, validates them synchronously, and runs
 // the miner asynchronously — profiling, candidate enumeration, and
 // per-candidate verification can take seconds, so the job follows the
-// same lifecycle as /dse. GET /isx/{id} reports progress and, once
-// done, the full mining report; DELETE /isx/{id} cancels a running
-// mine (the miner observes cancellation between kernels and between
-// candidate verifications). GET /isx lists known jobs. In coordinator
-// role the per-candidate verification pass is sharded across the fleet
-// (planning stays on the coordinator); the report is byte-identical to
-// in-process mining.
+// shared async-job lifecycle (jobs.go); once done its status carries
+// the mining report. DELETE /isx/{id} cancels a running mine (the
+// miner observes cancellation between kernels and between candidate
+// verifications). In coordinator role the per-candidate verification
+// pass is sharded across the fleet (planning stays on the
+// coordinator); the report is byte-identical to in-process mining.
 package service
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
-	"fmt"
 	"net/http"
-	"sync"
 
 	mat2c "mat2c"
 	"mat2c/internal/dse"
 	"mat2c/internal/isx"
 )
-
-// maxFinishedISXJobs bounds the finished-job registry.
-const maxFinishedISXJobs = 32
 
 // ISXRequest is the POST /isx body.
 type ISXRequest struct {
@@ -44,74 +36,14 @@ type ISXRequest struct {
 	NoVerify bool `json:"no_verify,omitempty"`
 }
 
-// ISXAccepted is the POST /isx reply: the job is queued.
-type ISXAccepted struct {
-	ID     string `json:"id"`
-	Status string `json:"status_url"`
-}
-
-// ISXStatus is the GET /isx/{id} (and DELETE /isx/{id}) reply.
-type ISXStatus struct {
-	ID     string      `json:"id"`
-	State  string      `json:"state"` // "running", "cancelling", "done", "failed", "cancelled"
-	Error  string      `json:"error,omitempty"`
-	Report *isx.Report `json:"report,omitempty"`
-}
-
-// isxJob is one mining run's lifecycle state.
-type isxJob struct {
-	id     string
-	cancel context.CancelFunc
-
-	mu        sync.Mutex
-	done      bool
-	cancelled bool
-	err       error
-	report    *isx.Report
-}
-
-func (j *isxJob) status() ISXStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	st := ISXStatus{ID: j.id}
-	switch {
-	case !j.done && j.cancelled:
-		st.State = "cancelling"
-	case !j.done:
-		st.State = "running"
-	case j.cancelled:
-		st.State = "cancelled"
-		if j.err != nil {
-			st.Error = j.err.Error()
-		}
-	case j.err != nil:
-		st.State = "failed"
-		st.Error = j.err.Error()
-	default:
-		st.State = "done"
-		st.Report = j.report
-	}
-	return st
-}
-
 func (s *Server) handleISX(w http.ResponseWriter, r *http.Request) {
 	finish := s.metrics.RequestStarted("isx")
 	status := http.StatusAccepted
 	defer func() { finish(status, false, false, false) }()
 
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var req ISXRequest
-	if err := dec.Decode(&req); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			status = http.StatusRequestEntityTooLarge
-			httpError(w, status, "request body exceeds the %d-byte limit", mbe.Limit)
-			return
-		}
-		status = http.StatusBadRequest
-		httpError(w, status, "bad request body: %v", err)
+	if code := s.decodeBody(w, r, &req, true); code != 0 {
+		status = code
 		return
 	}
 
@@ -140,11 +72,6 @@ func (s *Server) handleISX(w http.ResponseWriter, r *http.Request) {
 		Scale:    req.Scale,
 		NoVerify: req.NoVerify,
 	}
-
-	// The job's context descends from the server's jobsCtx so Shutdown
-	// cancels running mines; DELETE /isx/{id} cancels just this one.
-	jctx, jcancel := context.WithCancel(s.jobsCtx)
-	job := s.registerISXJob(jcancel)
 	// Coordinator role plans locally and fans candidate verification
 	// out across the fleet; both paths share planning, verification,
 	// and report assembly, so the reports agree byte for byte.
@@ -152,163 +79,8 @@ func (s *Server) handleISX(w http.ResponseWriter, r *http.Request) {
 	if s.coord != nil {
 		mine = s.coord.MineISX
 	}
-	s.metrics.ISXMineStarted()
-	go func() {
-		defer jcancel()
-		rep, err := mine(jctx, proc, opts)
-		cancelled := err != nil && isCtxErr(err)
-		candidates := 0
-		if rep != nil {
-			candidates = len(rep.Candidates)
-		}
-		s.metrics.ISXMineFinished(candidates, err != nil && !cancelled, cancelled)
-		job.mu.Lock()
-		job.done, job.err, job.report = true, err, rep
-		if cancelled {
-			job.cancelled = true
-		}
-		job.mu.Unlock()
-		s.retireISXJobs()
-	}()
-
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusAccepted)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(ISXAccepted{ID: job.id, Status: "/isx/" + job.id})
-}
-
-// ISXJobSummary is one GET /isx entry: a job's status without its
-// report.
-type ISXJobSummary struct {
-	ID     string `json:"id"`
-	State  string `json:"state"`
-	Error  string `json:"error,omitempty"`
-	Status string `json:"status_url"`
-}
-
-// ISXJobList is the GET /isx reply, oldest job first.
-type ISXJobList struct {
-	Jobs []ISXJobSummary `json:"jobs"`
-}
-
-// handleISXList (GET /isx) lists every job the registry still holds,
-// in submission order.
-func (s *Server) handleISXList(w http.ResponseWriter, r *http.Request) {
-	finish := s.metrics.RequestStarted("isx_list")
-	defer func() { finish(http.StatusOK, false, false, false) }()
-
-	s.isxMu.Lock()
-	jobs := make([]*isxJob, 0, len(s.isxOrder))
-	for _, id := range s.isxOrder {
-		if j := s.isxJobs[id]; j != nil {
-			jobs = append(jobs, j)
-		}
-	}
-	s.isxMu.Unlock()
-
-	list := ISXJobList{Jobs: []ISXJobSummary{}}
-	for _, j := range jobs {
-		st := j.status()
-		list.Jobs = append(list.Jobs, ISXJobSummary{
-			ID:     st.ID,
-			State:  st.State,
-			Error:  st.Error,
-			Status: "/isx/" + st.ID,
-		})
-	}
-	writeJSON(w, list)
-}
-
-func (s *Server) handleISXStatus(w http.ResponseWriter, r *http.Request) {
-	finish := s.metrics.RequestStarted("isx_status")
-	status := http.StatusOK
-	defer func() { finish(status, false, false, false) }()
-
-	id := r.PathValue("id")
-	s.isxMu.Lock()
-	job := s.isxJobs[id]
-	s.isxMu.Unlock()
-	if job == nil {
-		status = http.StatusNotFound
-		httpError(w, status, "no such ISX job %q", id)
-		return
-	}
-	writeJSON(w, job.status())
-}
-
-// handleISXCancel (DELETE /isx/{id}) cancels a running mine.
-// Cancelling a finished job is a no-op; the reply is always the job's
-// current status.
-func (s *Server) handleISXCancel(w http.ResponseWriter, r *http.Request) {
-	finish := s.metrics.RequestStarted("isx_cancel")
-	status := http.StatusOK
-	defer func() { finish(status, false, false, false) }()
-
-	id := r.PathValue("id")
-	s.isxMu.Lock()
-	job := s.isxJobs[id]
-	s.isxMu.Unlock()
-	if job == nil {
-		status = http.StatusNotFound
-		httpError(w, status, "no such ISX job %q", id)
-		return
-	}
-	job.mu.Lock()
-	if !job.done {
-		job.cancelled = true
-	}
-	job.mu.Unlock()
-	job.cancel()
-	writeJSON(w, job.status())
-}
-
-// registerISXJob allocates a job slot under a fresh sequential id.
-func (s *Server) registerISXJob(cancel context.CancelFunc) *isxJob {
-	s.isxMu.Lock()
-	defer s.isxMu.Unlock()
-	s.isxSeq++
-	job := &isxJob{id: fmt.Sprintf("isx-%d", s.isxSeq), cancel: cancel}
-	if s.isxJobs == nil {
-		s.isxJobs = map[string]*isxJob{}
-	}
-	s.isxJobs[job.id] = job
-	s.isxOrder = append(s.isxOrder, job.id)
-	return job
-}
-
-// retireISXJobs drops the oldest finished jobs beyond the registry cap.
-func (s *Server) retireISXJobs() {
-	s.isxMu.Lock()
-	defer s.isxMu.Unlock()
-	finished := 0
-	for _, id := range s.isxOrder {
-		if j := s.isxJobs[id]; j != nil {
-			j.mu.Lock()
-			if j.done {
-				finished++
-			}
-			j.mu.Unlock()
-		}
-	}
-	if finished <= maxFinishedISXJobs {
-		return
-	}
-	var keep []string
-	for _, id := range s.isxOrder {
-		j := s.isxJobs[id]
-		if j == nil {
-			continue
-		}
-		j.mu.Lock()
-		done := j.done
-		j.mu.Unlock()
-		if done && finished > maxFinishedISXJobs {
-			delete(s.isxJobs, id)
-			finished--
-			continue
-		}
-		keep = append(keep, id)
-	}
-	s.isxOrder = keep
+	j := s.mines.start(s.jobsCtx, nil, func(ctx context.Context, _ *job[isx.Report]) (*isx.Report, error) {
+		return mine(ctx, proc, opts)
+	})
+	writeJSONStatus(w, status, JobAccepted{ID: j.id, Status: "/isx/" + j.id})
 }

@@ -2,10 +2,14 @@ package service
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"testing"
 	"time"
+
+	"mat2c/internal/isx"
 )
 
 // smallISXRequest mines one kernel on the bare scalar target at tiny
@@ -20,11 +24,11 @@ func smallISXRequest() *ISXRequest {
 	}
 }
 
-func waitISX(t *testing.T, ts *httptest.Server, id string) ISXStatus {
+func waitISX(t *testing.T, ts *httptest.Server, id string) JobStatus[isx.Report] {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		var st ISXStatus
+		var st JobStatus[isx.Report]
 		getJSON(t, ts, "/isx/"+id, &st)
 		if st.State != "running" && st.State != "cancelling" {
 			return st
@@ -45,7 +49,7 @@ func TestISXEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("POST /isx: status %d: %s", resp.StatusCode, body)
 	}
-	var acc ISXAccepted
+	var acc JobAccepted
 	if err := json.Unmarshal(body, &acc); err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +131,7 @@ func TestISXCancel(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("POST /isx: status %d: %s", resp.StatusCode, body)
 	}
-	var acc ISXAccepted
+	var acc JobAccepted
 	if err := json.Unmarshal(body, &acc); err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +144,7 @@ func TestISXCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st ISXStatus
+	var st JobStatus[isx.Report]
 	if err := json.NewDecoder(r.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -166,5 +170,31 @@ func TestISXCancel(t *testing.T) {
 	r.Body.Close()
 	if st.State != final {
 		t.Errorf("cancel after finish: state %q, want %q", st.State, final)
+	}
+}
+
+// TestMetricsJobSections pins the keys of the /metrics dse and isx
+// sections.
+func TestMetricsJobSections(t *testing.T) {
+	ts := httptest.NewServer(New(Config{Workers: 1}).Handler())
+	defer ts.Close()
+	var snap map[string]json.RawMessage
+	getJSON(t, ts, "/metrics", &snap)
+	for section, want := range map[string]string{
+		"dse": "[cache_hit_rate cache_hits cache_lookups cancelled failures last_frontier_size running sweeps variants_evaluated]",
+		"isx": "[cancelled failures last_candidates mines running]",
+	} {
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(snap[section], &fields); err != nil {
+			t.Fatalf("%s: %v", section, err)
+		}
+		var keys []string
+		for k := range fields {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		if got := fmt.Sprint(keys); got != want {
+			t.Errorf("/metrics %s keys %s, want %s", section, got, want)
+		}
 	}
 }

@@ -132,22 +132,22 @@ type Metrics struct {
 	// queue).
 	queueShed map[string]uint64
 
-	// Design-space exploration counters.
-	dseSweeps       uint64
-	dseRunning      int64
-	dseFailures     uint64
-	dseCancelled    uint64
+	// jobs counts async jobs by kind ("dse", "isx").
+	jobs map[string]*jobCounters
+
+	// Design-space exploration variant counters.
 	dseVariants     uint64
 	dseCacheLookups uint64
 	dseCacheHits    uint64
-	dseLastFrontier int
+}
 
-	// Instruction-set-extension mining counters.
-	isxMines          uint64
-	isxRunning        int64
-	isxFailures       uint64
-	isxCancelled      uint64
-	isxLastCandidates int
+// jobCounters counts one kind of async job. last is the size of the
+// most recent done job's report (a sweep's frontier, a mine's
+// candidates).
+type jobCounters struct {
+	started, failures, cancelled uint64
+	running                      int64
+	last                         int
 }
 
 // NewMetrics returns a registry with every pipeline-stage series
@@ -158,6 +158,7 @@ func NewMetrics() *Metrics {
 		start:    time.Now(),
 		requests: map[string]*endpointStats{},
 		stages:   map[string]*histogram{},
+		jobs:     map[string]*jobCounters{"dse": {}, "isx": {}},
 	}
 	for _, s := range mat2c.StageNames() {
 		m.stages[s] = newHistogram()
@@ -254,12 +255,13 @@ func (m *Metrics) ObserveCompile(stages []mat2c.StageTime, cacheHit bool) {
 	}
 }
 
-// DSESweepStarted counts one exploration launch.
-func (m *Metrics) DSESweepStarted() {
+// JobStarted counts one launch of a kind of async job.
+func (m *Metrics) JobStarted(kind string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.dseSweeps++
-	m.dseRunning++
+	c := m.jobs[kind]
+	c.started++
+	c.running++
 }
 
 // ObserveDSEVariant records one evaluated variant and its compile-cache
@@ -272,43 +274,20 @@ func (m *Metrics) ObserveDSEVariant(lookups, hits int) {
 	m.dseCacheHits += uint64(hits)
 }
 
-// DSESweepFinished records one exploration completing with the given
-// frontier size (zero when it failed or was cancelled).
-func (m *Metrics) DSESweepFinished(frontierSize int, failed, cancelled bool) {
+// JobFinished records one async job ending; size measures its report
+// and is kept only for a job that neither failed nor was cancelled.
+func (m *Metrics) JobFinished(kind string, size int, failed, cancelled bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.dseRunning--
+	c := m.jobs[kind]
+	c.running--
 	switch {
 	case cancelled:
-		m.dseCancelled++
+		c.cancelled++
 	case failed:
-		m.dseFailures++
+		c.failures++
 	default:
-		m.dseLastFrontier = frontierSize
-	}
-}
-
-// ISXMineStarted counts one mining launch.
-func (m *Metrics) ISXMineStarted() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.isxMines++
-	m.isxRunning++
-}
-
-// ISXMineFinished records one mine completing with the given candidate
-// count (zero when it failed or was cancelled).
-func (m *Metrics) ISXMineFinished(candidates int, failed, cancelled bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.isxRunning--
-	switch {
-	case cancelled:
-		m.isxCancelled++
-	case failed:
-		m.isxFailures++
-	default:
-		m.isxLastCandidates = candidates
+		c.last = size
 	}
 }
 
@@ -382,16 +361,17 @@ func (m *Metrics) SnapshotWith(cache mat2c.CacheStats) Snapshot {
 		Stages:           map[string]HistogramSnapshot{},
 		Cache:            cache,
 		CompileMemo:      core.MemoStats(),
-		DSE: DSESnapshot{
-			Sweeps:            m.dseSweeps,
-			Running:           m.dseRunning,
-			Failures:          m.dseFailures,
-			Cancelled:         m.dseCancelled,
-			VariantsEvaluated: m.dseVariants,
-			CacheLookups:      m.dseCacheLookups,
-			CacheHits:         m.dseCacheHits,
-			LastFrontierSize:  m.dseLastFrontier,
-		},
+	}
+	d, i := m.jobs["dse"], m.jobs["isx"]
+	s.DSE = DSESnapshot{
+		Sweeps:            d.started,
+		Running:           d.running,
+		Failures:          d.failures,
+		Cancelled:         d.cancelled,
+		VariantsEvaluated: m.dseVariants,
+		CacheLookups:      m.dseCacheLookups,
+		CacheHits:         m.dseCacheHits,
+		LastFrontierSize:  d.last,
 	}
 	if m.dseCacheLookups > 0 {
 		s.DSE.CacheHitRate = float64(m.dseCacheHits) / float64(m.dseCacheLookups)
@@ -403,11 +383,11 @@ func (m *Metrics) SnapshotWith(cache mat2c.CacheStats) Snapshot {
 		}
 	}
 	s.ISX = ISXSnapshot{
-		Mines:          m.isxMines,
-		Running:        m.isxRunning,
-		Failures:       m.isxFailures,
-		Cancelled:      m.isxCancelled,
-		LastCandidates: m.isxLastCandidates,
+		Mines:          i.started,
+		Running:        i.running,
+		Failures:       i.failures,
+		Cancelled:      i.cancelled,
+		LastCandidates: i.last,
 	}
 	s.VM = VMSnapshot{
 		SimMemo:  bench.SimMemoStats(),

@@ -17,7 +17,7 @@
 //	GET  /dse/{id} sweep progress and, once done, the Pareto report
 //	POST /isx      launch an async instruction-set-extension mine
 //	GET  /isx      list mining jobs
-//	GET  /isx/{id} mining progress and, once done, the candidate report
+//	GET  /isx/{id} mining state and, once done, the candidate report
 //	GET  /targets  built-in processor catalog
 //	GET  /healthz  liveness + in-flight gauge
 //	GET  /metrics  JSON counters: requests, cache, per-stage histograms
@@ -40,13 +40,14 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"sync"
 	"time"
 
 	mat2c "mat2c"
 	"mat2c/internal/artifact"
 	"mat2c/internal/artifact/remote"
+	"mat2c/internal/dse"
 	"mat2c/internal/fleet"
+	"mat2c/internal/isx"
 	"mat2c/internal/vm"
 )
 
@@ -168,8 +169,8 @@ type Server struct {
 	metrics *Metrics
 	slots   chan struct{}
 
-	// jobsCtx parents every background job (async DSE sweeps); Shutdown
-	// cancels it so a stopping server reclaims its workers.
+	// jobsCtx parents every background job (/dse sweeps, /isx mines);
+	// Shutdown cancels it so a stopping server reclaims its workers.
 	jobsCtx    context.Context
 	jobsCancel context.CancelFunc
 
@@ -185,30 +186,25 @@ type Server struct {
 	sweepAdmit chan struct{}
 	sweepSlots chan struct{}
 
-	// Design-space exploration job registry (see dse.go).
-	dseMu    sync.Mutex
-	dseSeq   int
-	dseJobs  map[string]*dseJob
-	dseOrder []string
-
-	// Instruction-set-extension mining job registry (see isx.go).
-	isxMu    sync.Mutex
-	isxSeq   int
-	isxJobs  map[string]*isxJob
-	isxOrder []string
+	// sweeps and mines are the /dse and /isx job registries (jobs.go).
+	sweeps *jobs[dse.Report]
+	mines  *jobs[isx.Report]
 }
 
 // New builds a Server with the given configuration.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	jobsCtx, jobsCancel := context.WithCancel(context.Background())
+	m := NewMetrics()
 	s := &Server{
 		cfg:        cfg,
 		cache:      mat2c.NewCache(cfg.CacheSize),
-		metrics:    NewMetrics(),
+		metrics:    m,
 		slots:      make(chan struct{}, cfg.Workers),
 		jobsCtx:    jobsCtx,
 		jobsCancel: jobsCancel,
+		sweeps:     newJobs("dse", m, func(r *dse.Report) int { return len(r.Frontier) }),
+		mines:      newJobs("isx", m, func(r *isx.Report) int { return len(r.Candidates) }),
 	}
 	if cfg.Store != nil {
 		s.cache.SetStore(cfg.Store)
@@ -274,14 +270,8 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /compile", s.handleCompile)
 	mux.HandleFunc("POST /run", s.handleRun)
-	mux.HandleFunc("POST /dse", s.handleDSE)
-	mux.HandleFunc("GET /dse", s.handleDSEList)
-	mux.HandleFunc("GET /dse/{id}", s.handleDSEStatus)
-	mux.HandleFunc("DELETE /dse/{id}", s.handleDSECancel)
-	mux.HandleFunc("POST /isx", s.handleISX)
-	mux.HandleFunc("GET /isx", s.handleISXList)
-	mux.HandleFunc("GET /isx/{id}", s.handleISXStatus)
-	mux.HandleFunc("DELETE /isx/{id}", s.handleISXCancel)
+	s.sweeps.route(mux, s.handleDSE)
+	s.mines.route(mux, s.handleISX)
 	mux.HandleFunc("GET /targets", s.handleTargets)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -409,10 +399,38 @@ func httpError(w http.ResponseWriter, status int, format string, args ...interfa
 }
 
 func writeJSON(w http.ResponseWriter, v interface{}) {
+	writeJSONStatus(w, http.StatusOK, v)
+}
+
+func writeJSONStatus(w http.ResponseWriter, status int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
+}
+
+// decodeBody decodes r's JSON body into v, reading at most
+// Config.MaxRequestBytes; strict rejects unknown fields. On failure it
+// answers 413 (body over the limit) or 400 (anything else) and returns
+// that status; on success it returns 0.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v interface{}, strict bool) int {
+	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
+	dec := json.NewDecoder(r.Body)
+	if strict {
+		dec.DisallowUnknownFields()
+	}
+	err := dec.Decode(v)
+	if err == nil {
+		return 0
+	}
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds the %d-byte limit", mbe.Limit)
+		return http.StatusRequestEntityTooLarge
+	}
+	httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	return http.StatusBadRequest
 }
 
 // compile resolves one CompileRequest through the cache and shapes the
@@ -547,17 +565,9 @@ func (s *Server) serveCompute(w http.ResponseWriter, r *http.Request, name strin
 	status, timedOut, cancelled, panicked := http.StatusOK, false, false, false
 	defer func() { finish(status, timedOut, cancelled, panicked) }()
 
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
 	var req RunRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			status = http.StatusRequestEntityTooLarge
-			httpError(w, status, "request body exceeds the %d-byte limit", mbe.Limit)
-			return
-		}
-		status = http.StatusBadRequest
-		httpError(w, status, "bad request body: %v", err)
+	if code := s.decodeBody(w, r, &req, false); code != 0 {
+		status = code
 		return
 	}
 	if req.Source == "" {

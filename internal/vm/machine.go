@@ -90,8 +90,11 @@ const (
 // a processor description.
 type Machine struct {
 	Proc *pdesc.Processor
-	// MaxCycles bounds execution (0 = DefaultMaxCycles). Run never
-	// modifies it.
+	// MaxCycles bounds execution (0 = DefaultMaxCycles). The limit is
+	// checked before each instruction: a run faults when an instruction
+	// is due while Cycles exceeds MaxCycles, so a run whose last
+	// instruction crosses the limit completes, with Cycles above it and
+	// no fault. Run never modifies it.
 	MaxCycles int64
 	// Trace, when non-nil, receives one line per executed instruction
 	// (pc, disassembly, cycle counter) — a debugging aid; it can produce

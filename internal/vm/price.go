@@ -371,7 +371,10 @@ func (m *Machine) RunEvents(ctx context.Context, prog *Program, args ...interfac
 // without pricing when it cannot be exact — the processor lacks an
 // intrinsic the run executed, or the priced cycles exceed the cycle
 // limit — or when the machine profiles or traces, which only a run
-// does; the caller must then run the program instead.
+// does; the caller must then run the program instead. Priced cycles
+// over the limit are declined even when only the last instruction
+// crosses it, although such a run completes (see MaxCycles): the
+// caller's run then reports that accounting.
 func (m *Machine) Price(prog *Program, ev *Events) bool {
 	if m.Profile || m.Trace != nil {
 		return false

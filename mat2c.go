@@ -415,12 +415,7 @@ func (r *Result) RunWithStats(args ...interface{}) ([]interface{}, *Stats, error
 // RunWithStatsContext executes like RunWithStats under a cancellable
 // context (see RunContext for the cancellation contract).
 func (r *Result) RunWithStatsContext(ctx context.Context, args ...interface{}) ([]interface{}, *Stats, error) {
-	m := vm.NewMachine(r.proc)
-	out, err := r.res.RunOnContext(ctx, m, args...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, &Stats{Cycles: m.Cycles, Executed: m.Executed, ClassCounts: m.ClassCounts}, nil
+	return r.RunTracedContext(ctx, nil, args...)
 }
 
 // RunTraced executes like RunWithStats while writing one line per
@@ -430,7 +425,7 @@ func (r *Result) RunTraced(w io.Writer, args ...interface{}) ([]interface{}, *St
 }
 
 // RunTracedContext is RunTraced under a cancellable context (see
-// RunContext for the cancellation contract).
+// RunContext for the cancellation contract). A nil w traces nothing.
 func (r *Result) RunTracedContext(ctx context.Context, w io.Writer, args ...interface{}) ([]interface{}, *Stats, error) {
 	m := vm.NewMachine(r.proc)
 	m.Trace = w
