@@ -43,12 +43,14 @@ type script struct {
 // fakeTier is an artifact.Store whose every answer is scripted by the
 // test before each lookup, separately for record and blob keys; it logs
 // the calls it receives as "<op> rec" or "<op> blob". checkerTier adds
-// Has.
+// Has, batchTier and batchCheckerTier GetBatch.
 type fakeTier struct {
 	mu        sync.Mutex
 	rec, blob script
 	log       []string
 	puts      []fakePut
+	// batchFail makes GetBatch fail as a whole.
+	batchFail bool
 }
 
 type fakePut struct {
@@ -70,8 +72,11 @@ func (f *fakeTier) call(op, key string) *script {
 	return &f.rec
 }
 
-func (f *fakeTier) Get(key string) ([]byte, error) {
-	sc := f.call("get", key)
+func (f *fakeTier) Get(key string) ([]byte, error) { return f.answer("get", key) }
+
+// answer is the scripted reply to a read of key, logged as op.
+func (f *fakeTier) answer(op, key string) ([]byte, error) {
+	sc := f.call(op, key)
 	switch sc.getMode {
 	case getMiss:
 		return nil, fmt.Errorf("fake: %w", artifact.ErrNotFound)
@@ -109,12 +114,37 @@ func (c checkerTier) Has(key string) (bool, error) {
 	return false, nil
 }
 
+// getBatch answers each key as Get would, logging "batch rec" or
+// "batch blob" per key, or fails as a whole when batchFail is set.
+func (f *fakeTier) getBatch(keys []string) ([]artifact.Fetched, error) {
+	if f.batchFail {
+		f.call("batchfail", "")
+		return nil, errors.New("fake: batch failed")
+	}
+	out := make([]artifact.Fetched, len(keys))
+	for i, key := range keys {
+		out[i].Data, out[i].Err = f.answer("batch", key)
+	}
+	return out, nil
+}
+
+type batchTier struct{ *fakeTier }
+
+func (b batchTier) GetBatch(keys []string) ([]artifact.Fetched, error) { return b.getBatch(keys) }
+
+type batchCheckerTier struct{ checkerTier }
+
+func (b batchCheckerTier) GetBatch(keys []string) ([]artifact.Fetched, error) {
+	return b.getBatch(keys)
+}
+
 // propKey is one distinct compilation the property test looks up, with
 // its fresh-compile reference and its durable encodings.
 type propKey struct {
 	src  string
 	opts Options
 	key  string
+	k    Key
 	want *Result
 	hash string // the program's content hash
 	rec  []byte // the record's encoding
@@ -176,6 +206,10 @@ func (m *lruModel[T]) touch(key string, mk func() T) T {
 // is known to hold it.
 // The keys are two sources on two cost siblings, so pairs of keys share
 // one program blob.
+// In the batch setups the remote also reads in batches, and every
+// lookup is prefetched first (Cache.Prefetch): the model, counters and
+// outcomes are those of the per-key path unchanged, and only the reads
+// move from the remote's Gets into its batches.
 func TestTierResolutionProperty(t *testing.T) {
 	base, err := LoadProcessor("dspasip")
 	if err != nil {
@@ -190,16 +224,17 @@ func TestTierResolutionProperty(t *testing.T) {
 		src := fmt.Sprintf("function y = prop(x, a)\ny = a .* x + %d;\nend", i+1)
 		for _, proc := range []*Processor{base, sibling} {
 			opts := Options{Processor: proc}
-			key, err := CacheKey(src, "prop", cacheTestParams, opts)
+			ks, err := Keys(opts, Input{Source: src, Entry: "prop", Params: cacheTestParams})
 			if err != nil {
 				t.Fatal(err)
 			}
+			key := ks[0].String()
 			want, err := Compile(src, "prop", cacheTestParams, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			prog := want.Program()
-			keys = append(keys, propKey{src: src, opts: opts, key: key, want: want,
+			keys = append(keys, propKey{src: src, opts: opts, key: key, k: ks[0], want: want,
 				hash: prog.ContentHash(), rec: encodeRecord(key, want), blob: artifact.EncodeProgram(prog)})
 		}
 	}
@@ -207,19 +242,22 @@ func TestTierResolutionProperty(t *testing.T) {
 		t.Fatal("cost siblings must share a program, and the two sources must not")
 	}
 	setups := []struct {
-		name         string
-		disk, remote bool
-	}{{"none", false, false}, {"disk", true, false}, {"remote", false, true}, {"both", true, true}}
+		name                string
+		disk, remote, batch bool
+	}{
+		{"none", false, false, false}, {"disk", true, false, false}, {"remote", false, true, false}, {"both", true, true, false},
+		{"remote+batch", false, true, true}, {"both+batch", true, true, true},
+	}
 	for _, setup := range setups {
 		for seed := int64(1); seed <= 8; seed++ {
 			t.Run(fmt.Sprintf("%s/seed=%d", setup.name, seed), func(t *testing.T) {
-				runTierProperty(t, seed, setup.disk, setup.remote, keys)
+				runTierProperty(t, seed, setup.disk, setup.remote, setup.batch, keys)
 			})
 		}
 	}
 }
 
-func runTierProperty(t *testing.T, seed int64, disk, remote bool, keys []propKey) {
+func runTierProperty(t *testing.T, seed int64, disk, remote, batch bool, keys []propKey) {
 	rng := rand.New(rand.NewSource(seed))
 	const memCap = 2
 	c := NewCache(memCap)
@@ -228,9 +266,15 @@ func runTierProperty(t *testing.T, seed int64, disk, remote bool, keys []propKey
 	attach := func(i int, set func(artifact.Store)) {
 		f := &fakeTier{}
 		tiers[i] = f
-		if rng.Intn(2) == 0 {
+		checker := rng.Intn(2) == 0
+		switch {
+		case batch && i == remoteTier && checker:
+			set(batchCheckerTier{checkerTier{f}})
+		case batch && i == remoteTier:
+			set(batchTier{f})
+		case checker:
 			set(checkerTier{f})
-		} else {
+		default:
 			set(f)
 		}
 	}
@@ -252,6 +296,9 @@ func runTierProperty(t *testing.T, seed int64, disk, remote bool, keys []propKey
 	progs := lruModel[*progModel]{max: memCap, keyOf: func(p *progModel) string { return p.hash }}
 	var model [numTiers]tierModel
 	var compiles, blobDecodes, programHits uint64
+	// In the batch setups: the remote's reads in the model, the Gets it
+	// saw, and the keys its batches answered.
+	var modelGets, remoteGets, batchReads int
 	for step := 0; step < 60; step++ {
 		fail := func(format string, args ...interface{}) {
 			t.Helper()
@@ -264,6 +311,7 @@ func runTierProperty(t *testing.T, seed int64, disk, remote bool, keys []propKey
 				continue
 			}
 			f.log, f.puts = nil, nil
+			f.batchFail = rng.Intn(4) == 0
 			for _, sc := range []*script{&f.rec, &f.blob} {
 				sc.getMode = rng.Intn(numGetModes)
 				sc.putFail = rng.Intn(3) == 0
@@ -362,8 +410,10 @@ func runTierProperty(t *testing.T, seed int64, disk, remote bool, keys []propKey
 		}
 		mem.touch(k.key, func() int { return ki })
 
+		release := c.Prefetch([]Want{{Key: k.k}})
 		res, hit, err := CompileCached(c, k.src, "prop", cacheTestParams, k.opts)
 		c.Flush()
+		release()
 		if err != nil {
 			fail("store failure reached the caller: %v", err)
 		}
@@ -380,7 +430,19 @@ func runTierProperty(t *testing.T, seed int64, disk, remote bool, keys []propKey
 			if f == nil {
 				continue
 			}
-			if !reflect.DeepEqual(f.log, want[i]) {
+			log := f.log
+			if batch {
+				// Compare the calls besides reads: the disk's presence
+				// probes that Prefetch makes, and the remote's reads,
+				// which a batch may answer in place of a Get.
+				if i == remoteTier {
+					modelGets += countOp(want[i], "get")
+					remoteGets += countOp(f.log, "get")
+					batchReads += countOp(f.log, "batch")
+				}
+				log, want[i] = nonReads(i, log), nonReads(i, want[i])
+			}
+			if !reflect.DeepEqual(log, want[i]) {
 				fail("tier %d (record get/has %d/%d, blob get/has %d/%d, checker %v) saw calls %v, want %v",
 					i, f.rec.getMode, f.rec.hasMode, f.blob.getMode, f.blob.hasMode, isChecker(i), f.log, want[i])
 			}
@@ -418,6 +480,38 @@ func runTierProperty(t *testing.T, seed int64, disk, remote bool, keys []propKey
 			fail("%d entries in memory, model %d", st.Entries, len(mem.order))
 		}
 	}
+	// The lookups read what the model says they read; the Gets they
+	// did not make were answered by a batch.
+	if batch && (batchReads == 0 || remoteGets >= modelGets) {
+		t.Fatalf("seed %d: %d remote reads modelled, %d made by Get, %d keys read in batches: prefetched answers went unused",
+			seed, modelGets, remoteGets, batchReads)
+	}
+}
+
+// countOp counts the calls of op in a tier's call log.
+func countOp(log []string, op string) int {
+	n := 0
+	for _, e := range log {
+		if strings.Fields(e)[0] == op {
+			n++
+		}
+	}
+	return n
+}
+
+// nonReads drops from a tier's call log what a prefetched lookup may
+// do differently: the remote's reads (Get or batch) and its failed
+// batches, and the local tier's presence probes.
+func nonReads(tier int, log []string) []string {
+	var out []string
+	for _, e := range log {
+		op := strings.Fields(e)[0]
+		if tier == remoteTier && (op == "get" || op == "batch" || op == "batchfail") || tier == diskTier && op == "has" {
+			continue
+		}
+		out = append(out, e)
+	}
+	return out
 }
 
 // scriptedBytes returns what a scripted Get hands back: the valid

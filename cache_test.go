@@ -1,6 +1,7 @@
 package mat2c
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -94,6 +95,29 @@ func TestCacheKeySensitivity(t *testing.T) {
 	k2, _ := CacheKey(cacheTestSrc, "", cacheTestParams, Options{Target: "dspasip"})
 	if k1 != k2 {
 		t.Error("identical inputs produced different keys")
+	}
+}
+
+// TestCompileKey: a key from Keys looks up and compiles its own
+// inputs, sharing the cache entry CompileCached makes for them; a Key
+// that Keys did not make is refused.
+func TestCompileKey(t *testing.T) {
+	opts := Options{Target: "dspasip"}
+	keys, err := Keys(opts, Input{Source: cacheTestSrc, Entry: "scale", Params: cacheTestParams})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCache(4)
+	first, hit, err := CompileKey(context.Background(), c, keys[0])
+	if err != nil || hit {
+		t.Fatalf("first lookup: hit=%v err=%v", hit, err)
+	}
+	again, hit, err := CompileCached(c, cacheTestSrc, "scale", cacheTestParams, opts)
+	if err != nil || !hit || again != first {
+		t.Fatalf("CompileCached after CompileKey: hit=%v same=%v err=%v", hit, again == first, err)
+	}
+	if _, _, err := CompileKey(context.Background(), c, Key{}); err == nil {
+		t.Error("a zero Key was looked up")
 	}
 }
 

@@ -15,7 +15,8 @@
 //     worker compiles a sweep cold, is replaced by a fresh worker that
 //     never compiled anything, and that worker must serve the same
 //     sweep from remote hits alone — zero compiles, zero simulations,
-//     byte-identical report.
+//     byte-identical report — read in at most two batch requests per
+//     unit and no per-key GETs.
 //   - remote outage: a consumer daemon runs sweeps against a cache
 //     origin that is hard-killed mid-sweep; every request must still
 //     succeed (degrading to recompiles), with the outage visible only
@@ -472,6 +473,10 @@ func sharedRemote(ctx context.Context, bin, outDir string) error {
 	}
 	workerA.stop()
 	stopA = false
+	originBefore, err := originTrafficOf(ctx, coordURL)
+	if err != nil {
+		return err
+	}
 
 	// Worker B: brand new process, nothing local. The same sweep must
 	// be served entirely by the shared remote.
@@ -507,6 +512,18 @@ func sharedRemote(ctx context.Context, bin, outDir string) error {
 	if sims != 0 || warmStats.EventHits == 0 {
 		return fmt.Errorf("worker B simulated %d times with %d stored run events read, want 0 simulations (metrics %+v)", sims, warmStats.EventHits, warmStats)
 	}
+	// Each unit reads its records in one batch request, and the blobs
+	// and events entries they name in at most one more.
+	originAfter, err := originTrafficOf(ctx, coordURL)
+	if err != nil {
+		return err
+	}
+	gets, batches := originAfter.Gets-originBefore.Gets, originAfter.Batches-originBefore.Batches
+	units := originAfter.Dispatched - originBefore.Dispatched
+	if gets != 0 || batches == 0 || batches > 2*units {
+		return fmt.Errorf("worker B's sweep made %d per-key GETs and %d batch requests for %d units, want 0 GETs and 1 to %d batches",
+			gets, batches, units, 2*units)
+	}
 
 	coldJSON, err := normalizeWarm(coldReport)
 	if err != nil {
@@ -525,9 +542,36 @@ func sharedRemote(ctx context.Context, bin, outDir string) error {
 	if !bytes.Equal(coldJSON, warmJSON) {
 		return fmt.Errorf("remote-served report differs from compiled report (see %s)", outDir)
 	}
-	log.Printf("fleetsmoke: shared remote: worker A compiled %d, worker B served %d remote hits and %d stored run events with 0 compiles and 0 simulations",
-		coldStats.Compiles, warmStats.RemoteHits, warmStats.EventHits)
+	log.Printf("fleetsmoke: shared remote: worker A compiled %d, worker B served %d remote hits and %d stored run events with 0 compiles and 0 simulations, in %d batch requests for %d units",
+		coldStats.Compiles, warmStats.RemoteHits, warmStats.EventHits, batches, units)
 	return nil
+}
+
+// originTraffic is the origin's read traffic (its blob stats document)
+// and the coordinator's dispatched-unit count.
+type originTraffic struct {
+	Gets, Batches, Dispatched uint64
+}
+
+func originTrafficOf(ctx context.Context, coordURL string) (originTraffic, error) {
+	var blob struct {
+		Server struct {
+			Gets    uint64 `json:"gets"`
+			Batches uint64 `json:"batches"`
+		} `json:"server"`
+	}
+	if err := getJSON(ctx, coordURL+"/artifact", &blob); err != nil {
+		return originTraffic{}, err
+	}
+	var fleet struct {
+		Coordinator struct {
+			Dispatched uint64 `json:"units_dispatched"`
+		} `json:"coordinator"`
+	}
+	if err := getJSON(ctx, coordURL+"/fleet", &fleet); err != nil {
+		return originTraffic{}, err
+	}
+	return originTraffic{blob.Server.Gets, blob.Server.Batches, fleet.Coordinator.Dispatched}, nil
 }
 
 // remoteOutage proves a dying cache origin can never fail a request: a

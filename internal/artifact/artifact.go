@@ -170,6 +170,24 @@ func DecodeRecord(data []byte, keyVersion string) (*Record, error) {
 	return rec, nil
 }
 
+// RecordProgramHash reads the program hash from the header of record
+// bytes without verifying them, so a caller can fetch the program blob
+// a record names before it decodes the record. ok is false when the
+// header is malformed or names no SHA-256 hex digest. The answer is a
+// hint only: DecodeRecord is what vouches for a record.
+func RecordProgramHash(data []byte) (hash string, ok bool) {
+	if len(data) < len(recordMagic) || string(data[:len(recordMagic)]) != recordMagic {
+		return "", false
+	}
+	r := &reader{buf: data, off: len(recordMagic)}
+	r.u32()
+	for i := 0; i < 4; i++ { // key version, key, entry, target
+		r.str()
+	}
+	hash = r.str()
+	return hash, r.err == nil && isHexDigest(hash)
+}
+
 // isHexDigest reports whether s is a lower-case hex SHA-256 digest, the
 // form vm.Program.ContentHash returns.
 func isHexDigest(s string) bool {

@@ -175,3 +175,27 @@ func TestProgramRoundTripEmptyProgram(t *testing.T) {
 		t.Errorf("empty program round-tripped to %+v", dec)
 	}
 }
+
+// TestRecordProgramHash reads the program hash from a record's header,
+// and rejects what names none: other artifact kinds, truncated headers
+// and a record whose hash field is not a digest.
+func TestRecordProgramHash(t *testing.T) {
+	rec, prog := testArtifact(t)
+	data := EncodeRecord(rec, "kv")
+	if hash, ok := RecordProgramHash(data); !ok || hash != rec.ProgramHash {
+		t.Fatalf("RecordProgramHash = %q, %v; want %q", hash, ok, rec.ProgramHash)
+	}
+	for i := 0; i < len(data); i += 7 {
+		if hash, ok := RecordProgramHash(data[:i]); ok && hash != rec.ProgramHash {
+			t.Fatalf("prefix of %d bytes read hash %q", i, hash)
+		}
+	}
+	if _, ok := RecordProgramHash(EncodeProgram(prog)); ok {
+		t.Error("program blob read as a record")
+	}
+	bad := *rec
+	bad.ProgramHash = "not-a-digest"
+	if _, ok := RecordProgramHash(EncodeRecord(&bad, "kv")); ok {
+		t.Error("a record naming no digest read ok")
+	}
+}

@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -9,6 +10,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"strings"
 	"sync"
 	"time"
 
@@ -319,6 +321,110 @@ func (r *RemoteStore) Get(key string) ([]byte, error) {
 	}
 	r.bump(func(st *artifact.Stats) { st.Hits++; st.BytesIn += framedLen(payload) })
 	return payload, nil
+}
+
+// GetBatch reads the entries under keys with batch requests of at most
+// MaxBatchKeys keys each (artifact.BatchGetter). Each request is one
+// operation under the breaker and retry policy. Every answer is checked
+// like a Get's: an absent frame wraps artifact.ErrNotFound, a frame
+// that fails its trailer wraps artifact.ErrCorrupt, and both count as
+// misses. A request that fails — an outage, an open breaker, a reply
+// cut short or malformed, or an origin without the batch route (404 or
+// 405, which wraps artifact.ErrNotFound and counts as a healthy round
+// trip) — fails the whole read, and the caller falls back to Get.
+func (r *RemoteStore) GetBatch(keys []string) ([]artifact.Fetched, error) {
+	for _, key := range keys {
+		if err := artifact.ValidKey(key); err != nil {
+			return nil, err
+		}
+	}
+	out := make([]artifact.Fetched, 0, len(keys))
+	for len(keys) > 0 {
+		part := keys[:min(len(keys), MaxBatchKeys)]
+		keys = keys[len(part):]
+		got, err := r.getBatch(part)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, got...)
+	}
+	return out, nil
+}
+
+// getBatch makes one batch request.
+func (r *RemoteStore) getBatch(keys []string) ([]artifact.Fetched, error) {
+	r.bump(func(st *artifact.Stats) { st.Batches++; st.BatchKeys += uint64(len(keys)) })
+	body := strings.Join(keys, "\n")
+	var got []artifact.Fetched
+	err := r.do("batch", func(ctx context.Context) (bool, error) {
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, r.base+"/batch", strings.NewReader(body))
+		if err != nil {
+			return false, err
+		}
+		req.Header.Set("Content-Type", "text/plain")
+		resp, err := r.opt.Client.Do(req)
+		if err != nil {
+			return true, transient("batch", "", err)
+		}
+		defer func() {
+			io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<12))
+			resp.Body.Close()
+		}()
+		switch {
+		case resp.StatusCode == http.StatusOK:
+		case resp.StatusCode == http.StatusNotFound || resp.StatusCode == http.StatusMethodNotAllowed:
+			return false, fmt.Errorf("%w: origin serves no batch route (status %d)", artifact.ErrNotFound, resp.StatusCode)
+		case resp.StatusCode >= 500:
+			return true, transient("batch", "", fmt.Errorf("status %d", resp.StatusCode))
+		default:
+			return false, fmt.Errorf("artifact remote: batch of %d keys: status %d", len(keys), resp.StatusCode)
+		}
+		body := &readErr{r: bufio.NewReader(resp.Body)}
+		got, err = decodeBatch(body, keys, r.opt.MaxEntryBytes)
+		if body.err != nil {
+			// A connection dying mid-reply (origin restart) is transient.
+			return true, transient("batch", "", body.err)
+		}
+		return false, err
+	})
+	if err != nil {
+		r.bump(func(st *artifact.Stats) {
+			if errors.Is(err, artifact.ErrCorrupt) {
+				st.DecodeErrors++
+			}
+		})
+		return nil, err
+	}
+	r.bump(func(st *artifact.Stats) {
+		for _, f := range got {
+			switch {
+			case f.Err == nil:
+				st.Hits++
+				st.BytesIn += framedLen(f.Data)
+			case errors.Is(f.Err, artifact.ErrCorrupt):
+				st.Misses++
+				st.DecodeErrors++
+			default:
+				st.Misses++
+			}
+		}
+	})
+	return got, nil
+}
+
+// readErr passes reads through, keeping the first error other than
+// io.EOF: the transport's, as opposed to a reply that ends too soon.
+type readErr struct {
+	r   io.Reader
+	err error
+}
+
+func (e *readErr) Read(p []byte) (int, error) {
+	n, err := e.r.Read(p)
+	if err != nil && err != io.EOF && e.err == nil {
+		e.err = err
+	}
+	return n, err
 }
 
 // Has probes for an entry with HEAD; errors (including an open

@@ -36,6 +36,26 @@ type Checker interface {
 	Has(key string) (bool, error)
 }
 
+// BatchGetter is optionally implemented by stores that can fetch many
+// entries in one round trip. The cache uses it to prefetch the entries
+// a run of lookups is about to read (mat2c.Cache.Prefetch).
+type BatchGetter interface {
+	// GetBatch fetches the entries under keys as one operation. On
+	// success it returns one answer per key, in order: the entry's
+	// bytes, or an error wrapping ErrNotFound (absent) or ErrCorrupt
+	// (bytes that failed their check). An error means the batch as a
+	// whole failed — the store cannot batch, or the reply was lost or
+	// malformed — and the caller falls back to Get per key.
+	GetBatch(keys []string) ([]Fetched, error)
+}
+
+// Fetched is one key's answer in a batch read: Data, or Err as Get
+// would return it.
+type Fetched struct {
+	Data []byte
+	Err  error
+}
+
 // Stats is a point-in-time snapshot of a store's traffic and occupancy,
 // surfaced through the cache tier into /metrics. The trailing fields
 // are populated only by stores they apply to (a network store's
@@ -61,6 +81,10 @@ type Stats struct {
 	BreakerState string `json:"breaker_state,omitempty"`
 	BytesIn      int64  `json:"bytes_in,omitempty"`
 	BytesOut     int64  `json:"bytes_out,omitempty"`
+	// Batches counts batch reads (BatchGetter) and BatchKeys the keys
+	// they asked for. Hits and Misses cover batch keys as well as Gets.
+	Batches   uint64 `json:"batches,omitempty"`
+	BatchKeys uint64 `json:"batch_keys,omitempty"`
 }
 
 // StatsReporter is optionally implemented by stores that track their

@@ -108,14 +108,6 @@ func RunPipelineContext(ctx context.Context, k *Kernel, cfg core.Config, n int) 
 	return RunPipelineCached(ctx, nil, k, cfg, n)
 }
 
-// RunKernelOn runs kernel k's full proposed pipeline against an
-// in-memory processor description at problem size n. It is the entry
-// point design-space exploration uses: the target never needs a name
-// in the catalog or a file on disk.
-func RunKernelOn(proc *pdesc.Processor, k *Kernel, n int) (*Stats, error) {
-	return RunPipeline(k, core.Proposed(proc), n)
-}
-
 // OptionsFor maps a core pipeline Config onto the equivalent public
 // mat2c.Options, so harnesses that enumerate configs directly (the
 // ablation variants) can still compile through the content-addressed

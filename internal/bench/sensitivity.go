@@ -53,11 +53,11 @@ func Fig4(scale float64, opts ...Opt) ([]Fig4Row, error) {
 		row := Fig4Row{Kernel: k.Name}
 		for _, c := range MemCostSweep {
 			p := MemVariant(c)
-			base, err := RunPipelineContext(o.ctx, k, core.Baseline(p), n)
+			base, err := RunPipelineCached(o.ctx, o.cache, k, core.Baseline(p), n)
 			if err != nil {
 				return fmt.Errorf("%s mem=%d: %w", k.Name, c, err)
 			}
-			prop, err := RunPipelineContext(o.ctx, k, core.Proposed(p), n)
+			prop, err := RunPipelineCached(o.ctx, o.cache, k, core.Proposed(p), n)
 			if err != nil {
 				return fmt.Errorf("%s mem=%d: %w", k.Name, c, err)
 			}

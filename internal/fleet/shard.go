@@ -1,7 +1,7 @@
 // Sharding and merging: how a DSE sweep or an ISX mine becomes work
 // units, and how per-shard partial results become the single report.
 // Both directions reuse the single-process entry points
-// (dse.EvalVariantContext / dse.Assemble, isx.VerifyCandidate /
+// (dse.EvalVariantsContext / dse.Assemble, isx.VerifyCandidate /
 // isx.Plan.Report), so the merged output is byte-identical to
 // unsharded execution by construction.
 package fleet
@@ -141,7 +141,9 @@ func MergeISX(plan *isx.Plan, results []*UnitResult) (*isx.Report, error) {
 // Variant evaluation flows through cache (the worker's shared
 // compilation cache), which is what makes at-least-once re-dispatch
 // cheap: a re-executed unit hits the content-addressed keys its first
-// execution populated.
+// execution populated. A DSE unit reads ahead what its lookups will ask
+// the cache's remote tier for in a couple of batch reads
+// (dse.EvalVariantsContext).
 func Execute(ctx context.Context, u *Unit, cache *mat2c.Cache) (*UnitResult, error) {
 	switch u.Kind {
 	case KindDSE:
@@ -155,21 +157,21 @@ func Execute(ctx context.Context, u *Unit, cache *mat2c.Cache) (*UnitResult, err
 			EmitC:   u.DSE.EmitC,
 			Cache:   cache,
 		}
-		res := &UnitResult{ID: u.ID, Kind: KindDSE}
-		for _, wv := range u.DSE.Variants {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
+		vs := make([]*dse.Variant, len(u.DSE.Variants))
+		for i, wv := range u.DSE.Variants {
 			proc, err := pdesc.Parse(wv.Proc)
 			if err != nil {
 				return nil, fmt.Errorf("fleet: unit %s variant %d: %w", u.ID, wv.Index, err)
 			}
-			v := &dse.Variant{Proc: proc, Groups: wv.Groups, CostSet: wv.CostSet}
-			vr, err := dse.EvalVariantContext(ctx, v, opts)
-			if err != nil {
-				return nil, fmt.Errorf("fleet: unit %s variant %d: %w", u.ID, wv.Index, err)
-			}
-			res.DSE = append(res.DSE, DSEVariantResult{Index: wv.Index, Result: vr})
+			vs[i] = &dse.Variant{Proc: proc, Groups: wv.Groups, CostSet: wv.CostSet}
+		}
+		vrs, err := dse.EvalVariantsContext(ctx, vs, opts)
+		if err != nil {
+			return nil, fmt.Errorf("fleet: unit %s: %w", u.ID, err)
+		}
+		res := &UnitResult{ID: u.ID, Kind: KindDSE}
+		for i, vr := range vrs {
+			res.DSE = append(res.DSE, DSEVariantResult{Index: u.DSE.Variants[i].Index, Result: vr})
 		}
 		return res, nil
 	case KindISX:
