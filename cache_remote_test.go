@@ -1,6 +1,7 @@
 package mat2c
 
 import (
+	"context"
 	"net/http/httptest"
 	"testing"
 
@@ -245,5 +246,53 @@ func TestWriteThroughReachesBothTiers(t *testing.T) {
 	}
 	if string(localData) != string(remoteData) {
 		t.Error("tiers hold different bytes for one key")
+	}
+}
+
+// swapOnBatch is a remote store that, after each batch read, has the
+// cache attach another remote, as a fleet worker may while a sweep
+// runs.
+type swapOnBatch struct {
+	*remote.RemoteStore
+	swap func()
+}
+
+func (s swapOnBatch) GetBatch(keys []string) ([]artifact.Fetched, error) {
+	got, err := s.RemoteStore.GetBatch(keys)
+	s.swap()
+	return got, err
+}
+
+// TestPrefetchOvertakenBySetRemoteStore: answers read from a remote
+// that SetRemoteStore replaces while Prefetch runs are not held, so no
+// lookup takes them as the new remote's replies; the lookup reads the
+// new remote.
+func TestPrefetchOvertakenBySetRemoteStore(t *testing.T) {
+	_, client := openTestOrigin(t)
+	opts := Options{Target: "dspasip"}
+	warm := NewCache(8)
+	warm.SetRemoteStore(client())
+	if _, _, err := CompileCached(warm, cacheTestSrc, "scale", cacheTestParams, opts); err != nil {
+		t.Fatal(err)
+	}
+	warm.Flush()
+
+	keys, err := Keys(opts, Input{Source: cacheTestSrc, Entry: "scale", Params: cacheTestParams})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCache(8)
+	next := client()
+	c.SetRemoteStore(swapOnBatch{client(), func() { c.SetRemoteStore(next) }})
+	release := c.Prefetch([]Want{{Key: keys[0]}})
+	defer release()
+	if c.isHeld(keys[0].String()) {
+		t.Fatal("Prefetch holds the replaced remote's answer")
+	}
+	if _, hit, err := CompileKey(context.Background(), c, keys[0]); err != nil || !hit {
+		t.Fatalf("lookup: hit=%v err=%v", hit, err)
+	}
+	if st := next.Stats(); st.Gets != 2 || st.Hits != 2 {
+		t.Errorf("new remote: %d gets, %d hits; want the record and the blob read from it", st.Gets, st.Hits)
 	}
 }
