@@ -114,10 +114,12 @@ type tier struct {
 // progEntry is one decoded-program memo entry. stored marks the tiers
 // this cache has read the blob from or written it to (guarded by
 // Cache.mu), so writing another record that names the program to such
-// a tier needs no presence probe.
+// a tier needs no presence probe. writing serializes the blob writes
+// to each tier (see storeBlob).
 type progEntry struct {
-	prog   *vm.Program
-	stored [numTiers]bool
+	prog    *vm.Program
+	stored  [numTiers]bool
+	writing [numTiers]sync.Mutex
 }
 
 // flight is one in-progress miss: the first caller on a key (the
@@ -404,8 +406,12 @@ func (c *Cache) offerRecord(key string, res *Result, data []byte, from int) {
 // cache already read the blob from or wrote it to is taken at its word.
 // Otherwise the blob is Put, encoded into *blob on first use — after a
 // presence probe when probe is set and the tier answers them, skipping
-// the tier when the probe fails.
+// the tier when the probe fails. One offer at a time does this per
+// program and tier, so offers that name one program write its blob
+// once, and after a failed write the next offer tries again.
 func (c *Cache) storeBlob(e *progEntry, i int, s artifact.Store, probe bool, blob *[]byte) bool {
+	e.writing[i].Lock()
+	defer e.writing[i].Unlock()
 	c.mu.Lock()
 	stored := e.stored[i]
 	c.mu.Unlock()
@@ -702,7 +708,7 @@ func (c *Cache) resolve(ctx context.Context, k Key) (*Result, bool, error) {
 		if s == nil {
 			continue
 		}
-		res, data, err := c.restore(key, i, s, k.opts)
+		res, data, err := c.restore(k, i, s)
 		c.mu.Lock()
 		t := &c.tiers[i]
 		if err == nil {
@@ -737,7 +743,7 @@ func (c *Cache) resolve(ctx context.Context, k Key) (*Result, bool, error) {
 	return res, false, nil
 }
 
-// restore rebuilds key's compilation from tier i: the record, then its
+// restore rebuilds k's compilation from tier i: the record, then its
 // program from the decoded-program memo or, on a memo miss, from the
 // blob on the same tier. It returns the record's verified bytes. Any
 // failure is a miss for the tier: a Get error (wrapping
@@ -746,7 +752,8 @@ func (c *Cache) resolve(ctx context.Context, k Key) (*Result, bool, error) {
 // best-effort so they are not fetched again. A record whose blob is
 // missing, corrupt or unreachable stays: the compile that follows
 // writes the blob back.
-func (c *Cache) restore(key string, i int, s artifact.Store, opts Options) (*Result, []byte, error) {
+func (c *Cache) restore(k Key, i int, s artifact.Store) (*Result, []byte, error) {
+	key := k.hash
 	data, err := c.tierGet(i, s, key)
 	if err != nil {
 		return nil, nil, err
@@ -760,7 +767,7 @@ func (c *Cache) restore(key string, i int, s artifact.Store, opts Options) (*Res
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := restoreResult(rec, prog, opts)
+	res, err := restoreResult(rec, prog, k)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -72,9 +72,11 @@ func TestRemoteTierWarmsSecondProcess(t *testing.T) {
 	if st.Remote == nil || st.Remote.Hits != 2 || st.Remote.BreakerState != "closed" {
 		t.Errorf("remote client stats: %+v", st.Remote)
 	}
-	if res.CSource() != orig.CSource() || res.IRText() != orig.IRText() {
+	if res.CSource() != orig.CSource() {
 		t.Error("remotely restored artifact differs from the original")
 	}
+	cB.Flush() // the offer to the local tier moves its counters
+	checkRestoredContract(t, cB, res, orig)
 	out, _, err := res.Run(NewVector(1, 2), 2.0)
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +135,7 @@ func TestRemoteCorruptEntryDegradesToRecompile(t *testing.T) {
 	}
 	// The dead entry was evicted from the origin; the recompile's
 	// write-through replaced it with a good one.
-	if _, err := restoreFrom(origin, key, opts); err != nil {
+	if _, err := restoreFrom(t, origin, opts); err != nil {
 		t.Errorf("origin not healed after recompile: %v", err)
 	}
 }

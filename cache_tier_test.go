@@ -1,8 +1,14 @@
 package mat2c
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"reflect"
+	"sync"
 	"testing"
+	"time"
 
 	"mat2c/internal/artifact"
 )
@@ -73,9 +79,7 @@ func TestDiskTierWarmsSecondCache(t *testing.T) {
 	if res.CPrototype() != orig.CPrototype() {
 		t.Error("restored C prototype differs")
 	}
-	if res.IRText() != orig.IRText() {
-		t.Error("restored IR text differs")
-	}
+	checkRestoredContract(t, c2, res, orig)
 	if got, want := res.res.Program.ContentHash(), orig.res.Program.ContentHash(); got != want {
 		t.Errorf("restored program hash %s, want %s", got, want)
 	}
@@ -96,70 +100,140 @@ func TestDiskTierWarmsSecondCache(t *testing.T) {
 	}
 }
 
+// checkRestoredContract holds a result restored by cache c to its
+// contract: its IR and AST listings equal those of orig, a fresh
+// compile of the same inputs; its stage timings are one zero entry per
+// stage name, since no stage ran; and reading them moves no counter of
+// c. c must have no store write in flight.
+func checkRestoredContract(t *testing.T, c *Cache, res, orig *Result) {
+	t.Helper()
+	before := c.Stats()
+	if res.IRText() != orig.IRText() {
+		t.Error("restored IR text differs")
+	}
+	if res.AST() != orig.AST() {
+		t.Error("restored AST differs")
+	}
+	names := StageNames()
+	stages := res.StageTimings()
+	if len(stages) != len(names) {
+		t.Fatalf("restored result has %d stage timings, want %d", len(stages), len(names))
+	}
+	for i, st := range stages {
+		if st.Stage != names[i] || st.Duration != 0 {
+			t.Errorf("restored stage %d = %+v, want a zero %s", i, st, names[i])
+		}
+	}
+	if after := c.Stats(); !reflect.DeepEqual(after, before) {
+		t.Errorf("rendering a restored result's listings moved cache counters:\n got %+v\nwant %+v", after, before)
+	}
+}
+
+// encodeV2Record encodes r's record under key in the record format's
+// version 2, which also carried the target name, the IR and AST
+// listings and stage timings.
+func encodeV2Record(key string, r *Result) []byte {
+	field := func(buf []byte, s string) []byte {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
+		return append(buf, s...)
+	}
+	data := binary.LittleEndian.AppendUint32([]byte("M2CR"), 2)
+	for _, f := range []string{cacheKeyVersion, key, r.Entry(), r.Processor().Name, r.Program().ContentHash(),
+		r.CSource(), r.CHeader(), r.CPrototype(), r.IRText(), r.AST()} {
+		data = field(data, f)
+	}
+	data = binary.LittleEndian.AppendUint32(data, 0) // warnings
+	data = binary.LittleEndian.AppendUint32(data, uint32(r.VectorizedLoops()))
+	data = binary.LittleEndian.AppendUint32(data, 0) // intrinsics
+	data = binary.LittleEndian.AppendUint32(data, 1) // stage timings
+	data = binary.LittleEndian.AppendUint64(field(data, "parse"), 1200)
+	sum := sha256.Sum256(data)
+	return append(data, sum[:]...)
+}
+
 // TestDiskTierCorruptionDegradesToRecompile is the acceptance criterion
 // that a corrupted store entry can never fail a request: the decode
 // failure is counted, the entry is dropped, and the caller gets a
-// freshly compiled result.
+// freshly compiled result, which is written back in the current format.
+// A record of the format's version 2 takes the same path.
 func TestDiskTierCorruptionDegradesToRecompile(t *testing.T) {
-	dir := t.TempDir()
 	opts := Options{Target: "dspasip"}
 	key, err := CacheKey(cacheTestSrc, "scale", cacheTestParams, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	for name, spoil := range map[string]func(data []byte, orig *Result) []byte{
+		// The checksum catches a flipped byte on read.
+		"flipped byte": func(data []byte, _ *Result) []byte {
+			data[len(data)/2] ^= 0x40
+			return data
+		},
+		"v2 record": func(_ []byte, orig *Result) []byte {
+			data := encodeV2Record(key, orig)
+			if _, err := artifact.DecodeRecord(data, cacheKeyVersion); !errors.Is(err, artifact.ErrVersion) {
+				t.Errorf("v2 record: err = %v, want ErrVersion", err)
+			}
+			return data
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			store := openTestStore(t, dir)
+			c1 := NewCache(8)
+			c1.SetStore(store)
+			orig, _, err := CompileCached(c1, cacheTestSrc, "scale", cacheTestParams, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c1.Flush()
+			if err := store.Put(key, spoil(mustGet(t, store, key), orig)); err != nil {
+				t.Fatal(err)
+			}
 
-	store := openTestStore(t, dir)
-	c1 := NewCache(8)
-	c1.SetStore(store)
-	if _, _, err := CompileCached(c1, cacheTestSrc, "scale", cacheTestParams, opts); err != nil {
-		t.Fatal(err)
-	}
-	c1.Flush()
+			c2 := NewCache(8)
+			c2.SetStore(openTestStore(t, dir))
+			res, hit, err := CompileCached(c2, cacheTestSrc, "scale", cacheTestParams, opts)
+			if err != nil {
+				t.Fatalf("spoilt store entry surfaced an error: %v", err)
+			}
+			if hit {
+				t.Error("spoilt entry reported as a hit")
+			}
+			if res == nil {
+				t.Fatal("no result after degrade-to-recompile")
+			}
+			st := c2.Stats()
+			if st.DecodeErrors != 1 {
+				t.Errorf("decode errors = %d, want 1", st.DecodeErrors)
+			}
+			if st.Compiles != 1 {
+				t.Errorf("compiles = %d, want 1 (recompile)", st.Compiles)
+			}
+			if st.Disk.Deletes != 1 {
+				t.Errorf("store deletes = %d, want 1 (the spoilt record)", st.Disk.Deletes)
+			}
+			out, _, err := res.Run(NewVector(3), 2.0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a := out[0].(*Array); a.F[0] != 7 {
+				t.Errorf("recompiled result computed %v", a.F)
+			}
 
-	// Flip a byte in the stored entry. The checksum catches it on read.
-	data, err := store.Get(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0x40
-	if err := store.Put(key, data); err != nil {
-		t.Fatal(err)
-	}
-
-	c2 := NewCache(8)
-	c2.SetStore(openTestStore(t, dir))
-	res, hit, err := CompileCached(c2, cacheTestSrc, "scale", cacheTestParams, opts)
-	if err != nil {
-		t.Fatalf("corrupted store entry surfaced an error: %v", err)
-	}
-	if hit {
-		t.Error("corrupted entry reported as a hit")
-	}
-	if res == nil {
-		t.Fatal("no result after degrade-to-recompile")
-	}
-	st := c2.Stats()
-	if st.DecodeErrors != 1 {
-		t.Errorf("decode errors = %d, want 1", st.DecodeErrors)
-	}
-	if st.Compiles != 1 {
-		t.Errorf("compiles = %d, want 1 (recompile)", st.Compiles)
-	}
-	out, _, err := res.Run(NewVector(3), 2.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a := out[0].(*Array); a.F[0] != 7 {
-		t.Errorf("recompiled result computed %v", a.F)
-	}
-
-	// The recompile wrote a good entry back through; a third cache must
-	// get a clean disk hit.
-	c2.Flush()
-	c3 := NewCache(8)
-	c3.SetStore(openTestStore(t, dir))
-	if _, hit, err := CompileCached(c3, cacheTestSrc, "scale", cacheTestParams, opts); err != nil || !hit {
-		t.Errorf("store not healed after recompile: hit=%v err=%v", hit, err)
+			// The recompile wrote a current record back through; a third
+			// cache must get a clean disk hit.
+			c2.Flush()
+			if _, err := artifact.DecodeRecord(mustGet(t, store, key), cacheKeyVersion); err != nil {
+				t.Errorf("the recompile wrote no current record back: %v", err)
+			}
+			c3 := NewCache(8)
+			c3.SetStore(openTestStore(t, dir))
+			res, hit, err = CompileCached(c3, cacheTestSrc, "scale", cacheTestParams, opts)
+			if err != nil || !hit {
+				t.Fatalf("store not healed after recompile: hit=%v err=%v", hit, err)
+			}
+			checkRestoredContract(t, c3, res, orig)
+		})
 	}
 }
 
@@ -190,6 +264,103 @@ func TestCachePutWritesThrough(t *testing.T) {
 	c2.SetStore(openTestStore(t, dir))
 	if _, hit, err := CompileCached(c2, cacheTestSrc, "scale", cacheTestParams, opts); err != nil || !hit {
 		t.Errorf("written-through entry not restored: hit=%v err=%v", hit, err)
+	}
+}
+
+// gatedStore is an artifact.Store that counts the Puts it receives,
+// of records and of program blobs, and holds nothing. Its first blob
+// Put parks until the test closes release, and fails when failFirst is
+// set.
+type gatedStore struct {
+	failFirst bool
+	started   chan struct{} // closed when the first blob Put begins
+	release   chan struct{}
+
+	mu                sync.Mutex
+	recPuts, blobPuts int
+}
+
+func newGatedStore(failFirst bool) *gatedStore {
+	return &gatedStore{failFirst: failFirst, started: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (s *gatedStore) Get(key string) ([]byte, error) {
+	return nil, fmt.Errorf("gated: %w", artifact.ErrNotFound)
+}
+
+func (s *gatedStore) Put(key string, data []byte) error {
+	s.mu.Lock()
+	if !isBlobKey(key) {
+		s.recPuts++
+		s.mu.Unlock()
+		return nil
+	}
+	s.blobPuts++
+	first := s.blobPuts == 1
+	s.mu.Unlock()
+	if !first {
+		return nil
+	}
+	close(s.started)
+	<-s.release
+	if s.failFirst {
+		return errors.New("gated: put failed")
+	}
+	return nil
+}
+
+func (s *gatedStore) Delete(key string) error { return nil }
+func (s *gatedStore) Len() (int, error)       { return 0, nil }
+
+// puts returns the record and blob Puts counted so far.
+func (s *gatedStore) puts() (rec, blob int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.recPuts, s.blobPuts
+}
+
+// TestConcurrentOffersPutBlobOnce offers records under distinct keys
+// that all name one program, concurrently, to a disk and a remote
+// tier: the first offer writes the blob to each tier and the others
+// wait for it, so each tier gets one blob Put and every record. When
+// that first write fails, the next offer writes the blob again, and
+// only the failed offer's record is missing from the tier.
+func TestConcurrentOffersPutBlobOnce(t *testing.T) {
+	res, err := Compile(cacheTestSrc, "scale", cacheTestParams, Options{Target: "dspasip"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const offers = 8
+	for _, failFirst := range []bool{false, true} {
+		disk, remote := newGatedStore(failFirst), newGatedStore(false)
+		close(remote.release)
+		c := NewCache(0)
+		c.SetStore(disk)
+		c.SetRemoteStore(remote)
+		for i := 0; i < offers; i++ {
+			c.Put(fmt.Sprintf("%064x", i), res)
+		}
+		<-disk.started
+		// The pause gives the other offers time to reach the blob
+		// write; a cache that writes a blob once per tier passes
+		// however long it is.
+		time.Sleep(20 * time.Millisecond)
+		close(disk.release)
+		c.Flush()
+
+		wantBlob, wantRec, wantErrs := 1, offers, uint64(0)
+		if failFirst {
+			wantBlob, wantRec, wantErrs = 2, offers-1, 1
+		}
+		if rec, blob := disk.puts(); rec != wantRec || blob != wantBlob {
+			t.Errorf("failFirst=%v: disk got %d record and %d blob Puts, want %d and %d", failFirst, rec, blob, wantRec, wantBlob)
+		}
+		if rec, blob := remote.puts(); rec != offers || blob != 1 {
+			t.Errorf("failFirst=%v: remote got %d record and %d blob Puts, want %d and 1", failFirst, rec, blob, offers)
+		}
+		if st := c.Stats(); st.StoreErrors != wantErrs || st.RemoteStoreErrors != 0 {
+			t.Errorf("failFirst=%v: store errors disk %d remote %d, want %d and 0", failFirst, st.StoreErrors, st.RemoteStoreErrors, wantErrs)
+		}
 	}
 }
 
@@ -288,10 +459,16 @@ func mustGet(t *testing.T, s artifact.Store, key string) []byte {
 	return data
 }
 
-// restoreFrom rebuilds key's compilation from s the way a fresh cache
-// does: the record, then the program blob it names.
-func restoreFrom(s artifact.Store, key string, opts Options) (*Result, error) {
-	res, _, err := NewCache(1).restore(key, diskTier, s, opts)
+// restoreFrom rebuilds the test kernel's compilation under opts from s
+// the way a fresh cache does: the record, then the program blob it
+// names.
+func restoreFrom(t *testing.T, s artifact.Store, opts Options) (*Result, error) {
+	t.Helper()
+	keys, err := Keys(opts, Input{Source: cacheTestSrc, Entry: "scale", Params: cacheTestParams})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := NewCache(1).restore(keys[0], diskTier, s)
 	return res, err
 }
 
@@ -320,11 +497,7 @@ func TestReplacedStoreGetsBlobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Flush()
-	key, err := CacheKey(cacheTestSrc, "scale", cacheTestParams, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := restoreFrom(openTestStore(t, dir), key, opts); err != nil {
+	if _, err := restoreFrom(t, openTestStore(t, dir), opts); err != nil {
 		t.Errorf("the replacement store cannot restore its record: %v", err)
 	}
 }

@@ -12,7 +12,7 @@ import (
 // anyway — can never be resurrected by accident.
 const (
 	recordMagic   = "M2CR"
-	recordVersion = 2
+	recordVersion = 3
 )
 
 // blobSuffix marks program blob keys. A suffix rather than a prefix
@@ -24,20 +24,12 @@ const blobSuffix = "-prog"
 // hash is hash.
 func BlobKey(hash string) string { return hash + blobSuffix }
 
-// StageTime is one pipeline stage's recorded wall time, in the durable
-// form (nanoseconds, not time.Duration, to keep the wire layout
-// explicit).
-type StageTime struct {
-	Stage string
-	Nanos int64
-}
-
 // Record is everything a serving replica needs, besides the program, to
 // answer /compile and /run for the same content address without
-// re-running the pipeline. Rendered text (IR listing, normalized AST, C
-// prototype) is stored pre-printed: the IR and AST object graphs are
-// not serialized, only their user-visible renderings, which keeps the
-// format small and the decoder simple.
+// re-running the pipeline: the C artifacts (the prototype pre-printed)
+// and the diagnostics and statistics a hit reports. It holds nothing a
+// hit does not serve — no IR or AST listing and no stage timings; a
+// restored result renders its listings on demand by compiling again.
 //
 // A durable artifact is two store entries: a Record under the cache
 // key, and the compiled program as a blob (EncodeProgram) under
@@ -49,27 +41,22 @@ type Record struct {
 	// key differs from the requested one, so a misfiled or renamed
 	// store entry degrades to a miss instead of serving wrong code.
 	Key string
-	// Entry is the compiled entry-function name; Target the processor
-	// description name (informational; the description itself is keyed).
-	Entry  string
-	Target string
+	// Entry is the compiled entry-function name.
+	Entry string
 
 	// ProgramHash is the compiled program's vm.Program.ContentHash: the
 	// program blob is stored under BlobKey(ProgramHash).
 	ProgramHash string
 
-	// C artifacts and rendered listings.
+	// C artifacts.
 	CSource    string
 	CHeader    string
 	CPrototype string
-	IRText     string
-	ASTText    string
 
 	// Diagnostics and pipeline statistics.
 	Warnings        []string
 	VectorizedLoops int
 	Intrinsics      map[string]int
-	Stages          []StageTime
 }
 
 // EncodeRecord serializes the record under the given cache-key version.
@@ -83,13 +70,10 @@ func EncodeRecord(rec *Record, keyVersion string) []byte {
 	w.str(keyVersion)
 	w.str(rec.Key)
 	w.str(rec.Entry)
-	w.str(rec.Target)
 	w.str(rec.ProgramHash)
 	w.str(rec.CSource)
 	w.str(rec.CHeader)
 	w.str(rec.CPrototype)
-	w.str(rec.IRText)
-	w.str(rec.ASTText)
 	w.u32(uint32(len(rec.Warnings)))
 	for _, s := range rec.Warnings {
 		w.str(s)
@@ -104,11 +88,6 @@ func EncodeRecord(rec *Record, keyVersion string) []byte {
 	for _, name := range names {
 		w.str(name)
 		w.i64(int64(rec.Intrinsics[name]))
-	}
-	w.u32(uint32(len(rec.Stages)))
-	for _, st := range rec.Stages {
-		w.str(st.Stage)
-		w.i64(st.Nanos)
 	}
 	return w.bytes()
 }
@@ -133,7 +112,6 @@ func DecodeRecord(data []byte, keyVersion string) (*Record, error) {
 	rec := &Record{}
 	rec.Key = r.str()
 	rec.Entry = r.str()
-	rec.Target = r.str()
 	rec.ProgramHash = r.str()
 	if r.err == nil && !isHexDigest(rec.ProgramHash) {
 		r.fail("program hash %q is not a SHA-256 hex digest", rec.ProgramHash)
@@ -141,8 +119,6 @@ func DecodeRecord(data []byte, keyVersion string) (*Record, error) {
 	rec.CSource = r.str()
 	rec.CHeader = r.str()
 	rec.CPrototype = r.str()
-	rec.IRText = r.str()
-	rec.ASTText = r.str()
 	if n := r.count(4); r.err == nil && n > 0 {
 		rec.Warnings = make([]string, n)
 		for i := range rec.Warnings {
@@ -157,13 +133,6 @@ func DecodeRecord(data []byte, keyVersion string) (*Record, error) {
 			rec.Intrinsics[name] = int(r.i64())
 		}
 	}
-	if n := r.count(4 + 8); r.err == nil && n > 0 {
-		rec.Stages = make([]StageTime, n)
-		for i := range rec.Stages {
-			rec.Stages[i].Stage = r.str()
-			rec.Stages[i].Nanos = r.i64()
-		}
-	}
 	if err := r.done(); err != nil {
 		return nil, err
 	}
@@ -173,15 +142,18 @@ func DecodeRecord(data []byte, keyVersion string) (*Record, error) {
 // RecordProgramHash reads the program hash from the header of record
 // bytes without verifying them, so a caller can fetch the program blob
 // a record names before it decodes the record. ok is false when the
-// header is malformed or names no SHA-256 hex digest. The answer is a
-// hint only: DecodeRecord is what vouches for a record.
+// header is malformed, is of another format version (DecodeRecord
+// would reject the record) or names no SHA-256 hex digest. The answer
+// is a hint only: DecodeRecord is what vouches for a record.
 func RecordProgramHash(data []byte) (hash string, ok bool) {
 	if len(data) < len(recordMagic) || string(data[:len(recordMagic)]) != recordMagic {
 		return "", false
 	}
 	r := &reader{buf: data, off: len(recordMagic)}
-	r.u32()
-	for i := 0; i < 4; i++ { // key version, key, entry, target
+	if r.u32() != recordVersion {
+		return "", false
+	}
+	for i := 0; i < 3; i++ { // key version, key, entry
 		r.str()
 	}
 	hash = r.str()

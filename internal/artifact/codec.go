@@ -1,7 +1,7 @@
 // Package artifact defines the durable form of a compilation: a
 // versioned, self-describing binary codec for compiled vm.Programs
 // (program blobs, stored once per distinct program), the per-key
-// records that carry everything else a compilation produced, and the
+// records that carry everything else a cache hit serves, and the
 // events of verified runs (EncodeEvents), and a pluggable Store
 // interface with a sharded-on-disk implementation. Together they turn the in-process
 // compile cache into a two-tier cache whose warm state survives

@@ -2,6 +2,7 @@ package artifact
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"testing"
@@ -46,17 +47,13 @@ func testArtifact(t testing.TB) (*Record, *vm.Program) {
 	return &Record{
 		Key:             "aabbccdd00112233",
 		Entry:           res.Entry,
-		Target:          "dspasip",
 		ProgramHash:     res.Program.ContentHash(),
 		CSource:         res.CSource,
 		CHeader:         res.CHeader,
 		CPrototype:      "void scale(void);\n",
-		IRText:          "func scale { ... }",
-		ASTText:         "function y = scale(x, a)",
 		Warnings:        []string{"w1", "w2"},
 		VectorizedLoops: res.VectorizedLoops,
 		Intrinsics:      map[string]int{"mac": 2, "cmul": 1},
-		Stages:          []StageTime{{Stage: "parse", Nanos: 1200}, {Stage: "cgen", Nanos: 3400}},
 	}, res.Program
 }
 
@@ -119,12 +116,11 @@ func TestArtifactEmptySections(t *testing.T) {
 	rec, _ := testArtifact(t)
 	rec.Warnings = nil
 	rec.Intrinsics = nil
-	rec.Stages = nil
 	dec, err := DecodeRecord(EncodeRecord(rec, "kv"), "kv")
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if len(dec.Warnings) != 0 || len(dec.Intrinsics) != 0 || len(dec.Stages) != 0 {
+	if len(dec.Warnings) != 0 || len(dec.Intrinsics) != 0 {
 		t.Errorf("empty sections round-tripped non-empty: %+v", dec)
 	}
 }
@@ -177,8 +173,9 @@ func TestProgramRoundTripEmptyProgram(t *testing.T) {
 }
 
 // TestRecordProgramHash reads the program hash from a record's header,
-// and rejects what names none: other artifact kinds, truncated headers
-// and a record whose hash field is not a digest.
+// and rejects what names none: other artifact kinds, truncated headers,
+// a record whose hash field is not a digest, and a record of another
+// format version, which DecodeRecord would reject.
 func TestRecordProgramHash(t *testing.T) {
 	rec, prog := testArtifact(t)
 	data := EncodeRecord(rec, "kv")
@@ -197,5 +194,10 @@ func TestRecordProgramHash(t *testing.T) {
 	bad.ProgramHash = "not-a-digest"
 	if _, ok := RecordProgramHash(EncodeRecord(&bad, "kv")); ok {
 		t.Error("a record naming no digest read ok")
+	}
+	stale := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint32(stale[4:], recordVersion-1)
+	if _, ok := RecordProgramHash(reseal(stale)); ok {
+		t.Error("a record of another format version read ok")
 	}
 }

@@ -127,23 +127,21 @@ func TestHostileCounts(t *testing.T) {
 	}
 }
 
-// TestRecordHostileCounts builds sealed records whose warning,
-// intrinsic or stage count claims far more elements than the input
-// holds; each must be rejected before allocating.
+// TestRecordHostileCounts builds sealed records whose warning or
+// intrinsic count claims far more elements than the input holds; each
+// must be rejected before allocating.
 func TestRecordHostileCounts(t *testing.T) {
 	const hostile = 0xFFFFFFFF
-	// The u32 fields after the listings, up to the forged count: the
-	// warning count, the vectorized-loop count, the intrinsic count and
-	// the stage count.
+	// The u32 fields after the C artifacts, up to the forged count: the
+	// warning count, the vectorized-loop count and the intrinsic count.
 	for name, tail := range map[string][]uint32{
 		"warnings":   {hostile},
 		"intrinsics": {0, 0, hostile},
-		"stages":     {0, 0, 0, hostile},
 	} {
 		var w writer
 		w.buf = append(w.buf, recordMagic...)
 		w.u32(recordVersion)
-		for _, s := range []string{"kv", "key", "entry", "target", strings.Repeat("ab", 32), "", "", "", "", ""} {
+		for _, s := range []string{"kv", "key", "entry", strings.Repeat("ab", 32), "", "", ""} {
 			w.str(s)
 		}
 		for _, v := range tail {

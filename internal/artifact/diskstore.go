@@ -24,6 +24,11 @@ const (
 	tmpPrefix   = ".tmp-"
 )
 
+// tmpMaxAge is how old a temp file must be before the janitor treats
+// it as a crash leftover and deletes it; in-flight writes younger than
+// this are never touched.
+const tmpMaxAge = time.Hour
+
 // DiskStore is a Store backed by a directory tree, sharded by the first
 // two characters of the key so no single directory grows unboundedly:
 //
@@ -35,15 +40,10 @@ const (
 // entry. A byte-budget janitor evicts least-recently-used entries
 // (mtime order; Get refreshes a stale mtime, see RecencyGranularity)
 // once the tree exceeds the budget, and sweeps stranded temp files
-// older than TmpMaxAge.
+// older than tmpMaxAge.
 type DiskStore struct {
 	root   string
 	budget int64
-
-	// TmpMaxAge is how old a temp file must be before the janitor
-	// treats it as a crash leftover and deletes it (default 1h). Tests
-	// shorten it; in-flight writes younger than this are never touched.
-	TmpMaxAge time.Duration
 
 	mu    sync.Mutex
 	bytes int64 // committed entry bytes, maintained incrementally
@@ -68,7 +68,7 @@ func OpenDisk(dir string, budget int64) (*DiskStore, error) {
 		return nil, fmt.Errorf("artifact: open disk store: %w", err)
 	}
 	markTopDir(dir) // best-effort placement hint for the shard directories
-	s := &DiskStore{root: dir, budget: budget, TmpMaxAge: time.Hour}
+	s := &DiskStore{root: dir, budget: budget}
 	s.mu.Lock()
 	s.janitorLocked()
 	s.mu.Unlock()
@@ -320,7 +320,7 @@ func (s *DiskStore) walk() (entries []entryInfo, tmps []entryInfo) {
 // Janitor enforces the byte budget (evicting least-recently-used
 // committed entries until 90% of budget, so evictions batch instead of
 // triggering on every Put at the boundary) and sweeps temp files
-// stranded by a crashed writer for longer than TmpMaxAge. It is safe to
+// stranded by a crashed writer for longer than tmpMaxAge. It is safe to
 // run concurrently with reads and writes — eviction uses the same
 // remove path a Delete does — and runs automatically when a Put
 // observes the store over budget.
@@ -332,9 +332,9 @@ func (s *DiskStore) Janitor() {
 
 func (s *DiskStore) janitorLocked() {
 	entries, tmps := s.walk()
-	cutoff := time.Now().Add(-s.TmpMaxAge)
+	cutoff := time.Now().Add(-tmpMaxAge)
 	for _, t := range tmps {
-		if t.mtime.Before(cutoff) || s.TmpMaxAge <= 0 {
+		if t.mtime.Before(cutoff) {
 			os.Remove(t.path)
 		}
 	}

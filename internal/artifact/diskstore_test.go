@@ -245,7 +245,7 @@ func TestDiskStoreFreshTempSurvivesJanitor(t *testing.T) {
 	}
 	s.Janitor()
 	if _, err := os.Stat(tmp); err != nil {
-		t.Error("janitor deleted a temp file younger than TmpMaxAge (racing an in-flight write)")
+		t.Error("janitor deleted a temp file younger than tmpMaxAge (racing an in-flight write)")
 	}
 }
 

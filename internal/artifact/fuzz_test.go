@@ -46,17 +46,13 @@ func seedRecord(res *core.Result) []byte {
 	return artifact.EncodeRecord(&artifact.Record{
 		Key:             "0011223344556677",
 		Entry:           res.Entry,
-		Target:          "dspasip",
 		ProgramHash:     res.Program.ContentHash(),
 		CSource:         res.CSource,
 		CHeader:         res.CHeader,
 		CPrototype:      "void f(void);",
-		IRText:          "ir",
-		ASTText:         "ast",
 		Warnings:        []string{"w"},
 		VectorizedLoops: res.VectorizedLoops,
 		Intrinsics:      res.Intrinsics.Selected,
-		Stages:          []artifact.StageTime{{Stage: "parse", Nanos: 1}},
 	}, fuzzKeyVersion)
 }
 

@@ -139,10 +139,11 @@ type Result struct {
 // Restored rebuilds a Result from a decoded durable artifact (see
 // internal/artifact): the VM program, C artifacts, and pipeline
 // statistics are present, but Info and Func are nil — the IR and AST
-// object graphs are not serialized, only their renderings, which the
-// mat2c layer serves from the artifact itself. Run and its variants
-// work normally (they need only Program and the processor).
-func Restored(entry string, prog *vm.Program, csrc, chdr string, vecLoops int, intr isel.Stats, stages []StageTime, cfg Config) *Result {
+// object graphs are not serialized, and the mat2c layer renders them
+// on demand by compiling again. No stage ran, so Stages holds a zero
+// entry per StageNames() element, as a back-memo hit does. Run and its
+// variants work normally (they need only Program and the processor).
+func Restored(entry string, prog *vm.Program, csrc, chdr string, vecLoops int, intr isel.Stats, cfg Config) *Result {
 	if intr.Selected == nil {
 		intr.Selected = map[string]int{}
 	}
@@ -153,7 +154,7 @@ func Restored(entry string, prog *vm.Program, csrc, chdr string, vecLoops int, i
 		CHeader:         chdr,
 		VectorizedLoops: vecLoops,
 		Intrinsics:      intr,
-		Stages:          stages,
+		Stages:          newStageClock().stages,
 		cfg:             cfg,
 	}
 }

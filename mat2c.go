@@ -49,8 +49,6 @@ import (
 	"mat2c/internal/vm"
 )
 
-func formatFile(f *mlang.File) string { return mlang.Format(f) }
-
 // Class is the element class of a MATLAB value.
 type Class = sema.Class
 
@@ -227,10 +225,12 @@ type Result struct {
 	proc *pdesc.Processor
 
 	// rec is non-nil when the result was restored from a durable
-	// store tier rather than compiled in this process: rendered
-	// listings (IR, AST, prototype) and diagnostics are served from it
-	// because the IR/AST object graphs are not serialized.
+	// store tier rather than compiled in this process: the C prototype
+	// and diagnostics are served from it because the IR/AST object
+	// graphs are not serialized. key is the lookup that restored it;
+	// IRText and AST compile key's inputs again to render listings.
 	rec *artifact.Record
+	key Key
 }
 
 // Compile compiles the MATLAB source. entry names the function to
@@ -265,12 +265,33 @@ func (r *Result) CSource() string { return r.res.CSource }
 // CHeader returns the generated asip_intrinsics.h contents.
 func (r *Result) CHeader() string { return r.res.CHeader }
 
-// IRText returns the optimized intermediate representation.
+// IRText returns the optimized intermediate representation. A result
+// restored from a store tier renders it by compiling its inputs again
+// (see compiled).
 func (r *Result) IRText() string {
-	if r.rec != nil {
-		return r.rec.IRText
+	if res := r.compiled(); res != nil {
+		return ir.Print(res.Func)
 	}
-	return ir.Print(r.res.Func)
+	return ""
+}
+
+// compiled returns the in-process compilation behind r, which holds
+// the IR and AST: r's own, or, for a result restored from a store
+// tier, a compile of the inputs of the key that restored it. That
+// compile goes through no Cache, so no CacheStats counter moves, and
+// the front and back memos usually serve it without running a stage.
+// It returns nil if that compile fails, which inputs that compiled
+// once do not.
+func (r *Result) compiled() *core.Result {
+	if r.rec == nil {
+		return r.res
+	}
+	k := r.key
+	res, err := Compile(k.in.Source, k.in.Entry, k.in.Params, k.opts)
+	if err != nil {
+		return nil
+	}
+	return res.res
 }
 
 // Disasm returns the VM program in assembly-like text.
@@ -310,7 +331,8 @@ func StageNames() []string { return core.StageNames() }
 
 // StageTimings returns per-stage wall-clock timings for this
 // compilation, one entry per StageNames() element. Disabled stages
-// report a zero duration.
+// report a zero duration, and so does every stage of a result restored
+// from a store tier, which ran none.
 func (r *Result) StageTimings() []StageTime {
 	out := make([]StageTime, len(r.res.Stages))
 	copy(out, r.res.Stages)
@@ -331,12 +353,13 @@ func (r *Result) Warnings() []string {
 }
 
 // AST returns the normalized source rendering of the parsed program
-// (canonical spacing, explicit precedence).
+// (canonical spacing, explicit precedence). A result restored from a
+// store tier renders it by compiling its inputs again, as IRText does.
 func (r *Result) AST() string {
-	if r.rec != nil {
-		return r.rec.ASTText
+	if res := r.compiled(); res != nil {
+		return mlang.Format(res.Info.File)
 	}
-	return formatFile(r.res.Info.File)
+	return ""
 }
 
 // CPrototype returns a small C header declaring the compiled function.
