@@ -1,6 +1,7 @@
 package mat2c
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -325,9 +326,18 @@ func runTierProperty(t *testing.T, seed int64, disk, remote, batch bool, keys []
 		want := make([][]string, numTiers)
 		memHit := mem.find(k.key) >= 0
 		from := numTiers // the tier that settles the lookup; numTiers = compile
+		// Prefetch probes the local tier for the record and, when it
+		// answers absent and the remote's batch holds the record, the
+		// lookup takes that answer as the local tier's miss.
+		probedAbsent := batch && disk && remote && isChecker(diskTier) &&
+			tiers[diskTier].rec.hasMode == hasFalse && !tiers[remoteTier].batchFail
 		if !memHit {
 			for i, f := range tiers {
 				if f == nil || from < numTiers {
+					continue
+				}
+				if i == diskTier && probedAbsent {
+					model[i].misses++
 					continue
 				}
 				want[i] = append(want[i], "get rec")
@@ -530,6 +540,89 @@ func scriptedBytes(rng *rand.Rand, mode int, valid, other []byte) []byte {
 		return other
 	}
 	return valid
+}
+
+// countingStore counts the Gets a disk store sees, by kind of key.
+type countingStore struct {
+	*artifact.DiskStore
+	mu   sync.Mutex
+	gets map[string]int // by "record", "blob" or "events"
+}
+
+func (c *countingStore) Get(key string) ([]byte, error) {
+	kind := "record"
+	switch {
+	case isBlobKey(key):
+		kind = "blob"
+	case strings.Contains(key, artifact.EventsKey("", "")):
+		kind = "events"
+	}
+	c.mu.Lock()
+	c.gets[kind]++
+	c.mu.Unlock()
+	return c.DiskStore.Get(key)
+}
+
+// TestPrefetchedRecordsSkipLocalReads is a remote-fed sweep in
+// miniature over a fresh local tier: Prefetch probes each record key
+// there, finds it absent and batch-reads it from the origin, and the
+// lookups then take the origin's answers without reading the local
+// tier again. Each still counts a local miss, and the entries they
+// restore are written to the local tier.
+func TestPrefetchedRecordsSkipLocalReads(t *testing.T) {
+	_, client := openTestOrigin(t)
+	const n = 6
+	var ins []Input
+	for i := 0; i < n; i++ {
+		src := strings.Replace(cacheTestSrc, "+ 1", fmt.Sprintf("+ %d", i+1), 1)
+		ins = append(ins, Input{Source: src, Entry: "scale", Params: cacheTestParams})
+	}
+	keys, err := Keys(Options{Target: "dspasip"}, ins...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wants []Want
+	for _, k := range keys {
+		wants = append(wants, Want{Key: k})
+	}
+	warm := NewCache(n)
+	warm.SetRemoteStore(client())
+	for _, k := range keys {
+		if _, _, err := CompileKey(context.Background(), warm, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	warm.Flush()
+
+	dir := t.TempDir()
+	local := &countingStore{DiskStore: openTestStore(t, dir), gets: make(map[string]int)}
+	c := NewCache(n)
+	c.SetStore(local)
+	c.SetRemoteStore(client())
+	release := c.Prefetch(wants)
+	for _, k := range keys {
+		if _, hit, err := CompileKey(context.Background(), c, k); err != nil || !hit {
+			t.Fatalf("remote-fed lookup: hit=%v err=%v", hit, err)
+		}
+	}
+	release()
+	c.Flush()
+	if got := local.gets["record"]; got != 0 {
+		t.Errorf("the local tier saw %d record Gets after Prefetch found every record absent, want 0", got)
+	}
+	if st := c.Stats(); st.DiskMisses != n || st.RemoteHits != n || st.Compiles != 0 {
+		t.Errorf("stats: %d disk misses, %d remote hits, %d compiles; want %d, %d, 0", st.DiskMisses, st.RemoteHits, st.Compiles, n, n)
+	}
+	again := NewCache(n)
+	again.SetStore(openTestStore(t, dir))
+	for _, k := range keys {
+		if _, hit, err := CompileKey(context.Background(), again, k); err != nil || !hit {
+			t.Fatalf("local rerun: hit=%v err=%v", hit, err)
+		}
+	}
+	if st := again.Stats(); st.DiskHits != n {
+		t.Errorf("local rerun: %d disk hits, want %d", st.DiskHits, n)
+	}
 }
 
 // failPutStore is a real disk store whose writes all fail.

@@ -116,6 +116,7 @@ func run() int {
 		if err != nil {
 			return fatal(err)
 		}
+		defer store.Close()
 		cache.SetStore(store)
 	}
 	if *artRemote != "" {

@@ -100,6 +100,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "mat2cd:", err)
 			os.Exit(1)
 		}
+		defer store.Close()
 		cfg.Store = store
 		log.Printf("mat2cd: artifact store at %s", *cacheDir)
 	}

@@ -11,9 +11,12 @@ type Want struct {
 }
 
 // prefetched is the remote tier's answers one Prefetch read ahead, by
-// store key. Each answers one read and is then dropped.
+// store key. Each answers one read and is then dropped. Absent holds
+// the record keys the local tier answered absent to Prefetch's probe:
+// while their remote answer is held, the local tier is not read again.
 type prefetched struct {
 	answers map[string]artifact.Fetched
+	absent  map[string]bool
 }
 
 // Prefetch reads ahead what the lookups in wants will ask the remote
@@ -43,7 +46,7 @@ func (c *Cache) Prefetch(wants []Want) (release func()) {
 	if !ok || len(wants) == 0 {
 		return func() {}
 	}
-	p := &prefetched{answers: make(map[string]artifact.Fetched)}
+	p := &prefetched{answers: make(map[string]artifact.Fetched), absent: make(map[string]bool)}
 	fetch := func(keys []string) {
 		if len(keys) == 0 {
 			return
@@ -69,9 +72,11 @@ func (c *Cache) Prefetch(wants []Want) (release func()) {
 			continue
 		}
 		if near != nil {
-			if has, err := near.Has(key); err == nil && has {
+			has, err := near.Has(key)
+			if err == nil && has {
 				continue
 			}
+			p.absent[key] = err == nil
 		}
 		keys = append(keys, key)
 	}
@@ -133,18 +138,24 @@ func (c *Cache) isHeld(key string) bool {
 }
 
 // tierGet reads key from tier i, whose store is s: the held answer when
-// tier i is the remote and a Prefetch holds one, or else the store's.
+// tier i is the remote and a Prefetch holds one, a miss when tier i is
+// the local one and the Prefetch holding key's answer found it absent
+// there, or else the store's.
 func (c *Cache) tierGet(i int, s artifact.Store, key string) ([]byte, error) {
-	if i == remoteTier {
-		c.mu.Lock()
-		for _, p := range c.held {
-			if a, ok := p.answers[key]; ok {
+	c.mu.Lock()
+	for _, p := range c.held {
+		if a, ok := p.answers[key]; ok {
+			if i == remoteTier {
 				delete(p.answers, key)
 				c.mu.Unlock()
 				return a.Data, a.Err
 			}
+			if p.absent[key] {
+				c.mu.Unlock()
+				return nil, artifact.ErrNotFound
+			}
 		}
-		c.mu.Unlock()
 	}
+	c.mu.Unlock()
 	return s.Get(key)
 }
