@@ -336,7 +336,7 @@ func (c *Cache) put(key string, res *Result) {
 // store tier asynchronously (Flush waits for completion).
 func (c *Cache) Put(key string, res *Result) {
 	c.put(key, res)
-	c.offerRecord(key, res, nil, numTiers)
+	c.offerRecord(key, res, nil, nil, numTiers)
 }
 
 // offer asynchronously runs write on every attached tier but from, the
@@ -380,10 +380,11 @@ func (c *Cache) offer(key string, from int, write func(i int, s artifact.Store))
 // to the other tiers (see offer). Before the record, each tier gets the
 // program blob it names, under the same rule (see storeBlob); a tier
 // whose blob write fails gets no record. data is the record's verified
-// encoding, or nil to encode res once.
-func (c *Cache) offerRecord(key string, res *Result, data []byte, from int) {
+// encoding, or nil to encode res once; blob is likewise the program
+// blob's verified bytes as the settling tier held them, or nil to encode
+// the program on first use.
+func (c *Cache) offerRecord(key string, res *Result, data, blob []byte, from int) {
 	var e *progEntry
-	var blob []byte // the program's encoding, made at most once
 	c.offer(key, from, func(i int, s artifact.Store) {
 		if e == nil {
 			if data == nil {
@@ -708,7 +709,7 @@ func (c *Cache) resolve(ctx context.Context, k Key) (*Result, bool, error) {
 		if s == nil {
 			continue
 		}
-		res, data, err := c.restore(k, i, s)
+		res, data, blob, err := c.restore(k, i, s)
 		c.mu.Lock()
 		t := &c.tiers[i]
 		if err == nil {
@@ -723,7 +724,7 @@ func (c *Cache) resolve(ctx context.Context, k Key) (*Result, bool, error) {
 		c.mu.Unlock()
 		if err == nil {
 			c.put(key, res)
-			c.offerRecord(key, res, data, i)
+			c.offerRecord(key, res, data, blob, i)
 			return res, true, nil
 		}
 	}
@@ -739,52 +740,53 @@ func (c *Cache) resolve(ctx context.Context, k Key) (*Result, bool, error) {
 	c.misses++ // resolved by a full pipeline run
 	c.mu.Unlock()
 	c.put(key, res)
-	c.offerRecord(key, res, nil, numTiers)
+	c.offerRecord(key, res, nil, nil, numTiers)
 	return res, false, nil
 }
 
 // restore rebuilds k's compilation from tier i: the record, then its
 // program from the decoded-program memo or, on a memo miss, from the
-// blob on the same tier. It returns the record's verified bytes. Any
+// blob on the same tier. It returns the record's verified bytes, and
+// the blob's when this lookup fetched it (nil when the memo had the
+// program), so the tiers it is offered to get the bytes it read. Any
 // failure is a miss for the tier: a Get error (wrapping
 // artifact.ErrCorrupt when the tier reports corrupt bytes), or bytes
 // that fail to decode or are misfiled, which are deleted from the tier
 // best-effort so they are not fetched again. A record whose blob is
 // missing, corrupt or unreachable stays: the compile that follows
 // writes the blob back.
-func (c *Cache) restore(k Key, i int, s artifact.Store) (*Result, []byte, error) {
+func (c *Cache) restore(k Key, i int, s artifact.Store) (res *Result, data, blob []byte, err error) {
 	key := k.hash
-	data, err := c.tierGet(i, s, key)
-	if err != nil {
-		return nil, nil, err
+	if data, err = c.tierGet(i, s, key); err != nil {
+		return nil, nil, nil, err
 	}
 	rec, err := decodeRecord(data, key)
 	if err != nil {
 		s.Delete(key) // best-effort; a failure just leaves a dead entry
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	prog, err := c.program(rec.ProgramHash, i, s)
+	prog, blob, err := c.program(rec.ProgramHash, i, s)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	res, err := restoreResult(rec, prog, k)
-	if err != nil {
-		return nil, nil, err
+	if res, err = restoreResult(rec, prog, k); err != nil {
+		return nil, nil, nil, err
 	}
-	return res, data, nil
+	return res, data, blob, nil
 }
 
 // program returns the verified program whose content hash is hash:
 // from the decoded-program memo, or else decoded from its blob on tier
 // i. Concurrent callers for one hash share one blob load; a caller
-// whose leader failed tries its own tier next.
-func (c *Cache) program(hash string, i int, s artifact.Store) (*vm.Program, error) {
+// whose leader failed tries its own tier next. The caller that loaded
+// the blob also gets its bytes; the memo keeps only the program.
+func (c *Cache) program(hash string, i int, s artifact.Store) (*vm.Program, []byte, error) {
 	for {
 		c.mu.Lock()
 		if e, ok := c.progs.Get(hash); ok {
 			c.programHits++
 			c.mu.Unlock()
-			return e.prog, nil
+			return e.prog, nil, nil
 		}
 		if wait, ok := c.loads[hash]; ok {
 			c.mu.Unlock()
@@ -795,7 +797,7 @@ func (c *Cache) program(hash string, i int, s artifact.Store) (*vm.Program, erro
 		c.loads[hash] = done
 		c.mu.Unlock()
 
-		prog, err := c.loadBlob(hash, i, s)
+		prog, blob, err := c.loadBlob(hash, i, s)
 		c.mu.Lock()
 		delete(c.loads, hash)
 		if err == nil {
@@ -806,23 +808,23 @@ func (c *Cache) program(hash string, i int, s artifact.Store) (*vm.Program, erro
 		}
 		c.mu.Unlock()
 		close(done)
-		return prog, err
+		return prog, blob, err
 	}
 }
 
 // loadBlob fetches and verifies the blob of the program whose content
-// hash is hash from tier i. A blob that fails to decode or holds another
-// program is deleted best-effort.
-func (c *Cache) loadBlob(hash string, i int, s artifact.Store) (*vm.Program, error) {
+// hash is hash from tier i, with the bytes it decoded. A blob that fails
+// to decode or holds another program is deleted best-effort.
+func (c *Cache) loadBlob(hash string, i int, s artifact.Store) (*vm.Program, []byte, error) {
 	key := artifact.BlobKey(hash)
 	data, err := c.tierGet(i, s, key)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	prog, err := artifact.DecodeBlob(data, hash)
 	if err != nil {
 		s.Delete(key)
-		return nil, err
+		return nil, nil, err
 	}
-	return prog, nil
+	return prog, data, nil
 }

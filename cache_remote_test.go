@@ -1,8 +1,10 @@
 package mat2c
 
 import (
+	"bytes"
 	"context"
 	"net/http/httptest"
+	"sync"
 	"testing"
 
 	"mat2c/internal/artifact"
@@ -147,10 +149,7 @@ func TestRemoteOutageDegradesToLocal(t *testing.T) {
 	opts := Options{Target: "dspasip"}
 	c := NewCache(8)
 	c.SetStore(openTestStore(t, t.TempDir()))
-	c.SetRemoteStore(remote.New("http://127.0.0.1:1/artifact", remote.Options{
-		MaxAttempts:     1,
-		BreakerCooldown: 1,
-	}))
+	c.SetRemoteStore(remote.New("http://127.0.0.1:1/artifact", remote.Options{}))
 	res, hit, err := CompileCached(c, cacheTestSrc, "scale", cacheTestParams, opts)
 	if err != nil {
 		t.Fatalf("remote outage failed the request: %v", err)
@@ -296,5 +295,98 @@ func TestPrefetchOvertakenBySetRemoteStore(t *testing.T) {
 	}
 	if st := next.Stats(); st.Gets != 2 || st.Hits != 2 {
 		t.Errorf("new remote: %d gets, %d hits; want the record and the blob read from it", st.Gets, st.Hits)
+	}
+}
+
+// fetchedBlobs wraps a remote tier and keeps the blob bytes it returns.
+type fetchedBlobs struct {
+	*remote.RemoteStore
+	mu    sync.Mutex
+	blobs map[string][]byte
+}
+
+func (f *fetchedBlobs) keep(key string, data []byte) {
+	if isBlobKey(key) && data != nil {
+		f.mu.Lock()
+		f.blobs[key] = data
+		f.mu.Unlock()
+	}
+}
+
+func (f *fetchedBlobs) Get(key string) ([]byte, error) {
+	data, err := f.RemoteStore.Get(key)
+	f.keep(key, data)
+	return data, err
+}
+
+func (f *fetchedBlobs) GetBatch(keys []string) ([]artifact.Fetched, error) {
+	got, err := f.RemoteStore.GetBatch(keys)
+	for i, g := range got {
+		f.keep(keys[i], g.Data)
+	}
+	return got, err
+}
+
+// putLog is a disk store that keeps the bytes of every Put.
+type putLog struct {
+	*artifact.DiskStore
+	mu   sync.Mutex
+	puts map[string][]byte
+}
+
+func (p *putLog) Put(key string, data []byte) error {
+	p.mu.Lock()
+	p.puts[key] = data
+	p.mu.Unlock()
+	return p.DiskStore.Put(key, data)
+}
+
+// TestRemoteFedBlobWrittenAsFetched: a lookup that restores a program
+// from the remote tier writes the blob it fetched to the local tier as
+// it fetched it — the origin's entry byte for byte, in the very buffer
+// the remote read returned, not a re-encoding of the decoded program —
+// with and without a Prefetch in front.
+func TestRemoteFedBlobWrittenAsFetched(t *testing.T) {
+	origin, client := openTestOrigin(t)
+	opts := Options{Target: "dspasip"}
+	warm := NewCache(8)
+	warm.SetRemoteStore(client())
+	res, _, err := CompileCached(warm, cacheTestSrc, "scale", cacheTestParams, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm.Flush()
+	blobKey := artifact.BlobKey(res.res.Program.ContentHash())
+	want, err := origin.Get(blobKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, err := Keys(opts, Input{Source: cacheTestSrc, Entry: "scale", Params: cacheTestParams})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, prefetch := range []bool{false, true} {
+		local := &putLog{DiskStore: openTestStore(t, t.TempDir()), puts: map[string][]byte{}}
+		fetched := &fetchedBlobs{RemoteStore: client(), blobs: map[string][]byte{}}
+		c := NewCache(8)
+		c.SetStore(local)
+		c.SetRemoteStore(fetched)
+		release := func() {}
+		if prefetch {
+			release = c.Prefetch([]Want{{Key: keys[0]}})
+		}
+		if _, hit, err := CompileKey(context.Background(), c, keys[0]); err != nil || !hit {
+			t.Fatalf("prefetch %v: remote-fed lookup: hit=%v err=%v", prefetch, hit, err)
+		}
+		release()
+		c.Flush()
+		got, from := local.puts[blobKey], fetched.blobs[blobKey]
+		if !bytes.Equal(got, want) {
+			t.Fatalf("prefetch %v: the local blob Put differs from the origin's entry (%d vs %d bytes)", prefetch, len(got), len(want))
+		}
+		if len(from) == 0 || &got[0] != &from[0] {
+			t.Errorf("prefetch %v: the local blob Put is not the buffer the remote read returned", prefetch)
+		}
 	}
 }

@@ -470,7 +470,7 @@ func restoreFrom(t *testing.T, s artifact.Store, opts Options) (*Result, error) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := NewCache(1).restore(keys[0], diskTier, s)
+	res, _, _, err := NewCache(1).restore(keys[0], diskTier, s)
 	return res, err
 }
 

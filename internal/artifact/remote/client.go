@@ -8,13 +8,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"strings"
 	"sync"
 	"time"
 
 	"mat2c/internal/artifact"
+	"mat2c/internal/clock"
 )
 
 // ErrUnavailable marks operations refused or abandoned because the
@@ -24,72 +24,34 @@ import (
 // "the entry is not there" from "we could not ask".
 var ErrUnavailable = errors.New("artifact remote: store unavailable")
 
-// Defaults for Options. Chosen so a dead remote costs a request at most
-// one op-timeout per attempt until the breaker trips, and nothing at
-// all afterwards: connection refusals fail in microseconds, only a
-// hung origin pays the full OpTimeout.
+// Client timing. These are fixed: a dead remote costs a request at most
+// one OpTimeout per attempt until the breaker trips, and nothing at all
+// afterwards. Connection refusals fail in microseconds; only a hung
+// origin pays the full OpTimeout.
 const (
-	DefaultOpTimeout        = 2 * time.Second
-	DefaultMaxAttempts      = 3
-	DefaultBackoffBase      = 50 * time.Millisecond
-	DefaultBackoffMax       = 500 * time.Millisecond
-	DefaultBreakerThreshold = 5
-	DefaultBreakerCooldown  = 5 * time.Second
+	// OpTimeout bounds each HTTP attempt (not the whole operation).
+	OpTimeout = 2 * time.Second
+	// MaxAttempts bounds attempts per operation. Transient failures
+	// (transport errors, 5xx) retry after clock.Backoff(BackoffBase,
+	// BackoffMax, n); permanent outcomes (404, 400, 507, corrupt frames)
+	// do not.
+	MaxAttempts = 3
+	BackoffBase = 50 * time.Millisecond
+	BackoffMax  = 500 * time.Millisecond
+	// BreakerThreshold consecutive failed attempts trip the breaker open.
+	// While it is open every operation fails fast with ErrUnavailable
+	// until BreakerCooldown has passed; then one half-open probe decides
+	// between closing it and re-opening it for another cooldown.
+	BreakerThreshold = 5
+	BreakerCooldown  = 5 * time.Second
 )
 
-// Options tunes a RemoteStore. Zero values select the defaults above.
+// Options configures a RemoteStore.
 type Options struct {
-	// OpTimeout bounds each HTTP attempt (not the whole op).
-	OpTimeout time.Duration
-	// MaxAttempts bounds attempts per operation; transient failures
-	// (transport errors, 5xx) retry with jittered backoff, permanent
-	// outcomes (404, 400, 507, corrupt frames) do not.
-	MaxAttempts int
-	// BackoffBase/BackoffMax shape the exponential retry delay.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// BreakerThreshold consecutive failed attempts trip the breaker
-	// open; while open every op fails fast with ErrUnavailable until
-	// BreakerCooldown has passed, then one half-open probe decides
-	// between closing it and re-opening for another cooldown.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// MaxEntryBytes bounds one entry's payload on receive
-	// (DefaultMaxEntryBytes when <= 0); a response claiming or carrying
-	// more is corrupt, never buffered whole.
-	MaxEntryBytes int64
 	// Client issues the HTTP requests (default: a fresh client; each
-	// attempt is bounded by its own context, so no Client.Timeout is
-	// needed).
+	// attempt is bounded by its own OpTimeout context, so no
+	// Client.Timeout is needed).
 	Client *http.Client
-}
-
-func (o Options) withDefaults() Options {
-	if o.OpTimeout <= 0 {
-		o.OpTimeout = DefaultOpTimeout
-	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = DefaultMaxAttempts
-	}
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = DefaultBackoffBase
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = DefaultBackoffMax
-	}
-	if o.BreakerThreshold <= 0 {
-		o.BreakerThreshold = DefaultBreakerThreshold
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = DefaultBreakerCooldown
-	}
-	if o.MaxEntryBytes <= 0 {
-		o.MaxEntryBytes = DefaultMaxEntryBytes
-	}
-	if o.Client == nil {
-		o.Client = &http.Client{}
-	}
-	return o
 }
 
 // Breaker states.
@@ -106,8 +68,16 @@ const (
 // (errors.Is artifact.ErrCorrupt) and counted, so a hostile or broken
 // origin is indistinguishable from an empty one.
 type RemoteStore struct {
-	base string
-	opt  Options
+	base   string
+	client *http.Client
+	// clock times the backoff and the breaker's cooldown. The per-attempt
+	// OpTimeout stays on the wall clock: it is a limit on one request,
+	// not what decides an outcome.
+	clock clock.Clock
+	// maxEntry bounds one entry's payload on receive and send
+	// (DefaultMaxEntryBytes); a response claiming or carrying more is
+	// corrupt, never buffered whole.
+	maxEntry int64
 
 	mu          sync.Mutex
 	stats       artifact.Stats
@@ -123,7 +93,10 @@ func New(base string, opt Options) *RemoteStore {
 	for len(base) > 0 && base[len(base)-1] == '/' {
 		base = base[:len(base)-1]
 	}
-	return &RemoteStore{base: base, opt: opt.withDefaults()}
+	if opt.Client == nil {
+		opt.Client = &http.Client{}
+	}
+	return &RemoteStore{base: base, client: opt.Client, clock: clock.Real, maxEntry: DefaultMaxEntryBytes}
 }
 
 // Base returns the endpoint URL the client was built with.
@@ -161,7 +134,7 @@ func (r *RemoteStore) allow() bool {
 	case stClosed:
 		return true
 	case stOpen:
-		if time.Since(r.openedAt) < r.opt.BreakerCooldown {
+		if r.clock.Now().Sub(r.openedAt) < BreakerCooldown {
 			return false
 		}
 		r.state = stHalfOpen
@@ -187,76 +160,83 @@ func (r *RemoteStore) success() {
 }
 
 // failure records one failed attempt; the threshold (or any failure
-// while half-open) trips the breaker open for a fresh cooldown.
-func (r *RemoteStore) failure() {
+// while half-open) trips the breaker open for a fresh cooldown. It
+// reports whether the breaker is open.
+func (r *RemoteStore) failure() bool {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.probing = false
 	r.consecutive++
-	if r.state == stHalfOpen || r.consecutive >= r.opt.BreakerThreshold {
+	if r.state == stHalfOpen || r.consecutive >= BreakerThreshold {
 		if r.state != stOpen {
 			r.stats.BreakerTrips++
 		}
 		r.state = stOpen
-		r.openedAt = time.Now()
+		r.openedAt = r.clock.Now()
 		r.consecutive = 0
 	}
-	r.mu.Unlock()
-}
-
-func (r *RemoteStore) tripped() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.state == stOpen
 }
 
-// backoff returns the jittered exponential delay before retry n
-// (0-based), uniform in [0.5x, 1.5x) to de-synchronize a fleet
-// retrying against one origin.
-func (r *RemoteStore) backoff(n int) time.Duration {
-	d := r.opt.BackoffBase << uint(n)
-	if d > r.opt.BackoffMax || d <= 0 {
-		d = r.opt.BackoffMax
-	}
-	return time.Duration(float64(d) * (0.5 + rand.Float64()))
-}
-
-// do runs one logical operation through the breaker and retry policy.
-// attempt performs a single wire round-trip under its context and
-// reports whether a failure is worth retrying. A nil error or one
-// wrapping artifact.ErrNotFound counts as a healthy round-trip.
-func (r *RemoteStore) do(op string, attempt func(ctx context.Context) (retryable bool, err error)) error {
+// do runs one operation through the breaker and retry policy. Each
+// attempt is one request with body to url under its own OpTimeout. A
+// transport error or a 5xx reply other than 507 (the origin refusing an
+// entry, not an outage) is a transient failure, retried after a
+// backoff; reply judges every other reply and reports whether its
+// failure is worth retrying. A nil error or one wrapping
+// artifact.ErrNotFound counts as a healthy round trip.
+func (r *RemoteStore) do(op, method, url string, body []byte, reply func(*http.Response) (retryable bool, err error)) error {
 	if !r.allow() {
 		r.bump(func(st *artifact.Stats) { st.Unavailable++ })
 		return fmt.Errorf("%w: %s: circuit open", ErrUnavailable, op)
 	}
-	var lastErr error
-	for i := 0; i < r.opt.MaxAttempts; i++ {
+	var err error
+	for i := 0; i < MaxAttempts; i++ {
 		if i > 0 {
-			time.Sleep(r.backoff(i - 1))
+			r.clock.Sleep(clock.Backoff(BackoffBase, BackoffMax, i-1))
 			r.bump(func(st *artifact.Stats) { st.Retries++ })
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), r.opt.OpTimeout)
-		retryable, err := attempt(ctx)
-		cancel()
+		var retryable bool
+		retryable, err = r.attempt(op, method, url, body, reply)
 		if err == nil || errors.Is(err, artifact.ErrNotFound) {
 			r.success()
 			return err
 		}
-		r.failure()
-		lastErr = err
-		if !retryable || r.tripped() {
+		if r.failure() || !retryable {
 			break
 		}
 	}
-	return lastErr
+	return err
+}
+
+// attempt makes one request for do.
+func (r *RemoteStore) attempt(op, method, url string, body []byte, reply func(*http.Response) (bool, error)) (bool, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), OpTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
+	if err != nil {
+		return false, err
+	}
+	resp, err := r.client.Do(req)
+	if err != nil {
+		return true, transient(op, url, err)
+	}
+	defer func() {
+		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<12))
+		resp.Body.Close()
+	}()
+	if resp.StatusCode >= 500 && resp.StatusCode != http.StatusInsufficientStorage {
+		return true, transient(op, url, fmt.Errorf("status %d", resp.StatusCode))
+	}
+	return reply(resp)
 }
 
 func (r *RemoteStore) url(key string) string { return r.base + "/" + key }
 
 // transient wraps a transport-level failure so exhausted retries
 // surface as ErrUnavailable (a miss), never as a request error.
-func transient(op, key string, err error) error {
-	return fmt.Errorf("%w: %s %s: %v", ErrUnavailable, op, key, err)
+func transient(op, url string, err error) error {
+	return fmt.Errorf("%w: %s %s: %v", ErrUnavailable, op, url, err)
 }
 
 // Get fetches and verifies one entry. 404 returns artifact.ErrNotFound
@@ -269,32 +249,18 @@ func (r *RemoteStore) Get(key string) ([]byte, error) {
 	}
 	r.bump(func(st *artifact.Stats) { st.Gets++ })
 	var payload []byte
-	err := r.do("get", func(ctx context.Context) (bool, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.url(key), nil)
-		if err != nil {
-			return false, err
-		}
-		resp, err := r.opt.Client.Do(req)
-		if err != nil {
-			return true, transient("get", key, err)
-		}
-		defer func() {
-			io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<12))
-			resp.Body.Close()
-		}()
-		switch {
-		case resp.StatusCode == http.StatusOK:
-		case resp.StatusCode == http.StatusNotFound:
+	err := r.do("get", http.MethodGet, r.url(key), nil, func(resp *http.Response) (bool, error) {
+		switch resp.StatusCode {
+		case http.StatusOK:
+		case http.StatusNotFound:
 			return false, fmt.Errorf("%w: %s", artifact.ErrNotFound, key)
-		case resp.StatusCode >= 500:
-			return true, transient("get", key, fmt.Errorf("status %d", resp.StatusCode))
 		default:
 			return false, fmt.Errorf("artifact remote: get %s: status %d", key, resp.StatusCode)
 		}
-		limit := r.opt.MaxEntryBytes + trailerSize
+		limit := r.maxEntry + trailerSize
 		if resp.ContentLength > limit {
 			// A forged Content-Length is rejected before buffering.
-			return false, fmt.Errorf("%w: advertised %d bytes exceeds the %d-byte entry bound", artifact.ErrCorrupt, resp.ContentLength, r.opt.MaxEntryBytes)
+			return false, fmt.Errorf("%w: advertised %d bytes exceeds the %d-byte entry bound", artifact.ErrCorrupt, resp.ContentLength, r.maxEntry)
 		}
 		body, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
 		if err != nil {
@@ -302,7 +268,7 @@ func (r *RemoteStore) Get(key string) ([]byte, error) {
 			return true, transient("get", key, err)
 		}
 		if int64(len(body)) > limit {
-			return false, fmt.Errorf("%w: body exceeds the %d-byte entry bound", artifact.ErrCorrupt, r.opt.MaxEntryBytes)
+			return false, fmt.Errorf("%w: body exceeds the %d-byte entry bound", artifact.ErrCorrupt, r.maxEntry)
 		}
 		if resp.ContentLength >= 0 && int64(len(body)) != resp.ContentLength {
 			return false, fmt.Errorf("%w: body length %d disagrees with Content-Length %d", artifact.ErrCorrupt, len(body), resp.ContentLength)
@@ -354,33 +320,18 @@ func (r *RemoteStore) GetBatch(keys []string) ([]artifact.Fetched, error) {
 // getBatch makes one batch request.
 func (r *RemoteStore) getBatch(keys []string) ([]artifact.Fetched, error) {
 	r.bump(func(st *artifact.Stats) { st.Batches++; st.BatchKeys += uint64(len(keys)) })
-	body := strings.Join(keys, "\n")
 	var got []artifact.Fetched
-	err := r.do("batch", func(ctx context.Context) (bool, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, r.base+"/batch", strings.NewReader(body))
-		if err != nil {
-			return false, err
-		}
-		req.Header.Set("Content-Type", "text/plain")
-		resp, err := r.opt.Client.Do(req)
-		if err != nil {
-			return true, transient("batch", "", err)
-		}
-		defer func() {
-			io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<12))
-			resp.Body.Close()
-		}()
-		switch {
-		case resp.StatusCode == http.StatusOK:
-		case resp.StatusCode == http.StatusNotFound || resp.StatusCode == http.StatusMethodNotAllowed:
+	err := r.do("batch", http.MethodPost, r.base+"/batch", []byte(strings.Join(keys, "\n")), func(resp *http.Response) (bool, error) {
+		switch resp.StatusCode {
+		case http.StatusOK:
+		case http.StatusNotFound, http.StatusMethodNotAllowed:
 			return false, fmt.Errorf("%w: origin serves no batch route (status %d)", artifact.ErrNotFound, resp.StatusCode)
-		case resp.StatusCode >= 500:
-			return true, transient("batch", "", fmt.Errorf("status %d", resp.StatusCode))
 		default:
 			return false, fmt.Errorf("artifact remote: batch of %d keys: status %d", len(keys), resp.StatusCode)
 		}
 		body := &readErr{r: bufio.NewReader(resp.Body)}
-		got, err = decodeBatch(body, keys, r.opt.MaxEntryBytes)
+		var err error
+		got, err = decodeBatch(body, keys, r.maxEntry)
 		if body.err != nil {
 			// A connection dying mid-reply (origin restart) is transient.
 			return true, transient("batch", "", body.err)
@@ -434,29 +385,12 @@ func (r *RemoteStore) Has(key string) (bool, error) {
 		return false, err
 	}
 	var has bool
-	err := r.do("head", func(ctx context.Context) (bool, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodHead, r.url(key), nil)
-		if err != nil {
-			return false, err
-		}
-		resp, err := r.opt.Client.Do(req)
-		if err != nil {
-			return true, transient("head", key, err)
-		}
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<12))
-		resp.Body.Close()
-		switch {
-		case resp.StatusCode == http.StatusOK:
-			has = true
+	err := r.do("head", http.MethodHead, r.url(key), nil, func(resp *http.Response) (bool, error) {
+		has = resp.StatusCode == http.StatusOK
+		if has || resp.StatusCode == http.StatusNotFound {
 			return false, nil
-		case resp.StatusCode == http.StatusNotFound:
-			has = false
-			return false, nil
-		case resp.StatusCode >= 500:
-			return true, transient("head", key, fmt.Errorf("status %d", resp.StatusCode))
-		default:
-			return false, fmt.Errorf("artifact remote: head %s: status %d", key, resp.StatusCode)
 		}
+		return false, fmt.Errorf("artifact remote: head %s: status %d", key, resp.StatusCode)
 	})
 	return has, err
 }
@@ -469,31 +403,17 @@ func (r *RemoteStore) Put(key string, data []byte) error {
 		return err
 	}
 	r.bump(func(st *artifact.Stats) { st.Puts++ })
-	if int64(len(data)) > r.opt.MaxEntryBytes {
+	if int64(len(data)) > r.maxEntry {
 		r.bump(func(st *artifact.Stats) { st.PutErrors++ })
-		return fmt.Errorf("artifact remote: put %s: entry of %d bytes exceeds the %d-byte bound", key, len(data), r.opt.MaxEntryBytes)
+		return fmt.Errorf("artifact remote: put %s: entry of %d bytes exceeds the %d-byte bound", key, len(data), r.maxEntry)
 	}
 	framed := frame(data)
-	err := r.do("put", func(ctx context.Context) (bool, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPut, r.url(key), bytes.NewReader(framed))
-		if err != nil {
-			return false, err
-		}
-		req.Header.Set("Content-Type", "application/octet-stream")
-		resp, err := r.opt.Client.Do(req)
-		if err != nil {
-			return true, transient("put", key, err)
+	err := r.do("put", http.MethodPut, r.url(key), framed, func(resp *http.Response) (bool, error) {
+		if resp.StatusCode == http.StatusNoContent || resp.StatusCode == http.StatusOK {
+			return false, nil
 		}
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<12))
-		resp.Body.Close()
-		switch {
-		case resp.StatusCode == http.StatusNoContent || resp.StatusCode == http.StatusOK:
-			return false, nil
-		case resp.StatusCode >= 500 && resp.StatusCode != http.StatusInsufficientStorage:
-			return true, transient("put", key, fmt.Errorf("status %d", resp.StatusCode))
-		default:
-			return false, fmt.Errorf("artifact remote: put %s: status %d: %s", key, resp.StatusCode, bytes.TrimSpace(msg))
-		}
+		return false, fmt.Errorf("artifact remote: put %s: status %d: %s", key, resp.StatusCode, bytes.TrimSpace(msg))
 	})
 	if err != nil {
 		r.bump(func(st *artifact.Stats) { st.PutErrors++ })
@@ -509,46 +429,23 @@ func (r *RemoteStore) Delete(key string) error {
 		return err
 	}
 	r.bump(func(st *artifact.Stats) { st.Deletes++ })
-	return r.do("delete", func(ctx context.Context) (bool, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodDelete, r.url(key), nil)
-		if err != nil {
-			return false, err
-		}
-		resp, err := r.opt.Client.Do(req)
-		if err != nil {
-			return true, transient("delete", key, err)
-		}
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<12))
-		resp.Body.Close()
-		switch {
-		case resp.StatusCode == http.StatusNoContent || resp.StatusCode == http.StatusOK:
+	return r.do("delete", http.MethodDelete, r.url(key), nil, func(resp *http.Response) (bool, error) {
+		switch resp.StatusCode {
+		case http.StatusNoContent, http.StatusOK:
 			return false, nil
-		case resp.StatusCode == http.StatusNotFound:
+		case http.StatusNotFound:
 			return false, fmt.Errorf("%w: %s", artifact.ErrNotFound, key)
-		case resp.StatusCode >= 500:
-			return true, transient("delete", key, fmt.Errorf("status %d", resp.StatusCode))
-		default:
-			return false, fmt.Errorf("artifact remote: delete %s: status %d", key, resp.StatusCode)
 		}
+		return false, fmt.Errorf("artifact remote: delete %s: status %d", key, resp.StatusCode)
 	})
 }
 
 // Len asks the origin's stats document for its committed entry count.
 func (r *RemoteStore) Len() (int, error) {
 	var n int
-	err := r.do("stats", func(ctx context.Context) (bool, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.base, nil)
-		if err != nil {
-			return false, err
-		}
-		resp, err := r.opt.Client.Do(req)
-		if err != nil {
-			return true, transient("stats", "", err)
-		}
-		defer resp.Body.Close()
+	err := r.do("stats", http.MethodGet, r.base, nil, func(resp *http.Response) (bool, error) {
 		if resp.StatusCode != http.StatusOK {
-			io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<12))
-			return resp.StatusCode >= 500, fmt.Errorf("artifact remote: stats: status %d", resp.StatusCode)
+			return false, fmt.Errorf("artifact remote: stats: status %d", resp.StatusCode)
 		}
 		var rep StatsReply
 		if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&rep); err != nil {

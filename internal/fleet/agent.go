@@ -12,12 +12,13 @@ import (
 	"net/http"
 	"strings"
 	"time"
+
+	"mat2c/internal/clock"
 )
 
 // Agent enrolls one worker with one coordinator. Registration doubles
-// as the heartbeat: the agent re-registers every Interval, and the
-// coordinator treats a worker silent past its heartbeat timeout as
-// lost.
+// as the heartbeat: the agent re-registers every HeartbeatInterval, and
+// the coordinator treats a worker silent past HeartbeatTimeout as lost.
 type Agent struct {
 	// Coordinator is the coordinator's base URL (http://host:port).
 	Coordinator string
@@ -26,9 +27,6 @@ type Agent struct {
 	Self string
 	// Slots is the worker's sweep-unit execution bound (informational).
 	Slots int
-	// Interval between heartbeats (default 3s; keep it well under the
-	// coordinator's HeartbeatTimeout).
-	Interval time.Duration
 	// Client issues the registration calls (default: a 5s-timeout client).
 	Client *http.Client
 	// Logf, when set, receives registration diagnostics.
@@ -40,6 +38,19 @@ type Agent struct {
 	OnArtifactURL func(url string)
 
 	artifactSeen bool
+	// clock paces the heartbeats and bounds deregistration (nil: the
+	// wall clock).
+	clock clock.Clock
+}
+
+// deregisterBudget bounds the deregistration call on shutdown.
+const deregisterBudget = 2 * time.Second
+
+func (a *Agent) clk() clock.Clock {
+	if a.clock == nil {
+		return clock.Real
+	}
+	return a.clock
 }
 
 func (a *Agent) logf(format string, args ...interface{}) {
@@ -55,22 +66,23 @@ func (a *Agent) client() *http.Client {
 	return &http.Client{Timeout: 5 * time.Second}
 }
 
+// post sends the coordinator's path this worker's RegisterRequest.
+func (a *Agent) post(ctx context.Context, path string, slots int) (*http.Response, error) {
+	body, _ := json.Marshal(RegisterRequest{URL: a.Self, Slots: slots})
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, a.Coordinator+path, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	return a.client().Do(req)
+}
+
 // RegisterOnce performs one registration round-trip and returns the
 // coordinator-assigned worker id. When the reply advertises a shared
 // artifact cache for the first time, the OnArtifactURL hook fires with
 // the endpoint resolved to an absolute URL.
 func (a *Agent) RegisterOnce(ctx context.Context) (string, error) {
-	body, err := json.Marshal(RegisterRequest{URL: a.Self, Slots: a.Slots})
-	if err != nil {
-		return "", err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		a.Coordinator+"/fleet/register", bytes.NewReader(body))
-	if err != nil {
-		return "", err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := a.client().Do(req)
+	resp, err := a.post(ctx, "/fleet/register", a.Slots)
 	if err != nil {
 		return "", err
 	}
@@ -101,27 +113,14 @@ func (a *Agent) resolveArtifactURL(adv string) string {
 }
 
 // deregister tells the coordinator this worker is draining. Best
-// effort under its own short deadline — the coordinator's heartbeat
-// timeout is the backstop if the call is lost. The call runs on a
-// shallow clone of the configured client with its Timeout clamped to
-// the shutdown budget, so an injected client with a long (or absent)
-// timeout can never stall shutdown past 2s, and the caller's shared
-// client is never mutated.
+// effort within deregisterBudget on the agent's clock, whatever the
+// client's own timeout — the coordinator's heartbeat timeout is the
+// backstop if the call is lost.
 func (a *Agent) deregister() {
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	body, _ := json.Marshal(RegisterRequest{URL: a.Self})
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		a.Coordinator+"/fleet/deregister", bytes.NewReader(body))
-	if err != nil {
-		return
-	}
-	req.Header.Set("Content-Type", "application/json")
-	cl := *a.client()
-	if cl.Timeout <= 0 || cl.Timeout > 2*time.Second {
-		cl.Timeout = 2 * time.Second
-	}
-	resp, err := cl.Do(req)
+	defer a.clk().AfterFunc(deregisterBudget, cancel).Stop()
+	resp, err := a.post(ctx, "/fleet/deregister", 0)
 	if err != nil {
 		a.logf("fleet: deregister from %s failed: %v", a.Coordinator, err)
 		return
@@ -135,32 +134,26 @@ func (a *Agent) deregister() {
 // cadence (a coordinator that is briefly down loses nothing but
 // freshness), so Run never returns early.
 func (a *Agent) Run(ctx context.Context) error {
-	interval := a.Interval
-	if interval <= 0 {
-		interval = 3 * time.Second
-	}
-	// One ticker for the lifetime of the loop: time.After in a
-	// heartbeat loop allocates a timer per beat that is only reclaimed
-	// when it fires, which for long-lived agents is steady garbage.
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
 	registered := false
 	for {
 		if id, err := a.RegisterOnce(ctx); err != nil {
 			if ctx.Err() == nil {
-				a.logf("fleet: register with %s failed (retrying in %s): %v", a.Coordinator, interval, err)
+				a.logf("fleet: register with %s failed (retrying in %s): %v", a.Coordinator, HeartbeatInterval, err)
 			}
 		} else if !registered {
 			registered = true
 			a.logf("fleet: registered with %s as %s", a.Coordinator, id)
 		}
+		beat := make(chan struct{})
+		t := a.clk().AfterFunc(HeartbeatInterval, func() { close(beat) })
 		select {
 		case <-ctx.Done():
+			t.Stop()
 			if registered {
 				a.deregister()
 			}
 			return ctx.Err()
-		case <-tick.C:
+		case <-beat:
 		}
 	}
 }

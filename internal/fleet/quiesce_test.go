@@ -2,66 +2,113 @@ package fleet
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"testing"
-	"time"
 )
 
-// TestQuiesceWaitsForInflight: quiesce returns once the in-flight
-// gauge drains.
+// inflight registers enough workers to take n dispatches and takes them,
+// in random order.
+func inflight(t *testing.T, c *Coordinator, rng *rand.Rand, n int) []*worker {
+	t.Helper()
+	for i := 0; i < (n+Window-1)/Window; i++ {
+		c.Register(fmt.Sprintf("http://w%d", i), 1)
+	}
+	out := make([]*worker, n)
+	for i := range out {
+		w, _ := c.pickWorker()
+		if w == nil {
+			t.Fatalf("dispatch %d found no worker", i)
+		}
+		out[i] = w
+	}
+	rng.Shuffle(n, func(i, j int) { out[i], out[j] = out[j], out[i] })
+	return out
+}
+
+// parked is a context that tells the test each time Quiesce is about
+// to wait on it.
+type parked struct {
+	context.Context
+	waits chan struct{}
+}
+
+func (p parked) Done() <-chan struct{} {
+	p.waits <- struct{}{}
+	return p.Context.Done()
+}
+
+// TestQuiesceWaitsForInflight: Quiesce waits while any RPC is in
+// flight, wakes as each one settles, and returns 0 once the last has;
+// nothing is recorded as abandoned.
 func TestQuiesceWaitsForInflight(t *testing.T) {
-	c := NewCoordinator(Config{})
-	c.mu.Lock()
-	c.inflight = 1
-	c.mu.Unlock()
-
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		c.mu.Lock()
-		c.inflight = 0
-		c.mu.Unlock()
-	}()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if n := c.Quiesce(ctx); n != 0 {
-		t.Fatalf("quiesce abandoned %d units, want 0", n)
-	}
-	if st := c.Status(); st.UnitsAbandoned != 0 {
-		t.Fatalf("units_abandoned = %d, want 0", st.UnitsAbandoned)
-	}
-}
-
-// TestQuiesceRecordsAbandoned: a grace period expiring with RPCs still
-// out records them as abandoned instead of dropping them silently.
-func TestQuiesceRecordsAbandoned(t *testing.T) {
-	c := NewCoordinator(Config{})
-	c.mu.Lock()
-	c.inflight = 2
-	c.mu.Unlock()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	if n := c.Quiesce(ctx); n != 2 {
-		t.Fatalf("quiesce reported %d abandoned units, want 2", n)
-	}
-	if st := c.Status(); st.UnitsAbandoned != 2 {
-		t.Fatalf("units_abandoned = %d, want 2", st.UnitsAbandoned)
-	}
-}
-
-// TestBackoffBoundsAndJitter: delays grow exponentially, stay within
-// the jitter envelope, and cap at RetryMax.
-func TestBackoffBoundsAndJitter(t *testing.T) {
-	c := NewCoordinator(Config{RetryBase: 100 * time.Millisecond, RetryMax: 5 * time.Second})
-	for attempt := 0; attempt < 12; attempt++ {
-		base := 100 * time.Millisecond << uint(attempt)
-		if base > 5*time.Second || base <= 0 {
-			base = 5 * time.Second
-		}
-		for i := 0; i < 20; i++ {
-			d := c.backoff(attempt)
-			if d < base/2 || d >= base*3/2 {
-				t.Fatalf("backoff(%d) = %v outside [%v, %v)", attempt, d, base/2, base*3/2)
+	for seed := int64(1); seed <= 20; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			c := NewCoordinator(Config{})
+			out := inflight(t, c, rng, 1+rng.Intn(6))
+			ctx := parked{context.Background(), make(chan struct{})}
+			n := -1
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				n = c.Quiesce(ctx)
+			}()
+			for _, w := range out {
+				select {
+				case <-ctx.waits:
+				case <-done:
+					t.Fatalf("Quiesce returned %d with RPCs in flight", n)
+				}
+				c.release(w, rng.Intn(2) == 0, nil)
 			}
-		}
+			<-done
+			if n != 0 {
+				t.Fatalf("quiesce abandoned %d units, want 0", n)
+			}
+			if st := c.Status(); st.UnitsAbandoned != 0 || st.InflightRPCs != 0 {
+				t.Fatalf("after quiesce: %+v", st)
+			}
+		})
+	}
+}
+
+// TestQuiesceRecordsAbandoned: a grace period ending with RPCs still out
+// records exactly those as abandoned, instead of dropping them silently,
+// and a later Quiesce adds only what is out then.
+func TestQuiesceRecordsAbandoned(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			c := NewCoordinator(Config{})
+			total := 1 + rng.Intn(6)
+			out := inflight(t, c, rng, total)
+			settled := rng.Intn(total)
+			ctx, cancel := context.WithCancel(context.Background())
+			n := -1
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				n = c.Quiesce(ctx)
+			}()
+			for _, w := range out[:settled] {
+				c.release(w, true, nil)
+			}
+			cancel()
+			<-done
+			if want := total - settled; n != want {
+				t.Fatalf("quiesce reported %d abandoned units, want %d", n, want)
+			}
+			if st := c.Status(); st.UnitsAbandoned != uint64(n) {
+				t.Fatalf("units_abandoned = %d, want %d", st.UnitsAbandoned, n)
+			}
+			for _, w := range out[settled:] {
+				c.release(w, true, nil)
+			}
+			if again := c.Quiesce(ctx); again != 0 || c.Status().UnitsAbandoned != uint64(n) {
+				t.Fatalf("a drained coordinator's Quiesce under an expired context: %d abandoned, total %d",
+					again, c.Status().UnitsAbandoned)
+			}
+		})
 	}
 }

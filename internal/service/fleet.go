@@ -145,7 +145,7 @@ func (s *Server) handleFleetUnit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.UnitTimeout)
+	ctx, cancel := context.WithTimeout(r.Context(), fleet.UnitTimeout)
 	defer cancel()
 	res, err := fleet.Execute(ctx, &u, s.cache)
 	if err != nil {
@@ -155,7 +155,7 @@ func (s *Server) handleFleetUnit(w http.ResponseWriter, r *http.Request) {
 				httpError(w, status, "unit %s cancelled by the dispatcher", u.ID)
 			} else {
 				status, timedOut = http.StatusGatewayTimeout, true
-				httpError(w, status, "unit %s exceeded %s", u.ID, s.cfg.UnitTimeout)
+				httpError(w, status, "unit %s exceeded %s", u.ID, fleet.UnitTimeout)
 			}
 			return
 		}

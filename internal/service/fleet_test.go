@@ -16,14 +16,10 @@ import (
 	"mat2c/internal/isx"
 )
 
-// fastFleetConfig keeps retry/backoff cadence test-speed.
+// fastFleetConfig shards one variant per unit, so small sweeps spread
+// over every worker.
 func fastFleetConfig() fleet.Config {
-	return fleet.Config{
-		UnitSize:        1,
-		RetryBase:       5 * time.Millisecond,
-		RetryMax:        50 * time.Millisecond,
-		NoWorkerTimeout: 10 * time.Second,
-	}
+	return fleet.Config{UnitSize: 1}
 }
 
 // newCoordinator boots a coordinator-role server.

@@ -120,10 +120,6 @@ type Config struct {
 	// SweepQueue bounds sweep units admitted but not yet running; a
 	// full queue sheds with 503 + Retry-After (default 2*SweepSlots).
 	SweepQueue int
-	// UnitTimeout bounds one fleet work unit's execution on a worker
-	// (default 5m; units batch several compile+simulate runs, so the
-	// interactive RequestTimeout would be too tight).
-	UnitTimeout time.Duration
 	// ShutdownGrace bounds how long Shutdown waits for
 	// dispatched-but-unacked fleet units before recording them as
 	// abandoned (default 5s).
@@ -151,9 +147,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SweepQueue <= 0 {
 		c.SweepQueue = 2 * c.SweepSlots
-	}
-	if c.UnitTimeout <= 0 {
-		c.UnitTimeout = 5 * time.Minute
 	}
 	if c.ShutdownGrace <= 0 {
 		c.ShutdownGrace = 5 * time.Second
@@ -217,11 +210,7 @@ func New(cfg Config) *Server {
 	}
 	switch cfg.Role {
 	case RoleCoordinator:
-		fcfg := cfg.Fleet
-		if fcfg.UnitTimeout <= 0 {
-			fcfg.UnitTimeout = cfg.UnitTimeout
-		}
-		s.coord = fleet.NewCoordinator(fcfg)
+		s.coord = fleet.NewCoordinator(cfg.Fleet)
 	case RoleWorker:
 		s.sweepAdmit = make(chan struct{}, cfg.SweepSlots+cfg.SweepQueue)
 		s.sweepSlots = make(chan struct{}, cfg.SweepSlots)
