@@ -73,7 +73,16 @@ func TestTimedOutRunFreesWorkerSlot(t *testing.T) {
 
 func TestClientDisconnectCancelsRun(t *testing.T) {
 	s := New(Config{Workers: 1})
-	ts := httptest.NewServer(s.Handler())
+	// served signals that the /run handler has returned, by which time
+	// it has counted the request.
+	served := make(chan struct{}, 1)
+	h := s.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r)
+		if r.URL.Path == "/run" {
+			served <- struct{}{}
+		}
+	}))
 	defer ts.Close()
 
 	data, err := json.Marshal(spinRunRequest())
@@ -98,17 +107,15 @@ func TestClientDisconnectCancelsRun(t *testing.T) {
 		t.Fatal("worker slot still held 10s after client disconnect")
 	}
 
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		var m Snapshot
-		getJSON(t, ts, "/metrics", &m)
-		if m.Requests["run"].Cancelled == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("run cancelled count = %d, want 1", m.Requests["run"].Cancelled)
-		}
-		time.Sleep(10 * time.Millisecond)
+	select {
+	case <-served:
+	case <-time.After(10 * time.Second):
+		t.Fatal("/run handler still running 10s after client disconnect")
+	}
+	var m Snapshot
+	getJSON(t, ts, "/metrics", &m)
+	if m.Requests["run"].Cancelled != 1 {
+		t.Errorf("run cancelled count = %d, want 1", m.Requests["run"].Cancelled)
 	}
 }
 
@@ -146,6 +153,16 @@ func TestStatusCodeMapping(t *testing.T) {
 				Args:           json.RawMessage(`[[1,2,3]]`),
 			},
 			want: http.StatusUnprocessableEntity,
+		},
+		{
+			// JSON has no NaN: the reply cannot be written.
+			name: "non-finite result is 500",
+			path: "/run",
+			body: RunRequest{
+				CompileRequest: CompileRequest{Source: "function y = f(x)\ny = x / x;\nend", Params: "real", SkipC: true},
+				Args:           json.RawMessage(`[0]`),
+			},
+			want: http.StatusInternalServerError,
 		},
 		{
 			name: "runtime vm fault is 500",

@@ -292,7 +292,7 @@ func TestPanicRecovery(t *testing.T) {
 	// A compute route whose work function always panics, sharing the
 	// real worker/timeout/recovery path.
 	mux.HandleFunc("POST /boom", func(w http.ResponseWriter, r *http.Request) {
-		s.serveCompute(w, r, "boom", func(context.Context, *RunRequest) (interface{}, error) {
+		s.serveCompute(w, r, "boom", func(context.Context, *RunRequest) ([]byte, error) {
 			panic("kaboom")
 		})
 	})
@@ -413,10 +413,10 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{}, 1)
 	mux.HandleFunc("POST /slow", func(w http.ResponseWriter, r *http.Request) {
-		s.serveCompute(w, r, "slow", func(context.Context, *RunRequest) (interface{}, error) {
+		s.serveCompute(w, r, "slow", func(context.Context, *RunRequest) ([]byte, error) {
 			started <- struct{}{}
 			<-release
-			return map[string]string{"ok": "true"}, nil
+			return []byte(`{"ok": "true"}`), nil
 		})
 	})
 	ts := httptest.NewUnstartedServer(mux)
