@@ -22,7 +22,8 @@ const e2eShapedSpec = `{"costs": [
 // for every (variant, kernel) of the default sweep, an e2ebench-shaped
 // cost sweep and an isx-seeded sweep, the accounting the sweep scored —
 // priced from the memo unless the variant's program was new — equals a
-// fresh simulation on that variant's processor, and the sweep simulated
+// fresh run of the reference interpreter on that variant's processor,
+// which shares no charging code with pricing, and the sweep simulated
 // exactly once per distinct (program, kernel, size).
 func TestPricedEqualsSimulated(t *testing.T) {
 	e2e, err := ParseSweep([]byte(e2eShapedSpec))
@@ -74,6 +75,7 @@ func TestPricedEqualsSimulated(t *testing.T) {
 					prog := res.Program()
 					keys[key{prog.ContentHash(), k, n}] = true
 					fresh := vm.NewMachine(v.Proc)
+					fresh.Engine = vm.EngineReference
 					if _, err := fresh.Run(prog, k.Case(n).Args()...); err != nil {
 						t.Fatalf("%s/%s: %v", vr.Name, k.Name, err)
 					}
