@@ -23,7 +23,9 @@ import (
 //	{"rows":2,"cols":1,"complex":[...]}  complex matrix (column-major)
 //
 // Numbers follow the JSON grammar. An object takes only the keys
-// above, each spelled exactly; a real matrix without "data" is zeros.
+// above, each spelled exactly; a real matrix without "data" is zeros,
+// at most maxZeroElements of them. An extent of zero needs both
+// extents and an explicit empty list: {"rows":0,"cols":3,"data":[]}.
 // A blank text is the empty list.
 func DecodeArgs(text string, types []mat2c.Type) ([]interface{}, error) {
 	return decodeArgs([]byte(text), types)
@@ -255,6 +257,11 @@ func (d *decoder) numbers(vals []float64) ([]float64, error) {
 	}
 }
 
+// maxZeroElements bounds a real matrix given without "data": the
+// elements of a default 8 MiB request body read as float64s. Without
+// it a 25-byte object could ask for gigabytes of zeros.
+const maxZeroElements = 1 << 20
+
 // object reads {"rows", "cols", "data"} or {"complex"[, "rows",
 // "cols"]}; a later duplicate key replaces an earlier one.
 func (d *decoder) object() (interface{}, error) {
@@ -262,7 +269,7 @@ func (d *decoder) object() (interface{}, error) {
 	var rows, cols int
 	var data []float64
 	var cplx []complex128
-	hasData, hasComplex := false, false
+	hasRows, hasCols, hasData, hasComplex := false, false, false, false
 	for first := true; !d.byte('}'); first = false {
 		if !first && !d.byte(',') {
 			return nil, errNotArg
@@ -277,8 +284,10 @@ func (d *decoder) object() (interface{}, error) {
 		switch key {
 		case "rows":
 			rows, err = d.int()
+			hasRows = true
 		case "cols":
 			cols, err = d.int()
+			hasCols = true
 		case "data":
 			data, err = d.numbers(d.floats[:0])
 			d.floats, hasData = data, true
@@ -291,20 +300,28 @@ func (d *decoder) object() (interface{}, error) {
 		}
 	}
 	// A present but empty list is a count to check, not the zeros of
-	// an absent one.
+	// an absent one; with both extents given, it is also what makes an
+	// extent of zero an empty array rather than no form at all.
+	empty := hasComplex && len(cplx) == 0 || !hasComplex && hasData && len(data) == 0
+	shaped := rows > 0 && cols > 0 || empty && hasRows && hasCols && rows >= 0 && cols >= 0
 	switch {
-	case hasComplex && rows > 0 && cols > 0:
+	case hasComplex && shaped:
 		if cplx == nil {
 			cplx = []complex128{}
 		}
 		return mat2c.NewComplexMatrix(rows, cols, cplx)
 	case hasComplex:
 		return mat2c.NewComplexVector(cplx...), nil
-	case rows > 0 && cols > 0:
-		if hasData && data == nil {
+	case shaped && hasData:
+		if data == nil {
 			data = []float64{}
 		}
 		return mat2c.NewMatrix(rows, cols, data)
+	case shaped:
+		if rows > maxZeroElements/cols {
+			return nil, fmt.Errorf("a %dx%d matrix without data exceeds %d elements", rows, cols, maxZeroElements)
+		}
+		return mat2c.NewMatrix(rows, cols, nil)
 	}
 	return nil, errForm
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	mat2c "mat2c"
@@ -170,6 +171,21 @@ func TestDecodeArgPinned(t *testing.T) {
 		{raw: `{"weird": true}`, typ: realMatT, err: `unrecognized argument form {"weird": true}`},
 		{raw: `{"rows":0,"cols":2}`, typ: realMatT, err: `unrecognized argument form {"rows":0,"cols":2}`},
 		{raw: `{"rows":-1,"cols":2}`, typ: realMatT, err: `unrecognized argument form {"rows":-1,"cols":2}`},
+		{raw: `{"rows":0,"cols":3,"data":[]}`, typ: realMatT, want: realArray(0, 3)},
+		{raw: `{"cols":0,"data":[],"rows":2}`, typ: realMatT, want: realArray(2, 0)},
+		{raw: `{"rows":0,"cols":0,"data":[]}`, typ: realMatT, want: realArray(0, 0)},
+		{raw: `{"rows":0,"cols":2,"complex":[]}`, typ: cplxVecT, want: complexArray(0, 2)},
+		{raw: `{"rows":0,"cols":2,"data":[1]}`, typ: realMatT, err: `unrecognized argument form {"rows":0,"cols":2,"data":[1]}`},
+		{raw: `{"rows":0,"data":[]}`, typ: realMatT, err: `unrecognized argument form {"rows":0,"data":[]}`},
+		{raw: `{"rows":-1,"cols":0,"data":[]}`, typ: realMatT, err: `unrecognized argument form {"rows":-1,"cols":0,"data":[]}`},
+		{raw: `{"rows":1024,"cols":1024}`, typ: realMatT, want: realArray(1024, 1024, make([]float64, 1<<20)...)},
+		{raw: `{"rows":1025,"cols":1024}`, typ: realMatT, err: "a 1025x1024 matrix without data exceeds 1048576 elements"},
+		{raw: `{"rows":4096,"cols":4096}`, typ: realMatT, err: "a 4096x4096 matrix without data exceeds 1048576 elements"},
+		{raw: `{"rows":3037000500,"cols":3037000500}`, typ: realMatT, err: "a 3037000500x3037000500 matrix without data exceeds 1048576 elements"},
+		{raw: `{"rows":4294967296,"cols":4294967296}`, typ: realMatT, err: "a 4294967296x4294967296 matrix without data exceeds 1048576 elements"},
+		{raw: `{"rows":3037000500,"cols":3037000500,"data":[]}`, typ: realMatT, err: "mat2c: NewMatrix: bad extent 3037000500x3037000500"},
+		{raw: `{"rows":4294967296,"cols":4294967296,"complex":[]}`, typ: cplxVecT, err: "mat2c: NewComplexMatrix: bad extent 4294967296x4294967296"},
+		{raw: `{"rows":2048,"cols":2048,"data":[1]}`, typ: realMatT, err: "mat2c: NewMatrix: 1 values for 2048x2048"},
 		{raw: `{}`, typ: realMatT, err: `unrecognized argument form {}`},
 		{raw: `"str"`, typ: realT, err: `cannot decode "str"`},
 		{raw: `true`, typ: realT, err: `cannot decode true`},
@@ -213,6 +229,29 @@ func TestDecodeArgPinned(t *testing.T) {
 			t.Errorf("DecodeArg(%s, %v): %v", tc.raw, tc.typ, err)
 		case !sameValue(got, tc.want):
 			t.Errorf("DecodeArg(%s, %v) = %#v, want %#v", tc.raw, tc.typ, got, tc.want)
+		}
+	}
+}
+
+// TestDecodeArgAllocationBounded: a rejected shape allocates nothing of
+// the size it asks for. Each of these small objects asks for gigabytes
+// or overflows an int, and must cost less than 64 KiB to reject.
+func TestDecodeArgAllocationBounded(t *testing.T) {
+	for _, raw := range []string{
+		`{"rows":4096,"cols":4096}`,
+		`{"rows":2048,"cols":2048,"data":[1]}`,
+		`{"rows":2048,"cols":2048,"complex":[[1,2]]}`,
+		`{"rows":3037000500,"cols":3037000500,"data":[]}`,
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeArg(json.RawMessage(raw), realMatT)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("DecodeArg(%s) accepted", raw)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+			t.Errorf("DecodeArg(%s) allocated %d bytes to reject it", raw, n)
 		}
 	}
 }

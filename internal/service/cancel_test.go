@@ -127,12 +127,13 @@ func TestStatusCodeMapping(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	cases := []struct {
+	type statusCase struct {
 		name string
 		path string
 		body interface{}
 		want int
-	}{
+	}
+	cases := []statusCase{
 		{
 			name: "bad matlab is 422",
 			path: "/compile",
@@ -177,6 +178,24 @@ func TestStatusCodeMapping(t *testing.T) {
 			},
 			want: http.StatusInternalServerError,
 		},
+	}
+	// Argument shapes that once crashed the decoder or made it allocate
+	// gigabytes are client errors.
+	for _, arg := range []string{
+		`{"rows":3037000500,"cols":3037000500}`,
+		`{"rows":4294967296,"cols":4294967296}`,
+		`{"rows":2048,"cols":2048,"data":[1]}`,
+		`{"rows":4096,"cols":4096}`,
+	} {
+		cases = append(cases, statusCase{
+			name: "argument " + arg + " is 422",
+			path: "/run",
+			body: RunRequest{
+				CompileRequest: CompileRequest{Source: "function y = f(x)\ny = x;\nend", Params: "real(:,:)", SkipC: true},
+				Args:           json.RawMessage("[" + arg + "]"),
+			},
+			want: http.StatusUnprocessableEntity,
+		})
 	}
 	for _, tc := range cases {
 		resp, body := postJSON(t, ts, tc.path, tc.body)

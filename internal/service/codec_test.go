@@ -128,12 +128,15 @@ func codecValues() []interface{} {
 		}
 		vals = append(vals, re, cx)
 	}
+	for _, shape := range [][2]int{{1, 0}, {0, 1}, {0, 3}, {0, 0}} {
+		vals = append(vals, realArray(shape[0], shape[1]), complexArray(shape[0], shape[1]))
+	}
 	return vals
 }
 
 // TestCodecRoundTrip: DecodeArg(EncodeValue(v), typeOf(v)) is v for
-// every form and non-empty shape, complex scalars and complex matrices
-// included.
+// every form and shape, empty arrays, complex scalars and complex
+// matrices included.
 func TestCodecRoundTrip(t *testing.T) {
 	for _, v := range codecValues() {
 		enc, err := json.Marshal(EncodeValue(v))
@@ -235,7 +238,7 @@ func FuzzDecodeArgs(f *testing.F) {
 		}
 		want, refErr := refDecodeArgs(text, types)
 		switch {
-		case err == nil && refErr != nil:
+		case err == nil && refErr != nil && !emptyByScanner(got, refErr):
 			t.Fatalf("scanner accepts %q, reference rejects it: %v", data, refErr)
 		case err == nil:
 			for i := range got {
@@ -251,9 +254,9 @@ func FuzzDecodeArgs(f *testing.F) {
 	})
 }
 
-// bigInt matches an integer part of four or more digits. Both decoders
-// allocate a rows x cols matrix as asked, so such a rows or cols could
-// make one input cost gigabytes.
+// bigInt matches an integer part of four or more digits. The reference
+// allocates a rows x cols matrix without data as asked, so such a rows
+// or cols could make one input cost it gigabytes.
 var bigInt = regexp.MustCompile(`(^|[^0-9.])[0-9]{4}`)
 
 // fixedByScanner reports whether got and want differ only by the two
@@ -272,6 +275,19 @@ func fixedByScanner(got, want interface{}, t mat2c.Type) bool {
 	g, ok := got.(*mat2c.Array)
 	return ok && g.C != nil && w.C != nil && w.Rows == 1 &&
 		sameValue(&mat2c.Array{Elem: g.Elem, Rows: 1, Cols: g.Rows * g.Cols, C: g.C}, w)
+}
+
+// emptyByScanner reports whether the reference rejected a list the
+// scanner accepts only at an argument the scanner read as an empty real
+// matrix: both extents given, one of them zero, and an explicit empty
+// data list, a form the reference did not accept.
+func emptyByScanner(got []interface{}, refErr error) bool {
+	var i int
+	if _, err := fmt.Sscanf(refErr.Error(), "argument %d: unrecognized argument form", &i); err != nil || i < 1 || i > len(got) {
+		return false
+	}
+	a, ok := got[i-1].(*mat2c.Array)
+	return ok && a.C == nil && a.Len() == 0
 }
 
 // outsideGrammar reports whether valid JSON data uses a quirk of the

@@ -56,24 +56,46 @@ func TestRunContextCancelledExitsWithinStride(t *testing.T) {
 	}
 }
 
+// pollCtx reports cancellation from its k-th Err call on, and counts
+// the calls, so a run is cancelled at a chosen poll, decided by the
+// polls alone. It must wrap a cancellable context: the engines do not
+// poll a context whose Done is nil.
+type pollCtx struct {
+	context.Context
+	k, polls int
+}
+
+func (c *pollCtx) Err() error {
+	if c.polls++; c.polls >= c.k {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestRunContextCancelMidRun: cancellation first seen at a run's k-th
+// poll stops each engine at that poll: no more Err calls, and the
+// instructions executed lie within the one CancelCheckStride that ends
+// at the k-th stride.
 func TestRunContextCancelMidRun(t *testing.T) {
+	const k = 3
 	prog, ref, comp := spinProgram(t)
 	for _, m := range []*Machine{ref, comp} {
-		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan error, 1)
-		go func() {
-			_, err := m.RunContext(ctx, prog, 1e9)
-			done <- err
-		}()
-		time.Sleep(10 * time.Millisecond)
+		parent, cancel := context.WithCancel(context.Background())
+		ctx := &pollCtx{Context: parent, k: k}
+		// 100000 iterations run far past poll k, and end a run that
+		// never polls quickly.
+		_, err := m.RunContext(ctx, prog, 1e5)
 		cancel()
-		select {
-		case err := <-done:
-			if !errors.Is(err, context.Canceled) {
-				t.Errorf("engine %s: err = %v, want context.Canceled", m.Engine, err)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("engine %s: run did not observe cancellation", m.Engine)
+		var ce *CancelledError
+		if !errors.As(err, &ce) || !errors.Is(err, context.Canceled) {
+			t.Fatalf("engine %s: err = %v, want a *CancelledError wrapping context.Canceled", m.Engine, err)
+		}
+		if ctx.polls != k {
+			t.Errorf("engine %s: polled %d times, want to stop at poll %d", m.Engine, ctx.polls, k)
+		}
+		if ce.Executed <= (k-1)*CancelCheckStride || ce.Executed > k*CancelCheckStride {
+			t.Errorf("engine %s: stopped after %d instructions, want within one stride of poll %d (%d)",
+				m.Engine, ce.Executed, k, k*CancelCheckStride)
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"mat2c/internal/ir"
+	"mat2c/internal/pdesc"
 )
 
 // The compiled execution engine.
@@ -17,14 +18,15 @@ import (
 // Each program is translated once, from its pre-decoded table
 // (prepare.go), into continuation-threaded Go closures. The translation
 // depends on the program alone and is carried on the Program
-// (CompiledFor); every processor read of a run goes through the prices
-// the run resolves from its machine's processor (price.go). The program is partitioned into basic blocks; every op of
-// a block becomes a small typed closure capturing its operands and
-// tail-calling the next, and the block's terminator resolves the
-// successor pc. A block therefore executes as native Go control flow:
-// no per-op switch, poll or cycle-limit branch, and no operand
-// re-validation (register indices were checked at lowering; array
-// bounds, the only runtime-dependent checks, remain). Every opcode
+// (CompiledFor); every processor read of a run goes through the charges
+// the run resolves for the program's symbols from its machine's
+// processor (price.go). The program is partitioned into basic blocks;
+// every op of a block becomes a small typed closure capturing its
+// operands and tail-calling the next, and the block's terminator
+// resolves the successor pc. A block therefore executes as native Go
+// control flow: no per-op switch, poll or cycle-limit branch, and no
+// operand re-validation (register indices were checked at lowering;
+// array bounds, the only runtime-dependent checks, remain). Every opcode
 // translates; an intrinsic that faults on every processor providing it
 // (unknown, wrong arity) becomes a closure returning its fault.
 //
@@ -34,24 +36,28 @@ import (
 //     always runs from its first member. The pc after an OpAlloc is a
 //     leader too, so its extent-dependent zero-fill charge lands when
 //     its block completes, before the next block's limit check.
-//   - A block's closure chain runs only when the whole block fits under
-//     the cycle limit (cycles+cost <= maxCycles, cost from the run's
-//     prices), which makes every per-member limit check provably dead.
-//     A completed block adds its cost to the cycle count and bumps its
-//     run count; an alloc adds its zero-fill cycles, priced from the
-//     run's processor, and records its element count. Class counts
-//     and profile are charged from the run counts and alloc extents
-//     once, by prices.account (price.go), when the compiled part of the
-//     run ends and before any hand-off. The same counts, when the run
-//     completes, are its processor-independent Events.
+//   - Each run resolves the program's charge symbols on its processor
+//     and sums each block's cost over its members' symbols (symOf). A
+//     block's closure chain runs only when the whole block fits under
+//     the cycle limit (cycles+cost <= maxCycles), which makes every
+//     per-member limit check provably dead. A completed block adds its
+//     cost to the cycle count and bumps its run count; an alloc adds
+//     its zero-fill cycles, priced from the run's processor, and
+//     records its element count. When the compiled part of the run
+//     ends, before any hand-off, the run counts become symbol
+//     executions, and tally (price.go) charges those and the alloc
+//     extents into the class counts, the same rule Price uses. The
+//     same counts, when the run completes, are its processor-
+//     independent Events.
 //   - A block that does not fit, or that holds an intrinsic the run's
-//     processor lacks (prices.missing), is handed, with the machine's
-//     accounting so far, to the reference interpreter, which finishes
-//     the run from that block's first pc: it faults or returns within
-//     one block, producing the fault site and partial accounting itself.
+//     processor lacks (a symbol resolved to cost -1), is handed, with
+//     the machine's accounting so far, to the reference interpreter,
+//     which finishes the run from that block's first pc: it faults or
+//     returns within one block, producing the fault site and partial
+//     accounting itself.
 //   - A faulting member replays the completed prefix's charges member
-//     by member (honoring chargeFirstOp placement) and reports its own
-//     pc and message.
+//     by member, counting each member's symbol execution (honoring
+//     chargeFirstOp placement), and reports its own pc and message.
 //   - Cancellation stays bounded by CancelCheckStride: a block's poll
 //     debt is settled before it runs, and the poll charges nothing.
 //   - Machine.Profile credits every member of a completed block (and
@@ -67,7 +73,7 @@ type cont func(s *scratch) (int, error)
 
 // cBlock is one basic block of a compiled program, parallel to the
 // layout's span of the same index. n counts every member including the
-// terminator; the block's cost is the run's prices.block entry.
+// terminator; the block's cost is resolved per run (scratch.block).
 type cBlock struct {
 	n   int64
 	run cont
@@ -712,41 +718,54 @@ func translateOp(in *pInstr, k int, next cont) cont {
 	return func(*scratch) (int, error) { return k, err }
 }
 
-// getScratch borrows a zeroed scratch arena for a run priced at pr.
-// One translation serves processors whose cost tables differ in
-// length, so the class counters are resized to pr's table; every
-// element up to their capacity is zero while pooled.
-func (cp *CompiledProgram) getScratch(pr *prices) *scratch {
-	s, ok := cp.pool.Get().(*scratch)
-	if !ok {
-		n := cp.prog.NumRegs
-		s = &scratch{
-			regs:    make([]vmval, n),
-			arrays:  make([]*ir.Array, len(cp.prog.Arrays)),
-			runs:    make([]int64, len(cp.blocks)),
-			allocs:  make(map[int64]int64),
-			lanebuf: make([]complex128, n*cp.maxL),
-			maxL:    cp.maxL,
-		}
+// getScratch borrows a zeroed scratch arena for a run. Its buffers are
+// sized to the program alone, so one arena serves every processor.
+func (cp *CompiledProgram) getScratch() *scratch {
+	if s, ok := cp.pool.Get().(*scratch); ok {
+		return s
 	}
-	classes := pr.table.Len()
-	if cap(s.counts) < classes {
-		s.counts, s.touched = make([]int64, classes), make([]bool, classes)
+	n := cp.prog.NumRegs
+	return &scratch{
+		regs:      make([]vmval, n),
+		arrays:    make([]*ir.Array, len(cp.prog.Arrays)),
+		charges:   make([]charge, len(cp.syms)),
+		block:     make([]int64, len(cp.spans)),
+		runs:      make([]int64, len(cp.blocks)),
+		symCounts: make([]int64, len(cp.syms)),
+		allocs:    make(map[int64]int64),
+		lanebuf:   make([]complex128, n*cp.maxL),
+		maxL:      cp.maxL,
 	}
-	s.counts, s.touched = s.counts[:classes], s.touched[:classes]
-	s.zero = pr.zero
-	return s
 }
 
 func (cp *CompiledProgram) putScratch(s *scratch) {
 	clear(s.regs)
 	clear(s.arrays) // drop array references so results don't pin the pool
 	clear(s.runs)
+	clear(s.symCounts)
 	clear(s.allocs)
-	clear(s.counts)
-	clear(s.touched)
 	s.cycles = 0
 	cp.pool.Put(s)
+}
+
+// price resolves the program's symbols on proc into s and totals each
+// block's cost: -1 for a block holding an intrinsic proc lacks, which
+// exec hands to the reference interpreter to fault there.
+func (cp *CompiledProgram) price(s *scratch, proc *pdesc.Processor) {
+	s.charges = cp.charges(s.charges, proc)
+	for bi, sp := range cp.spans {
+		var cost int64
+		for _, si := range cp.symOf[sp.start:sp.end] {
+			c := s.charges[si].cost
+			if c < 0 {
+				cost = -1
+				break
+			}
+			cost += c
+		}
+		s.block[bi] = cost
+	}
+	s.zero = newZeroFill(proc)
 }
 
 // run executes the compiled program on behalf of m.Run. The machine's
@@ -755,17 +774,18 @@ func (cp *CompiledProgram) putScratch(s *scratch) {
 // partial state on error. A non-nil ev receives the run's events when
 // the compiled engine completes it.
 func (cp *CompiledProgram) run(m *Machine, ctx context.Context, maxCycles int64, args []interface{}, ev **Events) ([]interface{}, error) {
-	pr := priceProgram(cp.prog, cp.layout, m.Proc)
-	s := cp.getScratch(pr)
+	s := cp.getScratch()
 	defer cp.putScratch(s)
+	cp.price(s, m.Proc)
 	if err := bindArgs(cp.prog, args, s.regs, s.arrays); err != nil {
 		return nil, err
 	}
-	pc, err := cp.exec(m, ctx, s, pr, maxCycles)
-	// Completed blocks and allocs were only counted; charge their class
+	pc, err := cp.exec(m, ctx, s, maxCycles)
+	// Completed blocks and allocs were only counted; add the blocks'
+	// symbol executions to any fault replay's and charge the class
 	// counts and per-pc profile now, in bulk.
-	pr.account(cp.spans, s.runs, s.allocs, s.counts, s.touched)
-	pr.tally(m.ClassCounts, s.counts, s.touched)
+	cp.count(s.runs, s.symCounts)
+	tally(m.ClassCounts, s.charges, s.symCounts, s.allocs, s.zero)
 	if m.Profile {
 		for bi, r := range s.runs {
 			if r != 0 {
@@ -789,18 +809,18 @@ func (cp *CompiledProgram) run(m *Machine, ctx context.Context, maxCycles int64,
 	}
 	out, err := collectResults(cp.prog, s.regs, s.arrays)
 	if err == nil && ev != nil && !handedOff {
-		*ev = &Events{blocks: cp.layout, runs: slices.Clone(s.runs), allocs: maps.Clone(s.allocs)}
+		*ev = newEvents(cp.layout, slices.Clone(s.runs), maps.Clone(s.allocs))
 	}
 	return out, err
 }
 
 // exec is the compiled hot loop: one iteration per basic block. It
 // stops at the program's end, at a fault, or before a block that does
-// not fit under maxCycles or that pr hands off (a negative block cost),
+// not fit under maxCycles or that the run hands off (a negative block cost),
 // returning that block's first pc for the reference interpreter to
 // resume at. A completed block only bumps its run count; run turns the
 // counts into class counts and profile.
-func (cp *CompiledProgram) exec(m *Machine, ctx context.Context, s *scratch, pr *prices, maxCycles int64) (int, error) {
+func (cp *CompiledProgram) exec(m *Machine, ctx context.Context, s *scratch, maxCycles int64) (int, error) {
 	var executed int64
 	defer func() {
 		m.Cycles = s.cycles
@@ -824,7 +844,7 @@ func (cp *CompiledProgram) exec(m *Machine, ctx context.Context, s *scratch, pr 
 				}
 			}
 		}
-		cost := pr.block[bi]
+		cost := s.block[bi]
 		if cost < 0 || s.cycles+cost > maxCycles {
 			return pc, nil
 		}
@@ -848,12 +868,9 @@ func (cp *CompiledProgram) exec(m *Machine, ctx context.Context, s *scratch, pr 
 			if j == k && !chargeFirstOp(code[start+j].Op) {
 				break
 			}
-			c := pr.at[start+j]
-			s.cycles += c.cost
-			if c.class >= 0 {
-				s.counts[c.class] += c.n
-				s.touched[c.class] = true
-			}
+			si := cp.symOf[start+j]
+			s.cycles += s.charges[si].cost
+			s.symCounts[si]++
 		}
 		executed += int64(k) + 1
 		if m.Profile {

@@ -13,19 +13,19 @@ import (
 // increment), and allocates a fresh lane slice for every vector result.
 // Decoding hoists all of that to program-load time: each instruction
 // becomes a pInstr with its operands and static metadata resolved,
-// independent of any processor, while priceProgram (price.go) resolves
-// its cycle cost, dense cost-class ID and class count against one
-// processor's pdesc.CostTable. The compiled engine (compile.go)
-// translates this table into closures.
+// independent of any processor. Charges are not decoded: the layout
+// (price.go) gives each pc a charge symbol, and a run resolves the
+// program's few distinct symbols on its processor. The compiled engine
+// (compile.go) translates this table into closures.
 //
 // Invariants the decode must hold:
-//   - code[pc] and prices.at[pc] describe prog.Instrs[pc]: both tables
-//     are 1:1 with the program, so fault pcs and per-pc profiles need
-//     no mapping.
-//   - Charging prices.at[pc] is exactly what the reference engine
-//     charges for a successful execution of that instruction, except
-//     OpAlloc's extent-dependent zero-fill, which is charged at run
-//     time from prices.zero.
+//   - code[pc] and layout.symOf[pc] describe prog.Instrs[pc]: both are
+//     1:1 with the program, so fault pcs and per-pc profiles need no
+//     mapping.
+//   - Charging the resolved symbol of pc is exactly what the reference
+//     engine charges for a successful execution of that instruction,
+//     except OpAlloc's extent-dependent zero-fill, which is charged at
+//     run time from the run's zeroFill.
 //   - Operand semantics come from ops.go, shared with the reference
 //     engine, so results are bit-identical.
 
@@ -168,7 +168,7 @@ func lane0(regs []vmval, r int) complex128 {
 // pInstr is one pre-decoded instruction. Everything that the reference
 // interpreter recomputes per dynamic execution — lane counts, strides,
 // fault-message array names — is resolved here once per program; its
-// charge lives in prices.at.
+// charge is its layout symbol (price.go).
 type pInstr struct {
 	op     Opc
 	bop    ir.Op
@@ -197,17 +197,17 @@ type pInstr struct {
 	// intrinsic that is unknown or has the wrong arity, which fires
 	// after its charge on a processor providing it. A processor lacking
 	// the intrinsic never reaches the closure: its block is handed to
-	// the reference interpreter (prices.missing). pat is the pre-parsed
-	// semantics pattern of a mined instruction (nil for the built-in
-	// family).
+	// the reference interpreter (its symbol resolves as missing). pat is
+	// the pre-parsed semantics pattern of a mined instruction (nil for
+	// the built-in family).
 	intr      intrKind
 	intrFault string
 	pat       *ir.Pattern
 }
 
 // scratch is the per-run execution arena: register file, array slots,
-// cycle, block-run, alloc-extent and dense class counters, and the
-// shared lane buffer. Register r owns lanebuf[r*maxL : (r+1)*maxL]; a
+// the run's resolved charges, cycle, block-run, symbol-execution and
+// alloc-extent counters, and the shared lane buffer. Register r owns lanebuf[r*maxL : (r+1)*maxL]; a
 // register's vmval.lanes is always nil or a prefix of its own segment,
 // so vector writes never alias another register's storage.
 type scratch struct {
@@ -216,14 +216,15 @@ type scratch struct {
 	// cycles is the run's charge so far. It lives here rather than in
 	// exec so that OpAlloc's closure can add its extent-dependent
 	// zero-fill, priced by zero, directly.
-	cycles  int64
-	zero    zeroFill
-	runs    []int64         // completions per compiled block
-	allocs  map[int64]int64 // elements -> executed allocs of that many
-	counts  []int64
-	touched []bool
-	lanebuf []complex128
-	maxL    int
+	cycles    int64
+	zero      zeroFill
+	charges   []charge        // per layout symbol, on the run's processor
+	block     []int64         // per compiled block: its cost, -1 to hand off
+	runs      []int64         // completions per compiled block
+	symCounts []int64         // executions per symbol: fault replay, then run's tally
+	allocs    map[int64]int64 // elements -> executed allocs of that many
+	lanebuf   []complex128
+	maxL      int
 }
 
 // seg returns register reg's lane segment, sized to L lanes.

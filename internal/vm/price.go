@@ -4,9 +4,9 @@ import (
 	"context"
 	"fmt"
 	"maps"
+	"slices"
 
 	"mat2c/internal/ir"
-	"mat2c/internal/lru"
 	"mat2c/internal/pdesc"
 )
 
@@ -21,19 +21,22 @@ import (
 // any processor reports, without translating or running anything.
 //
 // Invariants:
-//   - chargeOf is the one copy of the per-instruction charging rules
-//     outside the reference interpreter: priceProgram resolves through
-//     it both the charges a compiled run executes with and the charges
-//     of a processor Price is asked about. A translation depends on the
-//     program alone; every processor read of a compiled run goes
-//     through its prices.
-//   - prices.account is the one place block runs and alloc extents
-//     become charges: it is the compiled engine's end-of-run accounting
-//     and the body of Price.
-//   - The two run-time charges that read the processor are priced from
-//     events, never recorded as charges: a strided vector load is
-//     vlds/vclds or L scalar loads per execution of its block, and an
-//     alloc's zero-fill is zeroFill.words(elements) vstores.
+//   - Every instruction's charge is a symbol (symbolOf), which depends
+//     on the program alone: n charges of a named class, or one issue of
+//     a named custom instruction, falling back for a strided load to
+//     lane-count charges of a scalar class. A program's layout holds its
+//     distinct symbols and the symbol of every pc. symbolOf and resolve
+//     are the one copy of the charging rules outside the reference
+//     interpreter, and resolve is the only place a processor is read:
+//     a class's cost, a custom instruction's existence and issue cost.
+//   - tally is the one place symbol executions and alloc extents become
+//     Cycles and ClassCounts: it is the compiled engine's end-of-run
+//     accounting and the body of Price. Events count each symbol's
+//     executions once, when they are made, so Price resolves a few
+//     dozen symbols and multiplies, with no per-instruction work.
+//   - An alloc's zero-fill is the one run-time charge that reads the
+//     processor's SIMD width: zeroFill.words(elements) vstores, priced
+//     from the recorded extents, never recorded as a charge.
 //   - Price is exact or declines. It declines when the processor lacks
 //     an intrinsic the run executed (the real run faults there) and
 //     when the priced cycles exceed the machine's limit (the real run
@@ -41,34 +44,20 @@ import (
 //     caller then runs the program, so fault sites and partial
 //     accounting still come from the engines.
 
-// charge is one instruction's primary charge on one processor: each
-// execution adds cost cycles and n to the count of class. A class of -1
-// charges nothing.
-type charge struct {
-	class int32
-	cost  int64
+// symbol is one instruction's charge, independent of any processor.
+// When instr is set, an execution issues that custom instruction once
+// where the processor provides it; otherwise, or without instr, it
+// charges n of class. A symbol with neither charges nothing, and one
+// with instr but no class faults where instr is missing.
+type symbol struct {
+	instr string
+	class string
 	n     int64
 }
 
-// chargeOf resolves in's primary charge on proc. ok is false when in is
-// an intrinsic proc does not provide: it faults before any charge.
-func chargeOf(prog *Program, in *Instr, proc *pdesc.Processor, table *pdesc.CostTable) (c charge, ok bool) {
-	c = charge{class: -1}
-	set := func(name string, n int64) {
-		id, found := table.ID(name)
-		if !found {
-			// Unreachable: every class the VM charges is either in
-			// pdesc's architectural table or an instruction name.
-			panic("vm: cost class " + name + " missing from cost table")
-		}
-		c = charge{class: int32(id), cost: table.Cost(id) * n, n: n}
-	}
-	// issue charges one issue of a custom instruction at its declared
-	// issue cost, not the architectural cost of a class it may shadow.
-	issue := func(ci *pdesc.Instr) {
-		set(ci.Name, 1)
-		c.cost = int64(proc.IssueCost(ci))
-	}
+// symbolOf is in's charge symbol.
+func symbolOf(prog *Program, in *Instr) symbol {
+	class := func(name string) symbol { return symbol{class: name, n: 1} }
 	elem := ir.Float
 	if in.Arr >= 0 && in.Arr < len(prog.Arrays) {
 		elem = prog.Arrays[in.Arr].Elem
@@ -77,209 +66,152 @@ func chargeOf(prog *Program, in *Instr, proc *pdesc.Processor, table *pdesc.Cost
 	case OpConst:
 		switch in.K.Base {
 		case ir.Int:
-			set("imov", 1)
+			return class("imov")
 		case ir.Float:
-			set("fmov", 1)
+			return class("fmov")
 		default:
-			set("cmov", 1)
+			return class("cmov")
 		}
 	case OpMov:
-		set(movClass(in.K), 1)
+		return class(movClass(in.K))
 	case OpConv:
-		set("conv", 1)
+		return class("conv")
 	case OpBin:
-		set(binClass(in), 1)
+		return class(binClass(in))
 	case OpUn:
-		set(UnChargeClass(in.BOp, in.OpBase, in.K.Lanes))
+		name, n := UnChargeClass(in.BOp, in.OpBase, in.K.Lanes)
+		return symbol{class: name, n: n}
 	case OpIntr:
-		ci := proc.Instr(in.Intr)
-		if ci == nil {
-			return c, false
-		}
-		issue(ci)
+		return symbol{instr: in.Intr}
 	case OpLoad:
 		if elem == ir.Complex {
-			set("cload", 1)
-		} else {
-			set("load", 1)
+			return class("cload")
 		}
+		return class("load")
 	case OpVLoad:
 		if in.ImmI == 0 || in.ImmI == 1 {
-			set("vload", 1)
-			break
+			return class("vload")
 		}
 		// Strided load: the custom instruction when declared, else its
 		// serialized scalar expansion.
-		name, scalarClass := "vlds", "load"
 		if elem == ir.Complex {
-			name, scalarClass = "vclds", "cload"
+			return symbol{instr: "vclds", class: "cload", n: int64(in.K.Lanes)}
 		}
-		if ci := proc.Instr(name); ci != nil {
-			issue(ci)
-		} else {
-			set(scalarClass, int64(in.K.Lanes))
-		}
+		return symbol{instr: "vlds", class: "load", n: int64(in.K.Lanes)}
 	case OpStore:
 		switch {
 		case in.K.Lanes > 1:
-			set("vstore", 1)
+			return class("vstore")
 		case elem == ir.Complex:
-			set("cstore", 1)
+			return class("cstore")
 		default:
-			set("store", 1)
+			return class("store")
 		}
 	case OpAlloc:
-		set("alloc", 1)
+		return class("alloc")
 	case OpDim:
-		set("imov", 1)
+		return class("imov")
 	case OpSel:
 		if in.K.Lanes <= 1 {
-			set("fcmp", 1)
-		} else {
-			set("vop", 1)
+			return class("fcmp")
 		}
+		return class("vop")
 	case OpSplat, OpRamp:
-		set("vsplat", 1)
+		return class("vsplat")
 	case OpReduce:
-		set("vreduce", 1)
+		return class("vreduce")
 	case OpJmp:
-		set("jump", 1)
+		return class("jump")
 	case OpJz:
-		set("branch", 1)
+		return class("branch")
 	case OpRet:
-		set("ret", 1)
+		return class("ret")
 	}
-	return c, true
+	return symbol{}
+}
+
+// charge is a symbol resolved on one processor: each execution adds
+// cost cycles and n to ClassCounts[class]. A cost of -1 marks an
+// intrinsic the processor lacks: it faults before any charge.
+type charge struct {
+	class   string
+	cost, n int64
+}
+
+// resolve prices sym on proc. A custom instruction is charged one
+// issue at its declared issue cost, under its own name, not at the
+// architectural cost of a class it may shadow.
+func resolve(sym symbol, proc *pdesc.Processor) charge {
+	if sym.instr != "" {
+		if ci := proc.Instr(sym.instr); ci != nil {
+			return charge{class: ci.Name, cost: int64(proc.IssueCost(ci)), n: 1}
+		}
+		if sym.class == "" {
+			return charge{cost: -1}
+		}
+	}
+	if sym.class == "" {
+		return charge{}
+	}
+	return charge{class: sym.class, cost: int64(proc.Cost(sym.class)) * sym.n, n: sym.n}
 }
 
 // zeroFill prices an alloc's zero-fill on one processor: one vstore per
 // SIMD word of the allocated elements.
 type zeroFill struct {
-	class int32
 	cost  int64
 	width int64
 }
 
-func newZeroFill(proc *pdesc.Processor, table *pdesc.CostTable) zeroFill {
-	id, _ := table.ID("vstore")
-	w := int64(proc.SIMDWidth)
-	if w < 1 {
-		w = 1
-	}
-	return zeroFill{class: int32(id), cost: table.Cost(id), width: w}
+func newZeroFill(proc *pdesc.Processor) zeroFill {
+	return zeroFill{cost: int64(proc.Cost("vstore")), width: int64(max(proc.SIMDWidth, 1))}
 }
 
 // words is the number of vstores zero-filling elems elements.
 func (z zeroFill) words(elems int64) int64 { return (elems + z.width - 1) / z.width }
 
-// costTables memoizes pdesc.NewCostTable per processor pointer: a
-// sweep prices every kernel of a variant against one long-lived
-// processor, and a table takes tens of microseconds to build. Bounded,
-// so retired sweep variants become collectable.
-var costTables = lru.New[*pdesc.Processor, *pdesc.CostTable](costTableMemoCap)
-
-const costTableMemoCap = 4096
-
-func costTable(p *pdesc.Processor) *pdesc.CostTable {
-	if t, ok := costTables.Get(p); ok {
-		return t
-	}
-	t, _ := costTables.Add(p, pdesc.NewCostTable(p))
-	return t
-}
-
-// prices is one processor's charge for every instruction and basic
-// block of one program, resolved without translating anything.
-type prices struct {
-	table *pdesc.CostTable
-	at    []charge // 1:1 with prog.Instrs
-	// block is each layout span's total charge, or -1 when the span
-	// holds a pc in missing: the compiled engine hands such a block to
-	// the reference interpreter, which faults there.
-	block []int64
-	zero  zeroFill
-	// missing lists the pcs of intrinsics the processor lacks.
-	missing []int
-}
-
-func priceProgram(prog *Program, l *layout, proc *pdesc.Processor) *prices {
-	table := costTable(proc)
-	p := &prices{
-		table: table,
-		at:    make([]charge, len(prog.Instrs)),
-		block: make([]int64, len(l.spans)),
-		zero:  newZeroFill(proc, table),
-	}
-	for pc := range prog.Instrs {
-		c, ok := chargeOf(prog, &prog.Instrs[pc], proc, table)
-		if !ok {
-			p.missing = append(p.missing, pc)
-		}
-		p.at[pc] = c
-	}
-	for bi, b := range l.spans {
-		for _, c := range p.at[b.start:b.end] {
-			p.block[bi] += c.cost
-		}
-	}
-	for _, pc := range p.missing {
-		p.block[l.blockOf[pc]] = -1
-	}
-	return p
-}
-
-// account charges a run's completed blocks (block b completed runs[b]
-// times) and executed allocs (allocs[elems] allocs of elems elements)
-// at p into counts and touched, and returns the cycles and instructions
-// they total.
-func (p *prices) account(blocks []span, runs []int64, allocs map[int64]int64, counts []int64, touched []bool) (cycles, executed int64) {
-	for bi, r := range runs {
+// tally is the one accounting rule: it charges counts[i] executions of
+// symbol i at charges[i], and the zero-fill of allocs (allocs[elems]
+// allocs of elems elements) at z, adding the class counts to dst by
+// name. It returns the cycles they total; a nil dst only totals them.
+func tally(dst map[string]int64, charges []charge, counts []int64, allocs map[int64]int64, z zeroFill) (cycles int64) {
+	for i, r := range counts {
 		if r == 0 {
 			continue
 		}
-		b := blocks[bi]
-		executed += r * int64(b.end-b.start)
-		for _, c := range p.at[b.start:b.end] {
-			cycles += r * c.cost
-			if c.class >= 0 && c.n != 0 {
-				counts[c.class] += r * c.n
-				touched[c.class] = true
-			}
+		c := charges[i]
+		cycles += r * c.cost
+		if dst != nil && c.class != "" {
+			dst[c.class] += r * c.n
 		}
 	}
-	z := p.zero
 	for elems, times := range allocs {
 		words := times * z.words(elems)
 		cycles += words * z.cost
-		counts[z.class] += words
-		touched[z.class] = true
-	}
-	return cycles, executed
-}
-
-// tally adds the touched dense class counts to a ClassCounts map.
-func (p *prices) tally(dst map[string]int64, counts []int64, touched []bool) {
-	for id, t := range touched {
-		if t {
-			dst[p.table.Name(id)] += counts[id]
+		if dst != nil {
+			dst["vstore"] += words
 		}
 	}
+	return cycles
 }
 
 // span is one basic block's half-open pc range.
 type span struct{ start, end int32 }
 
-// layout is a program's partition into basic blocks. It depends on the
-// program alone (blockLeaders), so events recorded on one processor
-// index the same blocks on every other.
+// layout is a program's partition into basic blocks and its charge
+// symbols. It depends on the program alone (blockLeaders, symbolOf), so
+// events recorded on one processor index the same blocks and symbols
+// on every other.
 type layout struct {
 	spans   []span
-	blockOf []int32 // pc -> index into spans
+	blockOf []int32  // pc -> index into spans
+	syms    []symbol // the program's distinct charge symbols
+	symOf   []int32  // pc -> index into syms
 }
 
 func newLayout(prog *Program) *layout {
 	leaders := blockLeaders(prog)
-	l := &layout{blockOf: make([]int32, len(prog.Instrs))}
+	l := &layout{blockOf: make([]int32, len(prog.Instrs)), symOf: make([]int32, len(prog.Instrs))}
 	start := 0
 	for pc := 1; pc <= len(prog.Instrs); pc++ {
 		if pc < len(prog.Instrs) && !leaders[pc] {
@@ -291,7 +223,44 @@ func newLayout(prog *Program) *layout {
 		l.spans = append(l.spans, span{int32(start), int32(pc)})
 		start = pc
 	}
+	index := map[symbol]int32{}
+	for pc := range prog.Instrs {
+		sym := symbolOf(prog, &prog.Instrs[pc])
+		si, ok := index[sym]
+		if !ok {
+			si = int32(len(l.syms))
+			index[sym] = si
+			l.syms = append(l.syms, sym)
+		}
+		l.symOf[pc] = si
+	}
 	return l
+}
+
+// charges resolves every symbol of l on proc, appending to dst[:0].
+func (l *layout) charges(dst []charge, proc *pdesc.Processor) []charge {
+	dst = slices.Grow(dst[:0], len(l.syms))
+	for _, sym := range l.syms {
+		dst = append(dst, resolve(sym, proc))
+	}
+	return dst
+}
+
+// count adds each symbol's executions in the blocks runs completed
+// (block b completed runs[b] times) to counts, and returns the
+// instructions those blocks executed.
+func (l *layout) count(runs, counts []int64) (executed int64) {
+	for bi, r := range runs {
+		if r == 0 {
+			continue
+		}
+		sp := l.spans[bi]
+		executed += r * int64(sp.end-sp.start)
+		for _, si := range l.symOf[sp.start:sp.end] {
+			counts[si] += r
+		}
+	}
+	return executed
 }
 
 // Events is the processor-independent record of one completed run: how
@@ -302,6 +271,18 @@ type Events struct {
 	blocks *layout
 	runs   []int64
 	allocs map[int64]int64 // elements -> allocs of that many
+	// counts (executions per layout symbol) and executed are derived
+	// from runs once, when the events are made.
+	counts   []int64
+	executed int64
+}
+
+// newEvents records a completed run's block runs and alloc extents on
+// l, taking ownership of runs and allocs.
+func newEvents(l *layout, runs []int64, allocs map[int64]int64) *Events {
+	ev := &Events{blocks: l, runs: runs, allocs: allocs, counts: make([]int64, len(l.syms))}
+	ev.executed = l.count(runs, ev.counts)
+	return ev
 }
 
 // EventBlock is one basic block as Events index it: its half-open pc
@@ -352,7 +333,7 @@ func NewEvents(prog *Program, blocks []EventBlock, allocs map[int64]int64) (*Eve
 			return nil, fmt.Errorf("vm: events record %d allocs of %d elements", times, elems)
 		}
 	}
-	return &Events{blocks: l, runs: runs, allocs: maps.Clone(allocs)}, nil
+	return newEvents(l, runs, maps.Clone(allocs)), nil
 }
 
 // RunEvents runs like RunContext and also returns the run's events for
@@ -379,20 +360,18 @@ func (m *Machine) Price(prog *Program, ev *Events) bool {
 	if m.Profile || m.Trace != nil {
 		return false
 	}
-	p := priceProgram(prog, ev.blocks, m.Proc)
-	for _, pc := range p.missing {
-		if ev.runs[ev.blocks.blockOf[pc]] > 0 {
+	charges := ev.blocks.charges(nil, m.Proc)
+	for i, c := range charges {
+		if c.cost < 0 && ev.counts[i] > 0 {
 			return false
 		}
 	}
-	counts := make([]int64, p.table.Len())
-	touched := make([]bool, p.table.Len())
-	cycles, executed := p.account(ev.blocks.spans, ev.runs, ev.allocs, counts, touched)
-	if cycles > m.maxCycles() {
+	z := newZeroFill(m.Proc)
+	if tally(nil, charges, ev.counts, ev.allocs, z) > m.maxCycles() {
 		return false
 	}
 	m.reset(prog)
-	m.Cycles, m.Executed = cycles, executed
-	p.tally(m.ClassCounts, counts, touched)
+	m.Cycles = tally(m.ClassCounts, charges, ev.counts, ev.allocs, z)
+	m.Executed = ev.executed
 	return true
 }

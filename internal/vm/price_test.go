@@ -304,3 +304,26 @@ func TestPriceNeedsARun(t *testing.T) {
 		t.Error("a run handed to the reference interpreter recorded events")
 	}
 }
+
+// BenchmarkVMPrice prices the events of one fir run on dspasip on a
+// cost-repriced dspasip the run never saw, as a DSE sweep prices each
+// variant. Its cost follows the program's charge symbols, not its
+// instructions or the blocks the run executed.
+func BenchmarkVMPrice(b *testing.B) {
+	prog, p, args := benchProg(b, firSrc, "dspasip", 1024, false)
+	_, ev, err := NewMachine(p).RunEvents(context.Background(), prog, args...)
+	if err != nil || ev == nil {
+		b.Fatalf("recording events: %v", err)
+	}
+	repriced := p.Clone()
+	repriced.Costs = map[string]int{"cload": 4, "load": 1, "vop": 4}
+	m := NewMachine(repriced)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !m.Price(prog, ev) {
+			b.Fatal("Price declined")
+		}
+	}
+	b.ReportMetric(float64(len(ev.blocks.syms)), "symbols")
+}

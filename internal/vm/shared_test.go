@@ -167,27 +167,25 @@ func TestSharedTranslationEquivalence(t *testing.T) {
 }
 
 // TestSharedTranslationRace runs one translation from 8 goroutines on
-// 4 processors whose cost tables differ in length, so pooled scratch
-// arenas are reused across table sizes; under -race this checks the
-// pool and the carried translation. Every run must match its
+// processors that resolve the program's charge symbols pairwise
+// differently (a missing intrinsic, other class and issue costs,
+// another SIMD width), so pooled scratch arenas are reused across
+// processors; under -race this checks the pool, each run's resolved
+// charges and the carried translation. Every run must match its
 // processor's reference run.
 func TestSharedTranslationRace(t *testing.T) {
-	dsp := pdesc.Builtin("dspasip")
-	procs := []*pdesc.Processor{
-		pdesc.Builtin("scalar"),
-		dsp,
-		withMined(dsp, "dspasip+1", "isx0"),
-		withMined(dsp, "dspasip+2", "isx0", "isx1"),
-	}
-	lens := map[int]bool{}
+	procs := sharedProcs()
+	cp := CompiledFor(sharedProg())
+	seen := map[string]string{}
 	for _, p := range procs {
-		lens[costTable(p).Len()] = true
-	}
-	if len(lens) != len(procs) {
-		t.Fatalf("cost table lengths %v are not distinct", lens)
+		key := fmt.Sprint(cp.charges(nil, p), newZeroFill(p))
+		if other, dup := seen[key]; dup {
+			t.Fatalf("%s and %s charge the program alike", other, p.Name)
+		}
+		seen[key] = p.Name
 	}
 
-	prog := sharedProg()
+	prog := cp.prog
 	args := sharedArgs()
 	type run struct {
 		out    []interface{}

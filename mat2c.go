@@ -36,6 +36,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -112,29 +113,38 @@ func NewComplexVector(vals ...complex128) *Array {
 }
 
 // NewMatrix builds a rows×cols real array from column-major data (pass
-// nil data for zeros).
+// nil data for zeros). It fails, allocating nothing, on a negative
+// extent, an element count beyond int, or data of another length.
 func NewMatrix(rows, cols int, data []float64) (*Array, error) {
-	a := ir.NewFloatArray(rows, cols)
-	if data != nil {
-		if len(data) != rows*cols {
-			return nil, fmt.Errorf("mat2c: NewMatrix: %d values for %dx%d", len(data), rows, cols)
-		}
-		copy(a.F, data)
+	if err := checkShape("NewMatrix", rows, cols, data != nil, len(data)); err != nil {
+		return nil, err
 	}
+	a := ir.NewFloatArray(rows, cols)
+	copy(a.F, data)
 	return a, nil
 }
 
 // NewComplexMatrix builds a rows×cols complex array from column-major
-// data (nil for zeros).
+// data (nil for zeros), failing as NewMatrix does.
 func NewComplexMatrix(rows, cols int, data []complex128) (*Array, error) {
-	a := ir.NewComplexArray(rows, cols)
-	if data != nil {
-		if len(data) != rows*cols {
-			return nil, fmt.Errorf("mat2c: NewComplexMatrix: %d values for %dx%d", len(data), rows, cols)
-		}
-		copy(a.C, data)
+	if err := checkShape("NewComplexMatrix", rows, cols, data != nil, len(data)); err != nil {
+		return nil, err
 	}
+	a := ir.NewComplexArray(rows, cols)
+	copy(a.C, data)
 	return a, nil
+}
+
+// checkShape vets a rows×cols matrix built by fn from n values, or from
+// none when hasData is false.
+func checkShape(fn string, rows, cols int, hasData bool, n int) error {
+	if rows < 0 || cols < 0 || cols > 0 && rows > math.MaxInt/cols {
+		return fmt.Errorf("mat2c: %s: bad extent %dx%d", fn, rows, cols)
+	}
+	if hasData && n != rows*cols {
+		return fmt.Errorf("mat2c: %s: %d values for %dx%d", fn, n, rows, cols)
+	}
+	return nil
 }
 
 // Processor is a target description.
