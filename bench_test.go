@@ -12,10 +12,13 @@ package mat2c_test
 // Each evaluation benchmark reports the model's cycle count for its
 // configuration as the "cycles" metric (the quantity the paper's tables
 // contain) and, where meaningful, the static code size as "codesize".
-// ns/op measures host simulation wall-clock, which is not a paper
-// metric. Run cmd/benchtab for the assembled tables.
+// ns/op measures host wall-clock, which is not a paper metric: a
+// compile plus a run that, after the first iteration, is priced from
+// the first one's events (bench.Kernel.Simulate). Run cmd/benchtab for
+// the assembled tables.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -39,7 +42,7 @@ func runConfig(b *testing.B, k *bench.Kernel, cfg core.Config, scale float64) {
 	var st *bench.Stats
 	var err error
 	for i := 0; i < b.N; i++ {
-		st, err = bench.RunPipeline(k, cfg, n)
+		st, err = bench.RunPipelineCached(context.Background(), nil, k, cfg, n)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -3,8 +3,9 @@
 // single-process daemon, submits the same small sweep over the scalar
 // base target to the coordinator and to the single daemon, then the
 // same small isx mine, and fails unless each sharded-and-merged report
-// is byte-identical to the single-process one (elapsed wall time
-// excepted). The reports are written to -out for artifact upload.
+// is byte-identical to the single-process one (a sweep report compared
+// by its dse.Report.Identity). The reports are written to -out for
+// artifact upload.
 //
 // Three more phases then exercise the durable and fleet-shared cache
 // tiers end to end:
@@ -45,6 +46,8 @@ import (
 	"os/exec"
 	"path/filepath"
 	"time"
+
+	"mat2c/internal/dse"
 )
 
 func main() {
@@ -150,7 +153,15 @@ func run(ctx context.Context, bin, outDir string) error {
 		return fmt.Errorf("single-process sweep: %w", err)
 	}
 
-	if err := sameReports(outDir, "report", sharded, single); err != nil {
+	shardedID, err := identity(sharded)
+	if err != nil {
+		return err
+	}
+	singleID, err := identity(single)
+	if err != nil {
+		return err
+	}
+	if err := sameReports(outDir, "report", shardedID, singleID); err != nil {
 		return err
 	}
 
@@ -212,23 +223,15 @@ func run(ctx context.Context, bin, outDir string) error {
 
 // sameReports writes the sharded and single-process reports to
 // outDir as <name>-sharded.json and <name>-single.json, and fails
-// unless they are byte-identical once elapsed_us is dropped.
-func sameReports(outDir, name string, sharded, single json.RawMessage) error {
-	shardedJSON, err := normalize(sharded)
-	if err != nil {
+// unless they are byte-identical.
+func sameReports(outDir, name string, sharded, single []byte) error {
+	if err := os.WriteFile(filepath.Join(outDir, name+"-sharded.json"), sharded, 0o644); err != nil {
 		return err
 	}
-	singleJSON, err := normalize(single)
-	if err != nil {
+	if err := os.WriteFile(filepath.Join(outDir, name+"-single.json"), single, 0o644); err != nil {
 		return err
 	}
-	if err := os.WriteFile(filepath.Join(outDir, name+"-sharded.json"), shardedJSON, 0o644); err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(outDir, name+"-single.json"), singleJSON, 0o644); err != nil {
-		return err
-	}
-	if !bytes.Equal(shardedJSON, singleJSON) {
+	if !bytes.Equal(sharded, single) {
 		return fmt.Errorf("sharded %s differs from the single-process one (see %s)", name, outDir)
 	}
 	return nil
@@ -300,7 +303,7 @@ func warmStart(ctx context.Context, bin, outDir string) error {
 				return err
 			}
 			stats[i] = ms.Cache
-			reports[i], err = normalizeWarm(report)
+			reports[i], err = identity(report)
 			if err != nil {
 				return err
 			}
@@ -525,11 +528,11 @@ func sharedRemote(ctx context.Context, bin, outDir string) error {
 			gets, batches, units, 2*units)
 	}
 
-	coldJSON, err := normalizeWarm(coldReport)
+	coldJSON, err := identity(coldReport)
 	if err != nil {
 		return err
 	}
-	warmJSON, err := normalizeWarm(warmReport)
+	warmJSON, err := identity(warmReport)
 	if err != nil {
 		return err
 	}
@@ -651,11 +654,11 @@ func remoteOutage(ctx context.Context, bin, outDir string) error {
 		return fmt.Errorf("sweep across origin kill failed: %w", res.err)
 	}
 
-	originJSON, err := normalizeWarm(originReport)
+	originJSON, err := identity(originReport)
 	if err != nil {
 		return err
 	}
-	outageJSON, err := normalizeWarm(res.report)
+	outageJSON, err := identity(res.report)
 	if err != nil {
 		return err
 	}
@@ -696,25 +699,15 @@ func remoteOutage(ctx context.Context, bin, outDir string) error {
 	return nil
 }
 
-// normalizeWarm is normalize plus the cache-traffic counters, which
-// legitimately differ between a cold and a warm run.
-func normalizeWarm(report json.RawMessage) ([]byte, error) {
-	var m map[string]interface{}
-	if err := json.Unmarshal(report, &m); err != nil {
-		return nil, fmt.Errorf("decode report: %w", err)
+// identity returns a /dse report's identity (dse.Report.Identity),
+// which every run of one sweep shares: sharded or single-process, cold
+// or warm, fed by a live origin or a dead one.
+func identity(report json.RawMessage) ([]byte, error) {
+	rep, err := dse.ParseReport(report)
+	if err != nil {
+		return nil, err
 	}
-	m["elapsed_us"] = 0
-	m["cache_lookups"] = 0
-	m["cache_hits"] = 0
-	if vs, ok := m["variants"].([]interface{}); ok {
-		for _, v := range vs {
-			if vm, ok := v.(map[string]interface{}); ok {
-				vm["cache_lookups"] = 0
-				vm["cache_hits"] = 0
-			}
-		}
-	}
-	return json.MarshalIndent(m, "", "  ")
+	return rep.Identity()
 }
 
 // daemon is one spawned mat2cd process.
@@ -841,17 +834,6 @@ func runJob(ctx context.Context, baseURL, path string, req interface{}) (json.Ra
 		}
 	})
 	return report, err
-}
-
-// normalize re-marshals a report without its wall-time field — the
-// only field legitimately differing between the two modes.
-func normalize(report json.RawMessage) ([]byte, error) {
-	var m map[string]interface{}
-	if err := json.Unmarshal(report, &m); err != nil {
-		return nil, fmt.Errorf("decode report: %w", err)
-	}
-	delete(m, "elapsed_us")
-	return json.MarshalIndent(m, "", "  ")
 }
 
 func poll(ctx context.Context, within time.Duration, fn func() error) error {

@@ -64,11 +64,35 @@ func (w *writer) str(s string) {
 	w.buf = append(w.buf, s...)
 }
 
-// bytes seals the buffer with the SHA-256 checksum of everything
-// written so far and returns the final encoding.
-func (w *writer) bytes() []byte {
-	sum := sha256.Sum256(w.buf)
-	return append(w.buf, sum[:]...)
+// bytes seals the buffer in place (Seal) and returns the final
+// encoding.
+func (w *writer) bytes() []byte { return Seal(w.buf[:0], w.buf) }
+
+// TrailerSize is the length of the SHA-256 trailer Seal appends.
+const TrailerSize = sha256.Size
+
+// Seal appends payload and the SHA-256 trailer over it to dst and
+// returns the extended slice. It is the one integrity rule for bytes at
+// rest and on the wire: every artifact encoding, every blob-protocol
+// entry body and every fleet unit reply is a sealed payload. To seal a
+// buffer in place, pass it as both: Seal(buf[:0], buf).
+func Seal(dst, payload []byte) []byte {
+	sum := sha256.Sum256(payload)
+	return append(append(dst, payload...), sum[:]...)
+}
+
+// Unseal checks sealed's SHA-256 trailer and returns the payload before
+// it, without copying. A body shorter than a trailer, or one whose
+// trailer does not match, wraps ErrCorrupt.
+func Unseal(sealed []byte) ([]byte, error) {
+	if len(sealed) < TrailerSize {
+		return nil, fmt.Errorf("%w: %d bytes is shorter than the checksum trailer", ErrCorrupt, len(sealed))
+	}
+	payload, sum := sealed[:len(sealed)-TrailerSize], sealed[len(sealed)-TrailerSize:]
+	if want := sha256.Sum256(payload); string(want[:]) != string(sum) {
+		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	}
+	return payload, nil
 }
 
 // reader decodes fields with a sticky error. Every accessor returns a
@@ -191,21 +215,16 @@ func (r *reader) done() error {
 }
 
 // checkWrapper verifies the outermost framing shared by every artifact
-// kind: a 4-byte magic, and a trailing SHA-256 checksum over everything
-// before it. It returns the payload between them (magic included, so
-// format-version fields stay under the checksum) as a reader positioned
-// after the magic.
+// kind: a sealed payload (Unseal) that starts with a 4-byte magic. It
+// returns the payload (magic included, so format-version fields stay
+// under the checksum) as a reader positioned after the magic.
 func checkWrapper(data []byte, magic string) (*reader, error) {
-	if len(data) < len(magic)+sha256.Size {
-		return nil, fmt.Errorf("%w: %d bytes is shorter than the %s header+checksum", ErrCorrupt, len(data), magic)
+	body, err := Unseal(data)
+	if err != nil {
+		return nil, err
 	}
-	body, sum := data[:len(data)-sha256.Size], data[len(data)-sha256.Size:]
-	if string(body[:len(magic)]) != magic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, string(body[:len(magic)]))
-	}
-	want := sha256.Sum256(body)
-	if string(want[:]) != string(sum) {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	if len(body) < len(magic) || string(body[:len(magic)]) != magic {
+		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, body[:min(len(body), len(magic))])
 	}
 	return &reader{buf: body, off: len(magic)}, nil
 }

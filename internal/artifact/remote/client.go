@@ -257,7 +257,7 @@ func (r *RemoteStore) Get(key string) ([]byte, error) {
 		default:
 			return false, fmt.Errorf("artifact remote: get %s: status %d", key, resp.StatusCode)
 		}
-		limit := r.maxEntry + trailerSize
+		limit := r.maxEntry + artifact.TrailerSize
 		if resp.ContentLength > limit {
 			// A forged Content-Length is rejected before buffering.
 			return false, fmt.Errorf("%w: advertised %d bytes exceeds the %d-byte entry bound", artifact.ErrCorrupt, resp.ContentLength, r.maxEntry)
@@ -273,7 +273,7 @@ func (r *RemoteStore) Get(key string) ([]byte, error) {
 		if resp.ContentLength >= 0 && int64(len(body)) != resp.ContentLength {
 			return false, fmt.Errorf("%w: body length %d disagrees with Content-Length %d", artifact.ErrCorrupt, len(body), resp.ContentLength)
 		}
-		payload, err = unframe(body)
+		payload, err = artifact.Unseal(body)
 		return false, err
 	})
 	if err != nil {
@@ -285,7 +285,7 @@ func (r *RemoteStore) Get(key string) ([]byte, error) {
 		})
 		return nil, err
 	}
-	r.bump(func(st *artifact.Stats) { st.Hits++; st.BytesIn += framedLen(payload) })
+	r.bump(func(st *artifact.Stats) { st.Hits++; st.BytesIn += int64(len(payload) + artifact.TrailerSize) })
 	return payload, nil
 }
 
@@ -351,7 +351,7 @@ func (r *RemoteStore) getBatch(keys []string) ([]artifact.Fetched, error) {
 			switch {
 			case f.Err == nil:
 				st.Hits++
-				st.BytesIn += framedLen(f.Data)
+				st.BytesIn += int64(len(f.Data) + artifact.TrailerSize)
 			case errors.Is(f.Err, artifact.ErrCorrupt):
 				st.Misses++
 				st.DecodeErrors++
@@ -407,7 +407,7 @@ func (r *RemoteStore) Put(key string, data []byte) error {
 		r.bump(func(st *artifact.Stats) { st.PutErrors++ })
 		return fmt.Errorf("artifact remote: put %s: entry of %d bytes exceeds the %d-byte bound", key, len(data), r.maxEntry)
 	}
-	framed := frame(data)
+	framed := artifact.Seal(make([]byte, 0, len(data)+artifact.TrailerSize), data)
 	err := r.do("put", http.MethodPut, r.url(key), framed, func(resp *http.Response) (bool, error) {
 		if resp.StatusCode == http.StatusNoContent || resp.StatusCode == http.StatusOK {
 			return false, nil

@@ -16,12 +16,12 @@
 //
 // Every entry body on the wire — GET responses and PUT requests alike —
 // is framed as the payload followed by a 32-byte SHA-256 trailer over
-// the payload, with Content-Length covering both. Both ends verify the
-// trailer before trusting a byte, so a truncated, bit-flipped, or
-// hostile body is detected at the transport seam (on top of the
-// artifact codec's own checksum behind it). Keys are content addresses:
-// racing writers store identical bytes, so the protocol needs no
-// conditional requests.
+// the payload (artifact.Seal), with Content-Length covering both. Both
+// ends verify the trailer before trusting a byte, so a truncated,
+// bit-flipped, or hostile body is detected at the transport seam (on
+// top of the artifact codec's own checksum behind it). Keys are content
+// addresses: racing writers store identical bytes, so the protocol
+// needs no conditional requests.
 //
 // A batch read asks for up to MaxBatchKeys keys, one per line of the
 // request body. The reply streams one frame per requested key, in
@@ -52,8 +52,6 @@
 package remote
 
 import (
-	"bytes"
-	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -78,35 +76,6 @@ const (
 	batchPresent = 1
 )
 
-// trailerSize is the SHA-256 trailer appended to every entry body.
-const trailerSize = sha256.Size
-
-// frame appends the SHA-256 trailer to payload, producing the wire form.
-func frame(payload []byte) []byte {
-	sum := sha256.Sum256(payload)
-	out := make([]byte, 0, len(payload)+trailerSize)
-	out = append(out, payload...)
-	return append(out, sum[:]...)
-}
-
-// framedLen is the wire size of a payload.
-func framedLen(payload []byte) int64 { return int64(len(payload)) + trailerSize }
-
-// unframe verifies and strips the SHA-256 trailer. Any violation —
-// body shorter than a trailer, trailer mismatch — wraps
-// artifact.ErrCorrupt so callers classify it as corruption, not a miss.
-func unframe(body []byte) ([]byte, error) {
-	if len(body) < trailerSize {
-		return nil, fmt.Errorf("%w: framed body shorter than its checksum trailer (%d bytes)", artifact.ErrCorrupt, len(body))
-	}
-	payload, trailer := body[:len(body)-trailerSize], body[len(body)-trailerSize:]
-	sum := sha256.Sum256(payload)
-	if !bytes.Equal(sum[:], trailer) {
-		return nil, fmt.Errorf("%w: checksum trailer mismatch", artifact.ErrCorrupt)
-	}
-	return payload, nil
-}
-
 // appendBatchFrame appends key's batch frame to buf: the framed entry
 // when present, an absent marker otherwise.
 func appendBatchFrame(buf []byte, key string, payload []byte, present bool) []byte {
@@ -116,10 +85,8 @@ func appendBatchFrame(buf []byte, key string, payload []byte, present bool) []by
 		return append(buf, batchAbsent)
 	}
 	buf = append(buf, batchPresent)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(framedLen(payload)))
-	buf = append(buf, payload...)
-	sum := sha256.Sum256(payload)
-	return append(buf, sum[:]...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)+artifact.TrailerSize))
+	return artifact.Seal(buf, payload)
 }
 
 // appendBatchEnd appends the end marker that closes a batch reply.
@@ -189,13 +156,13 @@ func decodeBatch(r io.Reader, keys []string, maxEntry int64) ([]artifact.Fetched
 			return nil, err
 		}
 		size := int64(binary.LittleEndian.Uint32(b))
-		if size > maxEntry+trailerSize {
+		if size > maxEntry+artifact.TrailerSize {
 			return nil, corrupt("frame %d states %d bytes, over the %d-byte entry bound", len(out), size, maxEntry)
 		}
 		if b, err = read(int(size), "a frame body"); err != nil {
 			return nil, err
 		}
-		payload, err := unframe(b)
+		payload, err := artifact.Unseal(b)
 		out = append(out, artifact.Fetched{Data: payload, Err: err})
 	}
 	if len(out) != len(keys) {

@@ -115,12 +115,12 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	}
 	s.bump(func(st *artifact.Stats) { st.Hits++ })
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", fmt.Sprint(framedLen(data)))
+	w.Header().Set("Content-Length", fmt.Sprint(len(data)+artifact.TrailerSize))
 	if r.Method == http.MethodHead {
 		w.WriteHeader(http.StatusOK)
 		return
 	}
-	if n, err := w.Write(frame(data)); err == nil {
+	if n, err := w.Write(artifact.Seal(make([]byte, 0, len(data)+artifact.TrailerSize), data)); err == nil {
 		s.bump(func(st *artifact.Stats) { st.BytesOut += int64(n) })
 	}
 }
@@ -140,15 +140,15 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 	case cl < 0:
 		blobError(w, http.StatusLengthRequired, "PUT requires an exact Content-Length")
 		return
-	case cl <= trailerSize:
+	case cl <= artifact.TrailerSize:
 		s.bump(func(st *artifact.Stats) { st.DecodeErrors++ })
-		blobError(w, http.StatusBadRequest, "framed body must exceed its %d-byte checksum trailer", trailerSize)
+		blobError(w, http.StatusBadRequest, "framed body must exceed its %d-byte checksum trailer", artifact.TrailerSize)
 		return
-	case cl > s.max+trailerSize:
+	case cl > s.max+artifact.TrailerSize:
 		// Refused before reading: an oversized (or forged) Content-Length
 		// never makes the origin buffer it.
 		s.bump(func(st *artifact.Stats) { st.PutErrors++ })
-		blobError(w, http.StatusInsufficientStorage, "entry of %d bytes exceeds the %d-byte bound", cl-trailerSize, s.max)
+		blobError(w, http.StatusInsufficientStorage, "entry of %d bytes exceeds the %d-byte bound", cl-artifact.TrailerSize, s.max)
 		return
 	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, cl+1))
@@ -162,7 +162,7 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 		blobError(w, http.StatusBadRequest, "body length %d disagrees with Content-Length %d", len(body), cl)
 		return
 	}
-	payload, err := unframe(body)
+	payload, err := artifact.Unseal(body)
 	if err != nil {
 		s.bump(func(st *artifact.Stats) { st.DecodeErrors++ })
 		blobError(w, http.StatusBadRequest, "%v", err)

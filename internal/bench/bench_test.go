@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,7 +17,7 @@ const smallScale = 0.25
 
 // TestKernelsVerifyUnderAllPipelines compiles every kernel under every
 // pipeline variant and target in the evaluation and checks its output
-// against the Go reference (RunPipeline fails on mismatch).
+// against the Go reference (RunPipelineCached fails on mismatch).
 func TestKernelsVerifyUnderAllPipelines(t *testing.T) {
 	targets := []*pdesc.Processor{
 		pdesc.Builtin("scalar"),
@@ -29,7 +30,7 @@ func TestKernelsVerifyUnderAllPipelines(t *testing.T) {
 		for _, p := range targets {
 			for _, ac := range AblationConfigs() {
 				n := SizeFor(k, smallScale)
-				if _, err := RunPipeline(k, ac.Cfg(p), n); err != nil {
+				if _, err := RunPipelineCached(context.Background(), nil, k, ac.Cfg(p), n); err != nil {
 					t.Errorf("%s on %s (%s): %v", k.Name, p.Name, ac.Name, err)
 				}
 			}
@@ -53,10 +54,10 @@ func TestKernelsAcrossSizes(t *testing.T) {
 			if n < minSize(k) {
 				continue
 			}
-			if _, err := RunPipeline(k, core.Proposed(proc), n); err != nil {
+			if _, err := RunPipelineCached(context.Background(), nil, k, core.Proposed(proc), n); err != nil {
 				t.Errorf("%s n=%d: %v", k.Name, n, err)
 			}
-			if _, err := RunPipeline(k, core.Baseline(proc), n); err != nil {
+			if _, err := RunPipelineCached(context.Background(), nil, k, core.Baseline(proc), n); err != nil {
 				t.Errorf("%s baseline n=%d: %v", k.Name, n, err)
 			}
 		}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"mat2c/internal/core"
 	"mat2c/internal/ir"
 	"mat2c/internal/pdesc"
+	"mat2c/internal/vm"
 )
 
 // Stats reports one (kernel, pipeline) measurement.
@@ -94,20 +96,6 @@ func verify(got, want []interface{}) error {
 
 func cAbs(z complex128) float64 { return math.Hypot(real(z), imag(z)) }
 
-// RunPipeline compiles kernel k under cfg, executes it at problem size
-// n on the cycle-model VM, verifies the outputs against the Go
-// reference, and returns the measurement.
-func RunPipeline(k *Kernel, cfg core.Config, n int) (*Stats, error) {
-	return RunPipelineContext(context.Background(), k, cfg, n)
-}
-
-// RunPipelineContext is RunPipeline under a cancellable context: the
-// compiler observes ctx between stages and the simulator polls it while
-// executing, so a deadline stops the measurement promptly.
-func RunPipelineContext(ctx context.Context, k *Kernel, cfg core.Config, n int) (*Stats, error) {
-	return RunPipelineCached(ctx, nil, k, cfg, n)
-}
-
 // OptionsFor maps a core pipeline Config onto the equivalent public
 // mat2c.Options, so harnesses that enumerate configs directly (the
 // ablation variants) can still compile through the content-addressed
@@ -129,28 +117,31 @@ func OptionsFor(cfg core.Config) mat2c.Options {
 	return o
 }
 
-// RunPipelineCached is RunPipelineContext through a content-addressed
-// cache: identical (kernel, config) compilations are compiled once and
-// restored thereafter — from memory, or from the cache's durable store
-// across processes. A nil cache compiles afresh. The measurement
-// contract is unchanged (outputs are still verified against the Go
-// reference on every call).
+// RunPipelineCached compiles kernel k under cfg through a
+// content-addressed cache, runs it at problem size n on the cycle-model
+// VM, verifies the outputs against the Go reference, and returns the
+// measurement. Compilations are restored from the cache (a nil cache
+// compiles afresh), and runs follow Kernel.Simulate, the rule DSE and
+// isx measure by: each distinct (program, kernel, size) is simulated
+// and verified once per process, and priced from its events after. The
+// compiler and simulator observe ctx, so a deadline stops the
+// measurement promptly.
 func RunPipelineCached(ctx context.Context, c *mat2c.Cache, k *Kernel, cfg core.Config, n int) (*Stats, error) {
 	res, _, err := mat2c.CompileCachedContext(ctx, c, k.Source, k.Entry, k.Params, OptionsFor(cfg))
 	if err != nil {
 		return nil, fmt.Errorf("%s: compile: %w", k.Name, err)
 	}
-	kc := k.Case(n)
-	got, st, err := res.RunWithStatsContext(ctx, kc.Args()...)
-	if err != nil {
+	m := vm.NewMachine(res.Processor())
+	if err := k.Simulate(ctx, c, m, res.Program(), n); err != nil {
+		var verr *VerifyError
+		if errors.As(err, &verr) {
+			return nil, fmt.Errorf("%s: %w", k.Name, err)
+		}
 		return nil, fmt.Errorf("%s: run: %w", k.Name, err)
 	}
-	if err := verify(got, kc.Want); err != nil {
-		return nil, fmt.Errorf("%s: %w", k.Name, err)
-	}
 	return &Stats{
-		Cycles:          st.Cycles,
-		Executed:        st.Executed,
+		Cycles:          m.Cycles,
+		Executed:        m.Executed,
 		CodeSize:        res.CodeSize(),
 		VectorizedLoops: res.VectorizedLoops(),
 		Intrinsics:      res.SelectedIntrinsics(),

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"reflect"
@@ -171,7 +172,7 @@ func TestCaseKeyedOnKernelIdentity(t *testing.T) {
 	proc := pdesc.Builtin("dspasip")
 	fir := KernelByName("fir")
 	const n = 64
-	if _, err := RunPipeline(fir, core.Proposed(proc), n); err != nil {
+	if _, err := RunPipelineCached(context.Background(), nil, fir, core.Proposed(proc), n); err != nil {
 		t.Fatal(err) // warms the suite kernel's memo
 	}
 	bad := *fir
@@ -183,9 +184,9 @@ func TestCaseKeyedOnKernelIdentity(t *testing.T) {
 	if bad.Case(n) == fir.Case(n) {
 		t.Fatal("a copy of fir shares the suite kernel's oracle entry")
 	}
-	_, err := RunPipeline(&bad, core.Proposed(proc), n)
+	_, err := RunPipelineCached(context.Background(), nil, &bad, core.Proposed(proc), n)
 	if err == nil || !strings.Contains(err.Error(), "fir: result 0[") {
-		t.Fatalf("RunPipeline against a wrong reference: got err %v, want a verification failure", err)
+		t.Fatalf("RunPipelineCached against a wrong reference: got err %v, want a verification failure", err)
 	}
 }
 

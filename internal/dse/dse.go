@@ -436,12 +436,6 @@ func ExploreSweep(sw *Sweep, opts Options) (*Report, error) {
 	return Explore([]*Sweep{sw}, opts)
 }
 
-// ExploreSweepContext explores a single sweep under a cancellable
-// context.
-func ExploreSweepContext(ctx context.Context, sw *Sweep, opts Options) (*Report, error) {
-	return ExploreContext(ctx, []*Sweep{sw}, opts)
-}
-
 // dominates reports whether a is at least as good as b on both
 // objectives and strictly better on one (both minimized).
 func dominates(a, b *VariantResult) bool {

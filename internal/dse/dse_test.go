@@ -338,19 +338,7 @@ func TestReportTextAndCSV(t *testing.T) {
 // decodes into the typed struct with no unknown fields and re-encodes
 // to the same document, so downstream tooling can rely on it.
 func TestReportSchemaRoundTrip(t *testing.T) {
-	rep := &Report{
-		Base: "dspasip", Scale: 0.25, Jobs: 2,
-		Kernels: []string{"fir"},
-		Variants: []VariantResult{{
-			Name: "dspasip-w4-cl2-mac", SIMDWidth: 4, ComplexLanes: 2,
-			Groups: []string{"mac"}, CostSet: "slowmem",
-			Instructions: 2, ISACost: 4, TotalCycles: 1234,
-			KernelCycles: map[string]int64{"fir": 1234},
-			CodeSize:     56, CacheLookups: 1, CacheHits: 1, Pareto: true,
-		}},
-		Frontier:     []string{"dspasip-w4-cl2-mac"},
-		CacheLookups: 1, CacheHits: 1, ElapsedUS: 99,
-	}
+	rep := sampleReport()
 	var buf bytes.Buffer
 	if err := rep.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -381,6 +369,64 @@ func TestReportSchemaRoundTrip(t *testing.T) {
 		if _, ok := variant[key]; !ok {
 			t.Errorf("variant JSON missing key %q", key)
 		}
+	}
+}
+
+// sampleReport is a one-variant report with every field set.
+func sampleReport() *Report {
+	return &Report{
+		Base: "dspasip", Scale: 0.25, Jobs: 2,
+		Kernels: []string{"fir"},
+		Variants: []VariantResult{{
+			Name: "dspasip-w4-cl2-mac", SIMDWidth: 4, ComplexLanes: 2,
+			Groups: []string{"mac"}, CostSet: "slowmem",
+			Instructions: 2, ISACost: 4, TotalCycles: 1234,
+			KernelCycles: map[string]int64{"fir": 1234},
+			CodeSize:     56, CacheLookups: 1, CacheHits: 1, Pareto: true,
+		}},
+		Frontier:     []string{"dspasip-w4-cl2-mac"},
+		CacheLookups: 1, CacheHits: 1, ElapsedUS: 99,
+	}
+}
+
+// TestReportIdentity: two reports that differ only in wall time and
+// cache counters, at the top or in a variant, share an identity, which
+// zeroes those fields and leaves the report as it was; a report that
+// differs in anything else does not.
+func TestReportIdentity(t *testing.T) {
+	identity := func(r *Report) string {
+		t.Helper()
+		id, err := r.Identity()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(id)
+	}
+	rep := sampleReport()
+	want := identity(rep)
+	if !reflect.DeepEqual(rep, sampleReport()) {
+		t.Fatal("Identity modified the report")
+	}
+	zeroed := sampleReport()
+	zeroed.ElapsedUS, zeroed.CacheLookups, zeroed.CacheHits = 0, 0, 0
+	zeroed.Variants[0].CacheLookups, zeroed.Variants[0].CacheHits = 0, 0
+	var buf bytes.Buffer
+	if err := zeroed.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if want != buf.String() {
+		t.Errorf("identity is not the report with its run fields zeroed:\n%s\nwant\n%s", want, buf.String())
+	}
+	run := sampleReport()
+	run.ElapsedUS, run.CacheLookups, run.CacheHits = 7, 6, 0
+	run.Variants[0].CacheLookups, run.Variants[0].CacheHits = 6, 0
+	if got := identity(run); got != want {
+		t.Errorf("another run's identity differs:\n%s\nwant\n%s", got, want)
+	}
+	other := sampleReport()
+	other.Variants[0].TotalCycles++
+	if identity(other) == want {
+		t.Error("a report with other cycles has the same identity")
 	}
 }
 

@@ -1,9 +1,11 @@
 package dse
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -26,6 +28,26 @@ func ParseReport(data []byte) (*Report, error) {
 		return nil, fmt.Errorf("dse report: %w", err)
 	}
 	return &rep, nil
+}
+
+// Identity returns what two runs of one sweep must agree on byte for
+// byte, wherever and however they ran: the report's indented JSON with
+// the fields that describe the run rather than the sweep zeroed. Those
+// are elapsed_us (wall time) and cache_lookups and cache_hits (which
+// process's cache served what), at the top and in each variant. r is
+// not modified.
+func (r *Report) Identity() ([]byte, error) {
+	id := *r
+	id.ElapsedUS, id.CacheLookups, id.CacheHits = 0, 0, 0
+	id.Variants = slices.Clone(r.Variants)
+	for i := range id.Variants {
+		id.Variants[i].CacheLookups, id.Variants[i].CacheHits = 0, 0
+	}
+	var b bytes.Buffer
+	if err := id.WriteJSON(&b); err != nil {
+		return nil, fmt.Errorf("dse report identity: %w", err)
+	}
+	return b.Bytes(), nil
 }
 
 // sortedByCycles returns result indices ordered fastest-first, with

@@ -319,14 +319,16 @@ func (c *Coordinator) send(ctx context.Context, w *worker, u *Unit) sendOutcome 
 	defer resp.Body.Close()
 	switch {
 	case resp.StatusCode == http.StatusOK:
-		var res UnitResult
-		if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-			return sendOutcome{err: fmt.Errorf("decode unit reply: %w", err)}
+		// A reply cut short or failing its trailer counts an attempt and
+		// is retried, like a lost one.
+		res, err := ReadResult(resp.Body)
+		if err != nil {
+			return sendOutcome{err: err}
 		}
 		if res.ID != u.ID {
 			return sendOutcome{err: fmt.Errorf("unit reply id %q does not match %q", res.ID, u.ID)}
 		}
-		return sendOutcome{res: &res}
+		return sendOutcome{res: res}
 	case resp.StatusCode == http.StatusServiceUnavailable || resp.StatusCode == http.StatusTooManyRequests:
 		delay := time.Second
 		if s := resp.Header.Get("Retry-After"); s != "" {

@@ -25,7 +25,11 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
+	"strconv"
 
+	"mat2c/internal/artifact"
 	"mat2c/internal/dse"
 	"mat2c/internal/isx"
 )
@@ -146,6 +150,44 @@ type Status struct {
 	UnitsShed       uint64       `json:"units_shed"`
 	UnitsAbandoned  uint64       `json:"units_abandoned"`
 	InflightRPCs    int          `json:"inflight_rpcs"`
+}
+
+// WriteResult answers a unit with res: its JSON sealed with a SHA-256
+// trailer (artifact.Seal), under a Content-Length covering both, so a
+// reply cut short or corrupted in transit fails ReadResult instead of
+// merging. It returns an error, having written nothing, when res does
+// not encode.
+func WriteResult(w http.ResponseWriter, res *UnitResult) error {
+	data, err := json.Marshal(res)
+	if err != nil {
+		return fmt.Errorf("fleet: encode unit reply: %w", err)
+	}
+	data = artifact.Seal(data[:0], data)
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
+	// A failed write reaches the coordinator as a reply cut short,
+	// which it retries.
+	w.Write(data)
+	return nil
+}
+
+// ReadResult reads a unit reply written by WriteResult. A reply whose
+// trailer does not match, or that is too short to carry one, wraps
+// artifact.ErrCorrupt.
+func ReadResult(r io.Reader) (*UnitResult, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: read unit reply: %w", err)
+	}
+	payload, err := artifact.Unseal(data)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: unit reply: %w", err)
+	}
+	var res UnitResult
+	if err := json.Unmarshal(payload, &res); err != nil {
+		return nil, fmt.Errorf("fleet: decode unit reply: %w", err)
+	}
+	return &res, nil
 }
 
 // unitID content-addresses a unit payload: two units carrying the same

@@ -4,10 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"math/rand"
+	"net/http/httptest"
+	"reflect"
+	"strconv"
 	"testing"
 
 	mat2c "mat2c"
+	"mat2c/internal/artifact"
 	"mat2c/internal/dse"
 	"mat2c/internal/fleet"
 	"mat2c/internal/isx"
@@ -45,7 +50,7 @@ func reportJSON(t *testing.T, rep interface{}) []byte {
 // TestShardedDSEMatchesSingleProcess is the sharding property test:
 // for randomized sweep axes, shard sizes, and worker counts, the
 // sharded-and-merged report must be byte-for-byte identical to the
-// single-process report (wall time excepted).
+// single-process report's identity.
 func TestShardedDSEMatchesSingleProcess(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	ctx := context.Background()
@@ -92,8 +97,7 @@ func TestShardedDSEMatchesSingleProcess(t *testing.T) {
 			t.Fatalf("trial %d: merge: %v", trial, err)
 		}
 
-		single.ElapsedUS, merged.ElapsedUS = 0, 0
-		got, want := reportJSON(t, merged), reportJSON(t, single)
+		got, want := identity(t, merged), identity(t, single)
 		if !bytes.Equal(got, want) {
 			t.Errorf("trial %d (base %s, unit size %d, %d workers): sharded report differs\nsharded: %s\nsingle:  %s",
 				trial, sweep.Base, unitSize, nWorkers, got, want)
@@ -171,8 +175,7 @@ func TestShardDSEKeepsCostSiblingsTogether(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		single.ElapsedUS, merged.ElapsedUS = 0, 0
-		if got, want := reportJSON(t, merged), reportJSON(t, single); !bytes.Equal(got, want) {
+		if got, want := identity(t, merged), identity(t, single); !bytes.Equal(got, want) {
 			t.Errorf("sharded report differs\nsharded: %s\nsingle:  %s", got, want)
 		}
 	}
@@ -203,8 +206,7 @@ func TestShardedDSEDuplicateDeliveries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	once.ElapsedUS, twice.ElapsedUS = 0, 0
-	if !bytes.Equal(reportJSON(t, once), reportJSON(t, twice)) {
+	if !bytes.Equal(identity(t, once), identity(t, twice)) {
 		t.Error("duplicate unit deliveries changed the merged report")
 	}
 }
@@ -296,5 +298,38 @@ func TestUnitIDsAreContentAddressed(t *testing.T) {
 			t.Errorf("unit %d: duplicate id %s for distinct work", i, a[i].ID)
 		}
 		seen[a[i].ID] = true
+	}
+}
+
+// TestUnitReplySealed: a unit reply reads back as written, and a reply
+// with any byte flipped, or cut short anywhere, is corrupt.
+func TestUnitReplySealed(t *testing.T) {
+	res := &fleet.UnitResult{ID: "dse-0123", Kind: fleet.KindDSE, DSE: []fleet.DSEVariantResult{
+		{Index: 3, Result: dse.VariantResult{Name: "scalar-w4-cl0-none", TotalCycles: 4537}},
+	}}
+	rec := httptest.NewRecorder()
+	if err := fleet.WriteResult(rec, res); err != nil {
+		t.Fatal(err)
+	}
+	wire := rec.Body.Bytes()
+	if rec.Header().Get("Content-Length") != strconv.Itoa(len(wire)) {
+		t.Errorf("Content-Length %q, want %d", rec.Header().Get("Content-Length"), len(wire))
+	}
+	back, err := fleet.ReadResult(bytes.NewReader(wire))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, res) {
+		t.Errorf("read back %+v, want %+v", back, res)
+	}
+	for i := range wire {
+		bad := bytes.Clone(wire)
+		bad[i] ^= 0x20
+		if _, err := fleet.ReadResult(bytes.NewReader(bad)); !errors.Is(err, artifact.ErrCorrupt) {
+			t.Fatalf("byte %d flipped: got %v, want ErrCorrupt", i, err)
+		}
+		if _, err := fleet.ReadResult(bytes.NewReader(wire[:i])); !errors.Is(err, artifact.ErrCorrupt) {
+			t.Fatalf("cut to %d bytes: got %v, want ErrCorrupt", i, err)
+		}
 	}
 }

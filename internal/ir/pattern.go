@@ -44,7 +44,6 @@ type Pattern struct {
 	Root  *PatNode
 	arity int
 	nodes int // op nodes (not counting parameter leaves)
-	depth int
 }
 
 // Allowed op vocabulary per base kind.
@@ -77,12 +76,6 @@ func PatternUnOp(base BaseKind, op Op) bool {
 // Param returns a parameter leaf node.
 func Param(i int) *PatNode { return &PatNode{Param: i} }
 
-// PUn returns a unary pattern node.
-func PUn(op Op, x *PatNode) *PatNode { return &PatNode{Param: -1, Op: op, X: x} }
-
-// PBin returns a binary pattern node.
-func PBin(op Op, x, y *PatNode) *PatNode { return &PatNode{Param: -1, Op: op, X: x, Y: y} }
-
 // NewPattern validates a hand-built tree into a Pattern. Every op must
 // be in the base's vocabulary, and parameter indices must be contiguous
 // from 0 (an instruction's operand list has no holes).
@@ -96,11 +89,8 @@ func NewPattern(base BaseKind, root *PatNode) (*Pattern, error) {
 	p := &Pattern{Base: base, Root: root}
 	seen := map[int]bool{}
 	maxIdx := -1
-	var walk func(n *PatNode, depth int) error
-	walk = func(n *PatNode, depth int) error {
-		if depth > p.depth {
-			p.depth = depth
-		}
+	var walk func(n *PatNode) error
+	walk = func(n *PatNode) error {
 		if n.Param >= 0 {
 			if n.Param >= MaxPatternArity {
 				return fmt.Errorf("pattern parameter p%d exceeds the arity limit %d", n.Param, MaxPatternArity)
@@ -119,17 +109,17 @@ func NewPattern(base BaseKind, root *PatNode) (*Pattern, error) {
 			if !PatternUnOp(base, n.Op) {
 				return fmt.Errorf("op %s is not a valid unary %s pattern op", n.Op, base)
 			}
-			return walk(n.X, depth+1)
+			return walk(n.X)
 		}
 		if !PatternBinOp(base, n.Op) {
 			return fmt.Errorf("op %s is not a valid binary %s pattern op", n.Op, base)
 		}
-		if err := walk(n.X, depth+1); err != nil {
+		if err := walk(n.X); err != nil {
 			return err
 		}
-		return walk(n.Y, depth+1)
+		return walk(n.Y)
 	}
-	if err := walk(root, 1); err != nil {
+	if err := walk(root); err != nil {
 		return nil, err
 	}
 	if p.nodes == 0 {
@@ -149,9 +139,6 @@ func (p *Pattern) Arity() int { return p.arity }
 
 // OpNodes returns the number of operation nodes.
 func (p *Pattern) OpNodes() int { return p.nodes }
-
-// Depth returns the height of the operation tree.
-func (p *Pattern) Depth() int { return p.depth }
 
 // String renders the pattern in its parseable text form, preserving the
 // tree exactly as built or parsed.

@@ -1,8 +1,7 @@
 // Package lru is a bounded least-recently-used map, safe for concurrent
 // use. It is the one LRU behind the process's memo tables: the
-// compilation cache's memory tier, the compile driver's memos, the
-// VM's cost-table memo, the verification oracle, and the simulation
-// memo.
+// compilation cache's memory tier and program table, the compile
+// driver's memos, the verification oracle, and the simulation memo.
 package lru
 
 import (

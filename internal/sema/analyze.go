@@ -3,7 +3,6 @@ package sema
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"mat2c/internal/mlang"
 )
@@ -1093,14 +1092,4 @@ func selLen(t Type) int {
 		return 1
 	}
 	return t.Shape.Len()
-}
-
-// SortedFuncNames returns analyzed function names in deterministic order.
-func (in *Info) SortedFuncNames() []string {
-	names := make([]string, 0, len(in.Funcs))
-	for n := range in.Funcs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

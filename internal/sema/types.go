@@ -51,9 +51,6 @@ func (c Class) Join(d Class) Class {
 	return c
 }
 
-// IsNumeric reports whether the class participates in arithmetic.
-func (c Class) IsNumeric() bool { return true }
-
 // DimUnknown marks a dimension whose extent is not known statically.
 const DimUnknown = -1
 

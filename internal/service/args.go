@@ -258,7 +258,7 @@ func (d *decoder) numbers(vals []float64) ([]float64, error) {
 }
 
 // maxZeroElements bounds a real matrix given without "data": the
-// elements of a default 8 MiB request body read as float64s. Without
+// elements of a maxRequestBytes (8 MiB) body read as float64s. Without
 // it a 25-byte object could ask for gigabytes of zeros.
 const maxZeroElements = 1 << 20
 
@@ -310,7 +310,7 @@ func (d *decoder) object() (interface{}, error) {
 			cplx = []complex128{}
 		}
 		return mat2c.NewComplexMatrix(rows, cols, cplx)
-	case hasComplex:
+	case hasComplex && !hasRows && !hasCols:
 		return mat2c.NewComplexVector(cplx...), nil
 	case shaped && hasData:
 		if data == nil {

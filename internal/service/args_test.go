@@ -175,6 +175,10 @@ func TestDecodeArgPinned(t *testing.T) {
 		{raw: `{"cols":0,"data":[],"rows":2}`, typ: realMatT, want: realArray(2, 0)},
 		{raw: `{"rows":0,"cols":0,"data":[]}`, typ: realMatT, want: realArray(0, 0)},
 		{raw: `{"rows":0,"cols":2,"complex":[]}`, typ: cplxVecT, want: complexArray(0, 2)},
+		{raw: `{"rows":0,"cols":2,"complex":[[1,2]]}`, typ: cplxVecT, err: `unrecognized argument form {"rows":0,"cols":2,"complex":[[1,2]]}`},
+		{raw: `{"rows":-3,"cols":2,"complex":[[1,2]]}`, typ: cplxVecT, err: `unrecognized argument form {"rows":-3,"cols":2,"complex":[[1,2]]}`},
+		{raw: `{"rows":5,"complex":[[1,2]]}`, typ: cplxVecT, err: `unrecognized argument form {"rows":5,"complex":[[1,2]]}`},
+		{raw: `{"complex":[[1,2]],"cols":1}`, typ: cplxVecT, err: `unrecognized argument form {"complex":[[1,2]],"cols":1}`},
 		{raw: `{"rows":0,"cols":2,"data":[1]}`, typ: realMatT, err: `unrecognized argument form {"rows":0,"cols":2,"data":[1]}`},
 		{raw: `{"rows":0,"data":[]}`, typ: realMatT, err: `unrecognized argument form {"rows":0,"data":[]}`},
 		{raw: `{"rows":-1,"cols":0,"data":[]}`, typ: realMatT, err: `unrecognized argument form {"rows":-1,"cols":0,"data":[]}`},

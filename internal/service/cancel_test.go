@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -213,10 +214,11 @@ func TestStatusCodeMapping(t *testing.T) {
 
 func TestOversizedBodyIs413(t *testing.T) {
 	big := map[string]interface{}{
-		"source":  "% " + strings.Repeat("x", 2048),
-		"kernels": []string{strings.Repeat("k", 2048)},
-		"url":     "http://" + strings.Repeat("w", 2048),
+		"source":  "% " + strings.Repeat("x", maxRequestBytes),
+		"kernels": []string{"k"},
+		"url":     "http://w",
 	}
+	limit := strconv.Itoa(maxRequestBytes) + "-byte limit"
 	// Each POST endpoint, on a server in a role that routes it.
 	for _, tc := range []struct {
 		role  Role
@@ -226,14 +228,14 @@ func TestOversizedBodyIs413(t *testing.T) {
 		{RoleCoordinator, []string{"/fleet/register", "/fleet/deregister"}},
 		{RoleWorker, []string{"/fleet/unit"}},
 	} {
-		s := New(Config{Workers: 1, MaxRequestBytes: 512, Role: tc.role})
+		s := New(Config{Workers: 1, Role: tc.role})
 		ts := httptest.NewServer(s.Handler())
 		for _, path := range tc.paths {
 			resp, body := postJSON(t, ts, path, big)
 			if resp.StatusCode != http.StatusRequestEntityTooLarge {
 				t.Errorf("%s oversized: status %d (%s), want 413", path, resp.StatusCode, body)
 			}
-			if !strings.Contains(string(body), "512-byte limit") {
+			if !strings.Contains(string(body), limit) {
 				t.Errorf("%s: 413 body %q does not name the limit", path, body)
 			}
 		}

@@ -293,8 +293,10 @@ func emptyByScanner(got []interface{}, refErr error) bool {
 // outsideGrammar reports whether valid JSON data uses a quirk of the
 // reflective decoder that the scanner rejects on purpose: a null, an
 // object key other than the four spelled exactly (case-folded, escaped
-// or unknown), a complex element that is not an [re, im] pair, or a
-// complex matrix whose rows and cols do not match its element count.
+// or unknown), a complex element that is not an [re, im] pair, a
+// complex matrix whose rows and cols do not match its element count,
+// or a complex list with only one extent, or with extents that are not
+// both positive (unless the list is empty and both are at least zero).
 func outsideGrammar(data []byte) bool {
 	if bytes.IndexByte(data, '\\') >= 0 {
 		return true // only object keys can hold an escape in the grammar
@@ -325,9 +327,13 @@ func outsideGrammar(data []byte) bool {
 							return true
 						}
 					}
-					rows, _ := v["rows"].(float64)
-					cols, _ := v["cols"].(float64)
+					rows, hasRows := v["rows"].(float64)
+					cols, hasCols := v["cols"].(float64)
 					if ok && rows > 0 && cols > 0 && int(rows)*int(cols) != len(pairs) {
+						return true
+					}
+					empty := ok && len(pairs) == 0 && hasRows && hasCols && rows >= 0 && cols >= 0
+					if (hasRows || hasCols) && !(rows > 0 && cols > 0) && !empty {
 						return true
 					}
 				default:

@@ -7,10 +7,10 @@
 //	POST /fleet/unit       execute one work unit (worker role)
 //
 // A worker runs units on a bounded queue separate from the interactive
-// /compile and /run pool: SweepSlots units execute concurrently,
-// SweepQueue more may wait, and anything beyond that is shed with
-// 503 + Retry-After so the coordinator redistributes the unit instead
-// of this worker queueing unboundedly.
+// /compile and /run pool: SweepSlots units execute concurrently, twice
+// as many more may wait (sweepQueuePerSlot), and anything beyond that
+// is shed with 503 + Retry-After so the coordinator redistributes the
+// unit instead of this worker queueing unboundedly.
 package service
 
 import (
@@ -51,7 +51,7 @@ func (s *Server) handleFleetStatus(w http.ResponseWriter, r *http.Request) {
 	case RoleWorker:
 		st.Sweep = &SweepQueueInfo{
 			Slots:    s.cfg.SweepSlots,
-			Queue:    s.cfg.SweepQueue,
+			Queue:    sweepQueuePerSlot * s.cfg.SweepSlots,
 			Running:  len(s.sweepSlots),
 			Admitted: len(s.sweepAdmit),
 		}
@@ -124,7 +124,7 @@ func (s *Server) handleFleetUnit(w http.ResponseWriter, r *http.Request) {
 		s.metrics.QueueShed("sweep")
 		w.Header().Set("Retry-After", "1")
 		httpError(w, status, "sweep queue full (%d running + %d queued)",
-			s.cfg.SweepSlots, s.cfg.SweepQueue)
+			s.cfg.SweepSlots, sweepQueuePerSlot*s.cfg.SweepSlots)
 		return
 	}
 
@@ -169,5 +169,8 @@ func (s *Server) handleFleetUnit(w http.ResponseWriter, r *http.Request) {
 	for _, vr := range res.DSE {
 		s.metrics.ObserveDSEVariant(vr.Result.CacheLookups, vr.Result.CacheHits)
 	}
-	writeJSON(w, res)
+	if err := fleet.WriteResult(w, res); err != nil {
+		status = http.StatusInternalServerError
+		httpError(w, status, "%v", err)
+	}
 }

@@ -64,10 +64,23 @@ func runDSE(t *testing.T, ts *httptest.Server, req *DSERequest) JobStatus[dse.Re
 	return waitDSE(t, ts, acc.ID)
 }
 
+// identity returns rep's dse.Report.Identity.
+func identity(t *testing.T, rep *dse.Report) []byte {
+	t.Helper()
+	if rep == nil {
+		t.Fatal("job has no report")
+	}
+	id, err := rep.Identity()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return id
+}
+
 // TestFleetShardedSweepMatchesSingleProcess is the end-to-end
 // acceptance path: the same sweep through a coordinator + two workers
-// and through a standalone daemon must yield byte-identical reports
-// (wall time excepted).
+// and through a standalone daemon must yield reports of one identity
+// (dse.Report.Identity).
 func TestFleetShardedSweepMatchesSingleProcess(t *testing.T) {
 	coordSvc, coord := newCoordinator(t, fastFleetConfig())
 	newWorker(t, coord, Config{Workers: 2}, nil)
@@ -86,15 +99,7 @@ func TestFleetShardedSweepMatchesSingleProcess(t *testing.T) {
 		t.Fatalf("single job ended %q: %s", singleSt.State, singleSt.Error)
 	}
 
-	shardedSt.Report.ElapsedUS, singleSt.Report.ElapsedUS = 0, 0
-	sharded, err := json.Marshal(shardedSt.Report)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := json.Marshal(singleSt.Report)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sharded, plain := identity(t, shardedSt.Report), identity(t, singleSt.Report)
 	if !bytes.Equal(sharded, plain) {
 		t.Errorf("sharded report differs from single-process report\nsharded: %s\nsingle:  %s", sharded, plain)
 	}
@@ -152,9 +157,7 @@ func TestFleetWorkerKillMidSweep(t *testing.T) {
 	}
 	singleSt := runDSE(t, singleTS, smallDSERequest())
 
-	shardedSt.Report.ElapsedUS, singleSt.Report.ElapsedUS = 0, 0
-	sharded, _ := json.Marshal(shardedSt.Report)
-	plain, _ := json.Marshal(singleSt.Report)
+	sharded, plain := identity(t, shardedSt.Report), identity(t, singleSt.Report)
 	if !bytes.Equal(sharded, plain) {
 		t.Errorf("post-worker-loss report differs from single-process report\nsharded: %s\nsingle:  %s", sharded, plain)
 	}
@@ -255,8 +258,8 @@ func TestFleetShutdownMidSweep(t *testing.T) {
 	begin := time.Now()
 	coordSvc.Shutdown()
 	took := time.Since(begin)
-	if took > coordSvc.cfg.ShutdownGrace+2*time.Second {
-		t.Fatalf("Shutdown took %v, want within the %v grace period", took, coordSvc.cfg.ShutdownGrace)
+	if took > shutdownGrace+2*time.Second {
+		t.Fatalf("Shutdown took %v, want within the %v grace period", took, shutdownGrace)
 	}
 
 	// Every dispatched RPC settled (the cancellation propagated through
@@ -277,7 +280,7 @@ func TestFleetShutdownMidSweep(t *testing.T) {
 // with 503 + Retry-After and counts the shed in /metrics; a free queue
 // executes the unit.
 func TestSweepQueueBackpressure(t *testing.T) {
-	s := New(Config{Workers: 1, Role: RoleWorker, SweepSlots: 1, SweepQueue: 1})
+	s := New(Config{Workers: 1, Role: RoleWorker, SweepSlots: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -309,8 +312,8 @@ func TestSweepQueueBackpressure(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("free queue: status %d: %s, want 200", resp.StatusCode, body)
 	}
-	var res fleet.UnitResult
-	if err := json.Unmarshal(body, &res); err != nil {
+	res, err := fleet.ReadResult(bytes.NewReader(body))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if res.ID != unit.ID || len(res.DSE) != 1 {
@@ -320,8 +323,8 @@ func TestSweepQueueBackpressure(t *testing.T) {
 	// GET /fleet on a worker reports the queue shape.
 	var st FleetStatus
 	getJSON(t, ts, "/fleet", &st)
-	if st.Role != "worker" || st.Sweep == nil || st.Sweep.Slots != 1 || st.Sweep.Queue != 1 {
-		t.Errorf("GET /fleet = %+v, want worker role with slots/queue 1/1", st)
+	if st.Role != "worker" || st.Sweep == nil || st.Sweep.Slots != 1 || st.Sweep.Queue != 2 {
+		t.Errorf("GET /fleet = %+v, want worker role with slots/queue 1/2", st)
 	}
 }
 

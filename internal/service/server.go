@@ -108,8 +108,6 @@ type Config struct {
 	// RequestTimeout bounds each compile/run request, queueing
 	// included (default 30s).
 	RequestTimeout time.Duration
-	// MaxRequestBytes bounds request bodies (default 8 MiB).
-	MaxRequestBytes int64
 
 	// Role selects single-process, coordinator, or worker operation.
 	Role Role
@@ -120,14 +118,20 @@ type Config struct {
 	// can never saturate the interactive /run pool
 	// (default max(1, Workers/2)).
 	SweepSlots int
-	// SweepQueue bounds sweep units admitted but not yet running; a
-	// full queue sheds with 503 + Retry-After (default 2*SweepSlots).
-	SweepQueue int
-	// ShutdownGrace bounds how long Shutdown waits for
-	// dispatched-but-unacked fleet units before recording them as
-	// abandoned (default 5s).
-	ShutdownGrace time.Duration
 }
+
+const (
+	// maxRequestBytes bounds request bodies.
+	maxRequestBytes = 8 << 20
+	// sweepQueuePerSlot sizes a worker's sweep queue, the units admitted
+	// but not yet running, per sweep slot; a full queue sheds with 503 +
+	// Retry-After.
+	sweepQueuePerSlot = 2
+	// shutdownGrace bounds how long Shutdown waits for
+	// dispatched-but-unacked fleet units before recording them as
+	// abandoned.
+	shutdownGrace = 5 * time.Second
+)
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
@@ -139,20 +143,11 @@ func (c Config) withDefaults() Config {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 30 * time.Second
 	}
-	if c.MaxRequestBytes <= 0 {
-		c.MaxRequestBytes = 8 << 20
-	}
 	if c.SweepSlots <= 0 {
 		c.SweepSlots = c.Workers / 2
 		if c.SweepSlots < 1 {
 			c.SweepSlots = 1
 		}
-	}
-	if c.SweepQueue <= 0 {
-		c.SweepQueue = 2 * c.SweepSlots
-	}
-	if c.ShutdownGrace <= 0 {
-		c.ShutdownGrace = 5 * time.Second
 	}
 	return c
 }
@@ -215,7 +210,7 @@ func New(cfg Config) *Server {
 	case RoleCoordinator:
 		s.coord = fleet.NewCoordinator(cfg.Fleet)
 	case RoleWorker:
-		s.sweepAdmit = make(chan struct{}, cfg.SweepSlots+cfg.SweepQueue)
+		s.sweepAdmit = make(chan struct{}, (1+sweepQueuePerSlot)*cfg.SweepSlots)
 		s.sweepSlots = make(chan struct{}, cfg.SweepSlots)
 	}
 	return s
@@ -223,7 +218,7 @@ func New(cfg Config) *Server {
 
 // Shutdown cancels the server's background work (running DSE sweeps
 // and ISX mines observe the cancellation and stop). In coordinator
-// mode it then waits — up to Config.ShutdownGrace — for every
+// mode it then waits — up to shutdownGrace — for every
 // dispatched-but-unacked fleet work unit to come back; the
 // cancellation has already propagated into the workers' request
 // contexts, so acks arrive promptly, and any straggler past the grace
@@ -237,7 +232,7 @@ func New(cfg Config) *Server {
 func (s *Server) Shutdown() {
 	s.jobsCancel()
 	if s.coord != nil {
-		qctx, cancel := context.WithTimeout(context.Background(), s.cfg.ShutdownGrace)
+		qctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
 		defer cancel()
 		s.coord.Quiesce(qctx)
 	}
@@ -556,11 +551,11 @@ func writeJSONStatus(w http.ResponseWriter, status int, v interface{}) {
 }
 
 // decodeBody decodes r's JSON body into v, reading at most
-// Config.MaxRequestBytes; strict rejects unknown fields. On failure it
+// maxRequestBytes; strict rejects unknown fields. On failure it
 // answers 413 (body over the limit) or 400 (anything else) and returns
 // that status; on success it returns 0.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v interface{}, strict bool) int {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBytes)
 	dec := json.NewDecoder(r.Body)
 	if strict {
 		dec.DisallowUnknownFields()

@@ -2,8 +2,8 @@ package mat2c_test
 
 // Warm-start integration test for the durable artifact store: the same
 // DSE sweep, run twice as separate processes sharing one -cachedir,
-// must produce byte-identical reports (after stripping timing and
-// cache-traffic fields) with the second run compiling, simulating and
+// must produce reports of one identity (dse.Report.Identity), with the
+// second run compiling, simulating and
 // translating nothing — every variant restored from disk and priced
 // from the stored events of the first run's verified simulations.
 
@@ -12,9 +12,10 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
+
+	"mat2c/internal/dse"
 )
 
 // warmSweep keeps the sweep tiny: 2 widths × 2 complex = 4 variants on
@@ -25,12 +26,19 @@ const warmSweep = `{
   "complex": [true, false]
 }`
 
-// volatileReportFields matches the JSON lines that legitimately differ
-// between a cold and a warm run: wall-clock and cache-traffic counters.
-var volatileReportFields = regexp.MustCompile(`(?m)^\s*"(elapsed_us|cache_lookups|cache_hits)":.*$`)
-
-func normalizeReport(s string) string {
-	return volatileReportFields.ReplaceAllString(s, "")
+// reportIdentity returns the identity of an asipdse -json report
+// (dse.Report.Identity): what a cold and a warm run must agree on.
+func reportIdentity(t *testing.T, report string) string {
+	t.Helper()
+	rep, err := dse.ParseReport([]byte(report))
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := rep.Identity()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(id)
 }
 
 func runDSEProcess(t *testing.T, cacheDir, sweepPath string) (report, stats string) {
@@ -93,10 +101,10 @@ func TestWarmStartDSE(t *testing.T) {
 	cold, coldStats := runDSEProcess(t, cacheDir, sweepPath)
 	warm, warmStats := runDSEProcess(t, cacheDir, sweepPath)
 
-	// The warm report must be byte-identical once volatile fields are
-	// stripped: restored artifacts reproduce the exact cycle counts,
-	// code sizes, and frontier of the cold run.
-	if normalizeReport(cold) != normalizeReport(warm) {
+	// The warm report must have the cold one's identity: restored
+	// artifacts reproduce the exact cycle counts, code sizes, and
+	// frontier of the cold run.
+	if reportIdentity(t, cold) != reportIdentity(t, warm) {
 		t.Errorf("cold and warm reports differ:\n--- cold ---\n%s\n--- warm ---\n%s", cold, warm)
 	}
 
