@@ -79,6 +79,9 @@ type Cache struct {
 	// misses share one pipeline run instead of compiling redundantly.
 	flights     map[string]*flight
 	flightWaits uint64
+	// joined, when set (tests only), runs each time a caller joins
+	// another caller's flight, before it waits.
+	joined func()
 
 	// tiers are the store tiers behind memory, indexed diskTier and
 	// remoteTier; a tier with a nil store is skipped. writes holds the
@@ -676,6 +679,9 @@ func CompileKey(ctx context.Context, c *Cache, k Key) (res *Result, hit bool, er
 		}
 		fl, leader := c.startFlight(k.hash)
 		if !leader {
+			if c.joined != nil {
+				c.joined()
+			}
 			select {
 			case <-fl.done:
 				if fl.cancelled {

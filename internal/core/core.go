@@ -14,7 +14,9 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -180,11 +182,17 @@ func Compile(src, entry string, params []sema.Type, cfg Config) (*Result, error)
 // vectorizer. The back half reads the processor only through
 // pdesc.Target (and, with C output, through cgen), so a whole compile
 // is reused on any processor with the same shape (see shapeKey) that
-// answers every HasInstr query the stored compile made the same way: a
-// DSE sweep's variants that differ only in cycle costs, or in
-// instruction groups a kernel never asks about, share one Result,
-// whose Func, Info and Program are read-only. A back-memo hit reports
-// zero for every stage.
+// answers every Lanes and HasInstr query the stored compile made the
+// same way: a DSE sweep's variants that differ only in cycle costs, or
+// in lane counts and instruction groups a kernel never asks about,
+// share one Result, whose Func, Info and Program are read-only. A
+// back-memo hit reports zero for every stage.
+//
+// A back-memo miss first looks for a compile of the same shape in
+// progress whose answers so far the processor agrees with. If there is
+// one, the caller waits for it to land (or for ctx to fire) and looks
+// up again; otherwise it compiles, and other callers that agree with
+// its answers wait for it rather than compiling the same program.
 func CompileContext(ctx context.Context, src, entry string, params []sema.Type, cfg Config) (*Result, error) {
 	if cfg.Processor == nil {
 		return nil, fmt.Errorf("core: Config.Processor is required")
@@ -194,8 +202,13 @@ func CompileContext(ctx context.Context, src, entry string, params []sema.Type, 
 	if err != nil {
 		return nil, err
 	}
-	if s, ok := backMemo.Get(shape); ok {
-		if r := s.lookup(cfg.Processor); r != nil {
+	s, ok := backMemo.Get(shape)
+	if !ok {
+		s, _ = backMemo.Add(shape, &backShape{})
+	}
+	for {
+		r, fl, lead := s.claim(cfg.Processor)
+		if r != nil {
 			backHits.Add(1)
 			if err := cancelled(ctx, "vm-lower"); err != nil {
 				return nil, err
@@ -205,17 +218,24 @@ func CompileContext(ctx context.Context, src, entry string, params []sema.Type, 
 			res.Stages = newStageClock().stages
 			return &res, nil
 		}
+		if !lead {
+			backWaits.Add(1)
+			if waitHook != nil {
+				waitHook()
+			}
+			select {
+			case <-fl.done:
+				continue
+			case <-ctx.Done():
+				backMisses.Add(1)
+				return nil, fmt.Errorf("compile cancelled waiting for a concurrent compile: %w", ctx.Err())
+			}
+		}
+		backMisses.Add(1)
+		return s.lead(fl, func() (*Result, error) {
+			return compile(ctx, src, entry, params, cfg, front, fl.rec)
+		})
 	}
-	backMisses.Add(1)
-	rec := &recorder{Target: cfg.Processor, answers: map[string]bool{}}
-	res, err := compile(ctx, src, entry, params, cfg, front, rec)
-	if err != nil {
-		return nil, err
-	}
-	stored := *res
-	s, _ := backMemo.Add(shape, &backShape{})
-	s.add(backCompile{answers: rec.answers, res: &stored}, cfg.Processor)
-	return res, nil
 }
 
 // compile runs the pipeline, continuing from the memoized front half
@@ -249,6 +269,11 @@ func compile(ctx context.Context, src, entry string, params []sema.Type, cfg Con
 		res.VectorizedLoops = vectorize.Apply(f, t)
 	}
 	clock.record("vectorize")
+	if selectHook != nil {
+		if err := selectHook(); err != nil {
+			return nil, err
+		}
+	}
 	if cfg.Intrinsics {
 		res.Intrinsics = isel.Apply(f, t)
 	}
@@ -297,11 +322,16 @@ type frontKey struct {
 }
 
 func newFrontKey(src, entry string, params []sema.Type, cfg Config) frontKey {
-	var ps strings.Builder
+	var ps []byte
 	for _, t := range params {
-		fmt.Fprintf(&ps, "%d/%d/%d;", t.Class, t.Shape.Rows, t.Shape.Cols)
+		ps = strconv.AppendInt(ps, int64(t.Class), 10)
+		ps = append(ps, '/')
+		ps = strconv.AppendInt(ps, int64(t.Shape.Rows), 10)
+		ps = append(ps, '/')
+		ps = strconv.AppendInt(ps, int64(t.Shape.Cols), 10)
+		ps = append(ps, ';')
 	}
-	return frontKey{src: src, entry: entry, params: ps.String(), fusion: cfg.Fusion, optLevel: cfg.OptLevel}
+	return frontKey{src: src, entry: entry, params: string(ps), fusion: cfg.Fusion, optLevel: cfg.OptLevel}
 }
 
 // frontEnd is a memoized front half: the resolved entry name, the
@@ -326,18 +356,16 @@ const frontMemoSize = 64
 var frontMemo = lru.New[frontKey, *frontEnd](frontMemoSize)
 
 // shapeKey files a compile under everything the back half reads of
-// its input except the answers to HasInstr: the front half's input,
-// the back-end switches, the lane counts when the vectorizer runs, the
-// pattern-defined instructions when instruction selection runs, and,
-// when C is emitted, the processor rendered without its cycle costs
-// (cgen prints the target's name and its C intrinsic names). Nothing
-// else reaches the back half: the vectorizer and instruction selection
-// see the processor only as a pdesc.Target, and the optimizer and VM
-// lowering not at all.
+// its input except its answers to Lanes and HasInstr: the front half's
+// input, the back-end switches, the pattern-defined instructions when
+// instruction selection runs, and, when C is emitted, the processor
+// rendered without its cycle costs (cgen prints the target's name and
+// its C intrinsic names). Nothing else reaches the back half: the
+// vectorizer and instruction selection see the processor only as a
+// pdesc.Target, and the optimizer and VM lowering not at all.
 type shapeKey struct {
 	front                        frontKey
 	vectorize, intrinsics, emitC bool
-	lanes, complexLanes          int
 	patterns                     string
 	proc                         string
 }
@@ -345,9 +373,6 @@ type shapeKey struct {
 func newShapeKey(front frontKey, cfg Config) (shapeKey, error) {
 	p := cfg.Processor
 	k := shapeKey{front: front, vectorize: cfg.Vectorize, intrinsics: cfg.Intrinsics, emitC: cfg.EmitC}
-	if cfg.Vectorize {
-		k.lanes, k.complexLanes = p.Lanes(false), p.Lanes(true)
-	}
 	if cfg.Intrinsics {
 		var b strings.Builder
 		for _, in := range p.PatternInstrs() {
@@ -370,34 +395,22 @@ func newShapeKey(front frontKey, cfg Config) (shapeKey, error) {
 	return k, nil
 }
 
-// recorder is the pdesc.Target the vectorizer and instruction selection
-// read during one compile: it forwards to the processor and records the
-// answer to every HasInstr query.
-type recorder struct {
-	pdesc.Target
-	answers map[string]bool
+// answers are the queries one back-half compile made of its target and
+// the answers it got: the lane count per element kind (complex or not)
+// and whether each named custom instruction exists.
+type answers struct {
+	lanes  map[bool]int
+	instrs map[string]bool
 }
 
-func (r *recorder) HasInstr(name string) bool {
-	has := r.Target.HasInstr(name)
-	r.answers[name] = has
-	return has
-}
-
-// backCompile is one stored compile and the answers to the HasInstr
-// queries it made.
-type backCompile struct {
-	answers map[string]bool
-	res     *Result
-}
-
-// matches reports whether p answers every query c recorded as c's
-// processor did. Within one shape the compile is a deterministic
-// function of those answers, and it chooses each next query from the
-// answers so far, so a processor that matches would have asked exactly
-// the recorded queries and got exactly the stored compile.
-func (c *backCompile) matches(p *pdesc.Processor) bool {
-	for name, has := range c.answers {
+// heldBy reports whether p gives every recorded answer.
+func (a *answers) heldBy(p pdesc.Target) bool {
+	for isComplex, n := range a.lanes {
+		if p.Lanes(isComplex) != n {
+			return false
+		}
+	}
+	for name, has := range a.instrs {
 		if p.HasInstr(name) != has {
 			return false
 		}
@@ -405,46 +418,130 @@ func (c *backCompile) matches(p *pdesc.Processor) bool {
 	return true
 }
 
+// recorder is the pdesc.Target the vectorizer and instruction selection
+// read during one compile: it forwards to the processor and records the
+// answer to every Lanes and HasInstr query. Callers deciding whether to
+// wait for the compile read the answers while it runs, under mu.
+type recorder struct {
+	pdesc.Target
+	mu      sync.Mutex
+	answers answers
+}
+
+func newRecorder(p pdesc.Target) *recorder {
+	return &recorder{Target: p, answers: answers{lanes: map[bool]int{}, instrs: map[string]bool{}}}
+}
+
+func (r *recorder) Lanes(isComplex bool) int {
+	n := r.Target.Lanes(isComplex)
+	r.mu.Lock()
+	r.answers.lanes[isComplex] = n
+	r.mu.Unlock()
+	return n
+}
+
+func (r *recorder) HasInstr(name string) bool {
+	has := r.Target.HasInstr(name)
+	r.mu.Lock()
+	r.answers.instrs[name] = has
+	r.mu.Unlock()
+	return has
+}
+
+// agrees reports whether p gives every answer recorded so far.
+func (r *recorder) agrees(p pdesc.Target) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.answers.heldBy(p)
+}
+
+// backCompile is one stored compile and the answers to the queries it
+// made.
+type backCompile struct {
+	answers answers
+	res     *Result
+}
+
+// backFlight is one back-half compile in progress: rec holds the
+// answers it has got so far, and done closes when it lands, stored or
+// failed.
+type backFlight struct {
+	rec  *recorder
+	done chan struct{}
+}
+
 // backShape holds the compiles stored under one shape key, most
-// recently used first. Two of them differ in the answer to a query both
-// made (the first query where their runs part), so at most one matches
-// any processor.
+// recently used first, and the compiles in progress under it.
+//
+// Within one shape the compile is a deterministic function of its
+// answers, and it chooses each next query from the answers so far, so
+// a processor that gives every recorded answer would have asked
+// exactly the recorded queries and got exactly the stored compile.
+// Two compiles of one shape differ in the answer to a query both made
+// (the first query where their runs part), so at most one matches any
+// processor. A caller that agrees with an in-progress compile's
+// answers so far may still part from it at a later query, so a waiter
+// matches the landed compile again like any other lookup.
 type backShape struct {
 	mu       sync.Mutex
 	compiles []backCompile
+	flights  []*backFlight
 }
 
-// lookup returns the stored compile p matches, or nil.
-func (s *backShape) lookup(p *pdesc.Processor) *Result {
+// claim returns the stored compile p matches. Failing that, it returns
+// an in-progress compile whose answers so far p agrees with, to wait
+// for, or registers and returns a new flight for the caller to compile
+// (lead is true).
+func (s *backShape) claim(p *pdesc.Processor) (r *Result, fl *backFlight, lead bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i := range s.compiles {
-		if s.compiles[i].matches(p) {
+		if s.compiles[i].answers.heldBy(p) {
 			c := s.compiles[i]
 			copy(s.compiles[1:i+1], s.compiles[:i])
 			s.compiles[0] = c
-			return c.res
+			return c.res, nil, false
 		}
 	}
-	return nil
+	for _, fl := range s.flights {
+		if fl.rec.agrees(p) {
+			return nil, fl, false
+		}
+	}
+	fl = &backFlight{rec: newRecorder(p), done: make(chan struct{})}
+	s.flights = append(s.flights, fl)
+	return nil, fl, true
 }
 
-// add stores c, the compile made for p, unless a concurrent miss
-// stored one p matches first, and drops the least recently used
-// compile beyond backShapeCap.
-func (s *backShape) add(c backCompile, p *pdesc.Processor) {
+// lead runs fl's compile and lands fl, also when the compile panics,
+// so that no waiter waits for a compile that never lands.
+func (s *backShape) lead(fl *backFlight, compile func() (*Result, error)) (res *Result, err error) {
+	err = errors.New("core: compile panicked")
+	defer func() { s.land(fl, res, err) }()
+	return compile()
+}
+
+// land ends fl: on success its compile is stored, dropping the least
+// recently used one beyond backShapeCap; errors are never stored.
+// Either way fl's waiters wake to look up again.
+func (s *backShape) land(fl *backFlight, res *Result, err error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := range s.compiles {
-		if s.compiles[i].matches(p) {
-			return
+	if err == nil {
+		stored := *res
+		if len(s.compiles) < backShapeCap {
+			s.compiles = append(s.compiles, backCompile{})
+		}
+		copy(s.compiles[1:], s.compiles)
+		s.compiles[0] = backCompile{answers: fl.rec.answers, res: &stored}
+	}
+	for i, f := range s.flights {
+		if f == fl {
+			s.flights = append(s.flights[:i], s.flights[i+1:]...)
+			break
 		}
 	}
-	if len(s.compiles) < backShapeCap {
-		s.compiles = append(s.compiles, backCompile{})
-	}
-	copy(s.compiles[1:], s.compiles)
-	s.compiles[0] = c
+	s.mu.Unlock()
+	close(fl.done)
 }
 
 func (s *backShape) stored() int {
@@ -462,8 +559,8 @@ func (s *backShape) stored() int {
 const backMemoSize = 64
 
 // backShapeCap bounds the compiles stored under one shape key: one per
-// distinct answer set, which a sweep's instruction-group axis makes a
-// handful per kernel and lane configuration.
+// distinct answer set. A sweep's lane and instruction-group axes make a
+// few dozen per kernel at most (see docs/PERF.md for the counts).
 const backShapeCap = 16
 
 // backMemo holds finished compiles by shape; a hit is handed out as a
@@ -471,8 +568,19 @@ const backShapeCap = 16
 var backMemo = lru.New[shapeKey, *backShape](backMemoSize)
 
 // Memo counters: a back-memo hit consults neither the front memo nor
-// the pipeline, so front lookups count back-memo misses only.
-var frontHits, frontMisses, backHits, backMisses atomic.Uint64
+// the pipeline, so front lookups count back-memo misses only. A back
+// lookup that waits for a concurrent compile counts one wait and then,
+// once, the hit or miss it ends in.
+var frontHits, frontMisses, backHits, backMisses, backWaits atomic.Uint64
+
+// Test hooks, nil outside tests: selectHook runs in every compile
+// between the vectorizer and instruction selection, and an error it
+// returns fails the compile; waitHook runs when a back-memo miss starts
+// waiting for a concurrent compile.
+var (
+	selectHook func() error
+	waitHook   func()
+)
 
 // MemoInfo is a point-in-time snapshot of one compile memo. Hits and
 // Misses count lookups since the process started (or ResetMemos).
@@ -485,10 +593,13 @@ type MemoInfo struct {
 
 // BackMemoInfo snapshots the back-half memo: Entries counts stored
 // compiles and Shapes the shape keys they are filed under; Capacity
-// bounds Shapes.
+// bounds Shapes. Waits counts the times a lookup waited for a
+// concurrent compile of its shape (a lookup may wait again when that
+// compile parts from its answers) before ending in a hit or a miss.
 type BackMemoInfo struct {
 	MemoInfo
-	Shapes int `json:"shapes"`
+	Shapes int    `json:"shapes"`
+	Waits  uint64 `json:"waits"`
 }
 
 // MemosInfo snapshots both compile memos.
@@ -500,15 +611,17 @@ type MemosInfo struct {
 // MemoStats reports the occupancy and hit/miss counters of the
 // front-half and back-half memos.
 func MemoStats() MemosInfo {
-	shapes := backMemo.Values()
-	stored := 0
-	for _, s := range shapes {
-		stored += s.stored()
+	shapes, stored := 0, 0
+	for _, s := range backMemo.Values() {
+		if n := s.stored(); n > 0 {
+			shapes++
+			stored += n
+		}
 	}
 	return MemosInfo{
 		Front: MemoInfo{Entries: frontMemo.Len(), Capacity: frontMemoSize,
 			Hits: frontHits.Load(), Misses: frontMisses.Load()},
-		Back: BackMemoInfo{Shapes: len(shapes), MemoInfo: MemoInfo{Entries: stored,
+		Back: BackMemoInfo{Shapes: shapes, Waits: backWaits.Load(), MemoInfo: MemoInfo{Entries: stored,
 			Capacity: backMemoSize, Hits: backHits.Load(), Misses: backMisses.Load()}},
 	}
 }
@@ -522,6 +635,7 @@ func ResetMemos() {
 	frontMisses.Store(0)
 	backHits.Store(0)
 	backMisses.Store(0)
+	backWaits.Store(0)
 }
 
 // frontHalf runs the processor-independent stages — parse, sema, lower

@@ -458,10 +458,25 @@ func fuzzMemoTarget(r *rand.Rand, name string, lanes [2]int) (*pdesc.Processor, 
 	})
 }
 
-// FuzzBackMemo: from a seed, derive random targets (fuzzMemoTarget),
-// prime the back-half memo with some of them, then compile on the
-// others; every compile must equal one made with the back-half memo
-// cleared.
+// laneTwin derives p with other random lane counts and the same
+// instructions: a vector datapath keeps a vector width, so its vector
+// forms stay valid. A twin answers every HasInstr query as p does, so
+// only the lane answers tell their compiles apart.
+func laneTwin(r *rand.Rand, p *pdesc.Processor, name string) (*pdesc.Processor, error) {
+	return p.Derive(name, func(q *pdesc.Processor) {
+		if q.SIMDWidth > 1 {
+			q.SIMDWidth = fuzzWidths[1+r.Intn(len(fuzzWidths)-1)]
+		}
+		q.ComplexLanes = r.Intn(q.SIMDWidth/2 + 1)
+	})
+}
+
+// FuzzBackMemo: from a seed, derive random targets (fuzzMemoTarget, and
+// a quarter of them lane twins of an earlier one), prime the back-half
+// memo with some of them, then compile on the
+// others from two goroutines at once, one walking them forward and one
+// backward, so their compiles wait for each other's; every compile must
+// equal one made with the back-half memo cleared.
 func FuzzBackMemo(f *testing.F) {
 	for seed := uint64(0); seed < 32; seed++ {
 		f.Add(seed)
@@ -482,35 +497,64 @@ func FuzzBackMemo(f *testing.F) {
 		targets := make([]*pdesc.Processor, n)
 		cfgs := make([]core.Config, n)
 		for i := range targets {
-			p, err := fuzzMemoTarget(r, fmt.Sprintf("fuzz%d", i), lanes)
+			name := fmt.Sprintf("fuzz%d", i)
+			var p *pdesc.Processor
+			var err error
+			if i > 0 && r.Intn(4) == 0 {
+				p, err = laneTwin(r, targets[r.Intn(i)], name)
+			} else {
+				p, err = fuzzMemoTarget(r, name, lanes)
+			}
 			if err != nil {
 				t.Fatalf("seed %d: target %d: %v", seed, i, err)
 			}
 			targets[i], cfgs[i] = p, cfgFor(p)
 		}
-		compile := func(i int) string {
+		compile := func(i int) (string, error) {
 			res, err := core.Compile(k.Source, k.Entry, k.Params, cfgs[i])
 			if err != nil {
-				t.Fatalf("seed %d: %s/%s on %+v: %v", seed, k.Name, shape.name, targets[i], err)
+				return "", fmt.Errorf("seed %d: %s/%s on %+v: %v", seed, k.Name, shape.name, targets[i], err)
 			}
-			return fingerprint(res)
+			return fingerprint(res), nil
 		}
 		core.ResetMemos()
 		cold := make([]string, n)
 		for i := range targets {
 			core.ClearBackMemo()
-			cold[i] = compile(i)
+			got, err := compile(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold[i] = got
 		}
 		core.ResetMemos()
 		primed := 1 + r.Intn(n-1)
 		for i := 0; i < primed; i++ {
-			compile(i)
-		}
-		for i := primed; i < n; i++ {
-			if got := compile(i); got != cold[i] {
-				t.Fatalf("seed %d: %s/%s emitC=%v on %+v after priming with %d targets:\n got: %s\nwant: %s",
-					seed, k.Name, shape.name, cfgs[i].EmitC, targets[i], primed, got, cold[i])
+			if _, err := compile(i); err != nil {
+				t.Fatal(err)
 			}
 		}
+		var wg sync.WaitGroup
+		for _, backward := range []bool{false, true} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for j := primed; j < n; j++ {
+					i := j
+					if backward {
+						i = n - 1 - (j - primed)
+					}
+					got, err := compile(i)
+					switch {
+					case err != nil:
+						t.Error(err)
+					case got != cold[i]:
+						t.Errorf("seed %d: %s/%s emitC=%v on %+v after priming with %d targets:\n got: %s\nwant: %s",
+							seed, k.Name, shape.name, cfgs[i].EmitC, targets[i], primed, got, cold[i])
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	})
 }

@@ -358,7 +358,9 @@ func runs(groups [][]int, kernels, workers int) [][]int {
 // runs of whole CompileGroups (runs), evaluating a run's variants in
 // enumeration order after reading ahead for them (evalRun), so cost
 // siblings run back to back on one worker and share one back-half
-// compile per kernel instead of racing to compile it twice. Workers
+// compile per kernel; a worker that misses while another compiles the
+// same kernel for a target its variant agrees with waits for that
+// compile (core.CompileContext) rather than making its own. Workers
 // observe ctx between variants (and between kernels within a variant),
 // so a cancelled sweep stops evaluating promptly; the partial work is
 // discarded and the returned error unwraps to ctx.Err().

@@ -11,20 +11,23 @@ import (
 )
 
 // e2eAnswerSets is the number of distinct back-half inputs the
-// e2e-shaped sweep gives the kernel suite: pairs of a shape key (kernel,
-// lane counts, pattern list) and the answers to every HasInstr query
-// the kernel's vectorize and isel runs make there. It is far below the
-// sweep's cost-free variants times kernels, because most kernels never
-// ask about most instruction groups. Measured; a change here means the
-// compiler asks different questions or the memo keys differently.
-const e2eAnswerSets = 108
+// e2e-shaped sweep gives the kernel suite: pairs of a shape key (kernel
+// and pattern list) and the answers to every Lanes and HasInstr query
+// the kernel's vectorize and isel runs make there, counted per kernel.
+// It is far below the sweep's cost-free variants times kernels, because
+// most kernels never ask about most instruction groups, and a kernel
+// with no vectorizable loop asks no lane count. Measured; a change here
+// means the compiler asks different questions or the memo keys
+// differently.
+const e2eAnswerSets = 60
 
 // TestCostSiblingsShareOneCompile: on a two-cost-set sweep the back-half
 // memo compiles once per distinct answer set. At Jobs 1 the misses are
 // exactly e2eAnswerSets and every other compile, cost siblings included,
-// is a hit. At Jobs 2 the report is identical to the Jobs 1 report; two
-// workers may compile one answer set at the same time and both miss, so
-// the misses lie between e2eAnswerSets and the cost-free back halves.
+// is a hit. At Jobs 2 the report is identical to the Jobs 1 report, and
+// so are the misses and stored compiles: a worker that misses while the
+// other compiles the same answer set waits for that compile instead of
+// making its own.
 func TestCostSiblingsShareOneCompile(t *testing.T) {
 	sw, err := ParseSweep([]byte(e2eShapedSpec))
 	if err != nil {
@@ -70,8 +73,9 @@ func TestCostSiblingsShareOneCompile(t *testing.T) {
 		t.Errorf("jobs 1: back-half memo stores %d compiles, want %d", back.Entries, e2eAnswerSets)
 	}
 	pooled, back := explore(2)
-	if back.Misses < e2eAnswerSets || back.Misses > uint64(len(costFree)*kernels) {
-		t.Errorf("jobs 2: back-half memo %d misses, want %d to %d", back.Misses, e2eAnswerSets, len(costFree)*kernels)
+	if back.Misses != e2eAnswerSets || back.Entries != e2eAnswerSets {
+		t.Errorf("jobs 2: back-half memo %d misses and %d stored compiles, want %d of each",
+			back.Misses, back.Entries, e2eAnswerSets)
 	}
 	if !reflect.DeepEqual(serial, pooled) {
 		t.Error("jobs 2 report differs from the jobs 1 report")

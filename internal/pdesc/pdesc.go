@@ -124,8 +124,8 @@ func (p *Processor) IssueCost(in *Instr) int {
 // a processor description: the lane counts, which custom instructions
 // exist, and the pattern-defined ones. Cycle costs, names and C
 // intrinsic names are out of their reach, so two processors that agree
-// on the lane counts and patterns, and answer every HasInstr query a
-// compile makes alike, get the same program from both passes.
+// on the patterns, and answer every Lanes and HasInstr query a compile
+// makes alike, get the same program from both passes.
 type Target interface {
 	// Lanes returns the vector lane count for float (false) or complex
 	// (true) elements.

@@ -464,8 +464,8 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 // TestCompileMemoMetrics: a compile that misses a fresh server's cache
 // but repeats an earlier compile in the same process is served by the
 // back-half memo — its stage times are all zero — and /metrics reports
-// it under compile_memo, with the back memo's stored compiles and the
-// shape keys they are filed under counted separately.
+// it under compile_memo, with the back memo's stored compiles, the
+// shape keys they are filed under and its waits counted separately.
 func TestCompileMemoMetrics(t *testing.T) {
 	req := CompileRequest{Source: scaleSrc + "\n% compile memo metrics", Params: "real(1,:), real", Target: "dspasip"}
 	compile := func() (CompileResponse, Snapshot) {
@@ -512,7 +512,7 @@ func TestCompileMemoMetrics(t *testing.T) {
 	ts := httptest.NewServer(New(Config{}).Handler())
 	defer ts.Close()
 	getJSON(t, ts, "/metrics", &raw)
-	for _, field := range []string{"entries", "shapes", "capacity", "hits", "misses"} {
+	for _, field := range []string{"entries", "shapes", "capacity", "hits", "misses", "waits"} {
 		if _, ok := raw.CompileMemo.Back[field]; !ok {
 			t.Errorf("/metrics compile_memo.back lacks %q: %v", field, raw.CompileMemo.Back)
 		}

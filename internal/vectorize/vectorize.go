@@ -30,11 +30,10 @@ import (
 )
 
 // Apply vectorizes all eligible innermost loops of f for target p. It
-// returns the number of loops vectorized.
+// returns the number of loops vectorized. It asks p for a lane count
+// only for a loop that passes every legality check, so a function with
+// no such loop reads none.
 func Apply(f *ir.Func, p pdesc.Target) int {
-	if p.Lanes(false) < 2 {
-		return 0
-	}
 	v := &vectorizer{fn: f, proc: p}
 	v.globalReads = scalarReadCounts(f)
 	v.outsideSafe = computeOutsideSafety(f)

@@ -69,6 +69,23 @@ func (s *blockingStore) awaitGet(t *testing.T) chan struct{} {
 	}
 }
 
+// awaitJoins makes c report each caller that joins a flight and
+// returns a function that blocks until n more have joined.
+func awaitJoins(t *testing.T, c *Cache) func(n int) {
+	joins := make(chan struct{}, 64) // beyond any test's joins: the hook never blocks
+	c.joined = func() { joins <- struct{}{} }
+	return func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			select {
+			case <-joins:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("only %d of %d callers joined the flight", i, n)
+			}
+		}
+	}
+}
+
 // TestSingleflightSharesOneCompile parks the leader in the disk tier,
 // piles followers onto the same key, and asserts exactly one pipeline
 // run served every caller with one shared artifact.
@@ -76,6 +93,7 @@ func TestSingleflightSharesOneCompile(t *testing.T) {
 	cache := NewCache(8)
 	store := newBlockingStore()
 	cache.SetStore(store)
+	awaitJoined := awaitJoins(t, cache)
 	types := sfTypes(t)
 
 	const followers = 8
@@ -110,15 +128,7 @@ func TestSingleflightSharesOneCompile(t *testing.T) {
 	}
 	// Wait until every follower has joined the flight, then let the
 	// leader proceed (disk miss -> compile).
-	for deadline := time.Now().Add(10 * time.Second); ; {
-		if cache.Stats().FlightWaits == followers {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d followers joined the flight", cache.Stats().FlightWaits, followers)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	awaitJoined(followers)
 	close(release)
 	wg.Wait()
 	close(results)
@@ -153,6 +163,7 @@ func TestSingleflightFollowerHonorsOwnContext(t *testing.T) {
 	cache := NewCache(8)
 	store := newBlockingStore()
 	cache.SetStore(store)
+	awaitJoined := awaitJoins(t, cache)
 	types := sfTypes(t)
 
 	leaderDone := make(chan error, 1)
@@ -168,9 +179,7 @@ func TestSingleflightFollowerHonorsOwnContext(t *testing.T) {
 		_, _, err := CompileCachedContext(ctx, cache, sfSrc, "sf", types, Options{})
 		followerDone <- err
 	}()
-	for cache.Stats().FlightWaits == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	awaitJoined(1)
 	cancel()
 	if err := <-followerDone; !errors.Is(err, context.Canceled) {
 		t.Errorf("follower err = %v, want context.Canceled", err)
@@ -193,6 +202,7 @@ func TestSingleflightLeaderCancellationRetries(t *testing.T) {
 	cache := NewCache(8)
 	store := newBlockingStore()
 	cache.SetStore(store)
+	awaitJoined := awaitJoins(t, cache)
 	types := sfTypes(t)
 
 	lctx, lcancel := context.WithCancel(context.Background())
@@ -212,9 +222,7 @@ func TestSingleflightLeaderCancellationRetries(t *testing.T) {
 		_ = hit
 		followerDone <- err
 	}()
-	for cache.Stats().FlightWaits == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	awaitJoined(1)
 
 	// Kill the leader's context, then let its disk lookup return: the
 	// pipeline observes the dead context and the flight is marked
@@ -244,6 +252,7 @@ func TestSingleflightSharesDeterministicErrors(t *testing.T) {
 	cache := NewCache(8)
 	store := newBlockingStore()
 	cache.SetStore(store)
+	awaitJoined := awaitJoins(t, cache)
 	types := sfTypes(t)
 	bad := "function y = sf(x, a)\ny = undefined_fn(x);\nend"
 
@@ -258,9 +267,7 @@ func TestSingleflightSharesDeterministicErrors(t *testing.T) {
 		_, _, err := CompileCached(cache, bad, "sf", types, Options{})
 		followerDone <- err
 	}()
-	for cache.Stats().FlightWaits == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	awaitJoined(1)
 	close(release)
 	lerr, ferr := <-leaderDone, <-followerDone
 	if lerr == nil || ferr == nil {
