@@ -5,9 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"strconv"
 	"sync"
 
@@ -594,20 +592,19 @@ func Keys(opts Options, ins ...Input) ([]Key, error) {
 	if err != nil {
 		return nil, err
 	}
-	procJSON, err := json.Marshal(cfg.Processor)
-	if err != nil {
-		return nil, fmt.Errorf("mat2c: hashing target description: %w", err)
-	}
+	procJSON := cfg.Processor.AppendJSON(nil)
 	tail := strconv.AppendInt(nil, int64(cfg.OptLevel), 10)
 	for _, on := range []bool{cfg.Vectorize, cfg.Intrinsics, cfg.Fusion, cfg.EmitC} {
 		tail = strconv.AppendBool(append(tail, ' '), on)
 	}
 	keys := make([]Key, len(ins))
-	var buf, f []byte
+	n := 0
+	for _, in := range ins {
+		n = max(n, len(in.Source)+len(in.Entry))
+	}
+	buf := make([]byte, 0, 256+n+len(procJSON))
+	var f []byte
 	for i, in := range ins {
-		if n := 256 + len(in.Source) + len(in.Entry) + len(procJSON); cap(buf) < n {
-			buf = make([]byte, 0, n)
-		}
 		buf = appendKeyField(buf[:0], cacheKeyVersion)
 		buf = appendKeyField(buf, in.Source)
 		buf = appendKeyField(buf, in.Entry)
@@ -695,12 +692,22 @@ func CompileKey(ctx context.Context, c *Cache, k Key) (res *Result, hit bool, er
 				return nil, false, ctx.Err()
 			}
 		}
-		res, hit, err = c.resolve(ctx, k)
+		return c.lead(ctx, k, fl)
+	}
+}
+
+// lead resolves k as the leader of its flight fl and ends the flight
+// from a deferred call, so a compile that panics still removes it and
+// wakes its followers (with an error) instead of leaving every later
+// lookup of k waiting on it.
+func (c *Cache) lead(ctx context.Context, k Key, fl *flight) (res *Result, hit bool, err error) {
+	err = errors.New("mat2c: compile panicked")
+	defer func() {
 		fl.res, fl.err = res, err
 		fl.cancelled = err != nil && ctx.Err() != nil
 		c.endFlight(k.hash, fl)
-		return res, hit, err
-	}
+	}()
+	return c.resolve(ctx, k)
 }
 
 // resolve settles a memory miss as the flight leader: it probes the

@@ -582,6 +582,17 @@ var (
 	waitHook   func()
 )
 
+// SetBackHooks installs the compile driver's test hooks: sel runs in
+// every compile between the vectorizer and instruction selection (an
+// error it returns fails the compile), and wait runs when a back-memo
+// miss starts waiting for a concurrent compile. It returns a function
+// that removes both. Tests of core and of the packages above it call
+// it; a program never does.
+func SetBackHooks(sel func() error, wait func()) (restore func()) {
+	selectHook, waitHook = sel, wait
+	return func() { selectHook, waitHook = nil, nil }
+}
+
 // MemoInfo is a point-in-time snapshot of one compile memo. Hits and
 // Misses count lookups since the process started (or ResetMemos).
 type MemoInfo struct {

@@ -23,13 +23,3 @@ func FrontMemoFunc(src, entry string, params []sema.Type, cfg Config) *ir.Func {
 // ClearBackMemo empties the back-half memo alone, so a compile runs the
 // back half again on the memoized front half.
 func ClearBackMemo() { backMemo.Clear() }
-
-// SetBackHooks installs the compile driver's test hooks: sel runs in
-// every compile between the vectorizer and instruction selection (an
-// error it returns fails the compile), and wait runs when a back-memo
-// miss starts waiting for a concurrent compile. It returns a function
-// that removes both.
-func SetBackHooks(sel func() error, wait func()) (restore func()) {
-	selectHook, waitHook = sel, wait
-	return func() { selectHook, waitHook = nil, nil }
-}

@@ -131,10 +131,10 @@ func EvalVariantsContext(ctx context.Context, vs []*Variant, opts Options) ([]Va
 
 // evalRun evaluates vs in order, handing each result to done with its
 // index in vs. It first computes the variants' cache keys (one
-// rendering of each variant's processor) and reads ahead in one go
-// what their lookups will ask the cache's remote tier for
-// (mat2c.Cache.Prefetch), releasing it on return. It stops with ctx's
-// error when ctx ends before a variant.
+// rendering of each variant's processor) and, when the cache's remote
+// tier reads in batches, reads ahead in one go what their lookups will
+// ask it for (mat2c.Cache.Prefetch), releasing it on return. It stops
+// with ctx's error when ctx ends before a variant.
 func evalRun(ctx context.Context, vs []*Variant, kernels []*bench.Kernel, opts Options, cache *mat2c.Cache, done func(int, VariantResult)) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -144,7 +144,9 @@ func evalRun(ctx context.Context, vs []*Variant, kernels []*bench.Kernel, opts O
 	for i, v := range vs {
 		keys[i], errs[i] = variantKeys(v, kernels, opts)
 	}
-	defer cache.Prefetch(wants(keys, kernels, opts, cache))()
+	if cache.CanPrefetch() {
+		defer cache.Prefetch(wants(keys, kernels, opts, cache))()
+	}
 	for i, v := range vs {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -179,7 +181,7 @@ func wants(keys [][]mat2c.Key, kernels []*bench.Kernel, opts Options, cache *mat
 			digests[i] = k.Case(bench.SizeFor(k, opts.Scale)).Digest()
 		}
 	}
-	var out []mat2c.Want
+	out := make([]mat2c.Want, 0, len(keys)*len(kernels))
 	for _, ks := range keys {
 		for i, k := range ks {
 			out = append(out, mat2c.Want{Key: k, CaseDigest: digests[i]})
@@ -276,10 +278,7 @@ func EnumerateAll(ctx context.Context, sweeps []*Sweep) ([]*Variant, []string, e
 		}
 		bases = append(bases, base)
 		for _, v := range vs {
-			key, err := contentKey(v.Proc)
-			if err != nil {
-				return nil, nil, err
-			}
+			key := v.contentKey()
 			if seen[key] {
 				continue
 			}

@@ -23,10 +23,7 @@ func TestEnumerateDefaultSweep(t *testing.T) {
 	seen := map[string]string{}
 	names := map[string]bool{}
 	for _, v := range vs {
-		key, err := contentKey(v.Proc)
-		if err != nil {
-			t.Fatal(err)
-		}
+		key := string(appendContentKey(nil, v.Proc))
 		if prev, dup := seen[key]; dup {
 			t.Errorf("variants %s and %s describe the same machine", prev, v.Proc.Name)
 		}

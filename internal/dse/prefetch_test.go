@@ -98,7 +98,8 @@ func seed1Sweep() *Sweep {
 // fed by a warm origin with a fresh local tier — reading key by key,
 // and reading ahead in batches. The three reports have one identity
 // (Report.Identity); every lookup of a remote-fed sweep hits, and the
-// batched one reads in a few dozen batches and no Gets.
+// batched one reads in a few dozen batches and no Gets, from the
+// origin or from the local tier.
 func TestRemoteFedSweepWithBatches(t *testing.T) {
 	origin, err := artifact.OpenDisk(t.TempDir(), 0)
 	if err != nil {
@@ -120,6 +121,9 @@ func TestRemoteFedSweepWithBatches(t *testing.T) {
 		if s != nil {
 			c.SetRemoteStore(s)
 		}
+		// Each sweep looks up its runs' events rather than pricing from
+		// the previous sweep's simulations.
+		bench.ResetSimMemo()
 		rep, err := ExploreSweep(seed1Sweep(), Options{Jobs: 2, Cache: c})
 		if err != nil {
 			t.Fatal(err)
@@ -173,5 +177,10 @@ func TestRemoteFedSweepWithBatches(t *testing.T) {
 	}
 	if bst.Remote.Gets != 0 || bst.Remote.Batches == 0 || bst.Remote.Batches > 40 {
 		t.Errorf("batched sweep: %d gets and %d batches, want 0 and at most 40", bst.Remote.Gets, bst.Remote.Batches)
+	}
+	// Prefetch found every record and events entry absent from the
+	// fresh local tier, so no lookup reads it.
+	if bst.Disk.Gets != 0 || bst.EventHits == 0 {
+		t.Errorf("batched sweep: the local tier saw %d Gets, want 0 (%d events hits)", bst.Disk.Gets, bst.EventHits)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -155,6 +156,10 @@ type Variant struct {
 	Complex bool
 	Groups  []string
 	CostSet string
+
+	// key is Proc's content key when the variant was enumerated here;
+	// a variant built elsewhere (a fleet unit, a test) has none.
+	key string
 }
 
 // groupsOf returns the sorted distinct instruction groups present in a
@@ -207,26 +212,23 @@ func makeVariant(base *pdesc.Processor, width int, useComplex bool, groups []str
 	if useComplex {
 		lanes = width / 2
 	}
-	want := map[string]bool{}
-	for _, g := range groups {
-		want[g] = true
-	}
 	groupTag := "none"
 	if len(groups) > 0 {
 		groupTag = strings.Join(groups, "+")
 	}
-	name := fmt.Sprintf("%s-w%d-cl%d-%s", base.Name, width, lanes, groupTag)
+	w, cl := strconv.Itoa(width), strconv.Itoa(lanes)
+	name := base.Name + "-w" + w + "-cl" + cl + "-" + groupTag
 	if cost.Name != "" {
 		name += "-" + cost.Name
 	}
 	proc, err := base.Derive(name, func(q *pdesc.Processor) {
 		q.SIMDWidth = width
 		q.ComplexLanes = lanes
-		q.Description = fmt.Sprintf("DSE variant of %s (width %d, %d complex lanes, %s)",
-			base.Name, width, lanes, groupTag)
-		var instrs []pdesc.Instr
+		q.Description = "DSE variant of " + base.Name + " (width " + w + ", " + cl + " complex lanes, " + groupTag + ")"
+		// Filter the clone's own copy of the base instructions in place.
+		instrs := q.Instructions[:0]
 		for _, in := range base.Instructions {
-			if !want[InstrGroup(in.Name)] {
+			if !slices.Contains(groups, InstrGroup(in.Name)) {
 				continue
 			}
 			if strings.HasPrefix(in.Name, "v") {
@@ -248,6 +250,9 @@ func makeVariant(base *pdesc.Processor, width int, useComplex bool, groups []str
 			}
 			instrs = append(instrs, in)
 		}
+		if len(instrs) == 0 {
+			instrs = nil
+		}
 		q.Instructions = instrs
 		if len(cost.Costs) > 0 {
 			if q.Costs == nil {
@@ -264,15 +269,24 @@ func makeVariant(base *pdesc.Processor, width int, useComplex bool, groups []str
 	return &Variant{Proc: proc, Width: width, Complex: useComplex, Groups: groups, CostSet: cost.Name}, nil
 }
 
-// contentKey fingerprints a variant by everything except its name, so
-// sweep points that collapse to the same machine (e.g. complex lanes
-// on a width-1 datapath) are pruned as duplicates.
-func contentKey(p *pdesc.Processor) (string, error) {
-	q := p.Clone()
-	q.Name = "-"
-	q.Description = ""
-	data, err := json.Marshal(q)
-	return string(data), err
+// appendContentKey appends p's content key to dst: its rendering
+// without name and description, so sweep points that collapse to the
+// same machine (e.g. complex lanes on a width-1 datapath) are pruned as
+// duplicates. It renders a shallow copy: the copy's cost table and
+// instruction list are p's, and rendering only reads them.
+func appendContentKey(dst []byte, p *pdesc.Processor) []byte {
+	q := *p
+	q.Name, q.Description = "-", ""
+	return q.AppendJSON(dst)
+}
+
+// contentKey returns v's content key: the one enumeration stored, or
+// else a fresh rendering.
+func (v *Variant) contentKey() string {
+	if v.key == "" {
+		return string(appendContentKey(nil, v.Proc))
+	}
+	return v.key
 }
 
 // CompileGroups partitions variant indices into cost-sibling groups:
@@ -286,18 +300,15 @@ func contentKey(p *pdesc.Processor) (string, error) {
 func CompileGroups(variants []*Variant) [][]int {
 	var groups [][]int
 	at := map[string]int{}
+	var key []byte
 	for i, v := range variants {
-		q := v.Proc.Clone()
+		q := *v.Proc
 		q.Costs = nil
-		key, err := contentKey(q)
-		if err != nil {
-			groups = append(groups, []int{i})
-			continue
-		}
-		g, ok := at[key]
+		key = appendContentKey(key[:0], &q)
+		g, ok := at[string(key)]
 		if !ok {
 			g = len(groups)
-			at[key] = g
+			at[string(key)] = g
 			groups = append(groups, nil)
 		}
 		groups[g] = append(groups[g], i)
@@ -371,14 +382,11 @@ func (s *Sweep) EnumerateContext(ctx context.Context) ([]*Variant, error) {
 							}
 							continue
 						}
-						key, err := contentKey(v.Proc)
-						if err != nil {
-							return nil, err
-						}
-						if seen[key] {
+						v.key = v.contentKey()
+						if seen[v.key] {
 							continue
 						}
-						seen[key] = true
+						seen[v.key] = true
 						out = append(out, v)
 						if s.MaxVariants > 0 && len(out) >= s.MaxVariants {
 							return out, nil

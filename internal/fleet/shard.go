@@ -41,13 +41,9 @@ func ShardDSE(variants []*dse.Variant, opts dse.Options, size int) ([]Unit, erro
 		du := &DSEUnit{Scale: opts.Scale, Kernels: opts.Kernels, EmitC: opts.EmitC}
 		for _, i := range cut {
 			v := variants[i]
-			procJSON, err := json.Marshal(v.Proc)
-			if err != nil {
-				return nil, fmt.Errorf("fleet: marshal variant %s: %w", v.Proc.Name, err)
-			}
 			du.Variants = append(du.Variants, DSEVariant{
 				Index:   i,
-				Proc:    procJSON,
+				Proc:    v.Proc.AppendJSON(nil),
 				Groups:  v.Groups,
 				CostSet: v.CostSet,
 			})

@@ -232,9 +232,7 @@ func (p *Processor) Validate() error {
 	if p.ComplexLanes < 0 || p.ComplexLanes > p.SIMDWidth {
 		return fmt.Errorf("%s: complex_lanes %d out of range [0, %d]", p.Name, p.ComplexLanes, p.SIMDWidth)
 	}
-	seen := map[string]bool{}
-	seenC := map[string]string{}
-	for _, in := range p.Instructions {
+	for i, in := range p.Instructions {
 		if in.Name == "" || in.CName == "" {
 			return fmt.Errorf("%s: instruction with empty name/cname", p.Name)
 		}
@@ -259,14 +257,19 @@ func (p *Processor) Validate() error {
 				return fmt.Errorf("%s: instruction %s: %v", p.Name, in.Name, err)
 			}
 		}
-		if seen[in.Name] {
-			return fmt.Errorf("%s: duplicate custom instruction %q (one entry would silently shadow the other)", p.Name, in.Name)
+		// The list holds a few dozen entries at most: scanning the
+		// earlier ones is cheaper than building sets, which every
+		// derived sweep variant would pay for.
+		for _, prev := range p.Instructions[:i] {
+			if prev.Name == in.Name {
+				return fmt.Errorf("%s: duplicate custom instruction %q (one entry would silently shadow the other)", p.Name, in.Name)
+			}
 		}
-		seen[in.Name] = true
-		if prev, dup := seenC[in.CName]; dup {
-			return fmt.Errorf("%s: instructions %q and %q share C intrinsic name %q", p.Name, prev, in.Name, in.CName)
+		for _, prev := range p.Instructions[:i] {
+			if prev.CName == in.CName {
+				return fmt.Errorf("%s: instructions %q and %q share C intrinsic name %q", p.Name, prev.Name, in.Name, in.CName)
+			}
 		}
-		seenC[in.CName] = in.Name
 		if isVectorInstr(in.Name) && p.SIMDWidth < 2 {
 			return fmt.Errorf("%s: vector instruction %s on a scalar target", p.Name, in.Name)
 		}

@@ -12,8 +12,9 @@ type Want struct {
 
 // prefetched is the remote tier's answers one Prefetch read ahead, by
 // store key. Each answers one read and is then dropped. Absent holds
-// the record keys the local tier answered absent to Prefetch's probe:
-// while their remote answer is held, the local tier is not read again.
+// the record and events keys the local tier answered absent to
+// Prefetch's probe: while their remote answer is held, the local tier
+// is not read again.
 type prefetched struct {
 	answers map[string]artifact.Fetched
 	absent  map[string]bool
@@ -21,17 +22,19 @@ type prefetched struct {
 
 // Prefetch reads ahead what the lookups in wants will ask the remote
 // tier for, when that tier reads many entries in one round trip
-// (artifact.BatchGetter), and holds the answers until release is
-// called. It reads the records of the keys that neither memory nor the
-// local tier holds (when the local tier answers presence probes), then
-// the program blobs and events entries those records name, skipping
-// programs the decoded-program memo holds and entries another Prefetch
-// holds: a batch read each. A lookup that finds its read held takes the
-// answer as the remote tier's reply to Get, so decoding, key checks,
-// deletion of bad entries, counters and offers to the local tier are
-// those of a read by key. A batch that fails holds nothing, and its
-// lookups read key by key as they do without Prefetch, which is a no-op
-// when the remote tier cannot batch.
+// (artifact.BatchGetter; see CanPrefetch), and holds the answers until
+// release is called. It reads the records of the keys that neither
+// memory nor the local tier holds (when the local tier answers presence
+// probes), then the program blobs and events entries those records
+// name, skipping programs the decoded-program memo holds, events
+// entries the local tier holds and entries another Prefetch holds: a
+// batch read each. Blobs are not probed: a record read from the remote
+// tier has its blob read from there too. A lookup that finds its read
+// held takes the answer as the remote tier's reply to Get, so
+// decoding, key checks, deletion of bad entries, counters and offers
+// to the local tier are those of a read by key. A batch that fails
+// holds nothing, and its lookups read key by key as they do without
+// Prefetch, which is a no-op when the remote tier cannot batch.
 //
 // The answers are held in memory, so callers prefetch bounded runs of
 // lookups and release each run once its lookups are done; release may
@@ -60,6 +63,21 @@ func (c *Cache) Prefetch(wants []Want) (release func()) {
 		}
 	}
 
+	// probe reports whether key is worth reading ahead: not when the
+	// local tier holds it. A key it answers absent is not read there
+	// while its answer is held.
+	probe := func(key string) bool {
+		if near == nil {
+			return true
+		}
+		has, err := near.Has(key)
+		if err == nil && has {
+			return false
+		}
+		p.absent[key] = err == nil
+		return true
+	}
+
 	seen := make(map[string]bool)
 	var keys []string
 	for _, w := range wants {
@@ -68,17 +86,9 @@ func (c *Cache) Prefetch(wants []Want) (release func()) {
 			continue
 		}
 		seen[key] = true
-		if c.mem.Contains(key) {
-			continue
+		if !c.mem.Contains(key) && probe(key) {
+			keys = append(keys, key)
 		}
-		if near != nil {
-			has, err := near.Has(key)
-			if err == nil && has {
-				continue
-			}
-			p.absent[key] = err == nil
-		}
-		keys = append(keys, key)
 	}
 	fetch(keys)
 
@@ -92,13 +102,16 @@ func (c *Cache) Prefetch(wants []Want) (release func()) {
 		if !ok || c.progs.Contains(hash) {
 			continue
 		}
-		more := []string{artifact.BlobKey(hash)}
-		if w.CaseDigest != "" {
-			more = append(more, artifact.EventsKey(hash, w.CaseDigest))
+		if key := artifact.BlobKey(hash); !seen[key] && !c.isHeld(key) {
+			seen[key] = true
+			keys = append(keys, key)
 		}
-		for _, key := range more {
-			if !seen[key] && !c.isHeld(key) {
-				seen[key] = true
+		if w.CaseDigest == "" {
+			continue
+		}
+		if key := artifact.EventsKey(hash, w.CaseDigest); !seen[key] && !c.isHeld(key) {
+			seen[key] = true
+			if probe(key) {
 				keys = append(keys, key)
 			}
 		}
@@ -123,6 +136,16 @@ func (c *Cache) Prefetch(wants []Want) (release func()) {
 			}
 		}
 	}
+}
+
+// CanPrefetch reports whether Prefetch reads anything ahead: whether
+// the remote tier attached now reads many entries in one round trip.
+// A caller can skip building the lookups it would pass otherwise.
+func (c *Cache) CanPrefetch() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.tiers[remoteTier].store.(artifact.BatchGetter)
+	return ok
 }
 
 // isHeld reports whether a Prefetch holds an answer for key.

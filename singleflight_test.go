@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mat2c/internal/artifact"
+	"mat2c/internal/core"
 )
 
 const sfSrc = "function y = sf(x, a)\ny = a .* x + 2;\nend"
@@ -278,6 +279,46 @@ func TestSingleflightSharesDeterministicErrors(t *testing.T) {
 	}
 	if st := cache.Stats(); st.Compiles != 0 {
 		t.Errorf("Compiles = %d, want 0 (errors are not cached but also not recompiled by followers)", st.Compiles)
+	}
+	assertStatsConsistent(t, cache)
+}
+
+// TestSingleflightPanicEndsFlight: a compile that panics (once, through
+// the compile driver's test hook) ends its flight, so the next lookup
+// of the key compiles instead of waiting on a flight nobody leads.
+func TestSingleflightPanicEndsFlight(t *testing.T) {
+	// A source no other test compiles, so the compile is not served
+	// from the process-wide back-half memo and reaches the hook.
+	const src = "function y = sfpanic(x, a)\ny = a .* x + 3;\nend"
+	panics := 1
+	t.Cleanup(core.SetBackHooks(func() error {
+		if panics > 0 {
+			panics--
+			panic("compile bug")
+		}
+		return nil
+	}, nil))
+	cache := NewCache(8)
+	types := sfTypes(t)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the first compile did not panic")
+			}
+		}()
+		CompileCached(cache, src, "sfpanic", types, Options{})
+	}()
+
+	// Without the fix this lookup joins the dead flight and waits out
+	// its whole context.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	res, hit, err := CompileCachedContext(ctx, cache, src, "sfpanic", types, Options{})
+	if err != nil || hit || res == nil {
+		t.Fatalf("lookup after the panic: hit=%v err=%v", hit, err)
+	}
+	if st := cache.Stats(); st.Compiles != 1 || st.FlightWaits != 0 {
+		t.Errorf("compiles=%d flight_waits=%d, want 1 and 0", st.Compiles, st.FlightWaits)
 	}
 	assertStatsConsistent(t, cache)
 }
