@@ -48,38 +48,34 @@ const cacheKeyVersion = "mat2c-cache-v2"
 // stays in a memo of the same bound as the memory tier. The store tiers
 // also hold the events of verified simulation runs, which a DSE sweep
 // prices variants from (Events, PutEvents).
+//
+// Concurrent misses of one key share one resolution, and so do
+// concurrent loads of one blob and writes of one blob to one tier: each
+// goes through lru.Cache.Do.
 type Cache struct {
 	mem *lru.Cache[string, *Result]
 	max int
-	// progs is the decoded-program memo: programs by content hash, each
-	// with the tiers known to hold its blob.
-	progs *lru.Cache[string, *progEntry]
+	// progs is the decoded-program memo, by content hash; blobs records
+	// the tiers this cache read each program's blob from or wrote it to.
+	progs *lru.Cache[string, *vm.Program]
+	blobs *lru.Cache[blobAt, struct{}]
 
-	mu        sync.Mutex
-	hits      uint64
-	misses    uint64
-	evictions uint64
-	compiles  uint64
+	mu       sync.Mutex
+	hits     uint64
+	misses   uint64
+	compiles uint64
+	// flightWaits counts lookups that shared another caller's
+	// resolution of their key.
+	flightWaits uint64
 
 	// blobDecodes counts program blobs decoded and verified;
 	// programHits counts records whose program the memo already held.
-	// loads holds the in-progress blob load per program hash, so
-	// records that share a program decode its blob once.
 	blobDecodes, programHits uint64
-	loads                    map[string]chan struct{}
 
 	// eventHits and eventMisses count run-events lookups (Events) a
 	// tier served or every tier missed; eventPuts counts events entries
 	// written to a tier.
 	eventHits, eventMisses, eventPuts uint64
-
-	// flights holds the in-progress compilation per key so concurrent
-	// misses share one pipeline run instead of compiling redundantly.
-	flights     map[string]*flight
-	flightWaits uint64
-	// joined, when set (tests only), runs each time a caller joins
-	// another caller's flight, before it waits.
-	joined func()
 
 	// tiers are the store tiers behind memory, indexed diskTier and
 	// remoteTier; a tier with a nil store is skipped. writes holds the
@@ -112,28 +108,10 @@ type tier struct {
 	hits, misses, decodeErrors, storeErrors uint64
 }
 
-// progEntry is one decoded-program memo entry. stored marks the tiers
-// this cache has read the blob from or written it to (guarded by
-// Cache.mu), so writing another record that names the program to such
-// a tier needs no presence probe. writing serializes the blob writes
-// to each tier (see storeBlob).
-type progEntry struct {
-	prog    *vm.Program
-	stored  [numTiers]bool
-	writing [numTiers]sync.Mutex
-}
-
-// flight is one in-progress miss: the first caller on a key (the
-// leader) compiles while later callers (followers) wait on done.
-// cancelled marks a leader that gave up because its own context ended —
-// its error is private, and followers restart the lookup instead of
-// inheriting it. Deterministic compile errors are shared: every
-// follower would hit the same one.
-type flight struct {
-	done      chan struct{}
-	res       *Result
-	err       error
-	cancelled bool
+// blobAt names a program's blob on one tier.
+type blobAt struct {
+	hash string // the program's content hash
+	tier int
 }
 
 // DefaultCacheSize bounds a NewCache(0) cache. Compiled artifacts are
@@ -147,11 +125,10 @@ func NewCache(maxEntries int) *Cache {
 		maxEntries = DefaultCacheSize
 	}
 	return &Cache{
-		mem:     lru.New[string, *Result](maxEntries),
-		max:     maxEntries,
-		progs:   lru.New[string, *progEntry](maxEntries),
-		flights: make(map[string]*flight),
-		loads:   make(map[string]chan struct{}),
+		mem:   lru.New[string, *Result](maxEntries),
+		max:   maxEntries,
+		progs: lru.New[string, *vm.Program](maxEntries),
+		blobs: lru.New[blobAt, struct{}](numTiers * maxEntries),
 	}
 }
 
@@ -171,9 +148,11 @@ func (c *Cache) SetRemoteStore(s artifact.Store) { c.setTier(remoteTier, s) }
 func (c *Cache) setTier(i int, s artifact.Store) {
 	c.mu.Lock()
 	if c.tiers[i].store != nil {
-		// What the memo knows of the old store's blobs does not carry
-		// over to the new one.
-		c.progs.Clear()
+		// What this cache knows of the old store's blobs does not carry
+		// over to the new one. (A blob load or write on the old store
+		// still in flight records its blob after this; no caller
+		// replaces a store while traffic runs but tests.)
+		c.blobs.Clear()
 	}
 	c.tiers[i].store = s
 	if i == remoteTier {
@@ -266,7 +245,7 @@ func (c *Cache) Stats() CacheStats {
 		MaxEntries:         c.max,
 		Hits:               c.hits,
 		Misses:             c.misses,
-		Evictions:          c.evictions,
+		Evictions:          c.mem.Evictions(),
 		Compiles:           c.compiles,
 		FlightWaits:        c.flightWaits,
 		DiskHits:           disk.hits,
@@ -298,35 +277,6 @@ func storeStats(s artifact.Store) *artifact.Stats {
 	return nil
 }
 
-// get returns the cached result for key, promoting it to most recently
-// used and recording a hit. A miss is NOT counted here: the retry loop
-// in CompileCachedContext can probe the same key several times during
-// one logical lookup (a follower loops back after a cancelled leader),
-// so the miss is counted exactly once at the point the lookup resolves
-// — joining a flight, restoring from a store tier, or compiling. That
-// keeps misses == compiles + disk_hits + remote_hits + flight_waits,
-// the invariant the /metrics hit-rate math relies on.
-func (c *Cache) get(key string) (*Result, bool) {
-	res, ok := c.mem.Get(key)
-	if ok {
-		c.mu.Lock()
-		c.hits++
-		c.mu.Unlock()
-	}
-	return res, ok
-}
-
-// put inserts res under key, evicting the least recently used entry
-// when the cache is full. If another goroutine cached the same input
-// first, its artifact is kept so every caller shares one pointer.
-func (c *Cache) put(key string, res *Result) {
-	if _, evicted := c.mem.Add(key, res); evicted {
-		c.mu.Lock()
-		c.evictions++
-		c.mu.Unlock()
-	}
-}
-
 // Put inserts a compiled result under its content address (as returned
 // by CacheKey), evicting the least recently used entry when the cache
 // is full. Callers that compile outside the cache — e.g. a server
@@ -336,7 +286,7 @@ func (c *Cache) put(key string, res *Result) {
 // share one artifact. The result is also written to every attached
 // store tier asynchronously (Flush waits for completion).
 func (c *Cache) Put(key string, res *Result) {
-	c.put(key, res)
+	c.mem.Add(key, res)
 	c.offerRecord(key, res, nil, nil, numTiers)
 }
 
@@ -385,16 +335,15 @@ func (c *Cache) offer(key string, from int, write func(i int, s artifact.Store))
 // blob's verified bytes as the settling tier held them, or nil to encode
 // the program on first use.
 func (c *Cache) offerRecord(key string, res *Result, data, blob []byte, from int) {
-	var e *progEntry
+	var prog *vm.Program
 	c.offer(key, from, func(i int, s artifact.Store) {
-		if e == nil {
+		if prog == nil {
 			if data == nil {
 				data = encodeRecord(key, res)
 			}
-			prog := res.res.Program
-			e, _ = c.progs.Add(prog.ContentHash(), &progEntry{prog: prog})
+			prog, _ = c.progs.Add(res.res.Program.ContentHash(), res.res.Program)
 		}
-		if !c.storeBlob(e, i, s, i > from, &blob) {
+		if !c.storeBlob(prog, i, s, i > from, &blob) {
 			return
 		}
 		if err := s.Put(key, data); err != nil {
@@ -403,44 +352,37 @@ func (c *Cache) offerRecord(key string, res *Result, data, blob []byte, from int
 	})
 }
 
-// storeBlob makes sure tier i holds e's program blob before a record
-// naming it is written there, and reports whether it does. A tier this
-// cache already read the blob from or wrote it to is taken at its word.
-// Otherwise the blob is Put, encoded into *blob on first use — after a
-// presence probe when probe is set and the tier answers them, skipping
-// the tier when the probe fails. One offer at a time does this per
-// program and tier, so offers that name one program write its blob
-// once, and after a failed write the next offer tries again.
-func (c *Cache) storeBlob(e *progEntry, i int, s artifact.Store, probe bool, blob *[]byte) bool {
-	e.writing[i].Lock()
-	defer e.writing[i].Unlock()
-	c.mu.Lock()
-	stored := e.stored[i]
-	c.mu.Unlock()
-	if stored {
-		return true
-	}
-	key := artifact.BlobKey(e.prog.ContentHash())
-	has := false
-	if ch, ok := s.(artifact.Checker); ok && probe {
-		var err error
-		if has, err = ch.Has(key); err != nil {
-			return false
+// storeBlob makes sure tier i holds prog's blob before a record naming
+// it is written there, and reports whether it does. A tier this cache
+// already read the blob from or wrote it to (c.blobs) is taken at its
+// word. Otherwise the blob is Put, encoded into *blob on first use —
+// after a presence probe when probe is set and the tier answers them,
+// skipping the tier when the probe fails. Concurrent offers that name
+// one program share one write per tier; when it fails, they go round
+// and the next of them tries again.
+func (c *Cache) storeBlob(prog *vm.Program, i int, s artifact.Store, probe bool, blob *[]byte) bool {
+	hash := prog.ContentHash()
+	for {
+		_, err, shared := c.blobs.Do(context.Background(), blobAt{hash, i}, func() (struct{}, error) {
+			key := artifact.BlobKey(hash)
+			if ch, ok := s.(artifact.Checker); ok && probe {
+				if has, err := ch.Has(key); err != nil || has {
+					return struct{}{}, err
+				}
+			}
+			if *blob == nil {
+				*blob = artifact.EncodeProgram(prog)
+			}
+			if err := s.Put(key, *blob); err != nil {
+				c.storeError(i)
+				return struct{}{}, err
+			}
+			return struct{}{}, nil
+		})
+		if err == nil || !shared {
+			return err == nil
 		}
 	}
-	if !has {
-		if *blob == nil {
-			*blob = artifact.EncodeProgram(e.prog)
-		}
-		if err := s.Put(key, *blob); err != nil {
-			c.storeError(i)
-			return false
-		}
-	}
-	c.mu.Lock()
-	e.stored[i] = true
-	c.mu.Unlock()
-	return true
 }
 
 func (c *Cache) storeError(i int) {
@@ -525,31 +467,6 @@ func (c *Cache) offerEvents(key string, ev *vm.Events, data []byte, from int) {
 		c.eventPuts++
 		c.mu.Unlock()
 	})
-}
-
-// startFlight registers the caller as leader of key's in-progress miss
-// (leader=true) or returns the existing flight to wait on.
-func (c *Cache) startFlight(key string) (*flight, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if fl, ok := c.flights[key]; ok {
-		c.flightWaits++
-		c.misses++ // the logical lookup resolves by joining this flight
-		return fl, false
-	}
-	fl := &flight{done: make(chan struct{})}
-	c.flights[key] = fl
-	return fl, true
-}
-
-// endFlight publishes the leader's outcome: the flight leaves the map
-// before done closes, so a follower that retries after a cancelled
-// leader can become the next leader.
-func (c *Cache) endFlight(key string, fl *flight) {
-	c.mu.Lock()
-	delete(c.flights, key)
-	c.mu.Unlock()
-	close(fl.done)
 }
 
 // CacheKey returns the content address of a compilation: the SHA-256
@@ -645,9 +562,10 @@ func CompileCached(c *Cache, source, entry string, params []Type, opts Options) 
 // CompileCachedContext is CompileCached under a cancellable context:
 // cache lookups are unaffected (hits return immediately), but a miss's
 // compilation observes ctx between pipeline stages and a cancelled
-// compile is not cached. A follower waiting on another caller's
-// compilation also observes its own ctx; when the leader itself is
-// cancelled, followers retry rather than inherit the leader's error.
+// compile is not cached. A caller waiting on another caller's
+// compilation also observes its own ctx; when the compiling caller's
+// own ctx ends, its waiters retry rather than inherit its error (the
+// rule of lru.Cache.Do).
 func CompileCachedContext(ctx context.Context, c *Cache, source, entry string, params []Type, opts Options) (res *Result, hit bool, err error) {
 	if c == nil {
 		res, err = CompileContext(ctx, source, entry, params, opts)
@@ -670,52 +588,40 @@ func CompileKey(ctx context.Context, c *Cache, k Key) (res *Result, hit bool, er
 		res, err = CompileContext(ctx, k.in.Source, k.in.Entry, k.in.Params, k.opts)
 		return res, false, err
 	}
-	for {
-		if res, ok := c.get(k.hash); ok {
-			return res, true, nil
-		}
-		fl, leader := c.startFlight(k.hash)
-		if !leader {
-			if c.joined != nil {
-				c.joined()
-			}
-			select {
-			case <-fl.done:
-				if fl.cancelled {
-					continue // leader's private cancellation; try again
-				}
-				if fl.err != nil {
-					return nil, false, fl.err
-				}
-				return fl.res, true, nil
-			case <-ctx.Done():
-				return nil, false, ctx.Err()
-			}
-		}
-		return c.lead(ctx, k, fl)
+	// A miss is counted once per logical lookup, where it resolves — by
+	// sharing another caller's resolution here, or by a tier or a
+	// compile in resolve — so misses == compiles + disk_hits +
+	// remote_hits + flight_waits, the invariant the /metrics hit-rate
+	// math relies on.
+	resolved := false
+	res, err, shared := c.mem.Do(ctx, k.hash, func() (*Result, error) {
+		resolved = true
+		res, tierHit, err := c.resolve(ctx, k)
+		hit = tierHit
+		return res, err
+	})
+	switch {
+	case shared:
+		c.mu.Lock()
+		c.flightWaits++
+		c.misses++
+		c.mu.Unlock()
+		hit = err == nil
+	case !resolved:
+		c.mu.Lock()
+		c.hits++
+		c.mu.Unlock()
+		hit = true
 	}
+	return res, hit, err
 }
 
-// lead resolves k as the leader of its flight fl and ends the flight
-// from a deferred call, so a compile that panics still removes it and
-// wakes its followers (with an error) instead of leaving every later
-// lookup of k waiting on it.
-func (c *Cache) lead(ctx context.Context, k Key, fl *flight) (res *Result, hit bool, err error) {
-	err = errors.New("mat2c: compile panicked")
-	defer func() {
-		fl.res, fl.err = res, err
-		fl.cancelled = err != nil && ctx.Err() != nil
-		c.endFlight(k.hash, fl)
-	}()
-	return c.resolve(ctx, k)
-}
-
-// resolve settles a memory miss as the flight leader: it probes the
-// store tiers nearest first and runs the full pipeline only when every
-// tier misses. Whatever settles the lookup is cached in memory and
-// offered to the other tiers. A tier that cannot restore the
-// compilation (see restore) counts a miss, and also a decode error
-// when it held corrupt bytes.
+// resolve settles a memory miss as the caller computing it: it probes
+// the store tiers nearest first and runs the full pipeline only when
+// every tier misses. Whatever settles the lookup is offered to the
+// other tiers, and cached in memory by CompileKey. A tier that cannot
+// restore the compilation (see restore) counts a miss, and also a
+// decode error when it held corrupt bytes.
 func (c *Cache) resolve(ctx context.Context, k Key) (*Result, bool, error) {
 	key := k.hash
 	for i, s := range c.stores() {
@@ -736,7 +642,6 @@ func (c *Cache) resolve(ctx context.Context, k Key) (*Result, bool, error) {
 		}
 		c.mu.Unlock()
 		if err == nil {
-			c.put(key, res)
 			c.offerRecord(key, res, data, blob, i)
 			return res, true, nil
 		}
@@ -752,7 +657,6 @@ func (c *Cache) resolve(ctx context.Context, k Key) (*Result, bool, error) {
 	c.compiles++
 	c.misses++ // resolved by a full pipeline run
 	c.mu.Unlock()
-	c.put(key, res)
 	c.offerRecord(key, res, nil, nil, numTiers)
 	return res, false, nil
 }
@@ -791,36 +695,33 @@ func (c *Cache) restore(k Key, i int, s artifact.Store) (res *Result, data, blob
 // program returns the verified program whose content hash is hash:
 // from the decoded-program memo, or else decoded from its blob on tier
 // i. Concurrent callers for one hash share one blob load; a caller
-// whose leader failed tries its own tier next. The caller that loaded
-// the blob also gets its bytes; the memo keeps only the program.
+// whose shared load failed reads its own tier next. The caller that
+// loaded the blob also gets its bytes; the memo keeps only the program.
 func (c *Cache) program(hash string, i int, s artifact.Store) (*vm.Program, []byte, error) {
 	for {
-		c.mu.Lock()
-		if e, ok := c.progs.Get(hash); ok {
+		var blob []byte
+		loaded := false
+		prog, err, shared := c.progs.Do(context.Background(), hash, func() (*vm.Program, error) {
+			loaded = true
+			prog, data, err := c.loadBlob(hash, i, s)
+			if err != nil {
+				return nil, err
+			}
+			blob = data
+			c.blobs.Add(blobAt{hash, i}, struct{}{})
+			c.mu.Lock()
+			c.blobDecodes++
+			c.mu.Unlock()
+			return prog, nil
+		})
+		switch {
+		case err != nil && shared:
+			continue
+		case !loaded:
+			c.mu.Lock()
 			c.programHits++
 			c.mu.Unlock()
-			return e.prog, nil, nil
 		}
-		if wait, ok := c.loads[hash]; ok {
-			c.mu.Unlock()
-			<-wait
-			continue
-		}
-		done := make(chan struct{})
-		c.loads[hash] = done
-		c.mu.Unlock()
-
-		prog, blob, err := c.loadBlob(hash, i, s)
-		c.mu.Lock()
-		delete(c.loads, hash)
-		if err == nil {
-			c.blobDecodes++
-			e, _ := c.progs.Add(hash, &progEntry{prog: prog})
-			e.stored[i] = true
-			prog = e.prog
-		}
-		c.mu.Unlock()
-		close(done)
 		return prog, blob, err
 	}
 }

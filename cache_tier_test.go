@@ -1,6 +1,7 @@
 package mat2c
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"mat2c/internal/artifact"
+	"mat2c/internal/core"
 )
 
 // openTestStore attaches a fresh DiskStore over dir to a new Cache.
@@ -339,14 +341,25 @@ func TestConcurrentOffersPutBlobOnce(t *testing.T) {
 		c := NewCache(0)
 		c.SetStore(disk)
 		c.SetRemoteStore(remote)
+		waits := make(chan struct{}, 2*offers) // the waits of two rounds of writes: the hook never blocks
+		c.blobs.OnWait(func(b blobAt) {
+			if b.tier == diskTier {
+				waits <- struct{}{}
+			}
+		})
 		for i := 0; i < offers; i++ {
 			c.Put(fmt.Sprintf("%064x", i), res)
 		}
 		<-disk.started
-		// The pause gives the other offers time to reach the blob
-		// write; a cache that writes a blob once per tier passes
-		// however long it is.
-		time.Sleep(20 * time.Millisecond)
+		// Release the first disk blob write once every other offer
+		// waits on it.
+		for i := 0; i < offers-1; i++ {
+			select {
+			case <-waits:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("failFirst=%v: only %d of %d offers waited on the first blob write", failFirst, i, offers-1)
+			}
+		}
 		close(disk.release)
 		c.Flush()
 
@@ -364,6 +377,117 @@ func TestConcurrentOffersPutBlobOnce(t *testing.T) {
 			t.Errorf("failFirst=%v: store errors disk %d remote %d, want %d and 0", failFirst, st.StoreErrors, st.RemoteStoreErrors, wantErrs)
 		}
 	}
+}
+
+// blobGateStore serves records and blobs from a fixed map. Its first
+// blob Get parks until the test closes release, and then fails.
+type blobGateStore struct {
+	data             map[string][]byte
+	started, release chan struct{}
+
+	mu       sync.Mutex
+	blobGets int
+}
+
+func (s *blobGateStore) Get(key string) ([]byte, error) {
+	if isBlobKey(key) {
+		s.mu.Lock()
+		s.blobGets++
+		first := s.blobGets == 1
+		s.mu.Unlock()
+		if first {
+			close(s.started)
+			<-s.release
+			return nil, errors.New("gated: get failed")
+		}
+	}
+	if data, ok := s.data[key]; ok {
+		return data, nil
+	}
+	return nil, fmt.Errorf("gated: %w", artifact.ErrNotFound)
+}
+
+func (s *blobGateStore) Put(key string, data []byte) error { return nil }
+func (s *blobGateStore) Delete(key string) error           { return nil }
+func (s *blobGateStore) Len() (int, error)                 { return len(s.data), nil }
+
+// TestConcurrentBlobLoadFailureRereads: two records on the disk tier
+// name one program. The lookup of the second waits on the first's blob
+// load; when that load fails, it reads the blob from its tier itself
+// and restores, while the first lookup misses the tier and compiles
+// (held in the compile driver's hook until the second has restored, so
+// its compiled program cannot reach the program memo first).
+func TestConcurrentBlobLoadFailureRereads(t *testing.T) {
+	base, err := LoadProcessor("dspasip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sibling, err := base.Derive("dspasip-fastmul", func(p *Processor) { p.Costs = map[string]int{"fmul": 1} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := &blobGateStore{data: map[string][]byte{}, started: make(chan struct{}), release: make(chan struct{})}
+	var keys []Key
+	for _, proc := range []*Processor{base, sibling} {
+		opts := Options{Processor: proc}
+		ks, err := Keys(opts, Input{Source: cacheTestSrc, Entry: "scale", Params: cacheTestParams})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Compile(cacheTestSrc, "scale", cacheTestParams, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store.data[ks[0].String()] = encodeRecord(ks[0].String(), res)
+		store.data[artifact.BlobKey(res.Program().ContentHash())] = artifact.EncodeProgram(res.Program())
+		keys = append(keys, ks[0])
+	}
+	if len(store.data) != 3 {
+		t.Fatal("cost siblings must share a program")
+	}
+	core.ResetMemos()
+	held := make(chan struct{})
+	t.Cleanup(core.SetBackHooks(func() error { <-held; return nil }, nil))
+	c := NewCache(8)
+	c.SetStore(store)
+	waits := make(chan struct{}, 2) // one per lookup at most: the hook never blocks
+	c.progs.OnWait(func(string) { waits <- struct{}{} })
+
+	type outcome struct {
+		hit bool
+		err error
+	}
+	lookup := func(k Key) chan outcome {
+		out := make(chan outcome, 1)
+		go func() {
+			_, hit, err := CompileKey(context.Background(), c, k)
+			out <- outcome{hit, err}
+		}()
+		return out
+	}
+	first := lookup(keys[0])
+	<-store.started
+	second := lookup(keys[1])
+	select {
+	case <-waits:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the second lookup never waited on the first blob load")
+	}
+	close(store.release)
+	if o := <-second; o.err != nil || !o.hit {
+		t.Errorf("second lookup: hit=%v err=%v, want a disk hit from its own blob read", o.hit, o.err)
+	}
+	close(held)
+	if o := <-first; o.err != nil || o.hit {
+		t.Errorf("first lookup: hit=%v err=%v, want a compile after its blob load failed", o.hit, o.err)
+	}
+	c.Flush()
+	st := c.Stats()
+	if st.DiskHits != 1 || st.Compiles != 1 || st.BlobDecodes != 1 || store.blobGets != 2 {
+		t.Errorf("disk hits %d, compiles %d, blob decodes %d, blob Gets %d; want 1, 1, 1, 2",
+			st.DiskHits, st.Compiles, st.BlobDecodes, store.blobGets)
+	}
+	assertStatsConsistent(t, c)
 }
 
 func TestDiskTierMissingEntryCounted(t *testing.T) {

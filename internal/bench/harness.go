@@ -423,14 +423,7 @@ func Table2(proc *pdesc.Processor, opts ...Opt) ([]Table2Row, error) {
 	err := forEach(len(ks), o.jobs, func(i int) error {
 		k := ks[i]
 		size := func(cfg core.Config) (int, error) {
-			if o.cache != nil {
-				res, _, err := mat2c.CompileCachedContext(o.ctx, o.cache, k.Source, k.Entry, k.Params, OptionsFor(cfg))
-				if err != nil {
-					return 0, err
-				}
-				return res.CodeSize(), nil
-			}
-			res, err := core.CompileContext(o.ctx, k.Source, k.Entry, k.Params, cfg)
+			res, _, err := mat2c.CompileCachedContext(o.ctx, o.cache, k.Source, k.Entry, k.Params, OptionsFor(cfg))
 			if err != nil {
 				return 0, err
 			}

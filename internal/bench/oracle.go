@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -28,9 +29,9 @@ import (
 //   - The key is the *Kernel pointer and the size, never the kernel's
 //     name: a kernel built outside the suite (a test double reusing a
 //     suite name, say) gets its own entry and its own reference.
-//   - Each entry is computed at most once while it is cached, behind a
-//     per-entry sync.Once, so concurrent sweep workers asking for the
-//     same key wait for one computation instead of racing two.
+//   - Each entry is computed at most once while it is cached: concurrent
+//     sweep workers asking for the same key wait for one computation
+//     instead of racing two (lru.Cache.Do).
 //   - A *Case is immutable once built: runs take fresh copies of the
 //     inputs from Args, and Want is only ever read (by Verify).
 //   - The cache holds at most DefaultOracleCacheSize entries, evicting
@@ -124,34 +125,25 @@ type caseKey struct {
 	n int
 }
 
-type caseEntry struct {
-	once sync.Once
-	c    *Case
-}
-
 // caseCache is a bounded LRU of oracle entries.
 type caseCache struct {
-	*lru.Cache[caseKey, *caseEntry]
+	*lru.Cache[caseKey, *Case]
 }
 
 func newCaseCache(cap int) caseCache {
-	return caseCache{lru.New[caseKey, *caseEntry](cap)}
+	return caseCache{lru.New[caseKey, *Case](cap)}
 }
 
 var oracle = newCaseCache(DefaultOracleCacheSize)
 
 func (cc caseCache) get(k *Kernel, n int) *Case {
-	key := caseKey{k, n}
-	e, ok := cc.Get(key)
-	if !ok {
-		// Racing inserters of one key all get the first entry back, so
-		// they share its Once.
-		e, _ = cc.Add(key, new(caseEntry))
+	c, err, _ := cc.Do(context.Background(), caseKey{k, n}, func() (*Case, error) { return newCase(k, n), nil })
+	if err != nil {
+		// The computation this caller waited for panicked: its own
+		// meets the same fault.
+		return newCase(k, n)
 	}
-	// Computed outside the lock: other keys stay servable meanwhile. An
-	// entry evicted mid-computation still completes for its waiters.
-	e.once.Do(func() { e.c = newCase(k, n) })
-	return e.c
+	return c
 }
 
 // The simulation memo.
@@ -168,13 +160,16 @@ func (cc caseCache) get(k *Kernel, n int) *Case {
 //   - The key is the program's content hash, the *Kernel pointer and
 //     the size: content-identical programs on the same case share one
 //     entry, whichever processor compiled them.
-//   - An entry holds events only from a run that completed and whose
-//     outputs passed Verify. The same program on the same inputs
-//     computes the same outputs, so every priced result is verified
-//     too. A run that faults, fails verification or is cancelled
-//     leaves the entry empty, and the next caller simulates again.
-//   - Concurrent callers of one empty entry wait for one simulation,
-//     as with Kernel.Case, instead of racing two.
+//   - An entry holds events only from a run that completed, recorded
+//     events and whose outputs passed Verify. The same program on the
+//     same inputs computes the same outputs, so every priced result is
+//     verified too. A run that faults (on its own machine's limits,
+//     say), fails verification, records no events or is cancelled
+//     stores nothing, and the next caller simulates again.
+//   - Concurrent callers of one missing entry wait for one simulation
+//     (lru.Cache.Do), as with Kernel.Case, instead of racing two. A
+//     waiter whose simulation stored nothing goes round and simulates
+//     itself, or waits for another waiter that does.
 //   - Pricing is exact or declines (vm.Machine.Price); a caller it
 //     declines runs the program itself, so fault sites and partial
 //     accounting still come from the engines.
@@ -201,17 +196,14 @@ type simKey struct {
 	n    int
 }
 
-type simEntry struct {
-	// turn is a one-slot lock held while the entry's simulation runs,
-	// so waiters can give up when their context is cancelled.
-	turn chan struct{}
-	ev   atomic.Pointer[vm.Events] // nil until a verified run completes
-}
-
 var (
-	sims             = lru.New[simKey, *simEntry](DefaultSimMemoSize)
+	sims             = lru.New[simKey, *vm.Events](DefaultSimMemoSize)
 	simHits, simRuns atomic.Uint64
 )
+
+// errNoEvents is a completed, verified run that recorded no events:
+// there is nothing to store or price from.
+var errNoEvents = errors.New("bench: the run recorded no events")
 
 // VerifyError reports that a run completed but its outputs did not
 // match the kernel's reference.
@@ -230,42 +222,43 @@ func (e *VerifyError) Unwrap() error { return e.Err }
 // returned as is; a verification failure is a *VerifyError.
 func (k *Kernel) Simulate(ctx context.Context, cache *mat2c.Cache, m *vm.Machine, prog *vm.Program, n int) error {
 	key := simKey{prog.ContentHash(), k, n}
-	e, ok := sims.Get(key)
-	if !ok {
-		// Racing inserters of one key all get the first entry back.
-		e, _ = sims.Add(key, &simEntry{turn: make(chan struct{}, 1)})
-	}
-	if ev := e.ev.Load(); ev != nil {
-		return k.price(ctx, m, prog, n, ev)
-	}
-	select {
-	case e.turn <- struct{}{}:
-	case <-ctx.Done():
-		return &vm.CancelledError{Err: ctx.Err()}
-	}
-	defer func() { <-e.turn }()
-	if ev := e.ev.Load(); ev != nil {
-		// Another caller's run completed while this one waited.
-		return k.price(ctx, m, prog, n, ev)
-	}
-	digest := ""
-	if cache != nil && cache.HasStores() {
-		digest = k.Case(n).Digest()
-	}
-	if digest != "" {
-		if ev := cache.Events(prog, digest); ev != nil {
-			e.ev.Store(ev)
+	for {
+		simulated := false
+		var runErr error
+		ev, err, _ := sims.Do(ctx, key, func() (*vm.Events, error) {
+			digest := ""
+			if cache != nil && cache.HasStores() {
+				digest = k.Case(n).Digest()
+			}
+			if digest != "" {
+				if ev := cache.Events(prog, digest); ev != nil {
+					return ev, nil
+				}
+			}
+			simulated = true
+			ev, err := k.run(ctx, m, prog, n)
+			runErr = err
+			switch {
+			case err != nil:
+				return nil, err
+			case ev == nil:
+				return nil, errNoEvents
+			}
+			if digest != "" {
+				cache.PutEvents(prog, digest, ev)
+			}
+			return ev, nil
+		})
+		switch {
+		case simulated:
+			return runErr
+		case err == nil:
 			return k.price(ctx, m, prog, n, ev)
+		case ctx.Err() != nil:
+			return &vm.CancelledError{Err: ctx.Err()}
 		}
+		// The run this caller waited for stored nothing: go round.
 	}
-	ev, err := k.run(ctx, m, prog, n)
-	if err == nil && ev != nil {
-		e.ev.Store(ev)
-		if digest != "" {
-			cache.PutEvents(prog, digest, ev)
-		}
-	}
-	return err
 }
 
 // price prices the run from ev, or runs it when pricing declines.

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"mat2c/internal/core"
 	"mat2c/internal/ir"
@@ -164,6 +165,60 @@ func TestSimulateConcurrentCallersShareOneRun(t *testing.T) {
 	}
 	if runs, priced := simDelta(before); runs != 1 || priced != callers-1 {
 		t.Errorf("%d simulations and %d priced; want 1 and %d", runs, priced, callers-1)
+	}
+}
+
+// TestSimulateConcurrentWaiterAfterFault: a caller that waited on a run
+// which faulted on its own machine's cycle limit stores nothing, so the
+// waiter simulates itself, gets a fresh run's accounting, and its run
+// is the one memoized.
+func TestSimulateConcurrentWaiterAfterFault(t *testing.T) {
+	k, prog, proc := memoProgram(t, "fir", "dspasip")
+	const n = 48
+	started, release := make(chan struct{}), make(chan struct{})
+	k.Reference = func(args []interface{}) []interface{} {
+		// Holds the first run, which computes the oracle (once).
+		close(started)
+		<-release
+		return firRef(args)
+	}
+	waits := make(chan struct{}, 4) // beyond the waits of one waiter: the hook never blocks
+	sims.OnWait(func(simKey) { waits <- struct{}{} })
+	t.Cleanup(func() { sims.OnWait(nil) })
+	before := SimMemoStats()
+
+	faulted := make(chan error, 1)
+	go func() {
+		m := vm.NewMachine(proc)
+		m.MaxCycles = 10
+		faulted <- k.Simulate(context.Background(), nil, m, prog, n)
+	}()
+	<-started
+	m := vm.NewMachine(proc)
+	waiter := make(chan error, 1)
+	go func() { waiter <- k.Simulate(context.Background(), nil, m, prog, n) }()
+	select {
+	case <-waits:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the second caller never waited on the first run")
+	}
+	close(release)
+	if err := <-faulted; err == nil {
+		t.Fatal("a run under a 10-cycle limit did not fault")
+	}
+	if err := <-waiter; err != nil {
+		t.Fatalf("waiter: %v", err)
+	}
+	want, err := freshRun(t, k, prog, proc, n, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameAccounting(t, "waiter", m, want)
+	if err := k.Simulate(context.Background(), nil, vm.NewMachine(proc), prog, n); err != nil {
+		t.Fatal(err)
+	}
+	if runs, priced := simDelta(before); runs != 2 || priced != 1 {
+		t.Errorf("%d simulations and %d priced; want the faulted run, the waiter's, then a price", runs, priced)
 	}
 }
 

@@ -13,7 +13,6 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strconv"
@@ -198,10 +197,7 @@ func CompileContext(ctx context.Context, src, entry string, params []sema.Type, 
 		return nil, fmt.Errorf("core: Config.Processor is required")
 	}
 	front := newFrontKey(src, entry, params, cfg)
-	shape, err := newShapeKey(front, cfg)
-	if err != nil {
-		return nil, err
-	}
+	shape := newShapeKey(front, cfg)
 	s, ok := backMemo.Get(shape)
 	if !ok {
 		s, _ = backMemo.Add(shape, &backShape{})
@@ -370,7 +366,7 @@ type shapeKey struct {
 	proc                         string
 }
 
-func newShapeKey(front frontKey, cfg Config) (shapeKey, error) {
+func newShapeKey(front frontKey, cfg Config) shapeKey {
 	p := cfg.Processor
 	k := shapeKey{front: front, vectorize: cfg.Vectorize, intrinsics: cfg.Intrinsics, emitC: cfg.EmitC}
 	if cfg.Intrinsics {
@@ -386,13 +382,9 @@ func newShapeKey(front frontKey, cfg Config) (shapeKey, error) {
 	if cfg.EmitC {
 		q := *p
 		q.Costs = nil
-		data, err := json.Marshal(&q)
-		if err != nil {
-			return shapeKey{}, fmt.Errorf("core: keying target description: %w", err)
-		}
-		k.proc = string(data)
+		k.proc = string(q.AppendJSON(nil))
 	}
-	return k, nil
+	return k
 }
 
 // answers are the queries one back-half compile made of its target and

@@ -8,7 +8,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 
 	mat2c "mat2c"
@@ -91,10 +90,7 @@ func MergeDSE(bases []string, opts dse.Options, total int, results []*UnitResult
 
 // ShardISX builds one verification unit per planned candidate.
 func ShardISX(plan *isx.Plan) ([]Unit, error) {
-	procJSON, err := json.Marshal(plan.Proc)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: marshal processor %s: %w", plan.Proc.Name, err)
-	}
+	procJSON := plan.Proc.AppendJSON(nil)
 	var units []Unit
 	for i, c := range plan.Candidates {
 		iu := &ISXUnit{Index: i, Proc: procJSON, Candidate: c, Profiles: plan.Profiles}

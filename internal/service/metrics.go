@@ -6,6 +6,7 @@
 package service
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -236,13 +237,18 @@ func (m *Metrics) QueueShed(queue string) {
 }
 
 // ObserveCompile records one compilation's outcome: the per-stage
-// timings of a miss, or a cache hit (which has no stage work).
+// timings of a miss, or a cache hit (which has no stage work). A miss
+// whose stages are all zero ran none (the compile driver's back-half
+// memo served it) and records no stage sample.
 func (m *Metrics) ObserveCompile(stages []mat2c.StageTime, cacheHit bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.compiles++
 	if cacheHit {
 		m.cacheHits++
+		return
+	}
+	if !slices.ContainsFunc(stages, func(st mat2c.StageTime) bool { return st.Duration != 0 }) {
 		return
 	}
 	for _, st := range stages {

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	mat2c "mat2c"
+	"mat2c/internal/core"
 )
 
 const scaleSrc = `function y = scale(x, a)
@@ -54,6 +55,9 @@ func getJSON(t *testing.T, ts *httptest.Server, path string, out interface{}) {
 }
 
 func TestCompileCacheHitMissAndMetrics(t *testing.T) {
+	// The stage counts below are of compiles that ran: a compile an
+	// earlier test left in the process-wide memos would run no stage.
+	core.ResetMemos()
 	s := New(Config{Workers: 2})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -136,6 +140,39 @@ func TestCompileCacheHitMissAndMetrics(t *testing.T) {
 	}
 	if cgen := m.Stages["cgen"]; cgen.TotalUS < 0 || cgen.Count != 2 {
 		t.Errorf("cgen stage histogram = %+v, want count 2", cgen)
+	}
+}
+
+// TestMemoServedCompileRecordsNoStages: a compile the back-half memo
+// served is a miss of the server's own cache that ran no stage, so it
+// counts among compiles but leaves every stage histogram alone.
+func TestMemoServedCompileRecordsNoStages(t *testing.T) {
+	core.ResetMemos()
+	req := CompileRequest{Source: scaleSrc, Params: "real(1,:), real", Target: "dspasip"}
+	var snaps [2]Snapshot
+	for i := range snaps {
+		s := New(Config{Workers: 1})
+		ts := httptest.NewServer(s.Handler())
+		if resp, body := postJSON(t, ts, "/compile", req); resp.StatusCode != http.StatusOK {
+			t.Fatalf("server %d: status %d: %s", i, resp.StatusCode, body)
+		}
+		getJSON(t, ts, "/metrics", &snaps[i])
+		ts.Close()
+	}
+	if parse := snaps[0].Stages["parse"]; parse.Count != 1 {
+		t.Errorf("first server: parse histogram %+v, want count 1", parse)
+	}
+	second := snaps[1]
+	if second.Compiles != 1 || second.CompileHits != 0 || second.Cache.Misses != 1 {
+		t.Errorf("second server: compiles %d (hits %d), cache misses %d; want 1 (0), 1", second.Compiles, second.CompileHits, second.Cache.Misses)
+	}
+	for stage, h := range second.Stages {
+		if h.Count != 0 {
+			t.Errorf("second server: stage %q histogram %+v, want count 0", stage, h)
+		}
+	}
+	if len(second.Stages) == 0 {
+		t.Error("second server: no stage histograms")
 	}
 }
 

@@ -70,11 +70,12 @@ func (s *blockingStore) awaitGet(t *testing.T) chan struct{} {
 	}
 }
 
-// awaitJoins makes c report each caller that joins a flight and
-// returns a function that blocks until n more have joined.
+// awaitJoins makes c report each caller that joins a flight (starts
+// waiting on another caller's resolution of its key) and returns a
+// function that blocks until n more have joined.
 func awaitJoins(t *testing.T, c *Cache) func(n int) {
 	joins := make(chan struct{}, 64) // beyond any test's joins: the hook never blocks
-	c.joined = func() { joins <- struct{}{} }
+	c.mem.OnWait(func(string) { joins <- struct{}{} })
 	return func(n int) {
 		t.Helper()
 		for i := 0; i < n; i++ {
@@ -241,8 +242,8 @@ func TestSingleflightLeaderCancellationRetries(t *testing.T) {
 	if st := cache.Stats(); st.Compiles != 1 {
 		t.Errorf("Compiles = %d, want 1 (only the retrying follower compiled)", st.Compiles)
 	}
-	// The retrying follower counted one flight wait AND one compile —
-	// it performed two logical lookups, so both resolutions count.
+	// The retrying follower went round and compiled: one compile, no
+	// flight wait.
 	assertStatsConsistent(t, cache)
 }
 
@@ -287,9 +288,11 @@ func TestSingleflightSharesDeterministicErrors(t *testing.T) {
 // the compile driver's test hook) ends its flight, so the next lookup
 // of the key compiles instead of waiting on a flight nobody leads.
 func TestSingleflightPanicEndsFlight(t *testing.T) {
-	// A source no other test compiles, so the compile is not served
-	// from the process-wide back-half memo and reaches the hook.
+	// A source no other test compiles, and memos emptied of an earlier
+	// pass's compile of it (-count), so the compile is not served from
+	// the process-wide back-half memo and reaches the hook.
 	const src = "function y = sfpanic(x, a)\ny = a .* x + 3;\nend"
+	core.ResetMemos()
 	panics := 1
 	t.Cleanup(core.SetBackHooks(func() error {
 		if panics > 0 {
