@@ -53,12 +53,22 @@ const cacheKeyVersion = "mat2c-cache-v2"
 // concurrent loads of one blob and writes of one blob to one tier: each
 // goes through lru.Cache.Do.
 type Cache struct {
+	*cacheState
+	views [numTiers]*readAhead // a Prefetch handle's, per tier (readers)
+}
+
+// cacheState is what a Cache shares with the handles Prefetch makes of
+// it: the memory tier, the memos, the counters, the attached stores and
+// the offers in flight.
+type cacheState struct {
 	mem *lru.Cache[string, *Result]
 	max int
 	// progs is the decoded-program memo, by content hash; blobs records
-	// the tiers this cache read each program's blob from or wrote it to.
+	// the tiers this cache read each program's blob from or wrote it to;
+	// asked records the events keys Events was called for.
 	progs *lru.Cache[string, *vm.Program]
 	blobs *lru.Cache[blobAt, struct{}]
+	asked *lru.Cache[string, struct{}]
 
 	mu       sync.Mutex
 	hits     uint64
@@ -69,7 +79,7 @@ type Cache struct {
 	flightWaits uint64
 
 	// blobDecodes counts program blobs decoded and verified;
-	// programHits counts records whose program the memo already held.
+	// programHits counts records whose program the memo already had.
 	blobDecodes, programHits uint64
 
 	// eventHits and eventMisses count run-events lookups (Events) a
@@ -82,13 +92,6 @@ type Cache struct {
 	// in-flight asynchronous offers for Flush.
 	tiers  [numTiers]tier
 	writes sync.WaitGroup
-
-	// held are the remote tier's answers that Prefetch calls read
-	// ahead and have not released, and remotes counts the remote
-	// stores attached, so a Prefetch can tell that the store it read
-	// from was replaced (both guarded by mu).
-	held    []*prefetched
-	remotes uint64
 }
 
 // The store tiers, nearest first.
@@ -124,12 +127,13 @@ func NewCache(maxEntries int) *Cache {
 	if maxEntries <= 0 {
 		maxEntries = DefaultCacheSize
 	}
-	return &Cache{
+	return &Cache{cacheState: &cacheState{
 		mem:   lru.New[string, *Result](maxEntries),
 		max:   maxEntries,
 		progs: lru.New[string, *vm.Program](maxEntries),
 		blobs: lru.New[blobAt, struct{}](numTiers * maxEntries),
-	}
+		asked: lru.New[string, struct{}](maxEntries),
+	}}
 }
 
 // SetStore attaches the durable local store, the first tier behind
@@ -155,10 +159,6 @@ func (c *Cache) setTier(i int, s artifact.Store) {
 		c.blobs.Clear()
 	}
 	c.tiers[i].store = s
-	if i == remoteTier {
-		c.held = nil // answers of the old store
-		c.remotes++
-	}
 	c.mu.Unlock()
 }
 
@@ -168,6 +168,18 @@ func (c *Cache) stores() (s [numTiers]artifact.Store) {
 	defer c.mu.Unlock()
 	for i := range c.tiers {
 		s[i] = c.tiers[i].store
+	}
+	return s
+}
+
+// readers snapshots the attached stores as this cache reads them: each
+// through its read-ahead view while the view wraps it (by identity).
+func (c *Cache) readers() [numTiers]artifact.Store {
+	s := c.stores()
+	for i, v := range c.views {
+		if v != nil && s[i] != nil && v.Store == s[i] {
+			s[i] = v
+		}
 	}
 	return s
 }
@@ -193,8 +205,9 @@ type CacheStats struct {
 	Evictions uint64 `json:"evictions"`
 
 	// Compiles counts compilations performed by CompileCached (every
-	// tier missed); FlightWaits counts callers that joined an
-	// in-progress compilation instead of starting their own.
+	// tier missed); FlightWaits counts callers that shared the result
+	// of another caller's resolution of their key instead of starting
+	// their own.
 	Compiles    uint64 `json:"compiles"`
 	FlightWaits uint64 `json:"flight_waits"`
 	// Disk tier traffic as seen by this cache: hits that restored a
@@ -215,7 +228,7 @@ type CacheStats struct {
 	// BlobDecodes counts program blobs decoded and verified, at most one
 	// per distinct program while it stays in the decoded-program memo;
 	// ProgramHits counts records restored with a program the memo
-	// already held.
+	// already had.
 	BlobDecodes uint64 `json:"blob_decodes"`
 	ProgramHits uint64 `json:"program_hits"`
 	// EventHits counts run-events lookups a store tier served, so a
@@ -332,7 +345,7 @@ func (c *Cache) offer(key string, from int, write func(i int, s artifact.Store))
 // program blob it names, under the same rule (see storeBlob); a tier
 // whose blob write fails gets no record. data is the record's verified
 // encoding, or nil to encode res once; blob is likewise the program
-// blob's verified bytes as the settling tier held them, or nil to encode
+// blob's verified bytes as the settling tier stored them, or nil to encode
 // the program on first use.
 func (c *Cache) offerRecord(key string, res *Result, data, blob []byte, from int) {
 	var prog *vm.Program
@@ -414,20 +427,19 @@ func (c *Cache) HasStores() bool {
 // that holds a sound entry, or nil when none does. A missing,
 // unreachable, corrupt or misfiled entry is a miss for its tier; bytes
 // that fail to decode for prog are deleted from their tier best-effort.
-// A hit is offered to the other tiers as a restored record is.
+// A hit is offered to the other tiers as a restored record is. The key
+// is recorded as asked for, and Prefetch does not read it ahead again.
 func (c *Cache) Events(prog *vm.Program, caseDigest string) *vm.Events {
 	key := artifact.EventsKey(prog.ContentHash(), caseDigest)
-	for i, s := range c.stores() {
+	c.asked.Add(key, struct{}{})
+	for i, s := range c.readers() {
 		if s == nil {
 			continue
 		}
-		data, err := c.tierGet(i, s, key)
+		ev, data, err := read(s, key, func(b []byte) (*vm.Events, error) {
+			return artifact.DecodeEvents(b, key, prog, cacheKeyVersion)
+		})
 		if err != nil {
-			continue
-		}
-		ev, err := artifact.DecodeEvents(data, key, prog, cacheKeyVersion)
-		if err != nil {
-			s.Delete(key) // best-effort; a failure just leaves a dead entry
 			continue
 		}
 		c.mu.Lock()
@@ -589,10 +601,11 @@ func CompileKey(ctx context.Context, c *Cache, k Key) (res *Result, hit bool, er
 		return res, false, err
 	}
 	// A miss is counted once per logical lookup, where it resolves — by
-	// sharing another caller's resolution here, or by a tier or a
-	// compile in resolve — so misses == compiles + disk_hits +
-	// remote_hits + flight_waits, the invariant the /metrics hit-rate
-	// math relies on.
+	// sharing another caller's result here, or by a tier or a compile in
+	// resolve — so misses == compiles + disk_hits + remote_hits +
+	// flight_waits, the invariant the /metrics hit-rate math relies on.
+	// A waiter that shares a failed compile or leaves on its own ctx
+	// resolves nothing and counts nowhere.
 	resolved := false
 	res, err, shared := c.mem.Do(ctx, k.hash, func() (*Result, error) {
 		resolved = true
@@ -602,10 +615,12 @@ func CompileKey(ctx context.Context, c *Cache, k Key) (res *Result, hit bool, er
 	})
 	switch {
 	case shared:
-		c.mu.Lock()
-		c.flightWaits++
-		c.misses++
-		c.mu.Unlock()
+		if err == nil {
+			c.mu.Lock()
+			c.flightWaits++
+			c.misses++
+			c.mu.Unlock()
+		}
 		hit = err == nil
 	case !resolved:
 		c.mu.Lock()
@@ -621,10 +636,10 @@ func CompileKey(ctx context.Context, c *Cache, k Key) (res *Result, hit bool, er
 // every tier misses. Whatever settles the lookup is offered to the
 // other tiers, and cached in memory by CompileKey. A tier that cannot
 // restore the compilation (see restore) counts a miss, and also a
-// decode error when it held corrupt bytes.
+// decode error when it had corrupt bytes.
 func (c *Cache) resolve(ctx context.Context, k Key) (*Result, bool, error) {
 	key := k.hash
-	for i, s := range c.stores() {
+	for i, s := range c.readers() {
 		if s == nil {
 			continue
 		}
@@ -661,25 +676,19 @@ func (c *Cache) resolve(ctx context.Context, k Key) (*Result, bool, error) {
 	return res, false, nil
 }
 
-// restore rebuilds k's compilation from tier i: the record, then its
-// program from the decoded-program memo or, on a memo miss, from the
-// blob on the same tier. It returns the record's verified bytes, and
-// the blob's when this lookup fetched it (nil when the memo had the
-// program), so the tiers it is offered to get the bytes it read. Any
-// failure is a miss for the tier: a Get error (wrapping
-// artifact.ErrCorrupt when the tier reports corrupt bytes), or bytes
-// that fail to decode or are misfiled, which are deleted from the tier
-// best-effort so they are not fetched again. A record whose blob is
-// missing, corrupt or unreachable stays: the compile that follows
-// writes the blob back.
+// restore rebuilds k's compilation from tier i, read through s: the
+// record, then its program from the decoded-program memo or, on a memo
+// miss, from the blob on the same tier. It returns the record's
+// verified bytes, and the blob's when this lookup fetched it (nil when
+// the memo had the program), so the tiers it is offered to get the
+// bytes it read. Any failure is a miss for the tier: a Get error
+// (wrapping artifact.ErrCorrupt when the tier reports corrupt bytes),
+// or bytes that fail to decode or are misfiled, which read deletes. A
+// record whose blob is missing, corrupt or unreachable stays: the
+// compile that follows writes the blob back.
 func (c *Cache) restore(k Key, i int, s artifact.Store) (res *Result, data, blob []byte, err error) {
-	key := k.hash
-	if data, err = c.tierGet(i, s, key); err != nil {
-		return nil, nil, nil, err
-	}
-	rec, err := decodeRecord(data, key)
+	rec, data, err := read(s, k.hash, func(b []byte) (*artifact.Record, error) { return decodeRecord(b, k.hash) })
 	if err != nil {
-		s.Delete(key) // best-effort; a failure just leaves a dead entry
 		return nil, nil, nil, err
 	}
 	prog, blob, err := c.program(rec.ProgramHash, i, s)
@@ -727,18 +736,19 @@ func (c *Cache) program(hash string, i int, s artifact.Store) (*vm.Program, []by
 }
 
 // loadBlob fetches and verifies the blob of the program whose content
-// hash is hash from tier i, with the bytes it decoded. A blob that fails
-// to decode or holds another program is deleted best-effort.
+// hash is hash from tier i, with the bytes it decoded (see read).
 func (c *Cache) loadBlob(hash string, i int, s artifact.Store) (*vm.Program, []byte, error) {
-	key := artifact.BlobKey(hash)
-	data, err := c.tierGet(i, s, key)
-	if err != nil {
-		return nil, nil, err
+	return read(s, artifact.BlobKey(hash), func(b []byte) (*vm.Program, error) { return artifact.DecodeBlob(b, hash) })
+}
+
+// read gets key from s and decodes its bytes, returning them too.
+// Bytes that fail to decode or are misfiled are deleted from s
+// best-effort, so they are not fetched again.
+func read[T any](s artifact.Store, key string, decode func([]byte) (T, error)) (v T, data []byte, err error) {
+	if data, err = s.Get(key); err == nil {
+		if v, err = decode(data); err != nil {
+			s.Delete(key) // best-effort; a failure just leaves a dead entry
+		}
 	}
-	prog, err := artifact.DecodeBlob(data, hash)
-	if err != nil {
-		s.Delete(key)
-		return nil, nil, err
-	}
-	return prog, data, nil
+	return v, data, err
 }

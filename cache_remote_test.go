@@ -3,12 +3,15 @@ package mat2c
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
 	"mat2c/internal/artifact"
 	"mat2c/internal/artifact/remote"
+	"mat2c/internal/vm"
 )
 
 // openTestOrigin stands up a blob-protocol origin over a fresh disk
@@ -258,16 +261,16 @@ type swapOnBatch struct {
 	swap func()
 }
 
-func (s swapOnBatch) GetBatch(keys []string) ([]artifact.Fetched, error) {
+func (s *swapOnBatch) GetBatch(keys []string) ([]artifact.Fetched, error) {
 	got, err := s.RemoteStore.GetBatch(keys)
 	s.swap()
 	return got, err
 }
 
-// TestPrefetchOvertakenBySetRemoteStore: answers read from a remote
-// that SetRemoteStore replaces while Prefetch runs are not held, so no
-// lookup takes them as the new remote's replies; the lookup reads the
-// new remote.
+// TestPrefetchOvertakenBySetRemoteStore: a run's view of a remote that
+// SetRemoteStore replaces while Prefetch runs is not read, so no
+// lookup takes its answers as the new remote's replies; the lookup
+// reads the new remote.
 func TestPrefetchOvertakenBySetRemoteStore(t *testing.T) {
 	_, client := openTestOrigin(t)
 	opts := Options{Target: "dspasip"}
@@ -283,18 +286,127 @@ func TestPrefetchOvertakenBySetRemoteStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewCache(8)
-	next := client()
-	c.SetRemoteStore(swapOnBatch{client(), func() { c.SetRemoteStore(next) }})
-	release := c.Prefetch([]Want{{Key: keys[0]}})
-	defer release()
-	if c.isHeld(keys[0].String()) {
-		t.Fatal("Prefetch holds the replaced remote's answer")
+	old, next := client(), client()
+	c.SetRemoteStore(&swapOnBatch{old, func() { c.SetRemoteStore(next) }})
+	run := c.Prefetch([]Want{{Key: keys[0]}})
+	if st := old.Stats(); st.BatchKeys != 2 {
+		t.Fatalf("the replaced remote's batches read %d keys, want the record and the blob", st.BatchKeys)
 	}
-	if _, hit, err := CompileKey(context.Background(), c, keys[0]); err != nil || !hit {
+	if _, hit, err := CompileKey(context.Background(), run, keys[0]); err != nil || !hit {
 		t.Fatalf("lookup: hit=%v err=%v", hit, err)
 	}
 	if st := next.Stats(); st.Gets != 2 || st.Hits != 2 {
 		t.Errorf("new remote: %d gets, %d hits; want the record and the blob read from it", st.Gets, st.Hits)
+	}
+}
+
+// TestPrefetchViewIsTheRunsOwn: what a run's Prefetch read ahead is
+// read only by lookups through its handle. A lookup through the cache
+// itself, or through another run's handle, reads the remote key by key
+// and leaves the answers to the run, whose lookup later takes them
+// without a Get, concurrently with the other run's.
+func TestPrefetchViewIsTheRunsOwn(t *testing.T) {
+	_, client := openTestOrigin(t)
+	opts := Options{Target: "dspasip"}
+	var ins []Input
+	for i := 0; i < 2; i++ {
+		src := strings.Replace(cacheTestSrc, "+ 1", fmt.Sprintf("+ %d", i+1), 1)
+		ins = append(ins, Input{Source: src, Entry: "scale", Params: cacheTestParams})
+	}
+	keys, err := Keys(opts, ins...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := NewCache(8)
+	warm.SetRemoteStore(client())
+	for _, k := range keys {
+		if _, _, err := CompileKey(context.Background(), warm, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	warm.Flush()
+
+	// A memory tier and program memo of one entry each, so the second
+	// key's lookup evicts the first key's compilation and program.
+	c := NewCache(1)
+	far := client()
+	c.SetRemoteStore(far)
+	runs := []*Cache{c.Prefetch([]Want{{Key: keys[0]}}), c.Prefetch([]Want{{Key: keys[1]}})}
+	if st := far.Stats(); st.BatchKeys != 4 || st.Gets != 0 {
+		t.Fatalf("Prefetch: %d keys batch-read and %d gets, want 4 and 0", st.BatchKeys, st.Gets)
+	}
+	lookup := func(c *Cache, k Key) {
+		if _, hit, err := CompileKey(context.Background(), c, k); err != nil || !hit {
+			t.Errorf("lookup: hit=%v err=%v", hit, err)
+		}
+	}
+	lookup(c, keys[0])
+	lookup(runs[0], keys[1])
+	if st := far.Stats(); st.Gets != 4 {
+		t.Fatalf("lookups outside the runs made %d remote gets, want the 2 records and 2 blobs read by key", st.Gets)
+	}
+	var wg sync.WaitGroup
+	for i, run := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			lookup(run, keys[i])
+		}()
+	}
+	wg.Wait()
+	if st := far.Stats(); st.Gets != 4 {
+		t.Errorf("the runs' lookups made %d more remote gets, want 0: they take their own answers", st.Gets-4)
+	}
+	if st := c.Stats(); st.RemoteHits+st.Hits != 4 || st.Compiles != 0 {
+		t.Errorf("stats %+v: want 4 lookups served without a compile", st)
+	}
+}
+
+// TestPrefetchEventsAnsweredOnce: a run's view answers its events read
+// once, and a second read goes to the remote. Prefetch does not read
+// ahead an events entry that Events was already called for, through
+// the cache or any of its handles: the caller that asked computes the
+// simulation every later run shares, so no run would read the answer.
+func TestPrefetchEventsAnsweredOnce(t *testing.T) {
+	_, client := openTestOrigin(t)
+	opts := Options{Target: "dspasip"}
+	warm := NewCache(8)
+	warm.SetRemoteStore(client())
+	res, _, err := CompileCached(warm, cacheTestSrc, "scale", cacheTestParams, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ev, err := vm.NewMachine(res.Processor()).RunEvents(context.Background(), res.Program(), NewVector(1, 2, 3, 4), 2.0)
+	if err != nil || ev == nil {
+		t.Fatalf("run: events %v, err %v", ev != nil, err)
+	}
+	const digest = "0123abcd"
+	warm.PutEvents(res.Program(), digest, ev)
+	warm.Flush()
+	keys, err := Keys(opts, Input{Source: cacheTestSrc, Entry: "scale", Params: cacheTestParams})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wants := []Want{{Key: keys[0], CaseDigest: digest}}
+
+	c := NewCache(8)
+	far := client()
+	c.SetRemoteStore(far)
+	run := c.Prefetch(wants)
+	if st := far.Stats(); st.BatchKeys != 3 {
+		t.Fatalf("Prefetch read %d keys, want the record, the blob and the events", st.BatchKeys)
+	}
+	for want := uint64(0); want < 2; want++ {
+		if run.Events(res.Program(), digest) == nil {
+			t.Fatal("Events missed the origin's entry")
+		}
+		if st := far.Stats(); st.Gets != want {
+			t.Fatalf("events read %d: %d remote gets, want %d", want+1, st.Gets, want)
+		}
+	}
+	c.Prefetch(wants)
+	if st := far.Stats(); st.BatchKeys != 5 {
+		t.Errorf("after Events: %d keys read in batches, want 5: the events entry is not read ahead again", st.BatchKeys)
 	}
 }
 
@@ -372,14 +484,13 @@ func TestRemoteFedBlobWrittenAsFetched(t *testing.T) {
 		c := NewCache(8)
 		c.SetStore(local)
 		c.SetRemoteStore(fetched)
-		release := func() {}
+		run := c
 		if prefetch {
-			release = c.Prefetch([]Want{{Key: keys[0]}})
+			run = c.Prefetch([]Want{{Key: keys[0]}})
 		}
-		if _, hit, err := CompileKey(context.Background(), c, keys[0]); err != nil || !hit {
+		if _, hit, err := CompileKey(context.Background(), run, keys[0]); err != nil || !hit {
 			t.Fatalf("prefetch %v: remote-fed lookup: hit=%v err=%v", prefetch, hit, err)
 		}
-		release()
 		c.Flush()
 		got, from := local.puts[blobKey], fetched.blobs[blobKey]
 		if !bytes.Equal(got, want) {

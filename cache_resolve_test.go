@@ -208,9 +208,10 @@ func (m *lruModel[T]) touch(key string, mk func() T) T {
 // The keys are two sources on two cost siblings, so pairs of keys share
 // one program blob.
 // In the batch setups the remote also reads in batches, and every
-// lookup is prefetched first (Cache.Prefetch): the model, counters and
-// outcomes are those of the per-key path unchanged, and only the reads
-// move from the remote's Gets into its batches.
+// lookup is prefetched first and made through the handle
+// Cache.Prefetch returns: the model, counters and outcomes are those
+// of the per-key path unchanged, and only the reads move from the
+// remote's Gets into its batches.
 func TestTierResolutionProperty(t *testing.T) {
 	base, err := LoadProcessor("dspasip")
 	if err != nil {
@@ -420,10 +421,9 @@ func runTierProperty(t *testing.T, seed int64, disk, remote, batch bool, keys []
 		}
 		mem.touch(k.key, func() int { return ki })
 
-		release := c.Prefetch([]Want{{Key: k.k}})
-		res, hit, err := CompileCached(c, k.src, "prop", cacheTestParams, k.opts)
+		run := c.Prefetch([]Want{{Key: k.k}})
+		res, hit, err := CompileCached(run, k.src, "prop", cacheTestParams, k.opts)
 		c.Flush()
-		release()
 		if err != nil {
 			fail("store failure reached the caller: %v", err)
 		}
@@ -599,13 +599,12 @@ func TestPrefetchedRecordsSkipLocalReads(t *testing.T) {
 	c := NewCache(n)
 	c.SetStore(local)
 	c.SetRemoteStore(client())
-	release := c.Prefetch(wants)
+	run := c.Prefetch(wants)
 	for _, k := range keys {
-		if _, hit, err := CompileKey(context.Background(), c, k); err != nil || !hit {
+		if _, hit, err := CompileKey(context.Background(), run, k); err != nil || !hit {
 			t.Fatalf("remote-fed lookup: hit=%v err=%v", hit, err)
 		}
 	}
-	release()
 	c.Flush()
 	if got := local.gets["record"]; got != 0 {
 		t.Errorf("the local tier saw %d record Gets after Prefetch found every record absent, want 0", got)

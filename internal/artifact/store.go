@@ -37,8 +37,9 @@ type Checker interface {
 }
 
 // BatchGetter is optionally implemented by stores that can fetch many
-// entries in one round trip. The cache uses it to prefetch the entries
-// a run of lookups is about to read (mat2c.Cache.Prefetch).
+// entries in one round trip. The cache uses it to read ahead the
+// entries a run of lookups is about to read, into read-ahead views
+// that only that run's lookups read (mat2c.Cache.Prefetch).
 type BatchGetter interface {
 	// GetBatch fetches the entries under keys as one operation. On
 	// success it returns one answer per key, in order: the entry's

@@ -133,8 +133,9 @@ func EvalVariantsContext(ctx context.Context, vs []*Variant, opts Options) ([]Va
 // index in vs. It first computes the variants' cache keys (one
 // rendering of each variant's processor) and, when the cache's remote
 // tier reads in batches, reads ahead in one go what their lookups will
-// ask it for (mat2c.Cache.Prefetch), releasing it on return. It stops
-// with ctx's error when ctx ends before a variant.
+// ask it for (mat2c.Cache.Prefetch) and evaluates the run through the
+// handle Prefetch returns, which it drops on return. It stops with
+// ctx's error when ctx ends before a variant.
 func evalRun(ctx context.Context, vs []*Variant, kernels []*bench.Kernel, opts Options, cache *mat2c.Cache, done func(int, VariantResult)) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -145,7 +146,7 @@ func evalRun(ctx context.Context, vs []*Variant, kernels []*bench.Kernel, opts O
 		keys[i], errs[i] = variantKeys(v, kernels, opts)
 	}
 	if cache.CanPrefetch() {
-		defer cache.Prefetch(wants(keys, kernels, opts, cache))()
+		cache = cache.Prefetch(wants(keys, kernels, opts, cache))
 	}
 	for i, v := range vs {
 		if err := ctx.Err(); err != nil {

@@ -330,7 +330,7 @@ func TestDSECancelStopsEvaluation(t *testing.T) {
 		t.Fatalf("state after DELETE = %q, want cancelling/cancelled", cst.State)
 	}
 
-	st := waitDSE(t, ts, acc.ID)
+	st := waitDSE(t, s, ts, acc.ID)
 	if st.State != "cancelled" {
 		t.Fatalf("job ended %q (%s), want cancelled", st.State, st.Error)
 	}
@@ -403,7 +403,7 @@ func TestShutdownCancelsDSEJobs(t *testing.T) {
 	}
 
 	s.Shutdown()
-	st := waitDSE(t, ts, acc.ID)
+	st := waitDSE(t, s, ts, acc.ID)
 	if st.State != "cancelled" {
 		t.Fatalf("job ended %q after Shutdown, want cancelled", st.State)
 	}

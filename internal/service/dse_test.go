@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"mat2c/internal/dse"
 )
@@ -25,20 +24,14 @@ func smallDSERequest() *DSERequest {
 	}
 }
 
-func waitDSE(t *testing.T, ts *httptest.Server, id string) JobStatus[dse.Report] {
+// waitDSE waits for s to finish sweep job id and returns its status
+// as ts serves it.
+func waitDSE(t *testing.T, s *Server, ts *httptest.Server, id string) JobStatus[dse.Report] {
 	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		var st JobStatus[dse.Report]
-		getJSON(t, ts, "/dse/"+id, &st)
-		if st.State != "running" && st.State != "cancelling" {
-			return st
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("DSE job %s still running after 30s (%d/%d)", id, st.Evaluated, st.Total)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	awaitJob(t, s.sweeps, id)
+	var st JobStatus[dse.Report]
+	getJSON(t, ts, "/dse/"+id, &st)
+	return st
 }
 
 func TestDSEEndpoint(t *testing.T) {
@@ -61,7 +54,7 @@ func TestDSEEndpoint(t *testing.T) {
 		t.Fatalf("sweep enumerated %d variants, want >= 3", acc.Variants)
 	}
 
-	st := waitDSE(t, ts, acc.ID)
+	st := waitDSE(t, s, ts, acc.ID)
 	if st.State != "done" {
 		t.Fatalf("job ended %q: %s", st.State, st.Error)
 	}
@@ -86,7 +79,7 @@ func TestDSEEndpoint(t *testing.T) {
 	if err := json.Unmarshal(body, &acc); err != nil {
 		t.Fatal(err)
 	}
-	st = waitDSE(t, ts, acc.ID)
+	st = waitDSE(t, s, ts, acc.ID)
 	if st.State != "done" {
 		t.Fatalf("second job ended %q: %s", st.State, st.Error)
 	}

@@ -51,7 +51,7 @@ func newWorker(t *testing.T, coord *httptest.Server, cfg Config, wrap func(http.
 	return s, ts
 }
 
-func runDSE(t *testing.T, ts *httptest.Server, req *DSERequest) JobStatus[dse.Report] {
+func runDSE(t *testing.T, s *Server, ts *httptest.Server, req *DSERequest) JobStatus[dse.Report] {
 	t.Helper()
 	resp, body := postJSON(t, ts, "/dse", req)
 	if resp.StatusCode != http.StatusAccepted {
@@ -61,7 +61,7 @@ func runDSE(t *testing.T, ts *httptest.Server, req *DSERequest) JobStatus[dse.Re
 	if err := json.Unmarshal(body, &acc); err != nil {
 		t.Fatal(err)
 	}
-	return waitDSE(t, ts, acc.ID)
+	return waitDSE(t, s, ts, acc.ID)
 }
 
 // identity returns rep's dse.Report.Identity.
@@ -90,11 +90,11 @@ func TestFleetShardedSweepMatchesSingleProcess(t *testing.T) {
 	singleTS := httptest.NewServer(single.Handler())
 	defer singleTS.Close()
 
-	shardedSt := runDSE(t, coord, smallDSERequest())
+	shardedSt := runDSE(t, coordSvc, coord, smallDSERequest())
 	if shardedSt.State != "done" {
 		t.Fatalf("sharded job ended %q: %s", shardedSt.State, shardedSt.Error)
 	}
-	singleSt := runDSE(t, singleTS, smallDSERequest())
+	singleSt := runDSE(t, single, singleTS, smallDSERequest())
 	if singleSt.State != "done" {
 		t.Fatalf("single job ended %q: %s", singleSt.State, singleSt.Error)
 	}
@@ -132,7 +132,7 @@ func TestFleetShardedSweepMatchesSingleProcess(t *testing.T) {
 // layer and verifies re-dispatch completes the job with a report
 // identical to a healthy single-process run.
 func TestFleetWorkerKillMidSweep(t *testing.T) {
-	_, coord := newCoordinator(t, fastFleetConfig())
+	coordSvc, coord := newCoordinator(t, fastFleetConfig())
 
 	// The dying worker serves one unit, then aborts every further
 	// connection — a crash mid-sweep as the coordinator sees one.
@@ -151,11 +151,11 @@ func TestFleetWorkerKillMidSweep(t *testing.T) {
 	singleTS := httptest.NewServer(single.Handler())
 	defer singleTS.Close()
 
-	shardedSt := runDSE(t, coord, smallDSERequest())
+	shardedSt := runDSE(t, coordSvc, coord, smallDSERequest())
 	if shardedSt.State != "done" {
 		t.Fatalf("job ended %q: %s", shardedSt.State, shardedSt.Error)
 	}
-	singleSt := runDSE(t, singleTS, smallDSERequest())
+	singleSt := runDSE(t, single, singleTS, smallDSERequest())
 
 	sharded, plain := identity(t, shardedSt.Report), identity(t, singleSt.Report)
 	if !bytes.Equal(sharded, plain) {
@@ -175,14 +175,14 @@ func TestFleetWorkerKillMidSweep(t *testing.T) {
 // TestFleetISXMatchesSingleProcess: the sharded verification pass must
 // reproduce the standalone mining report byte for byte.
 func TestFleetISXMatchesSingleProcess(t *testing.T) {
-	_, coord := newCoordinator(t, fastFleetConfig())
+	coordSvc, coord := newCoordinator(t, fastFleetConfig())
 	newWorker(t, coord, Config{Workers: 2}, nil)
 
 	single := New(Config{Workers: 2})
 	singleTS := httptest.NewServer(single.Handler())
 	defer singleTS.Close()
 
-	post := func(ts *httptest.Server) JobStatus[isx.Report] {
+	post := func(s *Server, ts *httptest.Server) JobStatus[isx.Report] {
 		resp, body := postJSON(t, ts, "/isx", smallISXRequest())
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("POST /isx: status %d: %s", resp.StatusCode, body)
@@ -191,13 +191,13 @@ func TestFleetISXMatchesSingleProcess(t *testing.T) {
 		if err := json.Unmarshal(body, &acc); err != nil {
 			t.Fatal(err)
 		}
-		return waitISX(t, ts, acc.ID)
+		return waitISX(t, s, ts, acc.ID)
 	}
-	shardedSt := post(coord)
+	shardedSt := post(coordSvc, coord)
 	if shardedSt.State != "done" {
 		t.Fatalf("sharded mine ended %q: %s", shardedSt.State, shardedSt.Error)
 	}
-	singleSt := post(singleTS)
+	singleSt := post(single, singleTS)
 
 	sharded, _ := json.Marshal(shardedSt.Report)
 	plain, _ := json.Marshal(singleSt.Report)
@@ -270,7 +270,7 @@ func TestFleetShutdownMidSweep(t *testing.T) {
 	}
 
 	// The job observed the cancellation.
-	jobSt := waitDSE(t, coord, acc.ID)
+	jobSt := waitDSE(t, coordSvc, coord, acc.ID)
 	if jobSt.State != "cancelled" && jobSt.State != "failed" {
 		t.Errorf("job state %q after shutdown, want cancelled or failed", jobSt.State)
 	}

@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"sort"
 	"testing"
-	"time"
 
 	"mat2c/internal/isx"
 )
@@ -24,20 +23,14 @@ func smallISXRequest() *ISXRequest {
 	}
 }
 
-func waitISX(t *testing.T, ts *httptest.Server, id string) JobStatus[isx.Report] {
+// waitISX waits for s to finish mining job id and returns its status
+// as ts serves it.
+func waitISX(t *testing.T, s *Server, ts *httptest.Server, id string) JobStatus[isx.Report] {
 	t.Helper()
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		var st JobStatus[isx.Report]
-		getJSON(t, ts, "/isx/"+id, &st)
-		if st.State != "running" && st.State != "cancelling" {
-			return st
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("ISX job %s still running after 60s", id)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	awaitJob(t, s.mines, id)
+	var st JobStatus[isx.Report]
+	getJSON(t, ts, "/isx/"+id, &st)
+	return st
 }
 
 func TestISXEndpoint(t *testing.T) {
@@ -57,7 +50,7 @@ func TestISXEndpoint(t *testing.T) {
 		t.Fatalf("bad accept reply: %+v", acc)
 	}
 
-	st := waitISX(t, ts, acc.ID)
+	st := waitISX(t, s, ts, acc.ID)
 	if st.State != "done" {
 		t.Fatalf("job ended %q: %s", st.State, st.Error)
 	}
@@ -153,7 +146,7 @@ func TestISXCancel(t *testing.T) {
 		t.Fatalf("DELETE reply state %q", st.State)
 	}
 
-	st = waitISX(t, ts, acc.ID)
+	st = waitISX(t, s, ts, acc.ID)
 	if st.State != "cancelled" && st.State != "done" {
 		t.Fatalf("job ended %q: %s", st.State, st.Error)
 	}

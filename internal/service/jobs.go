@@ -67,6 +67,10 @@ type job[R any] struct {
 	// from any goroutine.
 	cancel context.CancelFunc
 
+	// settled is closed once finish has recorded the outcome and
+	// retired the finished jobs beyond the cap.
+	settled chan struct{}
+
 	mu        sync.Mutex
 	progress  *Progress // nil for kinds without progress
 	done      bool      // also written under the registry's mu
@@ -144,7 +148,7 @@ func (r *jobs[R]) route(mux *http.ServeMux, post http.HandlerFunc) {
 // starts the job's progress counters.
 func (r *jobs[R]) start(parent context.Context, progress *Progress, run func(context.Context, *job[R]) (*R, error)) *job[R] {
 	ctx, cancel := context.WithCancel(parent)
-	j := &job[R]{cancel: cancel, progress: progress}
+	j := &job[R]{cancel: cancel, progress: progress, settled: make(chan struct{})}
 	r.mu.Lock()
 	r.seq++
 	j.id = fmt.Sprintf("%s-%d", r.kind, r.seq)
@@ -171,6 +175,7 @@ func (r *jobs[R]) start(parent context.Context, progress *Progress, run func(con
 // retires the oldest finished job beyond the cap: a job observed done
 // has already been counted against it.
 func (r *jobs[R]) finish(j *job[R], rep *R, err error, cancelled bool) {
+	defer close(j.settled)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	j.mu.Lock()

@@ -76,34 +76,17 @@ func send(t *testing.T, ts *httptest.Server, method, path string, body interface
 	return resp.StatusCode, data
 }
 
-// jobState reads a job's state field.
-func jobState(t *testing.T, ts *httptest.Server, path string) string {
+// awaitJob blocks until r has finished job id: recorded its outcome
+// and retired the finished jobs beyond the cap.
+func awaitJob[R any](t *testing.T, r *jobs[R], id string) {
 	t.Helper()
-	status, data := send(t, ts, http.MethodGet, path, nil)
-	var st struct {
-		State string `json:"state"`
+	r.mu.Lock()
+	j := r.byID[id]
+	r.mu.Unlock()
+	if j == nil {
+		t.Fatalf("no job %s", id)
 	}
-	if err := json.Unmarshal(data, &st); status != http.StatusOK || err != nil {
-		t.Fatalf("GET %s: status %d: %s", path, status, data)
-	}
-	return st.State
-}
-
-// awaitFinished polls a job until it leaves running and cancelling.
-func awaitFinished(t *testing.T, ts *httptest.Server, path string) {
-	t.Helper()
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		switch s := jobState(t, ts, path); s {
-		case "running", "cancelling":
-			if time.Now().After(deadline) {
-				t.Fatalf("%s still %s after 60s", path, s)
-			}
-			time.Sleep(5 * time.Millisecond)
-		default:
-			return
-		}
-	}
+	await(t, j.settled, "job "+id+" finishing")
 }
 
 // await blocks until ch is closed.
@@ -165,7 +148,7 @@ func newFakeWorker(t *testing.T, reject bool) *fakeWorker {
 }
 
 // coordinatorWith starts a coordinator whose only worker is w.
-func coordinatorWith(t *testing.T, w *fakeWorker) *httptest.Server {
+func coordinatorWith(t *testing.T, w *fakeWorker) (*Server, *httptest.Server) {
 	s := New(Config{Workers: 1, Role: RoleCoordinator})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
@@ -173,7 +156,7 @@ func coordinatorWith(t *testing.T, w *fakeWorker) *httptest.Server {
 		s.Shutdown()
 	})
 	s.Fleet().Register(w.URL, 1)
-	return ts
+	return s, ts
 }
 
 func wireSweep(widths ...int) *DSERequest {
@@ -203,18 +186,19 @@ func TestJobWireFormat(t *testing.T) {
 		tr.do("DELETE", "/dse/dse-1", nil)
 		tr.do("GET", "/dse/dse-1", nil)
 		close(gate.release)
-		awaitFinished(t, ts, "/dse/dse-1")
+		awaitJob(t, s.sweeps, "dse-1")
 		tr.do("GET", "/dse/dse-1", nil)
 		tr.do("GET", "/dse", nil)
 	}()
 
 	section("dse: done")
 	func() {
-		ts := httptest.NewServer(New(Config{Workers: 1}).Handler())
+		s := New(Config{Workers: 1})
+		ts := httptest.NewServer(s.Handler())
 		defer ts.Close()
 		tr := &transcript{t, ts, &out}
 		tr.do("POST", "/dse", wireSweep(1, 4))
-		awaitFinished(t, ts, "/dse/dse-1")
+		awaitJob(t, s.sweeps, "dse-1")
 		tr.do("GET", "/dse/dse-1", nil)
 		tr.do("DELETE", "/dse/dse-1", nil)
 		tr.do("GET", "/dse", nil)
@@ -224,10 +208,10 @@ func TestJobWireFormat(t *testing.T) {
 
 	section("dse: failed")
 	func() {
-		ts := coordinatorWith(t, newFakeWorker(t, true))
+		s, ts := coordinatorWith(t, newFakeWorker(t, true))
 		tr := &transcript{t, ts, &out}
 		tr.do("POST", "/dse", wireSweep(1))
-		awaitFinished(t, ts, "/dse/dse-1")
+		awaitJob(t, s.sweeps, "dse-1")
 		tr.do("GET", "/dse/dse-1", nil)
 		tr.do("GET", "/dse", nil)
 	}()
@@ -240,7 +224,7 @@ func TestJobWireFormat(t *testing.T) {
 	for attempt := 1; ; attempt++ {
 		var run bytes.Buffer
 		w := newFakeWorker(t, false)
-		ts := coordinatorWith(t, w)
+		s, ts := coordinatorWith(t, w)
 		tr := &transcript{t, ts, &run}
 		tr.do("POST", "/isx", smallISXRequest())
 		await(t, w.entered, "the mine's first verification unit")
@@ -250,7 +234,7 @@ func TestJobWireFormat(t *testing.T) {
 		if err := json.Unmarshal(tr.do("DELETE", "/isx/isx-1", nil), &st); err != nil {
 			t.Fatal(err)
 		}
-		awaitFinished(t, ts, "/isx/isx-1")
+		awaitJob(t, s.mines, "isx-1")
 		tr.do("GET", "/isx/isx-1", nil)
 		tr.do("GET", "/isx", nil)
 		if st.State == "cancelling" {
@@ -264,11 +248,12 @@ func TestJobWireFormat(t *testing.T) {
 
 	section("isx: done")
 	func() {
-		ts := httptest.NewServer(New(Config{Workers: 1}).Handler())
+		s := New(Config{Workers: 1})
+		ts := httptest.NewServer(s.Handler())
 		defer ts.Close()
 		tr := &transcript{t, ts, &out}
 		tr.do("POST", "/isx", smallISXRequest())
-		awaitFinished(t, ts, "/isx/isx-1")
+		awaitJob(t, s.mines, "isx-1")
 		tr.do("GET", "/isx/isx-1", nil)
 		tr.do("DELETE", "/isx/isx-1", nil)
 		tr.do("GET", "/isx", nil)
@@ -278,11 +263,11 @@ func TestJobWireFormat(t *testing.T) {
 
 	section("isx: failed")
 	func() {
-		ts := coordinatorWith(t, newFakeWorker(t, true))
+		s, ts := coordinatorWith(t, newFakeWorker(t, true))
 		tr := &transcript{t, ts, &out}
 		// One candidate, so one unit: the one the failure names.
 		tr.do("POST", "/isx", &ISXRequest{Proc: "scalar", Kernels: []string{"fir"}, Top: 1, Scale: 0.05})
-		awaitFinished(t, ts, "/isx/isx-1")
+		awaitJob(t, s.mines, "isx-1")
 		tr.do("GET", "/isx/isx-1", nil)
 		tr.do("GET", "/isx", nil)
 	}()
@@ -315,47 +300,47 @@ func TestJobWireFormat(t *testing.T) {
 // TestDSEJobRegistryBounded and TestISXJobRegistryBounded: each job
 // kind keeps at most 32 finished jobs, dropping the oldest first, as
 // its GET list shows.
-func TestDSEJobRegistryBounded(t *testing.T) { checkRetention(t, "dse", wireSweep(1)) }
-
-func TestISXJobRegistryBounded(t *testing.T) {
-	checkRetention(t, "isx", &ISXRequest{Proc: "scalar", Kernels: []string{"fir"}, Scale: 0.05, NoVerify: true})
+func TestDSEJobRegistryBounded(t *testing.T) {
+	s := New(Config{Workers: 2})
+	checkRetention(t, s, s.sweeps, wireSweep(1))
 }
 
-func checkRetention(t *testing.T, kind string, body interface{}) {
+func TestISXJobRegistryBounded(t *testing.T) {
+	s := New(Config{Workers: 2})
+	checkRetention(t, s, s.mines, &ISXRequest{Proc: "scalar", Kernels: []string{"fir"}, Scale: 0.05, NoVerify: true})
+}
+
+// checkRetention submits jobs to s's registry r one at a time, each
+// once the last has finished, and checks the list r serves.
+func checkRetention[R any](t *testing.T, s *Server, r *jobs[R], body interface{}) {
 	const retained, submitted = 32, 40
-	ts := httptest.NewServer(New(Config{Workers: 2}).Handler())
+	kind := r.kind
+	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	for i := 1; i <= submitted; i++ {
 		if status, data := send(t, ts, "POST", "/"+kind, body); status != http.StatusAccepted {
 			t.Fatalf("POST %d: status %d: %s", i, status, data)
 		}
-		awaitFinished(t, ts, fmt.Sprintf("/%s/%s-%d", kind, kind, i))
+		awaitJob(t, r, fmt.Sprintf("%s-%d", kind, i))
 	}
 	var want []string
 	for i := submitted - retained + 1; i <= submitted; i++ {
 		want = append(want, fmt.Sprintf("%s-%d", kind, i))
 	}
-	// A finished job may be retired just after it reads done.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		var list struct {
-			Jobs []struct{ ID, State string }
+	// Each job retires the oldest beyond the cap before it settles.
+	var list struct {
+		Jobs []struct{ ID, State string }
+	}
+	getJSON(t, ts, "/"+kind, &list)
+	var got []string
+	for _, j := range list.Jobs {
+		if j.State != "done" {
+			t.Fatalf("job %s is %s", j.ID, j.State)
 		}
-		getJSON(t, ts, "/"+kind, &list)
-		var got []string
-		for _, j := range list.Jobs {
-			if j.State != "done" {
-				t.Fatalf("job %s is %s", j.ID, j.State)
-			}
-			got = append(got, j.ID)
-		}
-		if fmt.Sprint(got) == fmt.Sprint(want) {
-			break
-		}
-		if len(got) <= retained || time.Now().After(deadline) {
-			t.Fatalf("GET /%s lists %v, want %v", kind, got, want)
-		}
-		time.Sleep(5 * time.Millisecond)
+		got = append(got, j.ID)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("GET /%s lists %v, want %v", kind, got, want)
 	}
 	if status, _ := send(t, ts, "GET", fmt.Sprintf("/%s/%s-1", kind, kind), nil); status != http.StatusNotFound {
 		t.Errorf("the oldest job is still served (status %d)", status)

@@ -190,8 +190,10 @@ func TestSingleflightFollowerHonorsOwnContext(t *testing.T) {
 	if err := <-leaderDone; err != nil {
 		t.Errorf("leader err = %v", err)
 	}
-	if st := cache.Stats(); st.Compiles != 1 {
-		t.Errorf("Compiles = %d, want 1", st.Compiles)
+	// The follower left on its own context: it shared nothing and
+	// counts neither a miss nor a flight wait.
+	if st := cache.Stats(); st.Compiles != 1 || st.Misses != 1 || st.FlightWaits != 0 {
+		t.Errorf("compiles=%d misses=%d flight_waits=%d, want 1, 1 and 0", st.Compiles, st.Misses, st.FlightWaits)
 	}
 	assertStatsConsistent(t, cache)
 }
@@ -280,6 +282,11 @@ func TestSingleflightSharesDeterministicErrors(t *testing.T) {
 	}
 	if st := cache.Stats(); st.Compiles != 0 {
 		t.Errorf("Compiles = %d, want 0 (errors are not cached but also not recompiled by followers)", st.Compiles)
+	}
+	// A failed compile resolves nothing, for its leader and the
+	// follower that shared its error alike.
+	if st := cache.Stats(); st.Misses != 0 || st.FlightWaits != 0 {
+		t.Errorf("misses=%d flight_waits=%d, want 0 and 0", st.Misses, st.FlightWaits)
 	}
 	assertStatsConsistent(t, cache)
 }
