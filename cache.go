@@ -47,11 +47,12 @@ const cacheKeyVersion = "mat2c-cache-v2"
 // Cache decodes and verifies each blob at most once while its program
 // stays in a memo of the same bound as the memory tier. The store tiers
 // also hold the events of verified simulation runs, which a DSE sweep
-// prices variants from (Events, PutEvents).
+// prices variants from; an events lookup (Events) follows the rule of
+// a compile lookup, through a memo of its own.
 //
 // Concurrent misses of one key share one resolution, and so do
-// concurrent loads of one blob and writes of one blob to one tier: each
-// goes through lru.Cache.Do.
+// concurrent events lookups of one key, loads of one blob and writes of
+// one blob to one tier: each goes through lru.Cache.Do.
 type Cache struct {
 	*cacheState
 	views [numTiers]*readAhead // a Prefetch handle's, per tier (readers)
@@ -65,10 +66,10 @@ type cacheState struct {
 	max int
 	// progs is the decoded-program memo, by content hash; blobs records
 	// the tiers this cache read each program's blob from or wrote it to;
-	// asked records the events keys Events was called for.
-	progs *lru.Cache[string, *vm.Program]
-	blobs *lru.Cache[blobAt, struct{}]
-	asked *lru.Cache[string, struct{}]
+	// events is the run-events memo, by events key.
+	progs  *lru.Cache[string, *vm.Program]
+	blobs  *lru.Cache[blobAt, struct{}]
+	events *lru.Cache[string, *vm.Events]
 
 	mu       sync.Mutex
 	hits     uint64
@@ -82,10 +83,11 @@ type cacheState struct {
 	// programHits counts records whose program the memo already had.
 	blobDecodes, programHits uint64
 
-	// eventHits and eventMisses count run-events lookups (Events) a
-	// tier served or every tier missed; eventPuts counts events entries
+	// eventMemoHits, eventHits and eventMisses count run-events
+	// lookups (Events) the memo served, a tier served, or every tier
+	// missed and a simulation followed; eventPuts counts events entries
 	// written to a tier.
-	eventHits, eventMisses, eventPuts uint64
+	eventMemoHits, eventHits, eventMisses, eventPuts uint64
 
 	// tiers are the store tiers behind memory, indexed diskTier and
 	// remoteTier; a tier with a nil store is skipped. writes holds the
@@ -128,11 +130,11 @@ func NewCache(maxEntries int) *Cache {
 		maxEntries = DefaultCacheSize
 	}
 	return &Cache{cacheState: &cacheState{
-		mem:   lru.New[string, *Result](maxEntries),
-		max:   maxEntries,
-		progs: lru.New[string, *vm.Program](maxEntries),
-		blobs: lru.New[blobAt, struct{}](numTiers * maxEntries),
-		asked: lru.New[string, struct{}](maxEntries),
+		mem:    lru.New[string, *Result](maxEntries),
+		max:    maxEntries,
+		progs:  lru.New[string, *vm.Program](maxEntries),
+		blobs:  lru.New[blobAt, struct{}](numTiers * maxEntries),
+		events: lru.New[string, *vm.Events](maxEntries),
 	}}
 }
 
@@ -231,15 +233,19 @@ type CacheStats struct {
 	// already had.
 	BlobDecodes uint64 `json:"blob_decodes"`
 	ProgramHits uint64 `json:"program_hits"`
-	// EventHits counts run-events lookups a store tier served, so a
-	// verified run was priced instead of simulated; EventMisses counts
-	// lookups every tier missed (a corrupt or unreachable entry
-	// included), each followed by a simulation; EventPuts counts events
-	// entries written to a tier. Events are not compilations: none of
-	// them enters Hits, Misses or the tier hit/miss counters.
-	EventHits   uint64 `json:"event_hits"`
-	EventMisses uint64 `json:"event_misses"`
-	EventPuts   uint64 `json:"event_puts"`
+	// EventMemoHits counts run-events lookups the events memo served,
+	// a wait that shared another caller's lookup included; EventHits
+	// counts lookups a store tier served; either way a verified run was
+	// priced instead of simulated. EventMisses counts lookups every
+	// tier missed (a corrupt or unreachable entry included, and every
+	// lookup when no tier is attached), each followed by a simulation;
+	// EventPuts counts events entries written to a tier. Events are not
+	// compilations: none of them enters Hits, Misses or the tier
+	// hit/miss counters.
+	EventMemoHits uint64 `json:"event_memo_hits"`
+	EventHits     uint64 `json:"event_hits"`
+	EventMisses   uint64 `json:"event_misses"`
+	EventPuts     uint64 `json:"event_puts"`
 	// Disk is the attached store's own counters and occupancy, when the
 	// store reports them (DiskStore does).
 	Disk *artifact.Stats `json:"disk,omitempty"`
@@ -271,6 +277,7 @@ func (c *Cache) Stats() CacheStats {
 		RemoteStoreErrors:  remote.storeErrors,
 		BlobDecodes:        c.blobDecodes,
 		ProgramHits:        c.programHits,
+		EventMemoHits:      c.eventMemoHits,
 		EventHits:          c.eventHits,
 		EventMisses:        c.eventMisses,
 		EventPuts:          c.eventPuts,
@@ -410,57 +417,64 @@ func (c *Cache) storeError(i int) {
 // completed run's block runs and alloc extents, from which any
 // processor's cycles are priced) under artifact.EventsKey(program hash,
 // case digest), where the case digest covers the run's inputs and the
-// reference its outputs were verified against. Only a caller that ran
-// the program to completion and verified its outputs writes an entry
-// (PutEvents), so an entry that decodes for the program it is keyed by
+// reference its outputs were verified against. Only a simulation that
+// ran the program to completion and verified its outputs yields events
+// (Events), so an entry that decodes for the program it is keyed by
 // stands for such a run. Events lookups are not compile lookups and
 // leave the compile counters alone.
 
-// HasStores reports whether any store tier is attached, that is,
-// whether Events can hit and PutEvents can write anything.
-func (c *Cache) HasStores() bool {
-	return c.stores() != [numTiers]artifact.Store{}
-}
-
-// Events returns the events stored for a verified run of prog on the
-// verification case whose digest is caseDigest, from the nearest tier
-// that holds a sound entry, or nil when none does. A missing,
-// unreachable, corrupt or misfiled entry is a miss for its tier; bytes
-// that fail to decode for prog are deleted from their tier best-effort.
-// A hit is offered to the other tiers as a restored record is. The key
-// is recorded as asked for, and Prefetch does not read it ahead again.
-func (c *Cache) Events(prog *vm.Program, caseDigest string) *vm.Events {
+// Events returns the events of a verified run of prog on the
+// verification case whose digest is caseDigest, in one lookup by their
+// events key: from the events memo; else from the nearest tier that
+// holds a sound entry, which is offered to the other tiers as a
+// restored record is; else from simulate, whose events are offered to
+// every tier. A missing, unreachable, corrupt or misfiled entry is a
+// miss for its tier; bytes that fail to decode for prog are deleted
+// from their tier best-effort. simulate runs prog to completion and
+// verifies its outputs, and fails when it cannot vouch for the events
+// it would return: every later lookup, in any process sharing a tier,
+// prices from them instead of simulating. simulated reports whether
+// this caller's simulate ran. Concurrent callers of one key share one
+// outcome, or leave on their own ctx (the rule of lru.Cache.Do); an
+// error is never stored, so the next lookup tries again.
+func (c *Cache) Events(ctx context.Context, prog *vm.Program, caseDigest string, simulate func() (*vm.Events, error)) (ev *vm.Events, simulated bool, err error) {
 	key := artifact.EventsKey(prog.ContentHash(), caseDigest)
-	c.asked.Add(key, struct{}{})
-	for i, s := range c.readers() {
-		if s == nil {
-			continue
-		}
-		ev, data, err := read(s, key, func(b []byte) (*vm.Events, error) {
-			return artifact.DecodeEvents(b, key, prog, cacheKeyVersion)
-		})
-		if err != nil {
-			continue
+	computed := false
+	ev, err, _ = c.events.Do(ctx, key, func() (*vm.Events, error) {
+		computed = true
+		for i, s := range c.readers() {
+			if s == nil {
+				continue
+			}
+			ev, data, err := read(s, key, func(b []byte) (*vm.Events, error) {
+				return artifact.DecodeEvents(b, key, prog, cacheKeyVersion)
+			})
+			if err != nil {
+				continue
+			}
+			c.mu.Lock()
+			c.eventHits++
+			c.mu.Unlock()
+			c.offerEvents(key, ev, data, i)
+			return ev, nil
 		}
 		c.mu.Lock()
-		c.eventHits++
+		c.eventMisses++
 		c.mu.Unlock()
-		c.offerEvents(key, ev, data, i)
-		return ev
+		simulated = true
+		ev, err := simulate()
+		if err != nil {
+			return nil, err
+		}
+		c.offerEvents(key, ev, nil, numTiers)
+		return ev, nil
+	})
+	if !computed && err == nil {
+		c.mu.Lock()
+		c.eventMemoHits++
+		c.mu.Unlock()
 	}
-	c.mu.Lock()
-	c.eventMisses++
-	c.mu.Unlock()
-	return nil
-}
-
-// PutEvents writes the events of a run of prog on the verification
-// case whose digest is caseDigest to every store tier, asynchronously
-// (Flush waits). The caller vouches that the run completed and its
-// outputs passed verification: every later Events hit, in any process
-// sharing the tier, prices from this entry instead of simulating.
-func (c *Cache) PutEvents(prog *vm.Program, caseDigest string, ev *vm.Events) {
-	c.offerEvents(artifact.EventsKey(prog.ContentHash(), caseDigest), ev, nil, numTiers)
+	return ev, simulated, err
 }
 
 // offerEvents offers an events entry that settled a lookup at tier from

@@ -3,6 +3,7 @@ package mat2c
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net/http/httptest"
 	"strings"
@@ -362,32 +363,54 @@ func TestPrefetchViewIsTheRunsOwn(t *testing.T) {
 	}
 }
 
-// TestPrefetchEventsAnsweredOnce: a run's view answers its events read
-// once, and a second read goes to the remote. Prefetch does not read
-// ahead an events entry that Events was already called for, through
-// the cache or any of its handles: the caller that asked computes the
-// simulation every later run shares, so no run would read the answer.
-func TestPrefetchEventsAnsweredOnce(t *testing.T) {
-	_, client := openTestOrigin(t)
+// storeEvents compiles the test kernel through a cache over the
+// origin, runs it, and writes the run's events under digest, as a
+// verified simulation does (Events). It returns the program and the
+// compilation's key.
+func storeEvents(t *testing.T, origin *remote.RemoteStore, digest string) (*vm.Program, Key) {
+	t.Helper()
 	opts := Options{Target: "dspasip"}
 	warm := NewCache(8)
-	warm.SetRemoteStore(client())
+	warm.SetRemoteStore(origin)
 	res, _, err := CompileCached(warm, cacheTestSrc, "scale", cacheTestParams, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ev, err := vm.NewMachine(res.Processor()).RunEvents(context.Background(), res.Program(), NewVector(1, 2, 3, 4), 2.0)
-	if err != nil || ev == nil {
-		t.Fatalf("run: events %v, err %v", ev != nil, err)
+	run := func() (*vm.Events, error) {
+		_, ev, err := vm.NewMachine(res.Processor()).RunEvents(context.Background(), res.Program(), NewVector(1, 2, 3, 4), 2.0)
+		if err == nil && ev == nil {
+			err = errors.New("the run recorded no events")
+		}
+		return ev, err
 	}
-	const digest = "0123abcd"
-	warm.PutEvents(res.Program(), digest, ev)
+	if _, simulated, err := warm.Events(context.Background(), res.Program(), digest, run); err != nil || !simulated {
+		t.Fatalf("storing events: simulated %v, err %v", simulated, err)
+	}
 	warm.Flush()
 	keys, err := Keys(opts, Input{Source: cacheTestSrc, Entry: "scale", Params: cacheTestParams})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wants := []Want{{Key: keys[0], CaseDigest: digest}}
+	return res.Program(), keys[0]
+}
+
+// noSimulation is the simulate of a lookup that must not simulate.
+func noSimulation(t *testing.T) func() (*vm.Events, error) {
+	return func() (*vm.Events, error) {
+		t.Error("an events lookup simulated")
+		return nil, errors.New("unexpected simulation")
+	}
+}
+
+// TestPrefetchEventsAnsweredOnce: a run's view answers its events read,
+// and the events memo serves every later lookup of the key, through
+// the cache or any of its handles, so Prefetch does not read the entry
+// ahead again.
+func TestPrefetchEventsAnsweredOnce(t *testing.T) {
+	_, client := openTestOrigin(t)
+	const digest = "0123abcd"
+	prog, key := storeEvents(t, client(), digest)
+	wants := []Want{{Key: key, CaseDigest: digest}}
 
 	c := NewCache(8)
 	far := client()
@@ -396,17 +419,87 @@ func TestPrefetchEventsAnsweredOnce(t *testing.T) {
 	if st := far.Stats(); st.BatchKeys != 3 {
 		t.Fatalf("Prefetch read %d keys, want the record, the blob and the events", st.BatchKeys)
 	}
-	for want := uint64(0); want < 2; want++ {
-		if run.Events(res.Program(), digest) == nil {
-			t.Fatal("Events missed the origin's entry")
+	for _, lookup := range []*Cache{run, run, c} {
+		if ev, _, err := lookup.Events(context.Background(), prog, digest, noSimulation(t)); err != nil || ev == nil {
+			t.Fatalf("Events missed the origin's entry: %v", err)
 		}
-		if st := far.Stats(); st.Gets != want {
-			t.Fatalf("events read %d: %d remote gets, want %d", want+1, st.Gets, want)
-		}
+	}
+	if st := far.Stats(); st.Gets != 0 {
+		t.Fatalf("events lookups made %d remote gets, want 0", st.Gets)
+	}
+	if st := c.Stats(); st.EventHits != 1 || st.EventMemoHits != 2 || st.EventMisses != 0 {
+		t.Errorf("event hits %d, memo hits %d, misses %d; want 1, 2 and 0", st.EventHits, st.EventMemoHits, st.EventMisses)
 	}
 	c.Prefetch(wants)
 	if st := far.Stats(); st.BatchKeys != 5 {
 		t.Errorf("after Events: %d keys read in batches, want 5: the events entry is not read ahead again", st.BatchKeys)
+	}
+}
+
+// TestPrefetchViewAnswersEventsOnce: a run's view answers each events
+// key it read ahead once, so a second read of the key through the
+// handle, once the events memo has evicted it, costs one remote get.
+func TestPrefetchViewAnswersEventsOnce(t *testing.T) {
+	_, client := openTestOrigin(t)
+	digests := []string{"0123abcd", "4567cdef"}
+	var prog *vm.Program
+	var wants []Want
+	for _, d := range digests {
+		p, key := storeEvents(t, client(), d)
+		prog = p
+		wants = append(wants, Want{Key: key, CaseDigest: d})
+	}
+
+	// An events memo of one entry, so the second digest's lookup
+	// evicts the first's events.
+	c := NewCache(1)
+	far := client()
+	c.SetRemoteStore(far)
+	run := c.Prefetch(wants)
+	if st := far.Stats(); st.BatchKeys != 4 || st.Gets != 0 {
+		t.Fatalf("Prefetch: %d keys batch-read and %d gets, want the record, the blob and 2 events entries, and 0", st.BatchKeys, st.Gets)
+	}
+	for i, d := range append(digests, digests[0]) {
+		if ev, _, err := run.Events(context.Background(), prog, d, noSimulation(t)); err != nil || ev == nil {
+			t.Fatalf("lookup %d: Events missed the origin's entry: %v", i, err)
+		}
+		want := uint64(0)
+		if i == len(digests) {
+			want = 1
+		}
+		if st := far.Stats(); st.Gets != want {
+			t.Fatalf("lookup %d: %d remote gets, want %d: the view answers a key once", i, st.Gets, want)
+		}
+	}
+	if st := c.Stats(); st.EventHits != 3 || st.EventMemoHits != 0 {
+		t.Errorf("event hits %d, memo hits %d; want 3 and 0", st.EventHits, st.EventMemoHits)
+	}
+}
+
+// TestPrefetchEventsAfterEmptyLookup: an events lookup that yielded
+// nothing (its simulation was cancelled) leaves its key to be read
+// ahead, so a later run that finds the entry stored meanwhile reads it
+// in its batch, with no read by key.
+func TestPrefetchEventsAfterEmptyLookup(t *testing.T) {
+	_, client := openTestOrigin(t)
+	const digest = "0123abcd"
+	prog, key := storeEvents(t, client(), "another case")
+
+	c := NewCache(8)
+	far := client()
+	c.SetRemoteStore(far)
+	cancelled := func() (*vm.Events, error) { return nil, context.Canceled }
+	if _, simulated, err := c.Events(context.Background(), prog, digest, cancelled); !simulated || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled lookup: simulated %v, err %v", simulated, err)
+	}
+	storeEvents(t, client(), digest)
+	gets := far.Stats().Gets
+	run := c.Prefetch([]Want{{Key: key, CaseDigest: digest}})
+	if ev, _, err := run.Events(context.Background(), prog, digest, noSimulation(t)); err != nil || ev == nil {
+		t.Fatalf("Events missed the stored entry: %v", err)
+	}
+	if got := far.Stats().Gets - gets; got != 0 {
+		t.Errorf("the later run read the events by key %d times, want 0: its Prefetch reads them ahead", got)
 	}
 }
 

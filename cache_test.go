@@ -89,6 +89,15 @@ func TestCacheKeySensitivity(t *testing.T) {
 		}
 	}
 
+	// There is one optimization level: a higher one compiles, and so
+	// keys, as the default does.
+	if k, err := CacheKey(cacheTestSrc, "scale", cacheTestParams, Options{Target: "dspasip", OptLevel: 2}); err != nil || k != base {
+		t.Errorf("OptLevel 2 keyed apart from the default (err %v)", err)
+	}
+	if k, _ := CacheKey(cacheTestSrc, "scale", cacheTestParams, Options{Target: "dspasip", OptLevel: -1}); k == base {
+		t.Error("disabling the optimizer did not change the cache key")
+	}
+
 	// Entry "" resolves to the first function; the key must be stable
 	// regardless of spelling it out.
 	k1, _ := CacheKey(cacheTestSrc, "", cacheTestParams, Options{Target: "dspasip"})

@@ -24,7 +24,6 @@ import (
 	mat2c "mat2c"
 	"mat2c/internal/artifact"
 	"mat2c/internal/artifact/remote"
-	"mat2c/internal/bench"
 	"mat2c/internal/core"
 	"mat2c/internal/dse"
 	"mat2c/internal/profile"
@@ -49,7 +48,7 @@ func run() int {
 		isxMax     = flag.Int("isx-maxnodes", 0, "mined pattern size bound (default 4; implies -isx)")
 		cacheDir   = flag.String("cachedir", "", "durable artifact store directory: compiled artifacts persist there and warm later runs")
 		cacheBytes = flag.Int64("cachebytes", 0, "artifact store byte budget (0 = default 512 MiB; needs -cachedir)")
-		cacheStats = flag.Bool("cachestats", false, "print cache-tier, compile-memo, simulation-memo and VM translation statistics to stderr after the run")
+		cacheStats = flag.Bool("cachestats", false, "print cache-tier, compile-memo and VM translation statistics to stderr after the run")
 		artRemote  = flag.String("artifactremote", "", "blob-protocol `URL` of a fleet-shared artifact cache (e.g. http://coordinator:8723/artifact)")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf    = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -133,8 +132,6 @@ func run() int {
 			// "cache: " as one JSON document.
 			st, _ := json.MarshalIndent(core.MemoStats(), "", "  ")
 			fmt.Fprintf(os.Stderr, "compile_memo: %s\n", st)
-			st, _ = json.MarshalIndent(bench.SimMemoStats(), "", "  ")
-			fmt.Fprintf(os.Stderr, "sim_memo: %s\n", st)
 			st, _ = json.MarshalIndent(vm.CompiledStats(), "", "  ")
 			fmt.Fprintf(os.Stderr, "vm_compiled: %s\n", st)
 			st, _ = json.MarshalIndent(cache.Stats(), "", "  ")

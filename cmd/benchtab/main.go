@@ -81,31 +81,30 @@ func run() int {
 		return fatal(err)
 	}
 	report := &bench.Report{Proc: p.Name, Scale: *scale}
-	opts := []bench.Opt{bench.WithJobs(*jobs)}
-	if *cacheDir != "" || *artRemote != "" || *cacheStats {
-		cache := mat2c.NewCache(0)
-		if *cacheDir != "" {
-			store, err := artifact.OpenDisk(*cacheDir, *cacheBytes)
-			if err != nil {
-				return fatal(err)
-			}
-			defer store.Close()
-			cache.SetStore(store)
+	// One cache serves every table, so each distinct (program, case)
+	// is simulated once for the whole run.
+	cache := mat2c.NewCache(0)
+	if *cacheDir != "" {
+		store, err := artifact.OpenDisk(*cacheDir, *cacheBytes)
+		if err != nil {
+			return fatal(err)
 		}
-		if *artRemote != "" {
-			cache.SetRemoteStore(remote.New(*artRemote, remote.Options{}))
-		}
-		defer func() {
-			// Wait for asynchronous store write-throughs so the run's
-			// artifacts are durable before the process exits, then report.
-			cache.Flush()
-			if *cacheStats {
-				st, _ := json.MarshalIndent(cache.Stats(), "", "  ")
-				fmt.Fprintf(os.Stderr, "cache: %s\n", st)
-			}
-		}()
-		opts = append(opts, bench.WithCache(cache))
+		defer store.Close()
+		cache.SetStore(store)
 	}
+	if *artRemote != "" {
+		cache.SetRemoteStore(remote.New(*artRemote, remote.Options{}))
+	}
+	defer func() {
+		// Wait for asynchronous store write-throughs so the run's
+		// artifacts are durable before the process exits, then report.
+		cache.Flush()
+		if *cacheStats {
+			st, _ := json.MarshalIndent(cache.Stats(), "", "  ")
+			fmt.Fprintf(os.Stderr, "cache: %s\n", st)
+		}
+	}()
+	opts := []bench.Opt{bench.WithJobs(*jobs), bench.WithCache(cache)}
 	if *timeout > 0 {
 		// One deadline spans every requested table: compilation observes
 		// it between stages, the simulator polls it while executing.

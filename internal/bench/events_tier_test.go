@@ -116,19 +116,34 @@ func eventsKey(k *Kernel, prog *vm.Program, n int) string {
 	return artifact.EventsKey(prog.ContentHash(), k.Case(n).Digest())
 }
 
-// simulateIn runs one Simulate through c as a fresh process would: on a
-// private copy of k, so the process-wide memo holds nothing for it.
+// simulateIn runs one Simulate through c and waits for its writes.
 func simulateIn(t *testing.T, c *mat2c.Cache, k *Kernel, m *vm.Machine, prog *vm.Program, n int) error {
 	t.Helper()
-	kk := *k
-	err := kk.Simulate(context.Background(), c, m, prog, n)
+	err := k.Simulate(context.Background(), c, m, prog, n)
 	c.Flush()
 	return err
 }
 
-func eventCounts(c *mat2c.Cache) [3]uint64 {
+// pricedIn runs one Simulate through c, which must price the run from
+// stored or memoized events without running the program, and waits
+// for c's writes.
+func pricedIn(t *testing.T, c *mat2c.Cache, k *Kernel, m *vm.Machine, prog *vm.Program, n int) {
+	t.Helper()
+	ctx := doneCalls{context.Background(), make(chan struct{}, 1)}
+	if err := k.Simulate(ctx, c, m, prog, n); err != nil {
+		t.Fatal(err)
+	}
+	c.Flush()
+	if len(ctx.calls) != 0 {
+		t.Error("the call ran the program instead of pricing it")
+	}
+}
+
+// eventCounts returns c's run-events counters: lookups the memo served,
+// lookups a tier served, simulations, and entries written to a tier.
+func eventCounts(c *mat2c.Cache) [4]uint64 {
 	st := c.Stats()
-	return [3]uint64{st.EventHits, st.EventMisses, st.EventPuts}
+	return [4]uint64{st.EventMemoHits, st.EventHits, st.EventMisses, st.EventPuts}
 }
 
 // TestStoredEventsPriceWithoutSimulating: a verified run's events,
@@ -145,27 +160,21 @@ func TestStoredEventsPriceWithoutSimulating(t *testing.T) {
 		t.Run(tier.name, func(t *testing.T) {
 			client, backing := tier.open(t)
 			c1, _ := newTierCache(tier, client)
-			before := SimMemoStats()
 			if err := simulateIn(t, c1, k, vm.NewMachine(proc), prog, n); err != nil {
 				t.Fatal(err)
 			}
-			if got := eventCounts(c1); got != [3]uint64{0, 1, 1} {
-				t.Errorf("first cache: event hits/misses/puts = %v, want [0 1 1]", got)
+			if got := eventCounts(c1); got != [4]uint64{0, 0, 1, 1} {
+				t.Errorf("first cache: event memo hits/hits/misses/puts = %v, want [0 0 1 1]", got)
 			}
 			if has, _ := backing.Has(eventsKey(k, prog, n)); !has {
 				t.Fatal("verified run stored no events")
 			}
 			c2, _ := newTierCache(tier, client)
 			m := vm.NewMachine(proc)
-			if err := simulateIn(t, c2, k, m, prog, n); err != nil {
-				t.Fatal(err)
-			}
+			pricedIn(t, c2, k, m, prog, n)
 			assertSameAccounting(t, "priced from the store", m, want)
-			if got := eventCounts(c2); got != [3]uint64{1, 0, 0} {
-				t.Errorf("second cache: event hits/misses/puts = %v, want [1 0 0]", got)
-			}
-			if runs, priced := simDelta(before); runs != 1 || priced != 1 {
-				t.Errorf("%d simulations and %d priced; want the first cache's run and one price", runs, priced)
+			if got := eventCounts(c2); got != [4]uint64{0, 1, 0, 0} {
+				t.Errorf("second cache: event memo hits/hits/misses/puts = %v, want [0 1 0 0]", got)
 			}
 			if st := c2.Stats(); st.Misses != 0 || st.DiskHits+st.RemoteHits+st.DiskMisses+st.RemoteMisses != 0 {
 				t.Errorf("events lookups moved the compile counters: %+v", st)
@@ -239,21 +248,17 @@ func TestStoredEventsFailuresResimulate(t *testing.T) {
 
 				c2, s2 := newTierCache(tier, client)
 				f.spoil(t, backing, s2, key)
-				before := SimMemoStats()
 				m := vm.NewMachine(proc)
 				if err := simulateIn(t, c2, k, m, prog, n); err != nil {
 					t.Fatalf("simulate over a spoiled entry: %v", err)
 				}
 				assertSameAccounting(t, "re-simulated", m, want)
-				if runs, _ := simDelta(before); runs != 1 {
-					t.Errorf("%d simulations, want 1", runs)
-				}
 				puts := uint64(1)
 				if f.name == "outage" {
 					puts = 0
 				}
-				if got := eventCounts(c2); got != [3]uint64{0, 1, puts} {
-					t.Errorf("event hits/misses/puts = %v, want [0 1 %d]", got, puts)
+				if got := eventCounts(c2); got != [4]uint64{0, 0, 1, puts} {
+					t.Errorf("event memo hits/hits/misses/puts = %v, want [0 0 1 %d]", got, puts)
 				}
 				if got := slices.Contains(s2.deleted, key); got != f.bad {
 					t.Errorf("entry deleted = %v, want %v", got, f.bad)
@@ -297,8 +302,8 @@ func TestStoredEventsNeverSkipVerification(t *testing.T) {
 				if !errors.As(err, &verr) {
 					t.Fatalf("cache %d: %v, want a *VerifyError", i, err)
 				}
-				if got := eventCounts(ci); got[2] != 0 {
-					t.Errorf("cache %d: a run that failed verification wrote %d events entries", i, got[2])
+				if got := eventCounts(ci); got[3] != 0 {
+					t.Errorf("cache %d: a run that failed verification wrote %d events entries", i, got[3])
 				}
 			}
 			if n, _ := backing.Len(); n != 1 {
@@ -345,8 +350,8 @@ func TestStoredEventsOnlyFromCompletedRuns(t *testing.T) {
 			if !tc.fault {
 				assertSameAccounting(t, "handed-off run", tc.m, full)
 			}
-			if got := eventCounts(c); got != [3]uint64{0, 1, 0} {
-				t.Errorf("event hits/misses/puts = %v, want [0 1 0]", got)
+			if got := eventCounts(c); got != [4]uint64{0, 0, 1, 0} {
+				t.Errorf("event memo hits/hits/misses/puts = %v, want [0 0 1 0]", got)
 			}
 			if n, _ := backing.Len(); n != 0 {
 				t.Errorf("the run left %d store entries", n)
@@ -355,22 +360,27 @@ func TestStoredEventsOnlyFromCompletedRuns(t *testing.T) {
 	}
 }
 
-// TestEventsNeedStoreTiers: behind a cache with no store tiers,
-// Simulate never computes a case digest or counts an events lookup.
+// TestEventsNeedStoreTiers: behind a cache with no store tiers, the
+// first call simulates and the second is priced from the events memo;
+// nothing is written anywhere.
 func TestEventsNeedStoreTiers(t *testing.T) {
 	k, prog, proc := memoProgram(t, "fir", "dspasip")
 	const n = 40
+	want, err := freshRun(t, k, prog, proc, n, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	c := mat2c.NewCache(0)
-	for i := 0; i < 2; i++ {
-		if err := k.Simulate(context.Background(), c, vm.NewMachine(proc), prog, n); err != nil {
-			t.Fatal(err)
-		}
+	m := vm.NewMachine(proc)
+	if err := simulateIn(t, c, k, m, prog, n); err != nil {
+		t.Fatal(err)
 	}
-	if k.Case(n).digest != "" {
-		t.Error("a cache with no store tiers computed the case digest")
-	}
-	if got := eventCounts(c); got != [3]uint64{} {
-		t.Errorf("event hits/misses/puts = %v, want none", got)
+	assertSameAccounting(t, "no store tiers", m, want)
+	m = vm.NewMachine(proc)
+	pricedIn(t, c, k, m, prog, n)
+	assertSameAccounting(t, "priced from the memo", m, want)
+	if got := eventCounts(c); got != [4]uint64{1, 0, 1, 0} {
+		t.Errorf("event memo hits/hits/misses/puts = %v, want [1 0 1 0]", got)
 	}
 }
 
@@ -389,9 +399,9 @@ func TestStoredEventsCrossTiers(t *testing.T) {
 	c2 := mat2c.NewCache(0)
 	c2.SetStore(disk)
 	c2.SetRemoteStore(remoteClient)
-	before := SimMemoStats()
-	if err := simulateIn(t, c2, k, vm.NewMachine(proc), prog, n); err != nil {
-		t.Fatal(err)
+	pricedIn(t, c2, k, vm.NewMachine(proc), prog, n)
+	if got := eventCounts(c2); got != [4]uint64{0, 1, 0, 1} {
+		t.Errorf("disk and remote cache: event memo hits/hits/misses/puts = %v, want [0 1 0 1]", got)
 	}
 	key := eventsKey(k, prog, n)
 	want, _ := origin.Get(key)
@@ -400,14 +410,9 @@ func TestStoredEventsCrossTiers(t *testing.T) {
 	}
 	c3 := mat2c.NewCache(0)
 	c3.SetStore(disk)
-	if err := simulateIn(t, c3, k, vm.NewMachine(proc), prog, n); err != nil {
-		t.Fatal(err)
-	}
-	if runs, priced := simDelta(before); runs != 0 || priced != 2 {
-		t.Errorf("%d simulations and %d priced; want both processes priced", runs, priced)
-	}
-	if got := eventCounts(c3); got != [3]uint64{1, 0, 0} {
-		t.Errorf("disk-only cache: event hits/misses/puts = %v, want [1 0 0]", got)
+	pricedIn(t, c3, k, vm.NewMachine(proc), prog, n)
+	if got := eventCounts(c3); got != [4]uint64{0, 1, 0, 0} {
+		t.Errorf("disk-only cache: event memo hits/hits/misses/puts = %v, want [0 1 0 0]", got)
 	}
 }
 
@@ -418,28 +423,25 @@ func TestStoredEventsConcurrent(t *testing.T) {
 	k, prog, proc := memoProgram(t, "fir", "dspasip")
 	sizes := []int{40, 56}
 	disk := openDisk(t)
+	const callers = 8
 	for round, simulations := range []uint64{2, 0} {
 		c := mat2c.NewCache(0)
 		c.SetStore(disk)
-		kk := *k // one kernel per round: the memo starts empty for it
-		before := SimMemoStats()
 		var wg sync.WaitGroup
-		for i := 0; i < 8; i++ {
+		for i := 0; i < callers; i++ {
 			wg.Add(1)
 			go func(n int) {
 				defer wg.Done()
-				if err := kk.Simulate(context.Background(), c, vm.NewMachine(proc), prog, n); err != nil {
+				if err := k.Simulate(context.Background(), c, vm.NewMachine(proc), prog, n); err != nil {
 					t.Error(err)
 				}
 			}(sizes[i%len(sizes)])
 		}
 		wg.Wait()
 		c.Flush()
-		if runs, _ := simDelta(before); runs != simulations {
-			t.Errorf("round %d: %d simulations, want %d", round, runs, simulations)
-		}
-		if got, want := eventCounts(c), [3]uint64{2 - simulations, simulations, simulations}; got != want {
-			t.Errorf("round %d: event hits/misses/puts = %v, want %v", round, got, want)
+		want := [4]uint64{callers - 2, 2 - simulations, simulations, simulations}
+		if got := eventCounts(c); got != want {
+			t.Errorf("round %d: event memo hits/hits/misses/puts = %v, want %v", round, got, want)
 		}
 	}
 	if n, _ := disk.Len(); n != len(sizes) {

@@ -111,8 +111,6 @@ func OptionsFor(cfg core.Config) mat2c.Options {
 	}
 	if cfg.OptLevel <= 0 {
 		o.OptLevel = -1
-	} else {
-		o.OptLevel = cfg.OptLevel
 	}
 	return o
 }
@@ -122,8 +120,8 @@ func OptionsFor(cfg core.Config) mat2c.Options {
 // VM, verifies the outputs against the Go reference, and returns the
 // measurement. Compilations are restored from the cache (a nil cache
 // compiles afresh), and runs follow Kernel.Simulate, the rule DSE and
-// isx measure by: each distinct (program, kernel, size) is simulated
-// and verified once per process, and priced from its events after. The
+// isx measure by: behind a cache, each distinct (program, case) is
+// simulated and verified once, and priced from its events after. The
 // compiler and simulator observe ctx, so a deadline stops the
 // measurement promptly.
 func RunPipelineCached(ctx context.Context, c *mat2c.Cache, k *Kernel, cfg core.Config, n int) (*Stats, error) {

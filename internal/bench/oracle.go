@@ -8,7 +8,6 @@ import (
 	"errors"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	mat2c "mat2c"
 	"mat2c/internal/ir"
@@ -146,60 +145,41 @@ func (cc caseCache) get(k *Kernel, n int) *Case {
 	return c
 }
 
-// The simulation memo.
+// Simulation through the cache.
 //
 // A DSE sweep runs each kernel on hundreds of processor variants, but
 // most variants compile a kernel to a program some other variant
 // already produced: the default sweep's 816 (variant, kernel) runs
 // execute 56 distinct programs. A processor reaches a run's outcome
 // only through prices, so Simulate runs and verifies each distinct
-// (program, kernel, size) once per process and prices every other
-// caller, on any processor, from that run's events (vm.Machine.Price).
+// (program, case) once per cache and prices every other caller, on any
+// processor, from that run's events (vm.Machine.Price). The events are
+// looked up like a compilation (mat2c.Cache.Events): from the cache's
+// events memo, else from a store tier, else by the caller's run.
 //
 // Invariants:
-//   - The key is the program's content hash, the *Kernel pointer and
-//     the size: content-identical programs on the same case share one
+//   - The key is the program's content hash and the case's Digest:
+//     content-identical programs on cases with one digest share one
 //     entry, whichever processor compiled them.
 //   - An entry holds events only from a run that completed, recorded
 //     events and whose outputs passed Verify. The same program on the
 //     same inputs computes the same outputs, so every priced result is
 //     verified too. A run that faults (on its own machine's limits,
 //     say), fails verification, records no events or is cancelled
-//     stores nothing, and the next caller simulates again.
-//   - Concurrent callers of one missing entry wait for one simulation
+//     yields nothing, and the next caller simulates again.
+//   - Concurrent callers of one missing entry wait for one lookup
 //     (lru.Cache.Do), as with Kernel.Case, instead of racing two. A
-//     waiter whose simulation stored nothing goes round and simulates
+//     waiter whose lookup yielded nothing goes round and simulates
 //     itself, or waits for another waiter that does.
 //   - Pricing is exact or declines (vm.Machine.Price); a caller it
 //     declines runs the program itself, so fault sites and partial
 //     accounting still come from the engines.
-//   - The memo holds at most DefaultSimMemoSize entries, evicting the
-//     least recently used.
 //
-// Behind the memo, a cache with store tiers persists the events of
-// every verified run (mat2c.Cache.PutEvents, keyed by the program hash
-// and the case's Digest), and a memo miss consults them before
-// simulating, so a warm or remote-fed sweep prices every variant
-// without running anything. The memo's invariant carries over: only a
-// run that completed on the compiled engine and passed Verify writes
-// events, so a stored entry stands for a verified run of that program
-// on that case. A missing or unusable entry is a miss: the caller
-// simulates and verifies as without a cache.
-
-// DefaultSimMemoSize bounds the process-wide simulation memo (entries,
-// not bytes; an entry is one run's block counts, a few KiB at most).
-const DefaultSimMemoSize = 1024
-
-type simKey struct {
-	prog string // vm.Program.ContentHash
-	k    *Kernel
-	n    int
-}
-
-var (
-	sims             = lru.New[simKey, *vm.Events](DefaultSimMemoSize)
-	simHits, simRuns atomic.Uint64
-)
+// A stored entry keeps the invariant across processes: only a run that
+// completed on the compiled engine and passed Verify yields events, so
+// an entry stands for a verified run of that program on that case. A
+// missing or unusable entry is a miss: the caller simulates and
+// verifies as without a cache.
 
 // errNoEvents is a completed, verified run that recorded no events:
 // there is nothing to store or price from.
@@ -214,28 +194,24 @@ func (e *VerifyError) Unwrap() error { return e.Err }
 
 // Simulate runs prog on machine m against k's case at size n and
 // verifies the outputs, leaving the run's accounting (Cycles, Executed,
-// ClassCounts) on m exactly as m.RunContext would. The first caller of
-// each (program, kernel, size) simulates, unless cache's store tiers
-// hold the events of a verified run of prog on the case; later callers
-// are priced from those events. A fresh verified run's events are
-// written to cache's store tiers. cache may be nil. A run error is
-// returned as is; a verification failure is a *VerifyError.
+// ClassCounts) on m exactly as m.RunContext would. Behind a cache, the
+// first caller of each (program, case) simulates, unless the cache's
+// memo or store tiers hold the events of a verified run of prog on the
+// case; later callers are priced from those events. A nil cache, or a
+// case without a digest, simulates every call. A run error is returned
+// as is; a verification failure is a *VerifyError.
 func (k *Kernel) Simulate(ctx context.Context, cache *mat2c.Cache, m *vm.Machine, prog *vm.Program, n int) error {
-	key := simKey{prog.ContentHash(), k, n}
+	digest := ""
+	if cache != nil {
+		digest = k.Case(n).Digest()
+	}
+	if digest == "" {
+		_, err := k.run(ctx, m, prog, n)
+		return err
+	}
 	for {
-		simulated := false
 		var runErr error
-		ev, err, _ := sims.Do(ctx, key, func() (*vm.Events, error) {
-			digest := ""
-			if cache != nil && cache.HasStores() {
-				digest = k.Case(n).Digest()
-			}
-			if digest != "" {
-				if ev := cache.Events(prog, digest); ev != nil {
-					return ev, nil
-				}
-			}
-			simulated = true
+		ev, simulated, err := cache.Events(ctx, prog, digest, func() (*vm.Events, error) {
 			ev, err := k.run(ctx, m, prog, n)
 			runErr = err
 			switch {
@@ -243,9 +219,6 @@ func (k *Kernel) Simulate(ctx context.Context, cache *mat2c.Cache, m *vm.Machine
 				return nil, err
 			case ev == nil:
 				return nil, errNoEvents
-			}
-			if digest != "" {
-				cache.PutEvents(prog, digest, ev)
 			}
 			return ev, nil
 		})
@@ -257,14 +230,13 @@ func (k *Kernel) Simulate(ctx context.Context, cache *mat2c.Cache, m *vm.Machine
 		case ctx.Err() != nil:
 			return &vm.CancelledError{Err: ctx.Err()}
 		}
-		// The run this caller waited for stored nothing: go round.
+		// The lookup this caller waited for yielded nothing: go round.
 	}
 }
 
 // price prices the run from ev, or runs it when pricing declines.
 func (k *Kernel) price(ctx context.Context, m *vm.Machine, prog *vm.Program, n int, ev *vm.Events) error {
 	if m.Price(prog, ev) {
-		simHits.Add(1)
 		return nil
 	}
 	_, err := k.run(ctx, m, prog, n)
@@ -274,7 +246,6 @@ func (k *Kernel) price(ctx context.Context, m *vm.Machine, prog *vm.Program, n i
 // run simulates prog on k's case and verifies the outputs, returning
 // the run's events (nil when the engine recorded none).
 func (k *Kernel) run(ctx context.Context, m *vm.Machine, prog *vm.Program, n int) (*vm.Events, error) {
-	simRuns.Add(1)
 	c := k.Case(n)
 	out, ev, err := m.RunEvents(ctx, prog, c.Args()...)
 	if err != nil {
@@ -284,32 +255,4 @@ func (k *Kernel) run(ctx context.Context, m *vm.Machine, prog *vm.Program, n int
 		return nil, &VerifyError{err}
 	}
 	return ev, nil
-}
-
-// SimMemoInfo is a point-in-time snapshot of the simulation memo,
-// exported for service metrics and tooling. Hits counts runs priced
-// from a memoized run; Misses counts real simulations.
-type SimMemoInfo struct {
-	Entries  int    `json:"entries"`
-	Capacity int    `json:"capacity"`
-	Hits     uint64 `json:"hits"`
-	Misses   uint64 `json:"misses"`
-}
-
-// SimMemoStats reports memo occupancy and its hit/miss counters.
-func SimMemoStats() SimMemoInfo {
-	return SimMemoInfo{
-		Entries:  sims.Len(),
-		Capacity: DefaultSimMemoSize,
-		Hits:     simHits.Load(),
-		Misses:   simRuns.Load(),
-	}
-}
-
-// ResetSimMemo empties the simulation memo and its counters (tests and
-// benchmarks measuring cold paths).
-func ResetSimMemo() {
-	sims.Clear()
-	simHits.Store(0)
-	simRuns.Store(0)
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	mat2c "mat2c"
 	"mat2c/internal/core"
 	"mat2c/internal/ir"
 	"mat2c/internal/pdesc"
@@ -15,7 +16,7 @@ import (
 )
 
 // memoProgram compiles kernel name for the named target and returns a
-// private copy of the kernel, so each test owns its memo keys.
+// private copy of the kernel, so a test may change its reference.
 func memoProgram(t *testing.T, name, target string) (*Kernel, *vm.Program, *pdesc.Processor) {
 	t.Helper()
 	kk := *KernelByName(name)
@@ -44,10 +45,11 @@ func assertSameAccounting(t *testing.T, label string, got, want *vm.Machine) {
 	}
 }
 
-// simDelta returns the memo's simulations and prices since before.
-func simDelta(before SimMemoInfo) (runs, priced uint64) {
-	now := SimMemoStats()
-	return now.Misses - before.Misses, now.Hits - before.Hits
+// lookups returns c's run-events lookups so far that simulated, and
+// those the events memo or a store tier served.
+func lookups(c *mat2c.Cache) (runs, served uint64) {
+	st := c.Stats()
+	return st.EventMisses, st.EventMemoHits + st.EventHits
 }
 
 // TestSimulateOncePriceAfter: the first caller of a (program, kernel,
@@ -58,10 +60,11 @@ func TestSimulateOncePriceAfter(t *testing.T) {
 	const n = 64
 	repriced := proc.Clone()
 	repriced.Costs = map[string]int{"fmul": 7, "vstore": 3}
-	before := SimMemoStats()
+	c := mat2c.NewCache(0)
+	ctx := doneCalls{context.Background(), make(chan struct{}, 4)}
 	for i, p := range []*pdesc.Processor{proc, proc, repriced} {
 		m := vm.NewMachine(p)
-		if err := k.Simulate(context.Background(), nil, m, prog, n); err != nil {
+		if err := k.Simulate(ctx, c, m, prog, n); err != nil {
 			t.Fatal(err)
 		}
 		want, err := freshRun(t, k, prog, p, n, 0)
@@ -69,8 +72,59 @@ func TestSimulateOncePriceAfter(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertSameAccounting(t, p.Name, m, want)
-		if runs, priced := simDelta(before); runs != 1 || priced != uint64(i) {
+		if runs, priced := lookups(c); runs != 1 || priced != uint64(i) {
 			t.Fatalf("after call %d: %d simulations, %d priced; want 1 and %d", i, runs, priced, i)
+		}
+		if got := len(ctx.calls); got != 1 {
+			t.Fatalf("after call %d: the program ran %d times, want once: later calls are priced", i, got)
+		}
+	}
+}
+
+// doneCalls counts the calls of its Done method, up to its channel's
+// capacity. A run of the program calls it once as it starts
+// (vm.Machine.RunContext), the fallback run after a declined price
+// included, and so does a caller that waits on another caller's events
+// lookup; a price never does. With one caller at a time it counts the
+// program's runs.
+type doneCalls struct {
+	context.Context
+	calls chan struct{}
+}
+
+func (c doneCalls) Done() <-chan struct{} {
+	select {
+	case c.calls <- struct{}{}:
+	default:
+	}
+	return c.Context.Done()
+}
+
+// TestSimulateWithoutCacheRunsEveryCall: with a nil cache there is no
+// memo to price from, so every call simulates.
+func TestSimulateWithoutCacheRunsEveryCall(t *testing.T) {
+	k, prog, proc := memoProgram(t, "fir", "dspasip")
+	const n, calls = 64, 3
+	want, err := freshRun(t, k, prog, proc, n, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		cache *mat2c.Cache
+		runs  int
+	}{{"nil cache", nil, calls}, {"cache", mat2c.NewCache(0), 1}} {
+		// Room for a Done call per call and more, so none is dropped.
+		ctx := doneCalls{context.Background(), make(chan struct{}, 2*calls)}
+		for i := 0; i < calls; i++ {
+			m := vm.NewMachine(proc)
+			if err := k.Simulate(ctx, tc.cache, m, prog, n); err != nil {
+				t.Fatal(err)
+			}
+			assertSameAccounting(t, tc.name, m, want)
+		}
+		if got := len(ctx.calls); got != tc.runs {
+			t.Errorf("%s: %d simulations in %d calls, want %d", tc.name, got, calls, tc.runs)
 		}
 	}
 }
@@ -96,19 +150,23 @@ func TestSimulateCancelledRunNotMemoized(t *testing.T) {
 	if want.Executed <= vm.CancelCheckStride {
 		t.Fatalf("run executes %d instructions, too few to observe a cancellation", want.Executed)
 	}
-	before := SimMemoStats()
-	err = k.Simulate(cancelledCtx{context.Background()}, nil, vm.NewMachine(proc), prog, n)
+	c := mat2c.NewCache(0)
+	err = k.Simulate(cancelledCtx{context.Background()}, c, vm.NewMachine(proc), prog, n)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled simulate returned %v", err)
 	}
+	ctx := doneCalls{context.Background(), make(chan struct{}, 3)}
 	for i := 0; i < 2; i++ {
 		m := vm.NewMachine(proc)
-		if err := k.Simulate(context.Background(), nil, m, prog, n); err != nil {
+		if err := k.Simulate(ctx, c, m, prog, n); err != nil {
 			t.Fatal(err)
 		}
 		assertSameAccounting(t, "after cancellation", m, want)
 	}
-	if runs, priced := simDelta(before); runs != 2 || priced != 1 {
+	if got := len(ctx.calls); got != 1 {
+		t.Errorf("the program ran %d times after the cancellation, want once", got)
+	}
+	if runs, priced := lookups(c); runs != 2 || priced != 1 {
 		t.Errorf("%d simulations and %d priced; want the cancelled run, one full run, then a price", runs, priced)
 	}
 }
@@ -122,15 +180,15 @@ func TestSimulateVerifyFailureNotMemoized(t *testing.T) {
 		y[0].(*ir.Array).F[3] += 1
 		return y
 	}
-	before := SimMemoStats()
+	c := mat2c.NewCache(0)
 	for i := 0; i < 2; i++ {
-		err := k.Simulate(context.Background(), nil, vm.NewMachine(proc), prog, 48)
+		err := k.Simulate(context.Background(), c, vm.NewMachine(proc), prog, 48)
 		var verr *VerifyError
 		if !errors.As(err, &verr) {
 			t.Fatalf("call %d: %v, want a *VerifyError", i, err)
 		}
 	}
-	if runs, priced := simDelta(before); runs != 2 || priced != 0 {
+	if runs, priced := lookups(c); runs != 2 || priced != 0 {
 		t.Errorf("%d simulations and %d priced; want every call to simulate", runs, priced)
 	}
 }
@@ -144,7 +202,7 @@ func TestSimulateConcurrentCallersShareOneRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := SimMemoStats()
+	c := mat2c.NewCache(0)
 	ms := make([]*vm.Machine, callers)
 	errs := make([]error, callers)
 	var wg sync.WaitGroup
@@ -153,7 +211,7 @@ func TestSimulateConcurrentCallersShareOneRun(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			ms[i] = vm.NewMachine(proc)
-			errs[i] = k.Simulate(context.Background(), nil, ms[i], prog, n)
+			errs[i] = k.Simulate(context.Background(), c, ms[i], prog, n)
 		}(i)
 	}
 	wg.Wait()
@@ -163,46 +221,56 @@ func TestSimulateConcurrentCallersShareOneRun(t *testing.T) {
 		}
 		assertSameAccounting(t, "caller", ms[i], want)
 	}
-	if runs, priced := simDelta(before); runs != 1 || priced != callers-1 {
+	if runs, priced := lookups(c); runs != 1 || priced != callers-1 {
 		t.Errorf("%d simulations and %d priced; want 1 and %d", runs, priced, callers-1)
 	}
 }
 
+// heldRun holds the simulation it starts: its first Done call, made as
+// the run starts (vm.Machine.RunContext), closes started and returns
+// once release is closed.
+type heldRun struct {
+	context.Context
+	once             *sync.Once
+	started, release chan struct{}
+}
+
+func (c heldRun) Done() <-chan struct{} {
+	c.once.Do(func() {
+		close(c.started)
+		<-c.release
+	})
+	return c.Context.Done()
+}
+
 // TestSimulateConcurrentWaiterAfterFault: a caller that waited on a run
-// which faulted on its own machine's cycle limit stores nothing, so the
+// which faulted on its own machine's cycle limit shares nothing, so the
 // waiter simulates itself, gets a fresh run's accounting, and its run
 // is the one memoized.
 func TestSimulateConcurrentWaiterAfterFault(t *testing.T) {
 	k, prog, proc := memoProgram(t, "fir", "dspasip")
 	const n = 48
-	started, release := make(chan struct{}), make(chan struct{})
-	k.Reference = func(args []interface{}) []interface{} {
-		// Holds the first run, which computes the oracle (once).
-		close(started)
-		<-release
-		return firRef(args)
-	}
-	waits := make(chan struct{}, 4) // beyond the waits of one waiter: the hook never blocks
-	sims.OnWait(func(simKey) { waits <- struct{}{} })
-	t.Cleanup(func() { sims.OnWait(nil) })
-	before := SimMemoStats()
-
+	c := mat2c.NewCache(0)
+	held := heldRun{context.Background(), new(sync.Once), make(chan struct{}), make(chan struct{})}
 	faulted := make(chan error, 1)
 	go func() {
 		m := vm.NewMachine(proc)
 		m.MaxCycles = 10
-		faulted <- k.Simulate(context.Background(), nil, m, prog, n)
+		faulted <- k.Simulate(held, c, m, prog, n)
 	}()
-	<-started
+	<-held.started
+	// The waiter's first Done call is its wait on the held lookup; the
+	// second starts its own run.
+	waits := doneCalls{context.Background(), make(chan struct{}, 2)}
 	m := vm.NewMachine(proc)
 	waiter := make(chan error, 1)
-	go func() { waiter <- k.Simulate(context.Background(), nil, m, prog, n) }()
+	go func() { waiter <- k.Simulate(waits, c, m, prog, n) }()
 	select {
-	case <-waits:
+	case <-waits.calls:
 	case <-time.After(10 * time.Second):
 		t.Fatal("the second caller never waited on the first run")
 	}
-	close(release)
+	close(held.release)
 	if err := <-faulted; err == nil {
 		t.Fatal("a run under a 10-cycle limit did not fault")
 	}
@@ -214,10 +282,8 @@ func TestSimulateConcurrentWaiterAfterFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameAccounting(t, "waiter", m, want)
-	if err := k.Simulate(context.Background(), nil, vm.NewMachine(proc), prog, n); err != nil {
-		t.Fatal(err)
-	}
-	if runs, priced := simDelta(before); runs != 2 || priced != 1 {
+	pricedIn(t, c, k, vm.NewMachine(proc), prog, n)
+	if runs, priced := lookups(c); runs != 2 || priced != 1 {
 		t.Errorf("%d simulations and %d priced; want the faulted run, the waiter's, then a price", runs, priced)
 	}
 }
@@ -228,7 +294,8 @@ func TestSimulateConcurrentWaiterAfterFault(t *testing.T) {
 func TestSimulateRunsWhenPricingDeclines(t *testing.T) {
 	k, prog, proc := memoProgram(t, "matmul", "dspasip")
 	const n = 8
-	if err := k.Simulate(context.Background(), nil, vm.NewMachine(proc), prog, n); err != nil {
+	c := mat2c.NewCache(0)
+	if err := k.Simulate(context.Background(), c, vm.NewMachine(proc), prog, n); err != nil {
 		t.Fatal(err)
 	}
 	full, err := freshRun(t, k, prog, proc, n, 0)
@@ -236,10 +303,13 @@ func TestSimulateRunsWhenPricingDeclines(t *testing.T) {
 		t.Fatal(err)
 	}
 	limit := full.Cycles / 2
-	before := SimMemoStats()
 	m := vm.NewMachine(proc)
 	m.MaxCycles = limit
-	err = k.Simulate(context.Background(), nil, m, prog, n)
+	ctx := doneCalls{context.Background(), make(chan struct{}, 2)}
+	err = k.Simulate(ctx, c, m, prog, n)
+	if got := len(ctx.calls); got != 1 {
+		t.Errorf("the limited machine ran the program %d times, want once after the declined price", got)
+	}
 	ref := vm.NewMachine(proc)
 	ref.Engine = vm.EngineReference
 	ref.MaxCycles = limit
@@ -248,8 +318,8 @@ func TestSimulateRunsWhenPricingDeclines(t *testing.T) {
 		t.Fatalf("limited simulate error %v, reference %v", err, refErr)
 	}
 	assertSameAccounting(t, "partial", m, ref)
-	if runs, priced := simDelta(before); runs != 1 || priced != 0 {
-		t.Errorf("%d simulations and %d priced; want one real run", runs, priced)
+	if runs, served := lookups(c); runs != 1 || served != 1 {
+		t.Errorf("%d simulations and %d lookups served; want the first run, then events the price declined", runs, served)
 	}
 }
 
@@ -284,14 +354,19 @@ func TestMaxCyclesCheckedBeforeEachInstruction(t *testing.T) {
 	}
 	// The memo holds the unlimited run's events, so the limited machine
 	// is offered them first and must fall back to a run.
-	if err := k.Simulate(context.Background(), nil, vm.NewMachine(proc), prog, n); err != nil {
+	c := mat2c.NewCache(0)
+	if err := k.Simulate(context.Background(), c, vm.NewMachine(proc), prog, n); err != nil {
 		t.Fatal(err)
 	}
 	for _, engine := range []string{vm.EngineCompiled, vm.EngineReference} {
 		m := limited(engine)
-		if err := k.Simulate(context.Background(), nil, m, prog, n); err != nil {
+		ctx := doneCalls{context.Background(), make(chan struct{}, 2)}
+		if err := k.Simulate(ctx, c, m, prog, n); err != nil {
 			t.Fatalf("Simulate on the %s engine: %v", engine, err)
 		}
 		assertSameAccounting(t, "Simulate on the "+engine+" engine", m, full)
+		if got := len(ctx.calls); got != 1 {
+			t.Errorf("Simulate on the %s engine ran the program %d times, want once", engine, got)
+		}
 	}
 }

@@ -146,7 +146,7 @@ func evalRun(ctx context.Context, vs []*Variant, kernels []*bench.Kernel, opts O
 		keys[i], errs[i] = variantKeys(v, kernels, opts)
 	}
 	if cache.CanPrefetch() {
-		cache = cache.Prefetch(wants(keys, kernels, opts, cache))
+		cache = cache.Prefetch(wants(keys, kernels, opts))
 	}
 	for i, v := range vs {
 		if err := ctx.Err(); err != nil {
@@ -172,15 +172,12 @@ func variantKeys(v *Variant, kernels []*bench.Kernel, opts Options) ([]mat2c.Key
 }
 
 // wants lists the lookups of variants whose kernel keys are keys, for
-// Prefetch: each kernel's compilation and, when the cache has a store
-// tier to find them in, the events of its verified run (see
-// bench.Kernel.Simulate).
-func wants(keys [][]mat2c.Key, kernels []*bench.Kernel, opts Options, cache *mat2c.Cache) []mat2c.Want {
+// Prefetch: each kernel's compilation and the events of its verified
+// run (see bench.Kernel.Simulate).
+func wants(keys [][]mat2c.Key, kernels []*bench.Kernel, opts Options) []mat2c.Want {
 	digests := make([]string, len(kernels))
-	if cache.HasStores() {
-		for i, k := range kernels {
-			digests[i] = k.Case(bench.SizeFor(k, opts.Scale)).Digest()
-		}
+	for i, k := range kernels {
+		digests[i] = k.Case(bench.SizeFor(k, opts.Scale)).Digest()
 	}
 	out := make([]mat2c.Want, 0, len(keys)*len(kernels))
 	for _, ks := range keys {
@@ -194,7 +191,7 @@ func wants(keys [][]mat2c.Key, kernels []*bench.Kernel, opts Options, cache *mat
 // evalVariant compiles every kernel against one variant and scores
 // its program on the kernel's case. Each distinct (program, kernel,
 // size) is simulated and verified against the kernel's Go reference
-// once per process; every other variant compiling to the same program
+// once per cache; every other variant compiling to the same program
 // is priced from that run's events (see bench.Kernel.Simulate). It
 // observes ctx between kernels and inside compile/simulate, so a
 // cancelled sweep abandons the variant quickly. keys and keysErr are

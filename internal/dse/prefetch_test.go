@@ -121,9 +121,6 @@ func TestRemoteFedSweepWithBatches(t *testing.T) {
 		if s != nil {
 			c.SetRemoteStore(s)
 		}
-		// Each sweep looks up its runs' events rather than pricing from
-		// the previous sweep's simulations.
-		bench.ResetSimMemo()
 		rep, err := ExploreSweep(seed1Sweep(), Options{Jobs: 2, Cache: c})
 		if err != nil {
 			t.Fatal(err)

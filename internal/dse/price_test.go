@@ -3,6 +3,7 @@ package dse
 import (
 	"context"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	mat2c "mat2c"
@@ -18,13 +19,27 @@ const e2eShapedSpec = `{"costs": [
   {"name": "seeded", "costs": {"cload": 4, "load": 1, "vop": 4}}
 ]}`
 
+// doneCalls counts the calls of its Done method. A run of the program
+// calls it once as it starts (vm.Machine.RunContext), the fallback run
+// after a declined price included; a price never does.
+type doneCalls struct {
+	context.Context
+	calls *atomic.Int64
+}
+
+func (c doneCalls) Done() <-chan struct{} {
+	c.calls.Add(1)
+	return c.Context.Done()
+}
+
 // TestPricedEqualsSimulated is the pricing property over whole sweeps:
 // for every (variant, kernel) of the default sweep, an e2ebench-shaped
 // cost sweep and an isx-seeded sweep, the accounting the sweep scored —
 // priced from the memo unless the variant's program was new — equals a
 // fresh run of the reference interpreter on that variant's processor,
-// which shares no charging code with pricing, and the sweep simulated
-// exactly once per distinct (program, kernel, size).
+// which shares no charging code with pricing; the sweep simulated
+// exactly once per distinct (program, kernel, size), and scoring every
+// (variant, kernel) again prices each without running the program.
 func TestPricedEqualsSimulated(t *testing.T) {
 	e2e, err := ParseSweep([]byte(e2eShapedSpec))
 	if err != nil {
@@ -39,17 +54,16 @@ func TestPricedEqualsSimulated(t *testing.T) {
 		{"e2e-shaped", e2e},
 		{"isx", &Sweep{ISX: &ISXSeed{Scale: scale}}},
 	}
-	cache := mat2c.NewCache(0)
 	kernels := bench.Kernels()
 	ctx := context.Background()
 	for _, tc := range sweeps {
 		t.Run(tc.name, func(t *testing.T) {
-			bench.ResetSimMemo()
+			cache := mat2c.NewCache(0)
 			rep, err := ExploreSweep(tc.sw, Options{Jobs: 2, Scale: scale, Cache: cache})
 			if err != nil {
 				t.Fatal(err)
 			}
-			sims := bench.SimMemoStats().Misses
+			runs := cache.Stats().EventMisses
 			variants, _, err := EnumerateAll(ctx, []*Sweep{tc.sw})
 			if err != nil {
 				t.Fatal(err)
@@ -60,6 +74,7 @@ func TestPricedEqualsSimulated(t *testing.T) {
 				n    int
 			}
 			keys := map[key]bool{}
+			counted := doneCalls{ctx, new(atomic.Int64)}
 			for i, v := range variants {
 				vr := rep.Variants[i]
 				if vr.Error != "" {
@@ -80,7 +95,7 @@ func TestPricedEqualsSimulated(t *testing.T) {
 						t.Fatalf("%s/%s: %v", vr.Name, k.Name, err)
 					}
 					priced := vm.NewMachine(v.Proc)
-					if err := k.Simulate(ctx, nil, priced, prog, n); err != nil {
+					if err := k.Simulate(counted, cache, priced, prog, n); err != nil {
 						t.Fatalf("%s/%s: %v", vr.Name, k.Name, err)
 					}
 					if priced.Cycles != fresh.Cycles || priced.Executed != fresh.Executed ||
@@ -94,14 +109,15 @@ func TestPricedEqualsSimulated(t *testing.T) {
 					}
 				}
 			}
-			if again := bench.SimMemoStats().Misses; again != sims {
-				t.Errorf("re-scoring the sweep simulated %d more times, want every (variant, kernel) priced", again-sims)
+			if again := cache.Stats().EventMisses; again != runs || counted.calls.Load() != 0 {
+				t.Errorf("re-scoring the sweep simulated %d more times and ran the program %d times, want every (variant, kernel) priced",
+					again-runs, counted.calls.Load())
 			}
-			if sims != uint64(len(keys)) {
+			if runs != uint64(len(keys)) {
 				t.Errorf("%d simulations for %d distinct (program, kernel, size) keys over %d variants",
-					sims, len(keys), len(variants))
+					runs, len(keys), len(variants))
 			}
-			t.Logf("%d variants, %d simulations", len(variants), sims)
+			t.Logf("%d variants, %d simulations", len(variants), runs)
 		})
 	}
 }

@@ -204,6 +204,29 @@ func TestMineDeterministic(t *testing.T) {
 	}
 }
 
+// A repeated mine verifies its candidates from the runs of the first:
+// it simulates nothing and reports the same measurements.
+func TestRepeatedMinePricesVerification(t *testing.T) {
+	opts := Options{Kernels: []string{"fir", "cfir"}}
+	a, err := Mine(scalarProc(t), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runs.Stats()
+	b, err := Mine(scalarProc(t), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := runs.Stats()
+	if after.EventMisses != before.EventMisses || after.EventMemoHits == before.EventMemoHits {
+		t.Errorf("repeated mine: %d simulations and %d priced runs, want 0 and some",
+			after.EventMisses-before.EventMisses, after.EventMemoHits-before.EventMemoHits)
+	}
+	if dump(a) != dump(b) {
+		t.Errorf("repeated mine reported differently:\n%s\nvs\n%s", dump(a), dump(b))
+	}
+}
+
 func TestMineUnknownKernel(t *testing.T) {
 	if _, err := Mine(scalarProc(t), Options{Kernels: []string{"nope"}}); err == nil {
 		t.Error("mining an unknown kernel should fail")

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	mat2c "mat2c"
 	"mat2c/internal/bench"
 	"mat2c/internal/core"
 	"mat2c/internal/pdesc"
@@ -69,6 +70,13 @@ func VerifyCandidate(ctx context.Context, proc *pdesc.Processor, c *Candidate, p
 	return deltas
 }
 
+// runs is the cache candidate runs are looked up through: each
+// distinct (program, case) is simulated and verified once per process
+// and priced after, so a repeated mine (a repeated /isx request, a
+// re-dispatched fleet unit) measures its candidates without simulating
+// them again.
+var runs = mat2c.NewCache(0)
+
 // measure runs kernel k on proc (which carries candidate c) and
 // returns the cycle count and how many sites selected the candidate.
 // The outputs are verified against the kernel's reference
@@ -80,7 +88,7 @@ func measure(ctx context.Context, proc *pdesc.Processor, k *bench.Kernel, n int,
 		return 0, 0, err
 	}
 	m := vm.NewMachine(proc)
-	if err := k.Simulate(ctx, nil, m, res.Program, n); err != nil {
+	if err := k.Simulate(ctx, runs, m, res.Program, n); err != nil {
 		var verr *bench.VerifyError
 		if errors.As(err, &verr) {
 			return 0, 0, fmt.Errorf("output mismatch: %v", verr.Err)

@@ -1,8 +1,8 @@
 // Package lru is a bounded least-recently-used map, safe for concurrent
 // use. It is the one LRU behind the process's memo tables: the
-// compilation cache's memory tier, program memo and blob-write record,
-// the compile driver's memos, the verification oracle, and the
-// simulation memo.
+// compilation cache's memory tier, program memo, events memo and
+// blob-write record, the compile driver's memos, and the verification
+// oracle.
 //
 // It also holds the one rule for concurrent misses of a key (Do): one
 // caller computes the value outside the lock, and the others wait for

@@ -223,9 +223,15 @@ func TestFleetShutdownMidSweep(t *testing.T) {
 	// A worker that never answers: every unit RPC hangs until the
 	// coordinator's dispatch context is cancelled. The body must be
 	// drained first — the server only notices the peer going away (and
-	// cancels r.Context()) once the request body is consumed.
+	// cancels r.Context()) once the request body is consumed. It
+	// reports each unit that arrives.
+	arrived := make(chan struct{}, 1)
 	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		io.Copy(io.Discard, r.Body)
+		select {
+		case arrived <- struct{}{}:
+		default:
+		}
 		<-r.Context().Done()
 	}))
 	defer hung.Close()
@@ -243,16 +249,16 @@ func TestFleetShutdownMidSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Wait until units are actually in flight on the hung worker.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if st := coordSvc.Fleet().Status(); st.InflightRPCs > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no unit RPC ever went in flight")
-		}
-		time.Sleep(5 * time.Millisecond)
+	// Wait until a unit reaches the hung worker. The coordinator counts
+	// an RPC in flight before it sends the unit and until the RPC
+	// settles, so the unit's arrival means one is in flight.
+	select {
+	case <-arrived:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no unit RPC ever reached the hung worker")
+	}
+	if st := coordSvc.Fleet().Status(); st.InflightRPCs == 0 {
+		t.Fatal("a unit reached the hung worker with no RPC in flight")
 	}
 
 	begin := time.Now()

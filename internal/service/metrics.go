@@ -11,7 +11,6 @@ import (
 	"time"
 
 	mat2c "mat2c"
-	"mat2c/internal/bench"
 	"mat2c/internal/core"
 	"mat2c/internal/vm"
 )
@@ -322,12 +321,11 @@ type Snapshot struct {
 	VM               VMSnapshot                   `json:"vm"`
 }
 
-// VMSnapshot is the /metrics simulator section: the simulation memo
-// that lets DSE and isx price variants instead of re-simulating them,
-// and the compiled engine's translation counters.
+// VMSnapshot is the /metrics simulator section: the compiled engine's
+// translation counters. (The run-events memo that lets DSE price
+// variants instead of re-simulating them counts under cache.)
 type VMSnapshot struct {
-	SimMemo  bench.SimMemoInfo `json:"sim_memo"`
-	Compiled vm.CompiledInfo   `json:"compiled"`
+	Compiled vm.CompiledInfo `json:"compiled"`
 }
 
 // DSESnapshot is the /metrics design-space-exploration section.
@@ -395,10 +393,7 @@ func (m *Metrics) SnapshotWith(cache mat2c.CacheStats) Snapshot {
 		Cancelled:      i.cancelled,
 		LastCandidates: i.last,
 	}
-	s.VM = VMSnapshot{
-		SimMemo:  bench.SimMemoStats(),
-		Compiled: vm.CompiledStats(),
-	}
+	s.VM = VMSnapshot{Compiled: vm.CompiledStats()}
 	for name, e := range m.requests {
 		s.Requests[name] = EndpointSnapshot{
 			Count:     e.count,

@@ -182,9 +182,10 @@ type Options struct {
 	// implies it; NoFusion alone keeps the rest of the full pipeline,
 	// which makes every ablation combination expressible).
 	NoFusion bool
-	// OptLevel: 0 (the zero value) keeps the default scalar optimization
-	// level (1); a negative value disables the scalar optimization
-	// pipeline entirely.
+	// OptLevel: a negative value disables the scalar optimization
+	// pipeline; any other value, the zero value included, enables it.
+	// There is one optimization level, so every positive level compiles
+	// as the default does (and shares its cache key).
 	OptLevel int
 
 	// SkipC skips ANSI C generation (IR and VM program only).
@@ -219,11 +220,8 @@ func (o Options) config() (core.Config, error) {
 	if o.NoFusion {
 		cfg.Fusion = false
 	}
-	switch {
-	case o.OptLevel < 0:
+	if o.OptLevel < 0 {
 		cfg.OptLevel = 0
-	case o.OptLevel > 0:
-		cfg.OptLevel = o.OptLevel
 	}
 	cfg.EmitC = !o.SkipC
 	return cfg, nil

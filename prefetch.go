@@ -22,9 +22,8 @@ type Want struct {
 // views of its own. It batch-reads the records of the keys that neither
 // memory nor the local tier holds (when the local tier answers presence
 // probes), then the program blobs and events entries those records
-// name, skipping blobs of programs the decoded-program memo holds,
-// events entries Events was already called for, through c or any
-// handle, and events entries the local tier holds. Blobs are not
+// name, skipping blobs of programs the decoded-program memo holds and
+// events entries the events memo or the local tier holds. Blobs are not
 // probed: a record read from the remote tier has its blob read from
 // there too.
 //
@@ -103,7 +102,7 @@ func (c *Cache) Prefetch(wants []Want) *Cache {
 		if !c.progs.Contains(hash) {
 			want(artifact.BlobKey(hash), false)
 		}
-		if key := artifact.EventsKey(hash, w.CaseDigest); w.CaseDigest != "" && !c.asked.Contains(key) {
+		if key := artifact.EventsKey(hash, w.CaseDigest); w.CaseDigest != "" && !c.events.Contains(key) {
 			want(key, true)
 		}
 	}

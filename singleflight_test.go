@@ -10,6 +10,7 @@ import (
 
 	"mat2c/internal/artifact"
 	"mat2c/internal/core"
+	"mat2c/internal/vm"
 )
 
 const sfSrc = "function y = sf(x, a)\ny = a .* x + 2;\nend"
@@ -331,4 +332,73 @@ func TestSingleflightPanicEndsFlight(t *testing.T) {
 		t.Errorf("compiles=%d flight_waits=%d, want 1 and 0", st.Compiles, st.FlightWaits)
 	}
 	assertStatsConsistent(t, cache)
+}
+
+// TestEventsConcurrentLookupsShareOneOutcome: concurrent events lookups
+// of one key share one simulation's outcome. A failed simulation is
+// shared with the callers that waited on it but never stored, so the
+// next lookup simulates again; a sound one serves every later lookup
+// from the events memo.
+func TestEventsConcurrentLookupsShareOneOutcome(t *testing.T) {
+	res, err := Compile(sfSrc, "sf", sfTypes(t), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, want := res.Program(), &vm.Events{}
+	c := NewCache(8)
+	waits := make(chan struct{}, 8) // beyond the test's waits: the hook never blocks
+	c.events.OnWait(func(string) { waits <- struct{}{} })
+	errRun := errors.New("the run faulted")
+	const followers = 3
+	for _, fail := range []bool{true, false} {
+		started, release := make(chan struct{}), make(chan struct{})
+		leader := make(chan error, 1)
+		go func() {
+			_, simulated, err := c.Events(context.Background(), prog, "case", func() (*vm.Events, error) {
+				close(started)
+				<-release
+				if fail {
+					return nil, errRun
+				}
+				return want, nil
+			})
+			if !simulated {
+				t.Error("the leader did not simulate")
+			}
+			leader <- err
+		}()
+		<-started
+		var wg sync.WaitGroup
+		for i := 0; i < followers; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ev, simulated, err := c.Events(context.Background(), prog, "case", func() (*vm.Events, error) {
+					t.Error("a follower simulated")
+					return nil, errRun
+				})
+				if simulated || fail && err != errRun || !fail && (err != nil || ev != want) {
+					t.Errorf("follower (failing run %v): events %p, simulated %v, err %v", fail, ev, simulated, err)
+				}
+			}()
+		}
+		for i := 0; i < followers; i++ {
+			select {
+			case <-waits:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("only %d of %d followers waited", i, followers)
+			}
+		}
+		close(release)
+		wg.Wait()
+		if err := <-leader; fail != (err == errRun) {
+			t.Fatalf("leader (failing run %v): %v", fail, err)
+		}
+	}
+	if ev, simulated, err := c.Events(context.Background(), prog, "case", nil); ev != want || simulated || err != nil {
+		t.Errorf("after a sound run: events %p, simulated %v, err %v; want the memo's", ev, simulated, err)
+	}
+	if st := c.Stats(); st.EventMisses != 2 || st.EventMemoHits != followers+1 || st.EventPuts != 0 {
+		t.Errorf("event misses %d, memo hits %d, puts %d; want 2, %d and 0", st.EventMisses, st.EventMemoHits, st.EventPuts, followers+1)
+	}
 }
