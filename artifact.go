@@ -1,31 +1,24 @@
 package mat2c
 
 import (
-	"fmt"
-
 	"mat2c/internal/artifact"
-	"mat2c/internal/cgen"
 	"mat2c/internal/core"
 	"mat2c/internal/isel"
 	"mat2c/internal/vm"
 )
 
-// encodeRecord serializes a compiled result's durable record under its
-// content address: what a restored Result serves besides its program,
-// which is stored apart, as the blob the record names by content hash.
-func encodeRecord(key string, r *Result) []byte {
-	if r.rec != nil {
-		// Already restored from a record: re-encode the original
-		// (deterministic, so the bytes written back match what was read).
-		return artifact.EncodeRecord(r.rec, cacheKeyVersion)
-	}
+// newRecord returns the record of a compiled result as the trie leaf
+// under key holds it: what a restored Result serves besides its
+// program, which is stored apart, as the blob the record names by
+// content hash.
+func newRecord(key string, r *Result) *artifact.Record {
 	rec := &artifact.Record{
 		Key:             key,
 		Entry:           r.res.Entry,
 		ProgramHash:     r.res.Program.ContentHash(),
 		CSource:         r.res.CSource,
 		CHeader:         r.res.CHeader,
-		CPrototype:      cgen.Prototype(r.res.Func),
+		CPrototype:      r.CPrototype(),
 		Warnings:        r.Warnings(),
 		VectorizedLoops: r.res.VectorizedLoops,
 		Intrinsics:      map[string]int{},
@@ -33,36 +26,30 @@ func encodeRecord(key string, r *Result) []byte {
 	for name, n := range r.res.Intrinsics.Selected {
 		rec.Intrinsics[name] = n
 	}
-	return artifact.EncodeRecord(rec, cacheKeyVersion)
+	return rec
 }
 
-// decodeRecord decodes record bytes fetched under key. A record
-// carrying a different embedded key (a misfiled or renamed store entry)
-// is rejected as corrupt.
-func decodeRecord(data []byte, key string) (*artifact.Record, error) {
-	rec, err := artifact.DecodeRecord(data, cacheKeyVersion)
-	if err != nil {
-		return nil, err
+// restoreResult rebuilds a Result from the path a lookup under cfg
+// walked and the verified program its leaf names. The restored Result
+// is bound to cfg, whose processor gives the path's answers, and
+// carries k to render its listings on demand.
+func restoreResult(path []step, prog *vm.Program, k Key, cfg core.Config) *Result {
+	leaf := path[len(path)-1].n
+	leaf.mu.Lock()
+	if leaf.res == nil {
+		queries := make([]core.Query, len(path)-1)
+		for i, st := range path[:len(path)-1] {
+			queries[i] = core.Query{Question: st.n.question, Answer: core.Ask(cfg.Processor, st.n.question)}
+		}
+		rec := leaf.rec
+		intr := isel.Stats{Selected: map[string]int{}}
+		for name, n := range rec.Intrinsics {
+			intr.Selected[name] = n
+		}
+		leaf.res = core.Restored(rec.Entry, nil, rec.CSource, rec.CHeader, rec.VectorizedLoops, intr, queries, cfg)
 	}
-	if rec.Key != key {
-		return nil, fmt.Errorf("%w: record key %s stored under %s", artifact.ErrCorrupt, rec.Key, key)
-	}
-	return rec, nil
-}
-
-// restoreResult rebuilds a Result from a record and its verified
-// program, fetched under k. The restored Result reuses the processor
-// k's options resolve to, and carries k to render its listings on
-// demand.
-func restoreResult(rec *artifact.Record, prog *vm.Program, k Key) (*Result, error) {
-	cfg, err := k.opts.config()
-	if err != nil {
-		return nil, err
-	}
-	intr := isel.Stats{Selected: map[string]int{}}
-	for name, n := range rec.Intrinsics {
-		intr.Selected[name] = n
-	}
-	res := core.Restored(rec.Entry, prog, rec.CSource, rec.CHeader, rec.VectorizedLoops, intr, cfg)
-	return &Result{res: res, proc: cfg.Processor, rec: rec, key: k}, nil
+	res := leaf.res.On(cfg)
+	leaf.mu.Unlock()
+	res.Program = prog
+	return &Result{res: res, proc: cfg.Processor, rec: leaf.rec, key: k}
 }

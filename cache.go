@@ -6,10 +6,12 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"slices"
 	"strconv"
 	"sync"
 
 	"mat2c/internal/artifact"
+	"mat2c/internal/core"
 	"mat2c/internal/lru"
 	"mat2c/internal/vm"
 )
@@ -18,7 +20,7 @@ import (
 // (or anything the key cannot see, like pipeline semantics) changes.
 // Bump it whenever a compiler change can alter output for an unchanged
 // input.
-const cacheKeyVersion = "mat2c-cache-v2"
+const cacheKeyVersion = "mat2c-cache-v3"
 
 // Cache is a content-addressed, bounded LRU cache of compilation
 // results, keyed by SHA-256 over everything that determines the
@@ -41,18 +43,23 @@ const cacheKeyVersion = "mat2c-cache-v2"
 // cache-key-version bump) is counted as a miss, never surfaced to the
 // caller.
 //
-// A store tier holds a compilation as two entries (artifact.Record): a
-// record under the cache key and the program blob under its content
-// hash, which every key that compiles to the same program shares. The
-// Cache decodes and verifies each blob at most once while its program
-// stays in a memo of the same bound as the memory tier. The store tiers
-// also hold the events of verified simulation runs, which a DSE sweep
-// prices variants from; an events lookup (Events) follows the rule of
-// a compile lookup, through a memo of its own.
+// A store tier files a compilation in a write-once trie by what it read
+// of its processor (see trie.go): inner nodes name the questions the
+// compile asked, and the leaf its answers lead to holds its record
+// (artifact.Record), which names the program blob under its content
+// hash. Processors that answer alike share one path, and compiles of
+// one program share one blob. The Cache keeps the trie nodes it read
+// in a decoded-node memo, so a lookup whose path it walked before
+// reads nothing, and decodes and verifies each blob at most once while
+// its program stays in a memo of the same bound as the memory tier.
+// The store tiers also hold the events of verified simulation runs,
+// which a DSE sweep prices variants from; an events lookup (Events)
+// follows the rule of a compile lookup, through a memo of its own.
 //
 // Concurrent misses of one key share one resolution, and so do
-// concurrent events lookups of one key, loads of one blob and writes of
-// one blob to one tier: each goes through lru.Cache.Do.
+// concurrent events lookups of one key, reads of one trie node, loads
+// of one blob and writes of one entry to one tier: each goes through
+// lru.Cache.Do.
 type Cache struct {
 	*cacheState
 	views [numTiers]*readAhead // a Prefetch handle's, per tier (readers)
@@ -64,11 +71,14 @@ type Cache struct {
 type cacheState struct {
 	mem *lru.Cache[string, *Result]
 	max int
-	// progs is the decoded-program memo, by content hash; blobs records
-	// the tiers this cache read each program's blob from or wrote it to;
-	// events is the run-events memo, by events key.
+	// progs is the decoded-program memo, by content hash; nodes is the
+	// decoded-node memo, the trie nodes this cache read, by key, with
+	// the tier each came from; held records the tiers this cache read
+	// each trie node or program blob from or wrote it to; events is the
+	// run-events memo, by events key.
 	progs  *lru.Cache[string, *vm.Program]
-	blobs  *lru.Cache[blobAt, struct{}]
+	nodes  *lru.Cache[string, memoNode]
+	held   *lru.Cache[entryAt, struct{}]
 	events *lru.Cache[string, *vm.Events]
 
 	mu       sync.Mutex
@@ -80,7 +90,7 @@ type cacheState struct {
 	flightWaits uint64
 
 	// blobDecodes counts program blobs decoded and verified;
-	// programHits counts records whose program the memo already had.
+	// programHits counts restores whose program the memo already had.
 	blobDecodes, programHits uint64
 
 	// eventMemoHits, eventHits and eventMisses count run-events
@@ -88,6 +98,9 @@ type cacheState struct {
 	// missed and a simulation followed; eventPuts counts events entries
 	// written to a tier.
 	eventMemoHits, eventHits, eventMisses, eventPuts uint64
+
+	// reading holds the trie nodes a Prefetch is batch-reading now.
+	reading map[string]*batchRead
 
 	// tiers are the store tiers behind memory, indexed diskTier and
 	// remoteTier; a tier with a nil store is skipped. writes holds the
@@ -113,11 +126,21 @@ type tier struct {
 	hits, misses, decodeErrors, storeErrors uint64
 }
 
-// blobAt names a program's blob on one tier.
-type blobAt struct {
-	hash string // the program's content hash
+// entryAt names a store entry, a trie node or a program blob, on one
+// tier.
+type entryAt struct {
+	key  string
 	tier int
 }
+
+// nodesPerEntry sizes the decoded-node memo and the held-entry record
+// by the memory tier's bound: a compile's path is a few nodes, and a
+// sweep's paths share most of theirs.
+const nodesPerEntry = 8
+
+// bgCtx is the context of the memo computations no caller cancels: node
+// reads, blob loads and store writes.
+var bgCtx = context.Background()
 
 // DefaultCacheSize bounds a NewCache(0) cache. Compiled artifacts are
 // small (strings plus a VM program), so a few hundred entries is cheap.
@@ -130,11 +153,13 @@ func NewCache(maxEntries int) *Cache {
 		maxEntries = DefaultCacheSize
 	}
 	return &Cache{cacheState: &cacheState{
-		mem:    lru.New[string, *Result](maxEntries),
-		max:    maxEntries,
-		progs:  lru.New[string, *vm.Program](maxEntries),
-		blobs:  lru.New[blobAt, struct{}](numTiers * maxEntries),
-		events: lru.New[string, *vm.Events](maxEntries),
+		mem:     lru.New[string, *Result](maxEntries),
+		max:     maxEntries,
+		progs:   lru.New[string, *vm.Program](maxEntries),
+		nodes:   lru.New[string, memoNode](nodesPerEntry * maxEntries),
+		held:    lru.New[entryAt, struct{}](numTiers * nodesPerEntry * maxEntries),
+		events:  lru.New[string, *vm.Events](maxEntries),
+		reading: make(map[string]*batchRead),
 	}}
 }
 
@@ -154,11 +179,13 @@ func (c *Cache) SetRemoteStore(s artifact.Store) { c.setTier(remoteTier, s) }
 func (c *Cache) setTier(i int, s artifact.Store) {
 	c.mu.Lock()
 	if c.tiers[i].store != nil {
-		// What this cache knows of the old store's blobs does not carry
-		// over to the new one. (A blob load or write on the old store
-		// still in flight records its blob after this; no caller
+		// What this cache knows of the old store's entries does not
+		// carry over to the new one, and the nodes it read from there
+		// are not the new store's answers. (A read or write on the old
+		// store still in flight records its entry after this; no caller
 		// replaces a store while traffic runs but tests.)
-		c.blobs.Clear()
+		c.held.Clear()
+		c.nodes.Clear()
 	}
 	c.tiers[i].store = s
 	c.mu.Unlock()
@@ -229,7 +256,7 @@ type CacheStats struct {
 	RemoteStoreErrors  uint64 `json:"remote_store_errors"`
 	// BlobDecodes counts program blobs decoded and verified, at most one
 	// per distinct program while it stays in the decoded-program memo;
-	// ProgramHits counts records restored with a program the memo
+	// ProgramHits counts compiles restored with a program the memo
 	// already had.
 	BlobDecodes uint64 `json:"blob_decodes"`
 	ProgramHits uint64 `json:"program_hits"`
@@ -304,25 +331,34 @@ func storeStats(s artifact.Store) *artifact.Stats {
 // artifact — use it to keep the cache warm. If the key is already
 // present, the existing entry is kept (and promoted) so all callers
 // share one artifact. The result is also written to every attached
-// store tier asynchronously (Flush waits for completion).
+// store tier asynchronously (Flush waits for completion), filed under
+// the inputs it was compiled from.
 func (c *Cache) Put(key string, res *Result) {
 	c.mem.Add(key, res)
-	c.offerRecord(key, res, nil, nil, numTiers)
+	if c.stores() == ([numTiers]artifact.Store{}) {
+		return
+	}
+	keys, err := Keys(res.key.opts, res.key.in)
+	if err != nil {
+		return // the inputs compiled, so their options resolve
+	}
+	c.offerPath(compiledPath(keys[0].root, res), res.res.Program, nil, numTiers)
 }
 
 // offer asynchronously runs write on every attached tier but from, the
-// tier that settled a lookup of key (numTiers when nothing did: a fresh
+// tier that settled a lookup (numTiers when nothing did: a fresh
 // compile or run), so the tiers converge. Tiers nearer than from
 // already missed this lookup and are written plainly. Deeper tiers were
-// never asked: one that answers presence probes (artifact.Checker — the
-// remote does, via HEAD) is asked first and skipped when it already
-// holds key or cannot answer (an outage is not a store error: nothing
-// was lost). write runs on one goroutine, tier by tier nearest first,
-// so it can encode what it writes once, off the caller's path; Flush
-// waits for it. Write failures are counted per tier (storeError), never
+// never asked, so write is told to probe them: a tier that answers
+// presence probes (artifact.Checker — the remote does, via HEAD) is
+// asked first whether it holds an entry, and skips the entry when it
+// does or cannot answer (an outage is not a store error: nothing was
+// lost). write runs on one goroutine, tier by tier nearest first, so it
+// can encode what it writes once, off the caller's path; Flush waits
+// for it. Write failures are counted per tier (storeError), never
 // surfaced: durability is an optimization, and a remote outage must not
 // slow or fail the caller.
-func (c *Cache) offer(key string, from int, write func(i int, s artifact.Store)) {
+func (c *Cache) offer(from int, write func(i int, s artifact.Store, probe bool)) {
 	stores := c.stores()
 	if from < numTiers {
 		stores[from] = nil
@@ -334,66 +370,54 @@ func (c *Cache) offer(key string, from int, write func(i int, s artifact.Store))
 	go func() {
 		defer c.writes.Done()
 		for i, s := range stores {
-			if s == nil {
-				continue
+			if s != nil {
+				write(i, s, i > from)
 			}
-			if ch, ok := s.(artifact.Checker); ok && i > from {
-				if has, err := ch.Has(key); err != nil || has {
-					continue
-				}
-			}
-			write(i, s)
 		}
 	}()
 }
 
-// offerRecord offers the compilation that settled a lookup at tier from
-// to the other tiers (see offer). Before the record, each tier gets the
-// program blob it names, under the same rule (see storeBlob); a tier
-// whose blob write fails gets no record. data is the record's verified
-// encoding, or nil to encode res once; blob is likewise the program
-// blob's verified bytes as the settling tier stored them, or nil to encode
-// the program on first use.
-func (c *Cache) offerRecord(key string, res *Result, data, blob []byte, from int) {
-	var prog *vm.Program
-	c.offer(key, from, func(i int, s artifact.Store) {
-		if prog == nil {
-			if data == nil {
-				data = encodeRecord(key, res)
+// offerPath offers a compilation's trie path, which settled a lookup at
+// tier from, to the other tiers (see offer): first the program blob the
+// leaf names, then the leaf, then the inner nodes up to the root, so a
+// reader that finds a node finds what it leads to. Each entry is
+// written under the rule of store, and a tier stops at its first entry
+// that fails: it gets nothing that would name what it lacks. blob is
+// the program blob's verified bytes as the settling tier stored them,
+// or nil to encode the program on first use.
+func (c *Cache) offerPath(path []step, prog *vm.Program, blob []byte, from int) {
+	hash := prog.ContentHash()
+	prog, _ = c.progs.Add(hash, prog)
+	c.offer(from, func(i int, s artifact.Store, probe bool) {
+		ok := c.store(artifact.BlobKey(hash), i, s, probe, func() []byte {
+			if blob == nil {
+				blob = artifact.EncodeProgram(prog)
 			}
-			prog, _ = c.progs.Add(res.res.Program.ContentHash(), res.res.Program)
-		}
-		if !c.storeBlob(prog, i, s, i > from, &blob) {
-			return
-		}
-		if err := s.Put(key, data); err != nil {
-			c.storeError(i)
+			return blob
+		})
+		for j := len(path) - 1; ok && j >= 0; j-- {
+			st := path[j]
+			ok = c.store(st.key, i, s, probe, func() []byte { return encodeNode(st.key, st.n) })
 		}
 	})
 }
 
-// storeBlob makes sure tier i holds prog's blob before a record naming
-// it is written there, and reports whether it does. A tier this cache
-// already read the blob from or wrote it to (c.blobs) is taken at its
-// word. Otherwise the blob is Put, encoded into *blob on first use —
-// after a presence probe when probe is set and the tier answers them,
-// skipping the tier when the probe fails. Concurrent offers that name
-// one program share one write per tier; when it fails, they go round
-// and the next of them tries again.
-func (c *Cache) storeBlob(prog *vm.Program, i int, s artifact.Store, probe bool, blob *[]byte) bool {
-	hash := prog.ContentHash()
+// store makes sure tier i holds the trie node or program blob under
+// key, and reports whether it does. A tier this cache already read the
+// entry from or wrote it to (held) is taken at its word. Otherwise the
+// entry is Put, encoded by data — after a presence probe when probe is
+// set and the tier answers them, skipping the tier when the probe
+// fails. Concurrent offers of one entry to one tier share one write;
+// when it fails, they go round and the next of them tries again.
+func (c *Cache) store(key string, i int, s artifact.Store, probe bool, data func() []byte) bool {
 	for {
-		_, err, shared := c.blobs.Do(context.Background(), blobAt{hash, i}, func() (struct{}, error) {
-			key := artifact.BlobKey(hash)
+		_, err, shared := c.held.Do(bgCtx, entryAt{key, i}, func() (struct{}, error) {
 			if ch, ok := s.(artifact.Checker); ok && probe {
 				if has, err := ch.Has(key); err != nil || has {
 					return struct{}{}, err
 				}
 			}
-			if *blob == nil {
-				*blob = artifact.EncodeProgram(prog)
-			}
-			if err := s.Put(key, *blob); err != nil {
+			if err := s.Put(key, data()); err != nil {
 				c.storeError(i)
 				return struct{}{}, err
 			}
@@ -481,7 +505,12 @@ func (c *Cache) Events(ctx context.Context, prog *vm.Program, caseDigest string,
 // to the other tiers (see offer). data is the entry's verified
 // encoding, or nil to encode ev once.
 func (c *Cache) offerEvents(key string, ev *vm.Events, data []byte, from int) {
-	c.offer(key, from, func(i int, s artifact.Store) {
+	c.offer(from, func(i int, s artifact.Store, probe bool) {
+		if ch, ok := s.(artifact.Checker); ok && probe {
+			if has, err := ch.Has(key); err != nil || has {
+				return
+			}
+		}
 		if data == nil {
 			data = artifact.EncodeEvents(key, ev, cacheKeyVersion)
 		}
@@ -519,6 +548,7 @@ type Input struct {
 // (CompileKey) cannot pair an address with inputs it does not match.
 type Key struct {
 	hash string
+	root string // the key of the root of the compilation's trie
 	in   Input
 	opts Options
 }
@@ -529,43 +559,85 @@ func (k Key) String() string { return k.hash }
 // Keys returns the keys of compiling each input under opts, rendering
 // the target description once for all of them: a caller about to look
 // up several kernels on one processor computes their keys in one call,
-// and hands each to Prefetch and to its lookup (CompileKey).
+// and hands each to Prefetch and to its lookup (CompileKey). A key is a
+// digest over its input's digest (inputDigest) and the digest of the
+// processor and the option fields; the root of its trie (see trie.go)
+// is a digest over the same input digest and the digest of the
+// compile's shape.
 func Keys(opts Options, ins ...Input) ([]Key, error) {
 	cfg, err := opts.config()
 	if err != nil {
 		return nil, err
 	}
-	procJSON := cfg.Processor.AppendJSON(nil)
-	tail := strconv.AppendInt(nil, int64(cfg.OptLevel), 10)
+	opt := strconv.AppendInt(nil, int64(cfg.OptLevel), 10)
 	for _, on := range []bool{cfg.Vectorize, cfg.Intrinsics, cfg.Fusion, cfg.EmitC} {
-		tail = strconv.AppendBool(append(tail, ' '), on)
+		opt = strconv.AppendBool(append(opt, ' '), on)
 	}
+	// Each key digests its input's digest and one of these, computed
+	// once for all the inputs.
+	target := sha256.Sum256(appendKeyField(appendKeyField(nil, cfg.Processor.AppendJSON(nil)), opt))
+	shape := sha256.Sum256(appendKeyField(appendKeyField(nil, "shape"), core.AppendShape(nil, cfg)))
 	keys := make([]Key, len(ins))
-	n := 0
-	for _, in := range ins {
-		n = max(n, len(in.Source)+len(in.Entry))
-	}
-	buf := make([]byte, 0, 256+n+len(procJSON))
-	var f []byte
 	for i, in := range ins {
-		buf = appendKeyField(buf[:0], cacheKeyVersion)
-		buf = appendKeyField(buf, in.Source)
-		buf = appendKeyField(buf, in.Entry)
-		for _, t := range in.Params {
-			f = strconv.AppendInt(f[:0], int64(t.Class), 10)
-			f = strconv.AppendInt(append(f, '/'), int64(t.Shape.Rows), 10)
-			f = strconv.AppendInt(append(f, '/'), int64(t.Shape.Cols), 10)
-			buf = appendKeyField(buf, f)
-		}
-		buf = appendKeyField(buf, procJSON)
-		buf = appendKeyField(buf, tail)
-		sum := sha256.Sum256(buf)
-		keys[i] = Key{hash: hex.EncodeToString(sum[:]), in: in, opts: opts}
+		d := inputDigest(in)
+		keys[i] = Key{hash: pairDigest(d, target), root: pairDigest(d, shape), in: in, opts: opts}
 	}
 	return keys, nil
 }
 
-// appendKeyField appends one length-prefixed CacheKey field, so no two
+// pairDigest is the hex SHA-256 digest of two digests in a row.
+func pairDigest(a, b [sha256.Size]byte) string {
+	var buf [2 * sha256.Size]byte
+	copy(buf[copy(buf[:], a[:]):], b[:])
+	sum := sha256.Sum256(buf[:])
+	hex.Encode(buf[:], sum[:])
+	return string(buf[:])
+}
+
+// inputDigests memoizes inputDigest by source and entry name, with the
+// parameter types the digest covers: a sweep keys each kernel on every
+// variant, and this way hashes its source once. A memoized input keeps
+// its entry when it is keyed with other parameter types.
+var inputDigests = lru.New[[2]string, inputDigestOf](inputDigestsSize)
+
+// inputDigestsSize bounds inputDigests: a sweep's kernels, a daemon's
+// recent sources.
+const inputDigestsSize = 64
+
+// inputDigestOf is an input digest and the parameter types it covers.
+type inputDigestOf struct {
+	params []Type
+	digest [sha256.Size]byte
+}
+
+// inputDigest is the SHA-256 digest over the cache-key version and an
+// input's length-prefixed source, entry name and parameter types: the
+// part of every key and trie root that the processor and options do not
+// touch.
+func inputDigest(in Input) [sha256.Size]byte {
+	id := [2]string{in.Source, in.Entry}
+	d, ok := inputDigests.Get(id)
+	if ok && slices.Equal(d.params, in.Params) {
+		return d.digest
+	}
+	buf := appendKeyField(nil, cacheKeyVersion)
+	buf = appendKeyField(buf, in.Source)
+	buf = appendKeyField(buf, in.Entry)
+	var f []byte
+	for _, t := range in.Params {
+		f = strconv.AppendInt(f[:0], int64(t.Class), 10)
+		f = strconv.AppendInt(append(f, '/'), int64(t.Shape.Rows), 10)
+		f = strconv.AppendInt(append(f, '/'), int64(t.Shape.Cols), 10)
+		buf = appendKeyField(buf, f)
+	}
+	d = inputDigestOf{slices.Clone(in.Params), sha256.Sum256(buf)}
+	if !ok {
+		inputDigests.Add(id, d) // one kernel rarely changes its parameter types
+	}
+	return d.digest
+}
+
+// appendKeyField appends one length-prefixed key field, so no two
 // field sequences render alike.
 func appendKeyField[T string | []byte](buf []byte, field T) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(field)))
@@ -645,19 +717,38 @@ func CompileKey(ctx context.Context, c *Cache, k Key) (res *Result, hit bool, er
 	return res, hit, err
 }
 
-// resolve settles a memory miss as the caller computing it: it probes
-// the store tiers nearest first and runs the full pipeline only when
-// every tier misses. Whatever settles the lookup is offered to the
-// other tiers, and cached in memory by CompileKey. A tier that cannot
-// restore the compilation (see restore) counts a miss, and also a
-// decode error when it had corrupt bytes.
+// resolve settles a memory miss as the caller computing it: it walks
+// k's trie on the store tiers nearest first, and runs the full pipeline
+// only when every walk misses. A walk through the decoded-node memo
+// alone comes first: when it reaches a leaf whose program the
+// decoded-program memo holds, the tier that leaf was read from settles
+// the lookup without a read, and each attached tier nearer than it
+// counts a miss, as if asked. Whatever settles the lookup is offered to
+// the other tiers, and cached in memory by CompileKey. A tier whose
+// walk fails (see restore) counts a miss, and also a decode error when
+// it had corrupt bytes.
 func (c *Cache) resolve(ctx context.Context, k Key) (*Result, bool, error) {
-	key := k.hash
-	for i, s := range c.readers() {
+	readers := c.readers()
+	if readers != ([numTiers]artifact.Store{}) {
+		if res, path, t, ok := c.recall(k, readers); ok {
+			c.mu.Lock()
+			for i := range t {
+				if readers[i] != nil {
+					c.tiers[i].misses++
+				}
+			}
+			c.tiers[t].hits++
+			c.misses++ // resolved by this tier
+			c.mu.Unlock()
+			c.offerPath(path, res.res.Program, nil, t)
+			return res, true, nil
+		}
+	}
+	for i, s := range readers {
 		if s == nil {
 			continue
 		}
-		res, data, blob, err := c.restore(k, i, s)
+		res, path, blob, err := c.restore(k, i, s)
 		c.mu.Lock()
 		t := &c.tiers[i]
 		if err == nil {
@@ -671,7 +762,7 @@ func (c *Cache) resolve(ctx context.Context, k Key) (*Result, bool, error) {
 		}
 		c.mu.Unlock()
 		if err == nil {
-			c.offerRecord(key, res, data, blob, i)
+			c.offerPath(path, res.res.Program, blob, i)
 			return res, true, nil
 		}
 	}
@@ -686,33 +777,61 @@ func (c *Cache) resolve(ctx context.Context, k Key) (*Result, bool, error) {
 	c.compiles++
 	c.misses++ // resolved by a full pipeline run
 	c.mu.Unlock()
-	c.offerRecord(key, res, nil, nil, numTiers)
+	if readers != ([numTiers]artifact.Store{}) {
+		c.offerPath(compiledPath(k.root, res), res.res.Program, nil, numTiers)
+	}
 	return res, false, nil
 }
 
-// restore rebuilds k's compilation from tier i, read through s: the
-// record, then its program from the decoded-program memo or, on a memo
-// miss, from the blob on the same tier. It returns the record's
-// verified bytes, and the blob's when this lookup fetched it (nil when
-// the memo had the program), so the tiers it is offered to get the
-// bytes it read. Any failure is a miss for the tier: a Get error
-// (wrapping artifact.ErrCorrupt when the tier reports corrupt bytes),
-// or bytes that fail to decode or are misfiled, which read deletes. A
-// record whose blob is missing, corrupt or unreachable stays: the
-// compile that follows writes the blob back.
-func (c *Cache) restore(k Key, i int, s artifact.Store) (res *Result, data, blob []byte, err error) {
-	rec, data, err := read(s, k.hash, func(b []byte) (*artifact.Record, error) { return decodeRecord(b, k.hash) })
+// recall restores k's compilation from the memos alone: the path
+// through the decoded-node memo, and the leaf's program from the
+// decoded-program memo. It reads nothing, and fails when either memo
+// lacks what the path needs or the tier the leaf was read from is no
+// longer attached. tier is that tier.
+func (c *Cache) recall(k Key, readers [numTiers]artifact.Store) (res *Result, path []step, tier int, ok bool) {
+	cfg, err := k.opts.config()
+	if err != nil {
+		return nil, nil, 0, false
+	}
+	path, tier, err = c.walk(k, cfg.Processor, -1, nil)
+	if err != nil || readers[tier] == nil {
+		return nil, nil, 0, false
+	}
+	prog, ok := c.progs.Get(path[len(path)-1].n.rec.ProgramHash)
+	if !ok {
+		return nil, nil, 0, false
+	}
+	res = restoreResult(path, prog, k, cfg)
+	c.mu.Lock()
+	c.programHits++
+	c.mu.Unlock()
+	return res, path, tier, true
+}
+
+// restore rebuilds k's compilation from tier i, read through s: it
+// walks k's trie there (each node from the decoded-node memo or read
+// from the tier), then takes the leaf's program from the
+// decoded-program memo or, on a memo miss, from the blob on the same
+// tier. It returns the path, and the blob's bytes when this lookup
+// fetched them (nil when the memo had the program), so the tiers it is
+// offered to get the bytes it read. Any failure is a miss for the tier:
+// a node the tier lacks, a Get error (wrapping artifact.ErrCorrupt when
+// the tier reports corrupt bytes), or bytes that fail to decode or are
+// misfiled, which read deletes. A leaf whose blob is missing, corrupt
+// or unreachable stays: the compile that follows writes the blob back.
+func (c *Cache) restore(k Key, i int, s artifact.Store) (res *Result, path []step, blob []byte, err error) {
+	cfg, err := k.opts.config()
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	prog, blob, err := c.program(rec.ProgramHash, i, s)
+	if path, _, err = c.walk(k, cfg.Processor, i, s); err != nil {
+		return nil, nil, nil, err
+	}
+	prog, blob, err := c.program(path[len(path)-1].n.rec.ProgramHash, i, s)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if res, err = restoreResult(rec, prog, k); err != nil {
-		return nil, nil, nil, err
-	}
-	return res, data, blob, nil
+	return restoreResult(path, prog, k, cfg), path, blob, nil
 }
 
 // program returns the verified program whose content hash is hash:
@@ -724,14 +843,15 @@ func (c *Cache) program(hash string, i int, s artifact.Store) (*vm.Program, []by
 	for {
 		var blob []byte
 		loaded := false
-		prog, err, shared := c.progs.Do(context.Background(), hash, func() (*vm.Program, error) {
+		prog, err, shared := c.progs.Do(bgCtx, hash, func() (*vm.Program, error) {
 			loaded = true
-			prog, data, err := c.loadBlob(hash, i, s)
+			key := artifact.BlobKey(hash)
+			prog, data, err := read(s, key, func(b []byte) (*vm.Program, error) { return artifact.DecodeBlob(b, hash) })
 			if err != nil {
 				return nil, err
 			}
 			blob = data
-			c.blobs.Add(blobAt{hash, i}, struct{}{})
+			c.held.Add(entryAt{key, i}, struct{}{})
 			c.mu.Lock()
 			c.blobDecodes++
 			c.mu.Unlock()
@@ -747,12 +867,6 @@ func (c *Cache) program(hash string, i int, s artifact.Store) (*vm.Program, []by
 		}
 		return prog, blob, err
 	}
-}
-
-// loadBlob fetches and verifies the blob of the program whose content
-// hash is hash from tier i, with the bytes it decoded (see read).
-func (c *Cache) loadBlob(hash string, i int, s artifact.Store) (*vm.Program, []byte, error) {
-	return read(s, artifact.BlobKey(hash), func(b []byte) (*vm.Program, error) { return artifact.DecodeBlob(b, hash) })
 }
 
 // read gets key from s and decodes its bytes, returning them too.

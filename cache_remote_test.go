@@ -75,7 +75,7 @@ func TestRemoteTierWarmsSecondProcess(t *testing.T) {
 	if st.Misses != st.Compiles+st.DiskHits+st.RemoteHits+st.FlightWaits {
 		t.Errorf("miss invariant violated: %+v", st)
 	}
-	if st.Remote == nil || st.Remote.Hits != 2 || st.Remote.BreakerState != "closed" {
+	if n := uint64(len(orig.res.Queries) + 2); st.Remote == nil || st.Remote.Hits != n || st.Remote.BreakerState != "closed" {
 		t.Errorf("remote client stats: %+v", st.Remote)
 	}
 	if res.CSource() != orig.CSource() {
@@ -113,12 +113,13 @@ func TestRemoteTierWarmsSecondProcess(t *testing.T) {
 func TestRemoteCorruptEntryDegradesToRecompile(t *testing.T) {
 	origin, client := openTestOrigin(t)
 	opts := Options{Target: "dspasip"}
-	key, err := CacheKey(cacheTestSrc, "scale", cacheTestParams, opts)
+	keys, err := Keys(opts, Input{Source: cacheTestSrc, Entry: "scale", Params: cacheTestParams})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A well-framed blob that is not a decodable artifact.
-	if err := origin.Put(key, []byte("not an artifact at all")); err != nil {
+	// A well-framed entry that is not a decodable artifact, at the root
+	// of the compile's trie.
+	if err := origin.Put(keys[0].root, []byte("not an artifact at all")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -181,10 +182,7 @@ func TestDiskHitPublishesUpward(t *testing.T) {
 	origin, client := openTestOrigin(t)
 	opts := Options{Target: "dspasip"}
 	dir := t.TempDir()
-	key, err := CacheKey(cacheTestSrc, "scale", cacheTestParams, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	key := leafKey(t, opts)
 
 	// Seed the local disk with no remote attached.
 	seed := NewCache(8)
@@ -225,32 +223,36 @@ func TestDiskHitPublishesUpward(t *testing.T) {
 }
 
 // TestWriteThroughReachesBothTiers: a fresh compile lands in the local
-// store and the remote origin from one encode.
+// store and the remote origin, every node of its trie path and its
+// blob, with the same bytes in both.
 func TestWriteThroughReachesBothTiers(t *testing.T) {
 	origin, client := openTestOrigin(t)
 	opts := Options{Target: "dspasip"}
-	key, err := CacheKey(cacheTestSrc, "scale", cacheTestParams, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
 	local := openTestStore(t, t.TempDir())
 	c := NewCache(8)
 	c.SetStore(local)
 	c.SetRemoteStore(client())
-	if _, _, err := CompileCached(c, cacheTestSrc, "scale", cacheTestParams, opts); err != nil {
+	res, _, err := CompileCached(c, cacheTestSrc, "scale", cacheTestParams, opts)
+	if err != nil {
 		t.Fatal(err)
 	}
 	c.Flush()
-	localData, err := local.Get(key)
-	if err != nil {
-		t.Fatalf("local tier missing the compile: %v", err)
+	keys := []string{artifact.BlobKey(res.Program().ContentHash())}
+	for _, st := range testPath(t, opts, res) {
+		keys = append(keys, st.key)
 	}
-	remoteData, err := origin.Get(key)
-	if err != nil {
-		t.Fatalf("remote tier missing the compile: %v", err)
-	}
-	if string(localData) != string(remoteData) {
-		t.Error("tiers hold different bytes for one key")
+	for _, key := range keys {
+		localData, err := local.Get(key)
+		if err != nil {
+			t.Fatalf("local tier missing the compile: %v", err)
+		}
+		remoteData, err := origin.Get(key)
+		if err != nil {
+			t.Fatalf("remote tier missing the compile: %v", err)
+		}
+		if string(localData) != string(remoteData) {
+			t.Error("tiers hold different bytes for one key")
+		}
 	}
 }
 
@@ -268,16 +270,18 @@ func (s *swapOnBatch) GetBatch(keys []string) ([]artifact.Fetched, error) {
 	return got, err
 }
 
-// TestPrefetchOvertakenBySetRemoteStore: a run's view of a remote that
-// SetRemoteStore replaces while Prefetch runs is not read, so no
-// lookup takes its answers as the new remote's replies; the lookup
-// reads the new remote.
+// TestPrefetchOvertakenBySetRemoteStore: Prefetch stops walking a
+// remote that SetRemoteStore replaces while it runs, files nothing that
+// remote answered, and a run's view of it is not read, so no lookup
+// takes its answers as the new remote's replies; the lookup reads the
+// new remote.
 func TestPrefetchOvertakenBySetRemoteStore(t *testing.T) {
 	_, client := openTestOrigin(t)
 	opts := Options{Target: "dspasip"}
 	warm := NewCache(8)
 	warm.SetRemoteStore(client())
-	if _, _, err := CompileCached(warm, cacheTestSrc, "scale", cacheTestParams, opts); err != nil {
+	res, _, err := CompileCached(warm, cacheTestSrc, "scale", cacheTestParams, opts)
+	if err != nil {
 		t.Fatal(err)
 	}
 	warm.Flush()
@@ -290,22 +294,24 @@ func TestPrefetchOvertakenBySetRemoteStore(t *testing.T) {
 	old, next := client(), client()
 	c.SetRemoteStore(&swapOnBatch{old, func() { c.SetRemoteStore(next) }})
 	run := c.Prefetch([]Want{{Key: keys[0]}})
-	if st := old.Stats(); st.BatchKeys != 2 {
-		t.Fatalf("the replaced remote's batches read %d keys, want the record and the blob", st.BatchKeys)
+	if st := old.Stats(); st.Batches != 1 || st.BatchKeys != 1 {
+		t.Fatalf("the replaced remote's batches read %d keys in %d batches, want the root alone", st.BatchKeys, st.Batches)
 	}
 	if _, hit, err := CompileKey(context.Background(), run, keys[0]); err != nil || !hit {
 		t.Fatalf("lookup: hit=%v err=%v", hit, err)
 	}
-	if st := next.Stats(); st.Gets != 2 || st.Hits != 2 {
-		t.Errorf("new remote: %d gets, %d hits; want the record and the blob read from it", st.Gets, st.Hits)
+	if n := uint64(len(res.res.Queries) + 2); next.Stats().Gets != n || next.Stats().Hits != n {
+		t.Errorf("new remote: %+v; want the %d nodes of the path and the blob read from it", next.Stats(), n-1)
 	}
 }
 
-// TestPrefetchViewIsTheRunsOwn: what a run's Prefetch read ahead is
-// read only by lookups through its handle. A lookup through the cache
-// itself, or through another run's handle, reads the remote key by key
-// and leaves the answers to the run, whose lookup later takes them
-// without a Get, concurrently with the other run's.
+// TestPrefetchViewIsTheRunsOwn: the trie nodes a run's Prefetch reads
+// go into the cache's node memo, which every lookup walks, but the
+// blobs it reads ahead are read only by lookups through its handle. A
+// lookup through the cache itself, or through another run's handle,
+// reads its blob from the remote by key and leaves the answers to the
+// run, whose lookup later takes them without a Get, concurrently with
+// the other run's.
 func TestPrefetchViewIsTheRunsOwn(t *testing.T) {
 	_, client := openTestOrigin(t)
 	opts := Options{Target: "dspasip"}
@@ -333,8 +339,10 @@ func TestPrefetchViewIsTheRunsOwn(t *testing.T) {
 	far := client()
 	c.SetRemoteStore(far)
 	runs := []*Cache{c.Prefetch([]Want{{Key: keys[0]}}), c.Prefetch([]Want{{Key: keys[1]}})}
-	if st := far.Stats(); st.BatchKeys != 4 || st.Gets != 0 {
-		t.Fatalf("Prefetch: %d keys batch-read and %d gets, want 4 and 0", st.BatchKeys, st.Gets)
+	// Each key's path and blob.
+	perKey := uint64(testPathLen(t, opts) + 1)
+	if st := far.Stats(); st.BatchKeys != 2*perKey || st.Gets != 0 {
+		t.Fatalf("Prefetch: %d keys batch-read and %d gets, want %d and 0", st.BatchKeys, st.Gets, 2*perKey)
 	}
 	lookup := func(c *Cache, k Key) {
 		if _, hit, err := CompileKey(context.Background(), c, k); err != nil || !hit {
@@ -343,8 +351,8 @@ func TestPrefetchViewIsTheRunsOwn(t *testing.T) {
 	}
 	lookup(c, keys[0])
 	lookup(runs[0], keys[1])
-	if st := far.Stats(); st.Gets != 4 {
-		t.Fatalf("lookups outside the runs made %d remote gets, want the 2 records and 2 blobs read by key", st.Gets)
+	if st := far.Stats(); st.Gets != 2 {
+		t.Fatalf("lookups outside the runs made %d remote gets, want the 2 blobs read by key", st.Gets)
 	}
 	var wg sync.WaitGroup
 	for i, run := range runs {
@@ -355,8 +363,8 @@ func TestPrefetchViewIsTheRunsOwn(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if st := far.Stats(); st.Gets != 4 {
-		t.Errorf("the runs' lookups made %d more remote gets, want 0: they take their own answers", st.Gets-4)
+	if st := far.Stats(); st.Gets != 2 {
+		t.Errorf("the runs' lookups made %d more remote gets, want 0: they take their own answers", st.Gets-2)
 	}
 	if st := c.Stats(); st.RemoteHits+st.Hits != 4 || st.Compiles != 0 {
 		t.Errorf("stats %+v: want 4 lookups served without a compile", st)
@@ -416,8 +424,9 @@ func TestPrefetchEventsAnsweredOnce(t *testing.T) {
 	far := client()
 	c.SetRemoteStore(far)
 	run := c.Prefetch(wants)
-	if st := far.Stats(); st.BatchKeys != 3 {
-		t.Fatalf("Prefetch read %d keys, want the record, the blob and the events", st.BatchKeys)
+	path := uint64(testPathLen(t, key.opts))
+	if st := far.Stats(); st.BatchKeys != path+2 {
+		t.Fatalf("Prefetch read %d keys, want the %d nodes of the path, the blob and the events", st.BatchKeys, path)
 	}
 	for _, lookup := range []*Cache{run, run, c} {
 		if ev, _, err := lookup.Events(context.Background(), prog, digest, noSimulation(t)); err != nil || ev == nil {
@@ -431,8 +440,8 @@ func TestPrefetchEventsAnsweredOnce(t *testing.T) {
 		t.Errorf("event hits %d, memo hits %d, misses %d; want 1, 2 and 0", st.EventHits, st.EventMemoHits, st.EventMisses)
 	}
 	c.Prefetch(wants)
-	if st := far.Stats(); st.BatchKeys != 5 {
-		t.Errorf("after Events: %d keys read in batches, want 5: the events entry is not read ahead again", st.BatchKeys)
+	if st := far.Stats(); st.BatchKeys != path+3 {
+		t.Errorf("after Events: %d keys read in batches, want %d: the blob, but neither the path, which the node memo holds, nor the events entry", st.BatchKeys, path+3)
 	}
 }
 
@@ -456,8 +465,8 @@ func TestPrefetchViewAnswersEventsOnce(t *testing.T) {
 	far := client()
 	c.SetRemoteStore(far)
 	run := c.Prefetch(wants)
-	if st := far.Stats(); st.BatchKeys != 4 || st.Gets != 0 {
-		t.Fatalf("Prefetch: %d keys batch-read and %d gets, want the record, the blob and 2 events entries, and 0", st.BatchKeys, st.Gets)
+	if n := uint64(testPathLen(t, wants[0].Key.opts) + 3); far.Stats().BatchKeys != n || far.Stats().Gets != 0 {
+		t.Fatalf("Prefetch: %+v, want %d keys batch-read: the path, the blob and 2 events entries, and 0 gets", far.Stats(), n)
 	}
 	for i, d := range append(digests, digests[0]) {
 		if ev, _, err := run.Events(context.Background(), prog, d, noSimulation(t)); err != nil || ev == nil {

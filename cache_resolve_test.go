@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -14,14 +15,14 @@ import (
 	"mat2c/internal/artifact"
 )
 
-// Scripted outcomes of one store Get, for a record key or a blob key.
+// Scripted outcomes of one store Get, for a trie node key or a blob key.
 const (
 	getMiss       = iota // clean miss (ErrNotFound)
 	getHit               // the key's valid encoding
 	getBadBytes          // a flipped or truncated encoding
 	getErrCorrupt        // the store itself reports corrupt bytes
 	getOutage            // any other error: outage, open breaker
-	getMisfiled          // another key's valid entry: a record of another key, a blob of another program
+	getMisfiled          // another key's valid entry: a node of another path, a blob of another program
 	numGetModes
 )
 
@@ -36,26 +37,30 @@ const (
 // script is a fakeTier's scripted answers for one kind of key.
 type script struct {
 	getMode int
-	getData []byte // returned for getHit, getBadBytes and getMisfiled
 	hasMode int
 	putFail bool
 }
 
 // fakeTier is an artifact.Store whose every answer is scripted by the
-// test before each lookup, separately for record and blob keys; it logs
-// the calls it receives as "<op> rec" or "<op> blob". checkerTier adds
-// Has, batchTier and batchCheckerTier GetBatch.
+// test before each lookup, separately for trie node keys and blob
+// keys; it logs the calls it receives as "<op> node" or "<op> blob".
+// checkerTier adds Has, batchTier and batchCheckerTier GetBatch. A hit
+// returns the key's valid encoding from valid, and a misfiled entry
+// the encoding misfiled names for the key.
 type fakeTier struct {
-	mu        sync.Mutex
-	rec, blob script
-	log       []string
-	puts      []fakePut
+	mu         sync.Mutex
+	node, blob script
+	valid      map[string][]byte
+	misfiled   map[string]string
+	badSeed    int64
+	log        []string
+	puts       []fakePut
 	// batchFail makes GetBatch fail as a whole.
 	batchFail bool
 }
 
 type fakePut struct {
-	blob bool
+	key  string
 	data []byte
 }
 
@@ -69,8 +74,8 @@ func (f *fakeTier) call(op, key string) *script {
 		f.log = append(f.log, op+" blob")
 		return &f.blob
 	}
-	f.log = append(f.log, op+" rec")
-	return &f.rec
+	f.log = append(f.log, op+" node")
+	return &f.node
 }
 
 func (f *fakeTier) Get(key string) ([]byte, error) { return f.answer("get", key) }
@@ -78,6 +83,7 @@ func (f *fakeTier) Get(key string) ([]byte, error) { return f.answer("get", key)
 // answer is the scripted reply to a read of key, logged as op.
 func (f *fakeTier) answer(op, key string) ([]byte, error) {
 	sc := f.call(op, key)
+	valid := append([]byte(nil), f.valid[key]...)
 	switch sc.getMode {
 	case getMiss:
 		return nil, fmt.Errorf("fake: %w", artifact.ErrNotFound)
@@ -85,14 +91,23 @@ func (f *fakeTier) answer(op, key string) ([]byte, error) {
 		return nil, fmt.Errorf("fake: %w: bad frame", artifact.ErrCorrupt)
 	case getOutage:
 		return nil, errors.New("fake: unavailable")
+	case getBadBytes:
+		rng := rand.New(rand.NewSource(f.badSeed))
+		if rng.Intn(2) == 0 {
+			valid[rng.Intn(len(valid))] ^= 0x40
+			return valid, nil
+		}
+		return valid[:rng.Intn(len(valid))], nil
+	case getMisfiled:
+		return append([]byte(nil), f.valid[f.misfiled[key]]...), nil
 	}
-	return append([]byte(nil), sc.getData...), nil
+	return valid, nil
 }
 
 func (f *fakeTier) Put(key string, data []byte) error {
 	sc := f.call("put", key)
 	f.mu.Lock()
-	f.puts = append(f.puts, fakePut{blob: isBlobKey(key), data: data})
+	f.puts = append(f.puts, fakePut{key: key, data: data})
 	f.mu.Unlock()
 	if sc.putFail {
 		return errors.New("fake: put failed")
@@ -115,7 +130,7 @@ func (c checkerTier) Has(key string) (bool, error) {
 	return false, nil
 }
 
-// getBatch answers each key as Get would, logging "batch rec" or
+// getBatch answers each key as Get would, logging "batch node" or
 // "batch blob" per key, or fails as a whole when batchFail is set.
 func (f *fakeTier) getBatch(keys []string) ([]artifact.Fetched, error) {
 	if f.batchFail {
@@ -140,88 +155,73 @@ func (b batchCheckerTier) GetBatch(keys []string) ([]artifact.Fetched, error) {
 }
 
 // propKey is one distinct compilation the property test looks up, with
-// its fresh-compile reference and its durable encodings.
+// its fresh-compile reference and the keys of its trie path and blob.
 type propKey struct {
 	src  string
 	opts Options
 	key  string
 	k    Key
 	want *Result
-	hash string // the program's content hash
-	rec  []byte // the record's encoding
-	blob []byte // the program blob's encoding
-}
-
-// tierModel is the test's own account of one tier's counters.
-type tierModel struct{ hits, misses, decodeErrors, storeErrors uint64 }
-
-// progModel is the test's account of one decoded-program memo entry.
-type progModel struct {
-	hash   string
-	stored [numTiers]bool
+	hash string   // the program's content hash
+	path []string // the trie path's node keys, root first
+	blob string   // the program blob's key
 }
 
 // lruModel is a most-recent-first list bounded to max entries; touch
-// moves or inserts key at the front and returns its index in order.
-type lruModel[T any] struct {
+// moves or inserts key at the front.
+type lruModel[T comparable] struct {
 	order []T
 	max   int
-	keyOf func(T) string
 }
 
-func (m *lruModel[T]) find(key string) int {
-	for i, v := range m.order {
-		if m.keyOf(v) == key {
-			return i
-		}
-	}
-	return -1
-}
+func (m *lruModel[T]) has(v T) bool { return slices.Contains(m.order, v) }
 
-// touch promotes key's entry, inserting mk() when absent, and returns it.
-func (m *lruModel[T]) touch(key string, mk func() T) T {
-	var v T
-	if i := m.find(key); i >= 0 {
-		v = m.order[i]
-		m.order = append(m.order[:i], m.order[i+1:]...)
-	} else {
-		v = mk()
+func (m *lruModel[T]) touch(v T) {
+	if i := slices.Index(m.order, v); i >= 0 {
+		m.order = slices.Delete(m.order, i, i+1)
 	}
 	m.order = append([]T{v}, m.order...)
 	if len(m.order) > m.max {
 		m.order = m.order[:m.max]
 	}
-	return v
 }
 
 // TestTierResolutionProperty drives seeded random lookup sequences
 // through every tier setup against scripted stores, and checks each
-// lookup against a model of tier resolution: probe nearest first; a
-// record hit takes its program from the decoded-program memo, or else
-// from its blob on the same tier; any store failure, record or blob, is
-// a miss; undecodable or misfiled bytes are deleted; and whatever
-// settles the lookup is offered to the other tiers — a plain Put of the
-// record to the nearer ones (they just missed), Has before Put to the
-// deeper ones (they were never asked), Put everywhere after a compile,
-// each record preceded by its blob under the same rule unless the tier
-// is known to hold it.
+// lookup, call by call, against a model of tier resolution over the
+// compile trie: a walk through the node and program memos alone is
+// settled by the tier its leaf was read from; otherwise each tier
+// nearest first walks the path, taking each inner node from the memo
+// or reading it, the leaf from the memo if it was read from this tier
+// or else from the tier, then the leaf's program from the memo or its
+// blob on the same tier; any store failure, node or blob, is a miss; undecodable
+// or misfiled bytes are deleted; and whatever settles the lookup is
+// offered to the other tiers — the blob, then the leaf, then the inner
+// nodes up to the root, each written unless the tier is known to hold
+// it, a plain Put to the nearer tiers (they just missed), Has before
+// Put to the deeper ones (they were never asked), Put everywhere after
+// a compile, and nothing more for a tier after its first failure.
 // The keys are two sources on two cost siblings, so pairs of keys share
-// one program blob.
+// one trie path and one program blob.
 // In the batch setups the remote also reads in batches, and every
 // lookup is prefetched first and made through the handle
-// Cache.Prefetch returns: the model, counters and outcomes are those
-// of the per-key path unchanged, and only the reads move from the
-// remote's Gets into its batches.
+// Cache.Prefetch returns: the model walks the trie level by level as
+// Prefetch does, probing the local tier and reading there what it
+// holds, batch-reading the rest, and files what it reads in the node
+// memo or as the run's answers.
 func TestTierResolutionProperty(t *testing.T) {
 	base, err := LoadProcessor("dspasip")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sibling, err := base.Derive("dspasip-fastmul", func(p *Processor) { p.Costs = map[string]int{"fmul": 1} })
+	// A cost sibling under the same name: C output prints the target's
+	// name, so a renamed sibling files its C apart.
+	sibling, err := base.Derive("dspasip", func(p *Processor) { p.Costs = map[string]int{"fmul": 1} })
 	if err != nil {
 		t.Fatal(err)
 	}
 	var keys []propKey
+	valid := map[string][]byte{}
 	for i := 0; i < 2; i++ {
 		src := fmt.Sprintf("function y = prop(x, a)\ny = a .* x + %d;\nend", i+1)
 		for _, proc := range []*Processor{base, sibling} {
@@ -230,18 +230,32 @@ func TestTierResolutionProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			key := ks[0].String()
 			want, err := Compile(src, "prop", cacheTestParams, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			prog := want.Program()
-			keys = append(keys, propKey{src: src, opts: opts, key: key, k: ks[0], want: want,
-				hash: prog.ContentHash(), rec: encodeRecord(key, want), blob: artifact.EncodeProgram(prog)})
+			pk := propKey{src: src, opts: opts, key: ks[0].String(), k: ks[0], want: want,
+				hash: prog.ContentHash(), blob: artifact.BlobKey(prog.ContentHash())}
+			for _, st := range compiledPath(ks[0].root, want) {
+				pk.path = append(pk.path, st.key)
+				valid[st.key] = encodeNode(st.key, st.n)
+			}
+			valid[pk.blob] = artifact.EncodeProgram(prog)
+			keys = append(keys, pk)
 		}
 	}
-	if keys[0].hash != keys[1].hash || keys[0].hash == keys[2].hash {
-		t.Fatal("cost siblings must share a program, and the two sources must not")
+	if !slices.Equal(keys[0].path, keys[1].path) || keys[0].hash != keys[1].hash ||
+		len(keys[0].path) != len(keys[2].path) || keys[0].path[0] == keys[2].path[0] || keys[0].hash == keys[2].hash {
+		t.Fatal("cost siblings must share a path and a program, and the two sources must not")
+	}
+	if len(keys[0].path) < 2 || 2*len(keys[0].path) > nodesPerEntry*2 {
+		t.Fatalf("a path of %d nodes: want an inner node, and room for both paths in the node memo", len(keys[0].path))
+	}
+	// A misfiled entry is the other source's entry at the same place.
+	misfiled := map[string]string{keys[0].blob: keys[2].blob, keys[2].blob: keys[0].blob}
+	for j := range keys[0].path {
+		misfiled[keys[0].path[j]], misfiled[keys[2].path[j]] = keys[2].path[j], keys[0].path[j]
 	}
 	setups := []struct {
 		name                string
@@ -253,20 +267,38 @@ func TestTierResolutionProperty(t *testing.T) {
 	for _, setup := range setups {
 		for seed := int64(1); seed <= 8; seed++ {
 			t.Run(fmt.Sprintf("%s/seed=%d", setup.name, seed), func(t *testing.T) {
-				runTierProperty(t, seed, setup.disk, setup.remote, setup.batch, keys)
+				runTierProperty(t, seed, setup.disk, setup.remote, setup.batch, keys, valid, misfiled)
 			})
 		}
 	}
 }
 
-func runTierProperty(t *testing.T, seed int64, disk, remote, batch bool, keys []propKey) {
+// getOutcome classifies a read: a hit, a corrupt entry (deleted when
+// the tier returned bytes), or a plain miss.
+func getOutcome(mode int) (hit, corrupt, deleted bool) {
+	switch mode {
+	case getHit:
+		return true, false, false
+	case getBadBytes, getMisfiled:
+		return false, true, true
+	case getErrCorrupt:
+		return false, true, false
+	}
+	return false, false, false
+}
+
+// viewAnswer is the model of one read-ahead view answer: the scripted
+// mode of the read Prefetch made, standing for its outcome.
+type viewAnswer struct{ mode int }
+
+func runTierProperty(t *testing.T, seed int64, disk, remote, batch bool, keys []propKey, valid map[string][]byte, misfiled map[string]string) {
 	rng := rand.New(rand.NewSource(seed))
 	const memCap = 2
 	c := NewCache(memCap)
 	// tiers[i] is nil when tier i is detached.
 	var tiers [numTiers]*fakeTier
 	attach := func(i int, set func(artifact.Store)) {
-		f := &fakeTier{}
+		f := &fakeTier{valid: valid, misfiled: misfiled}
 		tiers[i] = f
 		checker := rng.Intn(2) == 0
 		switch {
@@ -292,15 +324,18 @@ func runTierProperty(t *testing.T, seed int64, disk, remote, batch bool, keys []
 	}
 	attached := disk || remote
 
-	// Models of the memory tier (key indices) and of the decoded-program
-	// memo, most recent first, both bounded like the cache's.
-	mem := lruModel[int]{max: memCap, keyOf: func(i int) string { return keys[i].key }}
-	progs := lruModel[*progModel]{max: memCap, keyOf: func(p *progModel) string { return p.hash }}
+	// Models of the memory tier (key indices) and the decoded-program
+	// memo, most recent first and bounded like the cache's; of the
+	// decoded-node memo (node key → the tier it was read from) and of
+	// the entries each tier is known to hold, which these lookups never
+	// fill past their bounds.
+	mem := lruModel[int]{max: memCap}
+	progs := lruModel[string]{max: memCap}
+	memo := map[string]int{}
+	held := map[entryAt]bool{}
 	var model [numTiers]tierModel
 	var compiles, blobDecodes, programHits uint64
-	// In the batch setups: the remote's reads in the model, the Gets it
-	// saw, and the keys its batches answered.
-	var modelGets, remoteGets, batchReads int
+	batchReads := 0
 	for step := 0; step < 60; step++ {
 		fail := func(format string, args ...interface{}) {
 			t.Helper()
@@ -314,60 +349,181 @@ func runTierProperty(t *testing.T, seed int64, disk, remote, batch bool, keys []
 			}
 			f.log, f.puts = nil, nil
 			f.batchFail = rng.Intn(4) == 0
-			for _, sc := range []*script{&f.rec, &f.blob} {
+			f.badSeed = rng.Int63()
+			for _, sc := range []*script{&f.node, &f.blob} {
 				sc.getMode = rng.Intn(numGetModes)
 				sc.putFail = rng.Intn(3) == 0
 				sc.hasMode = rng.Intn(numHasModes)
 			}
-			f.rec.getData = scriptedBytes(rng, f.rec.getMode, k.rec, keys[(ki+2)%len(keys)].rec)
-			f.blob.getData = scriptedBytes(rng, f.blob.getMode, k.blob, keys[(ki+2)%len(keys)].blob)
+		}
+		scriptOf := func(i int, key string) *script {
+			if isBlobKey(key) {
+				return &tiers[i].blob
+			}
+			return &tiers[i].node
+		}
+		kind := func(key string) string {
+			if isBlobKey(key) {
+				return "blob"
+			}
+			return "node"
+		}
+
+		want := make([][]string, numTiers)
+		logOp := func(i int, op, key string) { want[i] = append(want[i], op+" "+kind(key)) }
+		memHit := mem.has(ki)
+		leaf := k.path[len(k.path)-1]
+
+		// Model Prefetch: the run's view answers, per tier.
+		views := [numTiers]map[string]viewAnswer{{}, {}}
+		const absentAnswer = getMiss
+		if batch && !memHit {
+			near := disk && isChecker(diskTier)
+			// probe returns whether the local tier holds key, and
+			// whether it lacks it for sure.
+			probe := func(key string) (holds, lacks bool) {
+				if !near {
+					return false, false
+				}
+				logOp(diskTier, "has", key)
+				m := scriptOf(diskTier, key).hasMode
+				return m == hasTrue, m == hasFalse
+			}
+			// fetch batch-reads key: the answer, or false when the batch failed.
+			fetch := func(key string, lacks bool) (int, bool) {
+				f := tiers[remoteTier]
+				if f.batchFail {
+					want[remoteTier] = append(want[remoteTier], "batchfail node")
+					return 0, false
+				}
+				logOp(remoteTier, "batch", key)
+				batchReads++
+				if lacks {
+					views[diskTier][key] = viewAnswer{absentAnswer}
+				}
+				return scriptOf(remoteTier, key).getMode, true
+			}
+			reached := true
+			for _, key := range k.path {
+				if src, ok := memo[key]; ok {
+					// A leaf read from another tier is probed, as the
+					// local tier's walk would read it again.
+					if key == leaf && src != diskTier {
+						if _, lacks := probe(key); lacks {
+							views[diskTier][key] = viewAnswer{absentAnswer}
+						}
+					}
+					continue
+				}
+				holds, lacks := probe(key)
+				if holds {
+					logOp(diskTier, "get", key)
+					if m := scriptOf(diskTier, key).getMode; m == getHit {
+						memo[key], held[entryAt{key, diskTier}] = diskTier, true
+						continue
+					} else {
+						views[diskTier][key] = viewAnswer{m}
+					}
+					reached = false
+					break
+				}
+				m, ok := fetch(key, lacks)
+				if ok && m == getHit {
+					memo[key], held[entryAt{key, remoteTier}] = remoteTier, true
+					continue
+				}
+				if ok {
+					views[remoteTier][key] = viewAnswer{m}
+				}
+				reached = false
+				break
+			}
+			if reached && !progs.has(k.hash) {
+				if holds, lacks := probe(k.blob); !holds {
+					if m, ok := fetch(k.blob, lacks); ok {
+						views[remoteTier][k.blob] = viewAnswer{m}
+					}
+				}
+			}
 		}
 
 		// Model the lookup.
-		want := make([][]string, numTiers)
-		memHit := mem.find(k.key) >= 0
 		from := numTiers // the tier that settles the lookup; numTiers = compile
-		// Prefetch probes the local tier for the record and, when it
-		// answers absent and the remote's batch holds the record, the
-		// lookup takes that answer as the local tier's miss.
-		probedAbsent := batch && disk && remote && isChecker(diskTier) &&
-			tiers[diskTier].rec.hasMode == hasFalse && !tiers[remoteTier].batchFail
 		if !memHit {
+			recalled := attached && progs.has(k.hash)
+			for _, key := range k.path {
+				if _, ok := memo[key]; !ok {
+					recalled = false
+				}
+			}
+			if recalled {
+				from = memo[leaf]
+				for i := range from {
+					if tiers[i] != nil {
+						model[i].misses++
+					}
+				}
+				model[from].hits++
+				programHits++
+				progs.touch(k.hash)
+			}
+			// read is a read of key on tier i through the run's view:
+			// its mode, and whether it was logged.
+			read := func(i int, key string) int {
+				if a, ok := views[i][key]; ok {
+					if a.mode != absentAnswer {
+						delete(views[i], key)
+					}
+					return a.mode
+				}
+				logOp(i, "get", key)
+				return scriptOf(i, key).getMode
+			}
 			for i, f := range tiers {
 				if f == nil || from < numTiers {
 					continue
 				}
-				if i == diskTier && probedAbsent {
-					model[i].misses++
-					continue
-				}
-				want[i] = append(want[i], "get rec")
-				ok, corrupt := false, false
-				switch f.rec.getMode {
-				case getHit:
-					if progs.find(k.hash) >= 0 {
-						progs.touch(k.hash, nil)
-						programHits++
-						ok = true
+				ok, corrupt := true, false
+				for _, key := range k.path {
+					if a, lacks := views[i][key]; lacks && a.mode == absentAnswer {
+						ok = false
 						break
 					}
-					want[i] = append(want[i], "get blob")
-					switch f.blob.getMode {
-					case getHit:
-						blobDecodes++
-						progs.touch(k.hash, func() *progModel { return &progModel{hash: k.hash} }).stored[i] = true
-						ok = true
-					case getBadBytes, getMisfiled:
-						want[i] = append(want[i], "delete blob")
-						corrupt = true
-					case getErrCorrupt:
-						corrupt = true
+					// The leaf is read from this tier unless the memo
+					// has it from here.
+					src, in := memo[key]
+					if in && (key != leaf || src == i) {
+						continue
 					}
-				case getBadBytes, getMisfiled:
-					want[i] = append(want[i], "delete rec")
-					corrupt = true
-				case getErrCorrupt:
-					corrupt = true
+					hit, bad, del := getOutcome(read(i, key))
+					if del {
+						logOp(i, "delete", key)
+					}
+					if !hit {
+						ok, corrupt = false, bad
+						break
+					}
+					if !in {
+						memo[key] = i
+					}
+					held[entryAt{key, i}] = true
+				}
+				if ok {
+					if progs.has(k.hash) {
+						progs.touch(k.hash)
+						programHits++
+					} else {
+						hit, bad, del := getOutcome(read(i, k.blob))
+						if del {
+							logOp(i, "delete", k.blob)
+						}
+						if hit {
+							blobDecodes++
+							progs.touch(k.hash)
+							held[entryAt{k.blob, i}] = true
+						}
+						ok, corrupt = hit, bad
+					}
 				}
 				switch {
 				case ok:
@@ -383,45 +539,48 @@ func runTierProperty(t *testing.T, seed int64, disk, remote, batch bool, keys []
 			if from == numTiers {
 				compiles++
 			}
-			if attached && (from == numTiers || disk && remote) {
-				e := progs.touch(k.hash, func() *progModel { return &progModel{hash: k.hash} })
+			if attached {
+				progs.touch(k.hash)
+				entries := []string{k.blob}
+				for j := len(k.path) - 1; j >= 0; j-- {
+					entries = append(entries, k.path[j])
+				}
 				for i, f := range tiers {
 					if f == nil || i == from {
 						continue
 					}
-					if i > from && isChecker(i) {
-						want[i] = append(want[i], "has rec")
-						if f.rec.hasMode != hasFalse {
+					probe := i > from && isChecker(i)
+					for _, key := range entries {
+						if held[entryAt{key, i}] {
 							continue
 						}
-					}
-					if !e.stored[i] {
-						probe := i > from && isChecker(i)
+						sc := scriptOf(i, key)
 						if probe {
-							want[i] = append(want[i], "has blob")
-							if f.blob.hasMode == hasErr {
+							logOp(i, "has", key)
+							if sc.hasMode == hasErr {
+								break
+							}
+							if sc.hasMode == hasTrue {
+								held[entryAt{key, i}] = true
 								continue
 							}
 						}
-						if !probe || f.blob.hasMode == hasFalse {
-							want[i] = append(want[i], "put blob")
-							if f.blob.putFail {
-								model[i].storeErrors++
-								continue
-							}
+						logOp(i, "put", key)
+						if sc.putFail {
+							model[i].storeErrors++
+							break
 						}
-						e.stored[i] = true
-					}
-					want[i] = append(want[i], "put rec")
-					if f.rec.putFail {
-						model[i].storeErrors++
+						held[entryAt{key, i}] = true
 					}
 				}
 			}
 		}
-		mem.touch(k.key, func() int { return ki })
+		mem.touch(ki)
 
-		run := c.Prefetch([]Want{{Key: k.k}})
+		run := c
+		if batch {
+			run = c.Prefetch([]Want{{Key: k.k}})
+		}
 		res, hit, err := CompileCached(run, k.src, "prop", cacheTestParams, k.opts)
 		c.Flush()
 		if err != nil {
@@ -440,34 +599,13 @@ func runTierProperty(t *testing.T, seed int64, disk, remote, batch bool, keys []
 			if f == nil {
 				continue
 			}
-			log := f.log
-			if batch {
-				// Compare the calls besides reads: the disk's presence
-				// probes that Prefetch makes, and the remote's reads,
-				// which a batch may answer in place of a Get.
-				if i == remoteTier {
-					modelGets += countOp(want[i], "get")
-					remoteGets += countOp(f.log, "get")
-					batchReads += countOp(f.log, "batch")
-				}
-				log, want[i] = nonReads(i, log), nonReads(i, want[i])
-			}
-			if !reflect.DeepEqual(log, want[i]) {
-				fail("tier %d (record get/has %d/%d, blob get/has %d/%d, checker %v) saw calls %v, want %v",
-					i, f.rec.getMode, f.rec.hasMode, f.blob.getMode, f.blob.hasMode, isChecker(i), f.log, want[i])
+			if !reflect.DeepEqual(f.log, want[i]) {
+				fail("tier %d (node get/has %d/%d, blob get/has %d/%d, checker %v, batch fails %v) saw calls %v, want %v",
+					i, f.node.getMode, f.node.hasMode, f.blob.getMode, f.blob.hasMode, isChecker(i), f.batchFail, f.log, want[i])
 			}
 			for _, p := range f.puts {
-				if p.blob {
-					if string(p.data) != string(k.blob) {
-						fail("tier %d was offered a blob other than the program's", i)
-					}
-					continue
-				}
-				if from < numTiers && string(p.data) != string(k.rec) {
-					fail("tier %d was offered bytes other than the verified record", i)
-				}
-				if got, err := decodeRecord(p.data, k.key); err != nil || got.CSource != k.want.CSource() || got.ProgramHash != k.hash {
-					fail("tier %d was offered a record that does not restore the compilation: %v", i, err)
+				if string(p.data) != string(valid[p.key]) {
+					fail("tier %d was offered bytes under %s other than the entry's", i, p.key)
 				}
 			}
 		}
@@ -490,67 +628,23 @@ func runTierProperty(t *testing.T, seed int64, disk, remote, batch bool, keys []
 			fail("%d entries in memory, model %d", st.Entries, len(mem.order))
 		}
 	}
-	// The lookups read what the model says they read; the Gets they
-	// did not make were answered by a batch.
-	if batch && (batchReads == 0 || remoteGets >= modelGets) {
-		t.Fatalf("seed %d: %d remote reads modelled, %d made by Get, %d keys read in batches: prefetched answers went unused",
-			seed, modelGets, remoteGets, batchReads)
+	if batch && batchReads == 0 {
+		t.Fatalf("seed %d: no lookup was read ahead", seed)
 	}
 }
 
-// countOp counts the calls of op in a tier's call log.
-func countOp(log []string, op string) int {
-	n := 0
-	for _, e := range log {
-		if strings.Fields(e)[0] == op {
-			n++
-		}
-	}
-	return n
-}
-
-// nonReads drops from a tier's call log what a prefetched lookup may
-// do differently: the remote's reads (Get or batch) and its failed
-// batches, and the local tier's presence probes.
-func nonReads(tier int, log []string) []string {
-	var out []string
-	for _, e := range log {
-		op := strings.Fields(e)[0]
-		if tier == remoteTier && (op == "get" || op == "batch" || op == "batchfail") || tier == diskTier && op == "has" {
-			continue
-		}
-		out = append(out, e)
-	}
-	return out
-}
-
-// scriptedBytes returns what a scripted Get hands back: the valid
-// encoding, a flipped or truncated copy of it, or another key's valid
-// entry.
-func scriptedBytes(rng *rand.Rand, mode int, valid, other []byte) []byte {
-	switch mode {
-	case getBadBytes:
-		b := append([]byte(nil), valid...)
-		if rng.Intn(2) == 0 {
-			b[rng.Intn(len(b))] ^= 0x40
-			return b
-		}
-		return b[:rng.Intn(len(b))]
-	case getMisfiled:
-		return other
-	}
-	return valid
-}
+// tierModel is the test's own account of one tier's counters.
+type tierModel struct{ hits, misses, decodeErrors, storeErrors uint64 }
 
 // countingStore counts the Gets a disk store sees, by kind of key.
 type countingStore struct {
 	*artifact.DiskStore
 	mu   sync.Mutex
-	gets map[string]int // by "record", "blob" or "events"
+	gets map[string]int // by "node", "blob" or "events"
 }
 
 func (c *countingStore) Get(key string) ([]byte, error) {
-	kind := "record"
+	kind := "node"
 	switch {
 	case isBlobKey(key):
 		kind = "blob"
@@ -564,10 +658,9 @@ func (c *countingStore) Get(key string) ([]byte, error) {
 }
 
 // TestPrefetchedRecordsSkipLocalReads is a remote-fed sweep in
-// miniature over a fresh local tier: Prefetch probes each record key
+// miniature over a fresh local tier: Prefetch probes each trie node
 // there, finds it absent and batch-reads it from the origin, and the
-// lookups then take the origin's answers without reading the local
-// tier again. Each still counts a local miss, and the entries they
+// lookups then walk what it read without reading the local tier. Each still counts a local miss, and the entries they
 // restore are written to the local tier.
 func TestPrefetchedRecordsSkipLocalReads(t *testing.T) {
 	_, client := openTestOrigin(t)
@@ -606,8 +699,8 @@ func TestPrefetchedRecordsSkipLocalReads(t *testing.T) {
 		}
 	}
 	c.Flush()
-	if got := local.gets["record"]; got != 0 {
-		t.Errorf("the local tier saw %d record Gets after Prefetch found every record absent, want 0", got)
+	if got := local.gets["node"]; got != 0 {
+		t.Errorf("the local tier saw %d trie node Gets after Prefetch found every node absent, want 0", got)
 	}
 	if st := c.Stats(); st.DiskMisses != n || st.RemoteHits != n || st.Compiles != 0 {
 		t.Errorf("stats: %d disk misses, %d remote hits, %d compiles; want %d, %d, 0", st.DiskMisses, st.RemoteHits, st.Compiles, n, n)

@@ -64,10 +64,10 @@ func TestDiskTierWarmsSecondCache(t *testing.T) {
 	if st.Disk == nil {
 		t.Fatal("Stats.Disk is nil with a DiskStore attached")
 	}
-	// One compilation is two entries, the record and its program blob,
-	// and a restore reads both.
-	if st.Disk.Hits != 2 || st.Disk.Entries != 2 || st.BlobDecodes != 1 {
-		t.Errorf("store stats = %+v, want 2 hits / 2 entries and 1 blob decode", st.Disk)
+	// One compilation is its trie path, a node per question it asked
+	// and the leaf, and its program blob, and a restore reads them all.
+	if n := uint64(len(orig.res.Queries) + 2); st.Disk.Hits != n || st.Disk.Entries != int(n) || st.BlobDecodes != 1 {
+		t.Errorf("store stats = %+v, want %d hits / %d entries and 1 blob decode", st.Disk, n, n)
 	}
 
 	// The restored Result is equivalent to the original: same rendered
@@ -157,13 +157,11 @@ func encodeV2Record(key string, r *Result) []byte {
 // that a corrupted store entry can never fail a request: the decode
 // failure is counted, the entry is dropped, and the caller gets a
 // freshly compiled result, which is written back in the current format.
-// A record of the format's version 2 takes the same path.
+// The entry spoilt is the compile's trie leaf, its record; a record of
+// the format's version 2 takes the same path.
 func TestDiskTierCorruptionDegradesToRecompile(t *testing.T) {
 	opts := Options{Target: "dspasip"}
-	key, err := CacheKey(cacheTestSrc, "scale", cacheTestParams, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	key := leafKey(t, opts)
 	for name, spoil := range map[string]func(data []byte, orig *Result) []byte{
 		// The checksum catches a flipped byte on read.
 		"flipped byte": func(data []byte, _ *Result) []byte {
@@ -227,7 +225,7 @@ func TestDiskTierCorruptionDegradesToRecompile(t *testing.T) {
 			// still holds the entry it wrote: another store's later write
 			// of a key it holds is seen after a reopen.)
 			c2.Flush()
-			if _, err := artifact.DecodeRecord(mustGet(t, openTestStore(t, dir), key), cacheKeyVersion); err != nil {
+			if _, err := decodeNode(mustGet(t, openTestStore(t, dir), key), key); err != nil {
 				t.Errorf("the recompile wrote no current record back: %v", err)
 			}
 			c3 := NewCache(8)
@@ -257,10 +255,11 @@ func TestCachePutWritesThrough(t *testing.T) {
 	c := NewCache(8)
 	c.SetStore(store)
 	// The server's cache-bypass path: compiled outside the cache, stored
-	// explicitly. It must reach the durable tier too.
+	// explicitly. It must reach the durable tier too, filed under the
+	// compile's inputs.
 	c.Put(key, res)
 	c.Flush()
-	if _, err := store.Get(key); err != nil {
+	if _, err := store.Get(leafKey(t, opts)); err != nil {
 		t.Fatalf("explicit Put did not write through: %v", err)
 	}
 
@@ -272,7 +271,7 @@ func TestCachePutWritesThrough(t *testing.T) {
 }
 
 // gatedStore is an artifact.Store that counts the Puts it receives,
-// of records and of program blobs, and holds nothing. Its first blob
+// of trie nodes and of program blobs, and holds nothing. Its first blob
 // Put parks until the test closes release, and fails when failFirst is
 // set.
 type gatedStore struct {
@@ -316,19 +315,19 @@ func (s *gatedStore) Put(key string, data []byte) error {
 func (s *gatedStore) Delete(key string) error { return nil }
 func (s *gatedStore) Len() (int, error)       { return 0, nil }
 
-// puts returns the record and blob Puts counted so far.
+// puts returns the node and blob Puts counted so far.
 func (s *gatedStore) puts() (rec, blob int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.recPuts, s.blobPuts
 }
 
-// TestConcurrentOffersPutBlobOnce offers records under distinct keys
-// that all name one program, concurrently, to a disk and a remote
-// tier: the first offer writes the blob to each tier and the others
-// wait for it, so each tier gets one blob Put and every record. When
-// that first write fails, the next offer writes the blob again, and
-// only the failed offer's record is missing from the tier.
+// TestConcurrentOffersPutBlobOnce offers one compile under distinct
+// memory keys, concurrently, to a disk and a remote tier: the first
+// offer writes the blob to each tier and the others wait for it, so
+// each tier gets one blob Put and each node of the compile's path once.
+// When that first write fails, its offer writes no node there, and the
+// next offer writes the blob again and then the path.
 func TestConcurrentOffersPutBlobOnce(t *testing.T) {
 	res, err := Compile(cacheTestSrc, "scale", cacheTestParams, Options{Target: "dspasip"})
 	if err != nil {
@@ -342,8 +341,8 @@ func TestConcurrentOffersPutBlobOnce(t *testing.T) {
 		c.SetStore(disk)
 		c.SetRemoteStore(remote)
 		waits := make(chan struct{}, 2*offers) // the waits of two rounds of writes: the hook never blocks
-		c.blobs.OnWait(func(b blobAt) {
-			if b.tier == diskTier {
+		c.held.OnWait(func(e entryAt) {
+			if e.tier == diskTier && isBlobKey(e.key) {
 				waits <- struct{}{}
 			}
 		})
@@ -363,15 +362,16 @@ func TestConcurrentOffersPutBlobOnce(t *testing.T) {
 		close(disk.release)
 		c.Flush()
 
-		wantBlob, wantRec, wantErrs := 1, offers, uint64(0)
+		nodes := len(res.res.Queries) + 1
+		wantBlob, wantErrs := 1, uint64(0)
 		if failFirst {
-			wantBlob, wantRec, wantErrs = 2, offers-1, 1
+			wantBlob, wantErrs = 2, 1
 		}
-		if rec, blob := disk.puts(); rec != wantRec || blob != wantBlob {
-			t.Errorf("failFirst=%v: disk got %d record and %d blob Puts, want %d and %d", failFirst, rec, blob, wantRec, wantBlob)
+		if rec, blob := disk.puts(); rec != nodes || blob != wantBlob {
+			t.Errorf("failFirst=%v: disk got %d node and %d blob Puts, want %d and %d", failFirst, rec, blob, nodes, wantBlob)
 		}
-		if rec, blob := remote.puts(); rec != offers || blob != 1 {
-			t.Errorf("failFirst=%v: remote got %d record and %d blob Puts, want %d and 1", failFirst, rec, blob, offers)
+		if rec, blob := remote.puts(); rec != nodes || blob != 1 {
+			t.Errorf("failFirst=%v: remote got %d node and %d blob Puts, want %d and 1", failFirst, rec, blob, nodes)
 		}
 		if st := c.Stats(); st.StoreErrors != wantErrs || st.RemoteStoreErrors != 0 {
 			t.Errorf("failFirst=%v: store errors disk %d remote %d, want %d and 0", failFirst, st.StoreErrors, st.RemoteStoreErrors, wantErrs)
@@ -379,7 +379,7 @@ func TestConcurrentOffersPutBlobOnce(t *testing.T) {
 	}
 }
 
-// blobGateStore serves records and blobs from a fixed map. Its first
+// blobGateStore serves trie nodes and blobs from a fixed map. Its first
 // blob Get parks until the test closes release, and then fails.
 type blobGateStore struct {
 	data             map[string][]byte
@@ -411,8 +411,8 @@ func (s *blobGateStore) Put(key string, data []byte) error { return nil }
 func (s *blobGateStore) Delete(key string) error           { return nil }
 func (s *blobGateStore) Len() (int, error)                 { return len(s.data), nil }
 
-// TestConcurrentBlobLoadFailureRereads: two records on the disk tier
-// name one program. The lookup of the second waits on the first's blob
+// TestConcurrentBlobLoadFailureRereads: two cost siblings reach one
+// leaf on the disk tier, naming one program. The lookup of the second waits on the first's blob
 // load; when that load fails, it reads the blob from its tier itself
 // and restores, while the first lookup misses the tier and compiles
 // (held in the compile driver's hook until the second has restored, so
@@ -422,7 +422,9 @@ func TestConcurrentBlobLoadFailureRereads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sibling, err := base.Derive("dspasip-fastmul", func(p *Processor) { p.Costs = map[string]int{"fmul": 1} })
+	// A cost sibling under the same name, so with C output it shares
+	// the trie path too.
+	sibling, err := base.Derive("dspasip", func(p *Processor) { p.Costs = map[string]int{"fmul": 1} })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,12 +440,14 @@ func TestConcurrentBlobLoadFailureRereads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		store.data[ks[0].String()] = encodeRecord(ks[0].String(), res)
+		for _, st := range compiledPath(ks[0].root, res) {
+			store.data[st.key] = encodeNode(st.key, st.n)
+		}
 		store.data[artifact.BlobKey(res.Program().ContentHash())] = artifact.EncodeProgram(res.Program())
 		keys = append(keys, ks[0])
-	}
-	if len(store.data) != 3 {
-		t.Fatal("cost siblings must share a program")
+		if len(store.data) != len(res.res.Queries)+2 {
+			t.Fatal("cost siblings must share a trie path and a program")
+		}
 	}
 	core.ResetMemos()
 	held := make(chan struct{})
@@ -506,31 +510,38 @@ func TestDiskTierMissingEntryCounted(t *testing.T) {
 }
 
 // TestDecodeArtifactRejectsKeyMismatch pins the defense against a store
-// that hands back a record filed under the wrong key.
+// that hands back a trie node, inner node or leaf, filed under the
+// wrong key.
 func TestDecodeArtifactRejectsKeyMismatch(t *testing.T) {
 	opts := Options{Target: "dspasip"}
 	res, err := Compile(cacheTestSrc, "scale", cacheTestParams, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, err := CacheKey(cacheTestSrc, "scale", cacheTestParams, opts)
+	keys, err := Keys(opts, Input{Source: cacheTestSrc, Entry: "scale", Params: cacheTestParams})
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := encodeRecord(key, res)
-	if _, err := decodeRecord(data, key); err != nil {
-		t.Fatalf("round trip under the right key failed: %v", err)
+	path := compiledPath(keys[0].root, res)
+	if len(path) < 2 {
+		t.Fatalf("the test kernel's path has %d nodes, want an inner node and a leaf", len(path))
 	}
-	_, err = decodeRecord(data, "0000000000000000000000000000000000000000000000000000000000000000")
-	if !errors.Is(err, artifact.ErrCorrupt) {
-		t.Errorf("key mismatch returned %v, want ErrCorrupt", err)
+	for i, st := range path {
+		data := encodeNode(st.key, st.n)
+		if _, err := decodeNode(data, st.key); err != nil {
+			t.Fatalf("node %d: round trip under the right key failed: %v", i, err)
+		}
+		other := path[(i+1)%len(path)].key
+		if _, err := decodeNode(data, other); !errors.Is(err, artifact.ErrCorrupt) {
+			t.Errorf("node %d: key mismatch returned %v, want ErrCorrupt", i, err)
+		}
 	}
 }
 
 // TestRestoreRejectsBlobHashMismatch is the blob analogue: a valid
-// record whose blob key holds another program's blob is a corrupt miss
-// that deletes the misfiled blob, and the compile that follows writes
-// the right blob back.
+// trie path whose leaf's blob key holds another program's blob is a
+// corrupt miss that deletes the misfiled blob, and the compile that
+// follows writes the right blob back.
 func TestRestoreRejectsBlobHashMismatch(t *testing.T) {
 	opts := Options{Target: "dspasip"}
 	res, err := Compile(cacheTestSrc, "scale", cacheTestParams, opts)
@@ -541,18 +552,12 @@ func TestRestoreRejectsBlobHashMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, err := CacheKey(cacheTestSrc, "scale", cacheTestParams, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
 	hash := res.Program().ContentHash()
 	if other.Program().ContentHash() == hash {
 		t.Fatal("the two targets compile to one program")
 	}
 	store := openTestStore(t, t.TempDir())
-	if err := store.Put(key, encodeRecord(key, res)); err != nil {
-		t.Fatal(err)
-	}
+	putPath(t, store, opts, res)
 	if err := store.Put(artifact.BlobKey(hash), artifact.EncodeProgram(other.Program())); err != nil {
 		t.Fatal(err)
 	}
@@ -575,6 +580,51 @@ func TestRestoreRejectsBlobHashMismatch(t *testing.T) {
 	}
 }
 
+// testPath returns the trie path a compile of the test kernel under
+// opts, which compiled to res, is filed under.
+func testPath(t *testing.T, opts Options, res *Result) []step {
+	t.Helper()
+	keys, err := Keys(opts, Input{Source: cacheTestSrc, Entry: "scale", Params: cacheTestParams})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return compiledPath(keys[0].root, res)
+}
+
+// testPathLen is the number of nodes of the test kernel's trie path
+// under opts.
+func testPathLen(t *testing.T, opts Options) int {
+	t.Helper()
+	res, err := Compile(cacheTestSrc, "scale", cacheTestParams, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(res.res.Queries) + 1
+}
+
+// leafKey returns the key of the trie leaf a compile of the test kernel
+// under opts is filed under.
+func leafKey(t *testing.T, opts Options) string {
+	t.Helper()
+	res, err := Compile(cacheTestSrc, "scale", cacheTestParams, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := testPath(t, opts, res)
+	return path[len(path)-1].key
+}
+
+// putPath writes the trie path of the test kernel's compile under opts,
+// which compiled to res, to s, without its program blob.
+func putPath(t *testing.T, s artifact.Store, opts Options, res *Result) {
+	t.Helper()
+	for _, st := range testPath(t, opts, res) {
+		if err := s.Put(st.key, encodeNode(st.key, st.n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // mustGet returns the entry s holds under key.
 func mustGet(t *testing.T, s artifact.Store, key string) []byte {
 	t.Helper()
@@ -586,8 +636,8 @@ func mustGet(t *testing.T, s artifact.Store, key string) []byte {
 }
 
 // restoreFrom rebuilds the test kernel's compilation under opts from s
-// the way a fresh cache does: the record, then the program blob it
-// names.
+// the way a fresh cache does: the trie path, then the program blob its
+// leaf names.
 func restoreFrom(t *testing.T, s artifact.Store, opts Options) (*Result, error) {
 	t.Helper()
 	keys, err := Keys(opts, Input{Source: cacheTestSrc, Entry: "scale", Params: cacheTestParams})
@@ -598,9 +648,9 @@ func restoreFrom(t *testing.T, s artifact.Store, opts Options) (*Result, error) 
 	return res, err
 }
 
-// TestReplacedStoreGetsBlobs: what a cache knows of one store's blobs
-// does not carry over to the store that replaces it, so a record
-// written to the new store is never left without its blob.
+// TestReplacedStoreGetsBlobs: what a cache knows of one store's
+// entries does not carry over to the store that replaces it, so a path
+// written to the new store is never left without its nodes or blob.
 func TestReplacedStoreGetsBlobs(t *testing.T) {
 	base, err := LoadProcessor("dspasip")
 	if err != nil {

@@ -240,6 +240,11 @@ func sameReports(outDir, name string, sharded, single []byte) error {
 // smokeSweep is the POST /dse body every phase submits. Jobs is
 // explicit so the reports' jobs field cannot drift with the hosts' core
 // counts.
+// maxPathNodes bounds the nodes of a compile's trie path in the smoke
+// sweep: its kernels ask a target at most seven questions, as on every
+// supported sweep, and the leaf ends the path.
+const maxPathNodes = 8
+
 func smokeSweep() map[string]interface{} {
 	return map[string]interface{}{
 		"sweep": map[string]interface{}{
@@ -497,17 +502,18 @@ func sharedRemote(ctx context.Context, bin, outDir string) error {
 	if warmStats.EventMisses != 0 || warmStats.EventHits == 0 {
 		return fmt.Errorf("worker B simulated %d times with %d stored run events read, want 0 simulations (metrics %+v)", warmStats.EventMisses, warmStats.EventHits, warmStats)
 	}
-	// Each unit reads its records in one batch request, and the blobs
-	// and events entries they name in at most one more.
+	// Each unit reads its compile tries level by level, one batch
+	// request per level (a path is at most maxPathNodes nodes), and the
+	// blobs and events entries its leaves name in one more.
 	originAfter, err := originTrafficOf(ctx, coordURL)
 	if err != nil {
 		return err
 	}
 	gets, batches := originAfter.Gets-originBefore.Gets, originAfter.Batches-originBefore.Batches
 	units := originAfter.Dispatched - originBefore.Dispatched
-	if gets != 0 || batches == 0 || batches > 2*units {
+	if bound := (maxPathNodes + 1) * units; gets != 0 || batches == 0 || batches > bound {
 		return fmt.Errorf("worker B's sweep made %d per-key GETs and %d batch requests for %d units, want 0 GETs and 1 to %d batches",
-			gets, batches, units, 2*units)
+			gets, batches, units, bound)
 	}
 
 	coldJSON, err := identity(coldReport)

@@ -139,9 +139,11 @@ func TestConcurrentLoadProcessor(t *testing.T) {
 
 // TestConcurrentSiblingsShareOneBlob restores cost siblings — keys that
 // compile to one program — from a disk tier on 8 goroutines at once
-// (run under -race). Their records name one program blob: it must be
-// decoded once, every goroutine must get the same *vm.Program, and
-// every restored result must run correctly under its own processor.
+// (run under -race). Their names differ, which their C prints, so each
+// has a trie path of its own, but their leaves name one program blob:
+// it must be decoded once, every goroutine must get the same
+// *vm.Program, and every restored result must run correctly under its
+// own processor.
 func TestConcurrentSiblingsShareOneBlob(t *testing.T) {
 	const workers = 8
 	base, err := LoadProcessor("dspasip")
@@ -169,8 +171,9 @@ func TestConcurrentSiblingsShareOneBlob(t *testing.T) {
 		}
 	}
 	warm.Flush()
-	if n, err := store.Len(); err != nil || n != workers+1 {
-		t.Fatalf("store holds %d entries (%v), want %d records and 1 blob", n, err, workers)
+	nodes := len(want[0].res.Queries) + 1
+	if n, err := store.Len(); err != nil || n != workers*nodes+1 {
+		t.Fatalf("store holds %d entries (%v), want %d paths of %d nodes and 1 blob", n, err, workers, nodes)
 	}
 
 	c := NewCache(workers)

@@ -16,7 +16,7 @@ const (
 )
 
 // blobSuffix marks program blob keys. A suffix rather than a prefix
-// keeps blobs sharded by their hash like records, and no record key (a
+// keeps blobs sharded by their hash like trie nodes, and no node key (a
 // bare SHA-256 hex digest) can end in it.
 const blobSuffix = "-prog"
 
@@ -31,15 +31,15 @@ func BlobKey(hash string) string { return hash + blobSuffix }
 // hit does not serve — no IR or AST listing and no stage timings; a
 // restored result renders its listings on demand by compiling again.
 //
-// A durable artifact is two store entries: a Record under the cache
-// key, and the compiled program as a blob (EncodeProgram) under
-// BlobKey(ProgramHash). Cache keys that differ only in what cannot
-// change the program — cycle costs, say — share one blob.
+// A durable artifact is a path of store entries, the leaf of a compile
+// trie (see DecodeNode and mat2c's trie.go) holding the Record, and the
+// compiled program as a blob (EncodeProgram) under
+// BlobKey(ProgramHash). Compiles of one program share one blob.
 type Record struct {
-	// Key is the content address the record was stored under
-	// (mat2c.CacheKey hex). The caller rejects a record whose embedded
-	// key differs from the requested one, so a misfiled or renamed
-	// store entry degrades to a miss instead of serving wrong code.
+	// Key is the key of the trie leaf the record is stored under. The
+	// caller rejects a record whose embedded key differs from the
+	// requested one, so a misfiled or renamed store entry degrades to a
+	// miss instead of serving wrong code.
 	Key string
 	// Entry is the compiled entry-function name.
 	Entry string
@@ -139,25 +139,61 @@ func DecodeRecord(data []byte, keyVersion string) (*Record, error) {
 	return rec, nil
 }
 
-// RecordProgramHash reads the program hash from the header of record
-// bytes without verifying them, so a caller can fetch the program blob
-// a record names before it decodes the record. ok is false when the
-// header is malformed, is of another format version (DecodeRecord
-// would reject the record) or names no SHA-256 hex digest. The answer
-// is a hint only: DecodeRecord is what vouches for a record.
-func RecordProgramHash(data []byte) (hash string, ok bool) {
-	if len(data) < len(recordMagic) || string(data[:len(recordMagic)]) != recordMagic {
-		return "", false
+// Inner trie node framing (see EncodeQuery).
+const (
+	queryMagic   = "M2CQ"
+	queryVersion = 1
+)
+
+// EncodeQuery serializes an inner node of a compile trie filed under
+// key: the question the compiles on its path ask next. A trie leaf is
+// a Record whose Key is the leaf's key. Both encodings are
+// deterministic, so every writer of a node writes the same bytes.
+func EncodeQuery(key, question, keyVersion string) []byte {
+	var w writer
+	w.buf = append(w.buf, queryMagic...)
+	w.u32(queryVersion)
+	w.str(keyVersion)
+	w.str(key)
+	w.str(question)
+	return w.bytes()
+}
+
+// DecodeNode decodes a compile trie node fetched under key: an inner
+// node's question (EncodeQuery), or a leaf's record. It fails as
+// DecodeRecord does, and also with ErrCorrupt when the node carries
+// another key (a misfiled or renamed store entry) or an inner node an
+// empty question.
+func DecodeNode(data []byte, key, keyVersion string) (question string, rec *Record, err error) {
+	var got string
+	if len(data) >= len(recordMagic) && string(data[:len(recordMagic)]) == recordMagic {
+		if rec, err = DecodeRecord(data, keyVersion); err != nil {
+			return "", nil, err
+		}
+		got = rec.Key
+	} else {
+		r, err := checkWrapper(data, queryMagic)
+		if err != nil {
+			return "", nil, err
+		}
+		if v := r.u32(); r.err == nil && v != queryVersion {
+			return "", nil, fmt.Errorf("%w: query node format v%d, this build reads v%d", ErrVersion, v, queryVersion)
+		}
+		if kv := r.str(); r.err == nil && kv != keyVersion {
+			return "", nil, fmt.Errorf("%w: cache-key version %q, this build uses %q", ErrVersion, kv, keyVersion)
+		}
+		got = r.str()
+		if question = r.str(); r.err == nil && question == "" {
+			r.fail("empty question")
+		}
+		if err := r.done(); err != nil {
+			return "", nil, err
+		}
 	}
-	r := &reader{buf: data, off: len(recordMagic)}
-	if r.u32() != recordVersion {
-		return "", false
+	if got != key {
+		return "", nil, fmt.Errorf("%w: node key %s stored under %s", ErrCorrupt, got, key)
 	}
-	for i := 0; i < 3; i++ { // key version, key, entry
-		r.str()
-	}
-	hash = r.str()
-	return hash, r.err == nil && isHexDigest(hash)
+	return question, rec, nil
 }
 
 // isHexDigest reports whether s is a lower-case hex SHA-256 digest, the

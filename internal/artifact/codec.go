@@ -1,11 +1,13 @@
 // Package artifact defines the durable form of a compilation: a
 // versioned, self-describing binary codec for compiled vm.Programs
-// (program blobs, stored once per distinct program), the per-key
-// records that carry everything else a cache hit serves, and the
-// events of verified runs (EncodeEvents), and a pluggable Store
-// interface with a sharded-on-disk implementation. Together they turn the in-process
-// compile cache into a two-tier cache whose warm state survives
-// restarts and is shareable between fleet replicas (docs/CACHE.md).
+// (program blobs, stored once per distinct program), the nodes of the
+// compile tries a store files compilations in (EncodeQuery, and the
+// records at their leaves that carry everything else a cache hit
+// serves), and the events of verified runs (EncodeEvents), and a
+// pluggable Store interface with a segment-file disk implementation.
+// Together they turn the in-process compile cache into a tiered cache
+// whose warm state survives restarts and is shareable between fleet
+// replicas (docs/CACHE.md).
 //
 // The format follows the gopher-lua bytecode dump/load shape: a magic
 // header, an explicit format version, length-prefixed fields in a fixed

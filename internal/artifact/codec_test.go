@@ -172,32 +172,46 @@ func TestProgramRoundTripEmptyProgram(t *testing.T) {
 	}
 }
 
-// TestRecordProgramHash reads the program hash from a record's header,
-// and rejects what names none: other artifact kinds, truncated headers,
-// a record whose hash field is not a digest, and a record of another
-// format version, which DecodeRecord would reject.
-func TestRecordProgramHash(t *testing.T) {
+// TestDecodeNode decodes both kinds of compile trie node under the key
+// they were encoded with, and rejects a node filed under another key, a
+// node of another cache-key or format version, an empty question,
+// every truncation and other artifact kinds.
+func TestDecodeNode(t *testing.T) {
 	rec, prog := testArtifact(t)
-	data := EncodeRecord(rec, "kv")
-	if hash, ok := RecordProgramHash(data); !ok || hash != rec.ProgramHash {
-		t.Fatalf("RecordProgramHash = %q, %v; want %q", hash, ok, rec.ProgramHash)
+	leaf := EncodeRecord(rec, "kv")
+	if q, got, err := DecodeNode(leaf, rec.Key, "kv"); err != nil || q != "" || !reflect.DeepEqual(got, rec) {
+		t.Fatalf("leaf: question %q, record %+v, err %v", q, got, err)
 	}
-	for i := 0; i < len(data); i += 7 {
-		if hash, ok := RecordProgramHash(data[:i]); ok && hash != rec.ProgramHash {
-			t.Fatalf("prefix of %d bytes read hash %q", i, hash)
+	inner := EncodeQuery("k1", "Ivmac", "kv")
+	if q, got, err := DecodeNode(inner, "k1", "kv"); err != nil || q != "Ivmac" || got != nil {
+		t.Fatalf("inner node: question %q, record %v, err %v", q, got, err)
+	}
+	for name, c := range map[string]struct {
+		data    []byte
+		key, kv string
+		want    error
+	}{
+		"leaf under another key":       {leaf, "k1", "kv", ErrCorrupt},
+		"inner node under another key": {inner, rec.Key, "kv", ErrCorrupt},
+		"leaf of another key version":  {leaf, rec.Key, "kv2", ErrVersion},
+		"inner of another key version": {inner, "k1", "kv2", ErrVersion},
+		"empty question":               {EncodeQuery("k1", "", "kv"), "k1", "kv", ErrCorrupt},
+		"program blob":                 {EncodeProgram(prog), "k1", "kv", ErrCorrupt},
+	} {
+		if _, _, err := DecodeNode(c.data, c.key, c.kv); !errors.Is(err, c.want) {
+			t.Errorf("%s: err = %v, want %v", name, err, c.want)
 		}
 	}
-	if _, ok := RecordProgramHash(EncodeProgram(prog)); ok {
-		t.Error("program blob read as a record")
+	stale := append([]byte(nil), inner[:len(inner)-TrailerSize]...)
+	binary.LittleEndian.PutUint32(stale[4:], queryVersion+1)
+	if _, _, err := DecodeNode(Seal(nil, stale), "k1", "kv"); !errors.Is(err, ErrVersion) {
+		t.Errorf("inner node of another format version: err = %v, want ErrVersion", err)
 	}
-	bad := *rec
-	bad.ProgramHash = "not-a-digest"
-	if _, ok := RecordProgramHash(EncodeRecord(&bad, "kv")); ok {
-		t.Error("a record naming no digest read ok")
-	}
-	stale := append([]byte(nil), data...)
-	binary.LittleEndian.PutUint32(stale[4:], recordVersion-1)
-	if _, ok := RecordProgramHash(reseal(stale)); ok {
-		t.Error("a record of another format version read ok")
+	for _, data := range [][]byte{leaf, inner} {
+		for i := 0; i < len(data); i++ {
+			if _, _, err := DecodeNode(data[:i], "k1", "kv"); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("prefix of %d bytes: err = %v, want ErrCorrupt", i, err)
+			}
+		}
 	}
 }

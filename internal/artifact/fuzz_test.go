@@ -81,9 +81,10 @@ func FuzzDecodeProgram(f *testing.F) {
 	})
 }
 
-// FuzzDecodeRecord is the same contract for the per-key record frame,
-// plus the one the cache relies on to build a blob key from it: a
-// decoded record names its program by a valid hash.
+// FuzzDecodeRecord is the same contract for the record frame, a compile
+// trie's leaf, plus the one the cache relies on to build a blob key
+// from it: a decoded record names its program by a valid hash. It holds
+// DecodeNode to it too, for leaves and for query nodes.
 func FuzzDecodeRecord(f *testing.F) {
 	for _, res := range seedResults(f) {
 		f.Add(seedRecord(res))
@@ -91,7 +92,17 @@ func FuzzDecodeRecord(f *testing.F) {
 	for _, b := range degenerateSeeds {
 		f.Add(b)
 	}
+	for _, q := range []string{"L0", "L1", "Ivfma"} {
+		f.Add(artifact.EncodeQuery(fuzzNodeKey, q, fuzzKeyVersion))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// Both kinds of trie node decode under their own key, and
+		// re-encode to the bytes they were read from.
+		if q, rec, err := artifact.DecodeNode(data, fuzzNodeKey, fuzzKeyVersion); err == nil && rec == nil {
+			if enc := artifact.EncodeQuery(fuzzNodeKey, q, fuzzKeyVersion); string(enc) != string(data) {
+				t.Fatalf("query node decode/encode is not canonical: %d in, %d out", len(data), len(enc))
+			}
+		}
 		rec, err := artifact.DecodeRecord(data, fuzzKeyVersion)
 		if err != nil {
 			return
@@ -103,8 +114,14 @@ func FuzzDecodeRecord(f *testing.F) {
 		if string(enc) != string(data) {
 			t.Fatalf("decode/encode is not canonical: %d in, %d out", len(data), len(enc))
 		}
+		if _, nrec, err := artifact.DecodeNode(data, rec.Key, fuzzKeyVersion); err != nil || nrec == nil {
+			t.Fatalf("a record does not decode as the trie leaf under its key: %v", err)
+		}
 	})
 }
+
+// fuzzNodeKey is the key the fuzzed query nodes are filed under.
+const fuzzNodeKey = "0011223344556677"
 
 // FuzzDecodeArtifact holds a whole durable artifact — a record and the
 // program blob it names — to the restore path's contract: whatever

@@ -77,6 +77,10 @@ func VerifyCandidate(ctx context.Context, proc *pdesc.Processor, c *Candidate, p
 // them again.
 var runs = mat2c.NewCache(0)
 
+// RunStats snapshots the cache candidate runs are looked up through:
+// its event_* counters count the runs simulated and priced.
+func RunStats() mat2c.CacheStats { return runs.Stats() }
+
 // measure runs kernel k on proc (which carries candidate c) and
 // returns the cycle count and how many sites selected the candidate.
 // The outputs are verified against the kernel's reference

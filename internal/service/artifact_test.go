@@ -38,15 +38,32 @@ func TestShutdownMakesArtifactsDurable(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("compile: status %d: %s", resp.StatusCode, body)
 	}
-	var cr CompileResponse
-	if err := json.Unmarshal(body, &cr); err != nil {
+	s.Shutdown()
+	if _, hit := restoreScale(t, store, false); !hit {
+		t.Fatal("artifact not durable after Shutdown")
+	}
+}
+
+// restoreScale looks the test kernel's /compile request up through a
+// fresh cache over s, as the local tier or as the remote one, and
+// reports the cache and whether a store tier served it.
+func restoreScale(t *testing.T, s artifact.Store, asRemote bool) (*mat2c.Cache, bool) {
+	t.Helper()
+	params, err := mat2c.ParseTypes("real(1,:), real")
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	s.Shutdown()
-	if _, err := store.Get(cr.CacheKey); err != nil {
-		t.Fatalf("artifact not durable after Shutdown: %v", err)
+	c := mat2c.NewCache(1)
+	if asRemote {
+		c.SetRemoteStore(s)
+	} else {
+		c.SetStore(s)
 	}
+	_, hit, err := mat2c.CompileCached(c, scaleSrc, "", params, mat2c.Options{Target: "dspasip"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, hit && c.Stats().Compiles == 0
 }
 
 // TestArtifactServeMountsBlobProtocol: with ArtifactServe the daemon's
@@ -64,24 +81,18 @@ func TestArtifactServeMountsBlobProtocol(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("compile: status %d: %s", resp.StatusCode, body)
 	}
-	var cr CompileResponse
-	if err := json.Unmarshal(body, &cr); err != nil {
-		t.Fatal(err)
-	}
 	s.Cache().Flush()
 
-	// Fetch the artifact over the blob protocol and check it decodes.
+	// Restore the artifact over the blob protocol.
 	rc := remote.New(ts.URL+"/artifact", remote.Options{})
-	data, err := rc.Get(cr.CacheKey)
-	if err != nil {
-		t.Fatalf("blob get of a just-compiled artifact: %v", err)
+	c, hit := restoreScale(t, rc, true)
+	if !hit {
+		t.Fatalf("blob protocol did not serve a just-compiled artifact: %+v", c.Stats())
 	}
-	if len(data) == 0 {
-		t.Fatal("blob get returned an empty entry")
-	}
-	// One compile is two entries: its record and its program blob.
-	if n, err := rc.Len(); err != nil || n != 2 {
-		t.Fatalf("origin entry count: %d %v, want 2", n, err)
+	// One compile is its trie path, which the restore read, and its
+	// program blob.
+	if n, err := rc.Len(); err != nil || uint64(n) != c.Stats().Remote.Hits {
+		t.Fatalf("origin entry count: %d %v, want the %d entries the restore read", n, err, c.Stats().Remote.Hits)
 	}
 
 	// A second server using that endpoint as its remote tier restores

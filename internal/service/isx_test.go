@@ -37,6 +37,8 @@ func TestISXEndpoint(t *testing.T) {
 	s := New(Config{Workers: 2})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
+	var before Snapshot
+	getJSON(t, ts, "/metrics", &before)
 
 	resp, body := postJSON(t, ts, "/isx", smallISXRequest())
 	if resp.StatusCode != http.StatusAccepted {
@@ -57,9 +59,12 @@ func TestISXEndpoint(t *testing.T) {
 	if st.Report == nil || len(st.Report.Candidates) == 0 {
 		t.Fatalf("done job has no candidates: %+v", st.Report)
 	}
-	verified := false
+	verified, measured := false, uint64(0)
 	for _, c := range st.Report.Candidates {
 		for _, d := range c.Deltas {
+			if d.Err == "" {
+				measured++
+			}
 			if d.Err == "" && d.Selected > 0 && d.Measured > 0 {
 				verified = true
 			}
@@ -77,6 +82,11 @@ func TestISXEndpoint(t *testing.T) {
 	if snap.ISX.LastCandidates != len(st.Report.Candidates) {
 		t.Errorf("metrics: last_candidates=%d, want %d",
 			snap.ISX.LastCandidates, len(st.Report.Candidates))
+	}
+	// Each measured candidate ran once, simulated or priced.
+	runs := snap.ISX.Runs.Simulated + snap.ISX.Runs.Priced - before.ISX.Runs.Simulated - before.ISX.Runs.Priced
+	if runs < measured || measured == 0 {
+		t.Errorf("metrics: %d runs simulated or priced during the mine, want at least its %d measured candidates", runs, measured)
 	}
 }
 
@@ -167,18 +177,27 @@ func TestISXCancel(t *testing.T) {
 }
 
 // TestMetricsJobSections pins the keys of the /metrics dse and isx
-// sections.
+// sections, and of the isx section's runs.
 func TestMetricsJobSections(t *testing.T) {
 	ts := httptest.NewServer(New(Config{Workers: 1}).Handler())
 	defer ts.Close()
 	var snap map[string]json.RawMessage
 	getJSON(t, ts, "/metrics", &snap)
+	var isxSection map[string]json.RawMessage
+	if err := json.Unmarshal(snap["isx"], &isxSection); err != nil {
+		t.Fatal(err)
+	}
 	for section, want := range map[string]string{
-		"dse": "[cache_hit_rate cache_hits cache_lookups cancelled failures last_frontier_size running sweeps variants_evaluated]",
-		"isx": "[cancelled failures last_candidates mines running]",
+		"dse":      "[cache_hit_rate cache_hits cache_lookups cancelled failures last_frontier_size running sweeps variants_evaluated]",
+		"isx":      "[cancelled failures last_candidates mines running runs]",
+		"isx.runs": "[priced simulated]",
 	} {
+		raw := snap[section]
+		if section == "isx.runs" {
+			raw = isxSection["runs"]
+		}
 		var fields map[string]json.RawMessage
-		if err := json.Unmarshal(snap[section], &fields); err != nil {
+		if err := json.Unmarshal(raw, &fields); err != nil {
 			t.Fatalf("%s: %v", section, err)
 		}
 		var keys []string

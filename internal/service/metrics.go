@@ -12,6 +12,7 @@ import (
 
 	mat2c "mat2c"
 	"mat2c/internal/core"
+	"mat2c/internal/isx"
 	"mat2c/internal/vm"
 )
 
@@ -343,11 +344,21 @@ type DSESnapshot struct {
 
 // ISXSnapshot is the /metrics instruction-set-extension-mining section.
 type ISXSnapshot struct {
-	Mines          uint64 `json:"mines"`
-	Running        int64  `json:"running"`
-	Failures       uint64 `json:"failures"`
-	Cancelled      uint64 `json:"cancelled"`
-	LastCandidates int    `json:"last_candidates"`
+	Mines          uint64          `json:"mines"`
+	Running        int64           `json:"running"`
+	Failures       uint64          `json:"failures"`
+	Cancelled      uint64          `json:"cancelled"`
+	LastCandidates int             `json:"last_candidates"`
+	Runs           ISXRunsSnapshot `json:"runs"`
+}
+
+// ISXRunsSnapshot counts the runs that verify mined candidates, in this
+// process's /isx mines and fleet isx units alike (isx.RunStats):
+// simulated and verified against the kernel's reference, or priced
+// from the events of such a run of the same program.
+type ISXRunsSnapshot struct {
+	Simulated uint64 `json:"simulated"`
+	Priced    uint64 `json:"priced"`
 }
 
 // SnapshotWith captures all counters plus the supplied cache stats.
@@ -386,12 +397,14 @@ func (m *Metrics) SnapshotWith(cache mat2c.CacheStats) Snapshot {
 			s.QueueShed[q] = n
 		}
 	}
+	runs := isx.RunStats()
 	s.ISX = ISXSnapshot{
 		Mines:          i.started,
 		Running:        i.running,
 		Failures:       i.failures,
 		Cancelled:      i.cancelled,
 		LastCandidates: i.last,
+		Runs:           ISXRunsSnapshot{Simulated: runs.EventMisses, Priced: runs.EventMemoHits + runs.EventHits},
 	}
 	s.VM = VMSnapshot{Compiled: vm.CompiledStats()}
 	for name, e := range m.requests {

@@ -235,8 +235,11 @@ type Result struct {
 	// rec is non-nil when the result was restored from a durable
 	// store tier rather than compiled in this process: the C prototype
 	// and diagnostics are served from it because the IR/AST object
-	// graphs are not serialized. key is the lookup that restored it;
-	// IRText and AST compile key's inputs again to render listings.
+	// graphs are not serialized. key holds the inputs and options the
+	// result was compiled from (for a restored result, the lookup that
+	// restored it): a store tier files the result under them, and a
+	// restored result's IRText and AST compile them again to render
+	// listings.
 	rec *artifact.Record
 	key Key
 }
@@ -260,7 +263,7 @@ func CompileContext(ctx context.Context, source, entry string, params []Type, op
 	if err != nil {
 		return nil, err
 	}
-	return &Result{res: res, proc: cfg.Processor}, nil
+	return &Result{res: res, proc: cfg.Processor, key: Key{in: Input{source, entry, params}, opts: opts}}, nil
 }
 
 // Entry returns the compiled entry-function name (resolved to the

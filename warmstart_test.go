@@ -111,12 +111,16 @@ func TestWarmStartDSE(t *testing.T) {
 	cs := cacheStatsFrom(t, coldStats)
 	ws := cacheStatsFrom(t, warmStats)
 
-	// Cold run: every variant compiled, nothing restored.
+	// Cold run: it compiled, and restored only what it wrote itself (a
+	// variant that answers a kernel's questions as an earlier one did
+	// finds that compile's trie path): its store holds only its own
+	// writes.
 	if statCounter(t, cs, "compiles") == 0 {
 		t.Errorf("cold run compiled nothing: %v", cs)
 	}
-	if statCounter(t, cs, "disk_hits") != 0 {
-		t.Errorf("cold run hit the empty store: %v", cs)
+	disk, _ := cs["disk"].(map[string]interface{})
+	if disk == nil || statCounter(t, disk, "entries") != statCounter(t, disk, "puts") {
+		t.Errorf("cold run's store holds entries it did not write: %v", cs)
 	}
 
 	// Warm run: zero compiles, every variant restored from disk — at
