@@ -165,30 +165,25 @@ func NewCache(maxEntries int) *Cache {
 
 // SetStore attaches the durable local store, the first tier behind
 // memory. It may be called at any time, even after traffic has started;
-// lookups and writes already under way finish on the stores they
-// started with.
+// lookups and writes already under way finish without it. A tier holds
+// one store for the cache's life: SetStore panics when one is attached.
 func (c *Cache) SetStore(s artifact.Store) { c.setTier(diskTier, s) }
 
 // SetRemoteStore attaches the fleet-shared store, the tier behind the
 // local one. It may be called at any time, even after traffic has
 // started (fleet workers attach the coordinator's artifact endpoint
 // when the first registration reply advertises it); lookups and writes
-// already under way finish on the stores they started with.
+// already under way finish without it. A tier holds one store for the
+// cache's life: SetRemoteStore panics when one is attached.
 func (c *Cache) SetRemoteStore(s artifact.Store) { c.setTier(remoteTier, s) }
 
 func (c *Cache) setTier(i int, s artifact.Store) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.tiers[i].store != nil {
-		// What this cache knows of the old store's entries does not
-		// carry over to the new one, and the nodes it read from there
-		// are not the new store's answers. (A read or write on the old
-		// store still in flight records its entry after this; no caller
-		// replaces a store while traffic runs but tests.)
-		c.held.Clear()
-		c.nodes.Clear()
+		panic("mat2c: a store is already attached to the tier")
 	}
 	c.tiers[i].store = s
-	c.mu.Unlock()
 }
 
 // stores snapshots the attached stores, nearest first.
@@ -202,11 +197,11 @@ func (c *Cache) stores() (s [numTiers]artifact.Store) {
 }
 
 // readers snapshots the attached stores as this cache reads them: each
-// through its read-ahead view while the view wraps it (by identity).
+// through its read-ahead view when it has one.
 func (c *Cache) readers() [numTiers]artifact.Store {
 	s := c.stores()
 	for i, v := range c.views {
-		if v != nil && s[i] != nil && v.Store == s[i] {
+		if v != nil {
 			s[i] = v
 		}
 	}

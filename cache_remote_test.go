@@ -256,55 +256,6 @@ func TestWriteThroughReachesBothTiers(t *testing.T) {
 	}
 }
 
-// swapOnBatch is a remote store that, after each batch read, has the
-// cache attach another remote, as a fleet worker may while a sweep
-// runs.
-type swapOnBatch struct {
-	*remote.RemoteStore
-	swap func()
-}
-
-func (s *swapOnBatch) GetBatch(keys []string) ([]artifact.Fetched, error) {
-	got, err := s.RemoteStore.GetBatch(keys)
-	s.swap()
-	return got, err
-}
-
-// TestPrefetchOvertakenBySetRemoteStore: Prefetch stops walking a
-// remote that SetRemoteStore replaces while it runs, files nothing that
-// remote answered, and a run's view of it is not read, so no lookup
-// takes its answers as the new remote's replies; the lookup reads the
-// new remote.
-func TestPrefetchOvertakenBySetRemoteStore(t *testing.T) {
-	_, client := openTestOrigin(t)
-	opts := Options{Target: "dspasip"}
-	warm := NewCache(8)
-	warm.SetRemoteStore(client())
-	res, _, err := CompileCached(warm, cacheTestSrc, "scale", cacheTestParams, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm.Flush()
-
-	keys, err := Keys(opts, Input{Source: cacheTestSrc, Entry: "scale", Params: cacheTestParams})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewCache(8)
-	old, next := client(), client()
-	c.SetRemoteStore(&swapOnBatch{old, func() { c.SetRemoteStore(next) }})
-	run := c.Prefetch([]Want{{Key: keys[0]}})
-	if st := old.Stats(); st.Batches != 1 || st.BatchKeys != 1 {
-		t.Fatalf("the replaced remote's batches read %d keys in %d batches, want the root alone", st.BatchKeys, st.Batches)
-	}
-	if _, hit, err := CompileKey(context.Background(), run, keys[0]); err != nil || !hit {
-		t.Fatalf("lookup: hit=%v err=%v", hit, err)
-	}
-	if n := uint64(len(res.res.Queries) + 2); next.Stats().Gets != n || next.Stats().Hits != n {
-		t.Errorf("new remote: %+v; want the %d nodes of the path and the blob read from it", next.Stats(), n-1)
-	}
-}
-
 // TestPrefetchViewIsTheRunsOwn: the trie nodes a run's Prefetch reads
 // go into the cache's node memo, which every lookup walks, but the
 // blobs it reads ahead are read only by lookups through its handle. A

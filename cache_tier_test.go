@@ -648,32 +648,26 @@ func restoreFrom(t *testing.T, s artifact.Store, opts Options) (*Result, error) 
 	return res, err
 }
 
-// TestReplacedStoreGetsBlobs: what a cache knows of one store's
-// entries does not carry over to the store that replaces it, so a path
-// written to the new store is never left without its nodes or blob.
-func TestReplacedStoreGetsBlobs(t *testing.T) {
-	base, err := LoadProcessor("dspasip")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sibling, err := base.Derive("dspasip-fastmul", func(p *Processor) { p.Costs = map[string]int{"fmul": 1} })
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewCache(8)
-	c.SetStore(openTestStore(t, t.TempDir()))
-	if _, _, err := CompileCached(c, cacheTestSrc, "scale", cacheTestParams, Options{Processor: base}); err != nil {
-		t.Fatal(err)
-	}
-	c.Flush()
-	dir := t.TempDir()
-	c.SetStore(openTestStore(t, dir))
-	opts := Options{Processor: sibling}
-	if _, _, err := CompileCached(c, cacheTestSrc, "scale", cacheTestParams, opts); err != nil {
-		t.Fatal(err)
-	}
-	c.Flush()
-	if _, err := restoreFrom(t, openTestStore(t, dir), opts); err != nil {
-		t.Errorf("the replacement store cannot restore its record: %v", err)
+// TestTierAttachesOnce: a tier holds one store for the cache's life.
+// A store attaches to an empty tier whenever it comes, and a second
+// attach to a tier that holds one panics.
+func TestTierAttachesOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		attach func(*Cache, artifact.Store)
+	}{
+		{"SetStore", (*Cache).SetStore},
+		{"SetRemoteStore", (*Cache).SetRemoteStore},
+	} {
+		c := NewCache(8)
+		tc.attach(c, openTestStore(t, t.TempDir()))
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: a second attach did not panic", tc.name)
+				}
+			}()
+			tc.attach(c, openTestStore(t, t.TempDir()))
+		}()
 	}
 }

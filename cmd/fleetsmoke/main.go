@@ -258,6 +258,14 @@ func smokeSweep() map[string]interface{} {
 	}
 }
 
+// storeDir empties the store directory name under outDir for a phase
+// and returns its path, so a phase starts cold however many smoke runs
+// went into outDir before.
+func storeDir(outDir, name string) (string, error) {
+	dir := filepath.Join(outDir, name)
+	return dir, os.RemoveAll(dir)
+}
+
 // warmStart exercises the durable artifact store across process
 // restarts: two sequential single-process daemons share one -cachedir;
 // the first compiles the sweep cold, the second must restore every
@@ -268,7 +276,10 @@ func warmStart(ctx context.Context, bin, outDir string) error {
 	if bin == "" {
 		bin = filepath.Join(outDir, "mat2cd") // built by run()
 	}
-	cacheDir := filepath.Join(outDir, "artifact-store")
+	cacheDir, err := storeDir(outDir, "artifact-store")
+	if err != nil {
+		return err
+	}
 	ports, err := freePorts(2)
 	if err != nil {
 		return err
@@ -377,11 +388,15 @@ func sharedRemote(ctx context.Context, bin, outDir string) error {
 		return err
 	}
 	coordURL := fmt.Sprintf("http://127.0.0.1:%d", ports[0])
+	originDir, err := storeDir(outDir, "shared-store")
+	if err != nil {
+		return err
+	}
 
 	coord := &daemon{name: "origin-coordinator", args: []string{
 		"-coordinator",
 		"-addr", fmt.Sprintf("127.0.0.1:%d", ports[0]),
-		"-cachedir", filepath.Join(outDir, "shared-store"),
+		"-cachedir", originDir,
 		"-artifactserve",
 	}}
 	if err := coord.start(ctx, bin); err != nil {
@@ -580,12 +595,16 @@ func remoteOutage(ctx context.Context, bin, outDir string) error {
 	}
 	originURL := fmt.Sprintf("http://127.0.0.1:%d", ports[0])
 	consumerURL := fmt.Sprintf("http://127.0.0.1:%d", ports[1])
+	originDir, err := storeDir(outDir, "outage-store")
+	if err != nil {
+		return err
+	}
 
 	// The origin is a plain daemon serving its store; pre-warm it by
 	// running the sweep on it directly.
 	origin := &daemon{name: "origin", args: []string{
 		"-addr", fmt.Sprintf("127.0.0.1:%d", ports[0]),
-		"-cachedir", filepath.Join(outDir, "outage-store"),
+		"-cachedir", originDir,
 		"-artifactserve",
 	}}
 	if err := origin.start(ctx, bin); err != nil {

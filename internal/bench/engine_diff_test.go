@@ -2,16 +2,22 @@ package bench_test
 
 // Differential test between the two VM engines over the real benchmark
 // suite: every kernel, every embedded target, and a slice of
-// DSE-derived variants must produce bit-identical outputs, identical
-// cycle and class accounting, and identical per-pc profiles under the
-// reference interpreter and the compiled engine. This is the
-// whole-pipeline companion to the per-opcode equivalence tests in
-// internal/vm.
+// DSE-derived variants must produce bit-identical outputs and
+// identical cycle and class accounting under the reference interpreter
+// and the compiled engine, and a completed compiled run's events must
+// give each pc the execution count the reference engine's trace shows.
+// This is the whole-pipeline companion to the per-opcode equivalence
+// tests in internal/vm.
 
 import (
+	"bytes"
+	"cmp"
+	"context"
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
+	"strconv"
 	"testing"
 
 	"mat2c/internal/bench"
@@ -143,9 +149,39 @@ func TestEnginesAgreeOnAllTargets(t *testing.T) {
 	}
 }
 
-// TestProfilesAgreeOnAllKernels: the per-pc execution counts of
-// Machine.Profile agree between the reference and compiled engines on
-// every benchmark kernel (compiled blocks credit every member).
+// pcCounter is a Trace writer counting each pc's executions from the
+// pc field of every trace line.
+type pcCounter struct {
+	counts []int64
+	line   []byte // the trace not yet split into lines
+	err    error  // the first line that names no pc of the program
+}
+
+func (c *pcCounter) Write(p []byte) (int, error) {
+	c.line = append(c.line, p...)
+	for {
+		i := bytes.IndexByte(c.line, '\n')
+		if i < 0 {
+			return len(p), nil
+		}
+		f := bytes.Fields(c.line[:i]) // cycles, "pc:", disassembly
+		pc := -1
+		if len(f) > 1 {
+			pc, _ = strconv.Atoi(string(bytes.TrimSuffix(f[1], []byte(":"))))
+		}
+		if pc < 0 || pc >= len(c.counts) {
+			c.err = cmp.Or(c.err, fmt.Errorf("trace line %q names no pc", c.line[:i]))
+		} else {
+			c.counts[pc]++
+		}
+		c.line = c.line[i+1:]
+	}
+}
+
+// TestProfilesAgreeOnAllKernels: on every benchmark kernel, the per-pc
+// execution counts the isx miner profiles from — each pc runs as often
+// as its block completed in the compiled run's events — are the counts
+// the reference engine's trace shows.
 func TestProfilesAgreeOnAllKernels(t *testing.T) {
 	proc := pdesc.Builtin("dspasip")
 	for _, k := range bench.Kernels() {
@@ -158,17 +194,24 @@ func TestProfilesAgreeOnAllKernels(t *testing.T) {
 				t.Fatalf("compile: %v", err)
 			}
 			args := k.Inputs(n)
-			profile := func(engine string) []int64 {
-				m := vm.NewMachine(proc)
-				m.Engine = engine
-				m.Profile = true
-				if _, err := res.RunOn(m, bench.CloneArgs(args)...); err != nil {
-					t.Fatalf("%s: %v", engine, err)
-				}
-				return m.PCCounts
+			ref := vm.NewMachine(proc)
+			pcs := &pcCounter{counts: make([]int64, len(res.Program.Instrs))}
+			ref.Trace = pcs // tracing runs the reference engine
+			if _, err := res.RunOn(ref, bench.CloneArgs(args)...); err != nil || pcs.err != nil {
+				t.Fatalf("reference: %v", cmp.Or(pcs.err, err))
 			}
-			if !reflect.DeepEqual(profile(vm.EngineReference), profile(vm.EngineCompiled)) {
-				t.Error("compiled per-pc profile differs from reference")
+			_, ev, err := vm.NewMachine(proc).RunEvents(context.Background(), res.Program, bench.CloneArgs(args)...)
+			if err != nil || ev == nil {
+				t.Fatalf("compiled run recorded no events (err %v)", err)
+			}
+			counts := make([]int64, len(res.Program.Instrs))
+			for _, b := range ev.Blocks() {
+				for pc := b.Start; pc < b.End; pc++ {
+					counts[pc] = b.Runs
+				}
+			}
+			if !slices.Equal(pcs.counts, counts) {
+				t.Errorf("per-pc counts by events %v, reference trace %v", counts, pcs.counts)
 			}
 		})
 	}

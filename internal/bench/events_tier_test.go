@@ -119,7 +119,7 @@ func eventsKey(k *Kernel, prog *vm.Program, n int) string {
 // simulateIn runs one Simulate through c and waits for its writes.
 func simulateIn(t *testing.T, c *mat2c.Cache, k *Kernel, m *vm.Machine, prog *vm.Program, n int) error {
 	t.Helper()
-	err := k.Simulate(context.Background(), c, m, prog, n)
+	_, err := k.Simulate(context.Background(), c, m, prog, n)
 	c.Flush()
 	return err
 }
@@ -130,7 +130,7 @@ func simulateIn(t *testing.T, c *mat2c.Cache, k *Kernel, m *vm.Machine, prog *vm
 func pricedIn(t *testing.T, c *mat2c.Cache, k *Kernel, m *vm.Machine, prog *vm.Program, n int) {
 	t.Helper()
 	ctx := doneCalls{context.Background(), make(chan struct{}, 1)}
-	if err := k.Simulate(ctx, c, m, prog, n); err != nil {
+	if _, err := k.Simulate(ctx, c, m, prog, n); err != nil {
 		t.Fatal(err)
 	}
 	c.Flush()
@@ -432,7 +432,7 @@ func TestStoredEventsConcurrent(t *testing.T) {
 			wg.Add(1)
 			go func(n int) {
 				defer wg.Done()
-				if err := k.Simulate(context.Background(), c, vm.NewMachine(proc), prog, n); err != nil {
+				if _, err := k.Simulate(context.Background(), c, vm.NewMachine(proc), prog, n); err != nil {
 					t.Error(err)
 				}
 			}(sizes[i%len(sizes)])

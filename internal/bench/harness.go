@@ -130,7 +130,7 @@ func RunPipelineCached(ctx context.Context, c *mat2c.Cache, k *Kernel, cfg core.
 		return nil, fmt.Errorf("%s: compile: %w", k.Name, err)
 	}
 	m := vm.NewMachine(res.Processor())
-	if err := k.Simulate(ctx, c, m, res.Program(), n); err != nil {
+	if _, err := k.Simulate(ctx, c, m, res.Program(), n); err != nil {
 		var verr *VerifyError
 		if errors.As(err, &verr) {
 			return nil, fmt.Errorf("%s: %w", k.Name, err)

@@ -199,15 +199,16 @@ func (e *VerifyError) Unwrap() error { return e.Err }
 // memo or store tiers hold the events of a verified run of prog on the
 // case; later callers are priced from those events. A nil cache, or a
 // case without a digest, simulates every call. A run error is returned
-// as is; a verification failure is a *VerifyError.
-func (k *Kernel) Simulate(ctx context.Context, cache *mat2c.Cache, m *vm.Machine, prog *vm.Program, n int) error {
+// as is; a verification failure is a *VerifyError. On success it also
+// returns the events of the verified run it ran or was priced from,
+// nil when the run recorded none (see vm.Machine.RunEvents).
+func (k *Kernel) Simulate(ctx context.Context, cache *mat2c.Cache, m *vm.Machine, prog *vm.Program, n int) (*vm.Events, error) {
 	digest := ""
 	if cache != nil {
 		digest = k.Case(n).Digest()
 	}
 	if digest == "" {
-		_, err := k.run(ctx, m, prog, n)
-		return err
+		return k.run(ctx, m, prog, n)
 	}
 	for {
 		var runErr error
@@ -224,13 +225,18 @@ func (k *Kernel) Simulate(ctx context.Context, cache *mat2c.Cache, m *vm.Machine
 		})
 		switch {
 		case simulated:
-			return runErr
+			err = runErr
 		case err == nil:
-			return k.price(ctx, m, prog, n, ev)
+			err = k.price(ctx, m, prog, n, ev)
 		case ctx.Err() != nil:
-			return &vm.CancelledError{Err: ctx.Err()}
+			return nil, &vm.CancelledError{Err: ctx.Err()}
+		default:
+			continue // the lookup this caller waited for yielded nothing: go round
 		}
-		// The lookup this caller waited for yielded nothing: go round.
+		if err != nil {
+			return nil, err
+		}
+		return ev, nil
 	}
 }
 

@@ -64,7 +64,7 @@ func TestSimulateOncePriceAfter(t *testing.T) {
 	ctx := doneCalls{context.Background(), make(chan struct{}, 4)}
 	for i, p := range []*pdesc.Processor{proc, proc, repriced} {
 		m := vm.NewMachine(p)
-		if err := k.Simulate(ctx, c, m, prog, n); err != nil {
+		if _, err := k.Simulate(ctx, c, m, prog, n); err != nil {
 			t.Fatal(err)
 		}
 		want, err := freshRun(t, k, prog, p, n, 0)
@@ -118,7 +118,7 @@ func TestSimulateWithoutCacheRunsEveryCall(t *testing.T) {
 		ctx := doneCalls{context.Background(), make(chan struct{}, 2*calls)}
 		for i := 0; i < calls; i++ {
 			m := vm.NewMachine(proc)
-			if err := k.Simulate(ctx, tc.cache, m, prog, n); err != nil {
+			if _, err := k.Simulate(ctx, tc.cache, m, prog, n); err != nil {
 				t.Fatal(err)
 			}
 			assertSameAccounting(t, tc.name, m, want)
@@ -151,14 +151,14 @@ func TestSimulateCancelledRunNotMemoized(t *testing.T) {
 		t.Fatalf("run executes %d instructions, too few to observe a cancellation", want.Executed)
 	}
 	c := mat2c.NewCache(0)
-	err = k.Simulate(cancelledCtx{context.Background()}, c, vm.NewMachine(proc), prog, n)
+	_, err = k.Simulate(cancelledCtx{context.Background()}, c, vm.NewMachine(proc), prog, n)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled simulate returned %v", err)
 	}
 	ctx := doneCalls{context.Background(), make(chan struct{}, 3)}
 	for i := 0; i < 2; i++ {
 		m := vm.NewMachine(proc)
-		if err := k.Simulate(ctx, c, m, prog, n); err != nil {
+		if _, err := k.Simulate(ctx, c, m, prog, n); err != nil {
 			t.Fatal(err)
 		}
 		assertSameAccounting(t, "after cancellation", m, want)
@@ -182,7 +182,7 @@ func TestSimulateVerifyFailureNotMemoized(t *testing.T) {
 	}
 	c := mat2c.NewCache(0)
 	for i := 0; i < 2; i++ {
-		err := k.Simulate(context.Background(), c, vm.NewMachine(proc), prog, 48)
+		_, err := k.Simulate(context.Background(), c, vm.NewMachine(proc), prog, 48)
 		var verr *VerifyError
 		if !errors.As(err, &verr) {
 			t.Fatalf("call %d: %v, want a *VerifyError", i, err)
@@ -211,7 +211,7 @@ func TestSimulateConcurrentCallersShareOneRun(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			ms[i] = vm.NewMachine(proc)
-			errs[i] = k.Simulate(context.Background(), c, ms[i], prog, n)
+			_, errs[i] = k.Simulate(context.Background(), c, ms[i], prog, n)
 		}(i)
 	}
 	wg.Wait()
@@ -256,7 +256,8 @@ func TestSimulateConcurrentWaiterAfterFault(t *testing.T) {
 	go func() {
 		m := vm.NewMachine(proc)
 		m.MaxCycles = 10
-		faulted <- k.Simulate(held, c, m, prog, n)
+		_, err := k.Simulate(held, c, m, prog, n)
+		faulted <- err
 	}()
 	<-held.started
 	// The waiter's first Done call is its wait on the held lookup; the
@@ -264,7 +265,10 @@ func TestSimulateConcurrentWaiterAfterFault(t *testing.T) {
 	waits := doneCalls{context.Background(), make(chan struct{}, 2)}
 	m := vm.NewMachine(proc)
 	waiter := make(chan error, 1)
-	go func() { waiter <- k.Simulate(waits, c, m, prog, n) }()
+	go func() {
+		_, err := k.Simulate(waits, c, m, prog, n)
+		waiter <- err
+	}()
 	select {
 	case <-waits.calls:
 	case <-time.After(10 * time.Second):
@@ -295,7 +299,7 @@ func TestSimulateRunsWhenPricingDeclines(t *testing.T) {
 	k, prog, proc := memoProgram(t, "matmul", "dspasip")
 	const n = 8
 	c := mat2c.NewCache(0)
-	if err := k.Simulate(context.Background(), c, vm.NewMachine(proc), prog, n); err != nil {
+	if _, err := k.Simulate(context.Background(), c, vm.NewMachine(proc), prog, n); err != nil {
 		t.Fatal(err)
 	}
 	full, err := freshRun(t, k, prog, proc, n, 0)
@@ -306,7 +310,7 @@ func TestSimulateRunsWhenPricingDeclines(t *testing.T) {
 	m := vm.NewMachine(proc)
 	m.MaxCycles = limit
 	ctx := doneCalls{context.Background(), make(chan struct{}, 2)}
-	err = k.Simulate(ctx, c, m, prog, n)
+	_, err = k.Simulate(ctx, c, m, prog, n)
 	if got := len(ctx.calls); got != 1 {
 		t.Errorf("the limited machine ran the program %d times, want once after the declined price", got)
 	}
@@ -355,13 +359,13 @@ func TestMaxCyclesCheckedBeforeEachInstruction(t *testing.T) {
 	// The memo holds the unlimited run's events, so the limited machine
 	// is offered them first and must fall back to a run.
 	c := mat2c.NewCache(0)
-	if err := k.Simulate(context.Background(), c, vm.NewMachine(proc), prog, n); err != nil {
+	if _, err := k.Simulate(context.Background(), c, vm.NewMachine(proc), prog, n); err != nil {
 		t.Fatal(err)
 	}
 	for _, engine := range []string{vm.EngineCompiled, vm.EngineReference} {
 		m := limited(engine)
 		ctx := doneCalls{context.Background(), make(chan struct{}, 2)}
-		if err := k.Simulate(ctx, c, m, prog, n); err != nil {
+		if _, err := k.Simulate(ctx, c, m, prog, n); err != nil {
 			t.Fatalf("Simulate on the %s engine: %v", engine, err)
 		}
 		assertSameAccounting(t, "Simulate on the "+engine+" engine", m, full)

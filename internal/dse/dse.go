@@ -131,10 +131,10 @@ func EvalVariantsContext(ctx context.Context, vs []*Variant, opts Options) ([]Va
 
 // evalRun evaluates vs in order, handing each result to done with its
 // index in vs. It first computes the variants' cache keys (one
-// rendering of each variant's processor) and, when the cache's remote
-// tier reads in batches, reads ahead in one go what their lookups will
-// ask it for (mat2c.Cache.Prefetch) and evaluates the run through the
-// handle Prefetch returns, which it drops on return. It stops with
+// rendering of each variant's processor), reads ahead in one go what
+// their lookups will ask the cache's remote tier for, when that tier
+// reads in batches (mat2c.Cache.Prefetch), and evaluates the run through
+// the handle Prefetch returns, which it drops on return. It stops with
 // ctx's error when ctx ends before a variant.
 func evalRun(ctx context.Context, vs []*Variant, kernels []*bench.Kernel, opts Options, cache *mat2c.Cache, done func(int, VariantResult)) error {
 	if err := ctx.Err(); err != nil {
@@ -145,9 +145,7 @@ func evalRun(ctx context.Context, vs []*Variant, kernels []*bench.Kernel, opts O
 	for i, v := range vs {
 		keys[i], errs[i] = variantKeys(v, kernels, opts)
 	}
-	if cache.CanPrefetch() {
-		cache = cache.Prefetch(wants(keys, kernels, opts))
-	}
+	cache = cache.Prefetch(wants(keys, kernels, opts))
 	for i, v := range vs {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -232,7 +230,7 @@ func evalVariant(ctx context.Context, v *Variant, kernels []*bench.Kernel, opts 
 			vr.CacheHits++
 		}
 		m := vm.NewMachine(res.Processor())
-		if err := k.Simulate(ctx, cache, m, res.Program(), n); err != nil {
+		if _, err := k.Simulate(ctx, cache, m, res.Program(), n); err != nil {
 			var verr *bench.VerifyError
 			if errors.As(err, &verr) {
 				vr.Error = fmt.Sprintf("%s: verify: %v", k.Name, verr.Err)

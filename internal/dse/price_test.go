@@ -95,7 +95,7 @@ func TestPricedEqualsSimulated(t *testing.T) {
 						t.Fatalf("%s/%s: %v", vr.Name, k.Name, err)
 					}
 					priced := vm.NewMachine(v.Proc)
-					if err := k.Simulate(counted, cache, priced, prog, n); err != nil {
+					if _, err := k.Simulate(counted, cache, priced, prog, n); err != nil {
 						t.Fatalf("%s/%s: %v", vr.Name, k.Name, err)
 					}
 					if priced.Cycles != fresh.Cycles || priced.Executed != fresh.Executed ||

@@ -204,8 +204,10 @@ func TestMineDeterministic(t *testing.T) {
 	}
 }
 
-// A repeated mine verifies its candidates from the runs of the first:
-// it simulates nothing and reports the same measurements.
+// A repeated mine profiles its kernels and verifies its candidates
+// from the runs of the first: it simulates nothing and reports the same
+// measurements. Profiling looks one verified run per kernel up through
+// the same cache.
 func TestRepeatedMinePricesVerification(t *testing.T) {
 	opts := Options{Kernels: []string{"fir", "cfir"}}
 	a, err := Mine(scalarProc(t), opts)
@@ -224,6 +226,14 @@ func TestRepeatedMinePricesVerification(t *testing.T) {
 	}
 	if dump(a) != dump(b) {
 		t.Errorf("repeated mine reported differently:\n%s\nvs\n%s", dump(a), dump(b))
+	}
+	if _, err := PlanContext(context.Background(), scalarProc(t), opts); err != nil {
+		t.Fatal(err)
+	}
+	planned := runs.Stats()
+	if planned.EventMisses != after.EventMisses || planned.EventMemoHits-after.EventMemoHits != uint64(len(opts.Kernels)) {
+		t.Errorf("repeated profiling: %d simulations and %d priced runs, want 0 and one per kernel (%d)",
+			planned.EventMisses-after.EventMisses, planned.EventMemoHits-after.EventMemoHits, len(opts.Kernels))
 	}
 }
 

@@ -2,6 +2,7 @@ package isx
 
 import (
 	"context"
+	"errors"
 
 	"mat2c/internal/bench"
 	"mat2c/internal/core"
@@ -23,9 +24,12 @@ type profile struct {
 }
 
 // profileKernel compiles k with the full proposed pipeline for proc and
-// runs it once under the VM profiler. Mining the post-isel IR keeps the
-// candidate pool self-consistent: shapes the target already fuses are
-// intrinsics by now, so every mined pattern is genuinely new on proc.
+// looks its verified run on the profiled input up through runs, as
+// candidate verification does, so a repeated mine simulates nothing.
+// Each pc of the run executed as often as its basic block completed
+// (vm.Events.Blocks). Mining the post-isel IR keeps the candidate pool
+// self-consistent: shapes the target already fuses are intrinsics by
+// now, so every mined pattern is genuinely new on proc.
 func profileKernel(ctx context.Context, proc *pdesc.Processor, k *bench.Kernel, scale float64) (*profile, error) {
 	res, err := core.CompileContext(ctx, k.Source, k.Entry, k.Params, core.Proposed(proc))
 	if err != nil {
@@ -37,11 +41,18 @@ func profileKernel(ctx context.Context, proc *pdesc.Processor, k *bench.Kernel, 
 	}
 	n := bench.SizeFor(k, scale)
 	m := vm.NewMachine(proc)
-	m.Profile = true
-	if _, err := m.RunContext(ctx, prog, k.Case(n).Args()...); err != nil {
+	ev, err := k.Simulate(ctx, runs, m, prog, n)
+	if err != nil {
 		return nil, err
 	}
-	counts := make([]int64, len(m.PCCounts))
-	copy(counts, m.PCCounts)
+	if ev == nil {
+		return nil, errors.New("the run recorded no events")
+	}
+	counts := make([]int64, len(prog.Instrs))
+	for _, b := range ev.Blocks() {
+		for pc := b.Start; pc < b.End; pc++ {
+			counts[pc] = b.Runs
+		}
+	}
 	return &profile{kernel: k, n: n, base: m.Cycles, sites: sites, counts: counts}, nil
 }

@@ -70,15 +70,15 @@ func VerifyCandidate(ctx context.Context, proc *pdesc.Processor, c *Candidate, p
 	return deltas
 }
 
-// runs is the cache candidate runs are looked up through: each
-// distinct (program, case) is simulated and verified once per process
-// and priced after, so a repeated mine (a repeated /isx request, a
-// re-dispatched fleet unit) measures its candidates without simulating
-// them again.
+// runs is the cache profile and candidate runs are looked up through:
+// each distinct (program, case) is simulated and verified once per
+// process and priced after, so a repeated mine (a repeated /isx
+// request, a re-dispatched fleet unit) profiles its kernels and
+// measures its candidates without simulating them again.
 var runs = mat2c.NewCache(0)
 
-// RunStats snapshots the cache candidate runs are looked up through:
-// its event_* counters count the runs simulated and priced.
+// RunStats snapshots the cache profile and candidate runs are looked
+// up through: its event_* counters count the runs simulated and priced.
 func RunStats() mat2c.CacheStats { return runs.Stats() }
 
 // measure runs kernel k on proc (which carries candidate c) and
@@ -92,7 +92,7 @@ func measure(ctx context.Context, proc *pdesc.Processor, k *bench.Kernel, n int,
 		return 0, 0, err
 	}
 	m := vm.NewMachine(proc)
-	if err := k.Simulate(ctx, runs, m, res.Program, n); err != nil {
+	if _, err := k.Simulate(ctx, runs, m, res.Program, n); err != nil {
 		var verr *bench.VerifyError
 		if errors.As(err, &verr) {
 			return 0, 0, fmt.Errorf("output mismatch: %v", verr.Err)

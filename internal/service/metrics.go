@@ -352,10 +352,11 @@ type ISXSnapshot struct {
 	Runs           ISXRunsSnapshot `json:"runs"`
 }
 
-// ISXRunsSnapshot counts the runs that verify mined candidates, in this
-// process's /isx mines and fleet isx units alike (isx.RunStats):
-// simulated and verified against the kernel's reference, or priced
-// from the events of such a run of the same program.
+// ISXRunsSnapshot counts the runs mines profile kernels from and the
+// runs that verify mined candidates, in this process's /isx mines and
+// fleet isx units alike (isx.RunStats): simulated and verified against
+// the kernel's reference, or priced from the events of such a run of
+// the same program.
 type ISXRunsSnapshot struct {
 	Simulated uint64 `json:"simulated"`
 	Priced    uint64 `json:"priced"`

@@ -48,7 +48,9 @@ import (
 //     executions, and tally (price.go) charges those and the alloc
 //     extents into the class counts, the same rule Price uses. The
 //     same counts, when the run completes, are its processor-
-//     independent Events.
+//     independent Events, which are also its per-pc execution counts:
+//     every member of a block ran as often as the block completed
+//     (Events.Blocks).
 //   - A block that does not fit, or that holds an intrinsic the run's
 //     processor lacks (a symbol resolved to cost -1), is handed, with
 //     the machine's accounting so far, to the reference interpreter,
@@ -60,9 +62,6 @@ import (
 //     chargeFirstOp placement), and reports its own pc and message.
 //   - Cancellation stays bounded by CancelCheckStride: a block's poll
 //     debt is settled before it runs, and the poll charges nothing.
-//   - Machine.Profile credits every member of a completed block (and
-//     the executed prefix on a fault), so per-pc profiles match the
-//     reference engine.
 
 // cont is one continuation of a compiled block: it executes its op and
 // every op threaded after it. On success the int is the next pc to
@@ -783,19 +782,9 @@ func (cp *CompiledProgram) run(m *Machine, ctx context.Context, maxCycles int64,
 	pc, err := cp.exec(m, ctx, s, maxCycles)
 	// Completed blocks and allocs were only counted; add the blocks'
 	// symbol executions to any fault replay's and charge the class
-	// counts and per-pc profile now, in bulk.
+	// counts now, in bulk.
 	cp.count(s.runs, s.symCounts)
 	tally(m.ClassCounts, s.charges, s.symCounts, s.allocs, s.zero)
-	if m.Profile {
-		for bi, r := range s.runs {
-			if r != 0 {
-				sp := cp.spans[bi]
-				for j := sp.start; j < sp.end; j++ {
-					m.PCCounts[j] += r
-				}
-			}
-		}
-	}
 	handedOff := err == nil && pc >= 0 && pc < len(cp.prog.Instrs)
 	if handedOff {
 		// The cycle limit falls within the block at pc, or the block
@@ -819,7 +808,7 @@ func (cp *CompiledProgram) run(m *Machine, ctx context.Context, maxCycles int64,
 // not fit under maxCycles or that the run hands off (a negative block cost),
 // returning that block's first pc for the reference interpreter to
 // resume at. A completed block only bumps its run count; run turns the
-// counts into class counts and profile.
+// counts into class counts.
 func (cp *CompiledProgram) exec(m *Machine, ctx context.Context, s *scratch, maxCycles int64) (int, error) {
 	var executed int64
 	defer func() {
@@ -873,11 +862,6 @@ func (cp *CompiledProgram) exec(m *Machine, ctx context.Context, s *scratch, max
 			s.symCounts[si]++
 		}
 		executed += int64(k) + 1
-		if m.Profile {
-			for j := 0; j <= k; j++ {
-				m.PCCounts[start+j]++
-			}
-		}
 		return pc, &FaultError{PC: start + k, Msg: ferr.Error()}
 	}
 	return pc, nil

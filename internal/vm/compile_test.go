@@ -153,9 +153,8 @@ func TestCompiledFaultPaths(t *testing.T) {
 
 // TestFaultSiteParityUnderCycleLimits is the fault-site differential:
 // cycle limits chosen to land mid-block must produce an identical
-// *FaultError (pc and text), identical partial accounting, and an
-// identical partial per-pc profile under the reference and compiled
-// engines.
+// *FaultError (pc and text) and identical partial accounting under the
+// reference and compiled engines.
 func TestFaultSiteParityUnderCycleLimits(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for _, procName := range []string{"dspasip", "wide8", "scalar"} {
@@ -170,7 +169,6 @@ func TestFaultSiteParityUnderCycleLimits(t *testing.T) {
 			m := NewMachine(p)
 			m.Engine = engine
 			m.MaxCycles = lim
-			m.Profile = true
 			_, err := m.Run(prog, cloneArgs(args)...)
 			return m, err
 		}
@@ -213,9 +211,6 @@ func TestFaultSiteParityUnderCycleLimits(t *testing.T) {
 			if !reflect.DeepEqual(m.ClassCounts, refM.ClassCounts) {
 				t.Errorf("%s: ClassCounts %v, reference %v", label, m.ClassCounts, refM.ClassCounts)
 			}
-			if !reflect.DeepEqual(m.PCCounts, refM.PCCounts) {
-				t.Errorf("%s: partial per-pc profile differs from reference", label)
-			}
 		}
 		if faulted < len(limits)/2 {
 			t.Fatalf("%s: only %d/%d limits faulted — the sweep is not landing mid-run", procName, faulted, len(limits))
@@ -223,9 +218,10 @@ func TestFaultSiteParityUnderCycleLimits(t *testing.T) {
 	}
 }
 
-// TestCompiledProfileParity: Machine.Profile under the compiled engine
-// (batched per-block counting, prefix counting on faults) must agree
-// with the reference engine per pc.
+// TestCompiledProfileParity: under cycle limits that fault mid-run or
+// none, the engines agree (enginesDiff: a completed run's events give
+// each pc the count the reference trace shows), and only the run that
+// completes records events, so no partial run stands as a profile.
 func TestCompiledProfileParity(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	f, p := buildIR(t, firSrc, "dspasip", true, dynVec(), dynVec())
@@ -235,22 +231,23 @@ func TestCompiledProfileParity(t *testing.T) {
 	}
 	args := []interface{}{randArr(256, r), randArr(16, r)}
 	for _, lim := range []int64{0, 999, 12345} {
-		profile := func(engine string) []int64 {
-			m := NewMachine(p)
-			m.Engine = engine
-			m.MaxCycles = lim
-			m.Profile = true
-			m.Run(prog, cloneArgs(args)...) // faulting runs still profile
-			return m.PCCounts
+		refErr, err := enginesDiff(prog, p, lim, args)
+		if err != nil {
+			t.Fatalf("limit %d: %v", lim, err)
 		}
-		if ref, comp := profile(EngineReference), profile(EngineCompiled); !reflect.DeepEqual(ref, comp) {
-			t.Errorf("limit %d: compiled per-PC profile differs from reference", lim)
+		m := NewMachine(p)
+		m.MaxCycles = lim
+		_, ev, _ := m.RunEvents(context.Background(), prog, cloneArgs(args)...)
+		if (lim == 0) != (refErr == nil) || (ev != nil) != (refErr == nil) {
+			t.Errorf("limit %d: reference error %v, compiled events recorded %v; want a fault and none under a limit only",
+				lim, refErr, ev != nil)
 		}
 	}
 }
 
-// TestProfileParity: Machine.Profile agrees per pc between the
-// reference and compiled engines on real kernels across targets.
+// TestProfileParity: on real kernels across targets, a completed
+// compiled run's events give each pc the execution count the reference
+// engine's trace shows.
 func TestProfileParity(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	kernels := []struct {
@@ -272,17 +269,16 @@ func TestProfileParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			args := k.args()
-			profile := func(engine string) []int64 {
-				m := NewMachine(p)
-				m.Engine = engine
-				m.Profile = true
-				if _, err := m.Run(prog, cloneArgs(args)...); err != nil {
-					t.Fatal(err)
-				}
-				return m.PCCounts
+			ref, _, err := tracedPCs(NewMachine(p), prog, args)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(profile(EngineReference), profile(EngineCompiled)) {
-				t.Errorf("%s kernel %d: compiled per-pc profile differs from reference", procName, ki)
+			_, ev, err := NewMachine(p).RunEvents(context.Background(), prog, cloneArgs(args)...)
+			if err != nil || ev == nil {
+				t.Fatalf("%s kernel %d: compiled run recorded no events (err %v)", procName, ki, err)
+			}
+			if got := eventPCs(prog, ev); !slices.Equal(ref, got) {
+				t.Errorf("%s kernel %d: per-pc counts by events %v, reference trace %v", procName, ki, got, ref)
 			}
 		}
 	}
@@ -446,7 +442,8 @@ func fuzzProg(data []byte) *Program {
 // two SIMD targets and a SIMD target lacking fma, all through the one
 // translation the program carries, with fuzzed cycle limits so faults
 // land at arbitrary block offsets, comparing every observable including
-// per-pc profiles. Every run that completes is then priced from its
+// each pc's execution count, by a completed run's events against the
+// reference trace. Every run that completes is then priced from its
 // events on every other target and on a SIMD variant with changed
 // load/vstore/vlds costs; each price must equal that processor's
 // reference run.

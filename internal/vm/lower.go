@@ -16,9 +16,10 @@ func Lower(f *ir.Func) (*Program, error) {
 // parallel to the program's instructions where sites[pc] is the IR
 // expression whose value instruction pc computes, or nil for control
 // flow, moves, and other instructions that are not the final step of an
-// expression. The map is compacted alongside the peephole pass, so
-// per-pc profile counts from Machine.PCCounts can be attributed to IR
-// expressions directly.
+// expression. The map is compacted alongside the peephole pass, so a
+// completed run's per-pc execution counts (Events.Blocks: each pc runs
+// as often as its block completed) can be attributed to IR expressions
+// directly.
 func LowerWithSites(f *ir.Func) (*Program, []ir.Expr, error) {
 	return lowerFunc(f, true)
 }

@@ -103,19 +103,10 @@ type Machine struct {
 	// Engine selects the execution engine: EngineReference runs the
 	// oracle interpreter; anything else (normally empty) runs the
 	// compiled engine. The engines are cycle-exact against each other:
-	// Cycles, Executed, ClassCounts, PCCounts, outputs, and faults
-	// (pc and text) are identical.
+	// Cycles, Executed, ClassCounts, outputs, and faults (pc and text)
+	// are identical.
 	Engine string
-	// Profile, when true, records per-pc dynamic execution counts into
-	// PCCounts. Counts always refer to the Program's instructions and
-	// are identical on both engines; cycle accounting is unchanged. The
-	// instruction-set miner uses these counts to weight candidate
-	// patterns by how often their sites actually ran.
-	Profile bool
 
-	// PCCounts[pc] is the number of times prog.Instrs[pc] executed in
-	// the last profiled Run (nil unless Profile is set).
-	PCCounts []int64
 	// Cycles is the total charged cost of the last Run.
 	Cycles int64
 	// Executed is the dynamic instruction count of the last Run.
@@ -163,7 +154,7 @@ func (m *Machine) runContext(ctx context.Context, prog *Program, args []interfac
 	if ctx != nil && ctx.Done() == nil {
 		ctx = nil // no cancellation source: skip polling entirely
 	}
-	m.reset(prog)
+	m.reset()
 	if m.Trace == nil && m.Engine != EngineReference {
 		return CompiledFor(prog).run(m, ctx, m.maxCycles(), args, ev)
 	}
@@ -187,26 +178,14 @@ func (m *Machine) maxCycles() int64 {
 	return m.MaxCycles
 }
 
-// reset zeroes the per-run accounting ahead of a run (or a price) of
-// prog.
-func (m *Machine) reset(prog *Program) {
+// reset zeroes the per-run accounting ahead of a run or a price.
+func (m *Machine) reset() {
 	m.Cycles = 0
 	m.Executed = 0
 	if m.ClassCounts == nil {
 		m.ClassCounts = make(map[string]int64, 16)
 	} else {
 		clear(m.ClassCounts)
-	}
-
-	if m.Profile {
-		if cap(m.PCCounts) >= len(prog.Instrs) {
-			m.PCCounts = m.PCCounts[:len(prog.Instrs)]
-			clear(m.PCCounts)
-		} else {
-			m.PCCounts = make([]int64, len(prog.Instrs))
-		}
-	} else {
-		m.PCCounts = nil
 	}
 }
 
@@ -317,9 +296,6 @@ func (m *Machine) exec(ctx context.Context, prog *Program, pc int, regs []vmval,
 		}
 		in := &prog.Instrs[pc]
 		m.Executed++
-		if m.Profile {
-			m.PCCounts[pc]++
-		}
 		if m.Trace != nil {
 			fmt.Fprintf(m.Trace, "%8d %5d: %s\n", m.Cycles, pc, disasmInstr(prog, *in))
 		}

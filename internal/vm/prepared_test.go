@@ -1,10 +1,15 @@
 package vm
 
 import (
+	"bytes"
+	"cmp"
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -69,19 +74,74 @@ func runEngine(prog *Program, p *pdesc.Processor, engine string, maxCycles int64
 	m := NewMachine(p)
 	m.Engine = engine
 	m.MaxCycles = maxCycles
-	m.Profile = true
 	out, err := m.Run(prog, cloneArgs(args)...)
 	return m, out, err
+}
+
+// pcCounter is a Trace writer counting each pc's executions from the
+// pc field of every trace line.
+type pcCounter struct {
+	counts []int64
+	line   []byte // the trace not yet split into lines
+	err    error  // the first line that names no pc of the program
+}
+
+func (c *pcCounter) Write(p []byte) (int, error) {
+	c.line = append(c.line, p...)
+	for {
+		i := bytes.IndexByte(c.line, '\n')
+		if i < 0 {
+			return len(p), nil
+		}
+		f := bytes.Fields(c.line[:i]) // cycles, "pc:", disassembly
+		pc := -1
+		if len(f) > 1 {
+			pc, _ = strconv.Atoi(string(bytes.TrimSuffix(f[1], []byte(":"))))
+		}
+		if pc < 0 || pc >= len(c.counts) {
+			c.err = cmp.Or(c.err, fmt.Errorf("trace line %q names no pc", c.line[:i]))
+		} else {
+			c.counts[pc]++
+		}
+		c.line = c.line[i+1:]
+	}
+}
+
+// tracedPCs runs prog on m under a pcCounter (so on the reference
+// engine) and returns each pc's execution count with the run's outputs.
+func tracedPCs(m *Machine, prog *Program, args []interface{}) ([]int64, []interface{}, error) {
+	pcs := &pcCounter{counts: make([]int64, len(prog.Instrs))}
+	m.Trace = pcs
+	out, err := m.Run(prog, cloneArgs(args)...)
+	return pcs.counts, out, cmp.Or(pcs.err, err)
+}
+
+// eventPCs is each pc's execution count in the completed run ev
+// records: the run count of the block holding it.
+func eventPCs(prog *Program, ev *Events) []int64 {
+	counts := make([]int64, len(prog.Instrs))
+	for _, b := range ev.Blocks() {
+		for pc := b.Start; pc < b.End; pc++ {
+			counts[pc] = b.Runs
+		}
+	}
+	return counts
 }
 
 // enginesDiff runs prog on the reference and compiled engines and
 // describes the first observable they disagree on: error presence or
 // text (fault messages include the pc, so fault locations must match
-// too), Cycles, Executed, ClassCounts, per-pc profiles, or outputs. The
-// reference interpreter is the oracle. refErr is its run's error.
+// too), Cycles, Executed, ClassCounts, or outputs, and, for a run the
+// compiled engine completed, each pc's execution count by its events
+// against the pcs the reference run traced. The reference interpreter
+// is the oracle. refErr is its run's error.
 func enginesDiff(prog *Program, p *pdesc.Processor, maxCycles int64, args []interface{}) (refErr, diff error) {
-	mr, outR, errR := runEngine(prog, p, EngineReference, maxCycles, args)
-	mc, outC, errC := runEngine(prog, p, EngineCompiled, maxCycles, args)
+	mr := NewMachine(p)
+	mr.MaxCycles = maxCycles
+	pcsR, outR, errR := tracedPCs(mr, prog, args)
+	mc := NewMachine(p)
+	mc.MaxCycles = maxCycles
+	outC, ev, errC := mc.RunEvents(context.Background(), prog, cloneArgs(args)...)
 	switch {
 	case (errR == nil) != (errC == nil) || errR != nil && errR.Error() != errC.Error():
 		return errR, fmt.Errorf("error: reference %v, compiled %v", errR, errC)
@@ -89,8 +149,8 @@ func enginesDiff(prog *Program, p *pdesc.Processor, maxCycles int64, args []inte
 		return errR, fmt.Errorf("cycles/executed: reference %d/%d, compiled %d/%d", mr.Cycles, mr.Executed, mc.Cycles, mc.Executed)
 	case !reflect.DeepEqual(mr.ClassCounts, mc.ClassCounts):
 		return errR, fmt.Errorf("ClassCounts:\n  reference %v\n  compiled  %v", mr.ClassCounts, mc.ClassCounts)
-	case !reflect.DeepEqual(mr.PCCounts, mc.PCCounts):
-		return errR, fmt.Errorf("PCCounts:\n  reference %v\n  compiled  %v", mr.PCCounts, mc.PCCounts)
+	case ev != nil && !slices.Equal(pcsR, eventPCs(prog, ev)):
+		return errR, fmt.Errorf("per-pc counts:\n  reference trace %v\n  compiled events %v", pcsR, eventPCs(prog, ev))
 	case errR == nil:
 		return nil, resultsDiff(outR, outC)
 	}

@@ -351,13 +351,13 @@ func (m *Machine) RunEvents(ctx context.Context, prog *Program, args ...interfac
 // run of a content-identical program on any processor. It returns false
 // without pricing when it cannot be exact — the processor lacks an
 // intrinsic the run executed, or the priced cycles exceed the cycle
-// limit — or when the machine profiles or traces, which only a run
-// does; the caller must then run the program instead. Priced cycles
+// limit — or when the machine traces, which only a run does; the
+// caller must then run the program instead. Priced cycles
 // over the limit are declined even when only the last instruction
 // crosses it, although such a run completes (see MaxCycles): the
 // caller's run then reports that accounting.
 func (m *Machine) Price(prog *Program, ev *Events) bool {
-	if m.Profile || m.Trace != nil {
+	if m.Trace != nil {
 		return false
 	}
 	charges := ev.blocks.charges(nil, m.Proc)
@@ -370,7 +370,7 @@ func (m *Machine) Price(prog *Program, ev *Events) bool {
 	if tally(nil, charges, ev.counts, ev.allocs, z) > m.maxCycles() {
 		return false
 	}
-	m.reset(prog)
+	m.reset()
 	m.Cycles = tally(m.ClassCounts, charges, ev.counts, ev.allocs, z)
 	m.Executed = ev.executed
 	return true

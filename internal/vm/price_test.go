@@ -2,6 +2,7 @@ package vm
 
 import (
 	"context"
+	"io"
 	"reflect"
 	"testing"
 
@@ -282,16 +283,16 @@ func TestPriceDeclinesMissingIntrinsic(t *testing.T) {
 	assertPriced(t, "fma not reached", skipped, recordEvents(t, skipped, has, args), lacks, args)
 }
 
-// TestPriceNeedsARun: profiling machines and runs the compiled engine
+// TestPriceNeedsARun: tracing machines and runs the compiled engine
 // did not complete yield no pricing.
 func TestPriceNeedsARun(t *testing.T) {
 	prog := scalarProg(8)
 	proc := pdesc.Builtin("scalar")
 	ev := recordEvents(t, prog, proc, []interface{}{1.0})
 	m := NewMachine(proc)
-	m.Profile = true
+	m.Trace = io.Discard
 	if m.Price(prog, ev) {
-		t.Error("Price accepted a profiling machine")
+		t.Error("Price accepted a tracing machine")
 	}
 	ref := NewMachine(proc)
 	ref.Engine = EngineReference

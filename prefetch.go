@@ -18,10 +18,9 @@ type Want struct {
 
 // Prefetch reads ahead what the lookups in wants will ask the remote
 // tier for, when that tier reads many entries in one round trip
-// (artifact.BatchGetter; see CanPrefetch), and returns the handle for
-// the run that makes them: a Cache sharing c's memory tier, memos,
-// counters and offers, which reads the store tiers through read-ahead
-// views of its own.
+// (artifact.BatchGetter), and returns the handle for the run that makes
+// them: a Cache sharing c's memory tier, memos, counters and offers,
+// which reads the store tiers through read-ahead views of its own.
 //
 // It walks the tries of the keys memory does not hold level by level,
 // each on its own processor, with one batch read per level for the
@@ -44,13 +43,12 @@ type Want struct {
 // (a leaf read from the remote included, which a walk on the local
 // tier reads there again) as absent for the whole run. A walk on a
 // tier stops at a node its view answers absent, memo or not (see
-// node). A view is read only while its tier's store is the one it
-// wraps, and the walk stops when SetRemoteStore replaces the remote it
-// reads; writes and probes go to the attached stores. A failed batch
-// reads nothing ahead, and Prefetch returns c itself when the remote
-// tier cannot batch. Answers stay in memory until the handle is
-// dropped, so callers prefetch bounded runs of lookups; lookups through
-// c or another handle do not see them.
+// node). A tier attached after Prefetch is read without a view; writes
+// and probes go to the attached stores. A failed batch reads nothing
+// ahead, and Prefetch returns c itself when the remote tier cannot
+// batch. Answers stay in memory until the handle is dropped, so callers
+// prefetch bounded runs of lookups; lookups through c or another handle
+// do not see them.
 func (c *Cache) Prefetch(wants []Want) *Cache {
 	stores := c.stores()
 	bg, ok := stores[remoteTier].(artifact.BatchGetter)
@@ -60,7 +58,9 @@ func (c *Cache) Prefetch(wants []Want) *Cache {
 	near, _ := stores[diskTier].(artifact.Checker)
 	var views [numTiers]*readAhead
 	for i, s := range stores {
-		views[i] = &readAhead{Store: s, answers: make(map[string]artifact.Fetched)}
+		if s != nil {
+			views[i] = &readAhead{Store: s, answers: make(map[string]artifact.Fetched)}
+		}
 	}
 	absent := make(map[string]bool)
 	seen := make(map[string]bool)
@@ -96,12 +96,11 @@ func (c *Cache) Prefetch(wants []Want) *Cache {
 		c.held.Add(entryAt{key, i}, struct{}{})
 		return true
 	}
-	// fetch batch-reads the queued keys, unless the remote was replaced,
-	// but waits for the keys another run's Prefetch is reading now and
-	// shares its answers. When nodes is set, a node that decodes goes
-	// into the node memo; every other answer is the remote view's. Each
-	// key answered that the local tier lacks is answered absent to the
-	// run's local reads.
+	// fetch batch-reads the queued keys, but waits for the keys another
+	// run's Prefetch is reading now and shares its answers. When nodes
+	// is set, a node that decodes goes into the node memo; every other
+	// answer is the remote view's. Each key answered that the local tier
+	// lacks is answered absent to the run's local reads.
 	fetch := func(nodes bool) {
 		mine := &batchRead{done: make(chan struct{}), got: make(map[string]artifact.Fetched)}
 		reads := make([]*batchRead, len(keys))
@@ -127,11 +126,10 @@ func (c *Cache) Prefetch(wants []Want) *Cache {
 				c.mu.Unlock()
 				close(mine.done)
 			}()
-			current := func() bool { return c.stores()[remoteTier] == stores[remoteTier] }
-			if len(own) == 0 || !current() {
+			if len(own) == 0 {
 				return
 			}
-			if got, err := bg.GetBatch(own); err == nil && current() {
+			if got, err := bg.GetBatch(own); err == nil {
 				mine.ok = true
 				for i, key := range own {
 					if !nodes || !take(key, got[i], remoteTier) {
@@ -262,14 +260,4 @@ func (v *readAhead) lacks(key string) bool {
 	defer v.mu.Unlock()
 	a, ok := v.answers[key]
 	return ok && errors.Is(a.Err, artifact.ErrNotFound)
-}
-
-// CanPrefetch reports whether Prefetch reads anything ahead: whether
-// the remote tier attached now reads many entries in one round trip.
-// A caller can skip building the lookups it would pass otherwise.
-func (c *Cache) CanPrefetch() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.tiers[remoteTier].store.(artifact.BatchGetter)
-	return ok
 }
